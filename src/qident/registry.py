@@ -15,7 +15,7 @@ import json
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fnmatch import fnmatch
 from fractions import Fraction
@@ -278,9 +278,7 @@ def with_injected_fault(record: Union[str, IdentityRecord],
         bump = ctx.add(ctx.one(), ctx.qpow(j))
         return lhs, ctx.mul(ctx.finalize(rhs), bump)
 
-    return IdentityRecord(rec.id, rec.anchor, rec.covers, rec.schema,
-                          faulty, rec.sampler, rec.exponent_denominator,
-                          rec.strategies, rec.note)
+    return replace(rec, build=faulty)
 
 
 # ---------------------------------------------------------------------------

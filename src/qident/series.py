@@ -1,8 +1,11 @@
 """Truncated Laurent series over exact rationals, in one formal variable q.
 
-The coefficient field is `fractions.Fraction` (arbitrary precision, always
-in lowest terms with positive denominator). A series tracks a coefficient
-window [min_deg, order]:
+A series stores its coefficient window as integer numerators over one
+shared denominator, kept reduced (denominator > 0, gcd of the denominator
+and all numerators 1), so every operation runs on Python ints and divides
+out the common factor once per result. `coeffs` is an exact view of the
+same window as reduced `fractions.Fraction`s, built on first use. A series
+tracks a coefficient window [min_deg, order]:
 
   * coefficients below min_deg are exactly zero,
   * coefficients inside the window are exactly known,
@@ -21,7 +24,9 @@ exponent (order_a + 1) + min_deg_b, so everything below that is exact.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Union
 
 from .errors import OrderInsufficient, ZeroLeadingCoefficient
@@ -98,8 +103,10 @@ class QMonomial(NamedTuple):
     def to_series(self, order: Optional[int] = None) -> "LaurentSeries":
         """Exact conversion; by default an exact (untruncated) monomial."""
         if self.is_zero:
-            return LaurentSeries._make(0, (), order)
-        return LaurentSeries._make(self.exp, (self.coef,), order)
+            return LaurentSeries.zero(order)
+        c = self.coef
+        return LaurentSeries._from_ints(self.exp, (c.numerator,),
+                                        c.denominator, order)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -127,67 +134,85 @@ class Mismatch(NamedTuple):
 class LaurentSeries:
     """Immutable Laurent series with an explicit truncation order.
 
-    Instances are canonical: no leading zero coefficients, the window is
-    exactly [min_deg, order] for truncated series, and zero is stored with
-    an empty coefficient tuple. Use the module factories or arithmetic
-    operators; the raw constructor does not canonicalize.
+    The window is stored as integer numerators `nums` over one shared
+    denominator `den`: the coefficient of q^(min_deg + i) is
+    nums[i] / den. Instances are canonical: no leading zero numerator,
+    the window is exactly [min_deg, order] for truncated series,
+    den > 0 and gcd(den, *nums) == 1, and zero is stored as () over 1.
+    Use the module factories or arithmetic operators; the raw
+    constructor does not canonicalize.
     """
 
-    __slots__ = ("min_deg", "coeffs", "order")
+    __slots__ = ("min_deg", "nums", "den", "order", "_coeffs")
 
-    def __init__(self, min_deg: int, coeffs: tuple, order: Optional[int]):
+    def __init__(self, min_deg: int, nums: tuple, den: int,
+                 order: Optional[int]):
         self.min_deg = min_deg
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
         self.order = order
+        self._coeffs = None
 
     # -- construction --------------------------------------------------
 
     @staticmethod
     def _make(min_deg: int, coeffs, order: Optional[int]) -> "LaurentSeries":
-        """Canonicalizing factory. `coeffs` covers min_deg..min_deg+len-1;
-        everything else inside the window is taken to be known zero."""
-        coeffs = list(coeffs)
+        """Canonicalizing factory from rationals. `coeffs` (Fractions or
+        ints) covers min_deg..min_deg+len-1; everything else inside the
+        window is taken to be known zero."""
+        coeffs = [_frac(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        return LaurentSeries._from_ints(min_deg, nums, den, order)
+
+    @staticmethod
+    def _from_ints(min_deg: int, nums, den: int,
+                   order: Optional[int]) -> "LaurentSeries":
+        """Canonicalizing factory from integers: nums[i] / den is the
+        coefficient of q^(min_deg + i), and den must be positive. Trims
+        zeros, fits the window to `order` and divides out the common
+        factor with one gcd."""
+        n = len(nums)
         lead = 0
-        while lead < len(coeffs) and not coeffs[lead]:
+        while lead < n and not nums[lead]:
             lead += 1
-        coeffs = coeffs[lead:]
         min_deg += lead
         if order is None:
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-            if not coeffs:
-                return LaurentSeries(0, (), None)
-            return LaurentSeries(min_deg, tuple(coeffs), None)
-        if not coeffs or min_deg > order:
-            return LaurentSeries(order + 1, (), order)
-        width = order - min_deg + 1
-        if len(coeffs) < width:
-            coeffs.extend([_F0] * (width - len(coeffs)))
-        elif len(coeffs) > width:
-            del coeffs[width:]
-            # retrim in case truncation exposed a zero head
-            lead = 0
-            while lead < len(coeffs) and not coeffs[lead]:
-                lead += 1
-            if lead:
-                coeffs = coeffs[lead:]
-                min_deg += lead
-            if not coeffs:
-                return LaurentSeries(order + 1, (), order)
-        return LaurentSeries(min_deg, tuple(coeffs), order)
+            end = n
+            while end > lead and not nums[end - 1]:
+                end -= 1
+            if end == lead:
+                return LaurentSeries(0, (), 1, None)
+            nums = nums[lead:end]
+        else:
+            width = order - min_deg + 1
+            if lead == n or width <= 0:
+                return LaurentSeries(order + 1, (), 1, order)
+            nums = nums[lead:lead + width]
+            if len(nums) < width:
+                nums = list(nums)
+                nums.extend([0] * (width - len(nums)))
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [c // g for c in nums]
+                den //= g
+        return LaurentSeries(min_deg, tuple(nums), den, order)
 
     @staticmethod
     def zero(order: Optional[int] = None) -> "LaurentSeries":
-        return LaurentSeries._make(0, (), order)
+        return LaurentSeries._from_ints(0, (), 1, order)
 
     @staticmethod
     def one(order: Optional[int] = None) -> "LaurentSeries":
-        return LaurentSeries._make(0, (_F1,), order)
+        return LaurentSeries._from_ints(0, (1,), 1, order)
 
     @staticmethod
     def monomial(coef: RationalLike, exp: int = 0,
                  order: Optional[int] = None) -> "LaurentSeries":
-        return LaurentSeries._make(exp, (_frac(coef),), order)
+        coef = _frac(coef)
+        return LaurentSeries._from_ints(exp, (coef.numerator,),
+                                        coef.denominator, order)
 
     @staticmethod
     def from_pairs(pairs, order: Optional[int] = None) -> "LaurentSeries":
@@ -211,13 +236,21 @@ class LaurentSeries:
             return value
         if isinstance(value, QMonomial):
             return value.to_series(order)
-        return LaurentSeries.monomial(_frac(value), 0, order)
+        return LaurentSeries.monomial(value, 0, order)
 
     # -- inspection -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The window as reduced Fractions (built once, then cached)."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(c, den) for c in self.nums)
+        return self._coeffs
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def is_exact(self) -> bool:
@@ -229,13 +262,13 @@ class LaurentSeries:
 
     def eff_min_deg(self) -> float:
         """Valuation lower bound; the zero series reports past its order."""
-        if self.coeffs:
+        if self.nums:
             return self.min_deg
         return float("inf") if self.order is None else self.order + 1
 
     def valuation(self) -> Optional[int]:
         """Lowest exponent with a nonzero coefficient, None if zero."""
-        return self.min_deg if self.coeffs else None
+        return self.min_deg if self.nums else None
 
     def coeff(self, exponent: int) -> Rational:
         """Coefficient at `exponent`; raises beyond the known window."""
@@ -243,7 +276,7 @@ class LaurentSeries:
             raise OrderInsufficient(
                 f"coefficient of q^{exponent} is beyond the guaranteed order")
         i = exponent - self.min_deg
-        if 0 <= i < len(self.coeffs):
+        if 0 <= i < len(self.nums):
             return self.coeffs[i]
         return _F0
 
@@ -264,27 +297,33 @@ class LaurentSeries:
     # -- arithmetic -----------------------------------------------------
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.min_deg, tuple(-c for c in self.coeffs),
-                             self.order)
+        return LaurentSeries(self.min_deg, tuple(-c for c in self.nums),
+                             self.den, self.order)
 
     def __add__(self, other: SeriesLike) -> "LaurentSeries":
         other = LaurentSeries.coerce(other)
         eo = min(self.eff_order(), other.eff_order())
         order = None if eo == float("inf") else int(eo)
-        if self.is_zero and other.is_zero:
+        parts = [s for s in (self, other) if s.nums]
+        if not parts:
             return LaurentSeries.zero(order)
-        lows = [s.min_deg for s in (self, other) if s.coeffs]
-        lo = min(lows)
-        hi_known = max((s.min_deg + len(s.coeffs) - 1 for s in (self, other)
-                        if s.coeffs), default=lo)
-        hi = hi_known if order is None else order
-        out = [_F0] * (hi - lo + 1)
-        for s in (self, other):
-            for i, c in enumerate(s.coeffs):
-                j = s.min_deg + i - lo
-                if 0 <= j < len(out):
-                    out[j] += c
-        return LaurentSeries._make(lo, out, order)
+        lo = min(s.min_deg for s in parts)
+        hi = max(s.min_deg + len(s.nums) - 1 for s in parts)
+        if order is not None:
+            hi = order
+        # over the common denominator lcm(den_a, den_b)
+        g = gcd(self.den, other.den)
+        den = self.den * (other.den // g)
+        out = [0] * max(hi - lo + 1, 0)
+        for s in parts:
+            f = den // s.den
+            off = s.min_deg - lo
+            seg = s.nums[:max(len(out) - off, 0)]
+            if f != 1:
+                seg = [c * f for c in seg]
+            end = off + len(seg)
+            out[off:end] = map(operator.add, out[off:end], seg)
+        return LaurentSeries._from_ints(lo, out, den, order)
 
     def __radd__(self, other: SeriesLike) -> "LaurentSeries":
         return self.__add__(other)
@@ -307,7 +346,8 @@ class LaurentSeries:
         The result order is min(order_a + min_deg_b, order_b + min_deg_a):
         every reported coefficient is correct. `cap` optionally truncates
         the result further (a pure cost saving for callers that only need
-        coefficients up to `cap`).
+        coefficients up to `cap`). The numerators convolve as integers
+        over the product of the two denominators.
         """
         other = LaurentSeries.coerce(other)
         eo = min(self.eff_order() + other.eff_min_deg(),
@@ -318,33 +358,38 @@ class LaurentSeries:
         if self.is_zero or other.is_zero:
             return LaurentSeries.zero(order)
         # fast path: monomial factor
-        if len(other.coeffs) == 1:
-            return self._mul_monomial(other.coeffs[0], other.min_deg, order)
-        if len(self.coeffs) == 1:
-            return other._mul_monomial(self.coeffs[0], self.min_deg, order)
+        if len(other.nums) == 1:
+            return self._mul_monomial(other.nums[0], other.den,
+                                      other.min_deg, order)
+        if len(self.nums) == 1:
+            return other._mul_monomial(self.nums[0], self.den,
+                                       self.min_deg, order)
         lo = self.min_deg + other.min_deg
-        if order is None:
-            width = len(self.coeffs) + len(other.coeffs) - 1
-        else:
-            width = order - lo + 1
-        out = [_F0] * width
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
+        a, b = self.nums, other.nums
+        # rows of the factor with fewer nonzero numerators, each added
+        # in one slice across the other factor
+        if len(a) - a.count(0) > len(b) - b.count(0):
             a, b = b, a
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            jmax = min(len(b), width - i)
-            for j in range(jmax):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return LaurentSeries._make(lo, out, order)
+        lb = len(b)
+        width = len(a) + lb - 1
+        if order is not None:
+            width = min(width, order - lo + 1)
+        out = [0] * max(width, 0)
+        for i, c in enumerate(a):
+            if c:
+                k = min(lb, width - i)
+                if k <= 0:
+                    break
+                out[i:i + k] = map(operator.add, out[i:i + k],
+                                   map(c.__mul__, b[:k]))
+        return LaurentSeries._from_ints(lo, out, self.den * other.den, order)
 
-    def _mul_monomial(self, coef: Rational, exp: int,
+    def _mul_monomial(self, num: int, den: int, exp: int,
                       order: Optional[int]) -> "LaurentSeries":
-        return LaurentSeries._make(self.min_deg + exp,
-                                   [coef * c for c in self.coeffs], order)
+        """Multiply by (num / den) * q^exp, with num != 0 and den > 0."""
+        nums = self.nums if num == 1 else [num * c for c in self.nums]
+        return LaurentSeries._from_ints(self.min_deg + exp, nums,
+                                        self.den * den, order)
 
     def scale(self, coef: RationalLike, exp: int = 0) -> "LaurentSeries":
         """Multiply by the exact monomial coef * q^exp."""
@@ -352,7 +397,8 @@ class LaurentSeries:
         order = None if self.order is None else self.order + exp
         if not coef:
             return LaurentSeries.zero(order)
-        return self._mul_monomial(coef, exp, order)
+        return self._mul_monomial(coef.numerator, coef.denominator, exp,
+                                  order)
 
     def mul_binomial(self, coef: RationalLike, exp: int) -> "LaurentSeries":
         """Multiply by the exact binomial (1 + coef * q^exp)."""
@@ -394,16 +440,26 @@ class LaurentSeries:
         width = eo - lo + 1
         if width <= 0:
             return LaurentSeries.zero(eo)
-        a = self.coeffs
-        out = [_F0] * width
+        # With coef = p/r, b[t] = B[t] / (den * r^(t // exp)): one power of
+        # r enters every exp steps, B[t] = a[t] r^(t // exp) - p B[t - exp].
+        p, r = coef.numerator, coef.denominator
+        a = self.nums
+        la = len(a)
+        steps = (width - 1) // exp
+        rpow = [1]
+        for _ in range(steps):
+            rpow.append(rpow[-1] * r)
+        out = [0] * width
         for t in range(width):
-            v = a[t] if t < len(a) else _F0
-            if t - exp >= 0:
+            v = a[t] * rpow[t // exp] if t < la else 0
+            if t >= exp:
                 prev = out[t - exp]
                 if prev:
-                    v = v - coef * prev
+                    v -= p * prev
             out[t] = v
-        return LaurentSeries._make(lo, out, eo)
+        if r != 1:
+            out = [v * rpow[steps - t // exp] for t, v in enumerate(out)]
+        return LaurentSeries._from_ints(lo, out, self.den * rpow[steps], eo)
 
     def invert(self, order: Optional[int] = None) -> "LaurentSeries":
         """Multiplicative inverse to the guaranteed order.
@@ -415,9 +471,12 @@ class LaurentSeries:
         if self.is_zero:
             raise ZeroLeadingCoefficient("cannot invert the zero series")
         m = self.min_deg
+        a = self.nums
         if self.order is None:
-            if len(self.coeffs) == 1:
-                return LaurentSeries._make(-m, (_F1 / self.coeffs[0],), order)
+            if len(a) == 1:
+                lead = Fraction(self.den, a[0])
+                return LaurentSeries._from_ints(-m, (lead.numerator,),
+                                                lead.denominator, order)
             if order is None:
                 raise ValueError("inverting an exact non-monomial series "
                                  "requires an order")
@@ -428,20 +487,26 @@ class LaurentSeries:
                 rel = min(rel, order + m)
         if rel < 0:
             raise OrderInsufficient("input order too low to invert")
-        lead = self.coeffs[0]
-        a = self.coeffs
-        out = [_F0] * (rel + 1)
-        out[0] = _F1 / lead
+        # y = 1/a kept as ints Y over one reduced denominator Q. With
+        # a = A/den, y[t] = -den/A0 * sum_{j>=1} a[j] y[t-j] = -S / (A0 Q)
+        # for S = sum A[j] Y[t-j]. Since gcd(Q, *Y) == 1, the common factor
+        # of the widened window is gcd(|A0|, S): one gcd per step.
+        a0 = abs(a[0])
+        sign = -1 if a[0] > 0 else 1
+        g = gcd(self.den, a0)
+        y = [-sign * self.den // g]
+        q = a0 // g
+        w = a[1:rel + 1]
         for t in range(1, rel + 1):
-            acc = _F0
-            jmax = min(t, len(a) - 1)
-            for j in range(1, jmax + 1):
-                aj = a[j]
-                if aj:
-                    acc += aj * out[t - j]
-            if acc:
-                out[t] = -acc / lead
-        return LaurentSeries._make(-m, out, rel - m)
+            k = min(t, len(w))
+            s = sign * sum(map(operator.mul, w[:k], y[t - 1::-1][:k]))
+            g = gcd(a0, s)
+            f = a0 // g
+            if f != 1:
+                y = [f * c for c in y]
+                q *= f
+            y.append(s // g)
+        return LaurentSeries._from_ints(-m, y, q, rel - m)
 
     def truncate(self, order: int) -> "LaurentSeries":
         """Restrict the window to [min_deg, order] (order may not grow)."""
@@ -449,8 +514,9 @@ class LaurentSeries:
             raise OrderInsufficient(
                 f"cannot extend order {self.order} to {order}")
         width = order - self.min_deg + 1
-        return LaurentSeries._make(self.min_deg, self.coeffs[:max(width, 0)],
-                                   order)
+        return LaurentSeries._from_ints(self.min_deg,
+                                        self.nums[:max(width, 0)],
+                                        self.den, order)
 
     def rescale(self, d: int) -> "LaurentSeries":
         """Map q -> t^d: every exponent (and the order) is multiplied by d."""
@@ -461,10 +527,9 @@ class LaurentSeries:
         order = None if self.order is None else self.order * d
         if self.is_zero:
             return LaurentSeries.zero(order)
-        out = [_F0] * ((len(self.coeffs) - 1) * d + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * d] = c
-        return LaurentSeries._make(self.min_deg * d, out, order)
+        out = [0] * ((len(self.nums) - 1) * d + 1)
+        out[::d] = self.nums
+        return LaurentSeries._from_ints(self.min_deg * d, out, self.den, order)
 
     # -- comparison -----------------------------------------------------
 
@@ -478,15 +543,18 @@ class LaurentSeries:
         if up_to > self.eff_order() or up_to > other.eff_order():
             raise OrderInsufficient(
                 f"comparison to q^{up_to} exceeds a guaranteed order")
-        lows = [s.min_deg for s in (self, other) if s.coeffs]
+        lows = [s.min_deg for s in (self, other) if s.nums]
         if not lows:
             return None
+        a, b = self.nums, other.nums
+        da, db = self.den, other.den
         for e in range(min(lows), up_to + 1):
             i, j = e - self.min_deg, e - other.min_deg
-            ca = self.coeffs[i] if 0 <= i < len(self.coeffs) else _F0
-            cb = other.coeffs[j] if 0 <= j < len(other.coeffs) else _F0
-            if ca != cb:
-                return Mismatch(e, ca, cb)
+            ca = a[i] if 0 <= i < len(a) else 0
+            cb = b[j] if 0 <= j < len(b) else 0
+            # ca/da != cb/db, cross-multiplied
+            if ca * db != cb * da:
+                return Mismatch(e, Fraction(ca, da), Fraction(cb, db))
         return None
 
     # -- dunder plumbing -------------------------------------------------
@@ -494,11 +562,11 @@ class LaurentSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return (self.min_deg == other.min_deg and self.coeffs == other.coeffs
-                and self.order == other.order)
+        return (self.min_deg == other.min_deg and self.den == other.den
+                and self.nums == other.nums and self.order == other.order)
 
     def __hash__(self) -> int:
-        return hash((self.min_deg, self.coeffs, self.order))
+        return hash((self.min_deg, self.nums, self.den, self.order))
 
     def __repr__(self) -> str:
         return f"LaurentSeries({self})"

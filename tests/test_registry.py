@@ -1,5 +1,6 @@
 """Catalog shape, samplers, verification driver, reports."""
 
+import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -160,6 +161,40 @@ def test_fault_on_half_exponent_record():
     rep = verify_one(faulty, a, 30)
     assert rep.status == "mismatch"
     assert rep.mismatch_exponent == F(9)
+
+
+def test_fault_twin_keeps_every_field_but_build():
+    # headroom in particular: a twin at the default 4 would not be
+    # checking the record as the catalog runs it
+    for rec in catalog():
+        twin = with_injected_fault(rec, 5)
+        assert twin.build is not rec.build
+        for f in dataclasses.fields(rec):
+            if f.name != "build":
+                assert getattr(twin, f.name) == getattr(rec, f.name), \
+                    (rec.id, f.name)
+
+
+# Fault twins at j = 15, order 20, first exact sample of seed 1: the
+# exponent and the rational text of both coefficients, as reported
+# before the series kernel moved to integer numerators.
+MISMATCH_TEXT = [
+    ("cpte3", "3735352151054902049055/8388608",
+     "3735352151054910437663/8388608"),
+    ("poly2q", "218183847/819200", "219003047/819200"),
+    ("phi65", "-231032359989/19531250000", "-211501109989/19531250000"),
+    ("phi54", "4166425/884736", "5051161/884736"),
+    ("ppte-m", "-1546587333/268435456", "-1278151877/268435456"),
+]
+
+
+@pytest.mark.parametrize("rid,lhs,rhs", MISMATCH_TEXT)
+def test_mismatch_report_text_pinned(rid, lhs, rhs):
+    a = sample_params(rid, 1, 1, "exact")[0]
+    rep = verify_one(with_injected_fault(rid, 15), a, 20)
+    assert rep.status == "mismatch"
+    assert rep.mismatch_exponent == 15
+    assert (rep.mismatch_lhs, rep.mismatch_rhs) == (lhs, rhs)
 
 
 def test_exact_skip_falls_back_to_numeric_in_suite():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,3 +273,283 @@ def test_scale_and_binomials():
     assert_agree(back, LS.one(10), 10)
     shifted = s.scale(F(2), -2)
     assert shifted.min_deg == -2 and shifted.order == 8
+
+
+# ----------------------------------------- integer kernel vs Fraction reference
+#
+# A reference series is a pair (dict {exponent: Fraction}, order), with
+# order None for an exact series. Products are dict convolutions and
+# quotients the plain Fraction recurrences; every operation of the
+# integer-numerator kernel must give the same window, order and values.
+
+INF = float("inf")
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+# pairwise-coprime denominators of about 60 bits: each new one widens the
+# shared denominator of a window
+DENS = (1,) + tuple(p ** (60 // p.bit_length()) for p in PRIMES)
+TALL = st.builds(F, st.integers(-2 ** 300, 2 ** 300), st.sampled_from(DENS))
+COEF = st.one_of(st.sampled_from(COEFS), TALL)
+NONZERO = COEF.filter(bool)
+
+
+def _top(order):
+    return INF if order is None else order
+
+
+def _low(d, order):
+    if d:
+        return min(d)
+    return INF if order is None else order + 1
+
+
+def _fin(x):
+    return None if x == INF else int(x)
+
+
+def _window(d, order):
+    return {e: c for e, c in d.items() if c and (order is None or e <= order)}
+
+
+@st.composite
+def series_and_ref(draw, exact=None):
+    lo = draw(st.integers(-3, 3))
+    cs = draw(st.lists(COEF, max_size=7))
+    if exact is None:
+        exact = draw(st.booleans())
+    order = None if exact else draw(st.integers(-3, 10))
+    return LS._make(lo, cs, order), \
+        (_window({lo + i: c for i, c in enumerate(cs)}, order), order)
+
+
+def ref_add(x, y):
+    (dx, ox), (dy, oy) = x, y
+    out = dict(dx)
+    for e, c in dy.items():
+        out[e] = out.get(e, F(0)) + c
+    order = _fin(min(_top(ox), _top(oy)))
+    return _window(out, order), order
+
+
+def ref_neg(x):
+    return {e: -c for e, c in x[0].items()}, x[1]
+
+
+def ref_scale(x, c, k):
+    d, order = x
+    order = None if order is None else order + k
+    return _window({e + k: c * v for e, v in d.items()}, order), order
+
+
+def ref_mul(x, y, cap=None):
+    (dx, ox), (dy, oy) = x, y
+    eo = min(_top(ox) + _low(dy, oy), _top(oy) + _low(dx, ox))
+    if cap is not None:
+        eo = min(eo, cap)
+    out = {}
+    for ea, ca in dx.items():
+        for eb, cb in dy.items():
+            out[ea + eb] = out.get(ea + eb, F(0)) + ca * cb
+    return _window(out, _fin(eo)), _fin(eo)
+
+
+def ref_truncate(x, order):
+    if order > _top(x[1]):
+        raise OrderInsufficient("a truncation may not grow the order")
+    return _window(x[0], order), order
+
+
+def ref_div_binomial(x, c, k, order=None):
+    if not c:
+        return x if order is None else ref_truncate(x, order)
+    if k == 0:
+        out = ref_scale(x, 1 / (1 + c), 0)
+        return out if order is None else ref_truncate(out, order)
+    if k < 0:
+        return ref_div_binomial(ref_scale(x, 1 / c, -k), 1 / c, -k, order)
+    d = x[0]
+    eo = int(min(_top(x[1]), _top(order)))
+    b = {}
+    for t in range(min(d, default=eo + 1), eo + 1):
+        b[t] = d.get(t, F(0)) - c * b.get(t - k, F(0))
+    return _window(b, eo), eo
+
+
+def ref_invert(x, order=None):
+    d, ox = x
+    m = min(d)
+    if ox is None and len(d) == 1:
+        return _window({-m: 1 / d[m]}, order), order
+    rel = order + m if ox is None else ox - m
+    if ox is not None and order is not None:
+        rel = min(rel, order + m)
+    if rel < 0:
+        raise OrderInsufficient("input order too low to invert")
+    a = [d.get(m + t, F(0)) for t in range(rel + 1)]
+    y = [1 / a[0]]
+    for t in range(1, rel + 1):
+        y.append(-sum(a[j] * y[t - j] for j in range(1, t + 1)) / a[0])
+    return _window({t - m: v for t, v in enumerate(y)}, rel - m), rel - m
+
+
+def ref_compare(x, y, up_to):
+    (dx, _), (dy, _) = x, y
+    for e in sorted(set(dx) | set(dy)):
+        if e <= up_to and dx.get(e, F(0)) != dy.get(e, F(0)):
+            return Mismatch(e, dx.get(e, F(0)), dy.get(e, F(0)))
+    return None
+
+
+def assert_canonical(s):
+    assert s.den > 0
+    if s.is_zero:
+        assert s.nums == () and s.den == 1
+        assert s.min_deg == (0 if s.order is None else s.order + 1)
+    else:
+        assert s.nums[0] != 0 and gcd(s.den, *s.nums) == 1
+        if s.order is None:
+            assert s.nums[-1] != 0
+        else:
+            assert len(s.nums) == s.order - s.min_deg + 1
+    assert len(s.coeffs) == len(s.nums)
+    for n, c in zip(s.nums, s.coeffs):
+        assert isinstance(c, F) and c == F(n, s.den)
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def assert_matches(s, r):
+    d, order = r
+    assert s.order == order
+    assert dict(s.terms()) == d
+    assert_canonical(s)
+
+
+KERNEL = settings(max_examples=80, deadline=None)
+
+
+@given(series_and_ref(), series_and_ref(),
+       st.one_of(st.none(), st.integers(-6, 14)))
+@KERNEL
+def test_kernel_mul(x, y, cap):
+    assert_matches(x[0], x[1])
+    assert_matches(x[0].mul(y[0]), ref_mul(x[1], y[1]))
+    assert_matches(x[0].mul(y[0], cap=cap), ref_mul(x[1], y[1], cap))
+
+
+@given(series_and_ref(), series_and_ref())
+@KERNEL
+def test_kernel_add_sub(x, y):
+    assert_matches(x[0] + y[0], ref_add(x[1], y[1]))
+    assert_matches(x[0] - y[0], ref_add(x[1], ref_neg(y[1])))
+    assert_matches(-x[0], ref_neg(x[1]))
+
+
+@given(series_and_ref(), COEF, st.integers(-3, 3))
+@KERNEL
+def test_kernel_scale_mul_binomial(x, c, k):
+    assert_matches(x[0].scale(c, k), ref_scale(x[1], c, k))
+    want = ref_add(x[1], ref_scale(x[1], c, k)) if c else x[1]
+    assert_matches(x[0].mul_binomial(c, k), want)
+
+
+@given(series_and_ref(), COEF, st.integers(-3, 3),
+       st.one_of(st.none(), st.integers(-2, 10)))
+@KERNEL
+def test_kernel_div_binomial(x, c, k, order):
+    s, r = x
+    if c and k == 0 and c == -1:
+        with pytest.raises(ZeroLeadingCoefficient):
+            s.div_binomial(c, k, order)
+        return
+    if c and k and s.is_exact and order is None:
+        with pytest.raises(ValueError):
+            s.div_binomial(c, k, order)
+        return
+    try:
+        want = ref_div_binomial(r, c, k, order)
+    except OrderInsufficient:
+        with pytest.raises(OrderInsufficient):
+            s.div_binomial(c, k, order)
+        return
+    assert_matches(s.div_binomial(c, k, order), want)
+
+
+@given(series_and_ref(), st.one_of(st.none(), st.integers(-2, 10)))
+@KERNEL
+def test_kernel_invert(x, order):
+    s, r = x
+    if s.is_zero:
+        with pytest.raises(ZeroLeadingCoefficient):
+            s.invert(order)
+        return
+    if s.is_exact and len(s.nums) > 1 and order is None:
+        with pytest.raises(ValueError):
+            s.invert(order)
+        return
+    try:
+        want = ref_invert(r, order)
+    except OrderInsufficient:
+        with pytest.raises(OrderInsufficient):
+            s.invert(order)
+        return
+    assert_matches(s.invert(order), want)
+
+
+@given(series_and_ref(), st.integers(-4, 10), st.integers(1, 3))
+@KERNEL
+def test_kernel_truncate_rescale(x, n, d):
+    s, r = x
+    if n <= _top(r[1]):
+        assert_matches(s.truncate(n), ref_truncate(r, n))
+    d_ref = {e * d: c for e, c in r[0].items()}
+    o_ref = None if r[1] is None else r[1] * d
+    assert_matches(s.rescale(d), (d_ref, o_ref))
+
+
+@st.composite
+def close_pair(draw):
+    """Two series that agree on most of their window."""
+    lo = draw(st.integers(-3, 3))
+    cs = draw(st.lists(COEF, min_size=1, max_size=7))
+    ds = list(cs)
+    i = draw(st.integers(0, len(cs) - 1))
+    ds[i] = draw(COEF)
+    ox, oy = (draw(st.one_of(st.none(), st.integers(-2, 10)))
+              for _ in range(2))
+    return tuple((LS._make(lo, v, o),
+                  (_window({lo + j: c for j, c in enumerate(v)}, o), o))
+                 for v, o in ((cs, ox), (ds, oy)))
+
+
+@given(close_pair(), st.integers(-4, 10))
+@KERNEL
+def test_kernel_compare(pair, up_to):
+    (s, r), (t, u) = pair
+    if up_to > min(_top(r[1]), _top(u[1])):
+        with pytest.raises(OrderInsufficient):
+            s.compare(t, up_to)
+        return
+    got = s.compare(t, up_to)
+    assert got == ref_compare(r, u, up_to)
+    if got is not None:
+        assert type(got.lhs) is F and type(got.rhs) is F
+
+
+@given(series_and_ref(), series_and_ref(exact=True), NONZERO,
+       st.integers(1, 3))
+@KERNEL
+def test_kernel_canonical_across_routes(x, y, c, k):
+    s, t = x[0], y[0]
+    routes = [
+        (s * t, t * s),
+        ((s + t) - t, s),
+        (s.scale(c, k).scale(1 / c, -k), s),
+        (LS.from_pairs(x[1][0], x[1][1]), s),
+        (sum((LS.monomial(v, e, x[1][1]) for e, v in x[1][0].items()),
+             LS.zero(x[1][1])), s),
+    ]
+    n = 9 if s.order is None else s.order
+    routes.append((s.mul_binomial(c, k).div_binomial(c, k, n),
+                   s.truncate(n)))
+    for u, v in routes:
+        assert u == v and hash(u) == hash(v)
+        assert_canonical(u)
