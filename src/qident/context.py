@@ -13,6 +13,28 @@ run under two strategies:
 Both expose the same operations: rational constants, q-powers, finite and
 infinite Pochhammer products (cached incrementally), the very-well-poised
 factor, and a tail-aware summation.
+
+Under ExactCtx a product that involves a series is kept unmultiplied: `mul`
+returns one monomial c*t^e times a flat list of series parts (nested
+products merge into the list). The product is forced in one of two ways:
+
+  * inside `summation`, at the sum's goal order, by
+    `LaurentSeries.product_at(parts, goal - e)` and then the monomial.
+    Nonzero leading coefficients multiply to a nonzero leading
+    coefficient, so the product's valuation is e plus the sum of the
+    parts' valuations; when that exceeds the goal (or a part is zero) the
+    product is exactly zero through the goal and nothing is multiplied.
+    Otherwise the parts are multiplied left to right, the partial product
+    through part i capped at goal - e - (the valuations of the parts
+    after i): a coefficient above that cap only reaches exponents above
+    the goal. The result equals the full product truncated at the goal,
+    order included. A product whose own order (LaurentSeries.mul's order
+    rule folded over the parts, plus e) falls short of the goal is forced
+    in full and raises OrderInsufficient exactly as before.
+  * everywhere else (`add`, `sub`, `neg`, `inv`, `pow_int`, the
+    arguments of the q machinery, `finalize`) in full, as the left fold of
+    the parts followed by the monomial. `div(u, v)` is the product of u
+    and the (forced) inverse of v.
 """
 
 from __future__ import annotations
@@ -35,7 +57,43 @@ from .qfunc import (
     sum_numeric,
     vwp_factor,
 )
-from .series import LaurentSeries, QMonomial
+from .series import _QM_ONE, LaurentSeries, QMonomial
+
+
+class _Product:
+    """mono * parts[0] * parts[1] * ..., not yet multiplied out; `mono` is
+    a nonzero QMonomial and `parts` a nonempty tuple of series."""
+
+    __slots__ = ("mono", "parts")
+
+    def __init__(self, mono: QMonomial, parts: tuple):
+        self.mono = mono
+        self.parts = parts
+
+    def force(self) -> LaurentSeries:
+        """The full product: the left fold of the parts, then the
+        monomial."""
+        out = self.parts[0]
+        for s in self.parts[1:]:
+            out = out * s
+        if not self.mono.is_one:
+            out = out.scale(self.mono.coef, self.mono.exp)
+        return out
+
+    def at(self, goal: int) -> LaurentSeries:
+        """`force().truncate(goal)`, multiplying only the window the goal
+        needs (see the module docstring)."""
+        e = self.mono.exp
+        out = LaurentSeries.product_at(self.parts, goal - e)
+        if out is None:
+            return self.force().truncate(goal)
+        if not self.mono.is_one:
+            out = out.scale(self.mono.coef, e)
+        return out
+
+
+def _force(v):
+    return v.force() if isinstance(v, _Product) else v
 
 
 class ExactCtx:
@@ -78,40 +136,40 @@ class ExactCtx:
         return isinstance(v, (Fraction, int, QMonomial))
 
     def mul(self, *vals):
-        acc = None
-        series_parts = []
+        """The product of the values: a monomial if no series is involved,
+        else a series or an unmultiplied product (see the module
+        docstring)."""
+        mono = _QM_ONE
+        parts = []
         for v in vals:
-            if self._is_scalar(v):
-                m = as_monomial(v)
-                acc = m if acc is None else acc * m
+            if isinstance(v, _Product):
+                mono = mono * v.mono
+                parts.extend(v.parts)
+            elif self._is_scalar(v):
+                mono = mono * as_monomial(v)
             else:
-                series_parts.append(v)
-        if not series_parts:
-            return acc if acc is not None else QMonomial.of(1)
-        out = series_parts[0]
-        for s in series_parts[1:]:
-            out = out * s
-        if acc is not None and not acc.is_one:
-            out = out.scale(acc.coef, acc.exp) if not acc.is_zero else \
-                LaurentSeries.zero(self.order)
-        return out
+                parts.append(v)
+        if not parts:
+            return mono
+        if mono.is_zero:
+            return LaurentSeries.zero(self.order)
+        if len(parts) == 1 and mono.is_one:
+            return parts[0]
+        return _Product(mono, tuple(parts))
 
     def add(self, u, v):
-        return LaurentSeries.coerce(u, self.order) + \
-            LaurentSeries.coerce(v, self.order)
+        return LaurentSeries.coerce(_force(u), self.order) + \
+            LaurentSeries.coerce(_force(v), self.order)
 
     def sub(self, u, v):
-        return LaurentSeries.coerce(u, self.order) - \
-            LaurentSeries.coerce(v, self.order)
+        return LaurentSeries.coerce(_force(u), self.order) - \
+            LaurentSeries.coerce(_force(v), self.order)
 
     def neg(self, v):
-        if isinstance(v, (Fraction, int)):
-            return -Fraction(v)
-        if isinstance(v, QMonomial):
-            return -v
-        return -v
+        return -Fraction(v) if isinstance(v, int) else -_force(v)
 
     def inv(self, v):
+        v = _force(v)
         if isinstance(v, (Fraction, int)):
             if not v:
                 raise DegenerateDenominator("division by zero")
@@ -126,6 +184,7 @@ class ExactCtx:
         return self.mul(u, self.inv(v))
 
     def pow_int(self, v, k: int):
+        v = _force(v)
         if isinstance(v, (Fraction, int)):
             return Fraction(v) ** k
         if isinstance(v, QMonomial):
@@ -135,8 +194,8 @@ class ExactCtx:
     # -- q machinery -----------------------------------------------------
 
     def _tower(self, a, base, invert: bool) -> PochTower:
-        am = as_monomial(a)
-        bm = as_monomial(base)
+        am = as_monomial(_force(a))
+        bm = as_monomial(_force(base))
         if am is None or bm is None:
             raise TypeError("Pochhammer arguments must be monomial-like")
         key = (am, bm, invert)
@@ -153,13 +212,15 @@ class ExactCtx:
         return self._tower(a, base, True).upto(n)
 
     def poch_inf(self, a, base) -> LaurentSeries:
-        return poch_infinite(as_monomial(a), as_monomial(base), self.order)
+        return poch_infinite(as_monomial(_force(a)),
+                             as_monomial(_force(base)), self.order)
 
     def inv_poch_inf(self, a, base) -> LaurentSeries:
         return self.poch_inf(a, base).invert(self.order)
 
     def vwp(self, k, n: int, base: Optional[QMonomial] = None) -> LaurentSeries:
-        return vwp_factor(k, n, self.order, base if base is not None else self.q)
+        return vwp_factor(_force(k), n, self.order,
+                          self.q if base is None else _force(base))
 
     def summation(self, term: Callable[[int], object], start: int = 0,
                   extra: int = 0):
@@ -170,6 +231,8 @@ class ExactCtx:
 
         def gen(n: int) -> LaurentSeries:
             t = term(n + start)
+            if isinstance(t, _Product):
+                return t.at(goal)
             if not isinstance(t, LaurentSeries):
                 t = LaurentSeries.coerce(t, goal)
             return t.truncate(goal)
@@ -177,7 +240,7 @@ class ExactCtx:
         return sum_exact(TermGenerator(gen), goal)
 
     def finalize(self, v) -> LaurentSeries:
-        return LaurentSeries.coerce(v, self.order)
+        return LaurentSeries.coerce(_force(v), self.order)
 
 
 class NumericCtx:

@@ -384,6 +384,39 @@ class LaurentSeries:
                                    map(c.__mul__, b[:k]))
         return LaurentSeries._from_ints(lo, out, self.den * other.den, order)
 
+    @staticmethod
+    def product_at(parts, goal: int) -> Optional["LaurentSeries"]:
+        """The left fold of `mul` over the nonempty sequence `parts`,
+        truncated at `goal`, multiplying only the window the goal needs;
+        None when the full product's order (the order rule of `mul`,
+        folded over the parts) is below `goal`.
+
+        Nonzero leading coefficients multiply to a nonzero leading
+        coefficient, so the product's valuation is the sum of the parts'
+        valuations: when that exceeds `goal` (or a part is zero) the
+        result is zero and nothing is multiplied. Otherwise the partial
+        product through part i is capped at `goal` minus the valuations
+        of the parts after i, since a coefficient above that cap only
+        reaches exponents above `goal`.
+        """
+        first = parts[0]
+        order, low = first.eff_order(), first.eff_min_deg()
+        zero = first.is_zero
+        for s in parts[1:]:
+            order = min(order + s.eff_min_deg(), s.eff_order() + low)
+            zero = zero or s.is_zero or low + s.min_deg > order
+            low = order + 1 if zero else low + s.min_deg
+        if order < goal:
+            return None
+        if low > goal:
+            return LaurentSeries.zero(goal)
+        cap = goal - sum(s.min_deg for s in parts[1:])
+        out = first
+        for s in parts[1:]:
+            cap += s.min_deg
+            out = out.mul(s, cap=cap)
+        return out if out.order == goal else out.truncate(goal)
+
     def _mul_monomial(self, num: int, den: int, exp: int,
                       order: Optional[int]) -> "LaurentSeries":
         """Multiply by (num / den) * q^exp, with num != 0 and den > 0."""
@@ -401,11 +434,24 @@ class LaurentSeries:
                                   order)
 
     def mul_binomial(self, coef: RationalLike, exp: int) -> "LaurentSeries":
-        """Multiply by the exact binomial (1 + coef * q^exp)."""
+        """Multiply by the exact binomial (1 + coef * q^exp).
+
+        For exp >= 0 this is one integer pass: with coef = p/r the result
+        is (r A[t] + p A[t - exp]) / (r den) on the input's window
+        (widened by exp for an exact input)."""
         coef = _frac(coef)
         if not coef:
             return self
-        return self + self.scale(coef, exp)
+        if exp < 0:
+            return self + self.scale(coef, exp)
+        p, r = coef.numerator, coef.denominator
+        a = self.nums
+        out = list(a) if r == 1 else [r * c for c in a]
+        if self.order is None:
+            out.extend([0] * exp)
+        out[exp:] = map(operator.add, out[exp:], map(p.__mul__, a))
+        return LaurentSeries._from_ints(self.min_deg, out, self.den * r,
+                                        self.order)
 
     def div_binomial(self, coef: RationalLike, exp: int,
                      order: Optional[int] = None) -> "LaurentSeries":
@@ -414,16 +460,17 @@ class LaurentSeries:
         For exp > 0 the quotient is computed by the linear recurrence
         b[t] = a[t] - coef * b[t-exp], which preserves the truncation
         order. Exact input needs an explicit `order` (the quotient is an
-        infinite series).
+        infinite series). `order` is a cap on every path, like
+        `mul(cap=)`: the result order is min(input order, `order`), and an
+        `order` above the input's is never an error.
         """
         coef = _frac(coef)
         if not coef:
-            return self if order is None else self.truncate(order)
+            return self._cap(order)
         if exp == 0:
             if coef == -1:
                 raise ZeroLeadingCoefficient("division by the zero binomial")
-            out = self.scale(_F1 / (1 + coef))
-            return out if order is None else out.truncate(order)
+            return self.scale(_F1 / (1 + coef))._cap(order)
         if exp < 0:
             # 1 + c q^e = c q^e (1 + (1/c) q^{-e})
             out = self.scale(_F1 / coef, -exp)
@@ -507,6 +554,12 @@ class LaurentSeries:
                 q *= f
             y.append(s // g)
         return LaurentSeries._from_ints(-m, y, q, rel - m)
+
+    def _cap(self, order: Optional[int]) -> "LaurentSeries":
+        """Truncate at `order` if that lowers the order (None: no cap)."""
+        if order is None or (self.order is not None and order >= self.order):
+            return self
+        return self.truncate(order)
 
     def truncate(self, order: int) -> "LaurentSeries":
         """Restrict the window to [min_deg, order] (order may not grow)."""

@@ -175,17 +175,74 @@ def test_fault_twin_keeps_every_field_but_build():
                     (rec.id, f.name)
 
 
-# Fault twins at j = 15, order 20, first exact sample of seed 1: the
-# exponent and the rational text of both coefficients, as reported
-# before the series kernel moved to integer numerators.
+# Fault twins at j = 15, order 20, first exact sample of seed 1, for every
+# catalog record: the rational text of both coefficients at the reported
+# exponent, as reported before ExactCtx kept products unmultiplied. Any
+# coefficient-level change in the kernel or in the order of a product
+# shows here. The exponent is 15 + v, v the exponent at which the
+# record's right side starts: 0, except rrs6-5's 1.
+RIGHT_SIDE_START = {"rrs6-5": 1}
 MISMATCH_TEXT = [
-    ("cpte3", "3735352151054902049055/8388608",
-     "3735352151054910437663/8388608"),
+    ("qgauss", "0", "1"),
+    ("qbinom", "-6", "-5"),
+    ("bailey-transform", "39/2", "41/2"),
+    ("thm-wp-transform",
+     "-2574804746931/1073741824",
+     "-2573731005107/1073741824"),
+    ("cor-central", "-3095/48", "-3143/48"),
+    ("alt-alpha", "-16828/4782969", "4766141/4782969"),
+    ("alt-sum", "-987593/46656", "-972041/46656"),
+    ("ones-alpha", "-100947548/14348907", "-86598641/14348907"),
+    ("ones-sum", "1118319/8192", "1142895/8192"),
+    ("u-power", "308915840773/14348907", "308930189680/14348907"),
+    ("phi54", "4166425/884736", "5051161/884736"),
+    ("phi32", "-5/9", "4/9"),
+    ("poly2",
+     "3731904217458107/546463604736",
+     "3732450681062843/546463604736"),
     ("poly2q", "218183847/819200", "219003047/819200"),
     ("phi65", "-231032359989/19531250000", "-211501109989/19531250000"),
-    ("phi54", "4166425/884736", "5051161/884736"),
     ("ppte-m", "-1546587333/268435456", "-1278151877/268435456"),
+    ("cpte3",
+     "3735352151054902049055/8388608",
+     "3735352151054910437663/8388608"),
+    ("cpte5",
+     "-2116968789615655206178407273181175808/48828125",
+     "-2116968789615655206178407273132347683/48828125"),
+    ("bibasic-ab", "352512179577/4", "352512179581/4"),
+    ("bibasic-ab2", "-265/1728", "1463/1728"),
+    ("rrs3eq1", "7/128", "135/128"),
+    ("rrs3", "2", "3"),
+    ("rrs3n", "0", "1"),
+    ("rrs6", "861", "862"),
+    ("rrs6-2", "6", "7"),
+    ("rrs6-3", "12", "13"),
+    ("rrs6-4", "144", "146"),
+    ("rrs6-5", "182", "184"),
+    ("gg1a", "6", "7"),
+    ("gg1b", "12", "13"),
+    ("rogers1", "2", "3"),
+    ("rogers2", "0", "1"),
+    ("qbailey", "15/4", "19/4"),
+    ("gs1", "72", "73"),
+    ("gs2", "91", "92"),
+    ("slater69", "91", "92"),
+    ("slater121", "72", "73"),
+    ("s69", "181", "182"),
+    ("s121", "144", "145"),
+    ("r1", "-1", "0"),
+    ("r2a", "1", "2"),
+    ("r2b", "1", "2"),
+    ("ft1", "-1", "0"),
+    ("ft2", "1", "2"),
+    ("ft3", "1", "2"),
+    ("bb-z0", "-1", "0"),
+    ("bb-yinf", "-4", "-3"),
 ]
+
+
+def test_mismatch_text_covers_catalog():
+    assert [row[0] for row in MISMATCH_TEXT] == [r.id for r in catalog()]
 
 
 @pytest.mark.parametrize("rid,lhs,rhs", MISMATCH_TEXT)
@@ -193,7 +250,7 @@ def test_mismatch_report_text_pinned(rid, lhs, rhs):
     a = sample_params(rid, 1, 1, "exact")[0]
     rep = verify_one(with_injected_fault(rid, 15), a, 20)
     assert rep.status == "mismatch"
-    assert rep.mismatch_exponent == 15
+    assert rep.mismatch_exponent == 15 + RIGHT_SIDE_START.get(rid, 0)
     assert (rep.mismatch_lhs, rep.mismatch_rhs) == (lhs, rhs)
 
 

@@ -275,6 +275,16 @@ def test_scale_and_binomials():
     assert shifted.min_deg == -2 and shifted.order == 8
 
 
+def test_div_binomial_order_is_a_cap():
+    # an order above the input's caps nothing on any path, like mul(cap=)
+    s = poly({0: 1, 1: 3}, order=4)
+    assert s.div_binomial(F(0), 2, 9) == s
+    assert s.div_binomial(F(1), 0, 9) == s.scale(F(1, 2))
+    assert s.div_binomial(F(-1), 1, 9).order == 4
+    assert LS.zero(1).div_binomial(F(0), 1, 1) == LS.zero(1)
+    assert s.div_binomial(F(0), 2, 2) == s.truncate(2)
+
+
 # ----------------------------------------- integer kernel vs Fraction reference
 #
 # A reference series is a pair (dict {exponent: Fraction}, order), with
@@ -358,12 +368,19 @@ def ref_truncate(x, order):
     return _window(x[0], order), order
 
 
+def ref_cap(x, order):
+    """Truncation at `order` as a cap: an order above x's leaves x."""
+    if order is None or order >= _top(x[1]):
+        return x
+    return ref_truncate(x, order)
+
+
 def ref_div_binomial(x, c, k, order=None):
+    # `order` caps the result on every path
     if not c:
-        return x if order is None else ref_truncate(x, order)
+        return ref_cap(x, order)
     if k == 0:
-        out = ref_scale(x, 1 / (1 + c), 0)
-        return out if order is None else ref_truncate(out, order)
+        return ref_cap(ref_scale(x, 1 / (1 + c), 0), order)
     if k < 0:
         return ref_div_binomial(ref_scale(x, 1 / c, -k), 1 / c, -k, order)
     d = x[0]
@@ -464,13 +481,8 @@ def test_kernel_div_binomial(x, c, k, order):
         with pytest.raises(ValueError):
             s.div_binomial(c, k, order)
         return
-    try:
-        want = ref_div_binomial(r, c, k, order)
-    except OrderInsufficient:
-        with pytest.raises(OrderInsufficient):
-            s.div_binomial(c, k, order)
-        return
-    assert_matches(s.div_binomial(c, k, order), want)
+    assert_matches(s.div_binomial(c, k, order),
+                   ref_div_binomial(r, c, k, order))
 
 
 @given(series_and_ref(), st.one_of(st.none(), st.integers(-2, 10)))
