@@ -1,30 +1,48 @@
 """Well-poised pair machinery: the two-parameter alpha/beta relation, the
 iterable chain step, the infinite transform it implies, the central
-partial-sum engine, telescoping alpha builders, and the finite multi-base
-telescoping identity.
+partial-sum transform, telescoping alpha builders, and the finite
+multi-base telescoping identity.
 
-All operations here run under the exact strategy: parameter values are
-monomials c * q^e or plain rationals, alpha sequences produce values per
-index, and every output is a truncated Laurent series at the caller's
-working order.
+The transforms are written once, against the `Ctx` algebra of
+`context.py`, so that the catalog records and the exact API below share
+them under both the exact and the numeric strategy:
+
+  * `wp_beta_sum` -- beta_n from the defining relation;
+  * `wp_transform` -- both sides of the infinite well-poised transform
+    for a general alpha;
+  * `cor_pref`, `cor_lhs`, `cor_rhs_sum`, `cor_transform` and
+    `running_sums` -- the central partial-sum transform, the relation at
+    k = aq where beta_n is the n-th partial sum of alpha;
+  * `sv_quotient`, `sv_linear` -- the multi-base quotient and its four
+    linear factors.
+
+A sequence enters them as a function `alpha_at(n)` to context values,
+plus, where it is known, a `support` past which alpha_n is zero.
+
+`wp_beta`, `thm_transform_sides`, `cor_sides` and `subbarao_verma_sides`
+are thin exact wrappers: they reject degenerate specializations, run the
+shared code in an `ExactCtx` whose headroom covers the Laurent dips of
+their arguments, and return truncated Laurent series at the caller's
+order. Their parameters are monomials c * q^e or plain rationals, and
+their alpha sequences (`AlphaSequence`) produce values per index.
+`wp_chain_step` works on raw series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional, Tuple
 
+from .context import Ctx, ExactCtx
 from .errors import DegenerateDenominator, ValuationStall
 from .qfunc import (
     PochTower,
-    TermGenerator,
     Value,
     as_monomial,
     poch_dip,
     poch_finite,
-    poch_infinite,
-    sum_exact,
     vwp_factor,
 )
 from .series import DEFAULT_ORDER, LaurentSeries, QMonomial
@@ -124,33 +142,201 @@ def _require_monomial(v: Value, what: str) -> QMonomial:
     return m
 
 
-def wp_beta(pair: WPPair, n: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
+# ---------------------------------------------------------------------------
+# the transforms over Ctx
+# ---------------------------------------------------------------------------
+
+def _total(ctx: Ctx, terms):
+    """ctx-sum of a list of terms; a single term stays as it is (under
+    ExactCtx an unmultiplied product), the empty sum is 0."""
+    return reduce(ctx.add, terms) if terms else ctx.num(0)
+
+
+def wp_beta_sum(ctx: Ctx, a, k, alpha_at, n: int,
+                support: Optional[int] = None):
     """beta_n from the defining relation
 
         beta_n = sum_{j<=n} (k/a)_{n-j} (k)_{n+j} / ((q)_{n-j} (aq)_{n+j})
-                 * alpha_j.
+                 * alpha_j,
+
+    skipping the j above `support`."""
+    qq = ctx.qpow(1)
+    ka, aq = ctx.div(k, a), ctx.mul(a, qq)
+    top = n if support is None else min(n, support)
+    return _total(ctx, [
+        ctx.mul(ctx.poch(ka, qq, n - j), ctx.poch(k, qq, n + j),
+                ctx.inv_poch(qq, qq, n - j), ctx.inv_poch(aq, qq, n + j),
+                alpha_at(j))
+        for j in range(top + 1)])
+
+
+def wp_transform(ctx: Ctx, a, k, r1, r2, alpha_at,
+                 support: Optional[int] = None):
+    """Both sides of the infinite well-poised transform
+
+      sum vwp(k, n) (r1, r2)_n / (kq/r1, kq/r2)_n z^n beta_n
+        = [ (kq, kq/r1r2, aq/r1, aq/r2)_inf / (kq/r1, kq/r2, z, aq)_inf ]
+          * sum (r1, r2)_n / (aq/r1, aq/r2)_n z^n alpha_n,
+
+    with z = aq/(r1 r2) and beta_n from `wp_beta_sum`. k = 0 reduces it to
+    the classical transform for a pair relative to a.
     """
+    qq = ctx.qpow(1)
+    aq, kq = ctx.mul(a, qq), ctx.mul(k, qq)
+    z = ctx.div(aq, ctx.mul(r1, r2))
+    kq1, kq2 = ctx.div(kq, r1), ctx.div(kq, r2)
+    aq1, aq2 = ctx.div(aq, r1), ctx.div(aq, r2)
+
+    def lhs_term(n):
+        return ctx.mul(ctx.vwp(k, n), ctx.poch(r1, qq, n), ctx.poch(r2, qq, n),
+                       ctx.inv_poch(kq1, qq, n), ctx.inv_poch(kq2, qq, n),
+                       ctx.pow_int(z, n),
+                       wp_beta_sum(ctx, a, k, alpha_at, n, support))
+
+    def rhs_term(n):
+        return ctx.mul(ctx.poch(r1, qq, n), ctx.poch(r2, qq, n),
+                       ctx.inv_poch(aq1, qq, n), ctx.inv_poch(aq2, qq, n),
+                       ctx.pow_int(z, n), alpha_at(n))
+
+    pref = ctx.mul(
+        ctx.poch_inf(kq, qq), ctx.poch_inf(ctx.div(kq, ctx.mul(r1, r2)), qq),
+        ctx.poch_inf(aq1, qq), ctx.poch_inf(aq2, qq),
+        ctx.inv_poch_inf(kq1, qq), ctx.inv_poch_inf(kq2, qq),
+        ctx.inv_poch_inf(z, qq), ctx.inv_poch_inf(aq, qq))
+    return ctx.summation(lhs_term), ctx.mul(pref, ctx.summation(rhs_term))
+
+
+def cor_pref(ctx: Ctx, x, y, z):
+    """(1 - xy)(1 - xz) / ((1 - x)(1 - xyz))."""
+    one = ctx.one()
+    num = ctx.mul(ctx.sub(one, ctx.mul(x, y)), ctx.sub(one, ctx.mul(x, z)))
+    den = ctx.mul(ctx.sub(one, x), ctx.sub(one, ctx.mul(x, y, z)))
+    return ctx.mul(num, ctx.inv(den))
+
+
+def cor_lhs(ctx: Ctx, x, y, z, beta_at, idx=lambda n: n):
+    """sum vwp(xyz, i) (y, z; q)_i x^i beta(n) / ((qxy, qxz; q)_i) with
+    i = idx(n); beta_at receives the summation index n."""
+    k = ctx.mul(x, y, z)
+    qq = ctx.qpow(1)
+    qxy, qxz = ctx.mul(qq, x, y), ctx.mul(qq, x, z)
+
+    def term(n):
+        i = idx(n)
+        return ctx.mul(ctx.vwp(k, i), ctx.poch(y, qq, i), ctx.poch(z, qq, i),
+                       ctx.inv_poch(qxy, qq, i), ctx.inv_poch(qxz, qq, i),
+                       ctx.pow_int(x, i), beta_at(n))
+
+    return ctx.summation(term)
+
+
+def cor_rhs_sum(ctx: Ctx, x, y, z, alpha_at, arg=None, start: int = 0,
+                extra: int = 0):
+    """sum_{n >= start} (y, z; q)_n arg^n alpha(n) / ((xy, xz; q)_n); arg
+    defaults to x, and `start` and `extra` go to ctx.summation."""
+    qq = ctx.qpow(1)
+    xy, xz = ctx.mul(x, y), ctx.mul(x, z)
+    base_arg = x if arg is None else arg
+
+    def term(n):
+        return ctx.mul(ctx.poch(y, qq, n), ctx.poch(z, qq, n),
+                       ctx.inv_poch(xy, qq, n), ctx.inv_poch(xz, qq, n),
+                       ctx.pow_int(base_arg, n), alpha_at(n))
+
+    return ctx.summation(term, start=start, extra=extra)
+
+
+def cor_transform(ctx: Ctx, x, y, z, beta_at, alpha_at, arg=None):
+    """Both sides of the central partial-sum transform
+
+      sum vwp(xyz, n) (y, z)_n x^n beta_n / (qxy, qxz)_n
+        = (1-xy)(1-xz) / ((1-x)(1-xyz))
+          * sum (y, z)_n arg^n alpha_n / (xy, xz)_n,
+
+    which holds with arg = x when beta_n is the n-th partial sum of
+    alpha (see `running_sums`); the catalog's telescoped instances pass
+    their own beta, alpha and arg."""
+    return cor_lhs(ctx, x, y, z, beta_at), \
+        ctx.mul(cor_pref(ctx, x, y, z),
+                cor_rhs_sum(ctx, x, y, z, alpha_at, arg))
+
+
+def running_sums(ctx: Ctx, value_at):
+    """Partial-sum cache: beta(n) = value(0) + .. + value(n)."""
+    cache = []
+
+    def beta(n):
+        while len(cache) <= n:
+            v = value_at(len(cache))
+            cache.append(ctx.add(cache[-1], v) if cache else v)
+        return cache[n]
+
+    return beta
+
+
+def sv_quotient(ctx: Ctx, p_, P_, Q_, R_, a, b, c, n: int, shifted: bool):
+    """The four-up/four-down base quotient shared by the telescoping sum
+    and its closed form; `shifted` advances numerator args by base^2."""
+    p2, P2, Q2, R2 = (ctx.pow_int(v, 2) for v in (p_, P_, Q_, R_))
+    ratio = ctx.div(a, ctx.mul(b, c))
+    if shifted:
+        num = ctx.mul(ctx.poch(ctx.mul(a, p2), p2, n),
+                      ctx.poch(ctx.mul(b, P2), P2, n),
+                      ctx.poch(ctx.mul(c, R2), R2, n),
+                      ctx.poch(ctx.mul(ratio, Q2), Q2, n))
+    else:
+        num = ctx.mul(ctx.poch(a, p2, n), ctx.poch(b, P2, n),
+                      ctx.poch(c, R2, n), ctx.poch(ratio, Q2, n))
+    pqr_p = ctx.div(ctx.mul(P_, Q_, R_), p_)
+    ppq_r = ctx.div(ctx.mul(p_, P_, Q_), R_)
+    pqr_P = ctx.div(ctx.mul(p_, Q_, R_), P_)
+    ppr_q = ctx.div(ctx.mul(p_, P_, R_), Q_)
+    den = ctx.mul(ctx.inv_poch(pqr_p, pqr_p, n),
+                  ctx.inv_poch(ctx.div(ctx.mul(a, ppq_r), c), ppq_r, n),
+                  ctx.inv_poch(ctx.div(ctx.mul(a, pqr_P), b), pqr_P, n),
+                  ctx.inv_poch(ctx.mul(b, c, ppr_q), ppr_q, n))
+    return ctx.mul(num, den)
+
+
+def sv_linear(ctx: Ctx, p_, P_, Q_, R_, a, b, c, n: int):
+    """The four linear factors at index n over their n = 0 values."""
+    one = ctx.one()
+    combo = ctx.mul(p_, P_, Q_, R_)
+    f1 = ctx.sub(one, ctx.mul(a, ctx.pow_int(combo, n)))
+    f2 = ctx.sub(one, ctx.mul(b, ctx.pow_int(ctx.div(ctx.mul(p_, P_),
+                                                     ctx.mul(Q_, R_)), n)))
+    f3 = ctx.sub(one, ctx.mul(ctx.inv(c), ctx.pow_int(
+        ctx.div(ctx.mul(P_, Q_), ctx.mul(p_, R_)), n)))
+    f4 = ctx.sub(one, ctx.mul(ctx.div(a, ctx.mul(b, c)), ctx.pow_int(
+        ctx.div(ctx.mul(p_, Q_), ctx.mul(P_, R_)), n)))
+    den = ctx.mul(ctx.sub(one, a), ctx.sub(one, b),
+                  ctx.sub(one, ctx.inv(c)),
+                  ctx.sub(one, ctx.div(a, ctx.mul(b, c))))
+    return ctx.mul(f1, f2, f3, f4, ctx.inv(den))
+
+
+# ---------------------------------------------------------------------------
+# the exact API: thin wrappers, the chain step, telescoping
+# ---------------------------------------------------------------------------
+
+def _exact_sides(ctx: ExactCtx, sides, order: int):
+    return tuple(ctx.finalize(v).truncate(order) for v in sides)
+
+
+def _values(alpha: AlphaSequence, ctx: ExactCtx):
+    return lambda n: alpha.value(n, ctx.order)
+
+
+def wp_beta(pair: WPPair, n: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
+    """beta_n of the pair (see `wp_beta_sum`) as a series at `order`."""
     a = _require_monomial(pair.a, "a")
     k = _require_monomial(pair.k, "k")
     if a.is_zero:
         raise DegenerateDenominator("a = 0 makes (aq)_n collapse")
-    wo = order + poch_dip(k / a, _Q) + poch_dip(k, _Q)
-    ka = PochTower(k / a, _Q, wo)
-    kt = PochTower(k, _Q, wo)
-    inv_q = PochTower(_Q, _Q, wo, invert=True)
-    inv_aq = PochTower(a * _Q, _Q, wo, invert=True)
-    jmax = n
-    if pair.alpha.support is not None:
-        jmax = min(n, pair.alpha.support)
-    acc = LaurentSeries.zero(order)
-    for j in range(jmax + 1):
-        av = pair.alpha.value(j, order)
-        if isinstance(av, (Fraction, int)) and not av:
-            continue
-        w = ka.upto(n - j) * kt.upto(n + j)
-        w = w * inv_q.upto(n - j) * inv_aq.upto(n + j)
-        acc = acc + _mul_value(w, av).truncate(order)
-    return acc
+    ctx = ExactCtx(order, headroom=poch_dip(k / a, _Q) + poch_dip(k, _Q))
+    beta = wp_beta_sum(ctx, a, k, _values(pair.alpha, ctx), n,
+                       pair.alpha.support)
+    return ctx.finalize(beta).truncate(order)
 
 
 def wp_chain_step(pair: WPPair, params: ChainParams,
@@ -219,122 +405,37 @@ def wp_chain_step(pair: WPPair, params: ChainParams,
 def thm_transform_sides(pair: WPPair, rho1: QMonomial, rho2: QMonomial,
                         order: int = DEFAULT_ORDER
                         ) -> Tuple[LaurentSeries, LaurentSeries]:
-    """Both sides of the infinite well-poised transform
-
-      sum vwp(k, n) (rho1, rho2)_n / (kq/rho1, kq/rho2)_n z^n beta_n
-        = [ (kq, kq/rho1rho2, aq/rho1, aq/rho2)_inf /
-            (kq/rho1, kq/rho2, z, aq)_inf ]
-          * sum (rho1, rho2)_n / (aq/rho1, aq/rho2)_n z^n alpha_n,
-
-    with z = aq/(rho1 rho2). k = 0 reduces it to the classical transform
-    for a pair relative to a.
-    """
+    """Both sides of the infinite well-poised transform (see
+    `wp_transform`) for the pair, at `order`."""
     a = _require_monomial(pair.a, "a")
     k = _require_monomial(pair.k, "k")
     z = a * _Q / (rho1 * rho2)
-    num_args = [k * _Q, k * _Q / (rho1 * rho2), a * _Q / rho1, a * _Q / rho2]
-    den_args = [k * _Q / rho1, k * _Q / rho2, z, a * _Q]
-    for arg in num_args + den_args:
+    for arg in (k * _Q, k * _Q / (rho1 * rho2), a * _Q / rho1, a * _Q / rho2,
+                k * _Q / rho1, k * _Q / rho2, z, a * _Q):
         if arg.is_one:
             raise DegenerateDenominator(f"infinite product at {arg} vanishes")
     if z.exp < 1:
         raise ValuationStall("series argument aq/(rho1 rho2) has no "
                              "valuation growth")
-
-    wo = order + poch_dip(k / a, _Q) + poch_dip(k, _Q) + \
-        poch_dip(rho1, _Q) + poch_dip(rho2, _Q)
-    r1_t = PochTower(rho1, _Q, wo)
-    r2_t = PochTower(rho2, _Q, wo)
-    inv_kq1 = PochTower(k * _Q / rho1, _Q, wo, invert=True)
-    inv_kq2 = PochTower(k * _Q / rho2, _Q, wo, invert=True)
-
-    def lhs_term(n: int) -> LaurentSeries:
-        t = vwp_factor(k, n, wo)
-        t = t * r1_t.upto(n) * r2_t.upto(n)
-        t = t * inv_kq1.upto(n) * inv_kq2.upto(n)
-        t = t * wp_beta(pair, n, wo)
-        return t.scale(z.coef ** n, z.exp * n).truncate(order)
-
-    lhs = sum_exact(TermGenerator(lhs_term), order)
-
-    pref = LaurentSeries.one(order)
-    for arg in num_args:
-        pref = pref.mul(poch_infinite(arg, _Q, order), cap=order)
-    den = LaurentSeries.one(order)
-    for arg in den_args:
-        den = den.mul(poch_infinite(arg, _Q, order), cap=order)
-    pref = pref.mul(den.invert(order), cap=order)
-
-    inv_aq1 = PochTower(a * _Q / rho1, _Q, wo, invert=True)
-    inv_aq2 = PochTower(a * _Q / rho2, _Q, wo, invert=True)
-
-    def rhs_term(n: int) -> LaurentSeries:
-        t = r1_t.upto(n) * r2_t.upto(n)
-        t = t * inv_aq1.upto(n) * inv_aq2.upto(n)
-        t = _mul_value(t, pair.alpha.value(n, order))
-        return t.scale(z.coef ** n, z.exp * n).truncate(order)
-
-    rhs_sum = sum_exact(TermGenerator(rhs_term), order)
-    return lhs, pref.mul(rhs_sum, cap=order)
+    ctx = ExactCtx(order, headroom=poch_dip(k / a, _Q) + poch_dip(k, _Q) +
+                   poch_dip(rho1, _Q) + poch_dip(rho2, _Q))
+    sides = wp_transform(ctx, a, k, rho1, rho2, _values(pair.alpha, ctx),
+                         pair.alpha.support)
+    return _exact_sides(ctx, sides, order)
 
 
 def cor_sides(alpha: AlphaSequence, x: QMonomial, y: QMonomial, z: QMonomial,
               order: int = DEFAULT_ORDER) -> Tuple[LaurentSeries, LaurentSeries]:
-    """Both sides of the central partial-sum transform
-
-      sum vwp(xyz, n) (y, z)_n x^n beta_n / (qxy, qxz)_n
-        = (1-xy)(1-xz) / ((1-x)(1-xyz))
-          * sum (y, z)_n x^n alpha_n / (xy, xz)_n,
-
-    with beta_n the partial sums of alpha.
-    """
-    k = x * y * z
-    if x.is_one or k.is_one or (x * y).is_one or (x * z).is_one:
+    """Both sides of the central partial-sum transform (see
+    `cor_transform`) with beta_n the partial sums of alpha, at `order`."""
+    if x.is_one or (x * y * z).is_one or (x * y).is_one or (x * z).is_one:
         raise DegenerateDenominator("prefactor vanishes at this specialization")
     if x.exp < 1 and not x.is_zero:
         raise ValuationStall("series argument x has no valuation growth")
-
-    wo = order + poch_dip(y, _Q) + poch_dip(z, _Q)
-    y_t = PochTower(y, _Q, wo)
-    z_t = PochTower(z, _Q, wo)
-    inv_qxy = PochTower(_Q * x * y, _Q, wo, invert=True)
-    inv_qxz = PochTower(_Q * x * z, _Q, wo, invert=True)
-
-    beta_cache = [LaurentSeries.coerce(alpha.value(0, wo), wo)]
-
-    def beta(n: int) -> LaurentSeries:
-        while len(beta_cache) <= n:
-            m = len(beta_cache)
-            beta_cache.append(
-                beta_cache[-1] + LaurentSeries.coerce(alpha.value(m, wo), wo))
-        return beta_cache[n]
-
-    def lhs_term(n: int) -> LaurentSeries:
-        t = vwp_factor(k, n, wo)
-        t = t * y_t.upto(n) * z_t.upto(n)
-        t = t * inv_qxy.upto(n) * inv_qxz.upto(n)
-        t = t * beta(n)
-        return t.scale(x.coef ** n, x.exp * n).truncate(order)
-
-    lhs = sum_exact(TermGenerator(lhs_term), order)
-
-    pref = LaurentSeries.one(order)
-    pref = pref.mul_binomial(-x.coef * y.coef, x.exp + y.exp)
-    pref = pref.mul_binomial(-x.coef * z.coef, x.exp + z.exp)
-    pref = pref.div_binomial(-x.coef, x.exp)
-    pref = pref.div_binomial(-k.coef, k.exp)
-
-    inv_xy = PochTower(x * y, _Q, wo, invert=True)
-    inv_xz = PochTower(x * z, _Q, wo, invert=True)
-
-    def rhs_term(n: int) -> LaurentSeries:
-        t = y_t.upto(n) * z_t.upto(n)
-        t = t * inv_xy.upto(n) * inv_xz.upto(n)
-        t = _mul_value(t, alpha.value(n, wo))
-        return t.scale(x.coef ** n, x.exp * n).truncate(order)
-
-    rhs = pref.mul(sum_exact(TermGenerator(rhs_term), order), cap=order)
-    return lhs, rhs
+    ctx = ExactCtx(order, headroom=poch_dip(y, _Q) + poch_dip(z, _Q))
+    alpha_at = _values(alpha, ctx)
+    sides = cor_transform(ctx, x, y, z, running_sums(ctx, alpha_at), alpha_at)
+    return _exact_sides(ctx, sides, order)
 
 
 def telescope_alpha(t: AlphaFn) -> AlphaSequence:
@@ -360,7 +461,8 @@ def subbarao_verma_sides(n: int, a: Value, b: Value, c: Value,
                       (apQR/bP;pQR/P)_j (bcpPR/Q;pPR/Q)_j)
 
     equals the closed product with every numerator argument advanced by the
-    square of its base. Both sides are returned for comparison.
+    square of its base (`sv_linear`, `sv_quotient`). Both sides are
+    returned for comparison.
     """
     am, bm, cm = (_require_monomial(v, w) for v, w in
                   ((a, "a"), (b, "b"), (c, "c")))
@@ -374,52 +476,17 @@ def subbarao_verma_sides(n: int, a: Value, b: Value, c: Value,
     if inv_c.is_one or ratio.is_one:
         raise DegenerateDenominator("a constant denominator factor vanishes")
 
-    pqr_p = P * Q * R / p
-    ppq_r = p * P * Q / R
-    pqr_P = p * Q * R / P
-    ppr_q = p * P * R / Q
-    num_specs = [(am, p ** 2), (bm, P ** 2), (cm, R ** 2), (ratio, Q ** 2)]
-    den_specs = [(pqr_p, pqr_p), (am * ppq_r / cm, ppq_r),
-                 (am * pqr_P / bm, pqr_P), (bm * cm * ppr_q, ppr_q)]
-
-    combo = p * P * Q * R
-    combos = [(am, combo), (bm, p * P / (Q * R)), (inv_c, P * Q / (p * R)),
-              (ratio, p * Q / (P * R))]
-
-    def linear_dip(j: int) -> int:
-        return sum(max(0, -(val.exp + bcomb.exp * j)) for val, bcomb in combos)
-
     # Laurent headroom: the four linear factors can dip below degree zero,
     # deepest at the last index; numerator Pochhammers may dip too.
-    head = linear_dip(n) + sum(poch_dip(av, base) for av, base in num_specs)
-    wo = order + head
-
-    scalars = LaurentSeries.one(wo)
-    for val in (am, bm, inv_c, ratio):
-        scalars = scalars.div_binomial(-val.coef, val.exp)
-
-    num_t = [PochTower(av, base, wo) for av, base in num_specs]
-    den_t = [PochTower(av, base, wo, invert=True) for av, base in den_specs]
-
-    def term(j: int) -> LaurentSeries:
-        t = scalars
-        for val, bcomb in combos:
-            t = t.mul_binomial(-val.coef * bcomb.coef ** j,
-                               val.exp + bcomb.exp * j)
-        for tw in num_t:
-            t = t * tw.upto(j)
-        for tw in den_t:
-            t = t * tw.upto(j)
-        return t.scale(R.coef ** (2 * j), 2 * R.exp * j)
-
-    lhs = LaurentSeries.zero(order)
-    for j in range(n + 1):
-        lhs = lhs + term(j).truncate(order)
-
-    rhs = LaurentSeries.one(order)
-    for av, base in num_specs:
-        rhs = rhs.mul(poch_finite(av * base, base, n), cap=order)
-    for av, base in den_specs:
-        den = poch_finite(av, base, n)
-        rhs = rhs.mul(den.invert(order), cap=order)
-    return lhs, rhs
+    combos = [(am, p * P * Q * R), (bm, p * P / (Q * R)),
+              (inv_c, P * Q / (p * R)), (ratio, p * Q / (P * R))]
+    head = sum(max(0, -(val.exp + slope.exp * n)) for val, slope in combos)
+    head += sum(poch_dip(val, base) for val, base in
+                ((am, p ** 2), (bm, P ** 2), (cm, R ** 2), (ratio, Q ** 2)))
+    ctx = ExactCtx(order, headroom=head)
+    bases = (p, P, Q, R, am, bm, cm)
+    lhs = _total(ctx, [
+        ctx.mul(sv_linear(ctx, *bases, j), sv_quotient(ctx, *bases, j, False),
+                ctx.pow_int(R, 2 * j))
+        for j in range(n + 1)])
+    return _exact_sides(ctx, (lhs, sv_quotient(ctx, *bases, n, True)), order)

@@ -18,6 +18,7 @@ from .registry import (
     catalog,
     document_json,
     lookup,
+    select,
     suite_document,
     verify_suite,
 )
@@ -35,13 +36,19 @@ def _parse_multiset(text: str):
         raise argparse.ArgumentTypeError(f"bad multiset {text!r}: {ex}")
 
 
-def _add_common(sub, samples=True):
-    sub.add_argument("--order", type=int, default=DEFAULT_ORDER,
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_common(sub):
+    sub.add_argument("--order", type=positive_int, default=DEFAULT_ORDER,
                      help="truncation order in q (default %(default)s)")
     sub.add_argument("--seed", type=int, default=1)
-    if samples:
-        sub.add_argument("--samples", type=int, default=3,
-                         help="assignments per identity (default %(default)s)")
+    sub.add_argument("--samples", type=positive_int, default=3,
+                     help="assignments per identity (default %(default)s)")
     sub.add_argument("--strategy", choices=["exact", "numeric", "auto"],
                      default="auto")
     sub.add_argument("--format", choices=["text", "json"], default="text")
@@ -63,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("suite", help="verify every matching identity")
     s.add_argument("--filter", default="*", help="glob over identity ids")
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=positive_int, default=1)
     _add_common(s)
 
     pc = subs.add_parser("pte-check", help="equal power sums through e = k")
@@ -150,8 +157,8 @@ def main(argv=None) -> int:
                 samples=args.samples, strategy=args.strategy))
 
         if args.command == "suite":
-            if args.order < 1 or args.samples < 1:
-                print("error: --order and --samples must be >= 1",
+            if not select(args.filter):
+                print(f"error: no identity matches {args.filter!r}",
                       file=sys.stderr)
                 return EXIT_USAGE
             reports = verify_suite(args.filter, order=args.order,

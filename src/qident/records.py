@@ -4,8 +4,11 @@ deterministic sampler.
 
 Builder conventions: `p` maps schema symbols to values (monomials in
 t-units under the exact strategy, rationals/integers under the numeric
-one); `ctx.qpow(e)` is q^e with e in q-units. Sums follow the source
-displays term by term; square-root pairs are always realized through
+one); `ctx.qpow(e)` is q^e with e in q-units. Records that are
+instances of a well-poised transform (the central partial-sum transform,
+the infinite transform, the multi-base quotient) pass their sequences to
+the shared implementations in `bailey`; the other sums follow the source
+displays term by term. Square-root pairs are always realized through
 ctx.vwp. Samplers draw one candidate (None = rejected); rejection and
 determinism live in the registry.
 """
@@ -17,10 +20,18 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 from typing import Callable, Dict, Optional, Tuple
 
+from .bailey import (
+    cor_lhs,
+    cor_pref,
+    cor_rhs_sum,
+    cor_transform,
+    running_sums,
+    sv_linear,
+    sv_quotient,
+    wp_transform,
+)
 from .context import Ctx
 from .series import QMonomial
-
-Q1 = QMonomial.of(1, 1)
 
 
 @dataclass(frozen=True)
@@ -96,57 +107,29 @@ def _xyz(rng, mode: str, d: int = 1) -> Dict:
 # shared builder pieces
 # ---------------------------------------------------------------------------
 
-def _pref(ctx: Ctx, x, y, z):
-    """(1 - xy)(1 - xz) / ((1 - x)(1 - xyz))."""
-    one = ctx.one()
-    num = ctx.mul(ctx.sub(one, ctx.mul(x, y)), ctx.sub(one, ctx.mul(x, z)))
-    den = ctx.mul(ctx.sub(one, x), ctx.sub(one, ctx.mul(x, y, z)))
-    return ctx.mul(num, ctx.inv(den))
+def _seed_alpha(ctx: Ctx):
+    """alpha = (1, 0, 0, ...); pass support=0 with it."""
+    return lambda n: ctx.num(1 if n == 0 else 0)
 
 
-def _core_lhs(ctx: Ctx, x, y, z, beta_at, idx=lambda n: n):
-    """sum vwp(xyz, i) (y, z; q)_i x^i beta(n) / ((qxy, qxz; q)_i) with
-    i = idx(n); beta_at receives the summation index n."""
-    k = ctx.mul(x, y, z)
+def _poch_quotient(ctx: Ctx, ups, downs, base, shift=None):
+    """n -> prod (u*shift; base)_n / prod (d; base)_n over u in ups and d
+    in downs (shift None: the u themselves)."""
+    if shift is not None:
+        ups = [ctx.mul(u, shift) for u in ups]
+    return lambda n: ctx.mul(*[ctx.poch(u, base, n) for u in ups],
+                             *[ctx.inv_poch(d, base, n) for d in downs])
+
+
+def _shifted_cor(ctx: Ctx, p, ups, downs, power: int):
+    """The central transform with beta_n = (ups*q; q)_n / (downs; q)_n,
+    alpha_n = (ups; q)_n / (downs; q)_n and argument x q^power: the
+    telescoped transforms of the phi and equal-power-sum records."""
     qq = ctx.qpow(1)
-    qxy, qxz = ctx.mul(qq, x, y), ctx.mul(qq, x, z)
-
-    def term(n):
-        i = idx(n)
-        return ctx.mul(ctx.vwp(k, i), ctx.poch(y, qq, i), ctx.poch(z, qq, i),
-                       ctx.inv_poch(qxy, qq, i), ctx.inv_poch(qxz, qq, i),
-                       ctx.pow_int(x, i), beta_at(n))
-
-    return ctx.summation(term)
-
-
-def _core_rhs_sum(ctx: Ctx, x, y, z, alpha_at, arg=None):
-    """sum (y, z; q)_n arg^n alpha(n) / ((xy, xz; q)_n); arg defaults x."""
-    qq = ctx.qpow(1)
-    xy, xz = ctx.mul(x, y), ctx.mul(x, z)
-    base_arg = x if arg is None else arg
-
-    def term(n):
-        return ctx.mul(ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.inv_poch(xy, qq, n), ctx.inv_poch(xz, qq, n),
-                       ctx.pow_int(base_arg, n), alpha_at(n))
-
-    return ctx.summation(term)
-
-
-def _running_sums(ctx: Ctx, value_at):
-    """Partial-sum cache: beta(n) = value(0) + .. + value(n)."""
-    cache = []
-
-    def beta(n):
-        while len(cache) <= n:
-            m = len(cache)
-            prev = cache[-1] if cache else None
-            v = value_at(m)
-            cache.append(v if prev is None else ctx.add(prev, v))
-        return cache[n]
-
-    return beta
+    return cor_transform(ctx, p["x"], p["y"], p["z"],
+                         _poch_quotient(ctx, ups, downs, qq, shift=qq),
+                         _poch_quotient(ctx, ups, downs, qq),
+                         arg=ctx.mul(p["x"], ctx.qpow(power)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,36 +184,9 @@ def _s_qbinom(rng, mode):
                                              F(-2, 5)]), "q": _qv(rng)}
 
 
-def _wp_transform_sides(ctx, a, k, r1, r2):
-    """Both sides of the infinite well-poised transform for the seed
-    sequence alpha = (1, 0, 0, ...); beta comes from the defining sum."""
-    qq = ctx.qpow(1)
-    z = ctx.div(ctx.mul(a, qq), ctx.mul(r1, r2))
-    kq = ctx.mul(k, qq)
-    aq = ctx.mul(a, qq)
-
-    def beta(n):
-        return ctx.mul(ctx.poch(ctx.div(k, a), qq, n), ctx.poch(k, qq, n),
-                       ctx.inv_poch(qq, qq, n), ctx.inv_poch(aq, qq, n))
-
-    def lhs_term(n):
-        return ctx.mul(ctx.vwp(k, n), ctx.poch(r1, qq, n), ctx.poch(r2, qq, n),
-                       ctx.inv_poch(ctx.div(kq, r1), qq, n),
-                       ctx.inv_poch(ctx.div(kq, r2), qq, n),
-                       ctx.pow_int(z, n), beta(n))
-
-    lhs = ctx.summation(lhs_term)
-    pref = ctx.mul(
-        ctx.poch_inf(kq, qq), ctx.poch_inf(ctx.div(kq, ctx.mul(r1, r2)), qq),
-        ctx.poch_inf(ctx.div(aq, r1), qq), ctx.poch_inf(ctx.div(aq, r2), qq),
-        ctx.inv_poch_inf(ctx.div(kq, r1), qq), ctx.inv_poch_inf(ctx.div(kq, r2), qq),
-        ctx.inv_poch_inf(z, qq), ctx.inv_poch_inf(aq, qq))
-    return lhs, pref
-
-
 def _b_bailey_transform(ctx, p):
-    zero = ctx.num(0) if ctx.mode == "numeric" else QMonomial.of(0)
-    return _wp_transform_sides(ctx, p["a"], zero, p["y"], p["z"])
+    return wp_transform(ctx, p["a"], ctx.num(0), p["y"], p["z"],
+                        _seed_alpha(ctx), support=0)
 
 
 def _s_bailey_transform(rng, mode):
@@ -248,7 +204,8 @@ def _s_bailey_transform(rng, mode):
 
 
 def _b_thm_wp(ctx, p):
-    return _wp_transform_sides(ctx, p["a"], p["k"], p["r1"], p["r2"])
+    return wp_transform(ctx, p["a"], p["k"], p["r1"], p["r2"],
+                        _seed_alpha(ctx), support=0)
 
 
 def _s_thm_wp(rng, mode):
@@ -274,11 +231,8 @@ def _b_cor_central(ctx, p):
     def alpha(n):
         return vals[n] if n < len(vals) else ctx.num(0)
 
-    beta = _running_sums(ctx, alpha)
-    lhs = _core_lhs(ctx, p["x"], p["y"], p["z"], beta)
-    rhs = ctx.mul(_pref(ctx, p["x"], p["y"], p["z"]),
-                  _core_rhs_sum(ctx, p["x"], p["y"], p["z"], alpha))
-    return lhs, rhs
+    return cor_transform(ctx, p["x"], p["y"], p["z"],
+                         running_sums(ctx, alpha), alpha)
 
 
 def _s_cor_central(rng, mode):
@@ -290,19 +244,15 @@ def _s_cor_central(rng, mode):
 
 def _b_alt_alpha(ctx, p):
     x, y, z = p["x"], p["y"], p["z"]
-    lhs = _core_lhs(ctx, x, y, z, lambda n: ctx.num(1), idx=lambda n: 2 * n)
-    rhs = ctx.mul(_pref(ctx, x, y, z),
-                  _core_rhs_sum(ctx, x, y, z,
-                                lambda n: ctx.num((-1) ** n)))
+    lhs = cor_lhs(ctx, x, y, z, lambda n: ctx.num(1), idx=lambda n: 2 * n)
+    rhs = ctx.mul(cor_pref(ctx, x, y, z),
+                  cor_rhs_sum(ctx, x, y, z, lambda n: ctx.num((-1) ** n)))
     return lhs, rhs
 
 
 def _b_ones_alpha(ctx, p):
-    x, y, z = p["x"], p["y"], p["z"]
-    lhs = _core_lhs(ctx, x, y, z, lambda n: ctx.num(n + 1))
-    rhs = ctx.mul(_pref(ctx, x, y, z),
-                  _core_rhs_sum(ctx, x, y, z, lambda n: ctx.num(1)))
-    return lhs, rhs
+    return cor_transform(ctx, p["x"], p["y"], p["z"],
+                         lambda n: ctx.num(n + 1), lambda n: ctx.num(1))
 
 
 def _s_xyz_only(rng, mode):
@@ -389,29 +339,7 @@ def _s_x_unit_u(rng, mode):
 
 
 def _b_phi54(ctx, p):
-    x, y, z, c = p["x"], p["y"], p["z"], p["c"]
-    qq = ctx.qpow(1)
-    k = ctx.mul(x, y, z)
-    cq = ctx.mul(c, qq)
-    qxy, qxz = ctx.mul(qq, x, y), ctx.mul(qq, x, z)
-
-    def lterm(n):
-        return ctx.mul(ctx.vwp(k, n), ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.poch(cq, qq, n), ctx.inv_poch(qq, qq, n),
-                       ctx.inv_poch(qxy, qq, n), ctx.inv_poch(qxz, qq, n),
-                       ctx.pow_int(x, n))
-
-    xq = ctx.mul(x, qq)
-    xy, xz = ctx.mul(x, y), ctx.mul(x, z)
-
-    def rterm(n):
-        return ctx.mul(ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.poch(c, qq, n), ctx.inv_poch(qq, qq, n),
-                       ctx.inv_poch(xy, qq, n), ctx.inv_poch(xz, qq, n),
-                       ctx.pow_int(xq, n))
-
-    return ctx.summation(lterm), ctx.mul(_pref(ctx, x, y, z),
-                                         ctx.summation(rterm))
+    return _shifted_cor(ctx, p, [p["c"]], [ctx.qpow(1)], 1)
 
 
 def _s_phi54(rng, mode):
@@ -452,73 +380,14 @@ def _s_phi32(rng, mode):
 
 # -- multi-base records ------------------------------------------------------
 
-def _sv_quotient(ctx, p_, P_, Q_, R_, a, b, c, n, shifted: bool):
-    """The four-up/four-down base quotient shared by the telescoping sum
-    and its closed form; `shifted` advances numerator args by base^2."""
-    p2, P2, Q2, R2 = (ctx.pow_int(v, 2) for v in (p_, P_, Q_, R_))
-    ratio = ctx.div(a, ctx.mul(b, c))
-    if shifted:
-        num = ctx.mul(ctx.poch(ctx.mul(a, p2), p2, n),
-                      ctx.poch(ctx.mul(b, P2), P2, n),
-                      ctx.poch(ctx.mul(c, R2), R2, n),
-                      ctx.poch(ctx.mul(ratio, Q2), Q2, n))
-    else:
-        num = ctx.mul(ctx.poch(a, p2, n), ctx.poch(b, P2, n),
-                      ctx.poch(c, R2, n), ctx.poch(ratio, Q2, n))
-    pqr_p = ctx.div(ctx.mul(P_, Q_, R_), p_)
-    ppq_r = ctx.div(ctx.mul(p_, P_, Q_), R_)
-    pqr_P = ctx.div(ctx.mul(p_, Q_, R_), P_)
-    ppr_q = ctx.div(ctx.mul(p_, P_, R_), Q_)
-    den = ctx.mul(ctx.inv_poch(pqr_p, pqr_p, n),
-                  ctx.inv_poch(ctx.div(ctx.mul(a, ppq_r), c), ppq_r, n),
-                  ctx.inv_poch(ctx.div(ctx.mul(a, pqr_P), b), pqr_P, n),
-                  ctx.inv_poch(ctx.mul(b, c, ppr_q), ppr_q, n))
-    return ctx.mul(num, den)
-
-
-def _sv_linear(ctx, p_, P_, Q_, R_, a, b, c, n):
-    """The four linear factors at index n over their n = 0 values."""
-    one = ctx.one()
-    combo = ctx.mul(p_, P_, Q_, R_)
-    f1 = ctx.sub(one, ctx.mul(a, ctx.pow_int(combo, n)))
-    f2 = ctx.sub(one, ctx.mul(b, ctx.pow_int(ctx.div(ctx.mul(p_, P_),
-                                                     ctx.mul(Q_, R_)), n)))
-    f3 = ctx.sub(one, ctx.mul(ctx.inv(c), ctx.pow_int(
-        ctx.div(ctx.mul(P_, Q_), ctx.mul(p_, R_)), n)))
-    f4 = ctx.sub(one, ctx.mul(ctx.div(a, ctx.mul(b, c)), ctx.pow_int(
-        ctx.div(ctx.mul(p_, Q_), ctx.mul(P_, R_)), n)))
-    den = ctx.mul(ctx.sub(one, a), ctx.sub(one, b),
-                  ctx.sub(one, ctx.inv(c)),
-                  ctx.sub(one, ctx.div(a, ctx.mul(b, c))))
-    return ctx.mul(f1, f2, f3, f4, ctx.inv(den))
-
-
 def _b_poly2(ctx, p):
-    x, y, z = p["x"], p["y"], p["z"]
-    a, b, c = p["a"], p["b"], p["c"]
-    p_, P_, Q_, R_ = p["p"], p["P"], p["Q"], p["R"]
-    qq = ctx.qpow(1)
-    k = ctx.mul(x, y, z)
-    qxy, qxz = ctx.mul(qq, x, y), ctx.mul(qq, x, z)
-    xy, xz = ctx.mul(x, y), ctx.mul(x, z)
-
-    def lterm(n):
-        return ctx.mul(ctx.vwp(k, n), ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.inv_poch(qxy, qq, n), ctx.inv_poch(qxz, qq, n),
-                       _sv_quotient(ctx, p_, P_, Q_, R_, a, b, c, n, True),
-                       ctx.pow_int(x, n))
-
-    xr2 = ctx.mul(x, ctx.pow_int(R_, 2))
-
-    def rterm(n):
-        return ctx.mul(ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.inv_poch(xy, qq, n), ctx.inv_poch(xz, qq, n),
-                       _sv_linear(ctx, p_, P_, Q_, R_, a, b, c, n),
-                       _sv_quotient(ctx, p_, P_, Q_, R_, a, b, c, n, False),
-                       ctx.pow_int(xr2, n))
-
-    return ctx.summation(lterm), ctx.mul(_pref(ctx, x, y, z),
-                                         ctx.summation(rterm))
+    x = p["x"]
+    sv = (p["p"], p["P"], p["Q"], p["R"], p["a"], p["b"], p["c"])
+    return cor_transform(
+        ctx, x, p["y"], p["z"], lambda n: sv_quotient(ctx, *sv, n, True),
+        lambda n: ctx.mul(sv_linear(ctx, *sv, n),
+                          sv_quotient(ctx, *sv, n, False)),
+        arg=ctx.mul(x, ctx.pow_int(p["R"], 2)))
 
 
 def _s_poly2(rng, mode):
@@ -551,40 +420,16 @@ def _s_poly2(rng, mode):
 
 
 def _b_poly2q(ctx, p):
-    x, y, z = p["x"], p["y"], p["z"]
     a, b, c = p["a"], p["b"], p["c"]
-    m = p["m"]
-    qq = ctx.qpow(1)
-    qm = ctx.qpow(m)
-    k = ctx.mul(x, y, z)
-    ratio = ctx.div(a, ctx.mul(b, c))
-    lows = [ctx.mul(ctx.div(a, c), qm), ctx.mul(ctx.div(a, b), qm),
-            ctx.mul(b, c, qm), qm]
-    qxy, qxz = ctx.mul(qq, x, y), ctx.mul(qq, x, z)
-    xy, xz = ctx.mul(x, y), ctx.mul(x, z)
-
-    def lterm(n):
-        ups = ctx.mul(ctx.poch(ctx.mul(a, qm), qm, n),
-                      ctx.poch(ctx.mul(b, qm), qm, n),
-                      ctx.poch(ctx.mul(c, qm), qm, n),
-                      ctx.poch(ctx.mul(ratio, qm), qm, n))
-        downs = ctx.mul(*[ctx.inv_poch(l, qm, n) for l in lows])
-        return ctx.mul(ctx.vwp(k, n), ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.inv_poch(qxy, qq, n), ctx.inv_poch(qxz, qq, n),
-                       ups, downs, ctx.pow_int(x, n))
-
-    xqm = ctx.mul(x, qm)
-
-    def rterm(n):
-        ups = ctx.mul(ctx.poch(a, qm, n), ctx.poch(b, qm, n),
-                      ctx.poch(c, qm, n), ctx.poch(ratio, qm, n))
-        downs = ctx.mul(*[ctx.inv_poch(l, qm, n) for l in lows])
-        return ctx.mul(ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.inv_poch(xy, qq, n), ctx.inv_poch(xz, qq, n),
-                       ctx.vwp(a, n, qm), ups, downs, ctx.pow_int(xqm, n))
-
-    return ctx.summation(lterm), ctx.mul(_pref(ctx, x, y, z),
-                                         ctx.summation(rterm))
+    qm = ctx.qpow(p["m"])
+    ups = [a, b, c, ctx.div(a, ctx.mul(b, c))]
+    downs = [ctx.mul(ctx.div(a, c), qm), ctx.mul(ctx.div(a, b), qm),
+             ctx.mul(b, c, qm), qm]
+    alpha = _poch_quotient(ctx, ups, downs, qm)
+    return cor_transform(ctx, p["x"], p["y"], p["z"],
+                         _poch_quotient(ctx, ups, downs, qm, shift=qm),
+                         lambda n: ctx.mul(ctx.vwp(a, n, qm), alpha(n)),
+                         arg=ctx.mul(p["x"], qm))
 
 
 def _s_poly2q(rng, mode):
@@ -600,32 +445,9 @@ def _s_poly2q(rng, mode):
 
 
 def _b_phi65(ctx, p):
-    x, y, z, a, b = p["x"], p["y"], p["z"], p["a"], p["b"]
+    a, b = p["a"], p["b"]
     qq = ctx.qpow(1)
-    k = ctx.mul(x, y, z)
-    abq = ctx.mul(a, b, qq)
-    qxy, qxz = ctx.mul(qq, x, y), ctx.mul(qq, x, z)
-    xy, xz = ctx.mul(x, y), ctx.mul(x, z)
-
-    def lterm(n):
-        return ctx.mul(ctx.vwp(k, n), ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.poch(ctx.mul(a, qq), qq, n),
-                       ctx.poch(ctx.mul(b, qq), qq, n),
-                       ctx.inv_poch(qq, qq, n), ctx.inv_poch(qxy, qq, n),
-                       ctx.inv_poch(qxz, qq, n), ctx.inv_poch(abq, qq, n),
-                       ctx.pow_int(x, n))
-
-    xq = ctx.mul(x, qq)
-
-    def rterm(n):
-        return ctx.mul(ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.poch(a, qq, n), ctx.poch(b, qq, n),
-                       ctx.inv_poch(qq, qq, n), ctx.inv_poch(xy, qq, n),
-                       ctx.inv_poch(xz, qq, n), ctx.inv_poch(abq, qq, n),
-                       ctx.pow_int(xq, n))
-
-    return ctx.summation(lterm), ctx.mul(_pref(ctx, x, y, z),
-                                         ctx.summation(rterm))
+    return _shifted_cor(ctx, p, [a, b], [qq, ctx.mul(a, b, qq)], 1)
 
 
 def _s_phi65(rng, mode):
@@ -637,33 +459,10 @@ def _s_phi65(rng, mode):
 
 
 def _b_ppte_m(ctx, p):
-    x, y, z, a1, a2 = p["x"], p["y"], p["z"], p["a1"], p["a2"]
-    b1 = a1 + a2 - 1
+    a1, a2 = p["a1"], p["a2"]
     qq = ctx.qpow(1)
-    k = ctx.mul(x, y, z)
-    b1q = ctx.mul(ctx.num(b1), qq)
-    qxy, qxz = ctx.mul(qq, x, y), ctx.mul(qq, x, z)
-    xy, xz = ctx.mul(x, y), ctx.mul(x, z)
-
-    def lterm(n):
-        return ctx.mul(ctx.vwp(k, n), ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.poch(ctx.mul(ctx.num(a1), qq), qq, n),
-                       ctx.poch(ctx.mul(ctx.num(a2), qq), qq, n),
-                       ctx.inv_poch(qq, qq, n), ctx.inv_poch(qxy, qq, n),
-                       ctx.inv_poch(qxz, qq, n), ctx.inv_poch(b1q, qq, n),
-                       ctx.pow_int(x, n))
-
-    xq2 = ctx.mul(x, ctx.qpow(2))
-
-    def rterm(n):
-        return ctx.mul(ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.poch(ctx.num(a1), qq, n), ctx.poch(ctx.num(a2), qq, n),
-                       ctx.inv_poch(qq, qq, n), ctx.inv_poch(xy, qq, n),
-                       ctx.inv_poch(xz, qq, n), ctx.inv_poch(b1q, qq, n),
-                       ctx.pow_int(xq2, n))
-
-    return ctx.summation(lterm), ctx.mul(_pref(ctx, x, y, z),
-                                         ctx.summation(rterm))
+    b1q = ctx.mul(ctx.num(a1 + a2 - 1), qq)
+    return _shifted_cor(ctx, p, [ctx.num(a1), ctx.num(a2)], [qq, b1q], 2)
 
 
 def _s_ppte_m(rng, mode):
@@ -690,36 +489,10 @@ def _family6_values(m: F, n: F):
 
 
 def _b_cpte3(ctx, p):
-    x, y, z = p["x"], p["y"], p["z"]
     avals, bvals = _family6_values(p["m"], p["n"])
     qq = ctx.qpow(1)
-    k = ctx.mul(x, y, z)
-    qxy, qxz = ctx.mul(qq, x, y), ctx.mul(qq, x, z)
-    xy, xz = ctx.mul(x, y), ctx.mul(x, z)
-
-    def lterm(n):
-        ups = ctx.mul(*[ctx.poch(ctx.mul(ctx.num(ai), qq), qq, n)
-                        for ai in avals])
-        downs = ctx.mul(*[ctx.inv_poch(ctx.mul(ctx.num(bi), qq), qq, n)
-                          for bi in bvals])
-        return ctx.mul(ctx.vwp(k, n), ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.inv_poch(qq, qq, n), ctx.inv_poch(qxy, qq, n),
-                       ctx.inv_poch(qxz, qq, n), ups, downs,
-                       ctx.pow_int(x, n))
-
-    xq6 = ctx.mul(x, ctx.qpow(6))
-
-    def rterm(n):
-        ups = ctx.mul(*[ctx.poch(ctx.num(ai), qq, n) for ai in avals])
-        downs = ctx.mul(*[ctx.inv_poch(ctx.mul(ctx.num(bi), qq), qq, n)
-                          for bi in bvals])
-        return ctx.mul(ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.inv_poch(qq, qq, n), ctx.inv_poch(xy, qq, n),
-                       ctx.inv_poch(xz, qq, n), ups, downs,
-                       ctx.pow_int(xq6, n))
-
-    return ctx.summation(lterm), ctx.mul(_pref(ctx, x, y, z),
-                                         ctx.summation(rterm))
+    return _shifted_cor(ctx, p, [ctx.num(v) for v in avals],
+                        [qq] + [ctx.mul(ctx.num(v), qq) for v in bvals], 6)
 
 
 def _no_rational_pole(values, q: F, depth: int = 60) -> bool:
@@ -796,60 +569,35 @@ def _s_cpte5(rng, mode):
 
 def _b_bibasic_ab(ctx, p):
     x, y, z, pv, B = p["x"], p["y"], p["z"], p["p"], p["B"]
-    qq = ctx.qpow(1)
-    k = ctx.mul(x, y, z)
     p2 = ctx.pow_int(pv, 2)
     nBp = ctx.neg(ctx.mul(B, pv))
-    Bx = ctx.mul(B, x)
-    qxy, qxz = ctx.mul(qq, x, y), ctx.mul(qq, x, z)
-    xy, xz = ctx.mul(x, y), ctx.mul(x, z)
 
-    def lterm(n):
-        return ctx.mul(ctx.vwp(k, n), ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.inv_poch(qxy, qq, n), ctx.inv_poch(qxz, qq, n),
-                       ctx.inv_poch(nBp, p2, n), ctx.pow_int(Bx, n),
-                       ctx.pow_int(pv, n * n))
+    def weight(n, e):
+        return ctx.mul(ctx.inv_poch(nBp, p2, n), ctx.pow_int(B, n),
+                       ctx.pow_int(pv, e))
 
-    lhs = ctx.summation(lterm)
-
-    def rterm(n):
-        return ctx.mul(ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.inv_poch(xy, qq, n), ctx.inv_poch(xz, qq, n),
-                       ctx.inv_poch(nBp, p2, n), ctx.pow_int(Bx, n),
-                       ctx.pow_int(pv, n * n - 2 * n))
-
+    lhs = cor_lhs(ctx, x, y, z, lambda n: weight(n, n * n))
     extra = max(0, B.exp - pv.exp) if ctx.mode == "exact" else 0
-    inner = ctx.summation(rterm, start=1, extra=extra)
-    rhs = ctx.mul(_pref(ctx, x, y, z),
+    inner = cor_rhs_sum(ctx, x, y, z, lambda n: weight(n, n * n - 2 * n),
+                        start=1, extra=extra)
+    rhs = ctx.mul(cor_pref(ctx, x, y, z),
                   ctx.sub(ctx.one(), ctx.mul(ctx.div(pv, B), inner)))
     return lhs, rhs
 
 
 def _b_bibasic_ab2(ctx, p):
     x, y, z, pv, B = p["x"], p["y"], p["z"], p["p"], p["B"]
-    qq = ctx.qpow(1)
-    k = ctx.mul(x, y, z)
-    Bx = ctx.mul(B, x)
-    qxy, qxz = ctx.mul(qq, x, y), ctx.mul(qq, x, z)
-    xy, xz = ctx.mul(x, y), ctx.mul(x, z)
-
-    def lterm(n):
-        return ctx.mul(ctx.vwp(k, n), ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.inv_poch(qxy, qq, n), ctx.inv_poch(qxz, qq, n),
-                       ctx.pow_int(Bx, n), ctx.pow_int(pv, n * n))
-
-    lhs = ctx.summation(lterm)
 
     def rterm(n):
         tail = ctx.sub(ctx.one(), ctx.mul(B, ctx.pow_int(pv, 2 * n - 1)))
-        return ctx.mul(ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.inv_poch(xy, qq, n), ctx.inv_poch(xz, qq, n),
-                       tail, ctx.pow_int(Bx, n),
+        return ctx.mul(tail, ctx.pow_int(B, n),
                        ctx.pow_int(pv, n * n - 2 * n))
 
+    lhs = cor_lhs(ctx, x, y, z, lambda n: ctx.mul(ctx.pow_int(B, n),
+                                                  ctx.pow_int(pv, n * n)))
     extra = max(0, B.exp - pv.exp) if ctx.mode == "exact" else 0
-    inner = ctx.summation(rterm, start=1, extra=extra)
-    rhs = ctx.mul(_pref(ctx, x, y, z),
+    inner = cor_rhs_sum(ctx, x, y, z, rterm, start=1, extra=extra)
+    rhs = ctx.mul(cor_pref(ctx, x, y, z),
                   ctx.sub(ctx.one(), ctx.mul(ctx.div(pv, B), inner)))
     return lhs, rhs
 

@@ -58,6 +58,12 @@ def lookup(record_id: str) -> Optional[IdentityRecord]:
     return _BY_ID.get(record_id)
 
 
+def select(filter_pattern: str = "*") -> List[IdentityRecord]:
+    """The records whose id matches the glob (an empty pattern matches
+    all), in catalog order."""
+    return [r for r in catalog() if fnmatch(r.id, filter_pattern or "*")]
+
+
 @dataclass
 class ParamAssignment:
     """A sampled, admissible set of parameter values for one record."""
@@ -229,7 +235,7 @@ def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
     The report list is ordered by (record id, sample index) regardless of
     the execution schedule.
     """
-    recs = [r for r in catalog() if fnmatch(r.id, filter_pattern or "*")]
+    recs = select(filter_pattern)
     jobs = []
     for rec in recs:
         modes = rec.strategies if strategy == "auto" else (strategy,)

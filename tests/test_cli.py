@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qident.cli import main
 
 
@@ -95,3 +97,23 @@ def test_suite_mismatch_exit1(capsys, monkeypatch):
         reg.RECORDS[idx] = original
     assert code == 1
     assert "MISMATCH" in out and "q^5" in out
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--id", "qgauss", "--order", "0"],
+    ["verify", "--id", "qgauss", "--order", "-3"],
+    ["verify", "--id", "qgauss", "--samples", "0"],
+    ["suite", "--filter", "qgauss", "--samples", "0"],
+    ["suite", "--filter", "qgauss", "--workers", "0"],
+])
+def test_counts_below_one_exit2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "must be >= 1" in err
+    assert "EQUAL" not in out
+
+
+def test_suite_empty_filter_exit2(capsys):
+    code, out, err = run(capsys, "suite", "--filter", "zzz*")
+    assert code == 2
+    assert "no identity matches 'zzz*'" in err
+    assert "equal" not in out
