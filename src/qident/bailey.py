@@ -8,24 +8,28 @@ The transforms are written once, against the `Ctx` algebra of
 them under both the exact and the numeric strategy:
 
   * `wp_beta_sum` -- beta_n from the defining relation;
+  * `wp_chain_alpha`, `wp_chain_beta` -- the chain step: the new alpha,
+    and the closed form of its beta;
   * `wp_transform` -- both sides of the infinite well-poised transform
     for a general alpha;
   * `cor_pref`, `cor_lhs`, `cor_rhs_sum`, `cor_transform` and
     `running_sums` -- the central partial-sum transform, the relation at
     k = aq where beta_n is the n-th partial sum of alpha;
   * `sv_quotient`, `sv_linear` -- the multi-base quotient and its four
-    linear factors.
+    linear factors;
+  * `poch_quotient` -- n -> a quotient of Pochhammer products, the shape
+    of the telescoped sequences (see also `pte.bridge_sequences`).
 
 A sequence enters them as a function `alpha_at(n)` to context values,
 plus, where it is known, a `support` past which alpha_n is zero.
 
-`wp_beta`, `thm_transform_sides`, `cor_sides` and `subbarao_verma_sides`
-are thin exact wrappers: they reject degenerate specializations, run the
-shared code in an `ExactCtx` whose headroom covers the Laurent dips of
-their arguments, and return truncated Laurent series at the caller's
-order. Their parameters are monomials c * q^e or plain rationals, and
-their alpha sequences (`AlphaSequence`) produce values per index.
-`wp_chain_step` works on raw series.
+`wp_beta`, `wp_chain_step`, `thm_transform_sides`, `cor_sides` and
+`subbarao_verma_sides` are thin exact wrappers: they reject degenerate
+specializations, run the shared code in an `ExactCtx` whose headroom
+covers the Laurent dips of their arguments, and return truncated Laurent
+series at the caller's order. Their parameters are monomials c * q^e or
+plain rationals, and their alpha sequences (`AlphaSequence`) produce
+values per index.
 """
 
 from __future__ import annotations
@@ -37,28 +41,12 @@ from typing import Callable, Optional, Tuple
 
 from .context import Ctx, ExactCtx
 from .errors import DegenerateDenominator, ValuationStall
-from .qfunc import (
-    PochTower,
-    Value,
-    as_monomial,
-    poch_dip,
-    poch_finite,
-    vwp_factor,
-)
+from .qfunc import Value, as_monomial, poch_dip
 from .series import DEFAULT_ORDER, LaurentSeries, QMonomial
 
 _Q = QMonomial.of(1, 1)
 
 AlphaFn = Callable[[int, int], Value]   # (n, order) -> value
-
-
-def _mul_value(s: LaurentSeries, v: Value, cap: Optional[int] = None) -> LaurentSeries:
-    """Multiply a series by an alpha-style value, cheap paths first."""
-    if isinstance(v, (Fraction, int)):
-        return s.scale(Fraction(v))
-    if isinstance(v, QMonomial):
-        return s.scale(v.coef, v.exp)
-    return s.mul(v, cap=cap)
 
 
 def _value_sub(x: Value, y: Value, order: int) -> Value:
@@ -76,14 +64,11 @@ class AlphaSequence:
     """A re-entrant sequence n -> value feeding the summation engines.
 
     `support`, when set, promises the value is zero for n > support (an
-    optimization and a termination certificate). The provenance tag records
-    how the sequence arose (explicit formula vs telescoping difference).
+    optimization and a termination certificate).
     """
 
-    def __init__(self, fn: AlphaFn, provenance: str = "explicit",
-                 support: Optional[int] = None):
+    def __init__(self, fn: AlphaFn, support: Optional[int] = None):
         self.fn = fn
-        self.provenance = provenance
         self.support = support
 
     def value(self, n: int, order: int) -> Value:
@@ -92,10 +77,10 @@ class AlphaSequence:
         return self.fn(n, order)
 
     @staticmethod
-    def from_values(values, provenance: str = "explicit") -> "AlphaSequence":
+    def from_values(values) -> "AlphaSequence":
         vals = list(values)
         return AlphaSequence(lambda n, order: vals[n] if n < len(vals) else Fraction(0),
-                             provenance, support=len(vals) - 1)
+                             support=len(vals) - 1)
 
 
 def unit_alpha() -> AlphaSequence:
@@ -179,7 +164,8 @@ def wp_transform(ctx: Ctx, a, k, r1, r2, alpha_at,
           * sum (r1, r2)_n / (aq/r1, aq/r2)_n z^n alpha_n,
 
     with z = aq/(r1 r2) and beta_n from `wp_beta_sum`. k = 0 reduces it to
-    the classical transform for a pair relative to a.
+    the classical transform for a pair relative to a. With a known
+    `support` the right sum is the finite sum over n <= support.
     """
     qq = ctx.qpow(1)
     aq, kq = ctx.mul(a, qq), ctx.mul(k, qq)
@@ -203,7 +189,56 @@ def wp_transform(ctx: Ctx, a, k, r1, r2, alpha_at,
         ctx.poch_inf(aq1, qq), ctx.poch_inf(aq2, qq),
         ctx.inv_poch_inf(kq1, qq), ctx.inv_poch_inf(kq2, qq),
         ctx.inv_poch_inf(z, qq), ctx.inv_poch_inf(aq, qq))
-    return ctx.summation(lhs_term), ctx.mul(pref, ctx.summation(rhs_term))
+    rhs_sum = ctx.summation(rhs_term) if support is None else \
+        _total(ctx, [rhs_term(n) for n in range(support + 1)])
+    return ctx.summation(lhs_term), ctx.mul(pref, rhs_sum)
+
+
+def wp_chain_alpha(ctx: Ctx, a, r1, r2, alpha_at, n: int):
+    """alpha'_n of the chain step from the pair (alpha, a, c) to
+    (alpha', a, k), with c = k r1 r2 / (a q):
+
+        alpha'_n = (r1, r2)_n / (aq/r1, aq/r2)_n (k/c)^n alpha_n,
+
+    where k/c = aq/(r1 r2), so alpha' does not depend on k."""
+    qq = ctx.qpow(1)
+    aq = ctx.mul(a, qq)
+    return ctx.mul(ctx.poch(r1, qq, n), ctx.poch(r2, qq, n),
+                   ctx.inv_poch(ctx.div(aq, r1), qq, n),
+                   ctx.inv_poch(ctx.div(aq, r2), qq, n),
+                   ctx.pow_int(ctx.div(aq, ctx.mul(r1, r2)), n), alpha_at(n))
+
+
+def wp_chain_beta(ctx: Ctx, a, k, r1, r2, alpha_at, n: int,
+                  support: Optional[int] = None):
+    """The closed form of beta'_n, the beta of (alpha', a, k) (see
+    `wp_chain_alpha`):
+
+      beta'_n = (k r1/a, k r2/a)_n / (aq/r1, aq/r2)_n
+                * sum_{j<=n} vwp(c, j) (r1, r2)_j / (k r1/a, k r2/a)_j
+                  * (k/c)_{n-j} (k)_{n+j} / ((q)_{n-j} (qc)_{n+j})
+                  * (k/c)^j beta_j(a, c),
+
+    with beta_j(a, c) from `wp_beta_sum` in the same context. The weight
+    (k r1/a, k r2/a)_j inside the sum is indexed by j (the commonly
+    printed index n there fails the defining relation)."""
+    qq = ctx.qpow(1)
+    aq = ctx.mul(a, qq)
+    aq1, aq2 = ctx.div(aq, r1), ctx.div(aq, r2)
+    kr1, kr2 = ctx.div(ctx.mul(k, r1), a), ctx.div(ctx.mul(k, r2), a)
+    kc = ctx.div(aq, ctx.mul(r1, r2))
+    c = ctx.div(ctx.mul(k, r1, r2), aq)
+    qc = ctx.mul(qq, c)
+    inner = _total(ctx, [
+        ctx.mul(ctx.vwp(c, j), ctx.poch(r1, qq, j), ctx.poch(r2, qq, j),
+                ctx.inv_poch(kr1, qq, j), ctx.inv_poch(kr2, qq, j),
+                ctx.poch(kc, qq, n - j), ctx.poch(k, qq, n + j),
+                ctx.inv_poch(qq, qq, n - j), ctx.inv_poch(qc, qq, n + j),
+                ctx.pow_int(kc, j),
+                wp_beta_sum(ctx, a, c, alpha_at, j, support))
+        for j in range(n + 1)])
+    return ctx.mul(ctx.poch(kr1, qq, n), ctx.poch(kr2, qq, n),
+                   ctx.inv_poch(aq1, qq, n), ctx.inv_poch(aq2, qq, n), inner)
 
 
 def cor_pref(ctx: Ctx, x, y, z):
@@ -214,36 +249,38 @@ def cor_pref(ctx: Ctx, x, y, z):
     return ctx.mul(num, ctx.inv(den))
 
 
-def cor_lhs(ctx: Ctx, x, y, z, beta_at, idx=lambda n: n):
-    """sum vwp(xyz, i) (y, z; q)_i x^i beta(n) / ((qxy, qxz; q)_i) with
-    i = idx(n); beta_at receives the summation index n."""
+def cor_lhs(ctx: Ctx, x, y, z, beta_at, idx=lambda n: n, base=None):
+    """sum vwp(xyz, i) (y, z; p)_i x^i beta(n) / ((pxy, pxz; p)_i) with
+    i = idx(n) and base p (default q); beta_at receives the summation
+    index n."""
     k = ctx.mul(x, y, z)
-    qq = ctx.qpow(1)
-    qxy, qxz = ctx.mul(qq, x, y), ctx.mul(qq, x, z)
+    p = ctx.qpow(1) if base is None else base
+    pxy, pxz = ctx.mul(p, x, y), ctx.mul(p, x, z)
 
     def term(n):
         i = idx(n)
-        return ctx.mul(ctx.vwp(k, i), ctx.poch(y, qq, i), ctx.poch(z, qq, i),
-                       ctx.inv_poch(qxy, qq, i), ctx.inv_poch(qxz, qq, i),
-                       ctx.pow_int(x, i), beta_at(n))
+        return ctx.mul(ctx.vwp(k, i, base), ctx.poch(y, p, i),
+                       ctx.poch(z, p, i), ctx.inv_poch(pxy, p, i),
+                       ctx.inv_poch(pxz, p, i), ctx.pow_int(x, i), beta_at(n))
 
     return ctx.summation(term)
 
 
 def cor_rhs_sum(ctx: Ctx, x, y, z, alpha_at, arg=None, start: int = 0,
-                extra: int = 0):
-    """sum_{n >= start} (y, z; q)_n arg^n alpha(n) / ((xy, xz; q)_n); arg
-    defaults to x, and `start` and `extra` go to ctx.summation."""
-    qq = ctx.qpow(1)
+                times=1, base=None):
+    """times * sum_{n >= start} (y, z; p)_n arg^n alpha(n) / ((xy, xz; p)_n)
+    with base p (default q); arg defaults to x, and `start` and `times` go
+    to ctx.summation."""
+    p = ctx.qpow(1) if base is None else base
     xy, xz = ctx.mul(x, y), ctx.mul(x, z)
     base_arg = x if arg is None else arg
 
     def term(n):
-        return ctx.mul(ctx.poch(y, qq, n), ctx.poch(z, qq, n),
-                       ctx.inv_poch(xy, qq, n), ctx.inv_poch(xz, qq, n),
+        return ctx.mul(ctx.poch(y, p, n), ctx.poch(z, p, n),
+                       ctx.inv_poch(xy, p, n), ctx.inv_poch(xz, p, n),
                        ctx.pow_int(base_arg, n), alpha_at(n))
 
-    return ctx.summation(term, start=start, extra=extra)
+    return ctx.summation(term, start=start, times=times)
 
 
 def cor_transform(ctx: Ctx, x, y, z, beta_at, alpha_at, arg=None):
@@ -259,6 +296,15 @@ def cor_transform(ctx: Ctx, x, y, z, beta_at, alpha_at, arg=None):
     return cor_lhs(ctx, x, y, z, beta_at), \
         ctx.mul(cor_pref(ctx, x, y, z),
                 cor_rhs_sum(ctx, x, y, z, alpha_at, arg))
+
+
+def poch_quotient(ctx: Ctx, ups, downs, base, shift=None):
+    """n -> prod (u*shift; base)_n / prod (d; base)_n over u in ups and d
+    in downs (shift None: the u themselves)."""
+    if shift is not None:
+        ups = [ctx.mul(u, shift) for u in ups]
+    return lambda n: ctx.mul(*[ctx.poch(u, base, n) for u in ups],
+                             *[ctx.inv_poch(d, base, n) for d in downs])
 
 
 def running_sums(ctx: Ctx, value_at):
@@ -349,56 +395,33 @@ def wp_chain_step(pair: WPPair, params: ChainParams,
     from the defining relation. The weight product (k rho1/a, k rho2/a)_j
     inside the sum is indexed by the summation index (the commonly printed
     index n there fails the defining relation; closure tests pin this down).
+    See `wp_chain_alpha` and `wp_chain_beta`.
     """
     a = _require_monomial(pair.a, "a")
     r1, r2, k = params.rho1, params.rho2, params.k
     c = params.c_for(a)
     if c.is_one:
         raise DegenerateDenominator("derived c = 1 degenerates the step")
-    kc = k / c if not k.is_zero else k   # equals a q / (rho1 rho2)
     for name, arg in (("aq/rho1", a * _Q / r1), ("aq/rho2", a * _Q / r2),
                       ("k*rho1/a", k * r1 / a), ("k*rho2/a", k * r2 / a),
                       ("qc", _Q * c)):
         if arg.is_one:
             raise DegenerateDenominator(f"{name} = 1 at this specialization")
+    head = sum(poch_dip(v, _Q) for v in (a * _Q / (r1 * r2), k, r1, r2,
+                                         k * r1 / a, k * r2 / a, c / a, c))
 
-    base_pair = WPPair(pair.alpha, pair.a, c)
-
-    def alpha_prime(n: int, wo: int) -> Value:
-        num = poch_finite(r1, _Q, n) * poch_finite(r2, _Q, n)
-        den = poch_finite(a * _Q / r1, _Q, n) * poch_finite(a * _Q / r2, _Q, n)
-        ratio = num.mul(den.invert(wo), cap=wo)
-        ratio = ratio.scale(kc.coef ** n, kc.exp * n)
-        return _mul_value(ratio, pair.alpha.value(n, wo), cap=wo)
+    def alpha_prime(n: int, wo: int) -> LaurentSeries:
+        ctx = ExactCtx(wo, headroom=head)
+        v = wp_chain_alpha(ctx, a, r1, r2, _values(pair.alpha, ctx), n)
+        return ctx.finalize(v).truncate(wo)
 
     def beta_prime(n: int, wo: int = order) -> LaurentSeries:
-        bwo = wo + sum(poch_dip(v, _Q) for v in (kc, k, r1, r2,
-                                                 k * r1 / a, k * r2 / a))
-        num = poch_finite(k * r1 / a, _Q, n) * poch_finite(k * r2 / a, _Q, n)
-        den = poch_finite(a * _Q / r1, _Q, n) * poch_finite(a * _Q / r2, _Q, n)
-        outer = num.mul(den.invert(bwo), cap=bwo)
-        kc_t = PochTower(kc, _Q, bwo)
-        k_t = PochTower(k, _Q, bwo)
-        r1_t = PochTower(r1, _Q, bwo)
-        r2_t = PochTower(r2, _Q, bwo)
-        inv_kr1 = PochTower(k * r1 / a, _Q, bwo, invert=True)
-        inv_kr2 = PochTower(k * r2 / a, _Q, bwo, invert=True)
-        inv_q = PochTower(_Q, _Q, bwo, invert=True)
-        inv_qc = PochTower(_Q * c, _Q, bwo, invert=True)
-        acc = LaurentSeries.zero(wo)
-        for j in range(n + 1):
-            t = vwp_factor(c, j, bwo)
-            t = t * r1_t.upto(j) * r2_t.upto(j)
-            t = t * inv_kr1.upto(j) * inv_kr2.upto(j)
-            t = t * kc_t.upto(n - j) * k_t.upto(n + j)
-            t = t * inv_q.upto(n - j) * inv_qc.upto(n + j)
-            t = t.scale(kc.coef ** j, kc.exp * j)
-            bj = wp_beta(base_pair, j, bwo)
-            acc = acc + (t * bj).truncate(wo)
-        return outer.mul(acc, cap=wo)
+        ctx = ExactCtx(wo, headroom=head)
+        v = wp_chain_beta(ctx, a, k, r1, r2, _values(pair.alpha, ctx), n,
+                          pair.alpha.support)
+        return ctx.finalize(v).truncate(wo)
 
-    new_alpha = AlphaSequence(alpha_prime, provenance="chained",
-                              support=pair.alpha.support)
+    new_alpha = AlphaSequence(alpha_prime, support=pair.alpha.support)
     return WPPair(new_alpha, pair.a, params.k), beta_prime
 
 
@@ -446,7 +469,7 @@ def telescope_alpha(t: AlphaFn) -> AlphaSequence:
             return t(0, order)
         return _value_sub(t(n, order), t(n - 1, order), order)
 
-    return AlphaSequence(fn, provenance="telescoped")
+    return AlphaSequence(fn)
 
 
 def subbarao_verma_sides(n: int, a: Value, b: Value, c: Value,

@@ -12,7 +12,11 @@ run under two strategies:
 
 Both expose the same operations: rational constants, q-powers, finite and
 infinite Pochhammer products (cached incrementally), the very-well-poised
-factor, and a tail-aware summation.
+factor, and a tail-aware summation. `summation(term, times=m)` is m times
+the sum; ExactCtx sums max(0, -exp(m)) deeper, so that the product is
+still known through the target. ExactCtx's `poch`, `inv_poch` and `vwp`
+return the scalar 1 for n = 0 or a zero argument (`vwp` at k = 1 still
+raises DegenerateVWP), so a trivial factor adds no series to a product.
 
 Under ExactCtx a product that involves a series is kept unmultiplied: `mul`
 returns one monomial c*t^e times a flat list of series parts (nested
@@ -59,6 +63,8 @@ from .qfunc import (
 )
 from .series import _QM_ONE, LaurentSeries, QMonomial
 
+_ONE = Fraction(1)
+
 
 class _Product:
     """mono * parts[0] * parts[1] * ..., not yet multiplied out; `mono` is
@@ -104,8 +110,6 @@ class ExactCtx:
     negative monomial powers inside summands (Laurent dips); sides are
     compared at `target`.
     """
-
-    mode = "exact"
 
     def __init__(self, order: int, denom: int = 1, headroom: int = 4):
         self.denom = denom
@@ -193,23 +197,25 @@ class ExactCtx:
 
     # -- q machinery -----------------------------------------------------
 
-    def _tower(self, a, base, invert: bool) -> PochTower:
+    def _poch(self, a, base, n: int, invert: bool):
         am = as_monomial(_force(a))
         bm = as_monomial(_force(base))
         if am is None or bm is None:
             raise TypeError("Pochhammer arguments must be monomial-like")
+        if n == 0 or am.is_zero:
+            return _ONE
         key = (am, bm, invert)
         t = self._towers.get(key)
         if t is None:
             t = PochTower(am, bm, self.order, invert=invert)
             self._towers[key] = t
-        return t
+        return t.upto(n)
 
-    def poch(self, a, base, n: int) -> LaurentSeries:
-        return self._tower(a, base, False).upto(n)
+    def poch(self, a, base, n: int):
+        return self._poch(a, base, n, False)
 
-    def inv_poch(self, a, base, n: int) -> LaurentSeries:
-        return self._tower(a, base, True).upto(n)
+    def inv_poch(self, a, base, n: int):
+        return self._poch(a, base, n, True)
 
     def poch_inf(self, a, base) -> LaurentSeries:
         return poch_infinite(as_monomial(_force(a)),
@@ -218,16 +224,23 @@ class ExactCtx:
     def inv_poch_inf(self, a, base) -> LaurentSeries:
         return self.poch_inf(a, base).invert(self.order)
 
-    def vwp(self, k, n: int, base: Optional[QMonomial] = None) -> LaurentSeries:
-        return vwp_factor(_force(k), n, self.order,
+    def vwp(self, k, n: int, base: Optional[QMonomial] = None):
+        k = _force(k)
+        km = as_monomial(k)
+        if km is not None and not km.is_one and (n == 0 or km.is_zero):
+            return _ONE
+        return vwp_factor(k, n, self.order,
                           self.q if base is None else _force(base))
 
     def summation(self, term: Callable[[int], object], start: int = 0,
-                  extra: int = 0):
-        """Sum terms exactly to the comparison target; `extra` computes
-        deeper (still within the construction headroom) for callers that
-        multiply the result by a negative q-power afterwards."""
-        goal = min(self.order, self.target + max(0, extra))
+                  times=1):
+        """`times` (a monomial) times the sum of the terms. The sum is
+        taken exactly to the comparison target, or deeper by the negative
+        q-power of `times` (still within the construction headroom)."""
+        m = as_monomial(_force(times))
+        if m is None:
+            raise TypeError("summation multiplies by a monomial only")
+        goal = min(self.order, self.target + max(0, -m.exp))
 
         def gen(n: int) -> LaurentSeries:
             t = term(n + start)
@@ -237,7 +250,7 @@ class ExactCtx:
                 t = LaurentSeries.coerce(t, goal)
             return t.truncate(goal)
 
-        return sum_exact(TermGenerator(gen), goal)
+        return self.mul(m, sum_exact(TermGenerator(gen), goal))
 
     def finalize(self, v) -> LaurentSeries:
         return LaurentSeries.coerce(_force(v), self.order)
@@ -249,8 +262,6 @@ class NumericCtx:
     `q_unit` is the d-th root of q as an exact rational; every q-power in
     a builder is an integer power of it.
     """
-
-    mode = "numeric"
 
     def __init__(self, q_unit: Fraction, denom: int = 1,
                  precision: int = NUMERIC_PRECISION, tol=NUMERIC_TOL):
@@ -356,10 +367,10 @@ class NumericCtx:
         return (1 - k * base ** (2 * n)) / (1 - k)
 
     def summation(self, term: Callable[[int], Decimal], start: int = 0,
-                  extra: int = 0):
+                  times=1):
         gen = NumericTermGenerator(lambda n: self.num(term(n + start)),
                                    self.precision)
-        return sum_numeric(gen, self.tol)
+        return self.mul(times, sum_numeric(gen, self.tol))
 
     def finalize(self, v) -> Decimal:
         return self.num(v)

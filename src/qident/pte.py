@@ -9,8 +9,11 @@ A closely related polynomial condition on sizes (m, m-1),
     prod(1 - a_i) = prod(Z - a_i) - (Z - 1) * prod(Z - b_i),
 
 is exactly what makes the telescoping alpha built from the a's and b's
-collapse, turning each such pair into a hypergeometric transform. All
-arithmetic here is exact rational.
+collapse, turning each such pair into a hypergeometric transform. The
+multiset checks and families are exact rational arithmetic.
+`bridge_sequences` writes the attached alpha/beta sequences once, over
+the `Ctx` algebra, for the catalog records (phi54, ppte-m, cpte3) under
+both strategies; `pte_alpha_beta` is its thin exact wrapper.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .bailey import AlphaSequence
+from .bailey import AlphaSequence, poch_quotient
+from .context import Ctx, ExactCtx
 from .errors import (
     BridgeConstraintError,
     DegenerateFamily,
     SizeMismatch,
 )
-from .qfunc import poch_finite
 from .series import LaurentSeries, QMonomial
 
 _Q = QMonomial.of(1, 1)
@@ -175,16 +178,28 @@ def family12(m, K) -> Tuple[Multiset, Multiset]:
     return a, b
 
 
+def bridge_sequences(ctx: Ctx, a: Sequence, b: Sequence, base=None):
+    """(alpha_at, beta_at) of the telescoping sequence attached to a
+    bridge-compatible pair, over `ctx` with base p (default q):
+
+        alpha_n = (a_1, .., a_m; p)_n p^{m n} / (p, b_1 p, .., b_{m-1} p; p)_n,
+        beta_n  = (a_1 p, .., a_m p; p)_n / (p, b_1 p, .., b_{m-1} p; p)_n,
+
+    with alpha_0 = 1 and partial sums of alpha equal to beta when
+    check_bridge(a, b) holds (not checked here; see `pte_alpha_beta`)."""
+    p = ctx.qpow(1) if base is None else base
+    downs = [p] + [ctx.mul(bi, p) for bi in b]
+    quotient = poch_quotient(ctx, a, downs, p)
+    pm = ctx.pow_int(p, len(a))
+    return (lambda n: ctx.mul(quotient(n), ctx.pow_int(pm, n)),
+            poch_quotient(ctx, a, downs, p, shift=p))
+
+
 def pte_alpha_beta(a: Sequence, b: Sequence, base: QMonomial = _Q
                    ) -> Tuple[AlphaSequence, "object"]:
-    """The telescoping sequence attached to a bridge-compatible pair:
-
-        alpha_0 = 1,
-        alpha_n = (a_1, .., a_m; q)_n q^{m n} / ((b_1 q, .., b_{m-1} q, q; q)_n),
-        beta_n  = (a_1 q, .., a_m q; q)_n / ((b_1 q, .., b_{m-1} q, q; q)_n),
-
-    with partial sums of alpha equal to beta. Requires check_bridge(a, b)
-    and every b_i nonzero.
+    """The exact bridge pair of `bridge_sequences`: an AlphaSequence with
+    alpha_0 = 1, and n, order -> beta_n as a series at `order`. Requires
+    check_bridge(a, b) and every b_i nonzero.
     """
     a = tuple(Fraction(v) for v in a)
     b = tuple(Fraction(v) for v in b)
@@ -193,29 +208,13 @@ def pte_alpha_beta(a: Sequence, b: Sequence, base: QMonomial = _Q
             "multisets do not satisfy the polynomial bridge condition")
     if any(not bi for bi in b):
         raise BridgeConstraintError("bridge needs every b_i nonzero")
-    m = len(a)
 
-    def denominator(n: int) -> LaurentSeries:
-        den = LaurentSeries.one()
-        for bi in b:
-            den = den * poch_finite(QMonomial(bi * base.coef, base.exp),
-                                    base, n)
-        return den * poch_finite(base, base, n)
+    def exact(which: int, n: int, order: int) -> LaurentSeries:
+        ctx = ExactCtx(order, headroom=0)
+        v = bridge_sequences(ctx, a, b, base)[which](n)
+        return ctx.finalize(v).truncate(order)
 
     def alpha_fn(n: int, order: int):
-        if n == 0:
-            return Fraction(1)
-        num = LaurentSeries.one()
-        for ai in a:
-            num = num * poch_finite(ai, base, n)
-        num = num.scale(base.coef ** (m * n), m * n * base.exp)
-        return num.mul(denominator(n).invert(order), cap=order)
+        return Fraction(1) if n == 0 else exact(0, n, order)
 
-    def beta_fn(n: int, order: int) -> LaurentSeries:
-        num = LaurentSeries.one()
-        for ai in a:
-            num = num * poch_finite(QMonomial(ai * base.coef, base.exp),
-                                    base, n)
-        return num.mul(denominator(n).invert(order), cap=order)
-
-    return AlphaSequence(alpha_fn, provenance="telescoped"), beta_fn
+    return AlphaSequence(alpha_fn), lambda n, order: exact(1, n, order)

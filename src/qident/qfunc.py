@@ -80,26 +80,23 @@ def poch_finite(a: Value, base: QMonomial, n: int,
                 order: Optional[int] = None) -> LaurentSeries:
     """(a; base)_n as an exact polynomial (or truncated at `order`).
 
-    The empty product (n = 0) is 1. Laurent factors with negative exponents
-    are allowed in `a`; the base exponent must be >= 0.
+    The empty product (n = 0) is 1. `a` must be monomial-like; Laurent
+    factors with negative exponents are allowed in it, and the base
+    exponent must be >= 0.
     """
     if n < 0:
         raise ValueError("Pochhammer length must be >= 0")
     if base.exp < 0:
         raise ValueError("Pochhammer base must have nonnegative exponent")
-    out = LaurentSeries.one(order)
     mono = as_monomial(a)
-    if mono is not None:
-        if mono.is_zero:
-            return out
-        c, e = mono.coef, mono.exp
-        for j in range(n):
-            out = out.mul_binomial(-c * base.coef ** j, e + j * base.exp)
+    if mono is None:
+        raise TypeError("poch_finite needs a monomial-like argument")
+    out = LaurentSeries.one(order)
+    if mono.is_zero:
         return out
-    a_series = LaurentSeries.coerce(a, order)
+    c, e = mono.coef, mono.exp
     for j in range(n):
-        shift = a_series.scale(base.coef ** j, j * base.exp)
-        out = out.mul(LaurentSeries.one(order) - shift, cap=order)
+        out = out.mul_binomial(-c * base.coef ** j, e + j * base.exp)
     return out
 
 
@@ -184,29 +181,24 @@ def vwp_factor(k: Value, n: int, order: Optional[int] = None,
 
     Algebraically equal to the four-Pochhammer quotient
     (base*sqrt(k), -base*sqrt(k); base)_n / (sqrt(k), -sqrt(k); base)_n,
-    with no square root ever taken. k = 1 is degenerate.
+    with no square root ever taken. k must be monomial-like; k = 1 is
+    degenerate.
     """
     if base is None:
         base = QMonomial.of(1, 1)
     mono = as_monomial(k)
-    if mono is not None:
-        if mono.is_one:
-            raise DegenerateVWP("very-well-poised factor with k = 1")
-        num_c = -mono.coef * base.coef ** (2 * n)
-        num_e = mono.exp + 2 * n * base.exp
-        out = LaurentSeries.one(order).mul_binomial(num_c, num_e)
-        if mono.is_zero:
-            return out
-        if mono.exp == 0:
-            return out.scale(Fraction(1) / (1 - mono.coef))
-        return out.div_binomial(-mono.coef, mono.exp, order)
-    ks = LaurentSeries.coerce(k)
-    den = LaurentSeries.one(order) - ks
-    if den.is_zero:
+    if mono is None:
+        raise TypeError("vwp_factor needs a monomial-like k")
+    if mono.is_one:
         raise DegenerateVWP("very-well-poised factor with k = 1")
-    num = LaurentSeries.one(order) - ks.scale(base.coef ** (2 * n),
-                                              2 * n * base.exp)
-    return num.mul(den.invert(order), cap=order)
+    num_c = -mono.coef * base.coef ** (2 * n)
+    num_e = mono.exp + 2 * n * base.exp
+    out = LaurentSeries.one(order).mul_binomial(num_c, num_e)
+    if mono.is_zero:
+        return out
+    if mono.exp == 0:
+        return out.scale(Fraction(1) / (1 - mono.coef))
+    return out.div_binomial(-mono.coef, mono.exp, order)
 
 
 @dataclass

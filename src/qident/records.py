@@ -7,10 +7,12 @@ t-units under the exact strategy, rationals/integers under the numeric
 one); `ctx.qpow(e)` is q^e with e in q-units. Records that are
 instances of a well-poised transform (the central partial-sum transform,
 the infinite transform, the multi-base quotient) pass their sequences to
-the shared implementations in `bailey`; the other sums follow the source
-displays term by term. Square-root pairs are always realized through
-ctx.vwp. Samplers draw one candidate (None = rejected); rejection and
-determinism live in the registry.
+the shared implementations in `bailey` (the bridge records phi54, ppte-m
+and cpte3 take theirs from `pte.bridge_sequences`); the other sums follow
+the source displays term by term. A sum times a q-power is
+`ctx.summation(..., times=m)` under both strategies. Square-root pairs
+are always realized through ctx.vwp. Samplers draw one candidate
+(None = rejected); rejection and determinism live in the registry.
 """
 
 from __future__ import annotations
@@ -25,12 +27,15 @@ from .bailey import (
     cor_pref,
     cor_rhs_sum,
     cor_transform,
+    poch_quotient,
     running_sums,
     sv_linear,
     sv_quotient,
     wp_transform,
 )
 from .context import Ctx
+from .errors import DegenerateFamily
+from .pte import bridge_sequences, family6
 from .series import QMonomial
 
 
@@ -112,24 +117,11 @@ def _seed_alpha(ctx: Ctx):
     return lambda n: ctx.num(1 if n == 0 else 0)
 
 
-def _poch_quotient(ctx: Ctx, ups, downs, base, shift=None):
-    """n -> prod (u*shift; base)_n / prod (d; base)_n over u in ups and d
-    in downs (shift None: the u themselves)."""
-    if shift is not None:
-        ups = [ctx.mul(u, shift) for u in ups]
-    return lambda n: ctx.mul(*[ctx.poch(u, base, n) for u in ups],
-                             *[ctx.inv_poch(d, base, n) for d in downs])
-
-
-def _shifted_cor(ctx: Ctx, p, ups, downs, power: int):
-    """The central transform with beta_n = (ups*q; q)_n / (downs; q)_n,
-    alpha_n = (ups; q)_n / (downs; q)_n and argument x q^power: the
-    telescoped transforms of the phi and equal-power-sum records."""
-    qq = ctx.qpow(1)
-    return cor_transform(ctx, p["x"], p["y"], p["z"],
-                         _poch_quotient(ctx, ups, downs, qq, shift=qq),
-                         _poch_quotient(ctx, ups, downs, qq),
-                         arg=ctx.mul(p["x"], ctx.qpow(power)))
+def _bridge_cor(ctx: Ctx, p, a, b):
+    """The central transform with the bridge pair of the multisets (a, b)
+    (see `pte.bridge_sequences`) as its (beta, alpha)."""
+    alpha, beta = bridge_sequences(ctx, a, b)
+    return cor_transform(ctx, p["x"], p["y"], p["z"], beta, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +331,8 @@ def _s_x_unit_u(rng, mode):
 
 
 def _b_phi54(ctx, p):
-    return _shifted_cor(ctx, p, [p["c"]], [ctx.qpow(1)], 1)
+    # the bridge pair of ({c}, {})
+    return _bridge_cor(ctx, p, [p["c"]], [])
 
 
 def _s_phi54(rng, mode):
@@ -425,9 +418,9 @@ def _b_poly2q(ctx, p):
     ups = [a, b, c, ctx.div(a, ctx.mul(b, c))]
     downs = [ctx.mul(ctx.div(a, c), qm), ctx.mul(ctx.div(a, b), qm),
              ctx.mul(b, c, qm), qm]
-    alpha = _poch_quotient(ctx, ups, downs, qm)
+    alpha = poch_quotient(ctx, ups, downs, qm)
     return cor_transform(ctx, p["x"], p["y"], p["z"],
-                         _poch_quotient(ctx, ups, downs, qm, shift=qm),
+                         poch_quotient(ctx, ups, downs, qm, shift=qm),
                          lambda n: ctx.mul(ctx.vwp(a, n, qm), alpha(n)),
                          arg=ctx.mul(p["x"], qm))
 
@@ -447,7 +440,11 @@ def _s_poly2q(rng, mode):
 def _b_phi65(ctx, p):
     a, b = p["a"], p["b"]
     qq = ctx.qpow(1)
-    return _shifted_cor(ctx, p, [a, b], [qq, ctx.mul(a, b, qq)], 1)
+    ups, downs = [a, b], [qq, ctx.mul(a, b, qq)]
+    return cor_transform(ctx, p["x"], p["y"], p["z"],
+                         poch_quotient(ctx, ups, downs, qq, shift=qq),
+                         poch_quotient(ctx, ups, downs, qq),
+                         arg=ctx.mul(p["x"], qq))
 
 
 def _s_phi65(rng, mode):
@@ -460,9 +457,7 @@ def _s_phi65(rng, mode):
 
 def _b_ppte_m(ctx, p):
     a1, a2 = p["a1"], p["a2"]
-    qq = ctx.qpow(1)
-    b1q = ctx.mul(ctx.num(a1 + a2 - 1), qq)
-    return _shifted_cor(ctx, p, [ctx.num(a1), ctx.num(a2)], [qq, b1q], 2)
+    return _bridge_cor(ctx, p, [a1, a2], [a1 + a2 - 1])
 
 
 def _s_ppte_m(rng, mode):
@@ -475,24 +470,8 @@ def _s_ppte_m(rng, mode):
     return out
 
 
-_F6_A = ((-3, 7, -2), (-2, 8, 2), (-1, 0, -1), (2, 3, 1), (1, 2, -3),
-         (0, 10, 0))
-_F6_B = ((-3, 8, 1), (-2, 3, -3), (-1, 10, -1), (2, 2, -2), (1, 7, 2))
-
-
-def _family6_values(m: F, n: F):
-    a = [F(cm) * m * m + F(cn) * n * m + F(c2) * n * n + 1
-         for cm, cn, c2 in _F6_A]
-    b = [F(cm) * m * m + F(cn) * n * m + F(c2) * n * n + 1
-         for cm, cn, c2 in _F6_B]
-    return a, b
-
-
 def _b_cpte3(ctx, p):
-    avals, bvals = _family6_values(p["m"], p["n"])
-    qq = ctx.qpow(1)
-    return _shifted_cor(ctx, p, [ctx.num(v) for v in avals],
-                        [qq] + [ctx.mul(ctx.num(v), qq) for v in bvals], 6)
+    return _bridge_cor(ctx, p, *family6(p["m"], p["n"]))
 
 
 def _no_rational_pole(values, q: F, depth: int = 60) -> bool:
@@ -515,8 +494,9 @@ def _s_cpte3(rng, mode):
     n = F(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
     if m == n:
         return None
-    avals, bvals = _family6_values(m, n)
-    if sorted(avals) == sorted(bvals + [F(1)]):
+    try:
+        avals, bvals = family6(m, n)
+    except DegenerateFamily:
         return None
     if any(not v for v in avals) or any(not v for v in bvals):
         return None
@@ -577,11 +557,9 @@ def _b_bibasic_ab(ctx, p):
                        ctx.pow_int(pv, e))
 
     lhs = cor_lhs(ctx, x, y, z, lambda n: weight(n, n * n))
-    extra = max(0, B.exp - pv.exp) if ctx.mode == "exact" else 0
     inner = cor_rhs_sum(ctx, x, y, z, lambda n: weight(n, n * n - 2 * n),
-                        start=1, extra=extra)
-    rhs = ctx.mul(cor_pref(ctx, x, y, z),
-                  ctx.sub(ctx.one(), ctx.mul(ctx.div(pv, B), inner)))
+                        start=1, times=ctx.div(pv, B))
+    rhs = ctx.mul(cor_pref(ctx, x, y, z), ctx.sub(ctx.one(), inner))
     return lhs, rhs
 
 
@@ -595,10 +573,8 @@ def _b_bibasic_ab2(ctx, p):
 
     lhs = cor_lhs(ctx, x, y, z, lambda n: ctx.mul(ctx.pow_int(B, n),
                                                   ctx.pow_int(pv, n * n)))
-    extra = max(0, B.exp - pv.exp) if ctx.mode == "exact" else 0
-    inner = cor_rhs_sum(ctx, x, y, z, rterm, start=1, extra=extra)
-    rhs = ctx.mul(cor_pref(ctx, x, y, z),
-                  ctx.sub(ctx.one(), ctx.mul(ctx.div(pv, B), inner)))
+    inner = cor_rhs_sum(ctx, x, y, z, rterm, start=1, times=ctx.div(pv, B))
+    rhs = ctx.mul(cor_pref(ctx, x, y, z), ctx.sub(ctx.one(), inner))
     return lhs, rhs
 
 
@@ -637,10 +613,8 @@ def _b_rrs3eq1(ctx, p):
         return ctx.mul(ctx.pow_int(ctx.neg(x), n), ctx.qpow(e), tail,
                        ctx.inv_poch(x, qq, n))
 
-    extra = max(0, int(2 * (b - a))) if ctx.mode == "exact" else 0
-    inner = ctx.summation(rterm, start=1, extra=extra)
-    rhs = ctx.mul(ctx.sub(ctx.one(), x),
-                  ctx.sub(ctx.one(), ctx.mul(ctx.qpow(a - b), inner)))
+    inner = ctx.summation(rterm, start=1, times=ctx.qpow(a - b))
+    rhs = ctx.mul(ctx.sub(ctx.one(), x), ctx.sub(ctx.one(), inner))
     return lhs, rhs
 
 
@@ -655,29 +629,21 @@ def _s_rrs3eq1(rng, mode):
 
 
 def _b_bb_z0(ctx, p):
+    # the central transform at base q^2 and z = 0
     x, y, ia, ib = p["x"], p["y"], p["a"], p["b"]
-    q2 = ctx.qpow(2)
+    q2, z = ctx.qpow(2), ctx.num(0)
     base_a = ctx.qpow(2 * ia)
     narg = ctx.neg(ctx.qpow(ia + ib))
-    xy = ctx.mul(x, y)
 
-    def lterm(n):
-        return ctx.mul(ctx.poch(y, q2, n), ctx.pow_int(x, n),
-                       ctx.qpow(ia * n * n + ib * n),
-                       ctx.inv_poch(ctx.mul(q2, xy), q2, n),
-                       ctx.inv_poch(narg, base_a, n))
+    def weight(n, e):
+        return ctx.mul(ctx.qpow(e), ctx.inv_poch(narg, base_a, n))
 
-    lhs = ctx.summation(lterm)
-
-    def rterm(n):
-        return ctx.mul(ctx.poch(y, q2, n), ctx.pow_int(x, n),
-                       ctx.qpow(ia * n * n + (ib - 2 * ia) * n),
-                       ctx.inv_poch(xy, q2, n), ctx.inv_poch(narg, base_a, n))
-
-    extra = max(0, ib - ia) if ctx.mode == "exact" else 0
-    inner = ctx.summation(rterm, start=1, extra=extra)
-    pref = ctx.mul(ctx.sub(ctx.one(), xy), ctx.inv(ctx.sub(ctx.one(), x)))
-    rhs = ctx.mul(pref, ctx.sub(ctx.one(), ctx.mul(ctx.qpow(ia - ib), inner)))
+    lhs = cor_lhs(ctx, x, y, z, lambda n: weight(n, ia * n * n + ib * n),
+                  base=q2)
+    inner = cor_rhs_sum(ctx, x, y, z,
+                        lambda n: weight(n, ia * n * n + (ib - 2 * ia) * n),
+                        start=1, times=ctx.qpow(ia - ib), base=q2)
+    rhs = ctx.mul(cor_pref(ctx, x, y, z), ctx.sub(ctx.one(), inner))
     return lhs, rhs
 
 
@@ -710,10 +676,8 @@ def _b_bb_yinf(ctx, p):
                        ctx.qpow((ia + 1) * n * n + (ib - 2 * ia - 1) * n),
                        ctx.inv_poch(x, q2, n), ctx.inv_poch(narg, base_a, n))
 
-    extra = max(0, ib - ia) if ctx.mode == "exact" else 0
-    inner = ctx.summation(rterm, start=1, extra=extra)
-    rhs = ctx.mul(ctx.sub(ctx.one(), x),
-                  ctx.sub(ctx.one(), ctx.mul(ctx.qpow(ia - ib), inner)))
+    inner = ctx.summation(rterm, start=1, times=ctx.qpow(ia - ib))
+    rhs = ctx.mul(ctx.sub(ctx.one(), x), ctx.sub(ctx.one(), inner))
     return lhs, rhs
 
 

@@ -1,0 +1,215 @@
+"""The chain step and the power-sum bridge over Ctx: pinned values of the
+exact wrappers, the shared code under the numeric strategy, and the
+context rules they rely on (summation `times`, the scalar 1)."""
+
+import decimal
+from fractions import Fraction as F
+
+import pytest
+
+from qident.bailey import (
+    AlphaSequence,
+    ChainParams,
+    WPPair,
+    running_sums,
+    unit_alpha,
+    wp_beta,
+    wp_beta_sum,
+    wp_chain_alpha,
+    wp_chain_beta,
+    wp_chain_step,
+    wp_transform,
+)
+from qident.context import ExactCtx, NumericCtx
+from qident.errors import DegenerateVWP
+from qident.pte import bridge_sequences, family6, pte_alpha_beta
+from qident.qfunc import NUMERIC_PRECISION, poch_finite, vwp_factor
+from qident.series import LaurentSeries as LS, QMonomial
+
+Q = QMonomial.of(1, 1)
+
+
+def mono(c, e=0):
+    return QMonomial.of(F(c), e)
+
+
+# (min_deg, order, coefficients), computed by the raw-series chain step
+# and bridge that the Ctx versions replaced
+PINNED = {
+    "chain_alpha4": (4, 20, (
+        '-5/64', '5/32', '5/64', '0', '-15/128', '-75/128', '25/64',
+        '-25/64', '215/256', '5/256', '-125/256', '145/256', '-295/512',
+        '525/512', '-585/512', '35/64', '95/1024')),
+    "chain_beta4": (0, 20, (
+        '1', '-7/3', '-23/12', '-157/48', '-5/64', '2261/96', '487/192',
+        '1035/32', '-787/128', '-663/128', '-8309/192', '-2509/48',
+        '-126383/768', '-17643/256', '-54479/768', '-62575/768',
+        '141967/1536', '319087/1536', '208299/512', '113413/256',
+        '362603/1024')),
+    "bridge_alpha3": (18, 20, ('554400', '0', '0')),
+    "bridge_beta3": (0, 20, (
+        '1', '0', '0', '0', '0', '0', '554400', '28274400', '1055577600',
+        '33646536000', '982932904800', '27150973264800', '722229963285600',
+        '18708229507968000', '475406222430585600',
+        '11911706186811631200', '295341931529920598400',
+        '7265315088610835256000', '177664503728620954584000',
+        '4325036734322729780493600', '104928376750708407392311200')),
+}
+
+
+def assert_pinned(series, name):
+    min_deg, order, coeffs = PINNED[name]
+    want = LS.from_pairs([(min_deg + i, F(c)) for i, c in enumerate(coeffs)],
+                         order)
+    assert series.order == want.order
+    assert series == want
+
+
+CHAIN_ALPHA = [F(1), F(-2, 3), F(3), F(1, 2), F(-5, 4), F(2)]
+
+
+def test_chain_step_pinned():
+    # the last chain specialization of test_bailey, with a general alpha
+    N = 20
+    pair = WPPair(AlphaSequence.from_values(CHAIN_ALPHA), mono(1, 4),
+                  mono(3, 5))
+    params = ChainParams(mono(2, 1), mono(1, 3), mono(3, 5))
+    new_pair, beta_prime = wp_chain_step(pair, params, N)
+    assert_pinned(LS.coerce(new_pair.alpha.value(4, N)).truncate(N),
+                  "chain_alpha4")
+    assert_pinned(beta_prime(4, N), "chain_beta4")
+
+
+def test_bridge_pinned():
+    alpha, beta = pte_alpha_beta(*family6(1, 2))
+    assert alpha.value(0, 20) == F(1)
+    assert_pinned(LS.coerce(alpha.value(3, 20)).truncate(20),
+                  "bridge_alpha3")
+    assert_pinned(beta(3, 20), "bridge_beta3")
+
+
+@pytest.mark.parametrize("alpha", [
+    unit_alpha(), AlphaSequence.from_values(CHAIN_ALPHA[:4])])
+def test_chain_closure_k0(alpha):
+    # k = 0 is Bailey's lemma: the step's weight is (aq/(r1 r2))^n
+    N = 24
+    pair = WPPair(alpha, mono(1, 3), mono(0))
+    new_pair, beta_prime = wp_chain_step(
+        pair, ChainParams(mono(1, 1), mono(2, 2), mono(0)), N)
+    for n in range(6):
+        assert wp_beta(new_pair, n, N).compare(beta_prime(n, N), N) is None
+
+
+# ------------------------------------------------------------- numeric
+
+
+def numeric_ctx():
+    return NumericCtx(F(1, 7))
+
+
+@pytest.fixture
+def precision():
+    with decimal.localcontext() as c:
+        c.prec = NUMERIC_PRECISION + 10
+        yield
+
+
+def sequence(ctx, vals):
+    return lambda n: ctx.num(vals[n]) if n < len(vals) else ctx.num(0)
+
+
+def test_chain_closure_numeric(precision):
+    ctx = numeric_ctx()
+    a, r1, r2 = F(1, 5), F(1, 2), F(-2, 5)
+    alpha = sequence(ctx, CHAIN_ALPHA)
+    support = len(CHAIN_ALPHA) - 1
+
+    def alpha_prime(n):
+        return wp_chain_alpha(ctx, a, r1, r2, alpha, n)
+
+    for k in (F(1, 3), F(0)):
+        for n in range(6):
+            direct = wp_beta_sum(ctx, a, k, alpha_prime, n, support)
+            closed = wp_chain_beta(ctx, a, k, r1, r2, alpha, n, support)
+            assert abs(direct - closed) <= ctx.tol
+    # the relation at another k must not close
+    bent = wp_beta_sum(ctx, a, F(1, 4), alpha_prime, 3, support)
+    assert abs(bent - wp_chain_beta(ctx, a, F(1, 3), r1, r2, alpha, 3,
+                                    support)) > ctx.tol
+
+
+@pytest.mark.parametrize("a,b", [
+    ([F(1, 2), F(1, 3)], [F(-1, 6)]),
+    family6(1, 2),
+])
+def test_bridge_numeric(precision, a, b):
+    ctx = numeric_ctx()
+    alpha, beta = bridge_sequences(ctx, a, b)
+    partial = running_sums(ctx, alpha)
+    assert alpha(0) == 1
+    for n in range(7):
+        assert abs(partial(n) - beta(n)) <= ctx.tol
+    assert abs(partial(3) - beta(4)) > ctx.tol
+
+
+def test_summation_times_exact_against_numeric(precision):
+    # q^-3 * sum_{n>=1} q^(n^2+n) / (q; q)_n: the exact sum runs 3 deeper,
+    # so the product is known through the target
+    N = 40
+    times = -3
+
+    def run(ctx):
+        qq = ctx.qpow(1)
+        return ctx.summation(
+            lambda n: ctx.mul(ctx.qpow(n * n + n), ctx.inv_poch(qq, qq, n)),
+            start=1, times=ctx.qpow(times))
+
+    exact = ExactCtx(N, headroom=3)
+    series = exact.finalize(run(exact)).truncate(N)
+    assert series.min_deg == -1 and series.order == N
+    numeric = numeric_ctx()
+    at_q = sum(c * F(1, 7) ** (series.min_deg + i)
+               for i, c in enumerate(series.coeffs))
+    # the truncation tail at q = 1/7 is about 1e-32
+    assert abs(numeric.num(at_q) - run(numeric)) <= numeric.tol
+
+
+def test_exact_scalar_one():
+    ctx = ExactCtx(10)
+    one = F(1)
+    for v in (ctx.poch(mono(2, 1), Q, 0), ctx.inv_poch(mono(2, 1), Q, 0),
+              ctx.poch(mono(0), Q, 5), ctx.inv_poch(F(0), Q, 5),
+              ctx.vwp(mono(3, 2), 0), ctx.vwp(F(0), 4)):
+        assert type(v) is F and v == one
+    assert isinstance(ctx.poch(mono(2, 1), Q, 1), LS)
+
+
+@pytest.mark.parametrize("ctx", [ExactCtx(10), numeric_ctx()])
+def test_vwp_k1_degenerate_at_n0(ctx):
+    with pytest.raises(DegenerateVWP):
+        ctx.vwp(ctx.num(1), 0)
+
+
+@pytest.mark.parametrize("ctx", [ExactCtx(20, headroom=6), numeric_ctx()])
+def test_wp_transform_asks_alpha_within_support(precision, ctx):
+    support = 3
+    vals = [F(2), F(-1, 3), F(5, 2), F(-4)]
+    asked = []
+
+    def alpha_at(n):
+        asked.append(n)
+        return ctx.num(vals[n]) if n < len(vals) else ctx.num(0)
+
+    a, k, r1, r2 = (mono(F(1, 2), 3), mono(3, 5), mono(2, 1), mono(-1, 2)) \
+        if isinstance(ctx, ExactCtx) else (F(1, 4), F(1, 3), F(1, 2),
+                                           F(-2, 5))
+    wp_transform(ctx, a, k, r1, r2, alpha_at, support)
+    assert asked and max(asked) <= support
+
+
+def test_non_monomial_arguments_rejected():
+    series = LS.from_pairs({0: 1, 1: 1})
+    with pytest.raises(TypeError):
+        poch_finite(series, Q, 2)
+    with pytest.raises(TypeError):
+        vwp_factor(series, 2, 10)
