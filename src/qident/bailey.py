@@ -25,11 +25,11 @@ plus, where it is known, a `support` past which alpha_n is zero.
 
 `wp_beta`, `wp_chain_step`, `thm_transform_sides`, `cor_sides` and
 `subbarao_verma_sides` are thin exact wrappers: they reject degenerate
-specializations, run the shared code in an `ExactCtx` whose headroom
-covers the Laurent dips of their arguments, and return truncated Laurent
-series at the caller's order. Their parameters are monomials c * q^e or
-plain rationals, and their alpha sequences (`AlphaSequence`) produce
-values per index.
+specializations, run the shared code in `context.exact_run` (which finds
+the working order the Laurent dips of their arguments need), and return
+truncated Laurent series at the caller's order. Their parameters are
+monomials c * q^e or plain rationals, and their alpha sequences
+(`AlphaSequence`) produce values per index.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Optional, Tuple
 
-from .context import Ctx, ExactCtx
+from .context import Ctx, ExactCtx, exact_run
 from .errors import DegenerateDenominator, ValuationStall
-from .qfunc import Value, as_monomial, poch_dip
+from .qfunc import Value, as_monomial
 from .series import DEFAULT_ORDER, LaurentSeries, QMonomial
 
 _Q = QMonomial.of(1, 1)
@@ -365,8 +365,10 @@ def sv_linear(ctx: Ctx, p_, P_, Q_, R_, a, b, c, n: int):
 # the exact API: thin wrappers, the chain step, telescoping
 # ---------------------------------------------------------------------------
 
-def _exact_sides(ctx: ExactCtx, sides, order: int):
-    return tuple(ctx.finalize(v).truncate(order) for v in sides)
+def _exact(order: int, values):
+    """`values(ctx)` computed in `exact_run`, as series cut at `order`."""
+    return exact_run(order, lambda ctx: tuple(
+        ctx.finalize(v).truncate(order) for v in values(ctx)))
 
 
 def _values(alpha: AlphaSequence, ctx: ExactCtx):
@@ -379,10 +381,8 @@ def wp_beta(pair: WPPair, n: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
     k = _require_monomial(pair.k, "k")
     if a.is_zero:
         raise DegenerateDenominator("a = 0 makes (aq)_n collapse")
-    ctx = ExactCtx(order, headroom=poch_dip(k / a, _Q) + poch_dip(k, _Q))
-    beta = wp_beta_sum(ctx, a, k, _values(pair.alpha, ctx), n,
-                       pair.alpha.support)
-    return ctx.finalize(beta).truncate(order)
+    return _exact(order, lambda ctx: [wp_beta_sum(
+        ctx, a, k, _values(pair.alpha, ctx), n, pair.alpha.support)])[0]
 
 
 def wp_chain_step(pair: WPPair, params: ChainParams,
@@ -407,19 +407,15 @@ def wp_chain_step(pair: WPPair, params: ChainParams,
                       ("qc", _Q * c)):
         if arg.is_one:
             raise DegenerateDenominator(f"{name} = 1 at this specialization")
-    head = sum(poch_dip(v, _Q) for v in (a * _Q / (r1 * r2), k, r1, r2,
-                                         k * r1 / a, k * r2 / a, c / a, c))
 
     def alpha_prime(n: int, wo: int) -> LaurentSeries:
-        ctx = ExactCtx(wo, headroom=head)
-        v = wp_chain_alpha(ctx, a, r1, r2, _values(pair.alpha, ctx), n)
-        return ctx.finalize(v).truncate(wo)
+        return _exact(wo, lambda ctx: [wp_chain_alpha(
+            ctx, a, r1, r2, _values(pair.alpha, ctx), n)])[0]
 
     def beta_prime(n: int, wo: int = order) -> LaurentSeries:
-        ctx = ExactCtx(wo, headroom=head)
-        v = wp_chain_beta(ctx, a, k, r1, r2, _values(pair.alpha, ctx), n,
-                          pair.alpha.support)
-        return ctx.finalize(v).truncate(wo)
+        return _exact(wo, lambda ctx: [wp_chain_beta(
+            ctx, a, k, r1, r2, _values(pair.alpha, ctx), n,
+            pair.alpha.support)])[0]
 
     new_alpha = AlphaSequence(alpha_prime, support=pair.alpha.support)
     return WPPair(new_alpha, pair.a, params.k), beta_prime
@@ -440,11 +436,8 @@ def thm_transform_sides(pair: WPPair, rho1: QMonomial, rho2: QMonomial,
     if z.exp < 1:
         raise ValuationStall("series argument aq/(rho1 rho2) has no "
                              "valuation growth")
-    ctx = ExactCtx(order, headroom=poch_dip(k / a, _Q) + poch_dip(k, _Q) +
-                   poch_dip(rho1, _Q) + poch_dip(rho2, _Q))
-    sides = wp_transform(ctx, a, k, rho1, rho2, _values(pair.alpha, ctx),
-                         pair.alpha.support)
-    return _exact_sides(ctx, sides, order)
+    return _exact(order, lambda ctx: wp_transform(
+        ctx, a, k, rho1, rho2, _values(pair.alpha, ctx), pair.alpha.support))
 
 
 def cor_sides(alpha: AlphaSequence, x: QMonomial, y: QMonomial, z: QMonomial,
@@ -455,10 +448,9 @@ def cor_sides(alpha: AlphaSequence, x: QMonomial, y: QMonomial, z: QMonomial,
         raise DegenerateDenominator("prefactor vanishes at this specialization")
     if x.exp < 1 and not x.is_zero:
         raise ValuationStall("series argument x has no valuation growth")
-    ctx = ExactCtx(order, headroom=poch_dip(y, _Q) + poch_dip(z, _Q))
-    alpha_at = _values(alpha, ctx)
-    sides = cor_transform(ctx, x, y, z, running_sums(ctx, alpha_at), alpha_at)
-    return _exact_sides(ctx, sides, order)
+    return _exact(order, lambda ctx: cor_transform(
+        ctx, x, y, z, running_sums(ctx, _values(alpha, ctx)),
+        _values(alpha, ctx)))
 
 
 def telescope_alpha(t: AlphaFn) -> AlphaSequence:
@@ -498,18 +490,8 @@ def subbarao_verma_sides(n: int, a: Value, b: Value, c: Value,
     ratio = am / (bm * cm)
     if inv_c.is_one or ratio.is_one:
         raise DegenerateDenominator("a constant denominator factor vanishes")
-
-    # Laurent headroom: the four linear factors can dip below degree zero,
-    # deepest at the last index; numerator Pochhammers may dip too.
-    combos = [(am, p * P * Q * R), (bm, p * P / (Q * R)),
-              (inv_c, P * Q / (p * R)), (ratio, p * Q / (P * R))]
-    head = sum(max(0, -(val.exp + slope.exp * n)) for val, slope in combos)
-    head += sum(poch_dip(val, base) for val, base in
-                ((am, p ** 2), (bm, P ** 2), (cm, R ** 2), (ratio, Q ** 2)))
-    ctx = ExactCtx(order, headroom=head)
     bases = (p, P, Q, R, am, bm, cm)
-    lhs = _total(ctx, [
+    return _exact(order, lambda ctx: (_total(ctx, [
         ctx.mul(sv_linear(ctx, *bases, j), sv_quotient(ctx, *bases, j, False),
-                ctx.pow_int(R, 2 * j))
-        for j in range(n + 1)])
-    return _exact_sides(ctx, (lhs, sv_quotient(ctx, *bases, n, True)), order)
+                ctx.pow_int(R, 2 * j)) for j in range(n + 1)]),
+        sv_quotient(ctx, *bases, n, True)))

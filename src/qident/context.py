@@ -14,9 +14,14 @@ Both expose the same operations: rational constants, q-powers, finite and
 infinite Pochhammer products (cached incrementally), the very-well-poised
 factor, and a tail-aware summation. `summation(term, times=m)` is m times
 the sum; ExactCtx sums max(0, -exp(m)) deeper, so that the product is
-still known through the target. ExactCtx's `poch`, `inv_poch` and `vwp`
-return the scalar 1 for n = 0 or a zero argument (`vwp` at k = 1 still
-raises DegenerateVWP), so a trivial factor adds no series to a product.
+still known through the target. ExactCtx's `one`, and `poch`, `inv_poch`
+and `vwp` at n = 0 or a zero argument, are the scalar 1 (`vwp` at k = 1
+still raises DegenerateVWP), and `add`/`sub` of the scalar 0 return the
+other operand, so a trivial factor adds no series to a product. Summands on
+negative q-powers dip below degree 0, so a build may need a construction
+order above the comparison target; `exact_run` measures it: an
+OrderInsufficient names its shortfall, and the build reruns with that
+much more headroom.
 
 Under ExactCtx a product that involves a series is kept unmultiplied: `mul`
 returns one monomial c*t^e times a flat list of series parts (nested
@@ -48,7 +53,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Union
 
-from .errors import DegenerateDenominator, DegenerateVWP, NonTruncatable
+from .errors import (DegenerateDenominator, DegenerateVWP, NonTruncatable,
+                     OrderInsufficient)
 from .qfunc import (
     NUMERIC_PRECISION,
     NUMERIC_TOL,
@@ -102,16 +108,21 @@ def _force(v):
     return v.force() if isinstance(v, _Product) else v
 
 
+def _is_zero(v) -> bool:
+    return v.is_zero if isinstance(v, QMonomial) else \
+        isinstance(v, (Fraction, int)) and not v
+
+
 class ExactCtx:
     """Exact strategy: all values are rationals, monomials c*t^e, or
     truncated Laurent series in t at a fixed working order.
 
-    `headroom` is extra window above the comparison target, consumed by
-    negative monomial powers inside summands (Laurent dips); sides are
-    compared at `target`.
+    Sides are compared at `target` (t-units); the construction order is
+    `headroom` above it, for the Laurent dips of summands. `exact_run`
+    chooses the headroom, starting from the default 0.
     """
 
-    def __init__(self, order: int, denom: int = 1, headroom: int = 4):
+    def __init__(self, order: int, denom: int = 1, headroom: int = 0):
         self.denom = denom
         self.target = order * denom         # comparison order in t units
         self.order = self.target + headroom  # construction order
@@ -121,7 +132,7 @@ class ExactCtx:
     # -- values ---------------------------------------------------------
 
     def one(self):
-        return LaurentSeries.one(self.order)
+        return _ONE
 
     def num(self, x):
         return Fraction(x)
@@ -162,25 +173,24 @@ class ExactCtx:
         return _Product(mono, tuple(parts))
 
     def add(self, u, v):
+        if _is_zero(u) or _is_zero(v):
+            return v if _is_zero(u) else u
         return LaurentSeries.coerce(_force(u), self.order) + \
             LaurentSeries.coerce(_force(v), self.order)
 
     def sub(self, u, v):
-        return LaurentSeries.coerce(_force(u), self.order) - \
-            LaurentSeries.coerce(_force(v), self.order)
+        return self.add(u, self.neg(v))
 
     def neg(self, v):
         return -Fraction(v) if isinstance(v, int) else -_force(v)
 
     def inv(self, v):
         v = _force(v)
+        if _is_zero(v):
+            raise DegenerateDenominator("division by zero")
         if isinstance(v, (Fraction, int)):
-            if not v:
-                raise DegenerateDenominator("division by zero")
             return 1 / Fraction(v)
         if isinstance(v, QMonomial):
-            if v.is_zero:
-                raise DegenerateDenominator("division by zero")
             return QMonomial.of(1) / v
         return v.invert(self.order)
 
@@ -236,7 +246,8 @@ class ExactCtx:
                   times=1):
         """`times` (a monomial) times the sum of the terms. The sum is
         taken exactly to the comparison target, or deeper by the negative
-        q-power of `times` (still within the construction headroom)."""
+        q-power of `times` as far as the construction order allows (a
+        term left short raises OrderInsufficient; see `exact_run`)."""
         m = as_monomial(_force(times))
         if m is None:
             raise TypeError("summation multiplies by a monomial only")
@@ -254,6 +265,21 @@ class ExactCtx:
 
     def finalize(self, v) -> LaurentSeries:
         return LaurentSeries.coerce(_force(v), self.order)
+
+
+def exact_run(order: int, build: Callable, denom: int = 1):
+    """`build(ctx)` in `ExactCtx(order, denom, headroom)` from headroom 0:
+    an OrderInsufficient short by s > 0 t-units reruns it with s more, up
+    to a headroom of the target; past that, or with no shortfall, the
+    error propagates."""
+    headroom = 0
+    while True:
+        try:
+            return build(ExactCtx(order, denom, headroom))
+        except OrderInsufficient as ex:
+            if not 0 < (ex.short or 0) <= order * denom - headroom:
+                raise
+            headroom += ex.short
 
 
 class NumericCtx:

@@ -6,7 +6,6 @@ precisely: the verification driver converts most of these into "skipped"
 reports instead of crashing the run.
 """
 
-
 class QIdentError(Exception):
     """Base class for all package-specific errors."""
 
@@ -20,7 +19,12 @@ class ZeroLeadingCoefficient(QIdentError):
 
 
 class OrderInsufficient(QIdentError):
-    """A comparison was requested beyond the guaranteed truncation order."""
+    """A comparison was requested beyond the guaranteed truncation order;
+    `short`, when known, is how many units of order are missing."""
+
+    def __init__(self, message: str, short: int | None = None):
+        super().__init__(message)
+        self.short = short
 
 
 class NonTruncatable(QIdentError):

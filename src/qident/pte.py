@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .bailey import AlphaSequence, poch_quotient
-from .context import Ctx, ExactCtx
+from .context import Ctx, exact_run
 from .errors import (
     BridgeConstraintError,
     DegenerateFamily,
@@ -210,9 +210,8 @@ def pte_alpha_beta(a: Sequence, b: Sequence, base: QMonomial = _Q
         raise BridgeConstraintError("bridge needs every b_i nonzero")
 
     def exact(which: int, n: int, order: int) -> LaurentSeries:
-        ctx = ExactCtx(order, headroom=0)
-        v = bridge_sequences(ctx, a, b, base)[which](n)
-        return ctx.finalize(v).truncate(order)
+        return exact_run(order, lambda ctx: ctx.finalize(
+            bridge_sequences(ctx, a, b, base)[which](n)).truncate(order))
 
     def alpha_fn(n: int, order: int):
         return Fraction(1) if n == 0 else exact(0, n, order)

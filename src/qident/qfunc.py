@@ -60,22 +60,6 @@ def as_monomial(value: Value) -> Optional[QMonomial]:
     return None
 
 
-def poch_dip(a: Value, base: QMonomial) -> int:
-    """Total weight of the negative exponents in the factor sequence of
-    (a; base)_n, i.e. how far below degree 0 the product can reach. This is
-    the extra working order a computation must carry so that products
-    involving the symbol stay known to the requested order."""
-    mono = as_monomial(a)
-    if mono is None or mono.is_zero or mono.exp >= 0 or base.exp <= 0:
-        return 0
-    dip = 0
-    j = 0
-    while mono.exp + j * base.exp < 0:
-        dip -= mono.exp + j * base.exp
-        j += 1
-    return dip
-
-
 def poch_finite(a: Value, base: QMonomial, n: int,
                 order: Optional[int] = None) -> LaurentSeries:
     """(a; base)_n as an exact polynomial (or truncated at `order`).
@@ -130,7 +114,9 @@ class PochTower:
 
     With invert=True it caches 1/(a; base)_n instead, extending by one
     binomial division per step, so a sum over n reuses all shorter
-    prefixes. Vanishing constant factors raise the configured error.
+    prefixes. Vanishing constant factors raise the configured error. A
+    factor on a negative power lowers the known order by its dip, which
+    the caller's working order must cover (see `context.exact_run`).
     """
 
     def __init__(self, a: Value, base: QMonomial, order: int,
@@ -142,19 +128,10 @@ class PochTower:
         self._mono = as_monomial(a)
         if self._mono is None:
             raise TypeError("PochTower requires a monomial-like argument")
-        # Laurent factors (negative exponents) eat into the guaranteed
-        # order of a product; start with enough headroom that every cached
-        # prefix stays known at least to `order`.
-        slack = 0
-        if not invert and not self._mono.is_zero and self._mono.exp < 0:
-            if base.exp == 0:
-                raise NonTruncatable(
-                    "constant base with negative-exponent argument")
-            j = 0
-            while self._mono.exp + j * base.exp < 0:
-                slack -= self._mono.exp + j * base.exp
-                j += 1
-        self._vals: List[LaurentSeries] = [LaurentSeries.one(order + slack)]
+        if not invert and self._mono.exp < 0 and base.exp == 0:
+            raise NonTruncatable(
+                "constant base with negative-exponent argument")
+        self._vals: List[LaurentSeries] = [LaurentSeries.one(order)]
 
     def upto(self, n: int) -> LaurentSeries:
         while len(self._vals) <= n:
@@ -234,7 +211,8 @@ def sum_exact(gen: TermGenerator, order: int) -> LaurentSeries:
         t = gen.term(n)
         if t.eff_order() < order:
             raise OrderInsufficient(
-                f"term {n} only known to order {t.order}, need {order}")
+                f"term {n} only known to order {t.order}, need {order}",
+                order - t.order)
         v = t.eff_min_deg()
         acc = acc + t
         if v > floor:

@@ -11,8 +11,10 @@ the shared implementations in `bailey` (the bridge records phi54, ppte-m
 and cpte3 take theirs from `pte.bridge_sequences`); the other sums follow
 the source displays term by term. A sum times a q-power is
 `ctx.summation(..., times=m)` under both strategies. Square-root pairs
-are always realized through ctx.vwp. Samplers draw one candidate
-(None = rejected); rejection and determinism live in the registry.
+are always realized through ctx.vwp. A record sets no working order: the
+exact strategy derives the headroom its Laurent dips need
+(`context.exact_run`). Samplers draw one candidate (None = rejected);
+rejection and determinism live in the registry.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ class IdentityRecord:
     exponent_denominator: int = 1
     strategies: Tuple[str, ...] = ("exact", "numeric")
     note: Optional[str] = None
-    headroom: int = 4                 # extra exact window for Laurent dips
 
 
 # ---------------------------------------------------------------------------
@@ -1100,10 +1101,10 @@ def _s_none(rng, mode):
 # ---------------------------------------------------------------------------
 
 def _rec(id, anchor, covers, schema, build, sampler, d=1,
-         strategies=("exact", "numeric"), note=None, headroom=4):
+         strategies=("exact", "numeric"), note=None):
     return IdentityRecord(id, anchor, tuple(covers),
                           tuple(ParamSpec(*s) for s in schema), build,
-                          sampler, d, tuple(strategies), note, headroom)
+                          sampler, d, tuple(strategies), note)
 
 
 RECORDS = [
@@ -1214,23 +1215,23 @@ RECORDS = [
           ("z", "monomial", ""),
           ("p", "monomial", "second base; half q-powers allowed"),
           ("B", "monomial", "nonzero")],
-         _b_bibasic_ab, _s_bibasic, d=2, headroom=14),
+         _b_bibasic_ab, _s_bibasic, d=2),
     _rec("bibasic-ab2", "bi-basic series with quadratic exponent, plain",
          ["bibasic-half-series-2", "bibasic-general-2"],
          [("x", "monomial", "exp >= 1"), ("y", "monomial", ""),
           ("z", "monomial", ""),
           ("p", "monomial", "second base; half q-powers allowed"),
           ("B", "monomial", "nonzero")],
-         _b_bibasic_ab2, _s_bibasic, d=2, headroom=14),
+         _b_bibasic_ab2, _s_bibasic, d=2),
     _rec("rrs3eq1", "single-variable reduction with free quadratic exponent",
          ["rr-intermediate"],
          [("x", "monomial", "exp >= 1"), ("a", "rational", "half-integers, >= 0"),
           ("b", "rational", "half-integers")],
-         _b_rrs3eq1, _s_rrs3eq1, d=2, headroom=18),
+         _b_rrs3eq1, _s_rrs3eq1, d=2),
     _rec("rrs3", "mod-5 identity, shifted variant A",
-         ["rr-slater-1"], [], _b_rrs3, _s_none, headroom=8),
+         ["rr-slater-1"], [], _b_rrs3, _s_none),
     _rec("rrs3n", "mod-5 identity, shifted variant B",
-         ["rr-slater-2"], [], _b_rrs3n, _s_none, headroom=8),
+         ["rr-slater-2"], [], _b_rrs3n, _s_none),
     _rec("rrs6", "two-parameter mod-2 product identity",
          ["rr-slater-3"],
          [("b", "monomial", "0 <= exp <= 3")],
@@ -1238,7 +1239,7 @@ RECORDS = [
     _rec("rrs6-2", "mod-8 identity, weighted variant A",
          ["rr-slater-4"], [], _b_rrs6_2, _s_none),
     _rec("rrs6-3", "mod-8 identity, weighted variant B",
-         ["rr-slater-5"], [], _b_rrs6_3, _s_none, headroom=8),
+         ["rr-slater-5"], [], _b_rrs6_3, _s_none),
     _rec("rrs6-4", "mod-16 identity, +1 head",
          ["rr-slater-6"], [], _b_rrs6_4, _s_none),
     _rec("rrs6-5", "mod-16 identity, -1 head",
@@ -1285,10 +1286,10 @@ RECORDS = [
          ["bibasic-z0"],
          [("x", "monomial", "exp >= 1"), ("y", "monomial", ""),
           ("a", "integer", ">= 1"), ("b", "integer", "")],
-         _b_bb_z0, _s_bb_z0, headroom=12),
+         _b_bb_z0, _s_bb_z0),
     _rec("bb-yinf", "bi-basic collapse: quadratic exponent only",
          ["bibasic-yinf"],
          [("x", "monomial", "exp >= 1"), ("a", "integer", ">= 1"),
           ("b", "integer", "")],
-         _b_bb_yinf, _s_bb_yinf, headroom=12),
+         _b_bb_yinf, _s_bb_yinf),
 ]

@@ -21,7 +21,7 @@ from fnmatch import fnmatch
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .context import ExactCtx, NumericCtx
+from .context import NumericCtx, exact_run
 from .errors import (
     DegenerateDenominator,
     DegenerateFamily,
@@ -193,10 +193,12 @@ def verify_one(record: Union[str, IdentityRecord],
 
     try:
         if strategy == "exact":
-            ctx = ExactCtx(order, rec.exponent_denominator, rec.headroom)
-            lhs, rhs = rec.build(ctx, assignment.values)
-            lhs, rhs = ctx.finalize(lhs), ctx.finalize(rhs)
-            m = lhs.compare(rhs, ctx.target)
+            def compared(ctx):
+                lhs, rhs = map(ctx.finalize,
+                               rec.build(ctx, assignment.values))
+                return lhs.compare(rhs, ctx.target)
+
+            m = exact_run(order, compared, rec.exponent_denominator)
             if m is None:
                 return done(status="equal")
             return done(status="mismatch",
@@ -232,8 +234,10 @@ def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
 
     strategy 'auto' tries exact first and falls back to a numeric sample
     when the exact strategy is inadmissible for that record/assignment.
-    The report list is ordered by (record id, sample index) regardless of
-    the execution schedule.
+    An exact OrderInsufficient never falls back: past `exact_run` it is a
+    defect, not an inadmissible specialization. The report list is
+    ordered by (record id, sample index) regardless of the execution
+    schedule.
     """
     recs = select(filter_pattern)
     jobs = []
@@ -254,7 +258,8 @@ def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
     def run(job):
         rec, a, fb = job
         rep = verify_one(rec, a, order, tol)
-        if rep.status == "skipped" and fb is not None:
+        if rep.status == "skipped" and fb is not None and \
+                not rep.reason.startswith(OrderInsufficient.__name__):
             rep2 = verify_one(rec, fb, order, tol)
             if rep2.status != "skipped":
                 rep2.reason = f"exact skipped ({rep.reason})"

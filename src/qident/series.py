@@ -274,7 +274,8 @@ class LaurentSeries:
         """Coefficient at `exponent`; raises beyond the known window."""
         if exponent > self.eff_order():
             raise OrderInsufficient(
-                f"coefficient of q^{exponent} is beyond the guaranteed order")
+                f"coefficient of q^{exponent} is beyond the guaranteed order",
+                exponent - self.order)
         i = exponent - self.min_deg
         if 0 <= i < len(self.nums):
             return self.coeffs[i]
@@ -533,7 +534,7 @@ class LaurentSeries:
             if order is not None:
                 rel = min(rel, order + m)
         if rel < 0:
-            raise OrderInsufficient("input order too low to invert")
+            raise OrderInsufficient("input order too low to invert", -rel)
         # y = 1/a kept as ints Y over one reduced denominator Q. With
         # a = A/den, y[t] = -den/A0 * sum_{j>=1} a[j] y[t-j] = -S / (A0 Q)
         # for S = sum A[j] Y[t-j]. Since gcd(Q, *Y) == 1, the common factor
@@ -565,7 +566,8 @@ class LaurentSeries:
         """Restrict the window to [min_deg, order] (order may not grow)."""
         if self.order is not None and order > self.order:
             raise OrderInsufficient(
-                f"cannot extend order {self.order} to {order}")
+                f"cannot extend order {self.order} to {order}",
+                order - self.order)
         width = order - self.min_deg + 1
         return LaurentSeries._from_ints(self.min_deg,
                                         self.nums[:max(width, 0)],
@@ -593,9 +595,11 @@ class LaurentSeries:
         differing exponent with both coefficients. Raises OrderInsufficient
         if either side is not known through `up_to`.
         """
-        if up_to > self.eff_order() or up_to > other.eff_order():
+        known = min(self.eff_order(), other.eff_order())
+        if up_to > known:
             raise OrderInsufficient(
-                f"comparison to q^{up_to} exceeds a guaranteed order")
+                f"comparison to q^{up_to} exceeds a guaranteed order",
+                up_to - known)
         lows = [s.min_deg for s in (self, other) if s.nums]
         if not lows:
             return None

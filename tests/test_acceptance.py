@@ -81,6 +81,15 @@ def test_criterion_1_full_suite(suite_run):
                   f"uncovered={sorted(uncovered)}, {elapsed:.1f}s", ok)
 
 
+def test_criterion_1_all_exact(suite_run):
+    # criterion 1 would accept a numeric fallback; the north-star run is
+    # every job exact and equal
+    reports, _ = suite_run
+    ok = len(reports) == 97 and all(
+        (r.strategy, r.status) == ("exact", "equal") for r in reports)
+    _criterion(1, f"{len(reports)} reports, all exact equal", ok)
+
+
 def test_criterion_2_central_relation():
     # k = aq: the pair relation collapses to plain partial sums, exactly
     rng = random.Random(202)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qident.context import ExactCtx
 from qident.errors import OrderInsufficient
+from qident.registry import sample_params, verify_one
 from qident.series import LaurentSeries as LS, QMonomial
 
 COEFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 5), F(7, 3)]
@@ -145,3 +146,24 @@ def test_terms_above_goal_multiply_nothing(monkeypatch):
     got = ctx.summation(lambda n: ctx.mul(a, b, ctx.qpow(11 + n)))
     assert caps == [-1]
     assert got == LS.from_pairs({10: F(1, 2)}, 10)
+
+
+def test_zero_scalar_adds_no_unit_factor(monkeypatch):
+    """At z = 0 (bb-z0) the prefactor's (1 - x*0) is the scalar 1: over
+    the record's seed-1 verdicts at order 20 no product has a factor that
+    is exactly 1 through the comparison order. (A partial product that a
+    sum's goal caps below it may still read 1 + O(q).)"""
+    factors = []
+    mul = LS.mul
+
+    def recording(self, other, cap=None):
+        factors.extend((self, LS.coerce(other)))
+        return mul(self, other, cap)
+
+    monkeypatch.setattr(LS, "mul", recording)
+    for a in sample_params("bb-z0", 1, 3, "exact"):
+        assert verify_one("bb-z0", a, 20).status == "equal"
+    assert factors
+    units = [s for s in factors if s == LS.one(s.order)
+             and (s.order is None or s.order >= 20)]
+    assert units == []

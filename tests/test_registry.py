@@ -119,7 +119,7 @@ def test_sampler_exhaustion():
     rec = lookup("qgauss")
     broken = type(rec)(rec.id, rec.anchor, rec.covers, rec.schema, rec.build,
                        lambda rng, mode: None, rec.exponent_denominator,
-                       rec.strategies, rec.note, rec.headroom)
+                       rec.strategies, rec.note)
     import qident.registry as reg
     reg._BY_ID["__broken__"] = broken
     try:
@@ -164,8 +164,8 @@ def test_fault_on_half_exponent_record():
 
 
 def test_fault_twin_keeps_every_field_but_build():
-    # headroom in particular: a twin at the default 4 would not be
-    # checking the record as the catalog runs it
+    # the exponent denominator in particular: a twin at the default 1
+    # would not be checking the record as the catalog runs it
     for rec in catalog():
         twin = with_injected_fault(rec, 5)
         assert twin.build is not rec.build
