@@ -15,8 +15,8 @@ them under both the exact and the numeric strategy:
   * `cor_pref`, `cor_lhs`, `cor_rhs_sum`, `cor_transform` and
     `running_sums` -- the central partial-sum transform, the relation at
     k = aq where beta_n is the n-th partial sum of alpha;
-  * `sv_quotient`, `sv_linear` -- the multi-base quotient and its four
-    linear factors;
+  * `sv_quotient`, `sv_linear` -- n -> the multi-base quotient, and its
+    four linear factors;
   * `poch_quotient` -- n -> a quotient of Pochhammer products, the shape
     of the telescoped sequences (see also `pte.bridge_sequences`).
 
@@ -320,28 +320,24 @@ def running_sums(ctx: Ctx, value_at):
     return beta
 
 
-def sv_quotient(ctx: Ctx, p_, P_, Q_, R_, a, b, c, n: int, shifted: bool):
-    """The four-up/four-down base quotient shared by the telescoping sum
-    and its closed form; `shifted` advances numerator args by base^2."""
+def sv_quotient(ctx: Ctx, p_, P_, Q_, R_, a, b, c, shifted: bool):
+    """n -> the four-up/four-down base quotient shared by the telescoping
+    sum and its closed form; `shifted` advances numerator args by
+    base^2. The eight (argument, base) pairs are built once."""
     p2, P2, Q2, R2 = (ctx.pow_int(v, 2) for v in (p_, P_, Q_, R_))
-    ratio = ctx.div(a, ctx.mul(b, c))
+    ups = [(a, p2), (b, P2), (c, R2), (ctx.div(a, ctx.mul(b, c)), Q2)]
     if shifted:
-        num = ctx.mul(ctx.poch(ctx.mul(a, p2), p2, n),
-                      ctx.poch(ctx.mul(b, P2), P2, n),
-                      ctx.poch(ctx.mul(c, R2), R2, n),
-                      ctx.poch(ctx.mul(ratio, Q2), Q2, n))
-    else:
-        num = ctx.mul(ctx.poch(a, p2, n), ctx.poch(b, P2, n),
-                      ctx.poch(c, R2, n), ctx.poch(ratio, Q2, n))
+        ups = [(ctx.mul(u, base), base) for u, base in ups]
     pqr_p = ctx.div(ctx.mul(P_, Q_, R_), p_)
     ppq_r = ctx.div(ctx.mul(p_, P_, Q_), R_)
     pqr_P = ctx.div(ctx.mul(p_, Q_, R_), P_)
     ppr_q = ctx.div(ctx.mul(p_, P_, R_), Q_)
-    den = ctx.mul(ctx.inv_poch(pqr_p, pqr_p, n),
-                  ctx.inv_poch(ctx.div(ctx.mul(a, ppq_r), c), ppq_r, n),
-                  ctx.inv_poch(ctx.div(ctx.mul(a, pqr_P), b), pqr_P, n),
-                  ctx.inv_poch(ctx.mul(b, c, ppr_q), ppr_q, n))
-    return ctx.mul(num, den)
+    downs = [(pqr_p, pqr_p), (ctx.div(ctx.mul(a, ppq_r), c), ppq_r),
+             (ctx.div(ctx.mul(a, pqr_P), b), pqr_P),
+             (ctx.mul(b, c, ppr_q), ppr_q)]
+    return lambda n: ctx.mul(
+        ctx.mul(*[ctx.poch(u, base, n) for u, base in ups]),
+        ctx.mul(*[ctx.inv_poch(d, base, n) for d, base in downs]))
 
 
 def sv_linear(ctx: Ctx, p_, P_, Q_, R_, a, b, c, n: int):
@@ -491,7 +487,11 @@ def subbarao_verma_sides(n: int, a: Value, b: Value, c: Value,
     if inv_c.is_one or ratio.is_one:
         raise DegenerateDenominator("a constant denominator factor vanishes")
     bases = (p, P, Q, R, am, bm, cm)
-    return _exact(order, lambda ctx: (_total(ctx, [
-        ctx.mul(sv_linear(ctx, *bases, j), sv_quotient(ctx, *bases, j, False),
-                ctx.pow_int(R, 2 * j)) for j in range(n + 1)]),
-        sv_quotient(ctx, *bases, n, True)))
+
+    def sides(ctx):
+        quot = sv_quotient(ctx, *bases, False)
+        return _total(ctx, [
+            ctx.mul(sv_linear(ctx, *bases, j), quot(j), ctx.pow_int(R, 2 * j))
+            for j in range(n + 1)]), sv_quotient(ctx, *bases, True)(n)
+
+    return _exact(order, sides)

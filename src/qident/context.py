@@ -8,7 +8,7 @@ run under two strategies:
     q-exponents);
   * NumericCtx -- high-precision decimals at a sampled rational q (for
     d = 2 the sampler supplies the d-th root of q directly, so fractional
-    q-powers stay exact).
+    q-powers stay exact), computed in a decimal context of its own.
 
 Both expose the same operations: rational constants, q-powers, finite and
 infinite Pochhammer products (cached incrementally), the very-well-poised
@@ -22,6 +22,12 @@ negative q-powers dip below degree 0, so a build may need a construction
 order above the comparison target; `exact_run` measures it: an
 OrderInsufficient names its shortfall, and the build reruns with that
 much more headroom.
+
+A NumericCtx owns its precision and its caches (see the class): each
+rational and q-power is converted once and each Pochhammer product is
+extended by a running power. The caches live on the context, not in the
+module, because their values depend on q and the precision, and because
+one context serves one build on one thread.
 
 Under ExactCtx a product that involves a series is kept unmultiplied: `mul`
 returns one monomial c*t^e times a flat list of series parts (nested
@@ -53,8 +59,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Union
 
-from .errors import (DegenerateDenominator, DegenerateVWP, NonTruncatable,
-                     OrderInsufficient)
+from .errors import DegenerateDenominator, DegenerateVWP, NonTruncatable
 from .qfunc import (
     NUMERIC_PRECISION,
     NUMERIC_TOL,
@@ -66,10 +71,12 @@ from .qfunc import (
     sum_exact,
     sum_numeric,
     vwp_factor,
+    widened,
 )
 from .series import _QM_ONE, LaurentSeries, QMonomial
 
 _ONE = Fraction(1)
+_D_ONE = Decimal(1)
 
 
 class _Product:
@@ -271,132 +278,175 @@ def exact_run(order: int, build: Callable, denom: int = 1):
     """`build(ctx)` in `ExactCtx(order, denom, headroom)` from headroom 0:
     an OrderInsufficient short by s > 0 t-units reruns it with s more, up
     to a headroom of the target; past that, or with no shortfall, the
-    error propagates."""
-    headroom = 0
-    while True:
-        try:
-            return build(ExactCtx(order, denom, headroom))
-        except OrderInsufficient as ex:
-            if not 0 < (ex.short or 0) <= order * denom - headroom:
-                raise
-            headroom += ex.short
+    error propagates (`qfunc.widened`)."""
+    return widened(lambda headroom: build(ExactCtx(order, denom, headroom)),
+                   order * denom)
+
+
+class _PochRun:
+    """(a; base)_n for n = 0, 1, 2, ... in a decimal context, the numeric
+    counterpart of `PochTower`: the products reached so far and the
+    running term a*base^j of the next factor, so one more factor costs two
+    multiplications and a subtraction (never a power)."""
+
+    __slots__ = ("base", "vals", "run", "_mul", "_sub")
+
+    def __init__(self, a: Decimal, base: Decimal, dc: decimal.Context):
+        self.base = base
+        self.vals = [_D_ONE]
+        self.run = a
+        self._mul, self._sub = dc.multiply, dc.subtract
+
+    def upto(self, n: int) -> Decimal:
+        vals = self.vals
+        short = n + 1 - len(vals)
+        if short > 0:
+            mul, sub, base = self._mul, self._sub, self.base
+            last, run = vals[-1], self.run
+            for _ in range(short):
+                last = mul(last, sub(_D_ONE, run))
+                vals.append(last)
+                run = mul(run, base)
+            self.run = run
+        return vals[n]
 
 
 class NumericCtx:
-    """Numeric strategy: high-precision decimals at a rational q.
+    """Numeric strategy: decimals at a rational q, in a decimal context of
+    its own.
 
     `q_unit` is the d-th root of q as an exact rational; every q-power in
-    a builder is an integer power of it.
+    a builder is an integer power of it. All arithmetic, the sums
+    included, runs in `self.dc`, one `decimal.Context` at `precision + 10`
+    digits, never in the thread's ambient context: a verdict does not
+    depend on the caller's decimal settings or thread.
+
+    Memoized per context, since the values depend on q and the precision
+    and a context lives for one build:
+      * `num`: each distinct rational, converted to a Decimal once;
+      * `qpow`: each q-power, computed once;
+      * `poch` (and `inv_poch`): for each (argument, base) pair, a
+        `_PochRun` that extends (a; base)_n by a running power.
+    A builder that passes the same Decimal object again (a loop-invariant
+    argument built once, a memoized rational or q-power) also reuses its
+    cached hash: a fresh long Decimal costs far more to hash than
+    the lookup it keys.
     """
 
     def __init__(self, q_unit: Fraction, denom: int = 1,
                  precision: int = NUMERIC_PRECISION, tol=NUMERIC_TOL):
         self.denom = denom
         self.precision = precision
+        self.dc = dc = decimal.Context(prec=precision + 10)
+        self._mul, self._sub = dc.multiply, dc.subtract
         self.tol = tol if isinstance(tol, Decimal) else Decimal(str(tol))
-        with decimal.localcontext() as c:
-            c.prec = precision + 10
-            self.q_unit = Decimal(q_unit.numerator) / Decimal(q_unit.denominator)
-            self.q = self.q_unit ** denom
-        self._eps = Decimal(10) ** -(precision - 4)
+        self._nums: Dict = {}
+        self._qpows: Dict = {}
         self._poch_cache: Dict = {}
+        self.q_unit = self.num(q_unit)
+        self.q = dc.power(self.q_unit, denom)
+        self._eps = Decimal(f"1e-{precision - 4}")
 
     def one(self):
-        return Decimal(1)
+        return _D_ONE
 
-    def num(self, x):
-        if isinstance(x, Decimal):
+    def num(self, x) -> Decimal:
+        if type(x) is Decimal:
             return x
-        if isinstance(x, int):
-            return Decimal(x)
-        x = Fraction(x)
-        return Decimal(x.numerator) / Decimal(x.denominator)
+        key = x.as_integer_ratio()     # hashes far faster than a Fraction
+        d = self._nums.get(key)
+        if d is None:
+            d = self._nums[key] = self.dc.divide(*key)
+        return d
 
     def qpow(self, e) -> Decimal:
-        te = Fraction(e) * self.denom
-        if te.denominator != 1:
-            raise ValueError(f"exponent {e} not representable at denom "
-                             f"{self.denom}")
-        return self.q_unit ** int(te)
+        d = self._qpows.get(e)
+        if d is None:
+            te = e * self.denom if type(e) is int else Fraction(e) * self.denom
+            if te.denominator != 1:
+                raise ValueError(f"exponent {e} not representable at denom "
+                                 f"{self.denom}")
+            d = self._qpows[e] = self.dc.power(self.q_unit, int(te))
+        return d
 
     def mul(self, *vals):
-        out = Decimal(1)
+        num, mul = self.num, self._mul
+        out = _D_ONE
         for v in vals:
-            out *= self.num(v)
+            out = mul(out, v if type(v) is Decimal else num(v))
         return out
 
     def add(self, u, v):
-        return self.num(u) + self.num(v)
+        return self.dc.add(self.num(u), self.num(v))
 
     def sub(self, u, v):
-        return self.num(u) - self.num(v)
+        return self._sub(self.num(u), self.num(v))
 
     def neg(self, v):
-        return -self.num(v)
+        return self.num(v).copy_negate()
 
     def inv(self, v):
         v = self.num(v)
         if not v:
             raise DegenerateDenominator("division by zero")
-        return Decimal(1) / v
+        return self.dc.divide(_D_ONE, v)
 
     def div(self, u, v):
-        return self.num(u) * self.inv(v)
+        return self._mul(self.num(u), self.inv(v))
 
     def pow_int(self, v, k: int):
-        return self.num(v) ** k
+        return self.dc.power(self.num(v), k)
 
     def poch(self, a, base, n: int) -> Decimal:
-        a, base = self.num(a), self.num(base)
+        if type(a) is not Decimal:
+            a = self.num(a)
+        if type(base) is not Decimal:
+            base = self.num(base)
         key = (a, base)
-        vals = self._poch_cache.get(key)
-        if vals is None:
-            vals = [Decimal(1)]
-            self._poch_cache[key] = vals
-        while len(vals) <= n:
-            j = len(vals) - 1
-            vals.append(vals[-1] * (1 - a * base ** j))
-        return vals[n]
+        run = self._poch_cache.get(key)
+        if run is None:
+            run = self._poch_cache[key] = _PochRun(a, base, self.dc)
+        return run.upto(n)
 
     def inv_poch(self, a, base, n: int) -> Decimal:
         p = self.poch(a, base, n)
         if not p:
             raise DegenerateDenominator("vanishing Pochhammer denominator")
-        return Decimal(1) / p
+        return self.dc.divide(_D_ONE, p)
 
     def poch_inf(self, a, base) -> Decimal:
         a, base = self.num(a), self.num(base)
-        if abs(base) >= 1:
+        if base.copy_abs() >= 1:
             raise NonTruncatable("numeric infinite product needs |base| < 1")
-        out = Decimal(1)
-        j = 0
-        while True:
-            f = a * base ** j
-            if abs(f) < self._eps:
+        mul, sub = self._mul, self._sub
+        out, f = _D_ONE, a
+        for _ in range(100_000):
+            if f.copy_abs() < self._eps:
                 return out
-            out *= (1 - f)
-            j += 1
-            if j > 100_000:
-                raise NonTruncatable("infinite product failed to settle")
+            out = mul(out, sub(_D_ONE, f))
+            f = mul(f, base)
+        raise NonTruncatable("infinite product failed to settle")
 
     def inv_poch_inf(self, a, base) -> Decimal:
         p = self.poch_inf(a, base)
         if not p:
             raise DegenerateDenominator("vanishing infinite product")
-        return Decimal(1) / p
+        return self.dc.divide(_D_ONE, p)
 
     def vwp(self, k, n: int, base=None) -> Decimal:
         k = self.num(k)
         base = self.q if base is None else self.num(base)
         if k == 1:
             raise DegenerateVWP("very-well-poised factor with k = 1")
-        return (1 - k * base ** (2 * n)) / (1 - k)
+        top = self._sub(_D_ONE, self._mul(k, self.dc.power(base, 2 * n)))
+        return self.dc.divide(top, self._sub(_D_ONE, k))
 
     def summation(self, term: Callable[[int], Decimal], start: int = 0,
                   times=1):
+        """`times` times the sum of the terms, taken in `self.dc`."""
         gen = NumericTermGenerator(lambda n: self.num(term(n + start)),
                                    self.precision)
-        return self.mul(times, sum_numeric(gen, self.tol))
+        return self.mul(times, sum_numeric(gen, self.tol, self.dc))
 
     def finalize(self, v) -> Decimal:
         return self.num(v)

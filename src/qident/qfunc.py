@@ -17,7 +17,7 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 from .errors import (
     DegenerateDenominator,
@@ -31,6 +31,7 @@ from .errors import (
 from .series import DEFAULT_ORDER, LaurentSeries, QMonomial, Rational
 
 Value = Union[LaurentSeries, QMonomial, Rational, int]
+T = TypeVar("T")
 
 #: consecutive terms failing to raise the valuation floor before we declare
 #: the specialization inadmissible for exact summation
@@ -246,34 +247,37 @@ class NumericTermGenerator:
             raise ValueError("numeric precision must be >= 50 digits")
 
 
-def sum_numeric(gen: NumericTermGenerator, tol=NUMERIC_TOL) -> Decimal:
+def sum_numeric(gen: NumericTermGenerator, tol=NUMERIC_TOL,
+                context: Optional[decimal.Context] = None) -> Decimal:
     """Sum numeric terms until 20 consecutive ones fall below tol/100.
 
-    Raises TailNotDecreasing if the stopping rule is not met within the
-    term budget. The caller compares both sides within `tol`.
+    The sum is taken in `context` (default: a fresh one at the
+    generator's precision), never in the ambient decimal context. Raises
+    TailNotDecreasing if the stopping rule is not met within the term
+    budget. The caller compares both sides within `tol`.
     """
-    tol = _as_decimal(tol, gen.precision)
+    dc = decimal.Context(prec=gen.precision) if context is None else context
+    tol = _as_decimal(tol, dc)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    cutoff = tol / 100
+    cutoff = dc.divide(tol, 100)
+    add = dc.add
     small_run = 0
-    with decimal.localcontext() as ctx:
-        ctx.prec = gen.precision
-        total = Decimal(0)
-        for n in range(_NUMERIC_TERM_BUDGET):
-            t = gen.term(n)
-            total += t
-            if abs(t) < cutoff:
-                small_run += 1
-                if small_run >= 20:
-                    return total
-            else:
-                small_run = 0
+    total = Decimal(0)
+    for n in range(_NUMERIC_TERM_BUDGET):
+        t = gen.term(n)
+        total = add(total, t)
+        if t.copy_abs() < cutoff:
+            small_run += 1
+            if small_run >= 20:
+                return total
+        else:
+            small_run = 0
     raise TailNotDecreasing(
         f"no 20-term small tail within {_NUMERIC_TERM_BUDGET} terms")
 
 
-def _as_decimal(x, precision: int) -> Decimal:
+def _as_decimal(x, dc: decimal.Context) -> Decimal:
     if isinstance(x, Decimal):
         return x
     if isinstance(x, str):
@@ -281,10 +285,22 @@ def _as_decimal(x, precision: int) -> Decimal:
     if isinstance(x, int):
         return Decimal(x)
     if isinstance(x, Fraction):
-        with decimal.localcontext() as ctx:
-            ctx.prec = precision
-            return Decimal(x.numerator) / Decimal(x.denominator)
+        return dc.divide(x.numerator, x.denominator)
     raise TypeError(f"cannot convert {type(x).__name__} to Decimal")
+
+
+def widened(build: Callable[[int], T], target: int) -> T:
+    """`build(headroom)` from headroom 0: an OrderInsufficient short by
+    s > 0 reruns it with s more, up to a headroom of `target`; past that,
+    or with no shortfall, the error propagates."""
+    headroom = 0
+    while True:
+        try:
+            return build(headroom)
+        except OrderInsufficient as ex:
+            if not 0 < (ex.short or 0) <= target - headroom:
+                raise
+            headroom += ex.short
 
 
 def phi_rs(upper: Sequence[Value], lower: Sequence[Value], base: QMonomial,
@@ -296,30 +312,39 @@ def phi_rs(upper: Sequence[Value], lower: Sequence[Value], base: QMonomial,
         * ((-1)^n base^{n(n-1)/2})^{s+1-r} * z^n,
     summed exactly to `order`. Lower parameters sitting on a pole of the
     term ratio (l = base^{-m} within the summation range) are rejected.
+    An upper parameter on a negative power (the terminating (q^-N; q)_n)
+    dips below degree 0; the products are then built as much above
+    `order` as the dip needs (`widened`).
     """
     zm = as_monomial(z)
     if zm is None:
         raise TypeError("phi_rs needs a monomial-like argument z")
-    r, s = len(upper), len(lower)
-    excess = s + 1 - r
     for l in lower:
         lm = as_monomial(l)
         if lm is None:
             raise TypeError("phi_rs needs monomial-like lower parameters")
     if zm.is_zero:
         return LaurentSeries.one(order)
-    up = [PochTower(u, base, order) for u in upper]
-    low = [PochTower(base, base, order, invert=True,
+    return widened(lambda headroom: _phi_rs_sum(
+        upper, lower, base, zm, order, order + headroom), order)
+
+
+def _phi_rs_sum(upper, lower, base: QMonomial, zm: QMonomial, order: int,
+                work: int) -> LaurentSeries:
+    """`phi_rs` with its Pochhammer products built at order `work`."""
+    excess = len(lower) + 1 - len(upper)
+    up = [PochTower(u, base, work) for u in upper]
+    low = [PochTower(base, base, work, invert=True,
                      error=LowerParameterPole)]
-    low += [PochTower(l, base, order, invert=True, error=LowerParameterPole)
+    low += [PochTower(l, base, work, invert=True, error=LowerParameterPole)
             for l in lower]
 
     def term(n: int) -> LaurentSeries:
-        out = LaurentSeries.one(order)
+        out = LaurentSeries.one(work)
         for t in up:
-            out = out.mul(t.upto(n), cap=order)
+            out = out.mul(t.upto(n), cap=work)
         for t in low:
-            out = out.mul(t.upto(n), cap=order)
+            out = out.mul(t.upto(n), cap=work)
         coef = zm.coef ** n
         exp = zm.exp * n
         if excess:

@@ -377,10 +377,10 @@ def _s_phi32(rng, mode):
 def _b_poly2(ctx, p):
     x = p["x"]
     sv = (p["p"], p["P"], p["Q"], p["R"], p["a"], p["b"], p["c"])
+    quot = sv_quotient(ctx, *sv, False)
     return cor_transform(
-        ctx, x, p["y"], p["z"], lambda n: sv_quotient(ctx, *sv, n, True),
-        lambda n: ctx.mul(sv_linear(ctx, *sv, n),
-                          sv_quotient(ctx, *sv, n, False)),
+        ctx, x, p["y"], p["z"], sv_quotient(ctx, *sv, True),
+        lambda n: ctx.mul(sv_linear(ctx, *sv, n), quot(n)),
         arg=ctx.mul(x, ctx.pow_int(p["R"], 2)))
 
 
@@ -517,19 +517,17 @@ def _b_cpte5(ctx, p):
     bvals = [1 + F(t) * m for t in _F12_B]
     qq = ctx.qpow(1)
     z = ctx.qpow(12)
+    ups = [ctx.num(ai) for ai in avals]
+    downs = [ctx.mul(ctx.num(bi), qq) for bi in bvals]
 
     def term(n):
-        ups = ctx.mul(*[ctx.poch(ctx.num(ai), qq, n) for ai in avals])
-        downs = ctx.mul(*[ctx.inv_poch(ctx.mul(ctx.num(bi), qq), qq, n)
-                          for bi in bvals])
-        return ctx.mul(ups, downs, ctx.inv_poch(qq, qq, n),
-                       ctx.pow_int(z, n))
+        return ctx.mul(ctx.mul(*[ctx.poch(u, qq, n) for u in ups]),
+                       ctx.mul(*[ctx.inv_poch(d, qq, n) for d in downs]),
+                       ctx.inv_poch(qq, qq, n), ctx.pow_int(z, n))
 
     lhs = ctx.summation(term)
-    rhs = ctx.mul(*[ctx.poch_inf(ctx.mul(ctx.num(ai), qq), qq)
-                    for ai in avals])
-    rhs = ctx.mul(rhs, *[ctx.inv_poch_inf(ctx.mul(ctx.num(bi), qq), qq)
-                         for bi in bvals])
+    rhs = ctx.mul(*[ctx.poch_inf(ctx.mul(u, qq), qq) for u in ups])
+    rhs = ctx.mul(rhs, *[ctx.inv_poch_inf(d, qq) for d in downs])
     rhs = ctx.mul(rhs, ctx.inv_poch_inf(qq, qq))
     return lhs, rhs
 

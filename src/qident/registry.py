@@ -9,7 +9,6 @@ carries the lowest differing exponent in q-units.
 
 from __future__ import annotations
 
-import decimal
 import hashlib
 import json
 import random
@@ -34,7 +33,7 @@ from .errors import (
     ValuationStall,
     ZeroLeadingCoefficient,
 )
-from .qfunc import NUMERIC_PRECISION, NUMERIC_TOL
+from .qfunc import NUMERIC_TOL
 from .records import RECORDS, IdentityRecord
 from .series import DEFAULT_ORDER, QMonomial
 
@@ -208,18 +207,13 @@ def verify_one(record: Union[str, IdentityRecord],
         if strategy == "numeric":
             if assignment.q_unit is None:
                 raise ValueError("numeric assignment carries no q value")
-            with decimal.localcontext() as c:
-                c.prec = NUMERIC_PRECISION + 10
-                ctx = NumericCtx(assignment.q_unit,
-                                 rec.exponent_denominator,
-                                 NUMERIC_PRECISION, tol)
-                lhs, rhs = rec.build(ctx, assignment.values)
-                lhs, rhs = ctx.finalize(lhs), ctx.finalize(rhs)
-                delta = abs(lhs - rhs)
-                if delta <= ctx.tol:
-                    return done(status="equal")
-                return done(status="mismatch", mismatch_lhs=str(lhs),
-                            mismatch_rhs=str(rhs))
+            ctx = NumericCtx(assignment.q_unit, rec.exponent_denominator,
+                             tol=tol)
+            lhs, rhs = map(ctx.finalize, rec.build(ctx, assignment.values))
+            if ctx.sub(lhs, rhs).copy_abs() <= ctx.tol:
+                return done(status="equal")
+            return done(status="mismatch", mismatch_lhs=str(lhs),
+                        mismatch_rhs=str(rhs))
         raise ValueError(f"unknown strategy: {strategy}")
     except SKIP_ERRORS as ex:
         return done(status="skipped",

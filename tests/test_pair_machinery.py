@@ -2,7 +2,6 @@
 exact wrappers, the shared code under the numeric strategy, and the
 context rules they rely on (summation `times`, the scalar 1)."""
 
-import decimal
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +22,7 @@ from qident.bailey import (
 from qident.context import ExactCtx, NumericCtx
 from qident.errors import DegenerateVWP
 from qident.pte import bridge_sequences, family6, pte_alpha_beta
-from qident.qfunc import NUMERIC_PRECISION, poch_finite, vwp_factor
+from qident.qfunc import poch_finite, vwp_factor
 from qident.series import LaurentSeries as LS, QMonomial
 
 Q = QMonomial.of(1, 1)
@@ -107,18 +106,11 @@ def numeric_ctx():
     return NumericCtx(F(1, 7))
 
 
-@pytest.fixture
-def precision():
-    with decimal.localcontext() as c:
-        c.prec = NUMERIC_PRECISION + 10
-        yield
-
-
 def sequence(ctx, vals):
     return lambda n: ctx.num(vals[n]) if n < len(vals) else ctx.num(0)
 
 
-def test_chain_closure_numeric(precision):
+def test_chain_closure_numeric():
     ctx = numeric_ctx()
     a, r1, r2 = F(1, 5), F(1, 2), F(-2, 5)
     alpha = sequence(ctx, CHAIN_ALPHA)
@@ -142,7 +134,7 @@ def test_chain_closure_numeric(precision):
     ([F(1, 2), F(1, 3)], [F(-1, 6)]),
     family6(1, 2),
 ])
-def test_bridge_numeric(precision, a, b):
+def test_bridge_numeric(a, b):
     ctx = numeric_ctx()
     alpha, beta = bridge_sequences(ctx, a, b)
     partial = running_sums(ctx, alpha)
@@ -152,7 +144,7 @@ def test_bridge_numeric(precision, a, b):
     assert abs(partial(3) - beta(4)) > ctx.tol
 
 
-def test_summation_times_exact_against_numeric(precision):
+def test_summation_times_exact_against_numeric():
     # q^-3 * sum_{n>=1} q^(n^2+n) / (q; q)_n: the exact sum runs 3 deeper,
     # so the product is known through the target
     N = 40
@@ -191,7 +183,7 @@ def test_vwp_k1_degenerate_at_n0(ctx):
 
 
 @pytest.mark.parametrize("ctx", [ExactCtx(20, headroom=6), numeric_ctx()])
-def test_wp_transform_asks_alpha_within_support(precision, ctx):
+def test_wp_transform_asks_alpha_within_support(ctx):
     support = 3
     vals = [F(2), F(-1, 3), F(5, 2), F(-4)]
     asked = []

@@ -290,6 +290,37 @@ def test_exact_numeric_coherence():
                Decimal(exact_val.denominator)) < Decimal("1e-25")
 
 
+def test_phi_terminating_upper_parameter():
+    # (q^-3; q)_n vanishes from n = 4 on: 1phi0 is a four-term sum, here
+    # expanded with Fractions: z^n (q^-3; q)_n as an exact Laurent
+    # polynomial, then times 1/(q; q)_n as geometric series cut at N
+    N = 20
+
+    def times(u, v):
+        out = {}
+        for e, c in u.items():
+            for f, d in v.items():
+                out[e + f] = out.get(e + f, 0) + c * d
+        return out
+
+    for zc, ze in ((F(1), 2), (F(-2, 3), 4)):
+        total = {}
+        for n in range(4):
+            term = {ze * n: zc ** n}
+            for j in range(n):
+                term = times(term, {0: F(1), j - 3: F(-1)})
+            for j in range(1, n + 1):
+                term = times(term, {j * k: F(1) for k in range(N + 4)})
+            for e, c in term.items():
+                if e <= N:
+                    total[e] = total.get(e, 0) + c
+        got = phi_rs([mono(1, -3)], [], Q, mono(zc, ze), N)
+        assert got.order == N
+        assert got.compare(LS.from_pairs(total, N), N) is None
+    # q-binomial theorem: the sum at z = q^2 is (q^-1; q)_3 = 0
+    assert phi_rs([mono(1, -3)], [], Q, mono(1, 2), N).is_zero
+
+
 def test_phi_lower_parameter_pole():
     from qident.errors import LowerParameterPole
     with pytest.raises(LowerParameterPole):

@@ -1,7 +1,6 @@
 """The well-poised transforms: pinned values of the exact wrappers, and
 the shared Ctx implementations under the numeric strategy."""
 
-import decimal
 import random
 from fractions import Fraction as F
 
@@ -19,7 +18,6 @@ from qident.bailey import (
     wp_transform,
 )
 from qident.context import NumericCtx
-from qident.qfunc import NUMERIC_PRECISION
 from qident.series import LaurentSeries as LS, QMonomial
 
 
@@ -123,11 +121,9 @@ def test_wp_beta_pinned():
 
 def numeric_gap(q, build):
     """|lhs - rhs| of build(ctx) under NumericCtx at q, and the ctx."""
-    with decimal.localcontext() as c:
-        c.prec = NUMERIC_PRECISION + 10
-        ctx = NumericCtx(q)
-        lhs, rhs = build(ctx)
-        return abs(ctx.finalize(lhs) - ctx.finalize(rhs)), ctx
+    ctx = NumericCtx(q)
+    lhs, rhs = build(ctx)
+    return ctx.sub(ctx.finalize(lhs), ctx.finalize(rhs)).copy_abs(), ctx
 
 
 def sequence(ctx, vals):
