@@ -23,7 +23,6 @@ from .qfunc import (
     NumericTermGenerator,
     PochTower,
     TermGenerator,
-    phi_rs,
     poch_finite,
     poch_infinite,
     sum_exact,
@@ -36,6 +35,7 @@ from .bailey import (
     WPPair,
     cor_sides,
     partial_sums,
+    phi_rs,
     subbarao_verma_sides,
     telescope_alpha,
     thm_transform_sides,

@@ -18,18 +18,20 @@ them under both the exact and the numeric strategy:
   * `sv_quotient`, `sv_linear` -- n -> the multi-base quotient, and its
     four linear factors;
   * `poch_quotient` -- n -> a quotient of Pochhammer products, the shape
-    of the telescoped sequences (see also `pte.bridge_sequences`).
+    of the telescoped sequences (see also `pte.bridge_sequences`);
+  * `phi_term` -- n -> the term of the basic hypergeometric series
+    r-phi-s, a Pochhammer quotient times z^n.
 
 A sequence enters them as a function `alpha_at(n)` to context values,
 plus, where it is known, a `support` past which alpha_n is zero.
 
-`wp_beta`, `wp_chain_step`, `thm_transform_sides`, `cor_sides` and
-`subbarao_verma_sides` are thin exact wrappers: they reject degenerate
-specializations, run the shared code in `context.exact_run` (which finds
-the working order the Laurent dips of their arguments need), and return
-truncated Laurent series at the caller's order. Their parameters are
-monomials c * q^e or plain rationals, and their alpha sequences
-(`AlphaSequence`) produce values per index.
+`wp_beta`, `wp_chain_step`, `thm_transform_sides`, `cor_sides`,
+`subbarao_verma_sides` and `phi_rs` are thin exact wrappers: they reject
+degenerate specializations, run the shared code in `context.exact_run`
+(which finds the working order the Laurent dips of their arguments
+need), and return truncated Laurent series at the caller's order. Their
+parameters are monomials c * q^e or plain rationals, and their alpha
+sequences (`AlphaSequence`) produce values per index.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .context import Ctx, ExactCtx, exact_run
-from .errors import DegenerateDenominator, ValuationStall
+from .errors import DegenerateDenominator, LowerParameterPole, ValuationStall
 from .qfunc import Value, as_monomial
 from .series import DEFAULT_ORDER, LaurentSeries, QMonomial
 
@@ -307,6 +309,28 @@ def poch_quotient(ctx: Ctx, ups, downs, base, shift=None):
                              *[ctx.inv_poch(d, base, n) for d in downs])
 
 
+def phi_term(ctx: Ctx, upper, lower, base, z):
+    """n -> the n-th term of the basic hypergeometric series r-phi-s
+    (Gasper & Rahman, section 1.2) with r upper and s lower parameters:
+
+        (u_1, .., u_r; p)_n / (p, l_1, .., l_s; p)_n
+        * ((-1)^n p^{n(n-1)/2})^{s+1-r} * z^n
+
+    with base p."""
+    quotient = poch_quotient(ctx, upper, [base, *lower], base)
+    excess = len(lower) + 1 - len(upper)
+
+    def term(n):
+        if not excess:
+            return ctx.mul(quotient(n), ctx.pow_int(z, n))
+        sign_power = ctx.mul(ctx.num((-1) ** n),
+                             ctx.pow_int(base, n * (n - 1) // 2))
+        return ctx.mul(quotient(n), ctx.pow_int(sign_power, excess),
+                       ctx.pow_int(z, n))
+
+    return term
+
+
 def running_sums(ctx: Ctx, value_at):
     """Partial-sum cache: beta(n) = value(0) + .. + value(n)."""
     cache = []
@@ -369,6 +393,27 @@ def _exact(order: int, values):
 
 def _values(alpha: AlphaSequence, ctx: ExactCtx):
     return lambda n: alpha.value(n, ctx.order)
+
+
+def phi_rs(upper: Sequence[Value], lower: Sequence[Value], base: QMonomial,
+           z: Value, order: int = DEFAULT_ORDER) -> LaurentSeries:
+    """The r-phi-s series of `phi_term`, summed exactly to `order`.
+
+    Lower parameters sitting on a pole of the term ratio (l = base^{-m}
+    within the summation range) are rejected with LowerParameterPole. An
+    upper parameter on a negative power (the terminating (q^-N; q)_n)
+    dips below degree 0; `exact_run` builds the products as much above
+    `order` as the dip needs."""
+    zm = _require_monomial(z, "phi_rs argument z")
+    for l in lower:
+        _require_monomial(l, "phi_rs lower parameter")
+    if zm.is_zero:
+        return LaurentSeries.one(order)
+    try:
+        return _exact(order, lambda ctx: [ctx.summation(
+            phi_term(ctx, upper, lower, base, zm))])[0]
+    except DegenerateDenominator as ex:
+        raise LowerParameterPole(str(ex)) from ex
 
 
 def wp_beta(pair: WPPair, n: int, order: int = DEFAULT_ORDER) -> LaurentSeries:

@@ -59,7 +59,12 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Union
 
-from .errors import DegenerateDenominator, DegenerateVWP, NonTruncatable
+from .errors import (
+    DegenerateDenominator,
+    DegenerateVWP,
+    NonTruncatable,
+    OrderInsufficient,
+)
 from .qfunc import (
     NUMERIC_PRECISION,
     NUMERIC_TOL,
@@ -71,7 +76,6 @@ from .qfunc import (
     sum_exact,
     sum_numeric,
     vwp_factor,
-    widened,
 )
 from .series import _QM_ONE, LaurentSeries, QMonomial
 
@@ -278,9 +282,16 @@ def exact_run(order: int, build: Callable, denom: int = 1):
     """`build(ctx)` in `ExactCtx(order, denom, headroom)` from headroom 0:
     an OrderInsufficient short by s > 0 t-units reruns it with s more, up
     to a headroom of the target; past that, or with no shortfall, the
-    error propagates (`qfunc.widened`)."""
-    return widened(lambda headroom: build(ExactCtx(order, denom, headroom)),
-                   order * denom)
+    error propagates."""
+    target = order * denom
+    headroom = 0
+    while True:
+        try:
+            return build(ExactCtx(order, denom, headroom))
+        except OrderInsufficient as ex:
+            if not 0 < (ex.short or 0) <= target - headroom:
+                raise
+            headroom += ex.short
 
 
 class _PochRun:
@@ -336,7 +347,6 @@ class NumericCtx:
     def __init__(self, q_unit: Fraction, denom: int = 1,
                  precision: int = NUMERIC_PRECISION, tol=NUMERIC_TOL):
         self.denom = denom
-        self.precision = precision
         self.dc = dc = decimal.Context(prec=precision + 10)
         self._mul, self._sub = dc.multiply, dc.subtract
         self.tol = tol if isinstance(tol, Decimal) else Decimal(str(tol))
@@ -444,8 +454,7 @@ class NumericCtx:
     def summation(self, term: Callable[[int], Decimal], start: int = 0,
                   times=1):
         """`times` times the sum of the terms, taken in `self.dc`."""
-        gen = NumericTermGenerator(lambda n: self.num(term(n + start)),
-                                   self.precision)
+        gen = NumericTermGenerator(lambda n: self.num(term(n + start)))
         return self.mul(times, sum_numeric(gen, self.tol, self.dc))
 
     def finalize(self, v) -> Decimal:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .bailey import AlphaSequence, poch_quotient
+from .bailey import AlphaSequence, phi_term, poch_quotient
 from .context import Ctx, exact_run
 from .errors import (
     BridgeConstraintError,
@@ -188,11 +188,9 @@ def bridge_sequences(ctx: Ctx, a: Sequence, b: Sequence, base=None):
     with alpha_0 = 1 and partial sums of alpha equal to beta when
     check_bridge(a, b) holds (not checked here; see `pte_alpha_beta`)."""
     p = ctx.qpow(1) if base is None else base
-    downs = [p] + [ctx.mul(bi, p) for bi in b]
-    quotient = poch_quotient(ctx, a, downs, p)
-    pm = ctx.pow_int(p, len(a))
-    return (lambda n: ctx.mul(quotient(n), ctx.pow_int(pm, n)),
-            poch_quotient(ctx, a, downs, p, shift=p))
+    lower = [ctx.mul(bi, p) for bi in b]
+    return (phi_term(ctx, a, lower, p, ctx.pow_int(p, len(a))),
+            poch_quotient(ctx, a, [p, *lower], p, shift=p))
 
 
 def pte_alpha_beta(a: Sequence, b: Sequence, base: QMonomial = _Q

@@ -1,5 +1,6 @@
-"""q-Pochhammer symbols, the very-well-poised factor, the basic
-hypergeometric evaluator, and the generic summation engines.
+"""q-Pochhammer symbols, the very-well-poised factor, and the generic
+summation engines. The basic hypergeometric series itself is written over
+`Ctx` in `bailey` (`phi_term`, with `phi_rs` its exact wrapper).
 
 Conventions: (a; b)_n is the finite product over j < n of (1 - a b^j) and
 (a; b)_inf the infinite one. Arguments and bases are values of the shape
@@ -17,21 +18,19 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, TypeVar, Union
+from typing import Callable, List, Optional, Union
 
 from .errors import (
     DegenerateDenominator,
     DegenerateVWP,
-    LowerParameterPole,
     NonTruncatable,
     OrderInsufficient,
     TailNotDecreasing,
     ValuationStall,
 )
-from .series import DEFAULT_ORDER, LaurentSeries, QMonomial, Rational
+from .series import LaurentSeries, QMonomial, Rational
 
 Value = Union[LaurentSeries, QMonomial, Rational, int]
-T = TypeVar("T")
 
 #: consecutive terms failing to raise the valuation floor before we declare
 #: the specialization inadmissible for exact summation
@@ -115,17 +114,16 @@ class PochTower:
 
     With invert=True it caches 1/(a; base)_n instead, extending by one
     binomial division per step, so a sum over n reuses all shorter
-    prefixes. Vanishing constant factors raise the configured error. A
+    prefixes. A vanishing constant factor raises DegenerateDenominator. A
     factor on a negative power lowers the known order by its dip, which
     the caller's working order must cover (see `context.exact_run`).
     """
 
     def __init__(self, a: Value, base: QMonomial, order: int,
-                 invert: bool = False, error=DegenerateDenominator):
+                 invert: bool = False):
         self.base = base
         self.order = order
         self.invert = invert
-        self.error = error
         self._mono = as_monomial(a)
         if self._mono is None:
             raise TypeError("PochTower requires a monomial-like argument")
@@ -145,7 +143,7 @@ class PochTower:
             e = self._mono.exp + j * self.base.exp
             if self.invert:
                 if e == 0 and c == -1:
-                    raise self.error(
+                    raise DegenerateDenominator(
                         f"factor (1 - {self._mono}*{self.base}^{j}) vanishes")
                 self._vals.append(cur.div_binomial(c, e))
             else:
@@ -240,23 +238,19 @@ class NumericTermGenerator:
     """High-precision numeric counterpart of TermGenerator."""
 
     term: Callable[[int], Decimal]
-    precision: int = NUMERIC_PRECISION
-
-    def __post_init__(self):
-        if self.precision < 50:
-            raise ValueError("numeric precision must be >= 50 digits")
 
 
 def sum_numeric(gen: NumericTermGenerator, tol=NUMERIC_TOL,
                 context: Optional[decimal.Context] = None) -> Decimal:
     """Sum numeric terms until 20 consecutive ones fall below tol/100.
 
-    The sum is taken in `context` (default: a fresh one at the
-    generator's precision), never in the ambient decimal context. Raises
+    The sum is taken in `context` (default: a fresh one at
+    NUMERIC_PRECISION digits), never in the ambient decimal context. Raises
     TailNotDecreasing if the stopping rule is not met within the term
     budget. The caller compares both sides within `tol`.
     """
-    dc = decimal.Context(prec=gen.precision) if context is None else context
+    dc = decimal.Context(prec=NUMERIC_PRECISION) if context is None \
+        else context
     tol = _as_decimal(tol, dc)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -287,70 +281,3 @@ def _as_decimal(x, dc: decimal.Context) -> Decimal:
     if isinstance(x, Fraction):
         return dc.divide(x.numerator, x.denominator)
     raise TypeError(f"cannot convert {type(x).__name__} to Decimal")
-
-
-def widened(build: Callable[[int], T], target: int) -> T:
-    """`build(headroom)` from headroom 0: an OrderInsufficient short by
-    s > 0 reruns it with s more, up to a headroom of `target`; past that,
-    or with no shortfall, the error propagates."""
-    headroom = 0
-    while True:
-        try:
-            return build(headroom)
-        except OrderInsufficient as ex:
-            if not 0 < (ex.short or 0) <= target - headroom:
-                raise
-            headroom += ex.short
-
-
-def phi_rs(upper: Sequence[Value], lower: Sequence[Value], base: QMonomial,
-           z: Value, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """The basic hypergeometric series with r upper and s lower parameters.
-
-    Term n is
-        prod (u; base)_n / ((base; base)_n prod (l; base)_n)
-        * ((-1)^n base^{n(n-1)/2})^{s+1-r} * z^n,
-    summed exactly to `order`. Lower parameters sitting on a pole of the
-    term ratio (l = base^{-m} within the summation range) are rejected.
-    An upper parameter on a negative power (the terminating (q^-N; q)_n)
-    dips below degree 0; the products are then built as much above
-    `order` as the dip needs (`widened`).
-    """
-    zm = as_monomial(z)
-    if zm is None:
-        raise TypeError("phi_rs needs a monomial-like argument z")
-    for l in lower:
-        lm = as_monomial(l)
-        if lm is None:
-            raise TypeError("phi_rs needs monomial-like lower parameters")
-    if zm.is_zero:
-        return LaurentSeries.one(order)
-    return widened(lambda headroom: _phi_rs_sum(
-        upper, lower, base, zm, order, order + headroom), order)
-
-
-def _phi_rs_sum(upper, lower, base: QMonomial, zm: QMonomial, order: int,
-                work: int) -> LaurentSeries:
-    """`phi_rs` with its Pochhammer products built at order `work`."""
-    excess = len(lower) + 1 - len(upper)
-    up = [PochTower(u, base, work) for u in upper]
-    low = [PochTower(base, base, work, invert=True,
-                     error=LowerParameterPole)]
-    low += [PochTower(l, base, work, invert=True, error=LowerParameterPole)
-            for l in lower]
-
-    def term(n: int) -> LaurentSeries:
-        out = LaurentSeries.one(work)
-        for t in up:
-            out = out.mul(t.upto(n), cap=work)
-        for t in low:
-            out = out.mul(t.upto(n), cap=work)
-        coef = zm.coef ** n
-        exp = zm.exp * n
-        if excess:
-            sign = -1 if n % 2 else 1
-            coef *= (sign * base.coef ** (n * (n - 1) // 2)) ** excess
-            exp += excess * base.exp * (n * (n - 1) // 2)
-        return out.scale(coef, exp).truncate(order)
-
-    return sum_exact(TermGenerator(term), order)

@@ -8,13 +8,14 @@ one); `ctx.qpow(e)` is q^e with e in q-units. Records that are
 instances of a well-poised transform (the central partial-sum transform,
 the infinite transform, the multi-base quotient) pass their sequences to
 the shared implementations in `bailey` (the bridge records phi54, ppte-m
-and cpte3 take theirs from `pte.bridge_sequences`); the other sums follow
-the source displays term by term. A sum times a q-power is
-`ctx.summation(..., times=m)` under both strategies. Square-root pairs
-are always realized through ctx.vwp. A record sets no working order: the
-exact strategy derives the headroom its Laurent dips need
-(`context.exact_run`). Samplers draw one candidate (None = rejected);
-rejection and determinism live in the registry.
+and cpte3 take theirs from `pte.bridge_sequences`); the basic
+hypergeometric sums (qgauss, qbinom, phi32, cpte5) sum `bailey.phi_term`;
+the other sums follow the source displays term by term. A sum times a
+q-power is `ctx.summation(..., times=m)` under both strategies.
+Square-root pairs are always realized through ctx.vwp. A record sets no
+working order: the exact strategy derives the headroom its Laurent dips
+need (`context.exact_run`). Samplers draw one candidate (None =
+rejected); rejection and determinism live in the registry.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .bailey import (
     cor_pref,
     cor_rhs_sum,
     cor_transform,
+    phi_term,
     poch_quotient,
     running_sums,
     sv_linear,
@@ -133,13 +135,7 @@ def _b_qgauss(ctx, p):
     a, b, c = p["a"], p["b"], p["c"]
     qq = ctx.qpow(1)
     z = ctx.div(c, ctx.mul(a, b))
-
-    def term(n):
-        return ctx.mul(ctx.poch(a, qq, n), ctx.poch(b, qq, n),
-                       ctx.inv_poch(qq, qq, n), ctx.inv_poch(c, qq, n),
-                       ctx.pow_int(z, n))
-
-    lhs = ctx.summation(term)
+    lhs = ctx.summation(phi_term(ctx, [a, b], [c], qq, z))
     rhs = ctx.mul(ctx.poch_inf(ctx.div(c, a), qq), ctx.poch_inf(ctx.div(c, b), qq),
                   ctx.inv_poch_inf(c, qq), ctx.inv_poch_inf(z, qq))
     return lhs, rhs
@@ -160,12 +156,7 @@ def _s_qgauss(rng, mode):
 def _b_qbinom(ctx, p):
     a, z = p["a"], p["z"]
     qq = ctx.qpow(1)
-
-    def term(n):
-        return ctx.mul(ctx.poch(a, qq, n), ctx.inv_poch(qq, qq, n),
-                       ctx.pow_int(z, n))
-
-    lhs = ctx.summation(term)
+    lhs = ctx.summation(phi_term(ctx, [a], [], qq, z))
     rhs = ctx.mul(ctx.poch_inf(ctx.mul(a, z), qq), ctx.inv_poch_inf(z, qq))
     return lhs, rhs
 
@@ -350,14 +341,7 @@ def _b_phi32(ctx, p):
     nqxy = ctx.neg(ctx.mul(qq, xy))
     nxy = ctx.neg(xy)
     qx2y = ctx.mul(qq, x, x, y)
-
-    def term(n):
-        return ctx.mul(ctx.poch(nqxy, qq, n), ctx.poch(y, qq, n),
-                       ctx.poch(x, qq, n), ctx.inv_poch(qq, qq, n),
-                       ctx.inv_poch(nxy, qq, n), ctx.inv_poch(qx2y, qq, n),
-                       ctx.pow_int(x, n))
-
-    lhs = ctx.summation(term)
+    lhs = ctx.summation(phi_term(ctx, [nqxy, y, x], [nxy, qx2y], qq, x))
     rhs = ctx.mul(ctx.inv(ctx.add(ctx.one(), xy)),
                   ctx.poch_inf(ctx.mul(x, x), qq), ctx.poch_inf(ctx.mul(qq, xy), qq),
                   ctx.inv_poch_inf(qx2y, qq), ctx.inv_poch_inf(x, qq))
@@ -519,13 +503,7 @@ def _b_cpte5(ctx, p):
     z = ctx.qpow(12)
     ups = [ctx.num(ai) for ai in avals]
     downs = [ctx.mul(ctx.num(bi), qq) for bi in bvals]
-
-    def term(n):
-        return ctx.mul(ctx.mul(*[ctx.poch(u, qq, n) for u in ups]),
-                       ctx.mul(*[ctx.inv_poch(d, qq, n) for d in downs]),
-                       ctx.inv_poch(qq, qq, n), ctx.pow_int(z, n))
-
-    lhs = ctx.summation(term)
+    lhs = ctx.summation(phi_term(ctx, ups, downs, qq, z))
     rhs = ctx.mul(*[ctx.poch_inf(ctx.mul(u, qq), qq) for u in ups])
     rhs = ctx.mul(rhs, *[ctx.inv_poch_inf(d, qq) for d in downs])
     rhs = ctx.mul(rhs, ctx.inv_poch_inf(qq, qq))

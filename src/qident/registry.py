@@ -229,9 +229,9 @@ def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
     strategy 'auto' tries exact first and falls back to a numeric sample
     when the exact strategy is inadmissible for that record/assignment.
     An exact OrderInsufficient never falls back: past `exact_run` it is a
-    defect, not an inadmissible specialization. The report list is
-    ordered by (record id, sample index) regardless of the execution
-    schedule.
+    defect, not an inadmissible specialization. The reports come in job
+    order (catalog order, then sample index) whatever the schedule: the
+    thread pool's `map` returns results in the order of its inputs.
     """
     recs = select(filter_pattern)
     jobs = []
@@ -263,13 +263,8 @@ def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run, jobs))
-    else:
-        reports = [run(j) for j in jobs]
-    order_index = {r.id: i for i, r in enumerate(recs)}
-    keyed = sorted(range(len(reports)), key=lambda i: (
-        order_index[jobs[i][0].id], i))
-    return [reports[i] for i in keyed]
+            return list(pool.map(run, jobs))
+    return [run(j) for j in jobs]
 
 
 def with_injected_fault(record: Union[str, IdentityRecord],

@@ -1,4 +1,4 @@
-"""Pochhammer, very-well-poised factor, phi evaluator, summation engines."""
+"""Pochhammer, very-well-poised factor, the phi series, summation engines."""
 
 import random
 from decimal import Decimal
@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from qident.bailey import phi_rs, phi_term
+from qident.context import NumericCtx
 from qident.errors import (
     DegenerateVWP,
     NonTruncatable,
@@ -16,7 +18,6 @@ from qident.qfunc import (
     NumericTermGenerator,
     PochTower,
     TermGenerator,
-    phi_rs,
     poch_finite,
     poch_infinite,
     sum_exact,
@@ -325,6 +326,35 @@ def test_phi_lower_parameter_pole():
     from qident.errors import LowerParameterPole
     with pytest.raises(LowerParameterPole):
         phi_rs([mono(1, 1)], [mono(1, -2)], Q, mono(1, 1), 20)
+
+
+def test_phi_euler_0phi0():
+    # 0phi0 has excess s + 1 - r = 1: sum (-1)^n q^{n(n-1)/2} z^n / (q; q)_n
+    # is Euler's (z; q)_inf
+    N = 30
+    for z in (mono(1, 1), mono(F(-2, 3), 2), mono(5, 3)):
+        got = phi_rs([], [], Q, z, N)
+        assert got.compare(poch_infinite(z, Q, N), N) is None
+
+
+@pytest.mark.parametrize("upper, lower, z", [
+    ([mono(1, 2), mono(-3, 1)], [mono(F(1, 2), 4)], mono(1, 2)),  # 2phi1
+    ([mono(F(2, 3), 1)], [mono(-1, 2)], mono(3, 1)),             # 1phi1
+])
+def test_phi_term_numeric_matches_phi_rs(upper, lower, z):
+    # the same phi_term summed under NumericCtx at q = 1/7 agrees with the
+    # exact series evaluated there, for excess 0 and excess 1
+    qv = F(1, 7)
+    exact_val = phi_rs(upper, lower, Q, z, 60).eval_at(qv)
+    ctx = NumericCtx(qv)
+
+    def at(m):
+        return ctx.mul(m.coef, ctx.qpow(m.exp))
+
+    got = ctx.summation(phi_term(ctx, [at(u) for u in upper],
+                                 [at(l) for l in lower], ctx.q, at(z)))
+    assert abs(got - Decimal(exact_val.numerator) /
+               Decimal(exact_val.denominator)) < Decimal("1e-25")
 
 
 def test_tower_matches_poch_finite():
