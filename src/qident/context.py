@@ -328,9 +328,10 @@ class NumericCtx:
 
     `q_unit` is the d-th root of q as an exact rational; every q-power in
     a builder is an integer power of it. All arithmetic, the sums
-    included, runs in `self.dc`, one `decimal.Context` at `precision + 10`
-    digits, never in the thread's ambient context: a verdict does not
-    depend on the caller's decimal settings or thread.
+    included, runs in `self.dc`, one `decimal.Context` at
+    NUMERIC_PRECISION + 10 (74) digits, never in the thread's ambient
+    context: a verdict does not depend on the caller's decimal settings or
+    thread. Sums and `verify_one` use `tol` = NUMERIC_TOL.
 
     Memoized per context, since the values depend on q and the precision
     and a context lives for one build:
@@ -344,18 +345,17 @@ class NumericCtx:
     the lookup it keys.
     """
 
-    def __init__(self, q_unit: Fraction, denom: int = 1,
-                 precision: int = NUMERIC_PRECISION, tol=NUMERIC_TOL):
+    def __init__(self, q_unit: Fraction, denom: int = 1):
         self.denom = denom
-        self.dc = dc = decimal.Context(prec=precision + 10)
+        self.dc = dc = decimal.Context(prec=NUMERIC_PRECISION + 10)
         self._mul, self._sub = dc.multiply, dc.subtract
-        self.tol = tol if isinstance(tol, Decimal) else Decimal(str(tol))
+        self.tol = NUMERIC_TOL
         self._nums: Dict = {}
         self._qpows: Dict = {}
         self._poch_cache: Dict = {}
         self.q_unit = self.num(q_unit)
         self.q = dc.power(self.q_unit, denom)
-        self._eps = Decimal(f"1e-{precision - 4}")
+        self._eps = Decimal(f"1e-{NUMERIC_PRECISION - 4}")
 
     def one(self):
         return _D_ONE

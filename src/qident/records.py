@@ -10,12 +10,15 @@ the infinite transform, the multi-base quotient) pass their sequences to
 the shared implementations in `bailey` (the bridge records phi54, ppte-m
 and cpte3 take theirs from `pte.bridge_sequences`); the basic
 hypergeometric sums (qgauss, qbinom, phi32, cpte5) sum `bailey.phi_term`;
-the other sums follow the source displays term by term. A sum times a
-q-power is `ctx.summation(..., times=m)` under both strategies.
-Square-root pairs are always realized through ctx.vwp. A record sets no
-working order: the exact strategy derives the headroom its Laurent dips
-need (`context.exact_run`). Samplers draw one candidate (None =
-rejected); rejection and determinism live in the registry.
+the Rogers-Ramanujan-Slater identities are written once per family
+(`_rr_mod5`, `_gg_mod8`, `_mod16`, `_slater69`) and share product sides
+(`_triple`, `_p16`, `_p121`); the other sums follow the source displays
+term by term. A sum times a q-power is `ctx.summation(..., times=m)`
+under both strategies. Square-root pairs are always realized through
+ctx.vwp. A record sets no working order: the exact strategy derives the
+headroom its Laurent dips need (`context.exact_run`). Samplers draw one
+candidate (None = rejected); rejection and determinism live in the
+registry.
 """
 
 from __future__ import annotations
@@ -239,10 +242,6 @@ def _b_ones_alpha(ctx, p):
                          lambda n: ctx.num(n + 1), lambda n: ctx.num(1))
 
 
-def _s_xyz_only(rng, mode):
-    return _xyz(rng, mode)
-
-
 def _b_alt_sum(ctx, p):
     x = p["x"]
     qq = ctx.qpow(1)
@@ -311,8 +310,6 @@ def _s_x_unit(rng, mode):
 
 def _s_x_unit_u(rng, mode):
     out = _s_x_unit(rng, mode)
-    if out is None:
-        return None
     if mode == "exact":
         e = rng.randint(0, 2)
         pool = [c for c in COEFS if not (e == 0 and c == 1)]
@@ -669,57 +666,89 @@ def _s_bb_yinf(rng, mode):
 
 # -- fixed single-base identities ---------------------------------------------
 
-def _b_rrs3(ctx, p):
-    qq = ctx.qpow(1)
+def _rr_mod5(b, r, h=None):
+    """Rogers' mod-5 identities in base q^4 (no h) and their companions:
+
+        sum_n [1 + q^(h-2n)] q^(n^2+bn) / (q^4;q^4)_n
+            = 1 / ((q^r, q^(5-r); q^5)_inf (-q^2;q^2)_inf).
+    """
+    def build(ctx, p):
+        q4, q5 = ctx.qpow(4), ctx.qpow(5)
+
+        def term(n):
+            head = () if h is None else \
+                (ctx.add(ctx.one(), ctx.qpow(h - 2 * n)),)
+            return ctx.mul(*head, ctx.qpow(n * n + b * n),
+                           ctx.inv_poch(q4, q4, n))
+
+        return ctx.summation(term), ctx.mul(
+            ctx.inv_poch_inf(ctx.qpow(r), q5),
+            ctx.inv_poch_inf(ctx.qpow(5 - r), q5),
+            ctx.inv_poch_inf(ctx.neg(ctx.qpow(2)), ctx.qpow(2)))
+
+    return build
+
+
+def _gg_mod8(a, b, r, h=None):
+    """The Gollnitz-Gordon-Slater mod-8 identities (no h) and their
+    companions:
+
+        sum_n [1 - q^(2n+h)] (-q^a;q^2)_n q^(n^2+bn) / (q^2;q^2)_n
+            = 1 / (q^r, q^4, q^(8-r); q^8)_inf.
+    """
+    def build(ctx, p):
+        q2, q8 = ctx.qpow(2), ctx.qpow(8)
+        nqa = ctx.neg(ctx.qpow(a))
+
+        def term(n):
+            head = () if h is None else \
+                (ctx.sub(ctx.one(), ctx.qpow(2 * n + h)),)
+            return ctx.mul(*head, ctx.poch(nqa, q2, n),
+                           ctx.qpow(n * n + b * n), ctx.inv_poch(q2, q2, n))
+
+        return ctx.summation(term), ctx.mul(
+            ctx.inv_poch_inf(ctx.qpow(r), q8),
+            ctx.inv_poch_inf(ctx.qpow(4), q8),
+            ctx.inv_poch_inf(ctx.qpow(8 - r), q8))
+
+    return build
+
+
+def _triple(ctx, c, a, m):
+    """(c q^a, c q^(m-a), q^m; q^m)_inf as factors for a `ctx.mul`."""
+    qm = ctx.qpow(m)
+    return [ctx.poch_inf(ctx.mul(c, ctx.qpow(a)), qm),
+            ctx.poch_inf(ctx.mul(c, ctx.qpow(m - a)), qm),
+            ctx.poch_inf(qm, qm)]
+
+
+def _p16(ctx, z, a):
+    """The factors of (z;q)_inf (-q^a, -q^(16-a), q^16; q^16)_inf /
+    (q^4;q^4)_inf, the product side of the mod-16 identities."""
     q4 = ctx.qpow(4)
-
-    def term(n):
-        head = ctx.add(ctx.one(), ctx.qpow(-2 * n + 3))
-        return ctx.mul(head, ctx.qpow(n * n + 6 * n), ctx.inv_poch(q4, q4, n))
-
-    lhs = ctx.summation(term)
-    q5 = ctx.qpow(5)
-    rhs = ctx.mul(ctx.inv_poch_inf(ctx.qpow(2), q5),
-                  ctx.inv_poch_inf(ctx.qpow(3), q5),
-                  ctx.inv_poch_inf(ctx.neg(ctx.qpow(2)), ctx.qpow(2)))
-    return lhs, rhs
+    return [ctx.poch_inf(z, ctx.qpow(1)), *_triple(ctx, -1, a, 16),
+            ctx.inv_poch_inf(q4, q4)]
 
 
-def _b_rrs3n(ctx, p):
-    q4 = ctx.qpow(4)
+def _mod16(c, a, e):
+    """The mod-16 companions of the Gessel-Stanton identities:
 
-    def term(n):
-        head = ctx.add(ctx.one(), ctx.qpow(-2 * n + 1))
-        return ctx.mul(head, ctx.qpow(n * n + 4 * n), ctx.inv_poch(q4, q4, n))
+        c + sum_{n>=1} (-q;q)_n q^((n^2-n)/2) / (q;q)_(n-1)
+            = q^e (-1;q)_inf (-q^a, -q^(16-a), q^16; q^16)_inf
+              / (q^4;q^4)_inf.
+    """
+    def build(ctx, p):
+        qq = ctx.qpow(1)
+        nq = ctx.neg(qq)
 
-    lhs = ctx.summation(term)
-    q5 = ctx.qpow(5)
-    rhs = ctx.mul(ctx.inv_poch_inf(ctx.qpow(1), q5),
-                  ctx.inv_poch_inf(ctx.qpow(4), q5),
-                  ctx.inv_poch_inf(ctx.neg(ctx.qpow(2)), ctx.qpow(2)))
-    return lhs, rhs
+        def term(n):
+            return ctx.mul(ctx.poch(nq, qq, n), ctx.qpow(F(n * n - n, 2)),
+                           ctx.inv_poch(qq, qq, n - 1))
 
+        lhs = ctx.add(ctx.num(c), ctx.summation(term, start=1))
+        return lhs, ctx.mul(ctx.qpow(e), *_p16(ctx, ctx.num(-1), a))
 
-def _b_rogers1(ctx, p):
-    q4 = ctx.qpow(4)
-    lhs = ctx.summation(lambda n: ctx.mul(ctx.qpow(n * n + 2 * n),
-                                          ctx.inv_poch(q4, q4, n)))
-    q5 = ctx.qpow(5)
-    rhs = ctx.mul(ctx.inv_poch_inf(ctx.qpow(2), q5),
-                  ctx.inv_poch_inf(ctx.qpow(3), q5),
-                  ctx.inv_poch_inf(ctx.neg(ctx.qpow(2)), ctx.qpow(2)))
-    return lhs, rhs
-
-
-def _b_rogers2(ctx, p):
-    q4 = ctx.qpow(4)
-    lhs = ctx.summation(lambda n: ctx.mul(ctx.qpow(n * n),
-                                          ctx.inv_poch(q4, q4, n)))
-    q5 = ctx.qpow(5)
-    rhs = ctx.mul(ctx.inv_poch_inf(ctx.qpow(1), q5),
-                  ctx.inv_poch_inf(ctx.qpow(4), q5),
-                  ctx.inv_poch_inf(ctx.neg(ctx.qpow(2)), ctx.qpow(2)))
-    return lhs, rhs
+    return build
 
 
 def _b_rrs6(ctx, p):
@@ -746,100 +775,6 @@ def _s_rrs6(rng, mode):
         return {"b": QMonomial(rng.choice(pool), e)}
     b = rng.choice([F(1, 2), F(-1, 2), F(1, 3), F(2, 5), F(-2, 5), F(3, 5)])
     return {"b": b, "q": _qv(rng)}
-
-
-def _b_rrs6_2(ctx, p):
-    q2 = ctx.qpow(2)
-    nq3 = ctx.neg(ctx.qpow(3))
-
-    def term(n):
-        head = ctx.sub(ctx.one(), ctx.qpow(2 * n + 1))
-        return ctx.mul(head, ctx.poch(nq3, q2, n), ctx.qpow(n * n),
-                       ctx.inv_poch(q2, q2, n))
-
-    lhs = ctx.summation(term)
-    q8 = ctx.qpow(8)
-    rhs = ctx.mul(ctx.inv_poch_inf(ctx.qpow(3), q8),
-                  ctx.inv_poch_inf(ctx.qpow(4), q8),
-                  ctx.inv_poch_inf(ctx.qpow(5), q8))
-    return lhs, rhs
-
-
-def _b_rrs6_3(ctx, p):
-    q2 = ctx.qpow(2)
-    nq3 = ctx.neg(ctx.qpow(3))
-
-    def term(n):
-        head = ctx.sub(ctx.one(), ctx.qpow(2 * n - 1))
-        return ctx.mul(head, ctx.poch(nq3, q2, n), ctx.qpow(n * n - 2 * n),
-                       ctx.inv_poch(q2, q2, n))
-
-    lhs = ctx.summation(term)
-    q8 = ctx.qpow(8)
-    rhs = ctx.mul(ctx.inv_poch_inf(ctx.qpow(1), q8),
-                  ctx.inv_poch_inf(ctx.qpow(4), q8),
-                  ctx.inv_poch_inf(ctx.qpow(7), q8))
-    return lhs, rhs
-
-
-def _b_rrs6_4(ctx, p):
-    qq = ctx.qpow(1)
-    nq = ctx.neg(qq)
-
-    def term(n):
-        return ctx.mul(ctx.poch(nq, qq, n), ctx.qpow(F(n * n - n, 2)),
-                       ctx.inv_poch(qq, qq, n - 1))
-
-    lhs = ctx.add(ctx.one(), ctx.summation(term, start=1))
-    q16 = ctx.qpow(16)
-    rhs = ctx.mul(ctx.poch_inf(ctx.num(-1), qq),
-                  ctx.poch_inf(ctx.neg(ctx.qpow(6)), q16),
-                  ctx.poch_inf(ctx.neg(ctx.qpow(10)), q16),
-                  ctx.poch_inf(q16, q16),
-                  ctx.inv_poch_inf(ctx.qpow(4), ctx.qpow(4)))
-    return lhs, rhs
-
-
-def _b_rrs6_5(ctx, p):
-    qq = ctx.qpow(1)
-    nq = ctx.neg(qq)
-
-    def term(n):
-        return ctx.mul(ctx.poch(nq, qq, n), ctx.qpow(F(n * n - n, 2)),
-                       ctx.inv_poch(qq, qq, n - 1))
-
-    lhs = ctx.add(ctx.num(-1), ctx.summation(term, start=1))
-    q16 = ctx.qpow(16)
-    rhs = ctx.mul(ctx.qpow(1), ctx.poch_inf(ctx.num(-1), qq),
-                  ctx.poch_inf(ctx.neg(ctx.qpow(2)), q16),
-                  ctx.poch_inf(ctx.neg(ctx.qpow(14)), q16),
-                  ctx.poch_inf(q16, q16),
-                  ctx.inv_poch_inf(ctx.qpow(4), ctx.qpow(4)))
-    return lhs, rhs
-
-
-def _b_gg1a(ctx, p):
-    q2 = ctx.qpow(2)
-    nq = ctx.neg(ctx.qpow(1))
-    lhs = ctx.summation(lambda n: ctx.mul(
-        ctx.qpow(n * n + 2 * n), ctx.poch(nq, q2, n), ctx.inv_poch(q2, q2, n)))
-    q8 = ctx.qpow(8)
-    rhs = ctx.mul(ctx.inv_poch_inf(ctx.qpow(3), q8),
-                  ctx.inv_poch_inf(ctx.qpow(4), q8),
-                  ctx.inv_poch_inf(ctx.qpow(5), q8))
-    return lhs, rhs
-
-
-def _b_gg1b(ctx, p):
-    q2 = ctx.qpow(2)
-    nq = ctx.neg(ctx.qpow(1))
-    lhs = ctx.summation(lambda n: ctx.mul(
-        ctx.qpow(n * n), ctx.poch(nq, q2, n), ctx.inv_poch(q2, q2, n)))
-    q8 = ctx.qpow(8)
-    rhs = ctx.mul(ctx.inv_poch_inf(ctx.qpow(1), q8),
-                  ctx.inv_poch_inf(ctx.qpow(4), q8),
-                  ctx.inv_poch_inf(ctx.qpow(7), q8))
-    return lhs, rhs
 
 
 def _b_qbailey(ctx, p):
@@ -880,13 +815,7 @@ def _b_gs1(ctx, p):
                        ctx.inv_poch(qq, qq, n))
 
     lhs = ctx.add(ctx.one(), ctx.summation(term, start=1))
-    q16 = ctx.qpow(16)
-    rhs = ctx.mul(ctx.poch_inf(nq, qq),
-                  ctx.poch_inf(ctx.neg(ctx.qpow(6)), q16),
-                  ctx.poch_inf(ctx.neg(ctx.qpow(10)), q16),
-                  ctx.poch_inf(q16, q16),
-                  ctx.inv_poch_inf(ctx.qpow(4), ctx.qpow(4)))
-    return lhs, rhs
+    return lhs, ctx.mul(*_p16(ctx, nq, 6))
 
 
 def _b_gs2(ctx, p):
@@ -897,76 +826,55 @@ def _b_gs2(ctx, p):
         return ctx.mul(ctx.poch(nq, qq, n), ctx.qpow(F(n * n + 3 * n, 2)),
                        ctx.inv_poch(qq, qq, n + 1))
 
-    lhs = ctx.summation(term)
-    q16 = ctx.qpow(16)
-    rhs = ctx.mul(ctx.poch_inf(nq, qq),
-                  ctx.poch_inf(ctx.neg(ctx.qpow(2)), q16),
-                  ctx.poch_inf(ctx.neg(ctx.qpow(14)), q16),
-                  ctx.poch_inf(q16, q16),
-                  ctx.inv_poch_inf(ctx.qpow(4), ctx.qpow(4)))
-    return lhs, rhs
+    return ctx.summation(term), ctx.mul(*_p16(ctx, nq, 2))
 
 
-def _b_slater69(ctx, p):
-    qq = ctx.qpow(1)
-    q2 = ctx.qpow(2)
-    nq2 = ctx.neg(q2)
+def _slater69(k):
+    """Slater's identity 69 (k = 0) and its shifted companion (k = 1):
 
-    def term(n):
-        return ctx.mul(ctx.poch(nq2, q2, n), ctx.qpow(n * n + 2 * n),
-                       ctx.inv_poch(qq, qq, 2 * n + 2))
+        sum_n (-q^2;q^2)_(n+k) q^(n^2+2n) / (q;q)_(2n+2+k)
+            = P (k = 0), 2P - 1/(1-q) (k = 1), where
+        P = (-q^2, -q^14, q^16; q^16)_inf (-q;q^2)_inf / (q^2;q^2)_inf.
+    """
+    def build(ctx, p):
+        qq, q2 = ctx.qpow(1), ctx.qpow(2)
+        nq2 = ctx.neg(q2)
 
-    lhs = ctx.summation(term)
-    q16 = ctx.qpow(16)
-    rhs = ctx.mul(ctx.poch_inf(ctx.neg(q2), q16),
-                  ctx.poch_inf(ctx.neg(ctx.qpow(14)), q16),
-                  ctx.poch_inf(q16, q16),
-                  ctx.poch_inf(ctx.neg(qq), q2),
-                  ctx.inv_poch_inf(q2, q2))
-    return lhs, rhs
+        def term(n):
+            return ctx.mul(ctx.poch(nq2, q2, n + k), ctx.qpow(n * n + 2 * n),
+                           ctx.inv_poch(qq, qq, 2 * n + 2 + k))
+
+        lhs = ctx.summation(term)
+        prod = ctx.mul(*_triple(ctx, -1, 2, 16),
+                       ctx.poch_inf(ctx.neg(qq), q2), ctx.inv_poch_inf(q2, q2))
+        return lhs, prod if k == 0 else ctx.sub(
+            ctx.mul(ctx.num(2), prod), ctx.inv(ctx.sub(ctx.one(), qq)))
+
+    return build
+
+
+def _p121(ctx):
+    """(q^2, q^14, q^16; q^16)_inf (q^12, q^20; q^32)_inf / (q;q)_inf, the
+    product side of Slater's identity 121."""
+    q32 = ctx.qpow(32)
+    return ctx.mul(*_triple(ctx, 1, 2, 16), ctx.poch_inf(ctx.qpow(12), q32),
+                   ctx.poch_inf(ctx.qpow(20), q32),
+                   ctx.inv_poch_inf(ctx.qpow(1), ctx.qpow(1)))
 
 
 def _b_slater121(ctx, p):
-    qq = ctx.qpow(1)
-    q2 = ctx.qpow(2)
+    qq, q2 = ctx.qpow(1), ctx.qpow(2)
     nq2 = ctx.neg(q2)
 
     def term(n):
         return ctx.mul(ctx.poch(nq2, q2, n - 1), ctx.qpow(n * n),
                        ctx.inv_poch(qq, qq, 2 * n))
 
-    lhs = ctx.add(ctx.one(), ctx.summation(term, start=1))
-    q16, q32 = ctx.qpow(16), ctx.qpow(32)
-    rhs = ctx.mul(ctx.poch_inf(q2, q16), ctx.poch_inf(ctx.qpow(14), q16),
-                  ctx.poch_inf(q16, q16), ctx.poch_inf(ctx.qpow(12), q32),
-                  ctx.poch_inf(ctx.qpow(20), q32), ctx.inv_poch_inf(qq, qq))
-    return lhs, rhs
-
-
-def _b_s69(ctx, p):
-    qq = ctx.qpow(1)
-    q2 = ctx.qpow(2)
-    nq2 = ctx.neg(q2)
-
-    def term(n):
-        return ctx.mul(ctx.poch(nq2, q2, n + 1), ctx.qpow(n * n + 2 * n),
-                       ctx.inv_poch(qq, qq, 2 * n + 3))
-
-    lhs = ctx.summation(term)
-    q16 = ctx.qpow(16)
-    prod = ctx.mul(ctx.poch_inf(ctx.neg(q2), q16),
-                   ctx.poch_inf(ctx.neg(ctx.qpow(14)), q16),
-                   ctx.poch_inf(q16, q16),
-                   ctx.poch_inf(ctx.neg(qq), q2),
-                   ctx.inv_poch_inf(q2, q2))
-    rhs = ctx.sub(ctx.mul(ctx.num(2), prod),
-                  ctx.inv(ctx.sub(ctx.one(), qq)))
-    return lhs, rhs
+    return ctx.add(ctx.one(), ctx.summation(term, start=1)), _p121(ctx)
 
 
 def _b_s121(ctx, p):
-    qq = ctx.qpow(1)
-    q2 = ctx.qpow(2)
+    qq, q2 = ctx.qpow(1), ctx.qpow(2)
     nq2 = ctx.neg(q2)
 
     def term(n):
@@ -974,12 +882,7 @@ def _b_s121(ctx, p):
                        ctx.inv_poch(qq, qq, 2 * n + 1))
 
     lhs = ctx.summation(term)
-    q16, q32 = ctx.qpow(16), ctx.qpow(32)
-    prod = ctx.mul(ctx.poch_inf(q2, q16), ctx.poch_inf(ctx.qpow(14), q16),
-                   ctx.poch_inf(q16, q16), ctx.poch_inf(ctx.qpow(12), q32),
-                   ctx.poch_inf(ctx.qpow(20), q32), ctx.inv_poch_inf(qq, qq))
-    rhs = ctx.sub(ctx.mul(ctx.num(2), prod), ctx.one())
-    return lhs, rhs
+    return lhs, ctx.sub(ctx.mul(ctx.num(2), _p121(ctx)), ctx.one())
 
 
 # -- false theta records -------------------------------------------------------
@@ -1114,7 +1017,7 @@ RECORDS = [
          ["alt-alpha-transform"],
          [("x", "monomial", "exp >= 1"), ("y", "monomial", ""),
           ("z", "monomial", "")],
-         _b_alt_alpha, _s_xyz_only),
+         _b_alt_alpha, _xyz),
     _rec("alt-sum", "alternating-sequence summation",
          ["alt-alpha-sum"],
          [("x", "monomial", "exact strategy: x = c*q")],
@@ -1123,7 +1026,7 @@ RECORDS = [
          ["ones-alpha-transform"],
          [("x", "monomial", "exp >= 1"), ("y", "monomial", ""),
           ("z", "monomial", "")],
-         _b_ones_alpha, _s_xyz_only),
+         _b_ones_alpha, _xyz),
     _rec("ones-sum", "all-ones sequence summation",
          ["ones-alpha-sum"],
          [("x", "monomial", "exact strategy: x = c*q")],
@@ -1205,29 +1108,29 @@ RECORDS = [
           ("b", "rational", "half-integers")],
          _b_rrs3eq1, _s_rrs3eq1, d=2),
     _rec("rrs3", "mod-5 identity, shifted variant A",
-         ["rr-slater-1"], [], _b_rrs3, _s_none),
+         ["rr-slater-1"], [], _rr_mod5(6, 2, 3), _s_none),
     _rec("rrs3n", "mod-5 identity, shifted variant B",
-         ["rr-slater-2"], [], _b_rrs3n, _s_none),
+         ["rr-slater-2"], [], _rr_mod5(4, 1, 1), _s_none),
     _rec("rrs6", "two-parameter mod-2 product identity",
          ["rr-slater-3"],
          [("b", "monomial", "0 <= exp <= 3")],
          _b_rrs6, _s_rrs6),
     _rec("rrs6-2", "mod-8 identity, weighted variant A",
-         ["rr-slater-4"], [], _b_rrs6_2, _s_none),
+         ["rr-slater-4"], [], _gg_mod8(3, 0, 3, 1), _s_none),
     _rec("rrs6-3", "mod-8 identity, weighted variant B",
-         ["rr-slater-5"], [], _b_rrs6_3, _s_none),
+         ["rr-slater-5"], [], _gg_mod8(3, -2, 1, -1), _s_none),
     _rec("rrs6-4", "mod-16 identity, +1 head",
-         ["rr-slater-6"], [], _b_rrs6_4, _s_none),
+         ["rr-slater-6"], [], _mod16(1, 6, 0), _s_none),
     _rec("rrs6-5", "mod-16 identity, -1 head",
-         ["rr-slater-7"], [], _b_rrs6_5, _s_none),
+         ["rr-slater-7"], [], _mod16(-1, 2, 1), _s_none),
     _rec("gg1a", "Gollnitz-Gordon-Slater identity, first",
-         ["gollnitz-gordon-1"], [], _b_gg1a, _s_none),
+         ["gollnitz-gordon-1"], [], _gg_mod8(1, 2, 3), _s_none),
     _rec("gg1b", "Gollnitz-Gordon-Slater identity, second",
-         ["gollnitz-gordon-2"], [], _b_gg1b, _s_none),
+         ["gollnitz-gordon-2"], [], _gg_mod8(1, 0, 1), _s_none),
     _rec("rogers1", "Rogers mod-5 identity, quartic base, first",
-         ["rogers-mod5-1"], [], _b_rogers1, _s_none),
+         ["rogers-mod5-1"], [], _rr_mod5(2, 2), _s_none),
     _rec("rogers2", "Rogers mod-5 identity, quartic base, second",
-         ["rogers-mod5-2"], [], _b_rogers2, _s_none),
+         ["rogers-mod5-2"], [], _rr_mod5(0, 1), _s_none),
     _rec("qbailey", "Andrews' q-analog of Bailey's sum",
          ["q-bailey-sum"],
          [("b", "monomial", ""), ("c", "monomial", "lower; exp >= 1")],
@@ -1237,11 +1140,11 @@ RECORDS = [
     _rec("gs2", "Gessel-Stanton mod-16 summation, second",
          ["gessel-stanton-2"], [], _b_gs2, _s_none),
     _rec("slater69", "Slater's list identity 69",
-         ["slater-69"], [], _b_slater69, _s_none),
+         ["slater-69"], [], _slater69(0), _s_none),
     _rec("slater121", "Slater's list identity 121",
          ["slater-121"], [], _b_slater121, _s_none),
     _rec("s69", "shifted variant of Slater's identity 69",
-         ["slater-69-shifted"], [], _b_s69, _s_none),
+         ["slater-69-shifted"], [], _slater69(1), _s_none),
     _rec("s121", "shifted variant of Slater's identity 121",
          ["slater-121-shifted"], [], _b_s121, _s_none),
     _rec("r1", "false theta of triangular type as a quotient series",

@@ -33,7 +33,6 @@ from .errors import (
     ValuationStall,
     ZeroLeadingCoefficient,
 )
-from .qfunc import NUMERIC_TOL
 from .records import RECORDS, IdentityRecord
 from .series import DEFAULT_ORDER, QMonomial
 
@@ -172,12 +171,12 @@ def _resolve(record: Union[str, IdentityRecord]) -> IdentityRecord:
 
 
 def verify_one(record: Union[str, IdentityRecord],
-               assignment: ParamAssignment, order: int = DEFAULT_ORDER,
-               tol=NUMERIC_TOL) -> VerificationReport:
+               assignment: ParamAssignment, order: int = DEFAULT_ORDER
+               ) -> VerificationReport:
     """Build both sides of one record and compare them.
 
     Exact strategy: coefficientwise comparison through the working order.
-    Numeric strategy: absolute difference within `tol`. Strategy errors
+    Numeric strategy: |lhs - rhs| within `NumericCtx.tol`. Strategy errors
     yield a skipped report carrying the reason.
     """
     rec = _resolve(record)
@@ -207,8 +206,7 @@ def verify_one(record: Union[str, IdentityRecord],
         if strategy == "numeric":
             if assignment.q_unit is None:
                 raise ValueError("numeric assignment carries no q value")
-            ctx = NumericCtx(assignment.q_unit, rec.exponent_denominator,
-                             tol=tol)
+            ctx = NumericCtx(assignment.q_unit, rec.exponent_denominator)
             lhs, rhs = map(ctx.finalize, rec.build(ctx, assignment.values))
             if ctx.sub(lhs, rhs).copy_abs() <= ctx.tol:
                 return done(status="equal")
@@ -222,8 +220,7 @@ def verify_one(record: Union[str, IdentityRecord],
 
 def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
                  seed: int = 1, samples: int = 3, strategy: str = "auto",
-                 tol=NUMERIC_TOL, workers: int = 1
-                 ) -> List[VerificationReport]:
+                 workers: int = 1) -> List[VerificationReport]:
     """Run every matching record over sampled assignments.
 
     strategy 'auto' tries exact first and falls back to a numeric sample
@@ -251,10 +248,10 @@ def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
 
     def run(job):
         rec, a, fb = job
-        rep = verify_one(rec, a, order, tol)
+        rep = verify_one(rec, a, order)
         if rep.status == "skipped" and fb is not None and \
                 not rep.reason.startswith(OrderInsufficient.__name__):
-            rep2 = verify_one(rec, fb, order, tol)
+            rep2 = verify_one(rec, fb, order)
             if rep2.status != "skipped":
                 rep2.reason = f"exact skipped ({rep.reason})"
                 return rep2
