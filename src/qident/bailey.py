@@ -7,6 +7,8 @@ The transforms are written once, against the `Ctx` algebra of
 `context.py`, so that the catalog records and the exact API below share
 them under both the exact and the numeric strategy:
 
+  * `poch_quotient` -- (n, *more) -> a Pochhammer quotient times a
+    term's other factors, the shape of most summands below;
   * `wp_beta_sum` -- beta_n from the defining relation;
   * `wp_chain_alpha`, `wp_chain_beta` -- the chain step: the new alpha,
     and the closed form of its beta;
@@ -17,8 +19,6 @@ them under both the exact and the numeric strategy:
     k = aq where beta_n is the n-th partial sum of alpha;
   * `sv_quotient`, `sv_linear` -- n -> the multi-base quotient, and its
     four linear factors;
-  * `poch_quotient` -- n -> a quotient of Pochhammer products, the shape
-    of the telescoped sequences (see also `pte.bridge_sequences`);
   * `phi_term` -- n -> the term of the basic hypergeometric series
     r-phi-s, a Pochhammer quotient times z^n.
 
@@ -51,15 +51,10 @@ _Q = QMonomial.of(1, 1)
 AlphaFn = Callable[[int, int], Value]   # (n, order) -> value
 
 
-def _value_sub(x: Value, y: Value, order: int) -> Value:
+def _value_sub(x: Value, y: Value) -> Value:
     if isinstance(x, (Fraction, int)) and isinstance(y, (Fraction, int)):
         return Fraction(x) - Fraction(y)
-    return LaurentSeries.coerce(x, None if _exactable(x) else order) - \
-        LaurentSeries.coerce(y, None if _exactable(y) else order)
-
-
-def _exactable(v: Value) -> bool:
-    return not isinstance(v, LaurentSeries) or v.is_exact
+    return LaurentSeries.coerce(x) - LaurentSeries.coerce(y)
 
 
 class AlphaSequence:
@@ -139,6 +134,14 @@ def _total(ctx: Ctx, terms):
     return reduce(ctx.add, terms) if terms else ctx.num(0)
 
 
+def poch_quotient(ctx: Ctx, ups, downs, base):
+    """(n, *more) -> prod (u; base)_n / prod (d; base)_n over u in ups and
+    d in downs, times the term's other factors `more`, in one ctx.mul."""
+    return lambda n, *more: ctx.mul(
+        *[ctx.poch(u, base, n) for u in ups],
+        *[ctx.inv_poch(d, base, n) for d in downs], *more)
+
+
 def wp_beta_sum(ctx: Ctx, a, k, alpha_at, n: int,
                 support: Optional[int] = None):
     """beta_n from the defining relation
@@ -175,16 +178,15 @@ def wp_transform(ctx: Ctx, a, k, r1, r2, alpha_at,
     kq1, kq2 = ctx.div(kq, r1), ctx.div(kq, r2)
     aq1, aq2 = ctx.div(aq, r1), ctx.div(aq, r2)
 
+    lhs_quot = poch_quotient(ctx, [r1, r2], [kq1, kq2], qq)
+    rhs_quot = poch_quotient(ctx, [r1, r2], [aq1, aq2], qq)
+
     def lhs_term(n):
-        return ctx.mul(ctx.vwp(k, n), ctx.poch(r1, qq, n), ctx.poch(r2, qq, n),
-                       ctx.inv_poch(kq1, qq, n), ctx.inv_poch(kq2, qq, n),
-                       ctx.pow_int(z, n),
-                       wp_beta_sum(ctx, a, k, alpha_at, n, support))
+        return lhs_quot(n, ctx.vwp(k, n), ctx.pow_int(z, n),
+                        wp_beta_sum(ctx, a, k, alpha_at, n, support))
 
     def rhs_term(n):
-        return ctx.mul(ctx.poch(r1, qq, n), ctx.poch(r2, qq, n),
-                       ctx.inv_poch(aq1, qq, n), ctx.inv_poch(aq2, qq, n),
-                       ctx.pow_int(z, n), alpha_at(n))
+        return rhs_quot(n, ctx.pow_int(z, n), alpha_at(n))
 
     pref = ctx.mul(
         ctx.poch_inf(kq, qq), ctx.poch_inf(ctx.div(kq, ctx.mul(r1, r2)), qq),
@@ -205,10 +207,9 @@ def wp_chain_alpha(ctx: Ctx, a, r1, r2, alpha_at, n: int):
     where k/c = aq/(r1 r2), so alpha' does not depend on k."""
     qq = ctx.qpow(1)
     aq = ctx.mul(a, qq)
-    return ctx.mul(ctx.poch(r1, qq, n), ctx.poch(r2, qq, n),
-                   ctx.inv_poch(ctx.div(aq, r1), qq, n),
-                   ctx.inv_poch(ctx.div(aq, r2), qq, n),
-                   ctx.pow_int(ctx.div(aq, ctx.mul(r1, r2)), n), alpha_at(n))
+    quot = poch_quotient(ctx, [r1, r2], [ctx.div(aq, r1), ctx.div(aq, r2)],
+                         qq)
+    return quot(n, ctx.pow_int(ctx.div(aq, ctx.mul(r1, r2)), n), alpha_at(n))
 
 
 def wp_chain_beta(ctx: Ctx, a, k, r1, r2, alpha_at, n: int,
@@ -231,16 +232,15 @@ def wp_chain_beta(ctx: Ctx, a, k, r1, r2, alpha_at, n: int,
     kc = ctx.div(aq, ctx.mul(r1, r2))
     c = ctx.div(ctx.mul(k, r1, r2), aq)
     qc = ctx.mul(qq, c)
+    weight = poch_quotient(ctx, [r1, r2], [kr1, kr2], qq)
     inner = _total(ctx, [
-        ctx.mul(ctx.vwp(c, j), ctx.poch(r1, qq, j), ctx.poch(r2, qq, j),
-                ctx.inv_poch(kr1, qq, j), ctx.inv_poch(kr2, qq, j),
-                ctx.poch(kc, qq, n - j), ctx.poch(k, qq, n + j),
-                ctx.inv_poch(qq, qq, n - j), ctx.inv_poch(qc, qq, n + j),
-                ctx.pow_int(kc, j),
-                wp_beta_sum(ctx, a, c, alpha_at, j, support))
+        weight(j, ctx.vwp(c, j),
+               ctx.poch(kc, qq, n - j), ctx.poch(k, qq, n + j),
+               ctx.inv_poch(qq, qq, n - j), ctx.inv_poch(qc, qq, n + j),
+               ctx.pow_int(kc, j),
+               wp_beta_sum(ctx, a, c, alpha_at, j, support))
         for j in range(n + 1)])
-    return ctx.mul(ctx.poch(kr1, qq, n), ctx.poch(kr2, qq, n),
-                   ctx.inv_poch(aq1, qq, n), ctx.inv_poch(aq2, qq, n), inner)
+    return poch_quotient(ctx, [kr1, kr2], [aq1, aq2], qq)(n, inner)
 
 
 def cor_pref(ctx: Ctx, x, y, z):
@@ -257,13 +257,11 @@ def cor_lhs(ctx: Ctx, x, y, z, beta_at, idx=lambda n: n, base=None):
     index n."""
     k = ctx.mul(x, y, z)
     p = ctx.qpow(1) if base is None else base
-    pxy, pxz = ctx.mul(p, x, y), ctx.mul(p, x, z)
+    quot = poch_quotient(ctx, [y, z], [ctx.mul(p, x, y), ctx.mul(p, x, z)], p)
 
     def term(n):
         i = idx(n)
-        return ctx.mul(ctx.vwp(k, i, base), ctx.poch(y, p, i),
-                       ctx.poch(z, p, i), ctx.inv_poch(pxy, p, i),
-                       ctx.inv_poch(pxz, p, i), ctx.pow_int(x, i), beta_at(n))
+        return quot(i, ctx.vwp(k, i, base), ctx.pow_int(x, i), beta_at(n))
 
     return ctx.summation(term)
 
@@ -274,15 +272,11 @@ def cor_rhs_sum(ctx: Ctx, x, y, z, alpha_at, arg=None, start: int = 0,
     with base p (default q); arg defaults to x, and `start` and `times` go
     to ctx.summation."""
     p = ctx.qpow(1) if base is None else base
-    xy, xz = ctx.mul(x, y), ctx.mul(x, z)
+    quot = poch_quotient(ctx, [y, z], [ctx.mul(x, y), ctx.mul(x, z)], p)
     base_arg = x if arg is None else arg
-
-    def term(n):
-        return ctx.mul(ctx.poch(y, p, n), ctx.poch(z, p, n),
-                       ctx.inv_poch(xy, p, n), ctx.inv_poch(xz, p, n),
-                       ctx.pow_int(base_arg, n), alpha_at(n))
-
-    return ctx.summation(term, start=start, times=times)
+    return ctx.summation(
+        lambda n: quot(n, ctx.pow_int(base_arg, n), alpha_at(n)),
+        start=start, times=times)
 
 
 def cor_transform(ctx: Ctx, x, y, z, beta_at, alpha_at, arg=None):
@@ -300,15 +294,6 @@ def cor_transform(ctx: Ctx, x, y, z, beta_at, alpha_at, arg=None):
                 cor_rhs_sum(ctx, x, y, z, alpha_at, arg))
 
 
-def poch_quotient(ctx: Ctx, ups, downs, base, shift=None):
-    """n -> prod (u*shift; base)_n / prod (d; base)_n over u in ups and d
-    in downs (shift None: the u themselves)."""
-    if shift is not None:
-        ups = [ctx.mul(u, shift) for u in ups]
-    return lambda n: ctx.mul(*[ctx.poch(u, base, n) for u in ups],
-                             *[ctx.inv_poch(d, base, n) for d in downs])
-
-
 def phi_term(ctx: Ctx, upper, lower, base, z):
     """n -> the n-th term of the basic hypergeometric series r-phi-s
     (Gasper & Rahman, section 1.2) with r upper and s lower parameters:
@@ -322,11 +307,10 @@ def phi_term(ctx: Ctx, upper, lower, base, z):
 
     def term(n):
         if not excess:
-            return ctx.mul(quotient(n), ctx.pow_int(z, n))
+            return quotient(n, ctx.pow_int(z, n))
         sign_power = ctx.mul(ctx.num((-1) ** n),
                              ctx.pow_int(base, n * (n - 1) // 2))
-        return ctx.mul(quotient(n), ctx.pow_int(sign_power, excess),
-                       ctx.pow_int(z, n))
+        return quotient(n, ctx.pow_int(sign_power, excess), ctx.pow_int(z, n))
 
     return term
 
@@ -500,7 +484,7 @@ def telescope_alpha(t: AlphaFn) -> AlphaSequence:
     def fn(n: int, order: int) -> Value:
         if n == 0:
             return t(0, order)
-        return _value_sub(t(n, order), t(n - 1, order), order)
+        return _value_sub(t(n, order), t(n - 1, order))
 
     return AlphaSequence(fn)
 

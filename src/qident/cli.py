@@ -43,6 +43,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonzero_fraction(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as ex:
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {ex}")
+    if not value:
+        raise argparse.ArgumentTypeError("must be nonzero")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--order", type=positive_int, default=DEFAULT_ORDER,
                      help="truncation order in q (default %(default)s)")
@@ -77,12 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--a", required=True, type=_parse_multiset,
                     help="comma-separated rationals (p/q allowed)")
     pc.add_argument("--b", required=True, type=_parse_multiset)
-    pc.add_argument("--k", required=True, type=int)
+    pc.add_argument("--k", required=True, type=positive_int)
 
     pf = subs.add_parser("pte-family", help="print a parametric family")
     pf.add_argument("--family", choices=["6", "6raw", "12"], required=True)
-    pf.add_argument("--m", type=Fraction, default=Fraction(1))
-    pf.add_argument("--n", type=Fraction, default=Fraction(2))
+    pf.add_argument("--m", type=nonzero_fraction, default=Fraction(1))
+    pf.add_argument("--n", type=nonzero_fraction, default=Fraction(2))
     pf.add_argument("--K", type=Fraction, default=Fraction(0))
     return ap
 

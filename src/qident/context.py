@@ -24,7 +24,7 @@ OrderInsufficient names its shortfall, and the build reruns with that
 much more headroom.
 
 A NumericCtx owns its precision and its caches (see the class): each
-rational and q-power is converted once and each Pochhammer product is
+distinct rational is converted once and each Pochhammer product is
 extended by a running power. The caches live on the context, not in the
 module, because their values depend on q and the precision, and because
 one context serves one build on one thread.
@@ -158,9 +158,6 @@ class ExactCtx:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _is_scalar(self, v) -> bool:
-        return isinstance(v, (Fraction, int, QMonomial))
-
     def mul(self, *vals):
         """The product of the values: a monomial if no series is involved,
         else a series or an unmultiplied product (see the module
@@ -171,7 +168,7 @@ class ExactCtx:
             if isinstance(v, _Product):
                 mono = mono * v.mono
                 parts.extend(v.parts)
-            elif self._is_scalar(v):
+            elif isinstance(v, (Fraction, int, QMonomial)):
                 mono = mono * as_monomial(v)
             else:
                 parts.append(v)
@@ -336,13 +333,13 @@ class NumericCtx:
     Memoized per context, since the values depend on q and the precision
     and a context lives for one build:
       * `num`: each distinct rational, converted to a Decimal once;
-      * `qpow`: each q-power, computed once;
       * `poch` (and `inv_poch`): for each (argument, base) pair, a
         `_PochRun` that extends (a; base)_n by a running power.
-    A builder that passes the same Decimal object again (a loop-invariant
-    argument built once, a memoized rational or q-power) also reuses its
-    cached hash: a fresh long Decimal costs far more to hash than
-    the lookup it keys.
+    A q-power is not memoized: most are asked for once per context. A
+    builder that passes the same Decimal object again (a loop-invariant
+    argument built once, a memoized rational) also reuses its cached
+    hash: a fresh long Decimal costs far more to hash than the lookup it
+    keys.
     """
 
     def __init__(self, q_unit: Fraction, denom: int = 1):
@@ -351,7 +348,6 @@ class NumericCtx:
         self._mul, self._sub = dc.multiply, dc.subtract
         self.tol = NUMERIC_TOL
         self._nums: Dict = {}
-        self._qpows: Dict = {}
         self._poch_cache: Dict = {}
         self.q_unit = self.num(q_unit)
         self.q = dc.power(self.q_unit, denom)
@@ -370,14 +366,11 @@ class NumericCtx:
         return d
 
     def qpow(self, e) -> Decimal:
-        d = self._qpows.get(e)
-        if d is None:
-            te = e * self.denom if type(e) is int else Fraction(e) * self.denom
-            if te.denominator != 1:
-                raise ValueError(f"exponent {e} not representable at denom "
-                                 f"{self.denom}")
-            d = self._qpows[e] = self.dc.power(self.q_unit, int(te))
-        return d
+        te = e * self.denom if type(e) is int else Fraction(e) * self.denom
+        if te.denominator != 1:
+            raise ValueError(f"exponent {e} not representable at denom "
+                             f"{self.denom}")
+        return self.dc.power(self.q_unit, int(te))
 
     def mul(self, *vals):
         num, mul = self.num, self._mul

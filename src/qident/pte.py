@@ -103,17 +103,13 @@ def check_bridge(a: Sequence, b: Sequence) -> bool:
         prod(1 - a_i) = prod(Z - a_i) - (Z - 1) * prod(Z - b_i)
 
     identically in Z. Holding this is what licenses pte_alpha_beta.
+    The roots of (Z - 1) prod(Z - b_i) are B + {1}, and a constant
+    difference is prod(1 - a_i) anyway (set Z = 1), so this is the ideal
+    criterion `check_ideal_poly` for A against B + {1}.
     """
     if len(b) != len(a) - 1:
         raise SizeMismatch(f"need sizes (m, m-1), got ({len(a)}, {len(b)})")
-    pa = _poly_from_roots(a)
-    pb = _poly_from_roots(b)          # degree m-1
-    shifted = [Fraction(0)] + pb      # Z * prod(Z - b_i)
-    rhs = [s - c for s, c in zip(shifted, pb + [Fraction(0)])]  # (Z-1)*prod
-    diff = [ca - cb for ca, cb in zip(pa, rhs)]
-    # constant difference equals prod(1 - a_i) automatically (set Z = 1),
-    # so the identity holds iff every positive-degree coefficient cancels
-    return not any(diff[1:])
+    return check_ideal_poly(a, tuple(b) + (1,))[0]
 
 
 _FAMILY6_RAW = (
@@ -190,7 +186,7 @@ def bridge_sequences(ctx: Ctx, a: Sequence, b: Sequence, base=None):
     p = ctx.qpow(1) if base is None else base
     lower = [ctx.mul(bi, p) for bi in b]
     return (phi_term(ctx, a, lower, p, ctx.pow_int(p, len(a))),
-            poch_quotient(ctx, a, [p, *lower], p, shift=p))
+            poch_quotient(ctx, [ctx.mul(ai, p) for ai in a], [p, *lower], p))
 
 
 def pte_alpha_beta(a: Sequence, b: Sequence, base: QMonomial = _Q

@@ -401,9 +401,9 @@ def _b_poly2q(ctx, p):
     downs = [ctx.mul(ctx.div(a, c), qm), ctx.mul(ctx.div(a, b), qm),
              ctx.mul(b, c, qm), qm]
     alpha = poch_quotient(ctx, ups, downs, qm)
-    return cor_transform(ctx, p["x"], p["y"], p["z"],
-                         poch_quotient(ctx, ups, downs, qm, shift=qm),
-                         lambda n: ctx.mul(ctx.vwp(a, n, qm), alpha(n)),
+    beta = poch_quotient(ctx, [ctx.mul(u, qm) for u in ups], downs, qm)
+    return cor_transform(ctx, p["x"], p["y"], p["z"], beta,
+                         lambda n: alpha(n, ctx.vwp(a, n, qm)),
                          arg=ctx.mul(p["x"], qm))
 
 
@@ -422,10 +422,10 @@ def _s_poly2q(rng, mode):
 def _b_phi65(ctx, p):
     a, b = p["a"], p["b"]
     qq = ctx.qpow(1)
-    ups, downs = [a, b], [qq, ctx.mul(a, b, qq)]
-    return cor_transform(ctx, p["x"], p["y"], p["z"],
-                         poch_quotient(ctx, ups, downs, qq, shift=qq),
-                         poch_quotient(ctx, ups, downs, qq),
+    downs = [qq, ctx.mul(a, b, qq)]
+    beta = poch_quotient(ctx, [ctx.mul(a, qq), ctx.mul(b, qq)], downs, qq)
+    return cor_transform(ctx, p["x"], p["y"], p["z"], beta,
+                         poch_quotient(ctx, [a, b], downs, qq),
                          arg=ctx.mul(p["x"], qq))
 
 
@@ -562,10 +562,11 @@ def _s_bibasic(rng, mode):
         out["B"] = QMonomial(rng.choice(pool), eB)
         return out
     out = _xyz(rng, "numeric")
+    # the q unit comes from QUPOOL, drawn after p and B and keyed last
     del out["q"]
     out["p"] = rng.choice([F(1, 3), F(-1, 3), F(2, 5), F(1, 2), F(-2, 5)])
     out["B"] = rng.choice([F(1, 2), F(-1, 2), F(2, 3), F(3, 5), F(-3, 4)])
-    out["__q_unit"] = rng.choice(QUPOOL)
+    out["q"] = rng.choice(QUPOOL)
     return out
 
 
@@ -599,7 +600,7 @@ def _s_rrs3eq1(rng, mode):
         return {"x": QMonomial(rng.choice(SMALL_COEFS), 2 * rng.randint(1, 2)),
                 "a": a, "b": b}
     return {"x": rng.choice([F(1, 2), F(-1, 2), F(2, 5), F(1, 3)]),
-            "a": a, "b": b, "__q_unit": rng.choice(QUPOOL)}
+            "a": a, "b": b, "q": rng.choice(QUPOOL)}
 
 
 def _b_bb_z0(ctx, p):

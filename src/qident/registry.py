@@ -149,11 +149,9 @@ def sample_params(record_id: str, seed: int, count: int,
             continue
         q_unit = None
         if strategy == "numeric":
-            if "__q_unit" in values:
-                q_unit = values.pop("__q_unit")
-                values["q"] = q_unit ** rec.exponent_denominator
-            else:
-                q_unit = values.get("q")
+            # a numeric sampler draws the q unit, the d-th root of q
+            q_unit = values["q"]
+            values["q"] = q_unit ** rec.exponent_denominator
         out.append(ParamAssignment(
             values=values, strategy=strategy,
             exponent_denominator=rec.exponent_denominator, q_unit=q_unit,

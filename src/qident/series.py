@@ -96,10 +96,6 @@ class QMonomial(NamedTuple):
     def __neg__(self) -> "QMonomial":
         return QMonomial(-self.coef, self.exp) if self.coef else _QM_ZERO
 
-    def rescale(self, d: int) -> "QMonomial":
-        """Multiply the exponent by d (change of variable q -> t^d)."""
-        return QMonomial(self.coef, self.exp * d)
-
     def to_series(self, order: Optional[int] = None) -> "LaurentSeries":
         """Exact conversion; by default an exact (untruncated) monomial."""
         if self.is_zero:
@@ -265,10 +261,6 @@ class LaurentSeries:
         if self.nums:
             return self.min_deg
         return float("inf") if self.order is None else self.order + 1
-
-    def valuation(self) -> Optional[int]:
-        """Lowest exponent with a nonzero coefficient, None if zero."""
-        return self.min_deg if self.nums else None
 
     def coeff(self, exponent: int) -> Rational:
         """Coefficient at `exponent`; raises beyond the known window."""

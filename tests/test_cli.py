@@ -117,3 +117,18 @@ def test_suite_empty_filter_exit2(capsys):
     assert code == 2
     assert "no identity matches 'zzz*'" in err
     assert "equal" not in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["pte-check", "--a", "1,2", "--b", "3,4", "--k", "0"],
+     "--k: must be >= 1"),
+    (["pte-family", "--family", "6", "--m", "0"], "--m: must be nonzero"),
+    (["pte-family", "--family", "6", "--n", "0"], "--n: must be nonzero"),
+    (["pte-family", "--family", "12", "--m", "0"], "--m: must be nonzero"),
+    (["pte-family", "--family", "6", "--m", "1/0"], "--m: bad rational"),
+])
+def test_pte_degenerate_arguments_exit2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert "equal" not in out

@@ -10,6 +10,7 @@ from qident.bailey import (
     AlphaSequence,
     ChainParams,
     WPPair,
+    poch_quotient,
     running_sums,
     unit_alpha,
     wp_beta,
@@ -205,3 +206,62 @@ def test_non_monomial_arguments_rejected():
         poch_finite(series, Q, 2)
     with pytest.raises(TypeError):
         vwp_factor(series, 2, 10)
+
+
+# ------------------------------------------------------------ poch_quotient
+
+QUOTIENT_CASES = [
+    ([], [], []),
+    ([mono(2, 1), mono(-1, 2)], [], []),
+    ([], [mono(3, 1), mono(F(1, 2), 2)], []),
+    ([], [], [mono(5, 3), F(-2, 3)]),
+    ([mono(2, 1), mono(-1, 2)], [mono(3, 1), mono(F(1, 2), 2)],
+     [mono(5, 3), F(-2, 3)]),
+]
+
+
+@pytest.mark.parametrize("ups,downs,more", QUOTIENT_CASES)
+@pytest.mark.parametrize("base", [Q, mono(1, 2)])
+def test_poch_quotient_exact_factor_by_factor(ups, downs, more, base):
+    N = 25
+    ctx = ExactCtx(N)
+    quot = poch_quotient(ctx, ups, downs, base)
+    for n in range(5):
+        want = LS.one(N)
+        for u in ups:
+            want = want * poch_finite(u, base, n, N)
+        for d in downs:
+            want = want * poch_finite(d, base, n, N).invert(N)
+        for m in more:
+            want = want * LS.coerce(m, N)
+        got = ctx.finalize(quot(n, *more))
+        assert got.compare(want, N) is None
+
+
+@pytest.mark.parametrize("ups,downs,more", QUOTIENT_CASES)
+@pytest.mark.parametrize("base", [Q, mono(1, 2)])
+def test_poch_quotient_numeric_factor_by_factor(ups, downs, more, base):
+    q = F(1, 7)
+    ctx = NumericCtx(q)
+
+    def at(v):
+        return v.coef * q ** v.exp if isinstance(v, QMonomial) else v
+
+    def poch(a, n):
+        out = F(1)
+        for j in range(n):
+            out *= 1 - at(a) * at(base) ** j
+        return out
+
+    quot = poch_quotient(ctx, [at(u) for u in ups], [at(d) for d in downs],
+                         at(base))
+    for n in range(5):
+        want = F(1)
+        for u in ups:
+            want *= poch(u, n)
+        for d in downs:
+            want /= poch(d, n)
+        for m in more:
+            want *= at(m)
+        assert abs(quot(n, *[at(m) for m in more]) - ctx.num(want)) \
+            <= ctx.tol
