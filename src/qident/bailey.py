@@ -7,8 +7,10 @@ The transforms are written once, against the `Ctx` algebra of
 `context.py`, so that the catalog records and the exact API below share
 them under both the exact and the numeric strategy:
 
-  * `poch_quotient` -- (n, *more) -> a Pochhammer quotient times a
-    term's other factors, the shape of most summands below;
+  * `poch_quotient` -- (n, *more) -> s^n times a Pochhammer quotient in
+    one base, times a term's other factors: `ctx.quotient`, the shape of
+    most summands below (the geometric factor z^n or x^n of a summand is
+    its s);
   * `wp_beta_sum` -- beta_n from the defining relation;
   * `wp_chain_alpha`, `wp_chain_beta` -- the chain step: the new alpha,
     and the closed form of its beta;
@@ -134,12 +136,14 @@ def _total(ctx: Ctx, terms):
     return reduce(ctx.add, terms) if terms else ctx.num(0)
 
 
-def poch_quotient(ctx: Ctx, ups, downs, base):
-    """(n, *more) -> prod (u; base)_n / prod (d; base)_n over u in ups and
-    d in downs, times the term's other factors `more`, in one ctx.mul."""
-    return lambda n, *more: ctx.mul(
-        *[ctx.poch(u, base, n) for u in ups],
-        *[ctx.inv_poch(d, base, n) for d in downs], *more)
+def poch_quotient(ctx: Ctx, ups, downs, base, s=None):
+    """(n, *more) -> s^n prod (u; base)_n / prod (d; base)_n over u in ups
+    and d in downs (no s^n when s is None), times the term's other factors
+    `more`: `ctx.quotient` with every factor in `base`. Under ExactCtx
+    that is one ctx.mul per term; under NumericCtx one term-ratio step,
+    so build the quotient once per sum."""
+    return ctx.quotient([(u, base) for u in ups], [(d, base) for d in downs],
+                        s)
 
 
 def wp_beta_sum(ctx: Ctx, a, k, alpha_at, n: int,
@@ -178,15 +182,15 @@ def wp_transform(ctx: Ctx, a, k, r1, r2, alpha_at,
     kq1, kq2 = ctx.div(kq, r1), ctx.div(kq, r2)
     aq1, aq2 = ctx.div(aq, r1), ctx.div(aq, r2)
 
-    lhs_quot = poch_quotient(ctx, [r1, r2], [kq1, kq2], qq)
-    rhs_quot = poch_quotient(ctx, [r1, r2], [aq1, aq2], qq)
+    lhs_quot = poch_quotient(ctx, [r1, r2], [kq1, kq2], qq, z)
+    rhs_quot = poch_quotient(ctx, [r1, r2], [aq1, aq2], qq, z)
 
     def lhs_term(n):
-        return lhs_quot(n, ctx.vwp(k, n), ctx.pow_int(z, n),
+        return lhs_quot(n, ctx.vwp(k, n),
                         wp_beta_sum(ctx, a, k, alpha_at, n, support))
 
     def rhs_term(n):
-        return rhs_quot(n, ctx.pow_int(z, n), alpha_at(n))
+        return rhs_quot(n, alpha_at(n))
 
     pref = ctx.mul(
         ctx.poch_inf(kq, qq), ctx.poch_inf(ctx.div(kq, ctx.mul(r1, r2)), qq),
@@ -208,8 +212,8 @@ def wp_chain_alpha(ctx: Ctx, a, r1, r2, alpha_at, n: int):
     qq = ctx.qpow(1)
     aq = ctx.mul(a, qq)
     quot = poch_quotient(ctx, [r1, r2], [ctx.div(aq, r1), ctx.div(aq, r2)],
-                         qq)
-    return quot(n, ctx.pow_int(ctx.div(aq, ctx.mul(r1, r2)), n), alpha_at(n))
+                         qq, ctx.div(aq, ctx.mul(r1, r2)))
+    return quot(n, alpha_at(n))
 
 
 def wp_chain_beta(ctx: Ctx, a, k, r1, r2, alpha_at, n: int,
@@ -232,12 +236,11 @@ def wp_chain_beta(ctx: Ctx, a, k, r1, r2, alpha_at, n: int,
     kc = ctx.div(aq, ctx.mul(r1, r2))
     c = ctx.div(ctx.mul(k, r1, r2), aq)
     qc = ctx.mul(qq, c)
-    weight = poch_quotient(ctx, [r1, r2], [kr1, kr2], qq)
+    weight = poch_quotient(ctx, [r1, r2], [kr1, kr2], qq, kc)
     inner = _total(ctx, [
         weight(j, ctx.vwp(c, j),
                ctx.poch(kc, qq, n - j), ctx.poch(k, qq, n + j),
                ctx.inv_poch(qq, qq, n - j), ctx.inv_poch(qc, qq, n + j),
-               ctx.pow_int(kc, j),
                wp_beta_sum(ctx, a, c, alpha_at, j, support))
         for j in range(n + 1)])
     return poch_quotient(ctx, [kr1, kr2], [aq1, aq2], qq)(n, inner)
@@ -257,11 +260,12 @@ def cor_lhs(ctx: Ctx, x, y, z, beta_at, idx=lambda n: n, base=None):
     index n."""
     k = ctx.mul(x, y, z)
     p = ctx.qpow(1) if base is None else base
-    quot = poch_quotient(ctx, [y, z], [ctx.mul(p, x, y), ctx.mul(p, x, z)], p)
+    quot = poch_quotient(ctx, [y, z], [ctx.mul(p, x, y), ctx.mul(p, x, z)], p,
+                         x)
 
     def term(n):
         i = idx(n)
-        return quot(i, ctx.vwp(k, i, base), ctx.pow_int(x, i), beta_at(n))
+        return quot(i, ctx.vwp(k, i, base), beta_at(n))
 
     return ctx.summation(term)
 
@@ -272,11 +276,10 @@ def cor_rhs_sum(ctx: Ctx, x, y, z, alpha_at, arg=None, start: int = 0,
     with base p (default q); arg defaults to x, and `start` and `times` go
     to ctx.summation."""
     p = ctx.qpow(1) if base is None else base
-    quot = poch_quotient(ctx, [y, z], [ctx.mul(x, y), ctx.mul(x, z)], p)
-    base_arg = x if arg is None else arg
-    return ctx.summation(
-        lambda n: quot(n, ctx.pow_int(base_arg, n), alpha_at(n)),
-        start=start, times=times)
+    quot = poch_quotient(ctx, [y, z], [ctx.mul(x, y), ctx.mul(x, z)], p,
+                         x if arg is None else arg)
+    return ctx.summation(lambda n: quot(n, alpha_at(n)), start=start,
+                         times=times)
 
 
 def cor_transform(ctx: Ctx, x, y, z, beta_at, alpha_at, arg=None):
@@ -302,15 +305,15 @@ def phi_term(ctx: Ctx, upper, lower, base, z):
         * ((-1)^n p^{n(n-1)/2})^{s+1-r} * z^n
 
     with base p."""
-    quotient = poch_quotient(ctx, upper, [base, *lower], base)
+    quotient = poch_quotient(ctx, upper, [base, *lower], base, z)
     excess = len(lower) + 1 - len(upper)
 
     def term(n):
         if not excess:
-            return quotient(n, ctx.pow_int(z, n))
+            return quotient(n)
         sign_power = ctx.mul(ctx.num((-1) ** n),
                              ctx.pow_int(base, n * (n - 1) // 2))
-        return quotient(n, ctx.pow_int(sign_power, excess), ctx.pow_int(z, n))
+        return quotient(n, ctx.pow_int(sign_power, excess))
 
     return term
 
@@ -330,8 +333,9 @@ def running_sums(ctx: Ctx, value_at):
 
 def sv_quotient(ctx: Ctx, p_, P_, Q_, R_, a, b, c, shifted: bool):
     """n -> the four-up/four-down base quotient shared by the telescoping
-    sum and its closed form; `shifted` advances numerator args by
-    base^2. The eight (argument, base) pairs are built once."""
+    sum and its closed form (`ctx.quotient` over mixed bases); `shifted`
+    advances numerator args by base^2. The eight (argument, base) pairs
+    are built once."""
     p2, P2, Q2, R2 = (ctx.pow_int(v, 2) for v in (p_, P_, Q_, R_))
     ups = [(a, p2), (b, P2), (c, R2), (ctx.div(a, ctx.mul(b, c)), Q2)]
     if shifted:
@@ -343,9 +347,7 @@ def sv_quotient(ctx: Ctx, p_, P_, Q_, R_, a, b, c, shifted: bool):
     downs = [(pqr_p, pqr_p), (ctx.div(ctx.mul(a, ppq_r), c), ppq_r),
              (ctx.div(ctx.mul(a, pqr_P), b), pqr_P),
              (ctx.mul(b, c, ppr_q), ppr_q)]
-    return lambda n: ctx.mul(
-        ctx.mul(*[ctx.poch(u, base, n) for u, base in ups]),
-        ctx.mul(*[ctx.inv_poch(d, base, n) for d, base in downs]))
+    return ctx.quotient(ups, downs)
 
 
 def sv_linear(ctx: Ctx, p_, P_, Q_, R_, a, b, c, n: int):

@@ -9,6 +9,7 @@ Exit codes: 0 all equal / check passed, 1 any mismatch or failed check,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -27,6 +28,10 @@ from .series import DEFAULT_ORDER
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+#: options whose value is a rational or a comma-separated list of them
+_RATIONAL_OPTIONS = ("--a", "--b", "--m", "--n", "--K")
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
 
 
 def _parse_multiset(text: str):
@@ -51,6 +56,20 @@ def nonzero_fraction(text: str) -> Fraction:
     if not value:
         raise argparse.ArgumentTypeError("must be nonzero")
     return value
+
+
+def _attach_negative_values(argv):
+    """`--a -1,2` as `--a=-1,2` for the _RATIONAL_OPTIONS: argparse takes a
+    token that starts with '-' for an option name unless it is a plain
+    negative number, so `-1,2` and `-1/2` would never reach the option's
+    type. No option name starts with '-' and a digit or a point."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _add_common(sub):
@@ -142,7 +161,8 @@ def _run_reports(reports, args, meta):
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_negative_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as ex:
         return EXIT_USAGE if ex.code not in (0, None) else EXIT_OK
 

@@ -11,23 +11,26 @@ run under two strategies:
     q-powers stay exact), computed in a decimal context of its own.
 
 Both expose the same operations: rational constants, q-powers, finite and
-infinite Pochhammer products (cached incrementally), the very-well-poised
-factor, and a tail-aware summation. `summation(term, times=m)` is m times
-the sum; ExactCtx sums max(0, -exp(m)) deeper, so that the product is
-still known through the target. ExactCtx's `one`, and `poch`, `inv_poch`
-and `vwp` at n = 0 or a zero argument, are the scalar 1 (`vwp` at k = 1
-still raises DegenerateVWP), and `add`/`sub` of the scalar 0 return the
-other operand, so a trivial factor adds no series to a product. Summands on
+infinite Pochhammer products (cached incrementally), the Pochhammer
+quotient n -> s^n prod (u; p_u)_n / prod (d; p_d)_n (`quotient`, the
+shape of most summands), the very-well-poised factor, and a tail-aware
+summation. `summation(term, times=m)` is m times the sum; ExactCtx sums
+max(0, -exp(m)) deeper, so that the product is still known through the
+target. ExactCtx's `one`, and `poch`, `inv_poch` and `vwp` at n = 0 or a
+zero argument, are the scalar 1 (`vwp` at k = 1 still raises
+DegenerateVWP), and `add`/`sub` of the scalar 0 return the other operand,
+so a trivial factor adds no series to a product. Summands on
 negative q-powers dip below degree 0, so a build may need a construction
 order above the comparison target; `exact_run` measures it: an
 OrderInsufficient names its shortfall, and the build reruns with that
 much more headroom.
 
 A NumericCtx owns its precision and its caches (see the class): each
-distinct rational is converted once and each Pochhammer product is
-extended by a running power. The caches live on the context, not in the
-module, because their values depend on q and the precision, and because
-one context serves one build on one thread.
+distinct rational is converted once, each Pochhammer product is extended
+by a running power, and a quotient steps from one term to the next by its
+term ratio. The caches live on the context, not in the module, because
+their values depend on q and the precision, and because one context
+serves one build on one thread.
 
 Under ExactCtx a product that involves a series is kept unmultiplied: `mul`
 returns one monomial c*t^e times a flat list of series parts (nested
@@ -57,6 +60,8 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
 from typing import Callable, Dict, Optional, Union
 
 from .errors import (
@@ -81,6 +86,7 @@ from .series import _QM_ONE, LaurentSeries, QMonomial
 
 _ONE = Fraction(1)
 _D_ONE = Decimal(1)
+_ONES = repeat(_D_ONE)
 
 
 class _Product:
@@ -235,6 +241,19 @@ class ExactCtx:
     def inv_poch(self, a, base, n: int):
         return self._poch(a, base, n, True)
 
+    def quotient(self, ups, downs, s=None):
+        """(n, *more) -> s^n prod (u; p_u)_n / prod (d; p_d)_n over the
+        (argument, base) pairs `ups` and `downs`, times the term's other
+        factors `more`: the PochTower values, the monomial s^n (1 when s
+        is None) and `more` in one `mul`."""
+        def at(n, *more):
+            return self.mul(*[self.poch(u, p, n) for u, p in ups],
+                            *[self.inv_poch(d, p, n) for d, p in downs],
+                            *(() if s is None else (self.pow_int(s, n),)),
+                            *more)
+
+        return at
+
     def poch_inf(self, a, base) -> LaurentSeries:
         return poch_infinite(as_monomial(_force(a)),
                              as_monomial(_force(base)), self.order)
@@ -319,6 +338,61 @@ class _PochRun:
         return vals[n]
 
 
+class _QuotientRun:
+    """n -> s^n prod (u; p_u)_n / prod (d; p_d)_n in a decimal context, by
+    its term ratio (Gasper & Rahman, section 1.2):
+
+        Q(j+1) = Q(j) * s * prod (1 - u p_u^j) / prod (1 - d p_d^j).
+
+    It keeps the values Q(0..j) reached so far and the running power
+    u p_u^j of each factor (as `_PochRun` does), so one more step costs
+    three operations per factor and one division. A lower factor that
+    vanishes at step j makes every n > j raise DegenerateDenominator, as
+    `inv_poch` does; once an upper factor (or s) vanishes, Q stays 0."""
+
+    __slots__ = ("vals", "up_runs", "up_bases", "down_runs", "down_bases",
+                 "num0", "den0", "pole", "dc")
+
+    def __init__(self, ups, downs, s, dc: decimal.Context):
+        self.vals = [_D_ONE]
+        self.up_runs = [u for u, _ in ups]
+        self.up_bases = [p for _, p in ups]
+        self.down_runs = [d for d, _ in downs]
+        self.down_bases = [p for _, p in downs]
+        # the start of each product of a step, so that no step multiplies
+        # by 1: s, or nothing unless the product is empty
+        self.num0 = (s,) if s is not None else () if ups else (_D_ONE,)
+        self.den0 = () if downs else (_D_ONE,)
+        self.pole = False
+        self.dc = dc
+
+    def at(self, n: int) -> Decimal:
+        vals = self.vals
+        if n < len(vals):
+            return vals[n]
+        if not self.pole:
+            dc = self.dc
+            mul, sub = dc.multiply, dc.subtract
+            ups, downs = self.up_runs, self.down_runs
+            up_bases, down_bases = self.up_bases, self.down_bases
+            num0, den0, last = self.num0, self.den0, vals[-1]
+            for _ in range(n + 1 - len(vals)):
+                num = reduce(mul, map(sub, _ONES, ups), *num0)
+                den = reduce(mul, map(sub, _ONES, downs), *den0)
+                ups = list(map(mul, ups, up_bases))
+                downs = list(map(mul, downs, down_bases))
+                if not den:
+                    self.pole = True
+                    break
+                if last:
+                    last = dc.divide(mul(last, num), den)
+                vals.append(last)
+            self.up_runs, self.down_runs = ups, downs
+            if n < len(vals):
+                return vals[n]
+        raise DegenerateDenominator("vanishing Pochhammer denominator")
+
+
 class NumericCtx:
     """Numeric strategy: decimals at a rational q, in a decimal context of
     its own.
@@ -335,6 +409,9 @@ class NumericCtx:
       * `num`: each distinct rational, converted to a Decimal once;
       * `poch` (and `inv_poch`): for each (argument, base) pair, a
         `_PochRun` that extends (a; base)_n by a running power.
+    A `quotient` is not memoized by its arguments: each call builds a
+    `_QuotientRun` that steps from one term to the next by the term
+    ratio, so a summand builds its quotient once per sum, not per term.
     A q-power is not memoized: most are asked for once per context. A
     builder that passes the same Decimal object again (a loop-invariant
     argument built once, a memoized rational) also reuses its cached
@@ -416,6 +493,17 @@ class NumericCtx:
         if not p:
             raise DegenerateDenominator("vanishing Pochhammer denominator")
         return self.dc.divide(_D_ONE, p)
+
+    def quotient(self, ups, downs, s=None):
+        """(n, *more) -> s^n prod (u; p_u)_n / prod (d; p_d)_n over the
+        (argument, base) pairs `ups` and `downs`, times the term's other
+        factors `more`: a lookup in this call's `_QuotientRun`."""
+        num = self.num
+        at = _QuotientRun([(num(u), num(p)) for u, p in ups],
+                          [(num(d), num(p)) for d, p in downs],
+                          None if s is None else num(s), self.dc).at
+        mul = self.mul
+        return lambda n, *more: mul(at(n), *more) if more else at(n)
 
     def poch_inf(self, a, base) -> Decimal:
         a, base = self.num(a), self.num(base)

@@ -132,3 +132,22 @@ def test_pte_degenerate_arguments_exit2(capsys, argv, message):
     assert code == 2
     assert message in err
     assert "equal" not in out
+
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    (["pte-check", "--a", "-1,2", "--b", "0,1", "--k", "1"], 0,
+     "equal power sums for e = 1..1"),
+    (["pte-check", "--a", "-1,2", "--b", "-.5,1.5", "--k", "2"], 1,
+     "failure at e=2: 5 != 5/2"),
+    (["pte-check", "--a", "1,-2", "--b", "-1/2,-1/2", "--k", "1"], 0,
+     "equal power sums for e = 1..1"),
+    (["pte-family", "--family", "6", "--m", "2", "--n", "-1/2"], 0,
+     "B = -75/4, -43/4, -53/4, 13/2, -3/2, 1"),
+    (["pte-family", "--family", "12", "--m", "-1/3", "--K", "-2"], 0,
+     "power sums equal through e = 11: True"),
+])
+def test_negative_rationals_after_a_space(capsys, argv, code, line):
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert line in out.splitlines()

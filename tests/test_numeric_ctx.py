@@ -1,20 +1,23 @@
 """NumericCtx: its own decimal context, the memoized Pochhammer kernel
-against plain Fraction products, and numeric verdicts that do not depend
-on the caller's decimal settings, the call order or the thread."""
+and the term-ratio quotient against plain Fraction products, and numeric
+verdicts that do not depend on the caller's decimal settings, the call
+order or the thread."""
 
 import decimal
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qident import context
-from qident.bailey import wp_transform
-from qident.context import NumericCtx
+from qident.bailey import poch_quotient, wp_transform
+from qident.context import ExactCtx, NumericCtx
+from qident.errors import DegenerateDenominator
 from qident.qfunc import NUMERIC_PRECISION
 from qident.registry import (catalog, document_json, sample_params,
                              strip_timing, suite_document, verify_one,
                              verify_suite, with_injected_fault)
-from qident.series import DEFAULT_ORDER
+from qident.series import DEFAULT_ORDER, QMonomial
 
 #: the agreement the kernel promises, relative (see `scale`)
 DELTA = F(1, 10 ** (NUMERIC_PRECISION - 5))
@@ -111,6 +114,128 @@ def test_property_check_catches_off_by_one_running_power(monkeypatch):
         assert max(poch_gaps(NumericCtx(F(1, 7)), a, base, n)) > DELTA
 
 
+# ------------------------------------------------------- the quotient
+
+PAIR = st.tuples(RAT, BASE)
+S = st.none() | st.just(F(0)) | RAT
+
+#: orders in which the summands ask for a quotient: a plain sum, cor_lhs's
+#: idx = 2n, a repeated lookup, and a walk back down
+ACCESS = {
+    "ascending": lambda top: list(range(top + 1)),
+    "strided": lambda top: list(range(0, 2 * top + 1, 2)),
+    "repeated": lambda top: [top, top, 0, top, 0],
+    "descending": lambda top: list(range(top, -1, -1)),
+}
+
+
+def quotient_gap(value, ups, downs, s, n):
+    """|value - Q(n)| over the scale a quotient can promise: |s|^n times
+    the scales of its products, over the denominator squared (the error
+    of 1/D is the error of D over D^2); where s^n = 0, |value| itself.
+    None where the Fraction denominator vanishes."""
+    up, down, sc = F(1), F(1), F(1)
+    for a, base in ups:
+        up *= fraction_poch(a, base, n)
+        sc *= scale(a, base, n)
+    for d, base in downs:
+        down *= fraction_poch(d, base, n)
+        sc *= scale(d, base, n)
+    if not down:
+        return None
+    sn = F(1) if s is None else s ** n
+    return abs(F(value) - sn * up / down) / (abs(sn) * sc / down ** 2 or 1)
+
+
+def inv_poch_raises(ctx, downs, n):
+    try:
+        for d, base in downs:
+            ctx.inv_poch(d, base, n)
+    except DegenerateDenominator:
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(PAIR, max_size=3), st.lists(PAIR, max_size=3), S,
+       st.sampled_from(sorted(ACCESS)), st.integers(0, 20))
+def test_quotient_matches_fraction_quotient(ups, downs, s, order, top):
+    ctx = NumericCtx(F(1, 7))
+    quot = ctx.quotient(ups, downs, s)
+    for n in ACCESS[order](top):
+        if inv_poch_raises(NumericCtx(F(1, 7)), downs, n):
+            with pytest.raises(DegenerateDenominator):
+                quot(n)
+            continue
+        g = quotient_gap(quot(n), ups, downs, s, n)
+        # None: a pole that the rounded running power misses, as it does
+        # for inv_poch; there is no value to compare
+        assert g is None or g <= DELTA
+
+
+def test_quotient_pole_raises_where_inv_poch_does():
+    # 1 - 4 (1/2)^2 = 0: (4; 1/2)_n vanishes from n = 3 on, the upper
+    # (2; 1/2)_n from n = 2 on
+    ups, downs = [(F(2), F(1, 2))], [(F(1, 3), F(-1, 2)), (F(4), F(1, 2))]
+    values = {0: 1, 1: F(-3, 2), 2: 0}
+    ctx = NumericCtx(F(1, 7))
+    quot = ctx.quotient(ups, downs, F(-3))
+    for n in (5, 1, 3, 0, 2, 4, 3):
+        if n in values:
+            assert not inv_poch_raises(ctx, downs, n)
+            assert quot(n) == values[n]
+        else:
+            assert inv_poch_raises(ctx, downs, n)
+            with pytest.raises(DegenerateDenominator):
+                quot(n)
+
+
+class _RunAhead(context._QuotientRun):
+    """A mutant: every running power starts one step ahead, at u*p."""
+
+    def __init__(self, ups, downs, s, dc):
+        super().__init__(ups, downs, s, dc)
+        self.up_runs = list(map(dc.multiply, self.up_runs, self.up_bases))
+        self.down_runs = list(map(dc.multiply, self.down_runs,
+                                  self.down_bases))
+
+
+def test_property_check_catches_off_by_one_quotient_run(monkeypatch):
+    draws = [([(F(1, 3), F(1, 2))], [(F(-7, 4), F(-3, 20))], F(-2, 5), 5),
+             ([], [(F(2), F(1, 3)), (F(1, 5), F(1, 2))], None, 12),
+             ([(F(5, 2), F(-1, 4)), (F(1, 9), F(1, 3))], [], F(3), 1)]
+
+    def gaps():
+        return [quotient_gap(NumericCtx(F(1, 7)).quotient(ups, downs, s)(n),
+                             ups, downs, s, n)
+                for ups, downs, s, n in draws]
+
+    assert max(gaps()) <= DELTA
+    monkeypatch.setattr(context, "_QuotientRun", _RunAhead)
+    assert min(gaps()) > DELTA
+
+
+def test_poch_quotient_exact_numeric_coherence():
+    # s^n (q^2, -2q; q)_n / (q/3, q^3/2; q)_n with s = -2q/3: the exact
+    # series at q0 = 1/7 against the numeric quotient at q0; the
+    # truncation error at order 80 is below 1e-60
+    N, q0 = 80, F(1, 7)
+    ups = [QMonomial.of(1, 2), QMonomial.of(-2, 1)]
+    downs = [QMonomial.of(F(1, 3), 1), QMonomial.of(F(1, 2), 3)]
+    s = QMonomial.of(F(-2, 3), 1)
+
+    def at(m):
+        return m.coef * q0 ** m.exp
+
+    ectx = ExactCtx(N)
+    exact = poch_quotient(ectx, ups, downs, QMonomial.of(1, 1), s)
+    numeric = poch_quotient(NumericCtx(q0), [at(u) for u in ups],
+                            [at(d) for d in downs], q0, at(s))
+    for n in (0, 1, 4, 9):
+        want = ectx.finalize(exact(n)).eval_at(q0)
+        assert abs(F(numeric(n)) - want) <= F(1, 10 ** 60)
+
+
 # --------------------------------------------------- the decimal context
 
 THM_ALPHA = [F(2), F(-1, 3), F(5, 2), F(-4), F(1, 5)]
@@ -144,6 +269,22 @@ def test_verdicts_ignore_ambient_precision():
     with decimal.localcontext(prec=10):
         assert reports() == want
     assert "mismatch" in {status for status, *_ in want}
+
+
+def test_numeric_verdicts_clean_equal_fault_twin_mismatch():
+    """The first three seed-1 numeric draws of every record at order 40:
+    the clean job reads equal and its (1 + q^3) twin mismatch. A draw of
+    a known sampler defect (both cpte5 sides vanishing, a vanishing phi65
+    denominator) fails here by name; none is skipped."""
+    wrong = []
+    for rec in catalog():
+        twin = with_injected_fault(rec, 3)
+        for a in sample_params(rec.id, 1, 3, "numeric"):
+            got = (verify_one(rec, a, 40).status,
+                   verify_one(twin, a, 40).status)
+            if got != ("equal", "mismatch"):
+                wrong.append((rec.id, a.formatted(), got))
+    assert not wrong
 
 
 def test_numeric_suite_deterministic_across_runs_and_workers():
