@@ -139,9 +139,10 @@ def _total(ctx: Ctx, terms):
 def poch_quotient(ctx: Ctx, ups, downs, base, s=None):
     """(n, *more) -> s^n prod (u; base)_n / prod (d; base)_n over u in ups
     and d in downs (no s^n when s is None), times the term's other factors
-    `more`: `ctx.quotient` with every factor in `base`. Under ExactCtx
-    that is one ctx.mul per term; under NumericCtx one term-ratio step,
-    so build the quotient once per sum."""
+    `more`: `ctx.quotient` with every factor in `base`. Both contexts
+    step it by its term ratio (under ExactCtx a PochTower kept per
+    factor tuple, so a term is one series part and one ctx.mul), so
+    build the quotient once per sum."""
     return ctx.quotient([(u, base) for u in ups], [(d, base) for d in downs],
                         s)
 

@@ -25,12 +25,21 @@ order above the comparison target; `exact_run` measures it: an
 OrderInsufficient names its shortfall, and the build reruns with that
 much more headroom.
 
+Both contexts step a quotient from one term to the next by its term
+ratio. Under ExactCtx, `poch`, `inv_poch` and `quotient` read a
+`qfunc.PochTower`, kept per context for each distinct tuple of
+(argument, base, invert) factors; one step costs one binomial
+multiplication or division per factor, each O(width). A quotient term
+is one series part, Q(n), times the monomial s^n and the term's other
+factors, however many factors the quotient has. Q(n) carries the order
+of the product of one tower per factor, so `exact_run` reads the same
+shortfalls as from that product.
+
 A NumericCtx owns its precision and its caches (see the class): each
-distinct rational is converted once, each Pochhammer product is extended
-by a running power, and a quotient steps from one term to the next by its
-term ratio. The caches live on the context, not in the module, because
-their values depend on q and the precision, and because one context
-serves one build on one thread.
+distinct rational is converted once, and each Pochhammer product is
+extended by a running power. The caches live on the context, not in the
+module, because their values depend on q and the precision, and because
+one context serves one build on one thread.
 
 Under ExactCtx a product that involves a series is kept unmultiplied: `mul`
 returns one monomial c*t^e times a flat list of series parts (nested
@@ -221,19 +230,25 @@ class ExactCtx:
 
     # -- q machinery -----------------------------------------------------
 
-    def _poch(self, a, base, n: int, invert: bool):
+    @staticmethod
+    def _factor(a, base, invert: bool):
         am = as_monomial(_force(a))
         bm = as_monomial(_force(base))
         if am is None or bm is None:
             raise TypeError("Pochhammer arguments must be monomial-like")
-        if n == 0 or am.is_zero:
-            return _ONE
-        key = (am, bm, invert)
-        t = self._towers.get(key)
+        return am, bm, invert
+
+    def _tower(self, factors: tuple) -> PochTower:
+        t = self._towers.get(factors)
         if t is None:
-            t = PochTower(am, bm, self.order, invert=invert)
-            self._towers[key] = t
-        return t.upto(n)
+            t = self._towers[factors] = PochTower.of(factors, self.order)
+        return t
+
+    def _poch(self, a, base, n: int, invert: bool):
+        f = self._factor(a, base, invert)
+        if n == 0 or f[0].is_zero:
+            return _ONE
+        return self._tower((f,)).upto(n)
 
     def poch(self, a, base, n: int):
         return self._poch(a, base, n, False)
@@ -244,11 +259,18 @@ class ExactCtx:
     def quotient(self, ups, downs, s=None):
         """(n, *more) -> s^n prod (u; p_u)_n / prod (d; p_d)_n over the
         (argument, base) pairs `ups` and `downs`, times the term's other
-        factors `more`: the PochTower values, the monomial s^n (1 when s
-        is None) and `more` in one `mul`."""
+        factors `more`: Q(n) of the quotient's PochTower, which steps by
+        the term ratio, the monomial s^n (1 when s is None) and `more` in
+        one `mul`. Q(0), and Q(n) when every argument is zero, is the
+        scalar 1, so no series part is added."""
+        factors = tuple(
+            f for f in [self._factor(u, p, False) for u, p in ups] +
+            [self._factor(d, p, True) for d, p in downs]
+            if not f[0].is_zero)
+        tower = self._tower(factors) if factors else None
+
         def at(n, *more):
-            return self.mul(*[self.poch(u, p, n) for u, p in ups],
-                            *[self.inv_poch(d, p, n) for d, p in downs],
+            return self.mul(*((tower.upto(n),) if n and tower else ()),
                             *(() if s is None else (self.pow_int(s, n),)),
                             *more)
 
@@ -475,7 +497,9 @@ class NumericCtx:
         return self._mul(self.num(u), self.inv(v))
 
     def pow_int(self, v, k: int):
-        return self.dc.power(self.num(v), k)
+        # v^0 is 1 for every v, as under ExactCtx; decimal's power
+        # rejects 0^0
+        return self.dc.power(self.num(v), k) if k else _D_ONE
 
     def poch(self, a, base, n: int) -> Decimal:
         if type(a) is not Decimal:

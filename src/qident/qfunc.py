@@ -110,45 +110,84 @@ def poch_infinite(a: Value, base: QMonomial, order: int) -> LaurentSeries:
 
 
 class PochTower:
-    """Incremental cache of (a; base)_n for n = 0, 1, 2, ... at fixed order.
+    """Q(n) = prod (a; base)_n over (argument, base, invert) factors, with
+    1/(a; base)_n for an inverted one, for n = 0, 1, 2, ... at a fixed
+    order. `PochTower(a, base, order, invert)` is one factor, and
+    `PochTower.of(factors, order)` any number: a Pochhammer quotient is
+    its upper factors and its inverted lower ones.
 
-    With invert=True it caches 1/(a; base)_n instead, extending by one
-    binomial division per step, so a sum over n reuses all shorter
-    prefixes. A vanishing constant factor raises DegenerateDenominator. A
-    factor on a negative power lowers the known order by its dip, which
-    the caller's working order must cover (see `context.exact_run`).
+    The tower steps by its term ratio (Gasper & Rahman, section 1.2),
+
+        Q(j+1) = Q(j) * prod (1 - a base^j)^(+1 or -1),
+
+    one binomial multiplication or division per factor, each O(width),
+    and keeps Q(0..n), so lookups may come in any order and a sum over n
+    reuses every shorter product. A zero argument is the factor 1.
+
+    Q(n) carries the order of the product of one-factor towers under
+    `LaurentSeries.mul`'s order rule. A factor on a negative power shifts
+    the known order by its dip, which the caller's working order must
+    cover (see `context.exact_run`). A zero Q gains order + 1 for each
+    vanished factor past the first, as a product of zero series does. A
+    vanishing inverted factor raises DegenerateDenominator for every n
+    past it; a factor that is not inverted and has a negative-exponent
+    argument on a constant base raises NonTruncatable for every n >= 1.
     """
 
-    def __init__(self, a: Value, base: QMonomial, order: int,
+    def __init__(self, a: Value, base: Value, order: int,
                  invert: bool = False):
-        self.base = base
+        self._start([(a, base, invert)], order)
+
+    @classmethod
+    def of(cls, factors, order: int) -> "PochTower":
+        tower = cls.__new__(cls)
+        tower._start(factors, order)
+        return tower
+
+    def _start(self, factors, order: int) -> None:
         self.order = order
-        self.invert = invert
-        self._mono = as_monomial(a)
-        if self._mono is None:
-            raise TypeError("PochTower requires a monomial-like argument")
-        if not invert and self._mono.exp < 0 and base.exp == 0:
-            raise NonTruncatable(
-                "constant base with negative-exponent argument")
         self._vals: List[LaurentSeries] = [LaurentSeries.one(order)]
+        self._last = self._vals[0]      # Q at the last step, zero or not
+        # each factor's next binomial (1 + c q^e) as [c, e, a, base, invert]
+        self._runs = []
+        self._flat_dip = False
+        self._vanished = set()          # factors that made Q zero
+        for a, base, invert in factors:
+            am, bm = as_monomial(a), as_monomial(base)
+            if am is None or bm is None:
+                raise TypeError("PochTower requires monomial-like arguments")
+            if not am.is_zero:
+                self._flat_dip |= not invert and am.exp < 0 and bm.exp == 0
+                self._runs.append([-am.coef, am.exp, am, bm, invert])
 
     def upto(self, n: int) -> LaurentSeries:
-        while len(self._vals) <= n:
-            j = len(self._vals) - 1
-            cur = self._vals[-1]
-            if self._mono.is_zero:
-                self._vals.append(cur)
-                continue
-            c = -self._mono.coef * self.base.coef ** j
-            e = self._mono.exp + j * self.base.exp
-            if self.invert:
-                if e == 0 and c == -1:
+        vals = self._vals
+        if n < len(vals):
+            return vals[n]
+        if self._flat_dip:
+            raise NonTruncatable(
+                "constant base with negative-exponent argument")
+        runs, vanished = self._runs, self._vanished
+        while len(vals) <= n:
+            j = len(vals) - 1
+            for c, e, am, bm, invert in runs:
+                if invert and e == 0 and c == -1:
                     raise DegenerateDenominator(
-                        f"factor (1 - {self._mono}*{self.base}^{j}) vanishes")
-                self._vals.append(cur.div_binomial(c, e))
-            else:
-                self._vals.append(cur.mul_binomial(c, e))
-        return self._vals[n]
+                        f"factor (1 - {am}*{bm}^{j}) vanishes")
+            cur = self._last
+            for i, run in enumerate(runs):
+                c, e, _, bm, invert = run
+                if invert:
+                    cur = cur.div_binomial(c, e)
+                else:
+                    if e == 0 and c == -1:
+                        vanished.add(i)
+                    cur = cur.mul_binomial(c, e)
+                run[0], run[1] = c * bm.coef, e + bm.exp
+            self._last = cur
+            vals.append(cur if len(vanished) < 2 else LaurentSeries.zero(
+                cur.order + (len(vanished) - 1) * (self.order + 1)))
+        return vals[n]
 
 
 def vwp_factor(k: Value, n: int, order: Optional[int] = None,

@@ -8,8 +8,10 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qident import context, qfunc
 from qident.context import ExactCtx
-from qident.errors import OrderInsufficient
+from qident.errors import (DegenerateDenominator, NonTruncatable,
+                           OrderInsufficient)
 from qident.registry import sample_params, verify_one
 from qident.series import LaurentSeries as LS, QMonomial
 
@@ -167,3 +169,198 @@ def test_zero_scalar_adds_no_unit_factor(monkeypatch):
     units = [s for s in factors if s == LS.one(s.order)
              and (s.order is None or s.order >= 20)]
     assert units == []
+
+
+# ------------------------------------------------- the stepped quotient
+#
+# ExactCtx.quotient steps one PochTower over all its factors by the term
+# ratio. Checked against a plain Fraction long division, and against the
+# product of one one-factor tower per factor times s^n, in value, order
+# and error, for every order of lookups a summand uses.
+
+#: arguments c q^e with a zero among them, bases mixing constant ones
+#: (exponent 0) with q-powers, and (q^-N; q) to terminate an upper
+#: product or to make a lower one vanish
+ARG = st.builds(QMonomial, st.sampled_from(COEFS[:6]), st.integers(-4, 3))
+QBASE = st.builds(QMonomial, st.sampled_from([F(1), F(-1), F(2), F(1, 3)]),
+                  st.integers(0, 2))
+TERMINATING = st.integers(0, 4).map(
+    lambda m: (QMonomial.of(1, -m), QMonomial.of(1, 1)))
+FACTOR = st.tuples(ARG, QBASE) | TERMINATING
+FACTORS = st.lists(FACTOR, max_size=3)
+SCALAR = st.none() | st.builds(
+    QMonomial, st.sampled_from([F(-1), F(-2, 3), F(3)]), st.integers(-2, 2))
+
+#: the orders in which summands ask for a quotient: a plain sum, cor_lhs's
+#: idx = 2n, a repeated lookup, and a walk back down
+ACCESS = {
+    "ascending": lambda top: list(range(top + 1)),
+    "strided": lambda top: list(range(0, 2 * top + 1, 2)),
+    "repeated": lambda top: [top, top, 0, top, 0],
+    "descending": lambda top: list(range(top, -1, -1)),
+}
+
+
+def poly_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def fraction_quotient(ups, downs, s, n, upto):
+    """{exponent: coefficient} of s^n prod (u; p_u)_n / prod (d; p_d)_n
+    through q^upto, by long division of two Laurent polynomials with
+    Fraction coefficients; None where the lower product is 0."""
+    def product(pairs):
+        out = {0: F(1)}
+        for a, p in pairs:
+            for j in range(n):
+                factor = {0: F(1)}
+                e = a.exp + j * p.exp
+                factor[e] = factor.get(e, 0) - a.coef * p.coef ** j
+                out = poly_mul(out, factor)
+        return out
+
+    num, den = product(ups), product(downs)
+    if not den:
+        return None
+    if s is not None:
+        num = poly_mul(num, {s.exp * n: s.coef ** n})
+    v = min(den)
+    out = {}
+    for m in range(min(num, default=upto + 1) - v, upto + 1):
+        c = num.get(m + v, 0) - sum(d * out.get(m + v - k, 0)
+                                    for k, d in den.items() if k != v)
+        if c:
+            out[m] = c / den[v]
+    return out
+
+
+def tower_product(ctx, ups, downs, s, n, more=()):
+    """The quotient as one one-factor PochTower per factor (none at n = 0
+    or for a zero argument), times s^n and `more`, in one `mul`."""
+    towers = [qfunc.PochTower(a, p, ctx.order, invert).upto(n)
+              for pairs, invert in ((ups, False), (downs, True))
+              for a, p in pairs if n and not a.is_zero]
+    return ctx.mul(*towers, *(() if s is None else (s ** n,)), *more)
+
+
+def outcome(f):
+    """f()'s value, or the type and text of the error it raises."""
+    try:
+        return f()
+    except (DegenerateDenominator, NonTruncatable, OrderInsufficient) as ex:
+        return type(ex).__name__, str(ex)
+
+
+def quotient_faults(ups, downs, s, lookups, more=(), target=10):
+    """The lookups n at which ExactCtx(target).quotient disagrees with
+    `fraction_quotient` or `tower_product`, with what went wrong."""
+    ctx, ref_ctx = ExactCtx(target), ExactCtx(target)
+    quot = ctx.quotient(ups, downs, s)
+    faults = []
+    for n in lookups:
+        got = outcome(lambda: ctx.finalize(quot(n)))
+        flat_dip = n > 0 and any(not a.is_zero and a.exp < 0 and p.exp == 0
+                                 for a, p in ups)
+        if flat_dip:
+            if got[0] != "NonTruncatable":
+                faults.append((n, "no NonTruncatable", got))
+            continue
+        if isinstance(got, tuple):
+            # a pole, at exactly the n past a vanishing lower factor
+            if got[0] != "DegenerateDenominator" or \
+                    fraction_quotient(ups, downs, s, n, 0) is not None:
+                faults.append((n, "unexpected error", got))
+            continue
+        want = fraction_quotient(ups, downs, s, n, got.order)
+        if want is None or dict(got.terms()) != want:
+            faults.append((n, "value", got, want))
+        # against the towers: the same series and order in full, and the
+        # same value or shortfall at the sum's goal, `more` included
+        for parts in ((), more):
+            new = quot(n, *parts)
+            old = tower_product(ref_ctx, ups, downs, s, n, parts)
+            if ctx.finalize(new) != ref_ctx.finalize(old) or \
+                    outcome(lambda: summed(ctx, new)) != \
+                    outcome(lambda: summed(ref_ctx, old)):
+                faults.append((n, "towers", parts))
+    return faults
+
+
+@given(FACTORS, FACTORS, SCALAR, st.sampled_from(sorted(ACCESS)),
+       st.integers(0, 8), st.lists(window(), max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_stepped_quotient_matches_references(ups, downs, s, access, top,
+                                             more):
+    assert quotient_faults(ups, downs, s, ACCESS[access](top), more) == []
+
+
+def test_quotient_poles_raise_where_inv_poch_does():
+    # (q^-2; q)_n vanishes from n = 3 on, (4; 1/2)_n from n = 4 on
+    Q = QMonomial.of(1, 1)
+    downs = [(QMonomial.of(4), QMonomial.of(F(1, 2))),
+             (QMonomial.of(1, -2), Q)]
+    ctx = ExactCtx(10)
+    quot = ctx.quotient([(QMonomial.of(2, 1), Q)], downs)
+    for n in (5, 1, 3, 0, 2, 4, 3):
+        poles = [d for d, p in downs
+                 if isinstance(outcome(lambda: ctx.inv_poch(d, p, n)), tuple)]
+        assert bool(poles) == (n >= 3)
+        if poles:
+            with pytest.raises(DegenerateDenominator):
+                quot(n)
+        else:
+            assert quot(n) is not None
+    assert quotient_faults([(QMonomial.of(2, 1), Q)], downs, None,
+                           range(6)) == []
+
+
+def test_quotient_non_truncatable_only_from_n_1():
+    # (q^-1; 1)_n = (1 - q^-1)^n dips without bound
+    ups = [(QMonomial.of(1, -1), QMonomial.of(1))]
+    quot = ExactCtx(10).quotient(ups, [], QMonomial.of(2, 1))
+    assert quot(0) == QMonomial.of(1)
+    for n in (1, 2, 1):
+        with pytest.raises(NonTruncatable):
+            quot(n)
+    assert quot(0) == QMonomial.of(1)
+
+
+def test_quotient_two_vanishing_uppers_keep_the_towers_order():
+    # (q^-1; q)_n and (q^-2; q)_n are 0 from n = 2 and n = 3 on; a product
+    # of two zero towers is known higher than one with a single zero
+    Q = QMonomial.of(1, 1)
+    ups = [(QMonomial.of(1, -1), Q), (QMonomial.of(1, -2), Q)]
+    ctx = ExactCtx(10)
+    quot = ctx.quotient(ups, [(QMonomial.of(F(1, 2), 1), Q)])
+    orders = [ctx.finalize(quot(n)).order for n in range(5)]
+    assert [ctx.finalize(quot(n)).is_zero for n in range(5)] == \
+        [False, False, True, True, True]
+    assert orders[2] < 10 < orders[3]
+    assert quotient_faults(ups, [(QMonomial.of(F(1, 2), 1), Q)], None,
+                           range(6)) == []
+
+
+class _RunAhead(qfunc.PochTower):
+    """A mutant: every factor starts one step ahead, at a*base."""
+
+    def _start(self, factors, order):
+        super()._start(factors, order)
+        for run in self._runs:
+            run[0] *= run[3].coef
+            run[1] += run[3].exp
+
+
+def test_quotient_check_catches_a_factor_one_step_ahead(monkeypatch):
+    Q, Q2 = QMonomial.of(1, 1), QMonomial.of(1, 2)
+    draws = [([(QMonomial.of(F(1, 2), 1), Q)], [(QMonomial.of(-2), Q2)],
+              QMonomial.of(-1, 1), range(4)),
+             ([(QMonomial.of(1, -3), Q)], [], None, [2, 0, 4]),
+             ([], [(QMonomial.of(3, 1), QMonomial.of(F(1, 3), 1))], None,
+              [1])]
+    assert all(quotient_faults(*d) == [] for d in draws)
+    monkeypatch.setattr(context, "PochTower", _RunAhead)
+    assert all(quotient_faults(*d) != [] for d in draws)

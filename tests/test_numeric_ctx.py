@@ -241,6 +241,15 @@ def test_poch_quotient_exact_numeric_coherence():
 THM_ALPHA = [F(2), F(-1, 3), F(5, 2), F(-4), F(1, 5)]
 
 
+@pytest.mark.parametrize("ctx", [NumericCtx(F(1, 7)), ExactCtx(10)],
+                         ids=["numeric", "exact"])
+@pytest.mark.parametrize("zero", [0, F(0)])
+def test_pow_int_of_zero(ctx, zero):
+    # decimal's own power rejects 0 ** 0; both contexts give v ** 0 = 1
+    assert ctx.pow_int(zero, 0) == 1
+    assert ctx.pow_int(zero, 3) == 0
+
+
 def test_wp_transform_under_default_ambient_context():
     with decimal.localcontext(decimal.Context()) as ambient:
         assert ambient.prec == 28

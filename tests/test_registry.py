@@ -1,6 +1,7 @@
 """Catalog shape, samplers, verification driver, reports."""
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -252,6 +253,29 @@ def test_mismatch_report_text_pinned(rid, lhs, rhs):
     assert rep.status == "mismatch"
     assert rep.mismatch_exponent == 15 + RIGHT_SIDE_START.get(rid, 0)
     assert (rep.mismatch_lhs, rep.mismatch_rhs) == (lhs, rhs)
+
+
+# Fault twins at j = 7, order 20, on the first two seed-1 exact samples of
+# every record (the one sample of a record without parameters): the sha256
+# of one line "id status exponent lhs rhs" per twin, as reported before
+# ExactCtx stepped its Pochhammer quotients by their term ratio. The second
+# sample reaches factors that the first one leaves trivial; one wrong factor
+# anywhere in the kernel or in a record changes the digest.
+TWIN_DIGEST = \
+    "bc9490df906d3726b34cc897dd9f0388054ae2a9756e7d4700eb6e12bfe0da65"
+
+
+def test_fault_twin_digest_pinned():
+    lines = []
+    for rec in catalog():
+        for a in sample_params(rec.id, 1, 2, "exact"):
+            rep = verify_one(with_injected_fault(rec, 7), a, 20)
+            lines.append(" ".join(map(str, (
+                rec.id, rep.status, rep.mismatch_exponent,
+                rep.mismatch_lhs, rep.mismatch_rhs))))
+    assert len(lines) == 72
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == TWIN_DIGEST, "\n".join(lines)
 
 
 def test_exact_skip_falls_back_to_numeric_in_suite():
