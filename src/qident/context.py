@@ -28,10 +28,10 @@ much more headroom.
 Both contexts step a quotient from one term to the next by its term
 ratio. Under ExactCtx, `poch`, `inv_poch` and `quotient` read a
 `qfunc.PochTower`, kept per context for each distinct tuple of
-(argument, base, invert) factors; one step costs one binomial
-multiplication or division per factor, each O(width). A quotient term
-is one series part, Q(n), times the monomial s^n and the term's other
-factors, however many factors the quotient has. Q(n) carries the order
+(argument, base, invert) factors; one step applies the binomials of all
+its factors in one integer pass, O(width) each, and one gcd. A quotient
+term is one series part, Q(n), times the monomial s^n and the term's
+other factors, however many factors the quotient has. Q(n) carries the order
 of the product of one tower per factor, so `exact_run` reads the same
 shortfalls as from that product.
 
@@ -91,7 +91,7 @@ from .qfunc import (
     sum_numeric,
     vwp_factor,
 )
-from .series import _QM_ONE, LaurentSeries, QMonomial
+from .series import _QM_ONE, _QM_ZERO, LaurentSeries, QMonomial
 
 _ONE = Fraction(1)
 _D_ONE = Decimal(1)
@@ -177,21 +177,32 @@ class ExactCtx:
         """The product of the values: a monomial if no series is involved,
         else a series or an unmultiplied product (see the module
         docstring)."""
-        mono = _QM_ONE
+        num, den, exp = 1, 1, 0      # the monomial (num/den) t^exp
         parts = []
         for v in vals:
-            if isinstance(v, _Product):
-                mono = mono * v.mono
-                parts.extend(v.parts)
-            elif isinstance(v, (Fraction, int, QMonomial)):
-                mono = mono * as_monomial(v)
+            if isinstance(v, (Fraction, int)):
+                c = v
             else:
-                parts.append(v)
+                if isinstance(v, _Product):
+                    parts.extend(v.parts)
+                    v = v.mono
+                elif not isinstance(v, QMonomial):
+                    parts.append(v)
+                    continue
+                c = v.coef
+                exp += v.exp
+            if c != 1:
+                num *= c.numerator
+                den *= c.denominator
+        if not num:
+            return LaurentSeries.zero(self.order) if parts else _QM_ZERO
+        if num == den:
+            mono = QMonomial(_ONE, exp) if exp else _QM_ONE
+        else:
+            mono = QMonomial(Fraction(num, den), exp)
         if not parts:
             return mono
-        if mono.is_zero:
-            return LaurentSeries.zero(self.order)
-        if len(parts) == 1 and mono.is_one:
+        if len(parts) == 1 and mono is _QM_ONE:
             return parts[0]
         return _Product(mono, tuple(parts))
 

@@ -18,6 +18,8 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice, takewhile
+from math import gcd
 from typing import Callable, List, Optional, Union
 
 from .errors import (
@@ -60,6 +62,46 @@ def as_monomial(value: Value) -> Optional[QMonomial]:
     return None
 
 
+def _binomials(a: QMonomial, base: QMonomial, invert: bool = False):
+    """The factors 1 - a base^j of (a; base)_inf for j = 0, 1, 2, ...,
+    each as the integers (p, r, e, invert) of 1 + (p/r) q^e, the shape
+    `LaurentSeries.mul_binomials` takes, with p/r reduced and r > 0. The
+    coefficient steps by integer products and one gcd, none on a base
+    with coefficient 1."""
+    c, b = a.coef, base.coef
+    p, r, e = -c.numerator, c.denominator, a.exp
+    bp, br, be = b.numerator, b.denominator, base.exp
+    unit = b == 1
+    while True:
+        yield p, r, e, invert
+        if not unit:
+            p, r = p * bp, r * br
+            g = gcd(p, r)
+            if g != 1:
+                p, r = p // g, r // g
+        e += be
+
+
+def _times(s: LaurentSeries, factors,
+           order: Optional[int] = None) -> LaurentSeries:
+    """s times the integer factors (p, r, e, invert) of `_binomials`.
+    Those with e > 0 go through one `mul_binomials` pass, capped at
+    `order`; the rest (a Laurent dip, a constant factor) through
+    `mul_binomial`/`div_binomial` one at a time. The factors commute, and
+    each route keeps exactly the coefficients its order guarantees, so
+    the order of application does not change the result."""
+    step = []
+    for f in factors:
+        p, r, e, invert = f
+        if e > 0:
+            step.append(f)
+        elif invert:
+            s = s.div_binomial(Fraction(p, r), e)
+        else:
+            s = s.mul_binomial(Fraction(p, r), e)
+    return s.mul_binomials(step, order)
+
+
 def poch_finite(a: Value, base: QMonomial, n: int,
                 order: Optional[int] = None) -> LaurentSeries:
     """(a; base)_n as an exact polynomial (or truncated at `order`).
@@ -78,18 +120,16 @@ def poch_finite(a: Value, base: QMonomial, n: int,
     out = LaurentSeries.one(order)
     if mono.is_zero:
         return out
-    c, e = mono.coef, mono.exp
-    for j in range(n):
-        out = out.mul_binomial(-c * base.coef ** j, e + j * base.exp)
-    return out
+    return _times(out, islice(_binomials(mono, base), n))
 
 
 def poch_infinite(a: Value, base: QMonomial, order: int) -> LaurentSeries:
     """(a; base)_inf truncated exactly at `order`.
 
-    Only the finitely many factors that touch the window are multiplied;
-    that requires base.exp >= 1 and the argument exponent >= 0, otherwise
-    the specialization is not truncatable and NonTruncatable is raised.
+    Only the finitely many factors that touch the window are multiplied,
+    in one integer pass; that requires base.exp >= 1 and the argument
+    exponent >= 0, otherwise the specialization is not truncatable and
+    NonTruncatable is raised.
     """
     mono = as_monomial(a)
     if mono is None:
@@ -100,13 +140,8 @@ def poch_infinite(a: Value, base: QMonomial, order: int) -> LaurentSeries:
         return LaurentSeries.one(order)
     if mono.exp < 0:
         raise NonTruncatable("infinite product argument has negative exponent")
-    out = LaurentSeries.one(order)
-    c, e = mono.coef, mono.exp
-    j = 0
-    while e + j * base.exp <= order:
-        out = out.mul_binomial(-c * base.coef ** j, e + j * base.exp)
-        j += 1
-    return out
+    touching = takewhile(lambda f: f[2] <= order, _binomials(mono, base))
+    return _times(LaurentSeries.one(order), touching)
 
 
 class PochTower:
@@ -120,9 +155,15 @@ class PochTower:
 
         Q(j+1) = Q(j) * prod (1 - a base^j)^(+1 or -1),
 
-    one binomial multiplication or division per factor, each O(width),
     and keeps Q(0..n), so lookups may come in any order and a sum over n
-    reuses every shorter product. A zero argument is the factor 1.
+    reuses every shorter product. A zero argument is the factor 1. Each
+    factor runs as a `_binomials` iterator: its next binomial is a
+    reduced integer pair p/r and an exponent e, stepped without a
+    Fraction. One step is one integer pass over the window for all its
+    factors with e > 0 (`LaurentSeries.mul_binomials`, one gcd per step,
+    each factor O(width)); a factor with e <= 0 (a Laurent dip, a
+    constant base, a vanishing upper factor) is applied on its own in
+    the same step (see `_times`).
 
     Q(n) carries the order of the product of one-factor towers under
     `LaurentSeries.mul`'s order rule. A factor on a negative power shifts
@@ -148,7 +189,8 @@ class PochTower:
         self.order = order
         self._vals: List[LaurentSeries] = [LaurentSeries.one(order)]
         self._last = self._vals[0]      # Q at the last step, zero or not
-        # each factor's next binomial (1 + c q^e) as [c, e, a, base, invert]
+        # each factor as [its next binomial (p, r, e, invert), the
+        # `_binomials` iterator of the ones after it, argument, base]
         self._runs = []
         self._flat_dip = False
         self._vanished = set()          # factors that made Q zero
@@ -158,7 +200,8 @@ class PochTower:
                 raise TypeError("PochTower requires monomial-like arguments")
             if not am.is_zero:
                 self._flat_dip |= not invert and am.exp < 0 and bm.exp == 0
-                self._runs.append([-am.coef, am.exp, am, bm, invert])
+                run = _binomials(am, bm, invert)
+                self._runs.append([next(run), run, am, bm])
 
     def upto(self, n: int) -> LaurentSeries:
         vals = self._vals
@@ -170,21 +213,18 @@ class PochTower:
         runs, vanished = self._runs, self._vanished
         while len(vals) <= n:
             j = len(vals) - 1
-            for c, e, am, bm, invert in runs:
-                if invert and e == 0 and c == -1:
+            for (p, r, e, invert), _, am, bm in runs:
+                if invert and e == 0 and p == -r:
                     raise DegenerateDenominator(
                         f"factor (1 - {am}*{bm}^{j}) vanishes")
-            cur = self._last
+            step = []
             for i, run in enumerate(runs):
-                c, e, _, bm, invert = run
-                if invert:
-                    cur = cur.div_binomial(c, e)
-                else:
-                    if e == 0 and c == -1:
-                        vanished.add(i)
-                    cur = cur.mul_binomial(c, e)
-                run[0], run[1] = c * bm.coef, e + bm.exp
-            self._last = cur
+                f = run[0]
+                if f[2] == 0 and f[0] == -f[1]:
+                    vanished.add(i)
+                step.append(f)
+                run[0] = next(run[1])
+            cur = self._last = _times(self._last, step)
             vals.append(cur if len(vanished) < 2 else LaurentSeries.zero(
                 cur.order + (len(vanished) - 1) * (self.order + 1)))
         return vals[n]
@@ -206,14 +246,11 @@ def vwp_factor(k: Value, n: int, order: Optional[int] = None,
         raise TypeError("vwp_factor needs a monomial-like k")
     if mono.is_one:
         raise DegenerateVWP("very-well-poised factor with k = 1")
-    num_c = -mono.coef * base.coef ** (2 * n)
-    num_e = mono.exp + 2 * n * base.exp
-    out = LaurentSeries.one(order).mul_binomial(num_c, num_e)
-    if mono.is_zero:
-        return out
-    if mono.exp == 0:
-        return out.scale(Fraction(1) / (1 - mono.coef))
-    return out.div_binomial(-mono.coef, mono.exp, order)
+    c, b = mono.coef, base.coef ** (2 * n)
+    top = (-c.numerator * b.numerator, c.denominator * b.denominator,
+           mono.exp + 2 * n * base.exp, False)
+    bottom = (-c.numerator, c.denominator, mono.exp, True)
+    return _times(LaurentSeries.one(order), (top, bottom), order)
 
 
 @dataclass
@@ -234,9 +271,9 @@ def sum_exact(gen: TermGenerator, order: int) -> LaurentSeries:
 
     Terms are consumed until every subsequent one provably lives above the
     working order: either the declared valuation bound exceeds it, or a run
-    of terms is observed strictly above it. If {STALL_WINDOW} consecutive
-    terms fail to raise the running valuation floor, the specialization is
-    declared inadmissible (ValuationStall).
+    of terms is observed strictly above it. If STALL_WINDOW (200)
+    consecutive terms fail to raise the running valuation floor, the
+    specialization is declared inadmissible (ValuationStall).
     """
     acc = LaurentSeries.zero(order)
     floor: float = float("-inf")

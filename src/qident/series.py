@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Union
 
@@ -46,6 +47,46 @@ RationalLike = Union[Rational, int]
 
 def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _divide_pass(out: list, p: int, r: int, e: int) -> int:
+    """Divide the integer window `out` in place by 1 + (p/r) q^e, e > 0,
+    and return the factor r^s, s = (width - 1) // e, by which its
+    denominator grows.
+
+    The quotient is the recurrence B[t] = A[t] r^(t // e) - p B[t - e]
+    over r^(t // e). Over the one denominator r^s the entries are
+    C[t] = B[t] r^(s - t // e), so C[t] = A[t] r^s - p (C[t - e] // r),
+    the division exact. It runs one slice of e entries at a time, in one
+    map each; when e is small against the width (e^2 < width) those
+    slices are too short, and it runs one residue class t = i (mod e) at
+    a time instead, in one accumulate each."""
+    width = len(out)
+    rs = r ** ((width - 1) // e)
+    if rs != 1:
+        out[:] = [rs * c for c in out]
+    if e * e < width:
+        if r == 1:
+            def step(c, a): return a - p * c
+        else:
+            def step(c, a): return a - p * (c // r)
+        for i in range(min(e, width - e)):
+            out[i::e] = accumulate(out[i::e], step)
+        return rs
+    for k in range(e, width, e):
+        prev = out[k - e:k]
+        out[k:k + e] = _axpy(out[k:k + e], -p, prev if r == 1 else
+                             map(r.__rfloordiv__, prev))
+    return rs
+
+
+def _axpy(a, p: int, b):
+    """The integers a[i] + p * b[i], as an iterator over the shorter."""
+    if p == 1:
+        return map(operator.add, a, b)
+    if p == -1:
+        return map(operator.sub, a, b)
+    return map(operator.add, a, map(p.__mul__, b))
 
 
 class QMonomial(NamedTuple):
@@ -429,33 +470,30 @@ class LaurentSeries:
     def mul_binomial(self, coef: RationalLike, exp: int) -> "LaurentSeries":
         """Multiply by the exact binomial (1 + coef * q^exp).
 
-        For exp >= 0 this is one integer pass: with coef = p/r the result
-        is (r A[t] + p A[t - exp]) / (r den) on the input's window
-        (widened by exp for an exact input)."""
+        For exp > 0 this is one integer pass (`mul_binomials`) on the
+        input's window (widened by exp for an exact input); for exp = 0 a
+        scaling by 1 + coef, and for exp < 0 the sum of the series and
+        its scaled copy."""
         coef = _frac(coef)
         if not coef:
             return self
+        if exp == 0:
+            return self.scale(1 + coef)
         if exp < 0:
             return self + self.scale(coef, exp)
-        p, r = coef.numerator, coef.denominator
-        a = self.nums
-        out = list(a) if r == 1 else [r * c for c in a]
-        if self.order is None:
-            out.extend([0] * exp)
-        out[exp:] = map(operator.add, out[exp:], map(p.__mul__, a))
-        return LaurentSeries._from_ints(self.min_deg, out, self.den * r,
-                                        self.order)
+        return self.mul_binomials(
+            ((coef.numerator, coef.denominator, exp, False),))
 
     def div_binomial(self, coef: RationalLike, exp: int,
                      order: Optional[int] = None) -> "LaurentSeries":
         """Divide by the exact binomial (1 + coef * q^exp).
 
         For exp > 0 the quotient is computed by the linear recurrence
-        b[t] = a[t] - coef * b[t-exp], which preserves the truncation
-        order. Exact input needs an explicit `order` (the quotient is an
-        infinite series). `order` is a cap on every path, like
-        `mul(cap=)`: the result order is min(input order, `order`), and an
-        `order` above the input's is never an error.
+        b[t] = a[t] - coef * b[t-exp] (`mul_binomials`), which preserves
+        the truncation order. Exact input needs an explicit `order` (the
+        quotient is an infinite series). `order` is a cap on every path,
+        like `mul(cap=)`: the result order is min(input order, `order`),
+        and an `order` above the input's is never an error.
         """
         coef = _frac(coef)
         if not coef:
@@ -468,38 +506,56 @@ class LaurentSeries:
             # 1 + c q^e = c q^e (1 + (1/c) q^{-e})
             out = self.scale(_F1 / coef, -exp)
             return out.div_binomial(_F1 / coef, -exp, order)
+        return self.mul_binomials(
+            ((coef.numerator, coef.denominator, exp, True),), order)
+
+    def mul_binomials(self, factors,
+                      order: Optional[int] = None) -> "LaurentSeries":
+        """Multiply by prod (1 + (p/r) q^e)^(-1 if invert else +1) over
+        the integer factors (p, r, e, invert), with r > 0 and e > 0.
+
+        One integer pass over the numerators per factor, over a growing
+        shared denominator, and one canonicalization (`_from_ints`, one
+        gcd) at the end. A multiplication is r A[t] + p A[t - e] over
+        r den; a division is the recurrence of `_divide_pass`, over
+        den r^((width - 1) // e). `order` caps the result as in
+        `div_binomial`: its order is min(input order, `order`). An exact
+        input stays exact, widened by each e, when `order` is None and
+        nothing divides.
+        """
         eo = self.eff_order()
         if order is not None:
             eo = min(eo, order)
         if eo == float("inf"):
-            raise ValueError("dividing an exact series requires an order")
-        eo = int(eo)
+            if any(f[3] for f in factors):
+                raise ValueError("dividing an exact series requires an order")
+            eo = None
+        else:
+            eo = int(eo)
+        if not factors:
+            return self._cap(order)
         if self.is_zero:
             return LaurentSeries.zero(eo)
         lo = self.min_deg
-        width = eo - lo + 1
-        if width <= 0:
-            return LaurentSeries.zero(eo)
-        # With coef = p/r, b[t] = B[t] / (den * r^(t // exp)): one power of
-        # r enters every exp steps, B[t] = a[t] r^(t // exp) - p B[t - exp].
-        p, r = coef.numerator, coef.denominator
-        a = self.nums
-        la = len(a)
-        steps = (width - 1) // exp
-        rpow = [1]
-        for _ in range(steps):
-            rpow.append(rpow[-1] * r)
-        out = [0] * width
-        for t in range(width):
-            v = a[t] * rpow[t // exp] if t < la else 0
-            if t >= exp:
-                prev = out[t - exp]
-                if prev:
-                    v -= p * prev
-            out[t] = v
-        if r != 1:
-            out = [v * rpow[steps - t // exp] for t, v in enumerate(out)]
-        return LaurentSeries._from_ints(lo, out, self.den * rpow[steps], eo)
+        out = list(self.nums)
+        if eo is not None:
+            width = eo - lo + 1
+            if width <= 0:
+                return LaurentSeries.zero(eo)
+            del out[width:]
+            out.extend([0] * (width - len(out)))
+        den = self.den
+        for p, r, e, invert in factors:
+            if invert:
+                den *= _divide_pass(out, p, r, e)
+                continue
+            old = out
+            out = old[:] if r == 1 else [r * c for c in old]
+            den *= r
+            if eo is None:
+                out.extend([0] * e)
+            out[e:] = _axpy(out[e:], p, old)
+        return LaurentSeries._from_ints(lo, out, den, eo)
 
     def invert(self, order: Optional[int] = None) -> "LaurentSeries":
         """Multiplicative inverse to the guaranteed order.

@@ -6,6 +6,7 @@ on success). Criterion 1 is the full catalog run at order 40, seed 1,
 determinism criterion through a module-scoped fixture.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction as F
@@ -88,6 +89,21 @@ def test_criterion_1_all_exact(suite_run):
     ok = len(reports) == 97 and all(
         (r.strategy, r.status) == ("exact", "equal") for r in reports)
     _criterion(1, f"{len(reports)} reports, all exact equal", ok)
+
+
+# The sha256 of the criterion-1 document (timing dropped), as reported
+# before the exact kernel applied each Pochhammer step's binomials in one
+# integer pass. Kernel changes that only speed the arithmetic up must keep
+# every report byte for byte.
+CRITERION_1_DIGEST = \
+    "48a94e44fc5395a291bd26228477606c1aaabd1f35b95c167035550847811db3"
+
+
+def test_criterion_1_document_pinned(suite_run):
+    reports, _ = suite_run
+    digest = hashlib.sha256(_doc(reports).encode()).hexdigest()
+    _criterion(1, f"criterion-1 document sha256 {digest[:12]}...",
+               digest == CRITERION_1_DIGEST)
 
 
 def test_criterion_2_central_relation():

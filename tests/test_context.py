@@ -350,8 +350,7 @@ class _RunAhead(qfunc.PochTower):
     def _start(self, factors, order):
         super()._start(factors, order)
         for run in self._runs:
-            run[0] *= run[3].coef
-            run[1] += run[3].exp
+            run[0] = next(run[1])
 
 
 def test_quotient_check_catches_a_factor_one_step_ahead(monkeypatch):

@@ -5,10 +5,12 @@ from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qident.bailey import phi_rs, phi_term
 from qident.context import NumericCtx
 from qident.errors import (
+    DegenerateDenominator,
     DegenerateVWP,
     NonTruncatable,
     TailNotDecreasing,
@@ -388,3 +390,106 @@ def test_tower_matches_poch_finite():
         assert t.upto(n).compare(direct, 25) is None
         prod = t.upto(n).mul(ti.upto(n), cap=25)
         assert prod.compare(LS.one(25), 25) is None
+
+
+# ------------------------------------------- one integer pass per step
+#
+# The references below fold one factor at a time, the way the tower,
+# poch_finite and poch_infinite were computed before their factors went
+# through one `LaurentSeries.mul_binomials` pass: a Fraction coefficient
+# -a.coef * base.coef^j and one mul_binomial/div_binomial per factor.
+
+def fold_tower(factors, order, n):
+    """Q(n) of `PochTower.of(factors, order)` by the per-factor fold, with
+    the tower's order rule for a zero Q and its errors."""
+    live = [f for f in factors if not f[0].is_zero]
+    if n and any(not inv and a.exp < 0 and b.exp == 0
+                 for a, b, inv in live):
+        raise NonTruncatable("constant base with negative-exponent argument")
+    cur, vanished = LS.one(order), set()
+    for j in range(n):
+        for i, (a, b, inv) in enumerate(live):
+            c, e = -a.coef * b.coef ** j, a.exp + j * b.exp
+            if e == 0 and c == -1:
+                if inv:
+                    raise DegenerateDenominator("vanishing lower factor")
+                vanished.add(i)
+            cur = cur.div_binomial(c, e) if inv else cur.mul_binomial(c, e)
+    if len(vanished) > 1:
+        return LS.zero(cur.order + (len(vanished) - 1) * (order + 1))
+    return cur
+
+
+def fold_poch(a, base, count, order=None):
+    out = LS.one(order)
+    for j in range(count):
+        out = out.mul_binomial(-a.coef * base.coef ** j, a.exp + j * base.exp)
+    return out
+
+
+def same_series(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert got.order == want.order and got.min_deg == want.min_deg
+    assert got.den > 0 and (got.is_zero or got.nums[0])
+
+
+SMALL = st.sampled_from([F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3),
+                         F(5, 7)])
+ARG = st.builds(QMonomial.of, SMALL, st.integers(-3, 3))
+BASE = st.builds(QMonomial.of, st.sampled_from([F(0), F(1), F(-1), F(2),
+                                                F(1, 2), F(-1, 3)]),
+                 st.integers(0, 2))
+FOLD = settings(max_examples=60, deadline=None)
+
+
+@given(st.lists(st.tuples(ARG, BASE, st.booleans()), max_size=4),
+       st.integers(0, 14), st.integers(0, 8), st.integers(0, 8))
+@FOLD
+def test_tower_matches_per_factor_fold(factors, order, n, m):
+    # mixed inverted and plain factors, Laurent dips, constant bases and
+    # upper factors that vanish (a = base^-j); looked up at n, then m
+    tower = PochTower.of(factors, order)
+    for k in (n, m):
+        try:
+            want = fold_tower(factors, order, k)
+        except (DegenerateDenominator, NonTruncatable) as ex:
+            with pytest.raises(type(ex)):
+                tower.upto(k)
+            continue
+        same_series(tower.upto(k), want)
+
+
+def test_tower_vanishing_upper_factors():
+    # (q^-2; q) vanishes at j = 2 and (q^-1; q) at j = 1: Q is zero from
+    # n = 3 on and carries the order of the product of two zero towers
+    factors = [(mono(1, -2), Q, False), (mono(1, -1), Q, False),
+               (mono(F(-1, 2), 1), q2, True)]
+    tower = PochTower.of(factors, 9)
+    for n in (5, 1, 2, 3):
+        same_series(tower.upto(n), fold_tower(factors, 9, n))
+    assert tower.upto(3).is_zero and tower.upto(3).order > 9
+
+
+@given(st.builds(QMonomial.of, SMALL, st.integers(0, 4)),
+       st.builds(QMonomial.of, st.sampled_from([F(1), F(-1), F(2),
+                                                F(1, 2), F(-2, 3)]),
+                 st.integers(1, 3)),
+       st.integers(-1, 30))
+@FOLD
+def test_poch_infinite_matches_per_factor_fold(a, base, order):
+    got = poch_infinite(a, base, order)
+    count = 0
+    while a.exp + count * base.exp <= order:
+        count += 1
+    same_series(got, fold_poch(a, base, count, order))
+    want = brute_poch([(a.coef * base.coef ** j, a.exp + j * base.exp)
+                       for j in range(count)], order)
+    assert as_dict(got, order) == {k: v for k, v in want.items()
+                                   if v and k <= order}
+
+
+@given(ARG, BASE, st.integers(0, 7),
+       st.one_of(st.none(), st.integers(-2, 12)))
+@FOLD
+def test_poch_finite_matches_per_factor_fold(a, base, n, order):
+    same_series(poch_finite(a, base, n, order), fold_poch(a, base, n, order))

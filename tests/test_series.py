@@ -321,12 +321,12 @@ def _window(d, order):
 
 
 @st.composite
-def series_and_ref(draw, exact=None):
+def series_and_ref(draw, exact=None, size=7, top=10):
     lo = draw(st.integers(-3, 3))
-    cs = draw(st.lists(COEF, max_size=7))
+    cs = draw(st.lists(COEF, max_size=size))
     if exact is None:
         exact = draw(st.booleans())
-    order = None if exact else draw(st.integers(-3, 10))
+    order = None if exact else draw(st.integers(-3, top))
     return LS._make(lo, cs, order), \
         (_window({lo + i: c for i, c in enumerate(cs)}, order), order)
 
@@ -468,7 +468,7 @@ def test_kernel_scale_mul_binomial(x, c, k):
     assert_matches(x[0].mul_binomial(c, k), want)
 
 
-@given(series_and_ref(), COEF, st.integers(-3, 3),
+@given(series_and_ref(), COEF, st.integers(-16, 16),
        st.one_of(st.none(), st.integers(-2, 10)))
 @KERNEL
 def test_kernel_div_binomial(x, c, k, order):
@@ -483,6 +483,45 @@ def test_kernel_div_binomial(x, c, k, order):
         return
     assert_matches(s.div_binomial(c, k, order),
                    ref_div_binomial(r, c, k, order))
+
+
+#: widest window of `series_and_ref(size=24, top=24)`: from q^-3 to q^24
+WIDE = 28
+
+
+@st.composite
+def binomial_factors(draw):
+    """Integer factors (p, r, e, invert) of (1 + (p/r) q^e)^(+-1):
+    negative p, r != 1 (tall ones too), exponents from 1 up to the widest
+    window + 2, inverted or not, in any mix."""
+    cs = draw(st.lists(NONZERO, max_size=5))
+    return [(c.numerator, c.denominator, draw(st.integers(1, WIDE + 2)),
+             draw(st.booleans())) for c in cs]
+
+
+@given(series_and_ref(size=24, top=24), binomial_factors(),
+       st.one_of(st.none(), st.integers(-4, 26)))
+@KERNEL
+def test_kernel_mul_binomials(x, factors, order):
+    # one integer pass for all factors against the Fraction reference
+    # and against one mul_binomial/div_binomial per factor
+    s, r = x
+    if s.is_exact and order is None and any(f[3] for f in factors):
+        with pytest.raises(ValueError):
+            s.mul_binomials(factors, order)
+        return
+    got = s.mul_binomials(factors, order)
+    want, seq = ref_cap(r, order), s._cap(order)
+    for p, d, e, invert in factors:
+        c = F(p, d)
+        if invert:
+            want = ref_div_binomial(want, c, e)
+            seq = seq.div_binomial(c, e)
+        else:
+            want = ref_add(want, ref_scale(want, c, e))
+            seq = seq.mul_binomial(c, e)
+    assert_matches(got, want)
+    assert got == seq and hash(got) == hash(seq)
 
 
 @given(series_and_ref(), st.one_of(st.none(), st.integers(-2, 10)))
