@@ -13,11 +13,15 @@ run under two strategies:
 Both expose the same operations: rational constants, q-powers, finite and
 infinite Pochhammer products (cached incrementally), the Pochhammer
 quotient n -> s^n prod (u; p_u)_n / prod (d; p_d)_n (`quotient`, the
-shape of most summands), the very-well-poised factor, and a tail-aware
-summation. `summation(term, times=m)` is m times the sum; ExactCtx sums
+shape of most summands), the very-well-poised factor, and summation.
+`summation(term, times=m)` is m times the sum; ExactCtx sums
 max(0, -exp(m)) deeper, so that the product is still known through the
-target. ExactCtx's `one`, and `poch`, `inv_poch` and `vwp` at n = 0 or a
-zero argument, are the scalar 1 (`vwp` at k = 1 still raises
+target. The summand is declared (`bailey.Summand`, never a bare
+callable): ExactCtx reads its `ValuationLaw` and stops where the law's
+bound passes the goal, which proves that every later term is zero
+through it; NumericCtx sums until its small-tail rule holds. ExactCtx's
+`one`, and `poch`, `inv_poch` and `vwp` at n = 0 or a zero argument, are
+the scalar 1 (`vwp` at k = 1 still raises
 DegenerateVWP), and `add`/`sub` of the scalar 0 return the other operand,
 so a trivial factor adds no series to a product. Summands on
 negative q-powers dip below degree 0, so a build may need a construction
@@ -242,12 +246,15 @@ class ExactCtx:
     # -- q machinery -----------------------------------------------------
 
     @staticmethod
-    def _factor(a, base, invert: bool):
-        am = as_monomial(_force(a))
-        bm = as_monomial(_force(base))
-        if am is None or bm is None:
-            raise TypeError("Pochhammer arguments must be monomial-like")
-        return am, bm, invert
+    def monomial(v) -> QMonomial:
+        """v as c*t^e; TypeError if it is not monomial-like."""
+        m = as_monomial(_force(v))
+        if m is None:
+            raise TypeError("expected a monomial-like value")
+        return m
+
+    def _factor(self, a, base, invert: bool):
+        return self.monomial(a), self.monomial(base), invert
 
     def _tower(self, factors: tuple) -> PochTower:
         t = self._towers.get(factors)
@@ -302,16 +309,25 @@ class ExactCtx:
         return vwp_factor(k, n, self.order,
                           self.q if base is None else _force(base))
 
-    def summation(self, term: Callable[[int], object], start: int = 0,
-                  times=1):
-        """`times` (a monomial) times the sum of the terms. The sum is
-        taken exactly to the comparison target, or deeper by the negative
-        q-power of `times` as far as the construction order allows (a
-        term left short raises OrderInsufficient; see `exact_run`)."""
+    def summation(self, term, start: int = 0, times=1):
+        """`times` (a monomial) times the sum of the terms term(n) for n >=
+        `start`. The sum is taken exactly to the comparison target, or
+        deeper by the negative q-power of `times` as far as the
+        construction order allows (a term left short raises
+        OrderInsufficient; see `exact_run`).
+
+        `term` is a declared summand (`bailey.Summand`), never a bare
+        callable: its `ValuationLaw` is the stopping certificate. The sum
+        takes the terms while the law's bound is at most the goal and no
+        more, since every later term is zero through it; a law that never
+        passes the goal raises ValuationStall before the first term, and
+        a term below its bound BoundViolation (`sum_exact`)."""
+        law = _declared(term).law()
         m = as_monomial(_force(times))
         if m is None:
             raise TypeError("summation multiplies by a monomial only")
         goal = min(self.order, self.target + max(0, -m.exp))
+        growth = law.growth()
 
         def gen(n: int) -> LaurentSeries:
             t = term(n + start)
@@ -321,10 +337,20 @@ class ExactCtx:
                 t = LaurentSeries.coerce(t, goal)
             return t.truncate(goal)
 
-        return self.mul(m, sum_exact(TermGenerator(gen), goal))
+        return self.mul(m, sum_exact(
+            TermGenerator(gen, lambda n: growth(n + start)), goal))
 
     def finalize(self, v) -> LaurentSeries:
         return LaurentSeries.coerce(_force(v), self.order)
+
+
+def _declared(term):
+    """`term` if it is a declared summand (it has a `law`); TypeError for
+    a bare callable."""
+    if not callable(getattr(term, "law", None)):
+        raise TypeError("summation needs a declared summand "
+                        "(bailey.Summand), not a bare callable")
+    return term
 
 
 def exact_run(order: int, build: Callable, denom: int = 1):
@@ -567,10 +593,14 @@ class NumericCtx:
         top = self._sub(_D_ONE, self._mul(k, self.dc.power(base, 2 * n)))
         return self.dc.divide(top, self._sub(_D_ONE, k))
 
-    def summation(self, term: Callable[[int], Decimal], start: int = 0,
-                  times=1):
-        """`times` times the sum of the terms, taken in `self.dc`."""
-        gen = NumericTermGenerator(lambda n: self.num(term(n + start)))
+    def summation(self, term, start: int = 0, times=1):
+        """`times` times the sum of the terms term(n) for n >= `start`,
+        taken in `self.dc`. `term` is a declared summand, as under
+        ExactCtx (its law is not read here), so its values are already
+        this context's decimals."""
+        _declared(term)
+        gen = NumericTermGenerator(
+            (lambda n: term(n + start)) if start else term)
         return self.mul(times, sum_numeric(gen, self.tol, self.dc))
 
     def finalize(self, v) -> Decimal:

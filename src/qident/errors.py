@@ -39,6 +39,12 @@ class ValuationStall(QIdentError):
     """Summand valuations stopped growing; the exact sum cannot terminate."""
 
 
+class BoundViolation(QIdentError):
+    """A term fell below the valuation bound its summand declared. The
+    declaration is wrong, not the input inadmissible: a sum stopped on it
+    could drop terms, so it is never reported as a skip."""
+
+
 class TailNotDecreasing(QIdentError):
     """The numeric tail never met the stopping rule within the term budget."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .bailey import AlphaSequence, phi_term, poch_quotient
+from .bailey import AlphaSequence, Summand, phi_term
 from .context import Ctx, exact_run
 from .errors import (
     BridgeConstraintError,
@@ -175,8 +175,9 @@ def family12(m, K) -> Tuple[Multiset, Multiset]:
 
 
 def bridge_sequences(ctx: Ctx, a: Sequence, b: Sequence, base=None):
-    """(alpha_at, beta_at) of the telescoping sequence attached to a
-    bridge-compatible pair, over `ctx` with base p (default q):
+    """(alpha, beta), the declared terms (`bailey.Summand`) of the
+    telescoping sequence attached to a bridge-compatible pair, over `ctx`
+    with base p (default q):
 
         alpha_n = (a_1, .., a_m; p)_n p^{m n} / (p, b_1 p, .., b_{m-1} p; p)_n,
         beta_n  = (a_1 p, .., a_m p; p)_n / (p, b_1 p, .., b_{m-1} p; p)_n,
@@ -186,7 +187,8 @@ def bridge_sequences(ctx: Ctx, a: Sequence, b: Sequence, base=None):
     p = ctx.qpow(1) if base is None else base
     lower = [ctx.mul(bi, p) for bi in b]
     return (phi_term(ctx, a, lower, p, ctx.pow_int(p, len(a))),
-            poch_quotient(ctx, [ctx.mul(ai, p) for ai in a], [p, *lower], p))
+            Summand(ctx, ups=[(ctx.mul(ai, p), p) for ai in a],
+                    downs=[(d, p) for d in [p, *lower]]))
 
 
 def pte_alpha_beta(a: Sequence, b: Sequence, base: QMonomial = _Q
@@ -210,4 +212,6 @@ def pte_alpha_beta(a: Sequence, b: Sequence, base: QMonomial = _Q
     def alpha_fn(n: int, order: int):
         return Fraction(1) if n == 0 else exact(0, n, order)
 
-    return AlphaSequence(alpha_fn), lambda n, order: exact(1, n, order)
+    # power series: rational arguments and p^(m n) lower nothing
+    return AlphaSequence(alpha_fn, floor=0), \
+        lambda n, order: exact(1, n, order)

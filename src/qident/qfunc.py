@@ -2,6 +2,16 @@
 summation engines. The basic hypergeometric series itself is written over
 `Ctx` in `bailey` (`phi_term`, with `phi_rs` its exact wrapper).
 
+An exact sum stops on a certificate, not on a guess. The term ratio of a
+basic hypergeometric series is rational in q^n (Gasper & Rahman, section
+1.2), so the valuation of its n-th term is at least a quadratic plus a
+few kinks, min(0, k n + l), less the dips of its upper Pochhammers: a
+`ValuationLaw` (`poch_law` gives a Pochhammer's part). Its least value
+over all m >= n has a closed form, and `sum_exact` takes the terms while
+that bound is at most the goal and no more. A declared summand
+(`bailey.Summand`) supplies the law; the undeclared path of `sum_exact`
+(a run of high terms ends the sum) is kept only for bare generators.
+
 Conventions: (a; b)_n is the finite product over j < n of (1 - a b^j) and
 (a; b)_inf the infinite one. Arguments and bases are values of the shape
 c * q^e; the base must have nonneg exponent for finite products and positive
@@ -19,10 +29,11 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice, takewhile
-from math import gcd
-from typing import Callable, List, Optional, Union
+from math import ceil, gcd, inf, lcm
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
+    BoundViolation,
     DegenerateDenominator,
     DegenerateVWP,
     NonTruncatable,
@@ -34,12 +45,12 @@ from .series import LaurentSeries, QMonomial, Rational
 
 Value = Union[LaurentSeries, QMonomial, Rational, int]
 
-#: consecutive terms failing to raise the valuation floor before we declare
-#: the specialization inadmissible for exact summation
+#: the undeclared path of `sum_exact`: consecutive terms failing to raise
+#: the valuation floor before the specialization is declared inadmissible
 STALL_WINDOW = 200
 
-#: consecutive terms confined above the working order before the exact sum
-#: is considered finished
+#: the undeclared path of `sum_exact`: consecutive terms above the working
+#: order that end the sum (a guess; a declared bound is a proof)
 _STOP_RUN = 8
 
 #: numeric defaults
@@ -253,13 +264,123 @@ def vwp_factor(k: Value, n: int, order: Optional[int] = None,
     return _times(LaurentSeries.one(order), (top, bottom), order)
 
 
+class ValuationLaw(NamedTuple):
+    """A lower bound on the valuation of the n-th term of a sum, in t-units:
+
+        E(n) = a n^2 + b n + c + sum over `kinks` (k, l) of min(0, k n + l),
+
+    for every n, with the terms past `support` (when set) zero. A summand
+    declared in `bailey.Summand` adds one law per factor: the q-power and
+    s^n give a and b, an upper Pochhammer its dip c (`poch_law`), a head
+    1 - w r^n its kink, an opaque factor its floor.
+
+    `least(n)` is min over m >= n of E(m): past its last kink E is one
+    quadratic, nondecreasing from its vertex on, so only the n below both
+    need a scan. `growth()` turns it into `TermGenerator.valuation_growth`.
+    """
+
+    a: Rational = 0
+    b: Rational = 0
+    c: Rational = 0
+    kinks: Tuple[Tuple[int, int], ...] = ()
+    support: Optional[int] = None
+
+    def __add__(self, other: "ValuationLaw") -> "ValuationLaw":
+        tops = [t for t in (self.support, other.support) if t is not None]
+        return ValuationLaw(self.a + other.a, self.b + other.b,
+                            self.c + other.c, self.kinks + other.kinks,
+                            min(tops) if tops else None)
+
+    def _unbounded(self, strict: bool) -> bool:
+        """No support, and E falls (strict) or fails to rise for ever."""
+        slope = self.b + sum(k for k, _ in self.kinks if k < 0)
+        return self.support is None and (
+            self.a < 0 or not self.a and (slope < 0 if strict else slope <= 0))
+
+    def _least(self):
+        """n -> min over m >= n of d E(m) in integers (n >= 0), None past
+        the support; and d. From n0, the last kink or the final piece's
+        vertex (capped at the support), E never falls, so the minimum
+        there is E(n) itself; below n0 it is a table of suffix minima."""
+        a, b, c, kinks, top = self
+        d = lcm(*(Fraction(x).denominator for x in (a, b, c)))
+        ia, ib, ic = (int(x * d) for x in (a, b, c))
+
+        def scaled(n: int) -> int:
+            return (ia * n + ib) * n + ic + d * sum(
+                min(0, k * n + l) for k, l in kinks)
+
+        slope = b + sum(k for k, _ in kinks if k < 0)
+        n0 = max([ceil(Fraction(-l, k)) for k, l in kinks if k] + [0])
+        if a > 0:
+            n0 = max(n0, ceil(Fraction(-slope) / (2 * a)))
+        elif a < 0 or slope < 0:
+            n0 = top                # E falls for ever: the support ends it
+        if top is not None:
+            n0 = min(n0, top)
+        best = [scaled(m) for m in range(n0 + 1)]
+        for i in range(n0 - 1, -1, -1):
+            best[i] = min(best[i], best[i + 1])
+
+        def least(n: int) -> Optional[int]:
+            if top is not None and n > top:
+                return None
+            return best[n] if n <= n0 else scaled(n)
+
+        return least, d
+
+    def least(self, n: int) -> Fraction:
+        """min over m >= n (and m <= support) of E(m), infinite past the
+        support; ValuationStall if E is unbounded below there."""
+        if self._unbounded(strict=True):
+            raise ValuationStall("valuation bound unbounded below")
+        least, d = self._least()
+        m = least(n)
+        return inf if m is None else Fraction(m, d)
+
+    def growth(self) -> Callable[[int], float]:
+        """n -> ceil(least(n)), infinite past the support: a
+        nondecreasing bound that passes every goal. ValuationStall at
+        once if it never does (a < 0, or a = 0 with a final slope <= 0,
+        and no support)."""
+        if self._unbounded(strict=False):
+            raise ValuationStall("declared summand has no valuation growth")
+        least, d = self._least()
+
+        def g(n: int):
+            m = least(n)
+            return inf if m is None else -(-m // d)
+
+        return g
+
+
+def poch_law(a: QMonomial, base: QMonomial, k: int = 1,
+             l: int = 0) -> ValuationLaw:
+    """The valuation law of n -> (a; base)_(k n + l). With base exponent
+    b >= 1 it is the dip, the sum of the negative exponents of a base^j,
+    and, when the factor 1 - a base^j vanishes, the support (j - l) // k
+    (the product is zero once k n + l > j). With b = 0 it is min(0, exp a)
+    per factor. A zero argument is the factor 1."""
+    e, be = a.exp, base.exp
+    if a.is_zero or e > 0 and be > 0:
+        return ValuationLaw()
+    if not be:
+        return ValuationLaw(b=min(0, e) * k, c=min(0, e) * l)
+    dip = sum(e + j * be for j in range((-e + be - 1) // be))
+    j = -e // be
+    support = None
+    if k > 0 and -e % be == 0 and a.coef * base.coef ** j == 1:
+        support = (j - l) // k
+    return ValuationLaw(c=dip, support=support)
+
+
 @dataclass
 class TermGenerator:
     """A summable sequence of series-valued terms.
 
     `term` must be re-entrant (same n, same value). `valuation_growth`,
-    when given, is a nondecreasing lower bound on the valuation of term(n);
-    it lets the summation engine stop without probing extra terms.
+    when given, is a nondecreasing lower bound on the valuation of
+    term(n) (`ValuationLaw.growth`); it is the whole stopping rule.
     """
 
     term: Callable[[int], LaurentSeries]
@@ -269,43 +390,56 @@ class TermGenerator:
 def sum_exact(gen: TermGenerator, order: int) -> LaurentSeries:
     """Sum term(0), term(1), ... exactly to `order`.
 
-    Terms are consumed until every subsequent one provably lives above the
-    working order: either the declared valuation bound exceeds it, or a run
-    of terms is observed strictly above it. If STALL_WINDOW (200)
-    consecutive terms fail to raise the running valuation floor, the
-    specialization is declared inadmissible (ValuationStall).
+    With a declared `valuation_growth`, terms are consumed while the bound
+    is at most `order` and no further: past that every term is zero
+    through `order`, so the sum is proved. A term found below its bound
+    raises BoundViolation: the declaration is wrong, and stopping on it
+    could drop terms. Without one (a bare generator)
+    the sum ends after a run of terms strictly above `order`, which is a
+    guess, not a proof; STALL_WINDOW (200) consecutive terms that fail to
+    raise the running valuation floor make that path raise
+    ValuationStall. No summand of the catalog takes it.
     """
     acc = LaurentSeries.zero(order)
-    floor: float = float("-inf")
+    growth = gen.valuation_growth
+    low: float = float("-inf")
     stall = 0
     high_run = 0
     n = 0
     while True:
-        if gen.valuation_growth is not None and gen.valuation_growth(n) > order:
-            break
+        if growth is not None:
+            bound = growth(n)
+            if bound > order:
+                break
         t = gen.term(n)
         if t.eff_order() < order:
             raise OrderInsufficient(
                 f"term {n} only known to order {t.order}, need {order}",
                 order - t.order)
-        v = t.eff_min_deg()
         acc = acc + t
-        if v > floor:
-            floor = v
+        v = t.eff_min_deg()
+        n += 1
+        if growth is not None:
+            if v < bound:
+                raise BoundViolation(
+                    f"term {n - 1} has valuation {v}, below its declared "
+                    f"bound {bound}")
+            continue
+        if v > low:
+            low = v
             stall = 0
         else:
             stall += 1
             if stall >= STALL_WINDOW:
                 raise ValuationStall(
                     f"{STALL_WINDOW} consecutive terms without valuation "
-                    f"progress (floor {floor})")
+                    f"progress (floor {low})")
         if v > order:
             high_run += 1
             if high_run >= _STOP_RUN:
                 break
         else:
             high_run = 0
-        n += 1
     return acc
 
 

@@ -13,12 +13,15 @@ hypergeometric sums (qgauss, qbinom, phi32, cpte5) sum `bailey.phi_term`;
 the Rogers-Ramanujan-Slater identities are written once per family
 (`_rr_mod5`, `_gg_mod8`, `_mod16`, `_slater69`) and share product sides
 (`_triple`, `_p16`, `_p121`); the other sums follow the source displays
-term by term. A sum times a q-power is `ctx.summation(..., times=m)`
-under both strategies. Square-root pairs are always realized through
-ctx.vwp. A record sets no working order: the exact strategy derives the
-headroom its Laurent dips need (`context.exact_run`). Samplers draw one
-candidate (None = rejected); rejection and determinism live in the
-registry.
+term by term. Every summand is declared as a `bailey.Summand` (s^n, the
+q-power, Pochhammers of length k n + l, heads 1 - w r^n, opaque factors
+with their floors), never written as a closure, so that the exact
+strategy stops each sum on its certificate. A sum times a q-power is
+`ctx.summation(..., times=m)` under both strategies. Square-root pairs
+are always realized through ctx.vwp. A record sets no working order: the
+exact strategy derives the headroom its Laurent dips need
+(`context.exact_run`). Samplers draw one candidate (None = rejected);
+rejection and determinism live in the registry.
 """
 
 from __future__ import annotations
@@ -29,12 +32,13 @@ from fractions import Fraction as F
 from typing import Callable, Dict, Optional, Tuple
 
 from .bailey import (
+    Factor,
+    Summand,
     cor_lhs,
     cor_pref,
     cor_rhs_sum,
     cor_transform,
     phi_term,
-    poch_quotient,
     running_sums,
     sv_linear,
     sv_quotient,
@@ -173,7 +177,7 @@ def _s_qbinom(rng, mode):
 
 def _b_bailey_transform(ctx, p):
     return wp_transform(ctx, p["a"], ctx.num(0), p["y"], p["z"],
-                        _seed_alpha(ctx), support=0)
+                        _seed_alpha(ctx), support=0, floor=0)
 
 
 def _s_bailey_transform(rng, mode):
@@ -192,7 +196,7 @@ def _s_bailey_transform(rng, mode):
 
 def _b_thm_wp(ctx, p):
     return wp_transform(ctx, p["a"], p["k"], p["r1"], p["r2"],
-                        _seed_alpha(ctx), support=0)
+                        _seed_alpha(ctx), support=0, floor=0)
 
 
 def _s_thm_wp(rng, mode):
@@ -214,10 +218,8 @@ def _s_thm_wp(rng, mode):
 
 def _b_cor_central(ctx, p):
     vals = [ctx.num(p[f"alpha{i}"]) for i in range(6)]
-
-    def alpha(n):
-        return vals[n] if n < len(vals) else ctx.num(0)
-
+    alpha = Factor(lambda n: vals[n] if n < len(vals) else ctx.num(0),
+                   0, len(vals) - 1)
     return cor_transform(ctx, p["x"], p["y"], p["z"],
                          running_sums(ctx, alpha), alpha)
 
@@ -231,15 +233,16 @@ def _s_cor_central(rng, mode):
 
 def _b_alt_alpha(ctx, p):
     x, y, z = p["x"], p["y"], p["z"]
-    lhs = cor_lhs(ctx, x, y, z, lambda n: ctx.num(1), idx=lambda n: 2 * n)
-    rhs = ctx.mul(cor_pref(ctx, x, y, z),
-                  cor_rhs_sum(ctx, x, y, z, lambda n: ctx.num((-1) ** n)))
+    lhs = cor_lhs(ctx, x, y, z, Factor(lambda n: ctx.num(1), 0), step=2)
+    rhs = ctx.mul(cor_pref(ctx, x, y, z), cor_rhs_sum(
+        ctx, x, y, z, Factor(lambda n: ctx.num((-1) ** n), 0)))
     return lhs, rhs
 
 
 def _b_ones_alpha(ctx, p):
     return cor_transform(ctx, p["x"], p["y"], p["z"],
-                         lambda n: ctx.num(n + 1), lambda n: ctx.num(1))
+                         Factor(lambda n: ctx.num(n + 1), 0),
+                         Factor(lambda n: ctx.num(1), 0))
 
 
 def _b_alt_sum(ctx, p):
@@ -247,14 +250,9 @@ def _b_alt_sum(ctx, p):
     qq = ctx.qpow(1)
     inv_x = ctx.inv(x)
     arg = ctx.mul(ctx.qpow(1), ctx.pow_int(inv_x, 2))   # q / x^2
-
-    def term(n):
-        head = ctx.sub(ctx.one(), ctx.mul(ctx.qpow(2 * n + 1), inv_x))
-        return ctx.mul(head, ctx.poch(arg, qq, 2 * n),
-                       ctx.pow_int(x, 2 * n),
-                       ctx.inv_poch(qq, qq, 2 * n + 1))
-
-    lhs = ctx.summation(term)
+    lhs = ctx.summation(Summand(
+        ctx, ctx.pow_int(x, 2), ups=[(arg, qq, 2, 0)], downs=[(qq, qq, 2, 1)],
+        heads=[(ctx.mul(qq, inv_x), ctx.qpow(2))]))
     rhs = ctx.mul(ctx.inv(ctx.add(ctx.one(), x)),
                   ctx.poch_inf(ctx.mul(qq, inv_x), qq),
                   ctx.inv_poch_inf(x, qq))
@@ -266,13 +264,10 @@ def _b_ones_sum(ctx, p):
     qq = ctx.qpow(1)
     inv_x = ctx.inv(x)
     arg = ctx.mul(ctx.qpow(1), ctx.pow_int(inv_x, 2))
-
-    def term(n):
-        head = ctx.add(ctx.one(), ctx.mul(ctx.qpow(n + 1), inv_x))
-        return ctx.mul(head, ctx.poch(arg, qq, n), ctx.pow_int(x, n),
-                       ctx.num(n + 1), ctx.inv_poch(qq, qq, n + 1))
-
-    lhs = ctx.summation(term)
+    lhs = ctx.summation(Summand(
+        ctx, x, ups=[(arg, qq)], downs=[(qq, qq, 1, 1)],
+        heads=[(ctx.neg(ctx.mul(qq, inv_x)), qq)],
+        factors=[Factor(lambda n: ctx.num(n + 1), 0)]))
     rhs = ctx.mul(ctx.inv(ctx.sub(ctx.one(), x)),
                   ctx.poch_inf(ctx.mul(qq, inv_x), qq),
                   ctx.inv_poch_inf(x, qq))
@@ -284,14 +279,9 @@ def _b_u_power(ctx, p):
     qq = ctx.qpow(1)
     inv_x = ctx.inv(x)
     arg = ctx.mul(ctx.qpow(1), ctx.pow_int(inv_x, 2))
-
-    def term(n):
-        head = ctx.add(ctx.one(), ctx.mul(ctx.qpow(n + 1), inv_x))
-        tail = ctx.sub(ctx.one(), ctx.pow_int(u, n + 1))
-        return ctx.mul(head, ctx.poch(arg, qq, n), ctx.pow_int(x, n),
-                       tail, ctx.inv_poch(qq, qq, n + 1))
-
-    lhs = ctx.summation(term)
+    lhs = ctx.summation(Summand(
+        ctx, x, ups=[(arg, qq)], downs=[(qq, qq, 1, 1)],
+        heads=[(ctx.neg(ctx.mul(qq, inv_x)), qq), (u, u)]))
     rhs = ctx.mul(ctx.sub(ctx.one(), u), ctx.inv(ctx.sub(ctx.one(), x)),
                   ctx.poch_inf(ctx.mul(qq, u, inv_x), qq),
                   ctx.inv_poch_inf(ctx.mul(x, u), qq))
@@ -358,10 +348,9 @@ def _s_phi32(rng, mode):
 def _b_poly2(ctx, p):
     x = p["x"]
     sv = (p["p"], p["P"], p["Q"], p["R"], p["a"], p["b"], p["c"])
-    quot = sv_quotient(ctx, *sv, False)
     return cor_transform(
         ctx, x, p["y"], p["z"], sv_quotient(ctx, *sv, True),
-        lambda n: ctx.mul(sv_linear(ctx, *sv, n), quot(n)),
+        sv_quotient(ctx, *sv, False)._replace(**sv_linear(ctx, *sv)),
         arg=ctx.mul(x, ctx.pow_int(p["R"], 2)))
 
 
@@ -398,12 +387,13 @@ def _b_poly2q(ctx, p):
     a, b, c = p["a"], p["b"], p["c"]
     qm = ctx.qpow(p["m"])
     ups = [a, b, c, ctx.div(a, ctx.mul(b, c))]
-    downs = [ctx.mul(ctx.div(a, c), qm), ctx.mul(ctx.div(a, b), qm),
-             ctx.mul(b, c, qm), qm]
-    alpha = poch_quotient(ctx, ups, downs, qm)
-    beta = poch_quotient(ctx, [ctx.mul(u, qm) for u in ups], downs, qm)
-    return cor_transform(ctx, p["x"], p["y"], p["z"], beta,
-                         lambda n: alpha(n, ctx.vwp(a, n, qm)),
+    downs = [(d, qm) for d in (ctx.mul(ctx.div(a, c), qm),
+                               ctx.mul(ctx.div(a, b), qm), ctx.mul(b, c, qm),
+                               qm)]
+    alpha = Summand(ctx, ups=[(u, qm) for u in ups], downs=downs,
+                    factors=[Factor(lambda n: ctx.vwp(a, n, qm), 0)])
+    beta = Summand(ctx, ups=[(ctx.mul(u, qm), qm) for u in ups], downs=downs)
+    return cor_transform(ctx, p["x"], p["y"], p["z"], beta, alpha,
                          arg=ctx.mul(p["x"], qm))
 
 
@@ -422,10 +412,11 @@ def _s_poly2q(rng, mode):
 def _b_phi65(ctx, p):
     a, b = p["a"], p["b"]
     qq = ctx.qpow(1)
-    downs = [qq, ctx.mul(a, b, qq)]
-    beta = poch_quotient(ctx, [ctx.mul(a, qq), ctx.mul(b, qq)], downs, qq)
+    downs = [(qq, qq), (ctx.mul(a, b, qq), qq)]
+    beta = Summand(ctx, ups=[(ctx.mul(a, qq), qq), (ctx.mul(b, qq), qq)],
+                   downs=downs)
     return cor_transform(ctx, p["x"], p["y"], p["z"], beta,
-                         poch_quotient(ctx, [a, b], downs, qq),
+                         Summand(ctx, ups=[(a, qq), (b, qq)], downs=downs),
                          arg=ctx.mul(p["x"], qq))
 
 
@@ -523,15 +514,9 @@ def _s_cpte5(rng, mode):
 
 def _b_bibasic_ab(ctx, p):
     x, y, z, pv, B = p["x"], p["y"], p["z"], p["p"], p["B"]
-    p2 = ctx.pow_int(pv, 2)
-    nBp = ctx.neg(ctx.mul(B, pv))
-
-    def weight(n, e):
-        return ctx.mul(ctx.inv_poch(nBp, p2, n), ctx.pow_int(B, n),
-                       ctx.pow_int(pv, e))
-
-    lhs = cor_lhs(ctx, x, y, z, lambda n: weight(n, n * n))
-    inner = cor_rhs_sum(ctx, x, y, z, lambda n: weight(n, n * n - 2 * n),
+    down = [(ctx.neg(ctx.mul(B, pv)), ctx.pow_int(pv, 2))]
+    lhs = cor_lhs(ctx, x, y, z, Summand(ctx, B, (1, 0), pv, downs=down))
+    inner = cor_rhs_sum(ctx, x, y, z, Summand(ctx, B, (1, -2), pv, downs=down),
                         start=1, times=ctx.div(pv, B))
     rhs = ctx.mul(cor_pref(ctx, x, y, z), ctx.sub(ctx.one(), inner))
     return lhs, rhs
@@ -539,14 +524,9 @@ def _b_bibasic_ab(ctx, p):
 
 def _b_bibasic_ab2(ctx, p):
     x, y, z, pv, B = p["x"], p["y"], p["z"], p["p"], p["B"]
-
-    def rterm(n):
-        tail = ctx.sub(ctx.one(), ctx.mul(B, ctx.pow_int(pv, 2 * n - 1)))
-        return ctx.mul(tail, ctx.pow_int(B, n),
-                       ctx.pow_int(pv, n * n - 2 * n))
-
-    lhs = cor_lhs(ctx, x, y, z, lambda n: ctx.mul(ctx.pow_int(B, n),
-                                                  ctx.pow_int(pv, n * n)))
+    rterm = Summand(ctx, B, (1, -2), pv,
+                    heads=[(ctx.div(B, pv), ctx.pow_int(pv, 2))])
+    lhs = cor_lhs(ctx, x, y, z, Summand(ctx, B, (1, 0), pv))
     inner = cor_rhs_sum(ctx, x, y, z, rterm, start=1, times=ctx.div(pv, B))
     rhs = ctx.mul(cor_pref(ctx, x, y, z), ctx.sub(ctx.one(), inner))
     return lhs, rhs
@@ -573,22 +553,13 @@ def _s_bibasic(rng, mode):
 def _b_rrs3eq1(ctx, p):
     x, a, b = p["x"], p["a"], p["b"]
     qq = ctx.qpow(1)
-    xq = ctx.mul(x, qq)
-
-    def lterm(n):
-        e = a * n * n + b * n + F(n * (n - 1), 2)
-        return ctx.mul(ctx.pow_int(ctx.neg(x), n), ctx.qpow(e),
-                       ctx.inv_poch(xq, qq, n))
-
-    lhs = ctx.summation(lterm)
-
-    def rterm(n):
-        e = a * n * n + (b - 2 * a) * n + F(n * (n - 1), 2)
-        tail = ctx.sub(ctx.one(), ctx.qpow(2 * a * n + b - a))
-        return ctx.mul(ctx.pow_int(ctx.neg(x), n), ctx.qpow(e), tail,
-                       ctx.inv_poch(x, qq, n))
-
-    inner = ctx.summation(rterm, start=1, times=ctx.qpow(a - b))
+    nx, half = ctx.neg(x), F(1, 2)
+    lhs = ctx.summation(Summand(ctx, nx, (a + half, b - half),
+                                downs=[(ctx.mul(x, qq), qq)]))
+    inner = ctx.summation(Summand(
+        ctx, nx, (a + half, b - 2 * a - half), downs=[(x, qq)],
+        heads=[(ctx.qpow(b - a), ctx.qpow(2 * a))]),
+        start=1, times=ctx.qpow(a - b))
     rhs = ctx.mul(ctx.sub(ctx.one(), x), ctx.sub(ctx.one(), inner))
     return lhs, rhs
 
@@ -608,15 +579,11 @@ def _b_bb_z0(ctx, p):
     x, y, ia, ib = p["x"], p["y"], p["a"], p["b"]
     q2, z = ctx.qpow(2), ctx.num(0)
     base_a = ctx.qpow(2 * ia)
-    narg = ctx.neg(ctx.qpow(ia + ib))
-
-    def weight(n, e):
-        return ctx.mul(ctx.qpow(e), ctx.inv_poch(narg, base_a, n))
-
-    lhs = cor_lhs(ctx, x, y, z, lambda n: weight(n, ia * n * n + ib * n),
+    down = [(ctx.neg(ctx.qpow(ia + ib)), base_a)]
+    lhs = cor_lhs(ctx, x, y, z, Summand(ctx, power=(ia, ib), downs=down),
                   base=q2)
     inner = cor_rhs_sum(ctx, x, y, z,
-                        lambda n: weight(n, ia * n * n + (ib - 2 * ia) * n),
+                        Summand(ctx, power=(ia, ib - 2 * ia), downs=down),
                         start=1, times=ctx.qpow(ia - ib), base=q2)
     rhs = ctx.mul(cor_pref(ctx, x, y, z), ctx.sub(ctx.one(), inner))
     return lhs, rhs
@@ -636,22 +603,12 @@ def _b_bb_yinf(ctx, p):
     x, ia, ib = p["x"], p["a"], p["b"]
     q2 = ctx.qpow(2)
     base_a = ctx.qpow(2 * ia)
-    narg = ctx.neg(ctx.qpow(ia + ib))
-
-    def lterm(n):
-        return ctx.mul(ctx.pow_int(ctx.neg(x), n),
-                       ctx.qpow((ia + 1) * n * n + (ib - 1) * n),
-                       ctx.inv_poch(ctx.mul(q2, x), q2, n),
-                       ctx.inv_poch(narg, base_a, n))
-
-    lhs = ctx.summation(lterm)
-
-    def rterm(n):
-        return ctx.mul(ctx.pow_int(ctx.neg(x), n),
-                       ctx.qpow((ia + 1) * n * n + (ib - 2 * ia - 1) * n),
-                       ctx.inv_poch(x, q2, n), ctx.inv_poch(narg, base_a, n))
-
-    inner = ctx.summation(rterm, start=1, times=ctx.qpow(ia - ib))
+    nx, down = ctx.neg(x), (ctx.neg(ctx.qpow(ia + ib)), base_a)
+    lhs = ctx.summation(Summand(ctx, nx, (ia + 1, ib - 1),
+                                downs=[(ctx.mul(q2, x), q2), down]))
+    inner = ctx.summation(Summand(ctx, nx, (ia + 1, ib - 2 * ia - 1),
+                                  downs=[(x, q2), down]),
+                          start=1, times=ctx.qpow(ia - ib))
     rhs = ctx.mul(ctx.sub(ctx.one(), x), ctx.sub(ctx.one(), inner))
     return lhs, rhs
 
@@ -675,13 +632,8 @@ def _rr_mod5(b, r, h=None):
     """
     def build(ctx, p):
         q4, q5 = ctx.qpow(4), ctx.qpow(5)
-
-        def term(n):
-            head = () if h is None else \
-                (ctx.add(ctx.one(), ctx.qpow(h - 2 * n)),)
-            return ctx.mul(*head, ctx.qpow(n * n + b * n),
-                           ctx.inv_poch(q4, q4, n))
-
+        heads = [] if h is None else [(ctx.neg(ctx.qpow(h)), ctx.qpow(-2))]
+        term = Summand(ctx, power=(1, b), downs=[(q4, q4)], heads=heads)
         return ctx.summation(term), ctx.mul(
             ctx.inv_poch_inf(ctx.qpow(r), q5),
             ctx.inv_poch_inf(ctx.qpow(5 - r), q5),
@@ -699,14 +651,9 @@ def _gg_mod8(a, b, r, h=None):
     """
     def build(ctx, p):
         q2, q8 = ctx.qpow(2), ctx.qpow(8)
-        nqa = ctx.neg(ctx.qpow(a))
-
-        def term(n):
-            head = () if h is None else \
-                (ctx.sub(ctx.one(), ctx.qpow(2 * n + h)),)
-            return ctx.mul(*head, ctx.poch(nqa, q2, n),
-                           ctx.qpow(n * n + b * n), ctx.inv_poch(q2, q2, n))
-
+        term = Summand(ctx, power=(1, b), ups=[(ctx.neg(ctx.qpow(a)), q2)],
+                       downs=[(q2, q2)],
+                       heads=[] if h is None else [(ctx.qpow(h), q2)])
         return ctx.summation(term), ctx.mul(
             ctx.inv_poch_inf(ctx.qpow(r), q8),
             ctx.inv_poch_inf(ctx.qpow(4), q8),
@@ -740,12 +687,8 @@ def _mod16(c, a, e):
     """
     def build(ctx, p):
         qq = ctx.qpow(1)
-        nq = ctx.neg(qq)
-
-        def term(n):
-            return ctx.mul(ctx.poch(nq, qq, n), ctx.qpow(F(n * n - n, 2)),
-                           ctx.inv_poch(qq, qq, n - 1))
-
+        term = Summand(ctx, power=(F(1, 2), F(-1, 2)),
+                       ups=[(ctx.neg(qq), qq)], downs=[(qq, qq, 1, -1)])
         lhs = ctx.add(ctx.num(c), ctx.summation(term, start=1))
         return lhs, ctx.mul(ctx.qpow(e), *_p16(ctx, ctx.num(-1), a))
 
@@ -757,13 +700,9 @@ def _b_rrs6(ctx, p):
     qq = ctx.qpow(1)
     q2 = ctx.qpow(2)
     q3b = ctx.mul(ctx.qpow(3), ctx.inv(b))
-
-    def term(n):
-        return ctx.mul(ctx.poch(b, qq, n), ctx.poch(q3b, qq, n),
-                       ctx.qpow(F(n * (n + 1), 2)),
-                       ctx.inv_poch(q2, q2, n + 1), ctx.inv_poch(qq, qq, n))
-
-    lhs = ctx.summation(term)
+    lhs = ctx.summation(Summand(
+        ctx, power=(F(1, 2), F(1, 2)), ups=[(b, qq), (q3b, qq)],
+        downs=[(q2, q2, 1, 1), (qq, qq)]))
     rhs = ctx.mul(ctx.poch_inf(ctx.mul(ctx.qpow(4), ctx.inv(b)), q2),
                   ctx.poch_inf(ctx.mul(b, qq), q2), ctx.inv_poch_inf(qq, qq))
     return lhs, rhs
@@ -783,13 +722,9 @@ def _b_qbailey(ctx, p):
     qq = ctx.qpow(1)
     q2 = ctx.qpow(2)
     qb = ctx.mul(qq, ctx.inv(b))
-
-    def term(n):
-        return ctx.mul(ctx.poch(b, qq, n), ctx.poch(qb, qq, n),
-                       ctx.pow_int(c, n), ctx.qpow(F(n * (n - 1), 2)),
-                       ctx.inv_poch(c, qq, n), ctx.inv_poch(q2, q2, n))
-
-    lhs = ctx.summation(term)
+    lhs = ctx.summation(Summand(
+        ctx, c, (F(1, 2), F(-1, 2)), ups=[(b, qq), (qb, qq)],
+        downs=[(c, qq), (q2, q2)]))
     rhs = ctx.mul(ctx.poch_inf(ctx.mul(c, qq, ctx.inv(b)), q2),
                   ctx.poch_inf(ctx.mul(b, c), q2), ctx.inv_poch_inf(c, qq))
     return lhs, rhs
@@ -810,11 +745,8 @@ def _s_qbailey(rng, mode):
 def _b_gs1(ctx, p):
     qq = ctx.qpow(1)
     nq = ctx.neg(qq)
-
-    def term(n):
-        return ctx.mul(ctx.poch(nq, qq, n - 1), ctx.qpow(F(n * n + n, 2)),
-                       ctx.inv_poch(qq, qq, n))
-
+    term = Summand(ctx, power=(F(1, 2), F(1, 2)), ups=[(nq, qq, 1, -1)],
+                   downs=[(qq, qq)])
     lhs = ctx.add(ctx.one(), ctx.summation(term, start=1))
     return lhs, ctx.mul(*_p16(ctx, nq, 6))
 
@@ -822,11 +754,8 @@ def _b_gs1(ctx, p):
 def _b_gs2(ctx, p):
     qq = ctx.qpow(1)
     nq = ctx.neg(qq)
-
-    def term(n):
-        return ctx.mul(ctx.poch(nq, qq, n), ctx.qpow(F(n * n + 3 * n, 2)),
-                       ctx.inv_poch(qq, qq, n + 1))
-
+    term = Summand(ctx, power=(F(1, 2), F(3, 2)), ups=[(nq, qq)],
+                   downs=[(qq, qq, 1, 1)])
     return ctx.summation(term), ctx.mul(*_p16(ctx, nq, 2))
 
 
@@ -839,13 +768,9 @@ def _slater69(k):
     """
     def build(ctx, p):
         qq, q2 = ctx.qpow(1), ctx.qpow(2)
-        nq2 = ctx.neg(q2)
-
-        def term(n):
-            return ctx.mul(ctx.poch(nq2, q2, n + k), ctx.qpow(n * n + 2 * n),
-                           ctx.inv_poch(qq, qq, 2 * n + 2 + k))
-
-        lhs = ctx.summation(term)
+        lhs = ctx.summation(Summand(ctx, power=(1, 2),
+                                    ups=[(ctx.neg(q2), q2, 1, k)],
+                                    downs=[(qq, qq, 2, 2 + k)]))
         prod = ctx.mul(*_triple(ctx, -1, 2, 16),
                        ctx.poch_inf(ctx.neg(qq), q2), ctx.inv_poch_inf(q2, q2))
         return lhs, prod if k == 0 else ctx.sub(
@@ -865,97 +790,67 @@ def _p121(ctx):
 
 def _b_slater121(ctx, p):
     qq, q2 = ctx.qpow(1), ctx.qpow(2)
-    nq2 = ctx.neg(q2)
-
-    def term(n):
-        return ctx.mul(ctx.poch(nq2, q2, n - 1), ctx.qpow(n * n),
-                       ctx.inv_poch(qq, qq, 2 * n))
-
+    term = Summand(ctx, power=(1,), ups=[(ctx.neg(q2), q2, 1, -1)],
+                   downs=[(qq, qq, 2, 0)])
     return ctx.add(ctx.one(), ctx.summation(term, start=1)), _p121(ctx)
 
 
 def _b_s121(ctx, p):
     qq, q2 = ctx.qpow(1), ctx.qpow(2)
-    nq2 = ctx.neg(q2)
-
-    def term(n):
-        return ctx.mul(ctx.poch(nq2, q2, n), ctx.qpow(n * n),
-                       ctx.inv_poch(qq, qq, 2 * n + 1))
-
-    lhs = ctx.summation(term)
+    lhs = ctx.summation(Summand(ctx, power=(1,), ups=[(ctx.neg(q2), q2)],
+                                downs=[(qq, qq, 2, 1)]))
     return lhs, ctx.sub(ctx.mul(ctx.num(2), _p121(ctx)), ctx.one())
 
 
 # -- false theta records -------------------------------------------------------
 
 def _false_theta_half(ctx):
-    return ctx.summation(lambda n: ctx.mul(ctx.num((-1) ** n),
-                                           ctx.qpow(F(n * (n + 1), 2))))
+    return ctx.summation(Summand(ctx, ctx.num(-1), (F(1, 2), F(1, 2))))
 
 
 def _false_theta_third(ctx):
+    # one two-term series q^e - q^(e + 2n + 1), bounded by q^e: as a head
+    # times q^e the term would carry a different order
     def term(n):
         e = F(n * (3 * n + 1), 2)
         return ctx.sub(ctx.qpow(e), ctx.qpow(e + 2 * n + 1))
-    return ctx.summation(term)
+    return ctx.summation(Summand(ctx, factors=[
+        Factor(term, Summand(ctx, power=(F(3, 2), F(1, 2))))]))
 
 
 def _b_r1(ctx, p):
     qq = ctx.qpow(1)
     q2 = ctx.qpow(2)
-    nq = ctx.neg(qq)
-
-    def term(n):
-        return ctx.mul(ctx.poch(qq, q2, n), ctx.num((-1) ** n),
-                       ctx.qpow(n * n + n), ctx.inv_poch(nq, qq, 2 * n + 1))
-
+    term = Summand(ctx, ctx.num(-1), (1, 1), ups=[(qq, q2)],
+                   downs=[(ctx.neg(qq), qq, 2, 1)])
     return ctx.summation(term), _false_theta_half(ctx)
 
 
 def _b_r2a(ctx, p):
     qq = ctx.qpow(1)
-    nq = ctx.neg(qq)
-
-    def term(n):
-        return ctx.mul(ctx.qpow(2 * n * n + n),
-                       ctx.inv_poch(nq, qq, 2 * n + 1))
-
+    term = Summand(ctx, power=(2, 1), downs=[(ctx.neg(qq), qq, 2, 1)])
     return _false_theta_third(ctx), ctx.summation(term)
 
 
 def _b_r2b(ctx, p):
     qq = ctx.qpow(1)
-    nq = ctx.neg(qq)
-
-    def term(n):
-        return ctx.mul(ctx.num((-1) ** n), ctx.qpow(F(n * (n + 1), 2)),
-                       ctx.inv_poch(nq, qq, n))
-
+    term = Summand(ctx, ctx.num(-1), (F(1, 2), F(1, 2)),
+                   downs=[(ctx.neg(qq), qq)])
     return _false_theta_third(ctx), ctx.summation(term)
 
 
 def _b_ft1(ctx, p):
     qq = ctx.qpow(1)
-    q2 = ctx.qpow(2)
-
-    def term(n):
-        return ctx.mul(ctx.poch(qq, q2, n), ctx.num((-1) ** n),
-                       ctx.qpow(n * n - n), ctx.inv_poch(ctx.num(-1), qq,
-                                                         2 * n + 1))
-
+    term = Summand(ctx, ctx.num(-1), (1, -1), ups=[(qq, ctx.qpow(2))],
+                   downs=[(ctx.num(-1), qq, 2, 1)])
     lhs = ctx.sub(ctx.one(), ctx.summation(term))
     return lhs, _false_theta_half(ctx)
 
 
 def _b_ft2(ctx, p):
     qq = ctx.qpow(1)
-    nq = ctx.neg(qq)
-
-    def term(n):
-        tail = ctx.inv(ctx.add(ctx.one(), ctx.qpow(2 * n + 3)))
-        return ctx.mul(ctx.qpow(2 * n * n + 3 * n),
-                       ctx.inv_poch(nq, qq, 2 * n + 1), tail)
-
+    term = Summand(ctx, power=(2, 3), downs=[(ctx.neg(qq), qq, 2, 1)],
+                   heads=[(ctx.neg(ctx.qpow(3)), ctx.qpow(2), True)])
     lhs = ctx.sub(ctx.mul(ctx.num(2), ctx.inv(ctx.add(ctx.one(), qq))),
                   ctx.summation(term))
     return lhs, _false_theta_third(ctx)
@@ -964,10 +859,8 @@ def _b_ft2(ctx, p):
 def _b_ft3(ctx, p):
     qq = ctx.qpow(1)
 
-    def term(n):
-        return ctx.mul(ctx.num((-1) ** n), ctx.qpow(F(n * (n + 1), 2)),
-                       ctx.inv_poch(ctx.num(-1), qq, n + 2))
-
+    term = Summand(ctx, ctx.num(-1), (F(1, 2), F(1, 2)),
+                   downs=[(ctx.num(-1), qq, 1, 2)])
     lhs = ctx.add(ctx.num(F(1, 2)), ctx.summation(term))
     return lhs, _false_theta_third(ctx)
 

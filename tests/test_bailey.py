@@ -19,7 +19,8 @@ from qident.bailey import (
     wp_beta,
     wp_chain_step,
 )
-from qident.errors import DegenerateDenominator
+from qident.errors import (BoundViolation, DegenerateDenominator,
+                           ValuationStall)
 from qident.qfunc import poch_finite
 from qident.series import LaurentSeries as LS, QMonomial
 
@@ -167,14 +168,14 @@ def test_transform_degenerate_prefactor():
 
 def test_cor_sides_ones():
     N = 30
-    alpha = AlphaSequence(lambda n, o: F(1))
+    alpha = AlphaSequence(lambda n, o: F(1), floor=0)
     lhs, rhs = cor_sides(alpha, mono(1, 1), mono(1, 2), mono(1, 3), N)
     eq(lhs, rhs, N)
 
 
 def test_cor_sides_alternating():
     N = 30
-    alpha = AlphaSequence(lambda n, o: F(-1) ** n)
+    alpha = AlphaSequence(lambda n, o: F(-1) ** n, floor=0)
     lhs, rhs = cor_sides(alpha, mono(1, 1), mono(1, 2), mono(1, 3), N)
     eq(lhs, rhs, N)
 
@@ -202,6 +203,33 @@ def test_cor_sides_alpha_linear():
     l12, r12 = cor_sides(AlphaSequence.from_values(both), x, y, z, N)
     eq(l12, l1 + l2, N)
     eq(r12, r1 + r2, N)
+
+
+def test_cor_sides_laurent_alpha():
+    # alpha_0 = q^-3: beta_n = q^-3 and the lhs terms start at q^(n - 3).
+    # from_values takes the floor -3 from the value, so the sums reach
+    # the terms up to n = 33 that a floor of 0 would drop; both sides are
+    # q^-3 times those of the unit sequence
+    N = 30
+    x, y, z = Q, mono(1, 2), mono(1, 3)
+    alpha = AlphaSequence.from_values([mono(1, -3)])
+    assert alpha.floor == -3
+    lhs, rhs = cor_sides(alpha, x, y, z, N)
+    lhs1, rhs1 = cor_sides(unit_alpha(), x, y, z, N + 3)
+    eq(lhs, lhs1.scale(1, -3), N)
+    eq(rhs, rhs1.scale(1, -3), N)
+    eq(lhs, rhs, N)
+
+
+def test_cor_sides_floor_is_checked():
+    # a floor that the values break fails loudly instead of cutting the
+    # sum short; no floor at all is refused before any term
+    x, y, z = Q, mono(1, 2), mono(1, 3)
+    wrong = AlphaSequence(lambda n, o: mono(1, -3), support=0, floor=0)
+    with pytest.raises(BoundViolation):
+        cor_sides(wrong, x, y, z, 30)
+    with pytest.raises(ValuationStall, match="floor"):
+        cor_sides(AlphaSequence(lambda n, o: F(1)), x, y, z, 30)
 
 
 # ---------------------------------------------------------------- telescoping

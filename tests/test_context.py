@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qident import context, qfunc
+from qident.bailey import Factor, Summand
 from qident.context import ExactCtx
 from qident.errors import (DegenerateDenominator, NonTruncatable,
                            OrderInsufficient)
@@ -46,8 +47,9 @@ def eager(parts, mono):
 
 
 def summed(ctx, value):
-    """`value` as the only nonzero term of a sum, at the sum's goal."""
-    return ctx.summation(lambda n: value if n == 0 else 0)
+    """`value` as the only term of a sum (support 0, a floor below every
+    drawn product), at the sum's goal."""
+    return ctx.summation(Factor(lambda n: value, floor=-100, support=0))
 
 
 def assert_forced(ctx, product, want, goal):
@@ -136,16 +138,23 @@ def test_terms_above_goal_multiply_nothing(monkeypatch):
         return mul(self, other, cap)
 
     monkeypatch.setattr(LS, "mul", counting)
+    def shifted(c, floor):
+        """q^(c + n) a b, declared with a floor below a*b's valuation -1,
+        so that the sum reaches terms that lie above the goal."""
+        return Summand(ctx, power=(0, 1, c),
+                       factors=[Factor(lambda n: ctx.mul(a, b), floor)])
+
     # every term starts at 0 - 1 + 12 + n > 10: no product is formed
-    got = ctx.summation(lambda n: ctx.mul(a, b, ctx.qpow(12 + n)))
+    got = ctx.summation(shifted(12, -3))
     assert got == LS.zero(10)
     # nor when an exact zero part makes the whole product zero
-    got = ctx.summation(lambda n: ctx.mul(a, LS.zero(), b, ctx.qpow(n)))
+    got = ctx.summation(Summand(ctx, power=(0, 1), factors=[
+        Factor(lambda n: ctx.mul(a, LS.zero(), b), -1)]))
     assert got == LS.zero(10)
     assert caps == []
     # one q lower the first term reaches the goal: one product, capped
     # at 10 - 11, the only degree of a*b that lands on the window
-    got = ctx.summation(lambda n: ctx.mul(a, b, ctx.qpow(11 + n)))
+    got = ctx.summation(shifted(11, -3))
     assert caps == [-1]
     assert got == LS.from_pairs({10: F(1, 2)}, 10)
 

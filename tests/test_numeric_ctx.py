@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qident import context
-from qident.bailey import poch_quotient, wp_transform
+from qident.bailey import wp_transform
 from qident.context import ExactCtx, NumericCtx
 from qident.errors import DegenerateDenominator
 from qident.qfunc import NUMERIC_PRECISION
@@ -228,9 +228,10 @@ def test_poch_quotient_exact_numeric_coherence():
         return m.coef * q0 ** m.exp
 
     ectx = ExactCtx(N)
-    exact = poch_quotient(ectx, ups, downs, QMonomial.of(1, 1), s)
-    numeric = poch_quotient(NumericCtx(q0), [at(u) for u in ups],
-                            [at(d) for d in downs], q0, at(s))
+    q = QMonomial.of(1, 1)
+    exact = ectx.quotient([(u, q) for u in ups], [(d, q) for d in downs], s)
+    numeric = NumericCtx(q0).quotient([(at(u), q0) for u in ups],
+                                      [(at(d), q0) for d in downs], at(s))
     for n in (0, 1, 4, 9):
         want = ectx.finalize(exact(n)).eval_at(q0)
         assert abs(F(numeric(n)) - want) <= F(1, 10 ** 60)

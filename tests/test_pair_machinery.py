@@ -9,8 +9,8 @@ import pytest
 from qident.bailey import (
     AlphaSequence,
     ChainParams,
+    Summand,
     WPPair,
-    poch_quotient,
     running_sums,
     unit_alpha,
     wp_beta,
@@ -153,9 +153,8 @@ def test_summation_times_exact_against_numeric():
 
     def run(ctx):
         qq = ctx.qpow(1)
-        return ctx.summation(
-            lambda n: ctx.mul(ctx.qpow(n * n + n), ctx.inv_poch(qq, qq, n)),
-            start=1, times=ctx.qpow(times))
+        return ctx.summation(Summand(ctx, power=(1, 1), downs=[(qq, qq)]),
+                             start=1, times=ctx.qpow(times))
 
     exact = ExactCtx(N, headroom=3)
     series = exact.finalize(run(exact)).truncate(N)
@@ -196,7 +195,7 @@ def test_wp_transform_asks_alpha_within_support(ctx):
     a, k, r1, r2 = (mono(F(1, 2), 3), mono(3, 5), mono(2, 1), mono(-1, 2)) \
         if isinstance(ctx, ExactCtx) else (F(1, 4), F(1, 3), F(1, 2),
                                            F(-2, 5))
-    wp_transform(ctx, a, k, r1, r2, alpha_at, support)
+    wp_transform(ctx, a, k, r1, r2, alpha_at, support, floor=0)
     assert asked and max(asked) <= support
 
 
@@ -208,7 +207,7 @@ def test_non_monomial_arguments_rejected():
         vwp_factor(series, 2, 10)
 
 
-# ------------------------------------------------------------ poch_quotient
+# ------------------------------------- the Pochhammer quotient in one base
 
 QUOTIENT_CASES = [
     ([], [], []),
@@ -225,7 +224,7 @@ QUOTIENT_CASES = [
 def test_poch_quotient_exact_factor_by_factor(ups, downs, more, base):
     N = 25
     ctx = ExactCtx(N)
-    quot = poch_quotient(ctx, ups, downs, base)
+    quot = ctx.quotient([(u, base) for u in ups], [(d, base) for d in downs])
     for n in range(5):
         want = LS.one(N)
         for u in ups:
@@ -253,8 +252,8 @@ def test_poch_quotient_numeric_factor_by_factor(ups, downs, more, base):
             out *= 1 - at(a) * at(base) ** j
         return out
 
-    quot = poch_quotient(ctx, [at(u) for u in ups], [at(d) for d in downs],
-                         at(base))
+    quot = ctx.quotient([(at(u), at(base)) for u in ups],
+                        [(at(d), at(base)) for d in downs])
     for n in range(5):
         want = F(1)
         for u in ups:

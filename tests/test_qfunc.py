@@ -7,8 +7,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qident.bailey import phi_rs, phi_term
-from qident.context import NumericCtx
+from qident.bailey import Summand, phi_rs, phi_term
+from qident.context import ExactCtx, NumericCtx
 from qident.errors import (
     DegenerateDenominator,
     DegenerateVWP,
@@ -20,8 +20,10 @@ from qident.qfunc import (
     NumericTermGenerator,
     PochTower,
     TermGenerator,
+    ValuationLaw,
     poch_finite,
     poch_infinite,
+    poch_law,
     sum_exact,
     sum_numeric,
     vwp_factor,
@@ -236,6 +238,134 @@ def test_sum_exact_late_dip():
         expected = expected + term(n)
     assert expected == LS.from_pairs({35: 1, 36: 2, 39: 2}, order=40)
     assert sum_exact(TermGenerator(term), 40) == expected
+
+
+def late_dip_expected():
+    # q^((n-15)^2 + 35) summed by brute force: past n = 30 the exponents
+    # only grow
+    expected = LS.zero(40)
+    for n in range(61):
+        expected = expected + LS.monomial(1, n * n - 30 * n + 260, order=40)
+    assert expected == LS.from_pairs({35: 1, 36: 2, 39: 2}, order=40)
+    return expected
+
+
+def test_sum_exact_late_dip_declared():
+    # the same sum with its exact law declared stops on the bound alone:
+    # no run of high terms ends it early
+    calls = []
+
+    def term(n):
+        calls.append(n)
+        return LS.monomial(1, n * n - 30 * n + 260, order=40)
+
+    growth = ValuationLaw(1, -30, 260).growth()
+    assert [growth(n) for n in (0, 15, 16, 17, 18)] == [35, 35, 36, 39, 44]
+    got = sum_exact(TermGenerator(term, valuation_growth=growth), 40)
+    assert got == late_dip_expected()
+    assert max(calls) == 17             # the last term at or below 40
+
+
+def test_summation_late_dip_declared():
+    ctx = ExactCtx(40)
+    got = ctx.summation(Summand(ctx, power=(1, -30, 260)))
+    assert ctx.finalize(got) == late_dip_expected()
+
+
+@pytest.mark.parametrize("ctx", [ExactCtx(10), NumericCtx(F(1, 7))])
+def test_summation_rejects_a_bare_callable(ctx):
+    with pytest.raises(TypeError, match="declared summand"):
+        ctx.summation(lambda n: ctx.qpow(n + 1))
+
+
+def test_summation_without_growth_stalls_before_any_term():
+    ctx = ExactCtx(10)
+    calls = []
+
+    def never(n):
+        calls.append(n)
+        return ctx.one()
+
+    from qident.bailey import Factor
+    with pytest.raises(ValuationStall):
+        ctx.summation(Summand(ctx, factors=[Factor(never)]))
+    with pytest.raises(ValuationStall):
+        ctx.summation(Summand(ctx, ctx.qpow(1), (-1, 40)))
+    assert calls == []
+
+
+# ------------------------------------------------------ the valuation law
+
+def law_at(law, m):
+    """E(m) = a m^2 + b m + c + sum of min(0, k m + l) over the kinks."""
+    a, b, c, kinks, _ = law
+    return a * m * m + b * m + c + sum(min(0, k * m + l) for k, l in kinks)
+
+
+def brute_least(law, n, span=200):
+    """min over m in [n, n + span) of E(m), the support respected; the
+    drawn laws grow past m = 60 at the latest."""
+    vals = [law_at(law, m) for m in range(n, n + span)
+            if law.support is None or m <= law.support]
+    return min(vals) if vals else float("inf")
+
+
+HALF = st.integers(-8, 8).map(lambda k: F(k, 2))
+KINK = st.tuples(st.integers(-3, 3), st.integers(-20, 20))
+
+
+@given(st.integers(-2, 6).map(lambda k: F(k, 2)), st.integers(-30, 30),
+       HALF, st.lists(KINK, max_size=3),
+       st.none() | st.integers(0, 30), st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_law_least_matches_brute_force(a, b, c, kinks, support, n):
+    # a < 0, or a falling line, is summable only up to a support
+    law = ValuationLaw(a, b, c, tuple(kinks), support)
+    slope = b + sum(k for k, _ in kinks if k < 0)
+    if support is None and (a < 0 or a == 0 and slope <= 0):
+        # no growth: refused before any term
+        with pytest.raises(ValuationStall):
+            law.growth()
+        if a < 0 or slope < 0:
+            with pytest.raises(ValuationStall):
+                law.least(n)
+        return
+    assert law.least(n) == brute_least(law, n)
+    g = law.growth()
+    want = brute_least(law, n)
+    assert g(n) == (want if want == float("inf") else -(-want // 1))
+    assert g(n) <= g(n + 1)
+
+
+@given(st.integers(-3, -1), st.integers(-5, 5), st.lists(KINK, max_size=2),
+       st.integers(0, 10))
+@settings(max_examples=50, deadline=None)
+def test_law_with_falling_quadratic_stalls(a, b, kinks, n):
+    law = ValuationLaw(a, b, 0, tuple(kinks))
+    with pytest.raises(ValuationStall):
+        law.growth()
+    with pytest.raises(ValuationStall):
+        law.least(n)
+
+
+@given(st.sampled_from([F(1), F(-1), F(2), F(1, 2)]), st.integers(-5, 3),
+       st.sampled_from([F(1), F(-1), F(3)]), st.integers(0, 2),
+       st.integers(1, 2), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_poch_law_bounds_the_product(c, e, cb, be, k, l):
+    # (c q^e; cb q^be)_(k n + l) against poch_finite: no coefficient
+    # below the law at n, and zero past its support
+    a, base = mono(c, e), mono(cb, be)
+    law = poch_law(a, base, k, l)
+    for n in range(6):
+        try:
+            p = poch_finite(a, base, k * n + l)
+        except (ValueError, NonTruncatable):
+            continue
+        if law.support is not None and n > law.support:
+            assert p.is_zero
+        elif not p.is_zero:
+            assert p.eff_min_deg() >= law_at(law, n)
 
 
 # -------------------------------------------------------------- sum_numeric

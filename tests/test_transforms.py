@@ -8,6 +8,7 @@ import pytest
 
 from qident.bailey import (
     AlphaSequence,
+    Factor,
     WPPair,
     cor_sides,
     cor_transform,
@@ -153,7 +154,7 @@ def test_cor_transform_numeric_random_alpha(seed):
     x, y, z = F(1, 3), F(2, 5), F(-1, 2)
 
     def build(ctx):
-        alpha = sequence(ctx, vals)
+        alpha = Factor(sequence(ctx, vals), 0)
         return cor_transform(ctx, x, y, z, running_sums(ctx, alpha), alpha)
 
     gap, ctx = numeric_gap(F(1, 9), build)
