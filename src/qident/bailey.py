@@ -9,9 +9,9 @@ them under both the exact and the numeric strategy:
 
   * `Summand`, `Factor` -- a summand declared rather than written: s^n,
     a q-power, Pochhammers of length k n + l, heads 1 - w r^n and opaque
-    factors with valuation floors. It evaluates under either context and
-    gives the exact strategy its stopping certificate; every sum below
-    and in the catalog passes one;
+    factors with valuation floors and magnitude bounds. It evaluates
+    under either context and gives each strategy its stopping
+    certificate; every sum below and in the catalog passes one;
   * `wp_beta_sum` -- beta_n from the defining relation;
   * `wp_chain_alpha`, `wp_chain_beta` -- the chain step: the new alpha,
     and the closed form of its beta;
@@ -26,9 +26,10 @@ them under both the exact and the numeric strategy:
     series r-phi-s, a Pochhammer quotient times z^n.
 
 A sequence enters them as a `Factor` (a function n -> context value, a
-valuation floor, and, where it is known, a `support` past which alpha_n
-is zero) or as a nested `Summand`; `wp_transform` takes the function,
-its support and its floor.
+valuation floor, a magnitude bound, and, where it is known, a `support`
+past which alpha_n is zero) or as a nested `Summand`; `wp_transform`
+takes the function, its support and its floor. `vwp_weight` is the
+very-well-poised factor as a `Factor`.
 
 `wp_beta`, `wp_chain_step`, `thm_transform_sides`, `cor_sides`,
 `subbarao_verma_sides` and `phi_rs` are thin exact wrappers: they reject
@@ -42,17 +43,33 @@ sequences (`AlphaSequence`) produce values per index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from math import ceil, floor, lcm
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .context import Ctx, ExactCtx, exact_run
 from .errors import DegenerateDenominator, LowerParameterPole, ValuationStall
-from .qfunc import ValuationLaw, Value, as_monomial, poch_law
+from .qfunc import (
+    BOUND_DOWN,
+    BOUND_PRECISION,
+    BOUND_UP,
+    Envelope,
+    ValuationLaw,
+    Value,
+    as_monomial,
+    poch_law,
+    tail_after,
+)
 from .series import DEFAULT_ORDER, LaurentSeries, QMonomial
 
 _Q = QMonomial.of(1, 1)
+_ZERO, _ONE = Decimal(0), Decimal(1)
+#: the relative slack on a summand's envelope: it covers the rounding of
+#: the computed values its M starts from, and of `BOUND_UP.power`
+_SLACK = _ONE + Decimal(10) ** (4 - BOUND_PRECISION)
+_NO_BOUND = Envelope(lambda n: None, None)
 
 AlphaFn = Callable[[int, int], Value]   # (n, order) -> value
 
@@ -148,14 +165,21 @@ def _require_monomial(v: Value, what: str) -> QMonomial:
 
 class Factor(NamedTuple):
     """An opaque factor f_n of a summand (alpha_n, beta_n, an inner sum):
-    `at(n)`, a valuation floor, and optionally the `support` past which
-    f_n is zero. The floor is an int (t-units) that bounds every f_n, a
-    `Summand` whose bound at n bounds f_n, or None, the default, when no
-    floor is known (an exact sum over it then raises ValuationStall)."""
+    `at(n)`, a valuation floor, optionally the `support` past which f_n
+    is zero, and a magnitude bound.
+
+    The floor is an int (t-units) that bounds every f_n, a `Summand`
+    whose bound at n bounds f_n, or None, the default, when no floor is
+    known (an exact sum over it then raises ValuationStall). The `bound`
+    is the numeric counterpart: a `qfunc.Envelope` of f_n, or a `Summand`
+    whose envelope bounds |f_n|, or None, the default, when no bound is
+    assumed (a numeric sum over it then raises TailNotDecreasing, unless
+    a support ends it)."""
 
     at: Callable[[int], object]
     floor: Union[int, "Summand", None] = None
     support: Optional[int] = None
+    bound: Union[Envelope, "Summand", None] = None
 
     def __call__(self, n: int):
         return self.at(n)
@@ -166,6 +190,107 @@ class Factor(NamedTuple):
             raise ValuationStall("opaque factor without a valuation floor")
         law = f.law() if isinstance(f, Summand) else ValuationLaw(c=f)
         return law + ValuationLaw(support=self.support)
+
+    def envelope(self) -> Envelope:
+        """(NumericCtx only) the declared bound, zero past the support."""
+        b, top = self.bound, self.support
+        env = b.envelope() if isinstance(b, Summand) else b or _NO_BOUND
+        if top is None:
+            return env
+        return env._replace(
+            at=lambda n: (_ZERO, _ZERO) if n > top else env.at(n),
+            support=top if env.support is None else min(top, env.support))
+
+
+def constant(c, floor: Optional[int] = 0) -> Factor:
+    """The factor c at every n, with the bound (|c|, 1)."""
+    return Factor(lambda n: c, floor,
+                  bound=Envelope(lambda n: (c.copy_abs(), _ONE), _ONE))
+
+
+def _summed(count: int, term: Callable[[int], "Summand"]) -> Envelope:
+    """The envelope of the sum of the declared terms term(0), ..,
+    term(count - 1), from n = count - 1 on: M the sum of theirs, g the
+    largest. The terms are declared at the first call."""
+    envs = []
+
+    def at(n: int):
+        if n < count - 1:
+            return None
+        envs[:] = envs or [term(j).envelope() for j in range(count)]
+        bounds = [e.at(n) for e in envs]
+        if None in bounds:
+            return None
+        return (reduce(BOUND_UP.add, [m for m, _ in bounds]),
+                max(g for _, g in bounds))
+
+    return Envelope(at)
+
+
+def _product(bounds) -> Optional[Tuple[Decimal, Decimal]]:
+    """The (M, g) of a product from its factors' pairs: the products of
+    their Ms and of their gs, with `_SLACK`; (0, 0) when some M is 0, and
+    None when some factor has no pair."""
+    m = g = _SLACK
+    known = True
+    for bound in bounds:
+        if bound is None:
+            known = False
+        elif not bound[0]:
+            return _ZERO, _ZERO
+        else:
+            m = BOUND_UP.multiply(m, bound[0])
+            g = BOUND_UP.multiply(g, bound[1])
+    return (m, g) if known else None
+
+
+def _poch_ratio(u: Decimal, b: Decimal, k: int, l: int, upper: bool,
+                n: int):
+    """(1, g): g bounds, over every m >= n, |the factors (1 - u b^j)^(+-1)
+    that (u; b)_(k m + l), or its inverse, gains from m to m + 1|, given
+    |u| and |b| <= 1: prod (1 + |u||b|^j), or prod 1/(1 - |u||b|^j), over
+    j = k n + l, .., k n + l + k - 1, where each factor is largest. None
+    where some 1 - |u||b|^j is not positive."""
+    x = BOUND_UP.multiply(u, BOUND_UP.power(b, max(0, k * n + l)))
+    g = _ONE
+    for _ in range(k):
+        if upper:
+            g = BOUND_UP.multiply(g, BOUND_UP.add(_ONE, x))
+        else:
+            low = BOUND_DOWN.subtract(_ONE, x)
+            if low <= 0:
+                return None
+            g = BOUND_UP.divide(g, low)
+        x = BOUND_UP.multiply(x, b)
+    return _ONE, g
+
+
+def _head_bound(w: Decimal, r: Decimal, inverse: bool, n: int):
+    """(M, g) with |1 - w r^m|^(+-1) <= M g^(m - n) for every m >= n,
+    given |w| and |r| > 0; None where the inverse head has none."""
+    if not inverse:     # 1 + |w||r|^m <= (1 + |w||r|^n) max(1, |r|)^(m-n)
+        return (BOUND_UP.add(_ONE, BOUND_UP.multiply(
+            w, BOUND_UP.power(r, n))), max(_ONE, r))
+    if r <= 1:          # 1 - |w||r|^m >= 1 - |w||r|^n
+        low = BOUND_DOWN.subtract(_ONE, BOUND_UP.multiply(
+            w, BOUND_UP.power(r, n)))
+        if low > 0:
+            return BOUND_UP.divide(_ONE, low), _ONE
+    if r >= 1:          # |w||r|^m - 1 >= (|w||r|^n - 1) |r|^(m-n)
+        low = BOUND_DOWN.subtract(BOUND_DOWN.multiply(
+            w, BOUND_DOWN.power(r, n)), _ONE)
+        if low > 0:
+            return BOUND_UP.divide(_ONE, low), BOUND_UP.divide(_ONE, r)
+    return None
+
+
+def _head_least(w: Decimal, r: Decimal, inverse: bool) -> Optional[Decimal]:
+    """The least g that `_head_bound` gives at any n (None: none)."""
+    if not inverse:
+        return max(_ONE, r)
+    if r != 1:
+        return _ONE if r < 1 else BOUND_DOWN.divide(_ONE, r)
+    return None if w == 1 else _ONE
 
 
 class _SummandFields(NamedTuple):
@@ -208,6 +333,19 @@ class Summand(_SummandFields):
     exp(r)), each f_n its floor. Lower Pochhammers, inverse heads and the
     very-well-poised factor never lower the valuation, so they add
     nothing.
+
+    `envelope()` (NumericCtx only) is the term's magnitude certificate,
+    the `qfunc.Envelope` that `NumericCtx.summation` stops on, from the
+    same declaration: at n, M is |s^n p^(A n^2 + B n + C) and the
+    Pochhammers| at n, times a bound on each head over m >= n (never the
+    head's value, which can vanish at one n only) and each f_n's M; g is
+    the supremum over m >= n of the declared term ratio,
+
+        |s| |p|^(A (2m + 1) + B) prod (1 + |u||b|^j) / prod (1 - |d||b|^j)
+
+    over the indices j that the step from m to m + 1 adds (bases |b| <=
+    1), times each head's growth and each f_n's g. It is finite only
+    where the power falls or stays as m grows (no A < 0 for |p| < 1).
     """
 
     def __new__(cls, *args, **kw):
@@ -256,27 +394,91 @@ class Summand(_SummandFields):
         main, lead, factors = self._plan
         return main if main and not (lead or factors) else self
 
+    def _declared(self, n: int, lead, more: list) -> None:
+        """Append to `more` the parts of the term at n that its
+        declaration fixes, other than the quotient of length n: the
+        quotients of the other lengths, s^n standing alone, the power."""
+        others, s_alone, power, _ = lead
+        ctx = self.ctx
+        for k, l, quotient in others:
+            more.append(quotient(k * n + l))
+        if s_alone:
+            more.append(ctx.pow_int(self.s, n))
+        if power:
+            a, b, c, den = power
+            e, r = divmod((a * n + b) * n + c, den)
+            more.append(ctx.qpow(Fraction(e * den + r, den) if r else e)
+                        if self.p is None else ctx.pow_int(self.p, e))
+
     def __call__(self, n: int):
         main, lead, factors = self._plan
         more = [f(n) for f in factors] if factors else []
         if lead is not None:
-            others, s_alone, power, heads = lead
+            self._declared(n, lead, more)
             ctx = self.ctx
-            for k, l, quotient in others:
-                more.append(quotient(k * n + l))
-            if s_alone:
-                more.append(ctx.pow_int(self.s, n))
-            if power:
-                a, b, c, den = power
-                e, r = divmod((a * n + b) * n + c, den)
-                more.append(ctx.qpow(Fraction(e * den + r, den) if r else e)
-                            if self.p is None else ctx.pow_int(self.p, e))
-            for w, r, inverse in heads:
+            for w, r, inverse in lead[3]:
                 head = ctx.sub(ctx.one(), ctx.mul(w, ctx.pow_int(r, n)))
                 more.append(ctx.inv(head) if inverse else head)
         if main is None:
             return self.ctx.mul(*more)
         return main(n, *more) if more else main(n)
+
+    def envelope(self) -> Envelope:
+        ctx = self.ctx
+
+        def mag(v) -> Decimal:
+            return ctx.num(v).copy_abs()
+
+        main, lead, _ = self._plan
+        # each part n -> (M, g) or None, the least g each part gives
+        # (None: none), and the supports
+        parts, least, tops = [], [], [self.support]
+        if self.s is not None:
+            s = mag(self.s)
+            parts.append(lambda n: (_ONE, s))
+            least.append(s)
+            tops.append(None if s else 0)
+        if lead is not None and lead[2]:
+            a, b, _, den = lead[2]
+            p, unit = (ctx.q_unit, ctx.denom) if self.p is None else \
+                (self.p, 1)
+            p = mag(p)
+            # the sup over m >= n of p^(A (2m + 1) + B) is at m = n, if any
+            falls = p == 1 or not a or (p < 1) == (a > 0)
+            parts.append(lambda n: (_ONE, BOUND_UP.power(
+                p, unit * (a * (2 * n + 1) + b) // den)) if falls else None)
+            least.append(None if not falls else _ONE if p == 1 else
+                         _ZERO if a else BOUND_DOWN.power(p, unit * b // den))
+        for pairs, upper in ((self.ups, True), (self.downs, False)):
+            for u, base, *kl in pairs:
+                k, l = kl or (1, 0)
+                u, base = mag(u), mag(base)
+                if k and u:         # else no factor, or 1, per step
+                    ok = k > 0 and base <= 1 and (upper or base < 1 or u < 1)
+                    parts.append(partial(_poch_ratio, u, base, k, l, upper)
+                                 if ok else lambda n: None)
+                    least.append(_ONE if ok else None)
+        for w, r, inverse in (lead[3] if lead is not None else ()):
+            head = (mag(w), mag(r), inverse)
+            parts.append(partial(_head_bound, *head))
+            least.append(_head_least(*head))
+        for f in self.factors:
+            env = f.envelope()
+            parts.append(env.at)
+            least.append(env.least)
+            tops.append(env.support)
+
+        def at(n: int):
+            more = []
+            if lead is not None:
+                self._declared(n, lead, more)
+            m = (main(n, *more) if main else ctx.mul(*more)).copy_abs()
+            return _product([(m, _ONE)] + [part(n) for part in parts])
+
+        tops = [t for t in tops if t is not None]
+        return Envelope(at, None if None in least else
+                        reduce(BOUND_DOWN.multiply, least, _ONE),
+                        min(tops) if tops else None)
 
     def law(self) -> ValuationLaw:
         mono = self.ctx.monomial
@@ -294,6 +496,26 @@ class Summand(_SummandFields):
         for f in self.factors:
             law += f.law()
         return law
+
+
+def vwp_weight(ctx: Ctx, k, step: int = 1, base=None) -> Factor:
+    """The very-well-poised factor (1 - k p^(2 step n)) / (1 - k) of a
+    summand's term n, base p (default q), as an opaque factor: floor 0,
+    and for |p| <= 1 the bound ((1 + |k||p|^(2 step n)) / |1 - k|, 1)."""
+
+    def bound(n: int):
+        kk = ctx.num(k)
+        p = (ctx.q if base is None else ctx.num(base)).copy_abs()
+        if p > 1:
+            return None
+        top = BOUND_UP.add(_ONE, BOUND_UP.multiply(
+            kk.copy_abs(), BOUND_UP.power(p, 2 * step * n)))
+        low = BOUND_DOWN.subtract(_ONE, kk) if kk < 1 else \
+            BOUND_DOWN.subtract(kk, _ONE)
+        return BOUND_UP.divide(top, low), _ONE
+
+    return Factor(lambda n: ctx.vwp(k, step * n, base), 0,
+                  bound=Envelope(bound, _ONE))
 
 
 def _total(ctx: Ctx, terms):
@@ -333,7 +555,9 @@ def wp_transform(ctx: Ctx, a, k, r1, r2, alpha_at,
     `support` the right sum is the finite sum over n <= support. `floor`
     is a valuation floor of every alpha_n (t-units; see `Factor`), needed
     for the exact sums; beta_n is bounded by it and the dips of (k/a)_n
-    and (k)_n.
+    and (k)_n. With a support S, beta_n is, from n = S on, the sum of the
+    S + 1 declared terms of `wp_beta_sum`, and their envelopes bound it
+    in a numeric sum; without one it declares no bound.
     """
     qq = ctx.qpow(1)
     aq, kq = ctx.mul(a, qq), ctx.mul(k, qq)
@@ -341,11 +565,17 @@ def wp_transform(ctx: Ctx, a, k, r1, r2, alpha_at,
     kq1, kq2 = ctx.div(kq, r1), ctx.div(kq, r2)
     aq1, aq2 = ctx.div(aq, r1), ctx.div(aq, r2)
     ups = [(r1, qq), (r2, qq)]
+    ka = ctx.div(k, a)
     beta = Factor(lambda n: wp_beta_sum(ctx, a, k, alpha_at, n, support),
-                  Summand(ctx, ups=[(ctx.div(k, a), qq, 0, 0), (k, qq, 0, 0)],
-                          factors=[Factor(alpha_at, floor)]))
+                  Summand(ctx, ups=[(ka, qq, 0, 0), (k, qq, 0, 0)],
+                          factors=[Factor(alpha_at, floor)]),
+                  bound=None if support is None else _summed(
+                      support + 1, lambda j: Summand(
+                          ctx, ups=[(ka, qq, 1, -j), (k, qq, 1, j)],
+                          downs=[(qq, qq, 1, -j), (aq, qq, 1, j)],
+                          factors=[constant(alpha_at(j))])))
     lhs_term = Summand(ctx, z, ups=ups, downs=[(kq1, qq), (kq2, qq)],
-                       factors=[Factor(lambda n: ctx.vwp(k, n), 0), beta])
+                       factors=[vwp_weight(ctx, k), beta])
     rhs_term = Summand(ctx, z, ups=ups, downs=[(aq1, qq), (aq2, qq)],
                        factors=[Factor(alpha_at, floor, support)])
 
@@ -422,7 +652,7 @@ def cor_lhs(ctx: Ctx, x, y, z, beta, step: int = 1, base=None):
     return ctx.summation(Summand(
         ctx, ctx.pow_int(x, step), ups=[(y, p, step, 0), (z, p, step, 0)],
         downs=[(ctx.mul(p, x, y), p, step, 0), (ctx.mul(p, x, z), p, step, 0)],
-        factors=[Factor(lambda n: ctx.vwp(k, step * n, base), 0), beta]))
+        factors=[vwp_weight(ctx, k, step, base), beta]))
 
 
 def cor_rhs_sum(ctx: Ctx, x, y, z, alpha, arg=None, start: int = 0,
@@ -468,9 +698,12 @@ def phi_term(ctx: Ctx, upper, lower, base, z) -> "Summand":
                    [(base, base)] + [(l, base) for l in lower])
 
 
-def running_sums(ctx: Ctx, alpha: Factor) -> Factor:
+def running_sums(ctx: Ctx, alpha: Union[Factor, "Summand"]) -> Factor:
     """Partial-sum cache: beta(n) = alpha(0) + .. + alpha(n), with the
-    floor of `alpha` when that is a number."""
+    floor of `alpha` when that is a number. When alpha declares a bound
+    (a Summand always does) or a support, beta's bound at n is (|beta(n)| + the certified tail of
+    alpha after n, 1), and (|beta(n)|, 1) from alpha's support on, where
+    beta stays constant."""
     cache = []
 
     def beta(n):
@@ -479,8 +712,32 @@ def running_sums(ctx: Ctx, alpha: Factor) -> Factor:
             cache.append(ctx.add(cache[-1], v) if cache else v)
         return cache[n]
 
+    top, envs = alpha.support, []
+
+    def tail(n: int):
+        """A bound on |alpha(n + 1)| + |alpha(n + 2)| + ..."""
+        if top is not None and n >= top:
+            return _ZERO
+        envs[:] = envs or [alpha.envelope()]
+        bound = envs[0].at(n)
+        if top is None or bound is None:
+            return tail_after(bound)
+        m, g = bound
+        out = _ZERO                     # the terms n + 1 .. top
+        for _ in range(top - n):
+            m = BOUND_UP.multiply(m, g)
+            out = BOUND_UP.add(out, m)
+        return out
+
+    def bound(n: int):
+        rest = tail(n)
+        return None if rest is None else \
+            (BOUND_UP.add(beta(n).copy_abs(), rest), _ONE)
+
     floor = getattr(alpha, "floor", None)
-    return Factor(beta, floor if isinstance(floor, int) else None)
+    known = top is not None or getattr(alpha, "bound", alpha) is not None
+    return Factor(beta, floor if isinstance(floor, int) else None,
+                  bound=Envelope(bound, _ONE) if known else None)
 
 
 def sv_quotient(ctx: Ctx, p_, P_, Q_, R_, a, b, c,
@@ -512,7 +769,8 @@ def sv_linear(ctx: Ctx, p_, P_, Q_, R_, a, b, c) -> dict:
           ctx.div(ctx.mul(P_, Q_), ctx.mul(p_, R_)),
           ctx.div(ctx.mul(p_, Q_), ctx.mul(P_, R_))]
     den = ctx.inv(ctx.mul(*(ctx.sub(one, w) for w in ws)))
-    return {"heads": list(zip(ws, rs)), "factors": [Factor(lambda n: den, 0)]}
+    return {"heads": list(zip(ws, rs)),
+            "factors": [constant(den)]}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ max(0, -exp(m)) deeper, so that the product is still known through the
 target. The summand is declared (`bailey.Summand`, never a bare
 callable): ExactCtx reads its `ValuationLaw` and stops where the law's
 bound passes the goal, which proves that every later term is zero
-through it; NumericCtx sums until its small-tail rule holds. ExactCtx's
+through it; NumericCtx reads its `qfunc.Envelope` and stops where the
+certified bound on all later terms is within tol/100. ExactCtx's
 `one`, and `poch`, `inv_poch` and `vwp` at n = 0 or a zero argument, are
 the scalar 1 (`vwp` at k = 1 still raises
 DegenerateVWP), and `add`/`sub` of the scalar 0 return the other operand,
@@ -86,6 +87,7 @@ from .errors import (
 from .qfunc import (
     NUMERIC_PRECISION,
     NUMERIC_TOL,
+    Envelope,
     NumericTermGenerator,
     PochTower,
     TermGenerator,
@@ -405,23 +407,23 @@ class _QuotientRun:
 
     It keeps the values Q(0..j) reached so far and the running power
     u p_u^j of each factor (as `_PochRun` does), so one more step costs
-    three operations per factor and one division. A lower factor that
-    vanishes at step j makes every n > j raise DegenerateDenominator, as
+    three operations per factor and one division. Q(j) is multiplied by s
+    and by each upper factor in turn and divided by the product of the
+    lower ones, so a side without factors costs nothing: no
+    multiplication by 1, no division by 1. A lower factor that vanishes
+    at step j makes every n > j raise DegenerateDenominator, as
     `inv_poch` does; once an upper factor (or s) vanishes, Q stays 0."""
 
-    __slots__ = ("vals", "up_runs", "up_bases", "down_runs", "down_bases",
-                 "num0", "den0", "pole", "dc")
+    __slots__ = ("vals", "s", "up_runs", "up_bases", "down_runs",
+                 "down_bases", "pole", "dc")
 
     def __init__(self, ups, downs, s, dc: decimal.Context):
         self.vals = [_D_ONE]
+        self.s = s
         self.up_runs = [u for u, _ in ups]
         self.up_bases = [p for _, p in ups]
         self.down_runs = [d for d, _ in downs]
         self.down_bases = [p for _, p in downs]
-        # the start of each product of a step, so that no step multiplies
-        # by 1: s, or nothing unless the product is empty
-        self.num0 = (s,) if s is not None else () if ups else (_D_ONE,)
-        self.den0 = () if downs else (_D_ONE,)
         self.pole = False
         self.dc = dc
 
@@ -431,20 +433,24 @@ class _QuotientRun:
             return vals[n]
         if not self.pole:
             dc = self.dc
-            mul, sub = dc.multiply, dc.subtract
+            mul, sub, div = dc.multiply, dc.subtract, dc.divide
             ups, downs = self.up_runs, self.down_runs
             up_bases, down_bases = self.up_bases, self.down_bases
-            num0, den0, last = self.num0, self.den0, vals[-1]
+            s, last = self.s, vals[-1]
             for _ in range(n + 1 - len(vals)):
-                num = reduce(mul, map(sub, _ONES, ups), *num0)
-                den = reduce(mul, map(sub, _ONES, downs), *den0)
-                ups = list(map(mul, ups, up_bases))
-                downs = list(map(mul, downs, down_bases))
-                if not den:
-                    self.pole = True
-                    break
+                if downs:
+                    den = reduce(mul, map(sub, _ONES, downs))
+                    if not den:
+                        self.pole = True
+                        break
+                    downs = list(map(mul, downs, down_bases))
                 if last:
-                    last = dc.divide(mul(last, num), den)
+                    last = reduce(mul, map(sub, _ONES, ups),
+                                  last if s is None else mul(last, s))
+                    if downs:
+                        last = div(last, den)
+                if ups:
+                    ups = list(map(mul, ups, up_bases))
                 vals.append(last)
             self.up_runs, self.down_runs = ups, downs
             if n < len(vals):
@@ -509,9 +515,12 @@ class NumericCtx:
         return self.dc.power(self.q_unit, int(te))
 
     def mul(self, *vals):
+        # no leading 1: a lone value costs no multiplication
         num, mul = self.num, self._mul
-        out = _D_ONE
-        for v in vals:
+        out, *rest = vals or (_D_ONE,)
+        if type(out) is not Decimal:
+            out = num(out)
+        for v in rest:
             out = mul(out, v if type(v) is Decimal else num(v))
         return out
 
@@ -596,12 +605,23 @@ class NumericCtx:
     def summation(self, term, start: int = 0, times=1):
         """`times` times the sum of the terms term(n) for n >= `start`,
         taken in `self.dc`. `term` is a declared summand, as under
-        ExactCtx (its law is not read here), so its values are already
-        this context's decimals."""
-        _declared(term)
+        ExactCtx, so its values are already this context's decimals; its
+        `Envelope` is the stopping certificate (`qfunc.sum_numeric`): the
+        sum stops where the bound on all later terms, times |`times`|
+        when that exceeds 1, is within tol/100, or at the declared
+        support, and an envelope that never falls below 1 raises
+        TailNotDecreasing before the first term."""
+        env = _declared(term).envelope()
+        if start:
+            at, top = env.at, env.support
+            env = Envelope(lambda n: at(n + start), env.least,
+                           None if top is None else top - start)
         gen = NumericTermGenerator(
-            (lambda n: term(n + start)) if start else term)
-        return self.mul(times, sum_numeric(gen, self.tol, self.dc))
+            (lambda n: term(n + start)) if start else term, env)
+        times = self.num(times)
+        scale = max(_D_ONE, times.copy_abs())
+        return self.mul(times, sum_numeric(
+            gen, self.dc.divide(self.tol, scale), self.dc))
 
     def finalize(self, v) -> Decimal:
         return self.num(v)

@@ -12,6 +12,15 @@ that bound is at most the goal and no more. A declared summand
 (`bailey.Summand`) supplies the law; the undeclared path of `sum_exact`
 (a run of high terms ends the sum) is kept only for bare generators.
 
+A numeric sum stops on a certificate too. If |t(m+1)/t(m)| <= g < 1 for
+every m >= n, the tail after n is at most |t(n)| g/(1 - g). A declared
+summand gives an `Envelope`: at each n a pair (M, g) with |t(m)| <=
+M g^(m - n) for every m >= n, computed from its declared term ratio in
+decimal contexts that round the upper bounds up and the lower bounds
+down (`BOUND_UP`, `BOUND_DOWN`). `sum_numeric` stops after the first term
+whose certified tail (`tail_after`) is within tol/100, or at a declared
+support.
+
 Conventions: (a; b)_n is the finite product over j < n of (1 - a b^j) and
 (a; b)_inf the infinite one. Arguments and bases are values of the shape
 c * q^e; the base must have nonneg exponent for finite products and positive
@@ -56,7 +65,20 @@ _STOP_RUN = 8
 #: numeric defaults
 NUMERIC_PRECISION = 64
 NUMERIC_TOL = Decimal("1e-30")
+#: terms a numeric sum may take before an envelope that never certifies
+#: its tail is reported (TailNotDecreasing); it ends no sum
 _NUMERIC_TERM_BUDGET = 10_000
+
+#: the arithmetic of numeric envelopes: upper bounds round up, the lower
+#: bounds 1 - x round down, at a precision far above what a tail bound
+#: needs
+BOUND_PRECISION = 24
+BOUND_UP = decimal.Context(prec=BOUND_PRECISION,
+                           rounding=decimal.ROUND_CEILING)
+BOUND_DOWN = decimal.Context(prec=BOUND_PRECISION,
+                             rounding=decimal.ROUND_FLOOR)
+_D_ZERO = Decimal(0)
+_D_ONE = Decimal(1)
 
 
 def as_monomial(value: Value) -> Optional[QMonomial]:
@@ -443,21 +465,62 @@ def sum_exact(gen: TermGenerator, order: int) -> LaurentSeries:
     return acc
 
 
+class Envelope(NamedTuple):
+    """A magnitude certificate for a numeric sequence t(0), t(1), ..., the
+    counterpart of `ValuationLaw`: `at(n)` is a pair of Decimals (M, g)
+    with
+
+        |t(m)| <= M g^(m - n)   for every m >= n,
+
+    or None where no such pair is known. Every g that `at` gives is at
+    least `least` (None: it gives none at all), and past `support`, when
+    set, every t(m) is zero. The default `least`, 0, claims nothing. A
+    declared summand gives one (`bailey.Summand.envelope`), and so does
+    each opaque factor that declares a bound (`bailey.Factor`)."""
+
+    at: Callable[[int], Optional[Tuple[Decimal, Decimal]]]
+    least: Optional[Decimal] = _D_ZERO
+    support: Optional[int] = None
+
+
+def tail_after(bound: Optional[Tuple[Decimal, Decimal]]
+               ) -> Optional[Decimal]:
+    """The certified tail after n of an envelope's pair (M, g) at n: the
+    sum over m > n of M g^(m - n), M g/(1 - g) rounded up; 0 when M is 0,
+    and None when g >= 1 or no pair is known."""
+    if bound is None:
+        return None
+    m, g = bound
+    if not m:
+        return _D_ZERO
+    if g >= 1:
+        return None
+    return BOUND_UP.divide(BOUND_UP.multiply(m, g),
+                           BOUND_DOWN.subtract(_D_ONE, g))
+
+
 @dataclass
 class NumericTermGenerator:
-    """High-precision numeric counterpart of TermGenerator."""
+    """High-precision numeric counterpart of TermGenerator: the terms and
+    their `Envelope`, which is the whole stopping rule."""
 
     term: Callable[[int], Decimal]
+    envelope: Envelope
 
 
 def sum_numeric(gen: NumericTermGenerator, tol=NUMERIC_TOL,
                 context: Optional[decimal.Context] = None) -> Decimal:
-    """Sum numeric terms until 20 consecutive ones fall below tol/100.
+    """Sum term(0), term(1), ... to within tol/100, on a certificate.
 
-    The sum is taken in `context` (default: a fresh one at
-    NUMERIC_PRECISION digits), never in the ambient decimal context. Raises
-    TailNotDecreasing if the stopping rule is not met within the term
-    budget. The caller compares both sides within `tol`.
+    From the first term below tol/100 on, the sum stops after the first
+    term n whose certified tail (`tail_after` of the envelope at n) is at
+    most tol/100; it also stops after the envelope's support. An envelope
+    that can never certify a tail (`least` >= 1 or None, and no support)
+    raises TailNotDecreasing before the first term, and one that has not
+    certified it within the term budget raises it there. The sum is
+    taken in `context` (default: a fresh one at NUMERIC_PRECISION
+    digits), never in the ambient decimal context. The caller compares
+    both sides within `tol`.
     """
     dc = decimal.Context(prec=NUMERIC_PRECISION) if context is None \
         else context
@@ -465,20 +528,27 @@ def sum_numeric(gen: NumericTermGenerator, tol=NUMERIC_TOL,
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     cutoff = dc.divide(tol, 100)
-    add = dc.add
-    small_run = 0
-    total = Decimal(0)
-    for n in range(_NUMERIC_TERM_BUDGET):
+    env = gen.envelope
+    top = env.support
+    if top is None and (env.least is None or env.least >= 1):
+        raise TailNotDecreasing("the declared envelope never falls below 1")
+    add, at = dc.add, env.at
+    small = False
+    total = _D_ZERO
+    n = 0
+    while top is None or n <= top:
+        if n == _NUMERIC_TERM_BUDGET:
+            raise TailNotDecreasing(
+                f"no certified tail within {_NUMERIC_TERM_BUDGET} terms")
         t = gen.term(n)
         total = add(total, t)
-        if t.copy_abs() < cutoff:
-            small_run += 1
-            if small_run >= 20:
-                return total
-        else:
-            small_run = 0
-    raise TailNotDecreasing(
-        f"no 20-term small tail within {_NUMERIC_TERM_BUDGET} terms")
+        if small or t.copy_abs() < cutoff:
+            small = True
+            tail = tail_after(at(n))
+            if tail is not None and tail <= cutoff:
+                break
+        n += 1
+    return total
 
 
 def _as_decimal(x, dc: decimal.Context) -> Decimal:

@@ -15,7 +15,7 @@ the Rogers-Ramanujan-Slater identities are written once per family
 (`_triple`, `_p16`, `_p121`); the other sums follow the source displays
 term by term. Every summand is declared as a `bailey.Summand` (s^n, the
 q-power, Pochhammers of length k n + l, heads 1 - w r^n, opaque factors
-with their floors), never written as a closure, so that the exact
+with their floors and bounds), never written as a closure, so that each
 strategy stops each sum on its certificate. A sum times a q-power is
 `ctx.summation(..., times=m)` under both strategies. Square-root pairs
 are always realized through ctx.vwp. A record sets no working order: the
@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction as F
 from typing import Callable, Dict, Optional, Tuple
 
 from .bailey import (
     Factor,
     Summand,
+    constant,
     cor_lhs,
     cor_pref,
     cor_rhs_sum,
@@ -42,11 +44,13 @@ from .bailey import (
     running_sums,
     sv_linear,
     sv_quotient,
+    vwp_weight,
     wp_transform,
 )
 from .context import Ctx
 from .errors import DegenerateFamily
 from .pte import bridge_sequences, family6
+from .qfunc import BOUND_UP, Envelope
 from .series import QMonomial
 
 
@@ -125,6 +129,21 @@ def _xyz(rng, mode: str, d: int = 1) -> Dict:
 def _seed_alpha(ctx: Ctx):
     """alpha = (1, 0, 0, ...); pass support=0 with it."""
     return lambda n: ctx.num(1 if n == 0 else 0)
+
+
+def _sign(ctx: Ctx, alternating: bool = False) -> Factor:
+    """1, or (-1)^n, as an opaque factor: floor 0, bound (1, 1)."""
+    one = constant(ctx.num(1))
+    return one._replace(at=lambda n: ctx.num((-1) ** n)) if alternating \
+        else one
+
+
+def _n_plus_one(ctx: Ctx) -> Factor:
+    """n + 1 as an opaque factor: floor 0, and from N on the bound
+    (N + 1, (N + 2)/(N + 1)), since (1 + 1/(N + 1))^k >= 1 + k/(N + 1)."""
+    return Factor(lambda n: ctx.num(n + 1), 0, bound=Envelope(
+        lambda n: (Decimal(n + 1), BOUND_UP.divide(n + 2, n + 1)),
+        Decimal(1)))
 
 
 def _bridge_cor(ctx: Ctx, p, a, b):
@@ -233,16 +252,15 @@ def _s_cor_central(rng, mode):
 
 def _b_alt_alpha(ctx, p):
     x, y, z = p["x"], p["y"], p["z"]
-    lhs = cor_lhs(ctx, x, y, z, Factor(lambda n: ctx.num(1), 0), step=2)
+    lhs = cor_lhs(ctx, x, y, z, _sign(ctx), step=2)
     rhs = ctx.mul(cor_pref(ctx, x, y, z), cor_rhs_sum(
-        ctx, x, y, z, Factor(lambda n: ctx.num((-1) ** n), 0)))
+        ctx, x, y, z, _sign(ctx, alternating=True)))
     return lhs, rhs
 
 
 def _b_ones_alpha(ctx, p):
-    return cor_transform(ctx, p["x"], p["y"], p["z"],
-                         Factor(lambda n: ctx.num(n + 1), 0),
-                         Factor(lambda n: ctx.num(1), 0))
+    return cor_transform(ctx, p["x"], p["y"], p["z"], _n_plus_one(ctx),
+                         _sign(ctx))
 
 
 def _b_alt_sum(ctx, p):
@@ -267,7 +285,7 @@ def _b_ones_sum(ctx, p):
     lhs = ctx.summation(Summand(
         ctx, x, ups=[(arg, qq)], downs=[(qq, qq, 1, 1)],
         heads=[(ctx.neg(ctx.mul(qq, inv_x)), qq)],
-        factors=[Factor(lambda n: ctx.num(n + 1), 0)]))
+        factors=[_n_plus_one(ctx)]))
     rhs = ctx.mul(ctx.inv(ctx.sub(ctx.one(), x)),
                   ctx.poch_inf(ctx.mul(qq, inv_x), qq),
                   ctx.inv_poch_inf(x, qq))
@@ -391,7 +409,7 @@ def _b_poly2q(ctx, p):
                                ctx.mul(ctx.div(a, b), qm), ctx.mul(b, c, qm),
                                qm)]
     alpha = Summand(ctx, ups=[(u, qm) for u in ups], downs=downs,
-                    factors=[Factor(lambda n: ctx.vwp(a, n, qm), 0)])
+                    factors=[vwp_weight(ctx, a, base=qm)])
     beta = Summand(ctx, ups=[(ctx.mul(u, qm), qm) for u in ups], downs=downs)
     return cor_transform(ctx, p["x"], p["y"], p["z"], beta, alpha,
                          arg=ctx.mul(p["x"], qm))
@@ -810,12 +828,15 @@ def _false_theta_half(ctx):
 
 def _false_theta_third(ctx):
     # one two-term series q^e - q^(e + 2n + 1), bounded by q^e: as a head
-    # times q^e the term would carry a different order
+    # times q^e the term would carry a different order; that head form
+    # is its magnitude bound
     def term(n):
         e = F(n * (3 * n + 1), 2)
         return ctx.sub(ctx.qpow(e), ctx.qpow(e + 2 * n + 1))
-    return ctx.summation(Summand(ctx, factors=[
-        Factor(term, Summand(ctx, power=(F(3, 2), F(1, 2))))]))
+    floor = Summand(ctx, power=(F(3, 2), F(1, 2)))
+    return ctx.summation(Summand(ctx, factors=[Factor(
+        term, floor, bound=floor._replace(
+            heads=[(ctx.qpow(1), ctx.qpow(2))]))]))
 
 
 def _b_r1(ctx, p):

@@ -1,17 +1,30 @@
-"""The stopping certificate on the real catalog.
+"""The stopping certificates on the real catalog.
 
 Every exact sum stops where its declared summand's valuation bound passes
 the goal. For each record's first seed-1 exact sample at order 20, every
 declared summand is evaluated well past that stop and checked against the
 bound it declares: each term has no coefficient below the bound, and each
 term from the stop on is zero through the goal.
+
+Every numeric sum stops where its declared summand's envelope certifies
+the tail, or at its support. For each record's first seed-1 numeric
+sample, every declared summand is evaluated for 40 terms past that stop:
+each term lies under the envelope, and together they lie under the
+certified tail, which is at most tol/100. A property test checks the
+envelope of random declarations against plain Fraction terms.
 """
 
+from fractions import Fraction as F
 from itertools import count
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from qident.context import ExactCtx
+from qident.bailey import (Factor, Summand, constant, running_sums,
+                           vwp_weight)
+from qident.context import ExactCtx, NumericCtx
+from qident.qfunc import tail_after
+from qident.records import QPOOL
 from qident.registry import catalog, sample_params
 
 ORDER = 20
@@ -52,3 +65,146 @@ def test_declared_bounds_hold_past_the_stop(record):
     ctx = CertifyingCtx(ORDER, record.exponent_denominator)
     record.build(ctx, a.values)
     assert ctx.checked
+
+
+# ------------------------------------------------------------ numeric half
+
+NUMERIC_PAST = 40
+
+
+class NumericCertifyingCtx(NumericCtx):
+    """A NumericCtx that finds each sum's certified stop N as
+    `qfunc.sum_numeric` does, then checks the envelope there against the
+    NUMERIC_PAST terms after it before summing."""
+
+    def __init__(self, q_unit, denom):
+        super().__init__(q_unit, denom)
+        self.checked = []
+
+    def summation(self, term, start=0, times=1):
+        env = term.envelope()
+        cutoff = self.dc.divide(self.tol, 100)
+        small, n = False, start
+        while env.support is None or n < env.support:
+            small = small or term(n).copy_abs() < cutoff
+            tail = tail_after(env.at(n)) if small else None
+            if tail is not None and tail <= cutoff:
+                break
+            n += 1
+        past = [F(term(m).copy_abs())
+                for m in range(n + 1, n + NUMERIC_PAST + 1)]
+        if env.support is not None and n >= env.support:
+            assert not any(past), (n, past)
+        else:
+            m, g = (F(x) for x in env.at(n))
+            for i, t in enumerate(past, 1):
+                assert t <= m * g ** i, (n, i, t, m, g)
+            assert sum(past) <= F(tail) <= F(cutoff), (n, sum(past), tail)
+        self.checked.append(n - start)
+        return super().summation(term, start, times)
+
+
+@pytest.mark.parametrize("record", [r for r in catalog()
+                                    if "numeric" in r.strategies],
+                         ids=lambda r: r.id)
+def test_numeric_envelopes_hold_past_the_stop(record):
+    a = sample_params(record.id, 1, 1, "numeric")[0]
+    ctx = NumericCertifyingCtx(a.q_unit, record.exponent_denominator)
+    record.build(ctx, a.values)
+    assert ctx.checked
+
+
+# the envelope of a random declaration against plain Fraction terms
+
+RAT = st.sampled_from([F(1, 2), F(-2, 3), F(3, 4), F(-1, 3), F(5, 2),
+                       F(-2), F(3, 7), F(-5, 4)])
+POCH = st.tuples(RAT, st.integers(0, 2), st.integers(1, 2),
+                 st.integers(0, 2))            # (argument, base exp, k, l)
+HEAD = st.tuples(RAT, st.sampled_from([1, -1]), st.integers(-2, 2),
+                 st.booleans())                # (w, sign, exp of r, inverse)
+
+
+def fraction_term(q, s, power, ups, downs, heads, m):
+    a, b, c = power
+    out = (s ** m if s is not None else 1) * q ** (a * m * m + b * m + c)
+    for pairs, upper in ((ups, True), (downs, False)):
+        for u, e, k, l in pairs:
+            for j in range(k * m + l):
+                f = 1 - u * q ** (e * j)
+                out = out * f if upper else out / f
+    for w, sign, e, inverse in heads:
+        f = 1 - w * (sign * q ** e) ** m
+        out = out / f if inverse else out * f
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(QPOOL), st.none() | RAT,
+       st.sampled_from([F(0), F(1, 2), F(1), F(3, 2)]), st.integers(-3, 3),
+       st.integers(-2, 2), st.lists(POCH, max_size=2),
+       st.lists(POCH, max_size=2), st.lists(HEAD, max_size=2),
+       st.integers(0, 2))
+def test_envelope_bounds_fraction_terms(q, s, a, b, c, ups, downs, heads,
+                                        nested):
+    # a power with A >= 0 (A n^2 - A n is integral), Pochhammers of length
+    # k n + l on bases q^e, heads 1 - w r^n with r = +-q^e (|r| > 1 for
+    # e < 0), the last `nested` of them inside a nested Summand
+    power = (a, b - a, c)
+    try:
+        terms = [abs(fraction_term(q, s, power, ups, downs, heads, m))
+                 for m in range(8 + 31)]
+    except ZeroDivisionError:
+        assume(False)
+    ctx = NumericCtx(q)
+
+    def declared(fields):
+        return [(u, q ** e, k, l) for u, e, k, l in fields]
+
+    def head(w, sign, e, inverse):
+        return (w, sign * q ** e, inverse)
+
+    inner = [head(*h) for h in heads[len(heads) - nested:]]
+    outer = [head(*h) for h in heads[:len(heads) - nested]]
+    term = Summand(ctx, s, power, ups=declared(ups), downs=declared(downs),
+                   heads=outer,
+                   factors=[Summand(ctx, heads=inner)] if inner else [])
+    env = term.envelope()
+    for n in range(9):
+        bound = env.at(n)
+        if bound is None:
+            continue
+        m, g = (F(x) for x in bound)
+        for i, t in enumerate(terms[n:n + 31]):
+            assert t <= m * g ** i, (n, i, t, m, g)
+
+
+@pytest.mark.parametrize("k,step,base", [
+    (F(-1, 2), 1, None), (F(3), 2, None), (F(2, 3), 1, F(-1, 4)),
+    (F(-5, 3), 3, F(1, 2))])
+def test_vwp_weight_bound(k, step, base):
+    # for k p^(2 step n) < 0 the bound is reached at n itself
+    ctx = NumericCtx(F(-1, 6))
+    f = vwp_weight(ctx, k, step, base)
+    env = f.envelope()
+    for n in range(6):
+        m, g = (F(x) for x in env.at(n))
+        for i in range(12):
+            assert abs(F(f(n + i))) <= m * g ** i, (n, i)
+
+
+def test_running_sums_bound():
+    # a finite alpha: beta is constant from the support on, and before it
+    # alpha's own bound covers the terms still to come
+    ctx = NumericCtx(F(1, 7))
+    vals = [F(3), F(-7, 2), F(1, 3), F(5), F(-2)]
+    alpha = Factor(lambda n: ctx.num(vals[n] if n < len(vals) else 0),
+                   0, len(vals) - 1, constant(ctx.num(5)).bound)
+    beta = running_sums(ctx, alpha)
+    env = beta.envelope()
+    for n in range(10):
+        m, g = (F(x) for x in env.at(n))
+        assert g == 1
+        assert all(abs(F(beta(j))) <= m for j in range(n, 20)), n
+    assert running_sums(ctx, alpha._replace(support=None)).envelope().at(
+        0) is None                      # alpha's g = 1 certifies no tail
+    assert running_sums(ctx, Factor(alpha.at, 0)).bound is None

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qident.bailey import Summand, phi_rs, phi_term
+from qident.bailey import Summand, constant, phi_rs, phi_term
 from qident.context import ExactCtx, NumericCtx
 from qident.errors import (
     DegenerateDenominator,
@@ -17,6 +17,8 @@ from qident.errors import (
     ValuationStall,
 )
 from qident.qfunc import (
+    BOUND_UP,
+    Envelope,
     NumericTermGenerator,
     PochTower,
     TermGenerator,
@@ -370,29 +372,64 @@ def test_poch_law_bounds_the_product(c, e, cb, be, k, l):
 
 # -------------------------------------------------------------- sum_numeric
 
+ZERO_TAIL = Envelope(lambda n: (Decimal(0), Decimal(0)))
+
+
 def test_sum_numeric_zero():
-    got = sum_numeric(NumericTermGenerator(lambda n: Decimal(0)))
-    assert got == 0
+    calls = []
+    gen = NumericTermGenerator(lambda n: calls.append(n) or Decimal(0),
+                               ZERO_TAIL)
+    assert sum_numeric(gen) == 0
+    assert calls == [0]                 # (0, 0) certifies a zero tail
 
 
 def test_sum_numeric_geometric():
-    got = sum_numeric(NumericTermGenerator(lambda n: Decimal(2) ** -n))
+    half = Decimal(1) / 2
+    gen = NumericTermGenerator(
+        lambda n: Decimal(2) ** -n,
+        Envelope(lambda n: (Decimal(2) ** -n, half), half))
+    got = sum_numeric(gen)
     assert abs(got - 2) < Decimal("1e-30")
 
 
 def test_sum_numeric_not_decreasing():
+    one = Decimal(1)
     with pytest.raises(TailNotDecreasing):
-        sum_numeric(NumericTermGenerator(lambda n: Decimal(1)))
+        sum_numeric(NumericTermGenerator(lambda n: one,
+                                         Envelope(lambda n: (one, one), one)))
 
 
-@pytest.mark.xfail(reason="the stopping rule guesses: 20 terms below "
-                          "tol/100 end the sum before the term at n = 30")
+def test_sum_numeric_needs_an_envelope():
+    with pytest.raises(TypeError):
+        NumericTermGenerator(lambda n: Decimal(0))
+
+
 def test_sum_numeric_late_term():
-    def term(n):
-        return Decimal(1 if n == 30 else 0)
-    expected = sum(term(n) for n in range(100))
-    assert expected == 1
-    assert sum_numeric(NumericTermGenerator(term)) == expected
+    # the only nonzero term is at n = 30: the zeros before it certify
+    # nothing, since the factor declares (1, 1), and its support ends the
+    # sum right after it
+    ctx = NumericCtx(F(1, 7))
+    late = constant(ctx.num(1))._replace(
+        at=lambda n: ctx.num(1 if n == 30 else 0), support=30)
+    assert ctx.summation(Summand(ctx, factors=[late])) == 1
+
+
+@pytest.mark.parametrize("s", [None, F(1), F(-1), F(3, 2), F(-7, 3)])
+def test_summation_never_falling_envelope(s):
+    # sum 1 and sum x^n with |x| >= 1: TailNotDecreasing before the second
+    # term, not after the term budget
+    ctx = NumericCtx(F(1, 7))
+    term = Summand(ctx, s)
+    calls = []
+
+    class Counted(Summand):
+        def __call__(self, n):
+            calls.append(n)
+            return term(n)
+
+    with pytest.raises(TailNotDecreasing):
+        ctx.summation(Counted(*term))
+    assert len(calls) <= 1
 
 
 # -------------------------------------------------------------------- phi_rs
@@ -441,7 +478,14 @@ def test_exact_numeric_coherence():
         val = prod * qv ** (2 * n)
         return Decimal(val.numerator) / Decimal(val.denominator)
 
-    numeric = sum_numeric(NumericTermGenerator(term))
+    def envelope(n):
+        # |t(n)| and, from n on, the largest ratio bound
+        # q^2 (1 + q^(3+n)) / (1 - q^(1+n))
+        g = qv ** 2 * (1 + qv ** (3 + n)) / (1 - qv ** (1 + n))
+        return BOUND_UP.plus(term(n).copy_abs()), \
+            BOUND_UP.divide(g.numerator, g.denominator)
+
+    numeric = sum_numeric(NumericTermGenerator(term, Envelope(envelope)))
     assert abs(numeric - Decimal(exact_val.numerator) /
                Decimal(exact_val.denominator)) < Decimal("1e-25")
 

@@ -154,7 +154,7 @@ def test_cor_transform_numeric_random_alpha(seed):
     x, y, z = F(1, 3), F(2, 5), F(-1, 2)
 
     def build(ctx):
-        alpha = Factor(sequence(ctx, vals), 0)
+        alpha = Factor(sequence(ctx, vals), 0, len(vals) - 1)
         return cor_transform(ctx, x, y, z, running_sums(ctx, alpha), alpha)
 
     gap, ctx = numeric_gap(F(1, 9), build)
