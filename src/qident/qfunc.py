@@ -71,7 +71,8 @@ _NUMERIC_TERM_BUDGET = 10_000
 
 #: the arithmetic of numeric envelopes: upper bounds round up, the lower
 #: bounds 1 - x round down, at a precision far above what a tail bound
-#: needs
+#: needs. Every build shares them: only their precision, rounding and
+#: traps are read, never the flags their operations set
 BOUND_PRECISION = 24
 BOUND_UP = decimal.Context(prec=BOUND_PRECISION,
                            rounding=decimal.ROUND_CEILING)
