@@ -202,9 +202,9 @@ class Factor(NamedTuple):
             support=top if env.support is None else min(top, env.support))
 
 
-def constant(c, floor: Optional[int] = 0) -> Factor:
-    """The factor c at every n, with the bound (|c|, 1)."""
-    return Factor(lambda n: c, floor,
+def constant(c) -> Factor:
+    """The factor c at every n, with the floor 0 and the bound (|c|, 1)."""
+    return Factor(lambda n: c, 0,
                   bound=Envelope(lambda n: (c.copy_abs(), _ONE), _ONE))
 
 
@@ -584,9 +584,10 @@ def wp_transform(ctx: Ctx, a, k, r1, r2, alpha_at,
         ctx.poch_inf(aq1, qq), ctx.poch_inf(aq2, qq),
         ctx.inv_poch_inf(kq1, qq), ctx.inv_poch_inf(kq2, qq),
         ctx.inv_poch_inf(z, qq), ctx.inv_poch_inf(aq, qq))
-    rhs_sum = ctx.summation(rhs_term) if support is None else \
-        _total(ctx, [rhs_term(n) for n in range(support + 1)])
-    return ctx.summation(lhs_term), ctx.mul(pref, rhs_sum)
+    if support is None:
+        return ctx.summation(lhs_term), ctx.summation(rhs_term, times=pref)
+    return ctx.summation(lhs_term), ctx.mul(
+        pref, _total(ctx, [rhs_term(n) for n in range(support + 1)]))
 
 
 def wp_chain_alpha(ctx: Ctx, a, r1, r2, alpha_at, n: int):
@@ -677,9 +678,8 @@ def cor_transform(ctx: Ctx, x, y, z, beta, alpha, arg=None):
     which holds with arg = x when beta_n is the n-th partial sum of
     alpha (see `running_sums`); the catalog's telescoped instances pass
     their own beta, alpha and arg, each a `Factor` or a `Summand`."""
-    return cor_lhs(ctx, x, y, z, beta), \
-        ctx.mul(cor_pref(ctx, x, y, z),
-                cor_rhs_sum(ctx, x, y, z, alpha, arg))
+    return cor_lhs(ctx, x, y, z, beta), cor_rhs_sum(
+        ctx, x, y, z, alpha, arg, times=cor_pref(ctx, x, y, z))
 
 
 def phi_term(ctx: Ctx, upper, lower, base, z) -> "Summand":
@@ -701,9 +701,9 @@ def phi_term(ctx: Ctx, upper, lower, base, z) -> "Summand":
 def running_sums(ctx: Ctx, alpha: Union[Factor, "Summand"]) -> Factor:
     """Partial-sum cache: beta(n) = alpha(0) + .. + alpha(n), with the
     floor of `alpha` when that is a number. When alpha declares a bound
-    (a Summand always does) or a support, beta's bound at n is (|beta(n)| + the certified tail of
-    alpha after n, 1), and (|beta(n)|, 1) from alpha's support on, where
-    beta stays constant."""
+    (a Summand always does) or a support, beta's bound at n is
+    (|beta(n)| + the certified tail of alpha after n, 1), and
+    (|beta(n)|, 1) from alpha's support on, where beta stays constant."""
     cache = []
 
     def beta(n):

@@ -15,8 +15,11 @@ infinite Pochhammer products (cached incrementally), the Pochhammer
 quotient n -> s^n prod (u; p_u)_n / prod (d; p_d)_n (`quotient`, the
 shape of most summands), the very-well-poised factor, and summation.
 `summation(term, times=m)` is m times the sum; ExactCtx sums
-max(0, -exp(m)) deeper, so that the product is still known through the
-target. The summand is declared (`bailey.Summand`, never a bare
+max(0, -exp(m)) deeper (exp of m's monomial part), so that the product
+is still known through the target, and NumericCtx certifies the sum to
+tol/100 over max(1, |m|), so that the product is within tol/100; a
+builder passes every factor that multiplies a sum as its `times`. The
+summand is declared (`bailey.Summand`, never a bare
 callable): ExactCtx reads its `ValuationLaw` and stops where the law's
 bound passes the goal, which proves that every later term is zero
 through it; NumericCtx reads its `qfunc.Envelope` and stops where the
@@ -312,11 +315,11 @@ class ExactCtx:
                           self.q if base is None else _force(base))
 
     def summation(self, term, start: int = 0, times=1):
-        """`times` (a monomial) times the sum of the terms term(n) for n >=
-        `start`. The sum is taken exactly to the comparison target, or
-        deeper by the negative q-power of `times` as far as the
-        construction order allows (a term left short raises
-        OrderInsufficient; see `exact_run`).
+        """`times` times the sum of the terms term(n) for n >= `start`.
+        The sum is taken exactly to the comparison target, or deeper by
+        the negative q-power of `times` (of its monomial part, when it is
+        an unmultiplied product) as far as the construction order allows
+        (a term left short raises OrderInsufficient; see `exact_run`).
 
         `term` is a declared summand (`bailey.Summand`), never a bare
         callable: its `ValuationLaw` is the stopping certificate. The sum
@@ -325,10 +328,9 @@ class ExactCtx:
         passes the goal raises ValuationStall before the first term, and
         a term below its bound BoundViolation (`sum_exact`)."""
         law = _declared(term).law()
-        m = as_monomial(_force(times))
-        if m is None:
-            raise TypeError("summation multiplies by a monomial only")
-        goal = min(self.order, self.target + max(0, -m.exp))
+        m = times.mono if isinstance(times, _Product) else as_monomial(times)
+        goal = min(self.order,
+                   self.target + max(0, 0 if m is None else -m.exp))
         growth = law.growth()
 
         def gen(n: int) -> LaurentSeries:
@@ -339,7 +341,7 @@ class ExactCtx:
                 t = LaurentSeries.coerce(t, goal)
             return t.truncate(goal)
 
-        return self.mul(m, sum_exact(
+        return self.mul(times, sum_exact(
             TermGenerator(gen, lambda n: growth(n + start)), goal))
 
     def finalize(self, v) -> LaurentSeries:
@@ -515,12 +517,9 @@ class NumericCtx:
         return self.dc.power(self.q_unit, int(te))
 
     def mul(self, *vals):
-        # no leading 1: a lone value costs no multiplication
         num, mul = self.num, self._mul
-        out, *rest = vals or (_D_ONE,)
-        if type(out) is not Decimal:
-            out = num(out)
-        for v in rest:
+        out = _D_ONE
+        for v in vals:
             out = mul(out, v if type(v) is Decimal else num(v))
         return out
 
@@ -610,7 +609,9 @@ class NumericCtx:
         sum stops where the bound on all later terms, times |`times`|
         when that exceeds 1, is within tol/100, or at the declared
         support, and an envelope that never falls below 1 raises
-        TailNotDecreasing before the first term."""
+        TailNotDecreasing before the first term. A builder passes every
+        factor that multiplies the sum as `times`, so that the product,
+        not only the sum, is within tol/100 of its value."""
         env = _declared(term).envelope()
         if start:
             at, top = env.at, env.support

@@ -253,8 +253,8 @@ def _s_cor_central(rng, mode):
 def _b_alt_alpha(ctx, p):
     x, y, z = p["x"], p["y"], p["z"]
     lhs = cor_lhs(ctx, x, y, z, _sign(ctx), step=2)
-    rhs = ctx.mul(cor_pref(ctx, x, y, z), cor_rhs_sum(
-        ctx, x, y, z, _sign(ctx, alternating=True)))
+    rhs = cor_rhs_sum(ctx, x, y, z, _sign(ctx, alternating=True),
+                      times=cor_pref(ctx, x, y, z))
     return lhs, rhs
 
 
@@ -534,10 +534,10 @@ def _b_bibasic_ab(ctx, p):
     x, y, z, pv, B = p["x"], p["y"], p["z"], p["p"], p["B"]
     down = [(ctx.neg(ctx.mul(B, pv)), ctx.pow_int(pv, 2))]
     lhs = cor_lhs(ctx, x, y, z, Summand(ctx, B, (1, 0), pv, downs=down))
+    pref = cor_pref(ctx, x, y, z)
     inner = cor_rhs_sum(ctx, x, y, z, Summand(ctx, B, (1, -2), pv, downs=down),
-                        start=1, times=ctx.div(pv, B))
-    rhs = ctx.mul(cor_pref(ctx, x, y, z), ctx.sub(ctx.one(), inner))
-    return lhs, rhs
+                        start=1, times=ctx.mul(pref, ctx.div(pv, B)))
+    return lhs, ctx.sub(pref, inner)
 
 
 def _b_bibasic_ab2(ctx, p):
@@ -545,9 +545,10 @@ def _b_bibasic_ab2(ctx, p):
     rterm = Summand(ctx, B, (1, -2), pv,
                     heads=[(ctx.div(B, pv), ctx.pow_int(pv, 2))])
     lhs = cor_lhs(ctx, x, y, z, Summand(ctx, B, (1, 0), pv))
-    inner = cor_rhs_sum(ctx, x, y, z, rterm, start=1, times=ctx.div(pv, B))
-    rhs = ctx.mul(cor_pref(ctx, x, y, z), ctx.sub(ctx.one(), inner))
-    return lhs, rhs
+    pref = cor_pref(ctx, x, y, z)
+    inner = cor_rhs_sum(ctx, x, y, z, rterm, start=1,
+                        times=ctx.mul(pref, ctx.div(pv, B)))
+    return lhs, ctx.sub(pref, inner)
 
 
 def _s_bibasic(rng, mode):
@@ -574,12 +575,12 @@ def _b_rrs3eq1(ctx, p):
     nx, half = ctx.neg(x), F(1, 2)
     lhs = ctx.summation(Summand(ctx, nx, (a + half, b - half),
                                 downs=[(ctx.mul(x, qq), qq)]))
+    pref = ctx.sub(ctx.one(), x)
     inner = ctx.summation(Summand(
         ctx, nx, (a + half, b - 2 * a - half), downs=[(x, qq)],
         heads=[(ctx.qpow(b - a), ctx.qpow(2 * a))]),
-        start=1, times=ctx.qpow(a - b))
-    rhs = ctx.mul(ctx.sub(ctx.one(), x), ctx.sub(ctx.one(), inner))
-    return lhs, rhs
+        start=1, times=ctx.mul(pref, ctx.qpow(a - b)))
+    return lhs, ctx.sub(pref, inner)
 
 
 def _s_rrs3eq1(rng, mode):
@@ -600,11 +601,12 @@ def _b_bb_z0(ctx, p):
     down = [(ctx.neg(ctx.qpow(ia + ib)), base_a)]
     lhs = cor_lhs(ctx, x, y, z, Summand(ctx, power=(ia, ib), downs=down),
                   base=q2)
+    pref = cor_pref(ctx, x, y, z)
     inner = cor_rhs_sum(ctx, x, y, z,
                         Summand(ctx, power=(ia, ib - 2 * ia), downs=down),
-                        start=1, times=ctx.qpow(ia - ib), base=q2)
-    rhs = ctx.mul(cor_pref(ctx, x, y, z), ctx.sub(ctx.one(), inner))
-    return lhs, rhs
+                        start=1, times=ctx.mul(pref, ctx.qpow(ia - ib)),
+                        base=q2)
+    return lhs, ctx.sub(pref, inner)
 
 
 def _s_bb_z0(rng, mode):
@@ -624,11 +626,11 @@ def _b_bb_yinf(ctx, p):
     nx, down = ctx.neg(x), (ctx.neg(ctx.qpow(ia + ib)), base_a)
     lhs = ctx.summation(Summand(ctx, nx, (ia + 1, ib - 1),
                                 downs=[(ctx.mul(q2, x), q2), down]))
+    pref = ctx.sub(ctx.one(), x)
     inner = ctx.summation(Summand(ctx, nx, (ia + 1, ib - 2 * ia - 1),
                                   downs=[(x, q2), down]),
-                          start=1, times=ctx.qpow(ia - ib))
-    rhs = ctx.mul(ctx.sub(ctx.one(), x), ctx.sub(ctx.one(), inner))
-    return lhs, rhs
+                          start=1, times=ctx.mul(pref, ctx.qpow(ia - ib)))
+    return lhs, ctx.sub(pref, inner)
 
 
 def _s_bb_yinf(rng, mode):

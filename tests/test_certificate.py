@@ -2,28 +2,32 @@
 
 Every exact sum stops where its declared summand's valuation bound passes
 the goal. For each record's first seed-1 exact sample at order 20, every
-declared summand is evaluated well past that stop and checked against the
-bound it declares: each term has no coefficient below the bound, and each
-term from the stop on is zero through the goal.
+sum is evaluated 10 terms past the term where the engine
+(`qfunc.sum_exact`) stopped and checked against the bound it declares:
+each term has no coefficient below the bound, and each term from the
+stop on is zero through the goal.
 
 Every numeric sum stops where its declared summand's envelope certifies
 the tail, or at its support. For each record's first seed-1 numeric
-sample, every declared summand is evaluated for 40 terms past that stop:
-each term lies under the envelope, and together they lie under the
-certified tail, which is at most tol/100. A property test checks the
-envelope of random declarations against plain Fraction terms.
+sample, every sum is evaluated for 40 terms past the term where the
+engine (`qfunc.sum_numeric`) stopped: each term lies under the envelope,
+and together they lie under the certified tail, which is at most
+tol/100. A sum times a prefactor is certified for the product. A
+property test checks the envelope of random declarations against plain
+Fraction terms.
 """
 
 from fractions import Fraction as F
-from itertools import count
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qident.bailey import (Factor, Summand, constant, running_sums,
-                           vwp_weight)
+from qident.bailey import (Factor, Summand, constant, cor_pref,
+                           cor_transform, running_sums, vwp_weight)
+import qident.context as context_module
 from qident.context import ExactCtx, NumericCtx
-from qident.qfunc import tail_after
+from qident.qfunc import (NumericTermGenerator, TermGenerator, sum_exact,
+                          sum_numeric, tail_after)
 from qident.records import QPOOL
 from qident.registry import catalog, sample_params
 
@@ -31,40 +35,56 @@ ORDER = 20
 PAST = 10
 
 
-class CertifyingCtx(ExactCtx):
-    """An ExactCtx that checks each summand against its certificate before
-    summing it; the headroom is fixed at the target, so no term needs a
-    rebuild."""
+def exact_stops(monkeypatch):
+    """Wrap `ExactCtx.summation` and the engine it calls, so that each sum
+    records its context, summand, start, goal and the number of terms the
+    engine took."""
+    stops, runs = [], []
+    summation = ExactCtx.summation
 
-    def __init__(self, order: int, denom: int):
-        super().__init__(order, denom, headroom=order * denom)
-        self.checked = []
+    def traced(gen, goal):
+        seen = []
 
-    def summation(self, term, start=0, times=1):
+        def term(n):
+            seen.append(n)
+            return gen.term(n)
+
+        total = sum_exact(TermGenerator(term, gen.valuation_growth), goal)
+        runs.append((goal, len(seen)))
+        return total
+
+    def traced_summation(ctx, term, start=0, times=1):
+        total = summation(ctx, term, start, times)
+        stops.append((ctx, term, start) + runs.pop())
+        return total
+
+    monkeypatch.setattr(context_module, "sum_exact", traced)
+    monkeypatch.setattr(ExactCtx, "summation", traced_summation)
+    return stops
+
+
+@pytest.mark.parametrize("record", [r for r in catalog()
+                                    if "exact" in r.strategies],
+                         ids=lambda r: r.id)
+def test_declared_bounds_hold_past_the_stop(record, monkeypatch):
+    # the headroom is fixed at the target, so no term needs a rebuild; at
+    # the engine's own stop, the terms from there on are zero through the
+    # goal, and no term has a coefficient below its bound
+    stops = exact_stops(monkeypatch)
+    a = sample_params(record.id, 1, 1, "exact")[0]
+    denom = record.exponent_denominator
+    record.build(ExactCtx(ORDER, denom, headroom=ORDER * denom), a.values)
+    assert stops
+    for ctx, term, start, goal, stop in stops:
         growth = term.law().growth()
-        goal = min(self.order,
-                   self.target + max(0, -self.monomial(times).exp))
-        stop = next(n for n in count() if growth(n + start) > goal)
         for n in range(stop + PAST + 1):
-            t = self.finalize(term(n + start))
+            t = ctx.finalize(term(n + start))
             bound = growth(n + start)
             low = [e for e, _ in t.terms() if e < min(bound, t.order)]
             assert low == [], (n, bound, str(t))
             if n >= stop:
                 assert t.order >= goal, (n, str(t))
                 assert t.truncate(goal).is_zero, (n, str(t))
-        self.checked.append((stop, goal))
-        return super().summation(term, start, times)
-
-
-@pytest.mark.parametrize("record", [r for r in catalog()
-                                    if "exact" in r.strategies],
-                         ids=lambda r: r.id)
-def test_declared_bounds_hold_past_the_stop(record):
-    a = sample_params(record.id, 1, 1, "exact")[0]
-    ctx = CertifyingCtx(ORDER, record.exponent_denominator)
-    record.build(ctx, a.values)
-    assert ctx.checked
 
 
 # ------------------------------------------------------------ numeric half
@@ -72,46 +92,73 @@ def test_declared_bounds_hold_past_the_stop(record):
 NUMERIC_PAST = 40
 
 
-class NumericCertifyingCtx(NumericCtx):
-    """A NumericCtx that finds each sum's certified stop N as
-    `qfunc.sum_numeric` does, then checks the envelope there against the
-    NUMERIC_PAST terms after it before summing."""
+def certified_stops(monkeypatch):
+    """Wrap the engine `NumericCtx.summation` calls, so that each sum
+    records its generator, its tolerance and the last term n it took."""
+    stops = []
 
-    def __init__(self, q_unit, denom):
-        super().__init__(q_unit, denom)
-        self.checked = []
+    def traced(gen, tol, context):
+        seen = []
 
-    def summation(self, term, start=0, times=1):
-        env = term.envelope()
-        cutoff = self.dc.divide(self.tol, 100)
-        small, n = False, start
-        while env.support is None or n < env.support:
-            small = small or term(n).copy_abs() < cutoff
-            tail = tail_after(env.at(n)) if small else None
-            if tail is not None and tail <= cutoff:
-                break
-            n += 1
-        past = [F(term(m).copy_abs())
-                for m in range(n + 1, n + NUMERIC_PAST + 1)]
-        if env.support is not None and n >= env.support:
-            assert not any(past), (n, past)
-        else:
-            m, g = (F(x) for x in env.at(n))
-            for i, t in enumerate(past, 1):
-                assert t <= m * g ** i, (n, i, t, m, g)
-            assert sum(past) <= F(tail) <= F(cutoff), (n, sum(past), tail)
-        self.checked.append(n - start)
-        return super().summation(term, start, times)
+        def term(n):
+            seen.append(n)
+            return gen.term(n)
+
+        total = sum_numeric(NumericTermGenerator(term, gen.envelope), tol,
+                            context)
+        stops.append((gen, context.divide(tol, 100), seen[-1]))
+        return total
+
+    monkeypatch.setattr(context_module, "sum_numeric", traced)
+    return stops
 
 
 @pytest.mark.parametrize("record", [r for r in catalog()
                                     if "numeric" in r.strategies],
                          ids=lambda r: r.id)
-def test_numeric_envelopes_hold_past_the_stop(record):
+def test_numeric_envelopes_hold_past_the_stop(record, monkeypatch):
+    # at the engine's own stop N, the NUMERIC_PAST terms after it lie
+    # under the envelope and their sum under the certified tail
+    stops = certified_stops(monkeypatch)
     a = sample_params(record.id, 1, 1, "numeric")[0]
-    ctx = NumericCertifyingCtx(a.q_unit, record.exponent_denominator)
-    record.build(ctx, a.values)
-    assert ctx.checked
+    record.build(NumericCtx(a.q_unit, record.exponent_denominator), a.values)
+    assert stops
+    for gen, cutoff, n in stops:
+        env = gen.envelope
+        past = [F(gen.term(m).copy_abs())
+                for m in range(n + 1, n + NUMERIC_PAST + 1)]
+        if env.support is not None and n == env.support:
+            assert not any(past), (n, past)
+            continue
+        m, g = (F(x) for x in env.at(n))
+        for i, t in enumerate(past, 1):
+            assert t <= m * g ** i, (n, i, t, m, g)
+        tail = tail_after(env.at(n))
+        assert sum(past) <= F(tail) <= F(cutoff), (n, sum(past), tail)
+
+
+def test_prefactor_is_inside_the_budget():
+    # a sum times a large prefactor, passed as `times`: the product, not
+    # only the sum, is within tol/100 of its value (the geometric series'
+    # envelope is its own tail, so a prefactor applied after the sum
+    # would multiply an error of about tol/100)
+    ctx = NumericCtx(F(1, 7))
+    pref = F(10 ** 8, 3)
+    got = ctx.summation(Summand(ctx, ctx.num(F(9, 10))), times=pref)
+    assert abs(F(got) - pref * 10) <= F(ctx.tol) / 100
+
+
+def test_cor_transform_verdict_within_tol_under_a_large_prefactor():
+    # cor_pref = (1 - xy)(1 - xz)/((1 - x)(1 - xyz)) is about 1.7e3 here;
+    # each side's sum is certified to tol/100 after it, so the two sides
+    # of the transform agree within tol/50
+    ctx = NumericCtx(F(1, 7))
+    x, y, z = F(1, 2), F(3, 2), F(19998, 15000)
+    u = ctx.num(F(1, 2))
+    alpha = Factor(lambda n: ctx.pow_int(u, n), 0, bound=Summand(ctx, u))
+    assert abs(F(cor_pref(ctx, x, y, z))) > 1000
+    lhs, rhs = cor_transform(ctx, x, y, z, running_sums(ctx, alpha), alpha)
+    assert abs(F(lhs) - F(rhs)) <= F(ctx.tol) / 50
 
 
 # the envelope of a random declaration against plain Fraction terms
