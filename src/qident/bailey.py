@@ -244,7 +244,7 @@ def _product(bounds) -> Optional[Tuple[Decimal, Decimal]]:
     return (m, g) if known else None
 
 
-def _poch_ratio(u: Decimal, b: Decimal, k: int, l: int, upper: bool,
+def _factor_bound(u: Decimal, b: Decimal, k: int, l: int, upper: bool,
                 n: int):
     """(1, g): g bounds, over every m >= n, |the factors (1 - u b^j)^(+-1)
     that (u; b)_(k m + l), or its inverse, gains from m to m + 1|, given
@@ -455,7 +455,7 @@ class Summand(_SummandFields):
                 u, base = mag(u), mag(base)
                 if k and u:         # else no factor, or 1, per step
                     ok = k > 0 and base <= 1 and (upper or base < 1 or u < 1)
-                    parts.append(partial(_poch_ratio, u, base, k, l, upper)
+                    parts.append(partial(_factor_bound, u, base, k, l, upper)
                                  if ok else lambda n: None)
                     least.append(_ONE if ok else None)
         for w, r, inverse in (lead[3] if lead is not None else ()):
@@ -582,8 +582,8 @@ def wp_transform(ctx: Ctx, a, k, r1, r2, alpha_at,
     pref = ctx.mul(
         ctx.poch_inf(kq, qq), ctx.poch_inf(ctx.div(kq, ctx.mul(r1, r2)), qq),
         ctx.poch_inf(aq1, qq), ctx.poch_inf(aq2, qq),
-        ctx.inv_poch_inf(kq1, qq), ctx.inv_poch_inf(kq2, qq),
-        ctx.inv_poch_inf(z, qq), ctx.inv_poch_inf(aq, qq))
+        ctx.inv(ctx.poch_inf(kq1, qq)), ctx.inv(ctx.poch_inf(kq2, qq)),
+        ctx.inv(ctx.poch_inf(z, qq)), ctx.inv(ctx.poch_inf(aq, qq)))
     if support is None:
         return ctx.summation(lhs_term), ctx.summation(rhs_term, times=pref)
     return ctx.summation(lhs_term), ctx.mul(

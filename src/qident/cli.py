@@ -99,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("suite", help="verify every matching identity")
     s.add_argument("--filter", default="*", help="glob over identity ids")
-    s.add_argument("--workers", type=positive_int, default=1)
     _add_common(s)
 
     pc = subs.add_parser("pte-check", help="equal power sums through e = k")
@@ -193,8 +192,7 @@ def main(argv=None) -> int:
                 return EXIT_USAGE
             reports = verify_suite(args.filter, order=args.order,
                                    seed=args.seed, samples=args.samples,
-                                   strategy=args.strategy,
-                                   workers=args.workers)
+                                   strategy=args.strategy)
             return _run_reports(reports, args, dict(
                 order=args.order, seed=args.seed,
                 filter_pattern=args.filter, samples=args.samples,

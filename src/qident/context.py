@@ -24,30 +24,31 @@ callable): ExactCtx reads its `ValuationLaw` and stops where the law's
 bound passes the goal, which proves that every later term is zero
 through it; NumericCtx reads its `qfunc.Envelope` and stops where the
 certified bound on all later terms is within tol/100. ExactCtx's
-`one`, and `poch`, `inv_poch` and `vwp` at n = 0 or a zero argument, are
-the scalar 1 (`vwp` at k = 1 still raises
-DegenerateVWP), and `add`/`sub` of the scalar 0 return the other operand,
-so a trivial factor adds no series to a product. Summands on
-negative q-powers dip below degree 0, so a build may need a construction
-order above the comparison target; `exact_run` measures it: an
-OrderInsufficient names its shortfall, and the build reruns with that
+`one`, and `vwp` at n = 0 or a zero argument, are the scalar 1 (`vwp` at
+k = 1 still raises DegenerateVWP); `quotient` (so `poch` and `inv_poch`)
+there is the unit monomial; and `add`/`sub` of the scalar 0 return the
+other operand, so a trivial factor adds no series to a product. Summands
+on negative q-powers dip below degree 0, so a build may need a
+construction order above the comparison target; `exact_run` measures it:
+an OrderInsufficient names its shortfall, and the build reruns with that
 much more headroom.
 
 Both contexts step a quotient from one term to the next by its term
-ratio. Under ExactCtx, `poch`, `inv_poch` and `quotient` read a
+ratio, and each has one engine for it: `poch` and `inv_poch` are
+one-factor quotients. Under ExactCtx a quotient reads a
 `qfunc.PochTower`, kept per context for each distinct tuple of
 (argument, base, invert) factors; one step applies the binomials of all
 its factors in one integer pass, O(width) each, and one gcd. A quotient
 term is one series part, Q(n), times the monomial s^n and the term's
-other factors, however many factors the quotient has. Q(n) carries the order
-of the product of one tower per factor, so `exact_run` reads the same
-shortfalls as from that product.
+other factors, however many factors the quotient has. Q(n) carries the
+order of the product of one tower per factor, so `exact_run` reads the
+same shortfalls as from that product.
 
 A NumericCtx owns its precision and its caches (see the class): each
-distinct rational is converted once, and each Pochhammer product is
-extended by a running power. The caches live on the context, not in the
-module, because their values depend on q and the precision, and because
-one context serves one build on one thread.
+distinct rational is converted once, and each Pochhammer product is a
+one-factor `_QuotientRun`, extended by a running power. The caches live
+on the context, not in the module, because their values depend on q and
+the precision, and because one context serves one build on one thread.
 
 Under ExactCtx a product that involves a series is kept unmultiplied: `mul`
 returns one monomial c*t^e times a flat list of series parts (nested
@@ -261,23 +262,11 @@ class ExactCtx:
     def _factor(self, a, base, invert: bool):
         return self.monomial(a), self.monomial(base), invert
 
-    def _tower(self, factors: tuple) -> PochTower:
-        t = self._towers.get(factors)
-        if t is None:
-            t = self._towers[factors] = PochTower.of(factors, self.order)
-        return t
-
-    def _poch(self, a, base, n: int, invert: bool):
-        f = self._factor(a, base, invert)
-        if n == 0 or f[0].is_zero:
-            return _ONE
-        return self._tower((f,)).upto(n)
-
     def poch(self, a, base, n: int):
-        return self._poch(a, base, n, False)
+        return self.quotient([(a, base)], ())(n)
 
     def inv_poch(self, a, base, n: int):
-        return self._poch(a, base, n, True)
+        return self.quotient((), [(a, base)])(n)
 
     def quotient(self, ups, downs, s=None):
         """(n, *more) -> s^n prod (u; p_u)_n / prod (d; p_d)_n over the
@@ -285,12 +274,14 @@ class ExactCtx:
         factors `more`: Q(n) of the quotient's PochTower, which steps by
         the term ratio, the monomial s^n (1 when s is None) and `more` in
         one `mul`. Q(0), and Q(n) when every argument is zero, is the
-        scalar 1, so no series part is added."""
+        unit monomial, so no series part is added."""
         factors = tuple(
             f for f in [self._factor(u, p, False) for u, p in ups] +
             [self._factor(d, p, True) for d, p in downs]
             if not f[0].is_zero)
-        tower = self._tower(factors) if factors else None
+        tower = self._towers.get(factors)
+        if factors and tower is None:
+            tower = self._towers[factors] = PochTower.of(factors, self.order)
 
         def at(n, *more):
             return self.mul(*((tower.upto(n),) if n and tower else ()),
@@ -302,9 +293,6 @@ class ExactCtx:
     def poch_inf(self, a, base) -> LaurentSeries:
         return poch_infinite(as_monomial(_force(a)),
                              as_monomial(_force(base)), self.order)
-
-    def inv_poch_inf(self, a, base) -> LaurentSeries:
-        return self.poch_inf(a, base).invert(self.order)
 
     def vwp(self, k, n: int, base: Optional[QMonomial] = None):
         k = _force(k)
@@ -373,34 +361,6 @@ def exact_run(order: int, build: Callable, denom: int = 1):
             headroom += ex.short
 
 
-class _PochRun:
-    """(a; base)_n for n = 0, 1, 2, ... in a decimal context, the numeric
-    counterpart of `PochTower`: the products reached so far and the
-    running term a*base^j of the next factor, so one more factor costs two
-    multiplications and a subtraction (never a power)."""
-
-    __slots__ = ("base", "vals", "run", "_mul", "_sub")
-
-    def __init__(self, a: Decimal, base: Decimal, dc: decimal.Context):
-        self.base = base
-        self.vals = [_D_ONE]
-        self.run = a
-        self._mul, self._sub = dc.multiply, dc.subtract
-
-    def upto(self, n: int) -> Decimal:
-        vals = self.vals
-        short = n + 1 - len(vals)
-        if short > 0:
-            mul, sub, base = self._mul, self._sub, self.base
-            last, run = vals[-1], self.run
-            for _ in range(short):
-                last = mul(last, sub(_D_ONE, run))
-                vals.append(last)
-                run = mul(run, base)
-            self.run = run
-        return vals[n]
-
-
 class _QuotientRun:
     """n -> s^n prod (u; p_u)_n / prod (d; p_d)_n in a decimal context, by
     its term ratio (Gasper & Rahman, section 1.2):
@@ -408,12 +368,13 @@ class _QuotientRun:
         Q(j+1) = Q(j) * s * prod (1 - u p_u^j) / prod (1 - d p_d^j).
 
     It keeps the values Q(0..j) reached so far and the running power
-    u p_u^j of each factor (as `_PochRun` does), so one more step costs
-    three operations per factor and one division. Q(j) is multiplied by s
-    and by each upper factor in turn and divided by the product of the
-    lower ones, so a side without factors costs nothing: no
-    multiplication by 1, no division by 1. A lower factor that vanishes
-    at step j makes every n > j raise DegenerateDenominator, as
+    u p_u^j of each factor, so one more step costs three operations per
+    factor and one division (never a power). Q(j) is multiplied by s and
+    by each upper factor in turn and divided by the product of the lower
+    ones, so a side without factors costs nothing: no multiplication by 1,
+    no division by 1 (`NumericCtx.poch` is the run of one upper factor:
+    a subtraction and two multiplications a step). A lower factor that
+    vanishes at step j makes every n > j raise DegenerateDenominator, as
     `inv_poch` does; once an upper factor (or s) vanishes, Q stays 0."""
 
     __slots__ = ("vals", "s", "up_runs", "up_bases", "down_runs",
@@ -474,8 +435,9 @@ class NumericCtx:
     Memoized per context, since the values depend on q and the precision
     and a context lives for one build:
       * `num`: each distinct rational, converted to a Decimal once;
-      * `poch` (and `inv_poch`): for each (argument, base) pair, a
-        `_PochRun` that extends (a; base)_n by a running power.
+      * `poch` (and `inv_poch`, its reciprocal): for each (argument,
+        base) pair, the one-factor `_QuotientRun` that extends
+        (a; base)_n by a running power.
     A `quotient` is not memoized by its arguments: each call builds a
     `_QuotientRun` that steps from one term to the next by the term
     ratio, so a summand builds its quotient once per sum, not per term.
@@ -552,10 +514,11 @@ class NumericCtx:
         if type(base) is not Decimal:
             base = self.num(base)
         key = (a, base)
-        run = self._poch_cache.get(key)
-        if run is None:
-            run = self._poch_cache[key] = _PochRun(a, base, self.dc)
-        return run.upto(n)
+        at = self._poch_cache.get(key)
+        if at is None:
+            at = self._poch_cache[key] = \
+                _QuotientRun([key], (), None, self.dc).at
+        return at(n)
 
     def inv_poch(self, a, base, n: int) -> Decimal:
         p = self.poch(a, base, n)
@@ -586,12 +549,6 @@ class NumericCtx:
             out = mul(out, sub(_D_ONE, f))
             f = mul(f, base)
         raise NonTruncatable("infinite product failed to settle")
-
-    def inv_poch_inf(self, a, base) -> Decimal:
-        p = self.poch_inf(a, base)
-        if not p:
-            raise DegenerateDenominator("vanishing infinite product")
-        return self.dc.divide(_D_ONE, p)
 
     def vwp(self, k, n: int, base=None) -> Decimal:
         k = self.num(k)

@@ -163,7 +163,7 @@ def _b_qgauss(ctx, p):
     z = ctx.div(c, ctx.mul(a, b))
     lhs = ctx.summation(phi_term(ctx, [a, b], [c], qq, z))
     rhs = ctx.mul(ctx.poch_inf(ctx.div(c, a), qq), ctx.poch_inf(ctx.div(c, b), qq),
-                  ctx.inv_poch_inf(c, qq), ctx.inv_poch_inf(z, qq))
+                  ctx.inv(ctx.poch_inf(c, qq)), ctx.inv(ctx.poch_inf(z, qq)))
     return lhs, rhs
 
 
@@ -183,7 +183,8 @@ def _b_qbinom(ctx, p):
     a, z = p["a"], p["z"]
     qq = ctx.qpow(1)
     lhs = ctx.summation(phi_term(ctx, [a], [], qq, z))
-    rhs = ctx.mul(ctx.poch_inf(ctx.mul(a, z), qq), ctx.inv_poch_inf(z, qq))
+    rhs = ctx.mul(ctx.poch_inf(ctx.mul(a, z), qq),
+                  ctx.inv(ctx.poch_inf(z, qq)))
     return lhs, rhs
 
 
@@ -273,7 +274,7 @@ def _b_alt_sum(ctx, p):
         heads=[(ctx.mul(qq, inv_x), ctx.qpow(2))]))
     rhs = ctx.mul(ctx.inv(ctx.add(ctx.one(), x)),
                   ctx.poch_inf(ctx.mul(qq, inv_x), qq),
-                  ctx.inv_poch_inf(x, qq))
+                  ctx.inv(ctx.poch_inf(x, qq)))
     return lhs, rhs
 
 
@@ -288,7 +289,7 @@ def _b_ones_sum(ctx, p):
         factors=[_n_plus_one(ctx)]))
     rhs = ctx.mul(ctx.inv(ctx.sub(ctx.one(), x)),
                   ctx.poch_inf(ctx.mul(qq, inv_x), qq),
-                  ctx.inv_poch_inf(x, qq))
+                  ctx.inv(ctx.poch_inf(x, qq)))
     return lhs, rhs
 
 
@@ -302,7 +303,7 @@ def _b_u_power(ctx, p):
         heads=[(ctx.neg(ctx.mul(qq, inv_x)), qq), (u, u)]))
     rhs = ctx.mul(ctx.sub(ctx.one(), u), ctx.inv(ctx.sub(ctx.one(), x)),
                   ctx.poch_inf(ctx.mul(qq, u, inv_x), qq),
-                  ctx.inv_poch_inf(ctx.mul(x, u), qq))
+                  ctx.inv(ctx.poch_inf(ctx.mul(x, u), qq)))
     return lhs, rhs
 
 
@@ -349,7 +350,8 @@ def _b_phi32(ctx, p):
     lhs = ctx.summation(phi_term(ctx, [nqxy, y, x], [nxy, qx2y], qq, x))
     rhs = ctx.mul(ctx.inv(ctx.add(ctx.one(), xy)),
                   ctx.poch_inf(ctx.mul(x, x), qq), ctx.poch_inf(ctx.mul(qq, xy), qq),
-                  ctx.inv_poch_inf(qx2y, qq), ctx.inv_poch_inf(x, qq))
+                  ctx.inv(ctx.poch_inf(qx2y, qq)),
+                  ctx.inv(ctx.poch_inf(x, qq)))
     return lhs, rhs
 
 
@@ -511,8 +513,8 @@ def _b_cpte5(ctx, p):
     downs = [ctx.mul(ctx.num(bi), qq) for bi in bvals]
     lhs = ctx.summation(phi_term(ctx, ups, downs, qq, z))
     rhs = ctx.mul(*[ctx.poch_inf(ctx.mul(u, qq), qq) for u in ups])
-    rhs = ctx.mul(rhs, *[ctx.inv_poch_inf(d, qq) for d in downs])
-    rhs = ctx.mul(rhs, ctx.inv_poch_inf(qq, qq))
+    rhs = ctx.mul(rhs, *[ctx.inv(ctx.poch_inf(d, qq)) for d in downs])
+    rhs = ctx.mul(rhs, ctx.inv(ctx.poch_inf(qq, qq)))
     return lhs, rhs
 
 
@@ -655,9 +657,9 @@ def _rr_mod5(b, r, h=None):
         heads = [] if h is None else [(ctx.neg(ctx.qpow(h)), ctx.qpow(-2))]
         term = Summand(ctx, power=(1, b), downs=[(q4, q4)], heads=heads)
         return ctx.summation(term), ctx.mul(
-            ctx.inv_poch_inf(ctx.qpow(r), q5),
-            ctx.inv_poch_inf(ctx.qpow(5 - r), q5),
-            ctx.inv_poch_inf(ctx.neg(ctx.qpow(2)), ctx.qpow(2)))
+            ctx.inv(ctx.poch_inf(ctx.qpow(r), q5)),
+            ctx.inv(ctx.poch_inf(ctx.qpow(5 - r), q5)),
+            ctx.inv(ctx.poch_inf(ctx.neg(ctx.qpow(2)), ctx.qpow(2))))
 
     return build
 
@@ -675,9 +677,9 @@ def _gg_mod8(a, b, r, h=None):
                        downs=[(q2, q2)],
                        heads=[] if h is None else [(ctx.qpow(h), q2)])
         return ctx.summation(term), ctx.mul(
-            ctx.inv_poch_inf(ctx.qpow(r), q8),
-            ctx.inv_poch_inf(ctx.qpow(4), q8),
-            ctx.inv_poch_inf(ctx.qpow(8 - r), q8))
+            ctx.inv(ctx.poch_inf(ctx.qpow(r), q8)),
+            ctx.inv(ctx.poch_inf(ctx.qpow(4), q8)),
+            ctx.inv(ctx.poch_inf(ctx.qpow(8 - r), q8)))
 
     return build
 
@@ -695,7 +697,7 @@ def _p16(ctx, z, a):
     (q^4;q^4)_inf, the product side of the mod-16 identities."""
     q4 = ctx.qpow(4)
     return [ctx.poch_inf(z, ctx.qpow(1)), *_triple(ctx, -1, a, 16),
-            ctx.inv_poch_inf(q4, q4)]
+            ctx.inv(ctx.poch_inf(q4, q4))]
 
 
 def _mod16(c, a, e):
@@ -724,7 +726,8 @@ def _b_rrs6(ctx, p):
         ctx, power=(F(1, 2), F(1, 2)), ups=[(b, qq), (q3b, qq)],
         downs=[(q2, q2, 1, 1), (qq, qq)]))
     rhs = ctx.mul(ctx.poch_inf(ctx.mul(ctx.qpow(4), ctx.inv(b)), q2),
-                  ctx.poch_inf(ctx.mul(b, qq), q2), ctx.inv_poch_inf(qq, qq))
+                  ctx.poch_inf(ctx.mul(b, qq), q2),
+                  ctx.inv(ctx.poch_inf(qq, qq)))
     return lhs, rhs
 
 
@@ -746,7 +749,8 @@ def _b_qbailey(ctx, p):
         ctx, c, (F(1, 2), F(-1, 2)), ups=[(b, qq), (qb, qq)],
         downs=[(c, qq), (q2, q2)]))
     rhs = ctx.mul(ctx.poch_inf(ctx.mul(c, qq, ctx.inv(b)), q2),
-                  ctx.poch_inf(ctx.mul(b, c), q2), ctx.inv_poch_inf(c, qq))
+                  ctx.poch_inf(ctx.mul(b, c), q2),
+                  ctx.inv(ctx.poch_inf(c, qq)))
     return lhs, rhs
 
 
@@ -792,7 +796,8 @@ def _slater69(k):
                                     ups=[(ctx.neg(q2), q2, 1, k)],
                                     downs=[(qq, qq, 2, 2 + k)]))
         prod = ctx.mul(*_triple(ctx, -1, 2, 16),
-                       ctx.poch_inf(ctx.neg(qq), q2), ctx.inv_poch_inf(q2, q2))
+                       ctx.poch_inf(ctx.neg(qq), q2),
+                       ctx.inv(ctx.poch_inf(q2, q2)))
         return lhs, prod if k == 0 else ctx.sub(
             ctx.mul(ctx.num(2), prod), ctx.inv(ctx.sub(ctx.one(), qq)))
 
@@ -805,7 +810,7 @@ def _p121(ctx):
     q32 = ctx.qpow(32)
     return ctx.mul(*_triple(ctx, 1, 2, 16), ctx.poch_inf(ctx.qpow(12), q32),
                    ctx.poch_inf(ctx.qpow(20), q32),
-                   ctx.inv_poch_inf(ctx.qpow(1), ctx.qpow(1)))
+                   ctx.inv(ctx.poch_inf(ctx.qpow(1), ctx.qpow(1))))
 
 
 def _b_slater121(ctx, p):

@@ -13,7 +13,6 @@ import hashlib
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fnmatch import fnmatch
@@ -217,20 +216,18 @@ def verify_one(record: Union[str, IdentityRecord],
 
 
 def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
-                 seed: int = 1, samples: int = 3, strategy: str = "auto",
-                 workers: int = 1) -> List[VerificationReport]:
+                 seed: int = 1, samples: int = 3,
+                 strategy: str = "auto") -> List[VerificationReport]:
     """Run every matching record over sampled assignments.
 
     strategy 'auto' tries exact first and falls back to a numeric sample
     when the exact strategy is inadmissible for that record/assignment.
     An exact OrderInsufficient never falls back: past `exact_run` it is a
     defect, not an inadmissible specialization. The reports come in job
-    order (catalog order, then sample index) whatever the schedule: the
-    thread pool's `map` returns results in the order of its inputs.
+    order: catalog order, then sample index.
     """
-    recs = select(filter_pattern)
-    jobs = []
-    for rec in recs:
+    reports = []
+    for rec in select(filter_pattern):
         modes = rec.strategies if strategy == "auto" else (strategy,)
         primary = modes[0]
         if primary not in rec.strategies:
@@ -242,24 +239,17 @@ def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
             fallback = sample_params(rec.id, seed, samples, "numeric")
         for i, a in enumerate(assigns):
             fb = fallback[i] if fallback and i < len(fallback) else None
-            jobs.append((rec, a, fb))
-
-    def run(job):
-        rec, a, fb = job
-        rep = verify_one(rec, a, order)
-        if rep.status == "skipped" and fb is not None and \
-                not rep.reason.startswith(OrderInsufficient.__name__):
-            rep2 = verify_one(rec, fb, order)
-            if rep2.status != "skipped":
-                rep2.reason = f"exact skipped ({rep.reason})"
-                return rep2
-            rep.reason += f"; numeric also skipped ({rep2.reason})"
-        return rep
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, jobs))
-    return [run(j) for j in jobs]
+            rep = verify_one(rec, a, order)
+            if rep.status == "skipped" and fb is not None and \
+                    not rep.reason.startswith(OrderInsufficient.__name__):
+                rep2 = verify_one(rec, fb, order)
+                if rep2.status != "skipped":
+                    rep2.reason = f"exact skipped ({rep.reason})"
+                    rep = rep2
+                else:
+                    rep.reason += f"; numeric also skipped ({rep2.reason})"
+            reports.append(rep)
+    return reports
 
 
 def with_injected_fault(record: Union[str, IdentityRecord],

@@ -103,7 +103,7 @@ def test_suite_mismatch_exit1(capsys, monkeypatch):
     ["verify", "--id", "qgauss", "--order", "-3"],
     ["verify", "--id", "qgauss", "--samples", "0"],
     ["suite", "--filter", "qgauss", "--samples", "0"],
-    ["suite", "--filter", "qgauss", "--workers", "0"],
+    ["suite", "--filter", "qgauss", "--order", "0"],
 ])
 def test_counts_below_one_exit2(capsys, argv):
     code, out, err = run(capsys, *argv)

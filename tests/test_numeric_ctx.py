@@ -1,7 +1,7 @@
 """NumericCtx: its own decimal context, the memoized Pochhammer kernel
 and the term-ratio quotient against plain Fraction products, and numeric
-verdicts that do not depend on the caller's decimal settings, the call
-order or the thread."""
+verdicts that do not depend on the caller's decimal settings or the
+call order."""
 
 import decimal
 from fractions import Fraction as F
@@ -96,20 +96,23 @@ def test_poch_does_not_depend_on_call_order(a, base, calls):
     assert ctx.poch(a, base, 5) == NumericCtx(F(1, 7)).poch(a, base, 5)
 
 
-class _OffByOne(context._PochRun):
-    """A mutant: the running power starts one step ahead, at a*base."""
+class _RunAhead(context._QuotientRun):
+    """A mutant: every running power starts one step ahead, at u*p."""
 
-    def __init__(self, a, base, dc):
-        super().__init__(a, base, dc)
-        self.run = dc.multiply(a, base)
+    def __init__(self, ups, downs, s, dc):
+        super().__init__(ups, downs, s, dc)
+        self.up_runs = list(map(dc.multiply, self.up_runs, self.up_bases))
+        self.down_runs = list(map(dc.multiply, self.down_runs,
+                                  self.down_bases))
 
 
 def test_property_check_catches_off_by_one_running_power(monkeypatch):
+    # poch is a one-factor quotient run, so the mutant reaches it there
     draws = [(F(1, 3), F(1, 2), 5), (F(-7, 4), F(-3, 20), 12),
              (F(2), F(1, 3), 1)]
     for a, base, n in draws:
         assert max(poch_gaps(NumericCtx(F(1, 7)), a, base, n)) <= DELTA
-    monkeypatch.setattr(context, "_PochRun", _OffByOne)
+    monkeypatch.setattr(context, "_QuotientRun", _RunAhead)
     for a, base, n in draws:
         assert max(poch_gaps(NumericCtx(F(1, 7)), a, base, n)) > DELTA
 
@@ -188,16 +191,6 @@ def test_quotient_pole_raises_where_inv_poch_does():
             assert inv_poch_raises(ctx, downs, n)
             with pytest.raises(DegenerateDenominator):
                 quot(n)
-
-
-class _RunAhead(context._QuotientRun):
-    """A mutant: every running power starts one step ahead, at u*p."""
-
-    def __init__(self, ups, downs, s, dc):
-        super().__init__(ups, downs, s, dc)
-        self.up_runs = list(map(dc.multiply, self.up_runs, self.up_bases))
-        self.down_runs = list(map(dc.multiply, self.down_runs,
-                                  self.down_bases))
 
 
 def test_property_check_catches_off_by_one_quotient_run(monkeypatch):
@@ -297,14 +290,11 @@ def test_numeric_verdicts_clean_equal_fault_twin_mismatch():
     assert not wrong
 
 
-def test_numeric_suite_deterministic_across_runs_and_workers():
-    def document(workers):
-        reps = verify_suite(strategy="numeric", samples=5, seed=1,
-                            workers=workers)
+def test_numeric_suite_deterministic_across_runs():
+    def document():
+        reps = verify_suite(strategy="numeric", samples=5, seed=1)
         return document_json(strip_timing(suite_document(
             reps, order=DEFAULT_ORDER, seed=1, filter_pattern="*",
             samples=5, strategy="numeric")))
 
-    first = document(1)
-    assert document(1) == first
-    assert document(4) == first
+    assert document() == document()

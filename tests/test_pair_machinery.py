@@ -167,12 +167,14 @@ def test_summation_times_exact_against_numeric():
 
 
 def test_exact_scalar_one():
+    # a trivial factor is the scalar 1 (vwp) or the unit monomial (a
+    # quotient, so poch and inv_poch), never a series
     ctx = ExactCtx(10)
-    one = F(1)
+    for v in (ctx.vwp(mono(3, 2), 0), ctx.vwp(F(0), 4)):
+        assert type(v) is F and v == 1
     for v in (ctx.poch(mono(2, 1), Q, 0), ctx.inv_poch(mono(2, 1), Q, 0),
-              ctx.poch(mono(0), Q, 5), ctx.inv_poch(F(0), Q, 5),
-              ctx.vwp(mono(3, 2), 0), ctx.vwp(F(0), 4)):
-        assert type(v) is F and v == one
+              ctx.poch(mono(0), Q, 5), ctx.inv_poch(F(0), Q, 5)):
+        assert v == QMonomial.of(1)
     assert isinstance(ctx.poch(mono(2, 1), Q, 1), LS)
 
 

@@ -307,10 +307,12 @@ def test_suite_filter_semantics():
 
 
 def test_suite_report_order_canonical():
-    r1 = verify_suite("gg*", order=20, samples=2)
-    r2 = verify_suite("gg*", order=20, samples=2, workers=4)
-    assert [(r.id, r.assignment.provenance) for r in r1] == \
-        [(r.id, r.assignment.provenance) for r in r2]
+    # catalog order, then sample index
+    ids = [rec.id for rec in catalog()]
+    reports = verify_suite("q*", order=20, samples=2)
+    keys = [(ids.index(r.id), r.assignment.provenance) for r in reports]
+    assert len({i for i, _ in keys}) == 3 and len(keys) == 6
+    assert keys == sorted(keys)
 
 
 def test_document_roundtrip_and_grammar():
