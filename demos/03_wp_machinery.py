@@ -21,7 +21,7 @@ from qident import (
     wp_beta,
     wp_chain_step,
 )
-from qident.bailey import wp_beta_sum, wp_chain_alpha, wp_chain_beta
+from qident.bailey import Factor, wp_beta_sum, wp_chain_alpha, wp_chain_beta
 from qident.context import NumericCtx
 
 q = QMonomial.of(1, 1)
@@ -48,21 +48,16 @@ for n in range(4):
           direct.compare(closed, N - 4) is None)
 
 # the same chain step, written once over the context algebra, at q = 1/7
-# (the context computes at its own precision, whatever the caller's is)
+# (the context computes at its own precision, whatever the caller's is).
+# An AlphaSequence is declared once; factor(ctx) is the sequence in one
+# context, a Factor that carries its support and floor to the transforms
 ctx = NumericCtx(F(1, 7))
 a, k, r1, r2 = F(1, 5), F(1, 3), F(1, 2), F(-2, 5)
-
-
-def seed_at(n):
-    return ctx.num(1 if n == 0 else 0)
-
-
-def chained_at(j):
-    return wp_chain_alpha(ctx, a, r1, r2, seed_at, j)
-
-
-gap = max(ctx.sub(wp_beta_sum(ctx, a, k, chained_at, n, 0),
-                  wp_chain_beta(ctx, a, k, r1, r2, seed_at, n, 0)).copy_abs()
+unit = unit_alpha().factor(ctx)
+chained = Factor(lambda j: wp_chain_alpha(ctx, a, r1, r2, unit, j),
+                 support=unit.support)
+gap = max(ctx.sub(wp_beta_sum(ctx, a, k, chained, n),
+                  wp_chain_beta(ctx, a, k, r1, r2, unit, n)).copy_abs()
           for n in range(4))
 print("numeric chain closure at q = 1/7, n < 4 -> gap", f"{gap:.1e}",
       "within", ctx.tol, "->", gap <= ctx.tol)

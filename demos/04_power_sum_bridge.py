@@ -43,4 +43,4 @@ alpha, beta = pte_alpha_beta(a, b, QMonomial.of(1, 1))
 N = 20
 for n in range(5):
     got = partial_sums(alpha, n, N)
-    print(f"bridge n={n}:", got.compare(beta(n, N), N) is None)
+    print(f"bridge n={n}:", got.compare(beta.value(n, N), N) is None)

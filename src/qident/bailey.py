@@ -27,9 +27,11 @@ them under both the exact and the numeric strategy:
 
 A sequence enters them as a `Factor` (a function n -> context value, a
 valuation floor, a magnitude bound, and, where it is known, a `support`
-past which alpha_n is zero) or as a nested `Summand`; `wp_transform`
-takes the function, its support and its floor. `vwp_weight` is the
-very-well-poised factor as a `Factor`.
+past which alpha_n is zero) or as a nested `Summand`; the transforms
+read a `Factor`'s support and floor themselves. `vwp_weight` is the
+very-well-poised factor as a `Factor`. An `AlphaSequence` declares a
+sequence once for every context: `at(ctx, n)` with its support and
+floor, and `factor(ctx)` is its `Factor` in `ctx`.
 
 `wp_beta`, `wp_chain_step`, `thm_transform_sides`, `cor_sides`,
 `subbarao_verma_sides` and `phi_rs` are thin exact wrappers: they reject
@@ -37,7 +39,7 @@ degenerate specializations, run the shared code in `context.exact_run`
 (which finds the working order the Laurent dips of their arguments
 need), and return truncated Laurent series at the caller's order. Their
 parameters are monomials c * q^e or plain rationals, and their alpha
-sequences (`AlphaSequence`) produce values per index.
+sequences are `AlphaSequence`s, computed in the wrapper's context.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from functools import cached_property, partial, reduce
 from math import ceil, floor, lcm
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .context import Ctx, ExactCtx, exact_run
+from .context import Ctx, exact_run
 from .errors import DegenerateDenominator, LowerParameterPole, ValuationStall
 from .qfunc import (
     BOUND_DOWN,
@@ -71,17 +73,9 @@ _ZERO, _ONE = Decimal(0), Decimal(1)
 _SLACK = _ONE + Decimal(10) ** (4 - BOUND_PRECISION)
 _NO_BOUND = Envelope(lambda n: None, None)
 
-AlphaFn = Callable[[int, int], Value]   # (n, order) -> value
-
-
-def _value_sub(x: Value, y: Value) -> Value:
-    if isinstance(x, (Fraction, int)) and isinstance(y, (Fraction, int)):
-        return Fraction(x) - Fraction(y)
-    return LaurentSeries.coerce(x) - LaurentSeries.coerce(y)
-
-
-class AlphaSequence:
-    """A re-entrant sequence n -> value feeding the summation engines.
+class AlphaSequence(NamedTuple):
+    """A sequence alpha_n declared once for every context: `at(ctx, n)`
+    is alpha_n in `ctx`, asked only for n up to the support.
 
     `support`, when set, promises the value is zero for n > support (an
     optimization and a termination certificate). `floor` promises every
@@ -90,29 +84,34 @@ class AlphaSequence:
     it is None, the default: nothing is known.
     """
 
-    def __init__(self, fn: AlphaFn, support: Optional[int] = None,
-                 floor: Optional[int] = None):
-        self.fn = fn
-        self.support = support
-        self.floor = floor
+    at: Callable[[Ctx, int], object]
+    support: Optional[int] = None
+    floor: Optional[int] = None
 
-    def value(self, n: int, order: int) -> Value:
-        if self.support is not None and n > self.support:
-            return Fraction(0)
-        return self.fn(n, order)
+    def factor(self, ctx: Ctx) -> "Factor":
+        """The sequence in `ctx` as a `Factor`, zero past the support."""
+        at, top = self.at, self.support
+        return Factor(lambda n: ctx.num(0) if top is not None and n > top
+                      else at(ctx, n), self.floor, top)
+
+    def value(self, n: int, order: int) -> LaurentSeries:
+        """alpha_n, computed exactly, as a series at `order`."""
+        return _exact(order, lambda ctx: [self.factor(ctx)(n)])[0]
 
     @staticmethod
     def from_values(values) -> "AlphaSequence":
-        """The finite sequence of `values`, with its support and, as its
-        floor, the least valuation among them."""
+        """The finite sequence of `values` (rationals in any context;
+        monomials and series in the exact one), with its support and, as
+        its floor, the least valuation among them."""
         vals = list(values)
         lows = [v.eff_min_deg() if isinstance(v, LaurentSeries)
                 else as_monomial(v).exp for v in vals
                 if not (v == 0 if isinstance(v, (Fraction, int))
                         else v.is_zero)]
-        return AlphaSequence(lambda n, order: vals[n] if n < len(vals) else Fraction(0),
-                             support=len(vals) - 1,
-                             floor=floor(min(lows, default=0)))
+        return AlphaSequence(
+            lambda ctx, n: ctx.num(vals[n])
+            if isinstance(vals[n], (Fraction, int)) else vals[n],
+            len(vals) - 1, floor(min(lows, default=0)))
 
 
 def unit_alpha() -> AlphaSequence:
@@ -121,11 +120,10 @@ def unit_alpha() -> AlphaSequence:
 
 
 def partial_sums(alpha: AlphaSequence, n: int, order: int) -> LaurentSeries:
-    """beta_n = sum of alpha_0..alpha_n, as a series at `order`."""
-    acc = LaurentSeries.zero(order)
-    for j in range(n + 1):
-        acc = acc + LaurentSeries.coerce(alpha.value(j, order), order)
-    return acc
+    """beta_n = sum of alpha_0..alpha_n (`running_sums`), as a series at
+    `order`."""
+    return _exact(order, lambda ctx: [
+        running_sums(ctx, alpha.factor(ctx))(n)])[0]
 
 
 @dataclass(frozen=True)
@@ -524,26 +522,24 @@ def _total(ctx: Ctx, terms):
     return reduce(ctx.add, terms) if terms else ctx.num(0)
 
 
-def wp_beta_sum(ctx: Ctx, a, k, alpha_at, n: int,
-                support: Optional[int] = None):
+def wp_beta_sum(ctx: Ctx, a, k, alpha: Factor, n: int):
     """beta_n from the defining relation
 
         beta_n = sum_{j<=n} (k/a)_{n-j} (k)_{n+j} / ((q)_{n-j} (aq)_{n+j})
                  * alpha_j,
 
-    skipping the j above `support`."""
+    skipping the j above alpha's support."""
     qq = ctx.qpow(1)
     ka, aq = ctx.div(k, a), ctx.mul(a, qq)
-    top = n if support is None else min(n, support)
+    top = n if alpha.support is None else min(n, alpha.support)
     return _total(ctx, [
         ctx.mul(ctx.poch(ka, qq, n - j), ctx.poch(k, qq, n + j),
                 ctx.inv_poch(qq, qq, n - j), ctx.inv_poch(aq, qq, n + j),
-                alpha_at(j))
+                alpha(j))
         for j in range(top + 1)])
 
 
-def wp_transform(ctx: Ctx, a, k, r1, r2, alpha_at,
-                 support: Optional[int] = None, floor: Optional[int] = None):
+def wp_transform(ctx: Ctx, a, k, r1, r2, alpha: Factor):
     """Both sides of the infinite well-poised transform
 
       sum vwp(k, n) (r1, r2)_n / (kq/r1, kq/r2)_n z^n beta_n
@@ -551,13 +547,13 @@ def wp_transform(ctx: Ctx, a, k, r1, r2, alpha_at,
           * sum (r1, r2)_n / (aq/r1, aq/r2)_n z^n alpha_n,
 
     with z = aq/(r1 r2) and beta_n from `wp_beta_sum`. k = 0 reduces it to
-    the classical transform for a pair relative to a. With a known
-    `support` the right sum is the finite sum over n <= support. `floor`
-    is a valuation floor of every alpha_n (t-units; see `Factor`), needed
-    for the exact sums; beta_n is bounded by it and the dips of (k/a)_n
-    and (k)_n. With a support S, beta_n is, from n = S on, the sum of the
-    S + 1 declared terms of `wp_beta_sum`, and their envelopes bound it
-    in a numeric sum; without one it declares no bound.
+    the classical transform for a pair relative to a. When alpha
+    declares a support the right sum is the finite sum over n <= support.
+    alpha's floor (t-units; see `Factor`) is needed for the exact sums;
+    beta_n is bounded by it and the dips of (k/a)_n and (k)_n, but is not
+    zero past alpha's support. With a support S, beta_n is, from n = S
+    on, the sum of the S + 1 declared terms of `wp_beta_sum`, and their
+    envelopes bound it in a numeric sum; without one it declares no bound.
     """
     qq = ctx.qpow(1)
     aq, kq = ctx.mul(a, qq), ctx.mul(k, qq)
@@ -566,18 +562,19 @@ def wp_transform(ctx: Ctx, a, k, r1, r2, alpha_at,
     aq1, aq2 = ctx.div(aq, r1), ctx.div(aq, r2)
     ups = [(r1, qq), (r2, qq)]
     ka = ctx.div(k, a)
-    beta = Factor(lambda n: wp_beta_sum(ctx, a, k, alpha_at, n, support),
+    support = alpha.support
+    beta = Factor(lambda n: wp_beta_sum(ctx, a, k, alpha, n),
                   Summand(ctx, ups=[(ka, qq, 0, 0), (k, qq, 0, 0)],
-                          factors=[Factor(alpha_at, floor)]),
+                          factors=[alpha._replace(support=None)]),
                   bound=None if support is None else _summed(
                       support + 1, lambda j: Summand(
                           ctx, ups=[(ka, qq, 1, -j), (k, qq, 1, j)],
                           downs=[(qq, qq, 1, -j), (aq, qq, 1, j)],
-                          factors=[constant(alpha_at(j))])))
+                          factors=[constant(alpha(j))])))
     lhs_term = Summand(ctx, z, ups=ups, downs=[(kq1, qq), (kq2, qq)],
                        factors=[vwp_weight(ctx, k), beta])
     rhs_term = Summand(ctx, z, ups=ups, downs=[(aq1, qq), (aq2, qq)],
-                       factors=[Factor(alpha_at, floor, support)])
+                       factors=[alpha])
 
     pref = ctx.mul(
         ctx.poch_inf(kq, qq), ctx.poch_inf(ctx.div(kq, ctx.mul(r1, r2)), qq),
@@ -590,7 +587,7 @@ def wp_transform(ctx: Ctx, a, k, r1, r2, alpha_at,
         pref, _total(ctx, [rhs_term(n) for n in range(support + 1)]))
 
 
-def wp_chain_alpha(ctx: Ctx, a, r1, r2, alpha_at, n: int):
+def wp_chain_alpha(ctx: Ctx, a, r1, r2, alpha: Factor, n: int):
     """alpha'_n of the chain step from the pair (alpha, a, c) to
     (alpha', a, k), with c = k r1 r2 / (a q):
 
@@ -602,11 +599,10 @@ def wp_chain_alpha(ctx: Ctx, a, r1, r2, alpha_at, n: int):
     quot = ctx.quotient([(r1, qq), (r2, qq)],
                         [(ctx.div(aq, r1), qq), (ctx.div(aq, r2), qq)],
                         ctx.div(aq, ctx.mul(r1, r2)))
-    return quot(n, alpha_at(n))
+    return quot(n, alpha(n))
 
 
-def wp_chain_beta(ctx: Ctx, a, k, r1, r2, alpha_at, n: int,
-                  support: Optional[int] = None):
+def wp_chain_beta(ctx: Ctx, a, k, r1, r2, alpha: Factor, n: int):
     """The closed form of beta'_n, the beta of (alpha', a, k) (see
     `wp_chain_alpha`):
 
@@ -630,7 +626,7 @@ def wp_chain_beta(ctx: Ctx, a, k, r1, r2, alpha_at, n: int,
         weight(j, ctx.vwp(c, j),
                ctx.poch(kc, qq, n - j), ctx.poch(k, qq, n + j),
                ctx.inv_poch(qq, qq, n - j), ctx.inv_poch(qc, qq, n + j),
-               wp_beta_sum(ctx, a, c, alpha_at, j, support))
+               wp_beta_sum(ctx, a, c, alpha, j))
         for j in range(n + 1)])
     return ctx.quotient([(kr1, qq), (kr2, qq)],
                         [(aq1, qq), (aq2, qq)])(n, inner)
@@ -783,11 +779,6 @@ def _exact(order: int, values):
         ctx.finalize(v).truncate(order) for v in values(ctx)))
 
 
-def _values(alpha: AlphaSequence, ctx: ExactCtx) -> Factor:
-    return Factor(lambda n: alpha.value(n, ctx.order), alpha.floor,
-                  alpha.support)
-
-
 def phi_rs(upper: Sequence[Value], lower: Sequence[Value], base: QMonomial,
            z: Value, order: int = DEFAULT_ORDER) -> LaurentSeries:
     """The r-phi-s series of `phi_term`, summed exactly to `order`.
@@ -816,7 +807,7 @@ def wp_beta(pair: WPPair, n: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
     if a.is_zero:
         raise DegenerateDenominator("a = 0 makes (aq)_n collapse")
     return _exact(order, lambda ctx: [wp_beta_sum(
-        ctx, a, k, _values(pair.alpha, ctx), n, pair.alpha.support)])[0]
+        ctx, a, k, pair.alpha.factor(ctx), n)])[0]
 
 
 def wp_chain_step(pair: WPPair, params: ChainParams,
@@ -829,7 +820,9 @@ def wp_chain_step(pair: WPPair, params: ChainParams,
     from the defining relation. The weight product (k rho1/a, k rho2/a)_j
     inside the sum is indexed by the summation index (the commonly printed
     index n there fails the defining relation; closure tests pin this down).
-    See `wp_chain_alpha` and `wp_chain_beta`.
+    See `wp_chain_alpha` and `wp_chain_beta`. alpha' reads alpha in the
+    caller's context, so a value of an alpha chained any number of times
+    is one exact run.
     """
     a = _require_monomial(pair.a, "a")
     r1, r2, k = params.rho1, params.rho2, params.k
@@ -842,14 +835,9 @@ def wp_chain_step(pair: WPPair, params: ChainParams,
         if arg.is_one:
             raise DegenerateDenominator(f"{name} = 1 at this specialization")
 
-    def alpha_prime(n: int, wo: int) -> LaurentSeries:
-        return _exact(wo, lambda ctx: [wp_chain_alpha(
-            ctx, a, r1, r2, _values(pair.alpha, ctx), n)])[0]
-
     def beta_prime(n: int, wo: int = order) -> LaurentSeries:
         return _exact(wo, lambda ctx: [wp_chain_beta(
-            ctx, a, k, r1, r2, _values(pair.alpha, ctx), n,
-            pair.alpha.support)])[0]
+            ctx, a, k, r1, r2, pair.alpha.factor(ctx), n)])[0]
 
     # alpha'_n's floor: the dips of (r1, r2)_n, (aq/(r1 r2))^n and alpha_n
     floor, top = pair.alpha.floor, pair.alpha.support
@@ -859,7 +847,8 @@ def wp_chain_step(pair: WPPair, params: ChainParams,
             b=z.exp, c=floor, support=top)).least(0))
     else:
         floor = None
-    new_alpha = AlphaSequence(alpha_prime, top, floor)
+    new_alpha = AlphaSequence(lambda ctx, n: wp_chain_alpha(
+        ctx, a, r1, r2, pair.alpha.factor(ctx), n), top, floor)
     return WPPair(new_alpha, pair.a, params.k), beta_prime
 
 
@@ -879,8 +868,7 @@ def thm_transform_sides(pair: WPPair, rho1: QMonomial, rho2: QMonomial,
         raise ValuationStall("series argument aq/(rho1 rho2) has no "
                              "valuation growth")
     return _exact(order, lambda ctx: wp_transform(
-        ctx, a, k, rho1, rho2, _values(pair.alpha, ctx), pair.alpha.support,
-        pair.alpha.floor))
+        ctx, a, k, rho1, rho2, pair.alpha.factor(ctx)))
 
 
 def cor_sides(alpha: AlphaSequence, x: QMonomial, y: QMonomial, z: QMonomial,
@@ -891,22 +879,21 @@ def cor_sides(alpha: AlphaSequence, x: QMonomial, y: QMonomial, z: QMonomial,
         raise DegenerateDenominator("prefactor vanishes at this specialization")
     if x.exp < 1 and not x.is_zero:
         raise ValuationStall("series argument x has no valuation growth")
-    return _exact(order, lambda ctx: cor_transform(
-        ctx, x, y, z, running_sums(ctx, _values(alpha, ctx)),
-        _values(alpha, ctx)))
+
+    def sides(ctx):
+        f = alpha.factor(ctx)
+        return cor_transform(ctx, x, y, z, running_sums(ctx, f), f)
+
+    return _exact(order, sides)
 
 
-def telescope_alpha(t: AlphaFn, floor: Optional[int] = None
-                    ) -> AlphaSequence:
-    """alpha_0 = t_0 and alpha_n = t_n - t_{n-1}: partial sums recover t.
-    A valuation floor of every t_n is one of every alpha_n."""
-
-    def fn(n: int, order: int) -> Value:
-        if n == 0:
-            return t(0, order)
-        return _value_sub(t(n, order), t(n - 1, order))
-
-    return AlphaSequence(fn, floor=floor)
+def telescope_alpha(t: Callable[[Ctx, int], object],
+                    floor: Optional[int] = None) -> AlphaSequence:
+    """alpha_0 = t_0 and alpha_n = t_n - t_{n-1}, with t(ctx, n) the
+    value t_n in `ctx`: partial sums recover t. A valuation floor of every
+    t_n is one of every alpha_n."""
+    return AlphaSequence(lambda ctx, n: ctx.sub(t(ctx, n), t(ctx, n - 1))
+                         if n else t(ctx, 0), floor=floor)
 
 
 def subbarao_verma_sides(n: int, a: Value, b: Value, c: Value,

@@ -110,8 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     pf = subs.add_parser("pte-family", help="print a parametric family")
     pf.add_argument("--family", choices=["6", "6raw", "12"], required=True)
     pf.add_argument("--m", type=nonzero_fraction, default=Fraction(1))
-    pf.add_argument("--n", type=nonzero_fraction, default=Fraction(2))
-    pf.add_argument("--K", type=Fraction, default=Fraction(0))
+    pf.add_argument("--n", type=nonzero_fraction,
+                    help="families 6 and 6raw only (default 2)")
+    pf.add_argument("--K", type=Fraction,
+                    help="families 6raw and 12 only (default 0)")
     return ap
 
 
@@ -162,6 +164,11 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(_attach_negative_values(
             sys.argv[1:] if argv is None else argv))
+        # the pte-family option that the family has no use for
+        unused = {"6": "K", "12": "n"}.get(getattr(args, "family", None))
+        if unused and getattr(args, unused) is not None:
+            ap.error(f"argument --{unused}: not used by --family "
+                     f"{args.family}")
     except SystemExit as ex:
         return EXIT_USAGE if ex.code not in (0, None) else EXIT_OK
 
@@ -209,12 +216,13 @@ def main(argv=None) -> int:
 
         if args.command == "pte-family":
             if args.family == "12":
-                a, b = family12(args.m, args.K)
+                a, b = family12(args.m, args.K or 0)
                 ok, _ = check_pte(a, b, 11)
                 depth = 11
             else:
-                a, b = family6(args.m, args.n,
-                               normalized=(args.family == "6"), K=args.K)
+                a, b = family6(args.m, args.n or 2,
+                               normalized=(args.family == "6"),
+                               K=args.K or 0)
                 if args.family == "6":
                     b = b + (Fraction(1),)
                 ok, _ = check_pte(a, b, 5)

@@ -22,13 +22,13 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .bailey import AlphaSequence, Summand, phi_term
-from .context import Ctx, exact_run
+from .context import Ctx
 from .errors import (
     BridgeConstraintError,
     DegenerateFamily,
     SizeMismatch,
 )
-from .series import LaurentSeries, QMonomial
+from .series import QMonomial
 
 _Q = QMonomial.of(1, 1)
 
@@ -192,10 +192,10 @@ def bridge_sequences(ctx: Ctx, a: Sequence, b: Sequence, base=None):
 
 
 def pte_alpha_beta(a: Sequence, b: Sequence, base: QMonomial = _Q
-                   ) -> Tuple[AlphaSequence, "object"]:
-    """The exact bridge pair of `bridge_sequences`: an AlphaSequence with
-    alpha_0 = 1, and n, order -> beta_n as a series at `order`. Requires
-    check_bridge(a, b) and every b_i nonzero.
+                   ) -> Tuple[AlphaSequence, AlphaSequence]:
+    """The bridge pair of `bridge_sequences` as two `AlphaSequence`s,
+    alpha (alpha_0 = 1) and beta, read out exactly with `.value(n,
+    order)`. Requires check_bridge(a, b) and every b_i nonzero.
     """
     a = tuple(Fraction(v) for v in a)
     b = tuple(Fraction(v) for v in b)
@@ -205,13 +205,9 @@ def pte_alpha_beta(a: Sequence, b: Sequence, base: QMonomial = _Q
     if any(not bi for bi in b):
         raise BridgeConstraintError("bridge needs every b_i nonzero")
 
-    def exact(which: int, n: int, order: int) -> LaurentSeries:
-        return exact_run(order, lambda ctx: ctx.finalize(
-            bridge_sequences(ctx, a, b, base)[which](n)).truncate(order))
+    def sequence(which: int) -> AlphaSequence:
+        # power series: rational arguments and p^(m n) lower nothing
+        return AlphaSequence(lambda ctx, n: bridge_sequences(
+            ctx, a, b, base)[which](n), floor=0)
 
-    def alpha_fn(n: int, order: int):
-        return Fraction(1) if n == 0 else exact(0, n, order)
-
-    # power series: rational arguments and p^(m n) lower nothing
-    return AlphaSequence(alpha_fn, floor=0), \
-        lambda n, order: exact(1, n, order)
+    return sequence(0), sequence(1)

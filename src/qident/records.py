@@ -33,6 +33,7 @@ from fractions import Fraction as F
 from typing import Callable, Dict, Optional, Tuple
 
 from .bailey import (
+    AlphaSequence,
     Factor,
     Summand,
     constant,
@@ -44,6 +45,7 @@ from .bailey import (
     running_sums,
     sv_linear,
     sv_quotient,
+    unit_alpha,
     vwp_weight,
     wp_transform,
 )
@@ -126,11 +128,6 @@ def _xyz(rng, mode: str, d: int = 1) -> Dict:
 # shared builder pieces
 # ---------------------------------------------------------------------------
 
-def _seed_alpha(ctx: Ctx):
-    """alpha = (1, 0, 0, ...); pass support=0 with it."""
-    return lambda n: ctx.num(1 if n == 0 else 0)
-
-
 def _sign(ctx: Ctx, alternating: bool = False) -> Factor:
     """1, or (-1)^n, as an opaque factor: floor 0, bound (1, 1)."""
     one = constant(ctx.num(1))
@@ -197,7 +194,7 @@ def _s_qbinom(rng, mode):
 
 def _b_bailey_transform(ctx, p):
     return wp_transform(ctx, p["a"], ctx.num(0), p["y"], p["z"],
-                        _seed_alpha(ctx), support=0, floor=0)
+                        unit_alpha().factor(ctx))
 
 
 def _s_bailey_transform(rng, mode):
@@ -216,7 +213,7 @@ def _s_bailey_transform(rng, mode):
 
 def _b_thm_wp(ctx, p):
     return wp_transform(ctx, p["a"], p["k"], p["r1"], p["r2"],
-                        _seed_alpha(ctx), support=0, floor=0)
+                        unit_alpha().factor(ctx))
 
 
 def _s_thm_wp(rng, mode):
@@ -237,9 +234,8 @@ def _s_thm_wp(rng, mode):
 
 
 def _b_cor_central(ctx, p):
-    vals = [ctx.num(p[f"alpha{i}"]) for i in range(6)]
-    alpha = Factor(lambda n: vals[n] if n < len(vals) else ctx.num(0),
-                   0, len(vals) - 1)
+    alpha = AlphaSequence.from_values(
+        p[f"alpha{i}"] for i in range(6)).factor(ctx)
     return cor_transform(ctx, p["x"], p["y"], p["z"],
                          running_sums(ctx, alpha), alpha)
 

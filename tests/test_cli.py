@@ -126,6 +126,10 @@ def test_suite_empty_filter_exit2(capsys):
     (["pte-family", "--family", "6", "--n", "0"], "--n: must be nonzero"),
     (["pte-family", "--family", "12", "--m", "0"], "--m: must be nonzero"),
     (["pte-family", "--family", "6", "--m", "1/0"], "--m: bad rational"),
+    (["pte-family", "--family", "6", "--K", "3"],
+     "--K: not used by --family 6"),
+    (["pte-family", "--family", "12", "--n", "5"],
+     "--n: not used by --family 12"),
 ])
 def test_pte_degenerate_arguments_exit2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

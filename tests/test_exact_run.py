@@ -118,8 +118,7 @@ def test_wrapper_matches_a_generous_fixed_headroom():
     alpha = AlphaSequence.from_values([F(1), F(-2), F(3)])
     for n in range(1, 5):
         ctx = ExactCtx(20, 1, 20)
-        want = wp_beta_sum(ctx, a, k, lambda j: alpha.value(j, ctx.order),
-                           n, alpha.support)
+        want = wp_beta_sum(ctx, a, k, alpha.factor(ctx), n)
         got = wp_beta(WPPair(alpha, a, k), n, 20)
         assert got == ctx.finalize(want).truncate(20)
         assert got.min_deg < 0

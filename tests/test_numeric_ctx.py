@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qident import context
-from qident.bailey import wp_transform
+from qident.bailey import Factor, wp_transform
 from qident.context import ExactCtx, NumericCtx
 from qident.errors import DegenerateDenominator
 from qident.qfunc import NUMERIC_PRECISION
@@ -251,8 +251,7 @@ def test_wp_transform_under_default_ambient_context():
         alpha = [ctx.num(v) for v in THM_ALPHA]
         lhs, rhs = wp_transform(
             ctx, F(1, 4), F(1, 3), F(1, 2), F(-2, 5),
-            lambda n: alpha[n] if n < len(alpha) else ctx.num(0),
-            support=len(alpha) - 1)
+            Factor(lambda n: alpha[n], support=len(alpha) - 1))
         assert ctx.sub(lhs, rhs).copy_abs() <= ctx.tol
 
 

@@ -6,9 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from qident import bailey
 from qident.bailey import (
     AlphaSequence,
     ChainParams,
+    Factor,
     Summand,
     WPPair,
     running_sums,
@@ -46,6 +48,10 @@ PINNED = {
         '-126383/768', '-17643/256', '-54479/768', '-62575/768',
         '141967/1536', '319087/1536', '208299/512', '113413/256',
         '362603/1024')),
+    "chain2_alpha2": (6, 20, (
+        '3/4', '-9/4', '-3/4', '27/4', '-15/8', '-27/4', '-3/2', '9',
+        '111/16', '-27/2', '-117/16', '171/16', '321/32', '-81/16',
+        '-495/32')),
     "bridge_alpha3": (18, 20, ('554400', '0', '0')),
     "bridge_beta3": (0, 20, (
         '1', '0', '0', '0', '0', '0', '554400', '28274400', '1055577600',
@@ -80,12 +86,34 @@ def test_chain_step_pinned():
     assert_pinned(beta_prime(4, N), "chain_beta4")
 
 
+def test_chained_alpha_value_is_one_exact_run(monkeypatch):
+    # a chained alpha reads the alpha it was built from in its own
+    # context: a value two steps deep is one exact run, not one per step
+    calls = []
+    run = bailey.exact_run
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return run(*args, **kw)
+
+    monkeypatch.setattr(bailey, "exact_run", counted)
+    N = 20
+    pair = WPPair(AlphaSequence.from_values(CHAIN_ALPHA[:3]), mono(1, 4),
+                  mono(3, 5))
+    p1, _ = wp_chain_step(pair, ChainParams(mono(2, 1), mono(1, 3),
+                                            mono(3, 5)), N)
+    p2, _ = wp_chain_step(p1, ChainParams(mono(1, 1), mono(1, 2),
+                                          mono(3, 5)), N)
+    assert_pinned(p2.alpha.value(2, N), "chain2_alpha2")
+    assert len(calls) == 1
+
+
 def test_bridge_pinned():
     alpha, beta = pte_alpha_beta(*family6(1, 2))
-    assert alpha.value(0, 20) == F(1)
+    assert alpha.value(0, 20) == LS.one(20)
     assert_pinned(LS.coerce(alpha.value(3, 20)).truncate(20),
                   "bridge_alpha3")
-    assert_pinned(beta(3, 20), "bridge_beta3")
+    assert_pinned(beta.value(3, 20), "bridge_beta3")
 
 
 @pytest.mark.parametrize("alpha", [
@@ -108,27 +136,25 @@ def numeric_ctx():
 
 
 def sequence(ctx, vals):
-    return lambda n: ctx.num(vals[n]) if n < len(vals) else ctx.num(0)
+    return AlphaSequence.from_values(vals).factor(ctx)
 
 
 def test_chain_closure_numeric():
     ctx = numeric_ctx()
     a, r1, r2 = F(1, 5), F(1, 2), F(-2, 5)
     alpha = sequence(ctx, CHAIN_ALPHA)
-    support = len(CHAIN_ALPHA) - 1
-
-    def alpha_prime(n):
-        return wp_chain_alpha(ctx, a, r1, r2, alpha, n)
+    alpha_prime = Factor(lambda n: wp_chain_alpha(ctx, a, r1, r2, alpha, n),
+                         support=alpha.support)
 
     for k in (F(1, 3), F(0)):
         for n in range(6):
-            direct = wp_beta_sum(ctx, a, k, alpha_prime, n, support)
-            closed = wp_chain_beta(ctx, a, k, r1, r2, alpha, n, support)
+            direct = wp_beta_sum(ctx, a, k, alpha_prime, n)
+            closed = wp_chain_beta(ctx, a, k, r1, r2, alpha, n)
             assert abs(direct - closed) <= ctx.tol
     # the relation at another k must not close
-    bent = wp_beta_sum(ctx, a, F(1, 4), alpha_prime, 3, support)
-    assert abs(bent - wp_chain_beta(ctx, a, F(1, 3), r1, r2, alpha, 3,
-                                    support)) > ctx.tol
+    bent = wp_beta_sum(ctx, a, F(1, 4), alpha_prime, 3)
+    assert abs(bent - wp_chain_beta(ctx, a, F(1, 3), r1, r2, alpha,
+                                    3)) > ctx.tol
 
 
 @pytest.mark.parametrize("a,b", [
@@ -197,7 +223,7 @@ def test_wp_transform_asks_alpha_within_support(ctx):
     a, k, r1, r2 = (mono(F(1, 2), 3), mono(3, 5), mono(2, 1), mono(-1, 2)) \
         if isinstance(ctx, ExactCtx) else (F(1, 4), F(1, 3), F(1, 2),
                                            F(-2, 5))
-    wp_transform(ctx, a, k, r1, r2, alpha_at, support, floor=0)
+    wp_transform(ctx, a, k, r1, r2, Factor(alpha_at, 0, support))
     assert asked and max(asked) <= support
 
 

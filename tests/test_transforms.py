@@ -8,7 +8,6 @@ import pytest
 
 from qident.bailey import (
     AlphaSequence,
-    Factor,
     WPPair,
     cor_sides,
     cor_transform,
@@ -128,7 +127,7 @@ def numeric_gap(q, build):
 
 
 def sequence(ctx, vals):
-    return lambda n: ctx.num(vals[n]) if n < len(vals) else ctx.num(0)
+    return AlphaSequence.from_values(vals).factor(ctx)
 
 
 @pytest.mark.parametrize("q,k", [(F(1, 7), F(1, 3)), (F(-1, 6), F(-2, 9))])
@@ -136,8 +135,7 @@ def test_wp_transform_numeric_general_alpha(q, k):
     a, r1, r2 = F(1, 4), F(1, 2), F(-2, 5)
 
     def build(ctx, vals=THM_ALPHA):
-        return wp_transform(ctx, a, k, r1, r2, sequence(ctx, vals),
-                            support=len(vals) - 1)
+        return wp_transform(ctx, a, k, r1, r2, sequence(ctx, vals))
 
     gap, ctx = numeric_gap(q, build)
     assert gap <= ctx.tol
@@ -154,7 +152,7 @@ def test_cor_transform_numeric_random_alpha(seed):
     x, y, z = F(1, 3), F(2, 5), F(-1, 2)
 
     def build(ctx):
-        alpha = Factor(sequence(ctx, vals), 0, len(vals) - 1)
+        alpha = sequence(ctx, vals)
         return cor_transform(ctx, x, y, z, running_sums(ctx, alpha), alpha)
 
     gap, ctx = numeric_gap(F(1, 9), build)
