@@ -1,12 +1,14 @@
 """Kernel tests: exact rationals, Laurent windows, ring laws."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qident import series
 from qident.errors import OrderInsufficient, ZeroLeadingCoefficient
 from qident.series import (
     LaurentSeries as LS,
@@ -442,14 +444,80 @@ def assert_matches(s, r):
 
 KERNEL = settings(max_examples=80, deadline=None)
 
+#: crossovers that force each form of `mul`'s integer convolution: rows
+#: for every product, or Kronecker substitution for every dense one
+MUL_FORMS = {"rows": float("inf"), "kronecker": 0}
+
+
+@contextmanager
+def mul_form(name):
+    saved = series._ROWS_MAX
+    series._ROWS_MAX = MUL_FORMS[name]
+    try:
+        yield
+    finally:
+        series._ROWS_MAX = saved
+
 
 @given(series_and_ref(), series_and_ref(),
        st.one_of(st.none(), st.integers(-6, 14)))
 @KERNEL
 def test_kernel_mul(x, y, cap):
     assert_matches(x[0], x[1])
-    assert_matches(x[0].mul(y[0]), ref_mul(x[1], y[1]))
-    assert_matches(x[0].mul(y[0], cap=cap), ref_mul(x[1], y[1], cap))
+    want, capped = ref_mul(x[1], y[1]), ref_mul(x[1], y[1], cap)
+    for form in MUL_FORMS:
+        with mul_form(form):
+            assert_matches(x[0].mul(y[0]), want)
+            assert_matches(x[0].mul(y[0], cap=cap), capped)
+
+
+SMALL = st.builds(F, st.integers(-2 ** 17, 2 ** 17), st.sampled_from((1, 2, 9)))
+
+
+@st.composite
+def dense_series_and_ref(draw, size=40):
+    """Windows up to `size` wide, mostly nonzero, of small or tall
+    coefficients of both signs: the products `mul` forms by Kronecker
+    substitution."""
+    lo, n = draw(st.integers(-3, 3)), draw(st.integers(size // 5, size))
+    cs = draw(st.lists(draw(st.sampled_from((SMALL, TALL))),
+                       min_size=n, max_size=n))
+    for i in draw(st.sets(st.integers(0, len(cs) - 1), max_size=len(cs) // 8)):
+        cs[i] = F(0)
+    order = None if draw(st.booleans()) else lo + draw(st.integers(n // 2, size))
+    return LS._make(lo, cs, order), \
+        (_window({lo + i: c for i, c in enumerate(cs)}, order), order)
+
+
+@pytest.mark.parametrize("form", MUL_FORMS)
+@given(dense_series_and_ref(), dense_series_and_ref(),
+       st.one_of(st.none(), st.integers(-6, 44)))
+@settings(max_examples=25, deadline=None)
+def test_kernel_mul_dense(form, x, y, cap):
+    with mul_form(form):
+        got = x[0].mul(y[0], cap=cap)
+    assert_matches(got, ref_mul(x[1], y[1], cap))
+
+
+@pytest.mark.parametrize("form", MUL_FORMS)
+@pytest.mark.parametrize("n", [7, 8, 121])
+@pytest.mark.parametrize("h", [1, 17, 64, 300])
+def test_kernel_mul_slot_bound(form, n, h):
+    # |c_j| <= n max|a| max|b| holds with equality at the middle
+    # coefficient; the second height puts the bound's bit count at a
+    # multiple of 8, where a slot one bit short of it overflows
+    for hb in (h, h - (2 * h + n.bit_length()) % 8 + 8):
+        ma, mb = 2 ** h - 1, 2 ** hb - 1
+        for step in (1, -1):
+            a = LS._from_ints(0, [-ma * step ** i for i in range(n)], 1, None)
+            b = LS._from_ints(0, [-mb * step ** i for i in range(n)], 1, None)
+            want = [ma * mb * step ** j * min(j + 1, 2 * n - 1 - j)
+                    for j in range(2 * n - 1)]
+            with mul_form(form):
+                got = a.mul(b)
+            assert got.nums == tuple(want) and got.den == 1
+            assert abs(got.nums[n - 1]) == n * ma * mb
+            assert_canonical(got)
 
 
 @given(series_and_ref(), series_and_ref())
