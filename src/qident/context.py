@@ -51,26 +51,53 @@ on the context, not in the module, because their values depend on q and
 the precision, and because one context serves one build on one thread.
 
 Under ExactCtx a product that involves a series is kept unmultiplied: `mul`
-returns one monomial c*t^e times a flat list of series parts (nested
-products merge into the list). The product is forced in one of two ways:
+returns one monomial c*t^e times a flat list of series parts, the dense
+part, and a flat list of integer binomials (1 + (p/r) t^e)^(+-1), e > 0
+(nested products merge into both lists). The binomials are the factors
+that have that shape (Gasper & Rahman, section 1.2), and no window is
+ever formed for them:
+
+  * `poch_inf(a, base)`: the binomials 1 - a base^j of exponent at most
+    the construction order (`qfunc.poch_infinite`), a constant first
+    factor 1 - a (argument exponent 0) folded into the monomial; at a = 1
+    the product is the zero series;
+  * `inv` of a product with no dense part and a monomial of exponent
+    >= 0: the monomial is inverted and every binomial flipped (below 0,
+    `LaurentSeries.invert` at the construction order would know the
+    inverse to a lower order than the flipped product claims);
+  * `add`/`sub` of a nonzero scalar c and a monomial m of positive
+    exponent: c times the one binomial 1 + m/c;
+  * `vwp(k, n, base)` for k and base of exponent >= 0: the two binomials
+    of (1 - k base^(2n)) / (1 - k) (`qfunc.vwp_factor`), the constant
+    one folded as above.
+
+As a window each of these is a valuation-0 series known to the
+construction order N, so the product of the dense part D with them is
+known to min(order of D, N + valuation of D), `LaurentSeries.mul`'s
+order rule folded over those windows; forcing caps it there, and values,
+orders and OrderInsufficient shortfalls are those of the eager product of
+the windows. The product is forced in one of two ways:
 
   * inside `summation`, at the sum's goal order, by
-    `LaurentSeries.product_at(parts, goal - e)` and then the monomial.
-    Nonzero leading coefficients multiply to a nonzero leading
-    coefficient, so the product's valuation is e plus the sum of the
-    parts' valuations; when that exceeds the goal (or a part is zero) the
-    product is exactly zero through the goal and nothing is multiplied.
-    Otherwise the parts are multiplied left to right, the partial product
-    through part i capped at goal - e - (the valuations of the parts
-    after i): a coefficient above that cap only reaches exponents above
-    the goal. The result equals the full product truncated at the goal,
-    order included. A product whose own order (LaurentSeries.mul's order
-    rule folded over the parts, plus e) falls short of the goal is forced
+    `LaurentSeries.product_at(parts, goal - e)`, then the binomials, then
+    the monomial. Nonzero leading coefficients multiply to a nonzero
+    leading coefficient, so the product's valuation is e plus the sum of
+    the parts' valuations; when that exceeds the goal (or a part is zero)
+    the product is exactly zero through the goal and nothing is
+    multiplied. Otherwise the parts are multiplied left to right, the
+    partial product through part i capped at goal - e - (the valuations
+    of the parts after i): a coefficient above that cap only reaches
+    exponents above the goal. The binomials (e > 0) then keep the
+    valuation and are applied capped at goal - e. The result equals the
+    full product truncated at the goal, order included. A product whose
+    own order (the rule above, plus e) falls short of the goal is forced
     in full and raises OrderInsufficient exactly as before.
-  * everywhere else (`add`, `sub`, `neg`, `inv`, `pow_int`, the
-    arguments of the q machinery, `finalize`) in full, as the left fold of
-    the parts followed by the monomial. `div(u, v)` is the product of u
-    and the (forced) inverse of v.
+  * everywhere else (`add`, `sub`, `neg`, `inv` of a product with a
+    dense part, `pow_int`, the arguments of the q machinery, `finalize`)
+    in full, as the left fold of the parts, the binomials and then the
+    monomial. The binomials are applied by `qfunc._times`: those with
+    e > 0 in one integer pass (`LaurentSeries.mul_binomials`).
+    `div(u, v)` is the product of u and the inverse of v.
 """
 
 from __future__ import annotations
@@ -95,6 +122,7 @@ from .qfunc import (
     NumericTermGenerator,
     PochTower,
     TermGenerator,
+    _times,
     as_monomial,
     poch_infinite,
     sum_exact,
@@ -109,21 +137,47 @@ _ONES = repeat(_D_ONE)
 
 
 class _Product:
-    """mono * parts[0] * parts[1] * ..., not yet multiplied out; `mono` is
-    a nonzero QMonomial and `parts` a nonempty tuple of series."""
+    """mono * parts[0] * parts[1] * ... * binoms, not yet multiplied out.
 
-    __slots__ = ("mono", "parts")
+    `mono` is a nonzero QMonomial, `parts` a tuple of series (the dense
+    part) and `binoms` a tuple of integer binomials (p, r, e, invert),
+    e > 0, each the factor (1 + (p/r) t^e)^(-1 if invert else +1), the
+    shape of `qfunc._binomials`. `order` is the construction order when
+    the product holds a binomial factor (an infinite product, its
+    inverse, 1 + m or a very-well-poised ratio; `binoms` may then still
+    be empty, for one whose binomials all lie past the window), else
+    None and `parts` is not empty. Each such factor is, as a window, a
+    valuation-0 series known to `order`, so the product of the dense part
+    D with them is known to min(order of D, `order` + valuation of D):
+    `LaurentSeries.mul`'s order rule, folded over those windows."""
 
-    def __init__(self, mono: QMonomial, parts: tuple):
+    __slots__ = ("mono", "parts", "binoms", "order")
+
+    def __init__(self, mono: QMonomial, parts: tuple, binoms: tuple = (),
+                 order: Optional[int] = None):
         self.mono = mono
         self.parts = parts
+        self.binoms = binoms
+        self.order = order
+
+    def _binomials(self, dense: LaurentSeries, cap: int) -> LaurentSeries:
+        """`dense` times the binomials, capped at `cap`; a zero `dense`
+        is the product."""
+        if dense.is_zero:
+            return dense
+        return _times(dense, self.binoms, cap)
 
     def force(self) -> LaurentSeries:
-        """The full product: the left fold of the parts, then the
-        monomial."""
-        out = self.parts[0]
-        for s in self.parts[1:]:
-            out = out * s
+        """The full product: the left fold of the parts, the binomials
+        (capped by the order rule above), then the monomial."""
+        if self.parts:
+            out = self.parts[0]
+            for s in self.parts[1:]:
+                out = out * s
+        else:
+            out = LaurentSeries.one(self.order)
+        if self.order is not None:
+            out = self._binomials(out, self.order + out.eff_min_deg())
         if not self.mono.is_one:
             out = out.scale(self.mono.coef, self.mono.exp)
         return out
@@ -132,9 +186,13 @@ class _Product:
         """`force().truncate(goal)`, multiplying only the window the goal
         needs (see the module docstring)."""
         e = self.mono.exp
-        out = LaurentSeries.product_at(self.parts, goal - e)
-        if out is None:
+        out = LaurentSeries.product_at(self.parts, goal - e) \
+            if self.parts else LaurentSeries.one(goal - e)
+        if out is None or self.order is not None and not out.is_zero and \
+                self.order + out.min_deg < goal - e:
             return self.force().truncate(goal)
+        if self.order is not None:
+            out = self._binomials(out, goal - e)
         if not self.mono.is_one:
             out = out.scale(self.mono.coef, e)
         return out
@@ -184,17 +242,21 @@ class ExactCtx:
     # -- arithmetic ------------------------------------------------------
 
     def mul(self, *vals):
-        """The product of the values: a monomial if no series is involved,
-        else a series or an unmultiplied product (see the module
-        docstring)."""
+        """The product of the values: a monomial if no series or binomial
+        is involved, else a series or an unmultiplied product (see the
+        module docstring)."""
         num, den, exp = 1, 1, 0      # the monomial (num/den) t^exp
-        parts = []
+        parts, binoms = [], []
+        order = None                 # N, once a binomial factor is involved
         for v in vals:
             if isinstance(v, (Fraction, int)):
                 c = v
             else:
                 if isinstance(v, _Product):
                     parts.extend(v.parts)
+                    if v.order is not None:
+                        binoms.extend(v.binoms)
+                        order = v.order
                     v = v.mono
                 elif not isinstance(v, QMonomial):
                     parts.append(v)
@@ -205,20 +267,50 @@ class ExactCtx:
                 num *= c.numerator
                 den *= c.denominator
         if not num:
-            return LaurentSeries.zero(self.order) if parts else _QM_ZERO
+            return _QM_ZERO if not parts and order is None \
+                else LaurentSeries.zero(self.order)
         if num == den:
             mono = QMonomial(_ONE, exp) if exp else _QM_ONE
         else:
             mono = QMonomial(Fraction(num, den), exp)
-        if not parts:
-            return mono
-        if len(parts) == 1 and mono is _QM_ONE:
-            return parts[0]
-        return _Product(mono, tuple(parts))
+        if order is None:
+            if not parts:
+                return mono
+            if len(parts) == 1 and mono is _QM_ONE:
+                return parts[0]
+        return _Product(mono, tuple(parts), tuple(binoms), order)
+
+    def _binomial_product(self, factors):
+        """The product of the integer binomials (p, r, e, invert), e >= 0,
+        of `qfunc.poch_infinite` or `qfunc.vwp_factor`, unmultiplied: a
+        constant factor (e = 0) folds into the monomial, the others stay
+        binomials. A vanishing constant factor makes it the zero series,
+        as its window is."""
+        num = den = 1
+        rest = []
+        for f in factors:
+            p, r, e, invert = f
+            if e:
+                rest.append(f)
+            elif invert:
+                num, den = num * r, den * (r + p)
+            elif p == -r:
+                return LaurentSeries.zero(self.order)
+            else:
+                num, den = num * (r + p), den * r
+        return _Product(QMonomial.of(Fraction(num, den)), (), tuple(rest),
+                        self.order)
 
     def add(self, u, v):
         if _is_zero(u) or _is_zero(v):
             return v if _is_zero(u) else u
+        c, m = (u, v) if isinstance(v, QMonomial) else (v, u)
+        if isinstance(m, QMonomial) and m.exp > 0 and \
+                isinstance(c, (Fraction, int)):
+            # c + m = c (1 + (m/c) t^e): one binomial
+            x = m.coef / c
+            return _Product(QMonomial.of(c), (), (
+                (x.numerator, x.denominator, m.exp, False),), self.order)
         return LaurentSeries.coerce(_force(u), self.order) + \
             LaurentSeries.coerce(_force(v), self.order)
 
@@ -229,6 +321,12 @@ class ExactCtx:
         return -Fraction(v) if isinstance(v, int) else -_force(v)
 
     def inv(self, v):
+        if isinstance(v, _Product) and v.order is not None and \
+                not v.parts and v.mono.exp >= 0:
+            # every binomial flips; the windows' order rule is unchanged
+            return _Product(_QM_ONE / v.mono, (), tuple(
+                (p, r, e, not invert) for p, r, e, invert in v.binoms),
+                v.order)
         v = _force(v)
         if _is_zero(v):
             raise DegenerateDenominator("division by zero")
@@ -290,17 +388,21 @@ class ExactCtx:
 
         return at
 
-    def poch_inf(self, a, base) -> LaurentSeries:
-        return poch_infinite(as_monomial(_force(a)),
-                             as_monomial(_force(base)), self.order)
+    def poch_inf(self, a, base):
+        return self._binomial_product(poch_infinite(
+            as_monomial(_force(a)), as_monomial(_force(base)), self.order,
+            factors=True))
 
     def vwp(self, k, n: int, base: Optional[QMonomial] = None):
         k = _force(k)
         km = as_monomial(k)
         if km is not None and not km.is_one and (n == 0 or km.is_zero):
             return _ONE
-        return vwp_factor(k, n, self.order,
-                          self.q if base is None else _force(base))
+        base = self.q if base is None else _force(base)
+        if km is not None and km.exp >= 0 and base.exp >= 0:
+            return self._binomial_product(
+                vwp_factor(k, n, base=base, factors=True))
+        return vwp_factor(k, n, self.order, base)
 
     def summation(self, term, start: int = 0, times=1):
         """`times` times the sum of the terms term(n) for n >= `start`.

@@ -157,25 +157,32 @@ def poch_finite(a: Value, base: QMonomial, n: int,
     return _times(out, islice(_binomials(mono, base), n))
 
 
-def poch_infinite(a: Value, base: QMonomial, order: int) -> LaurentSeries:
+def poch_infinite(a: Value, base: QMonomial, order: int,
+                  factors: bool = False):
     """(a; base)_inf truncated exactly at `order`.
 
-    Only the finitely many factors that touch the window are multiplied,
-    in one integer pass; that requires base.exp >= 1 and the argument
-    exponent >= 0, otherwise the specialization is not truncatable and
-    NonTruncatable is raised.
+    Only the finitely many factors 1 - a base^j that touch the window
+    matter: those of exponent at most `order`, each as the integers
+    (p, r, e, False) of `_binomials`. They are applied to 1 in one integer
+    pass (`_times`); with `factors` the list itself is returned instead,
+    for a caller that keeps them unmultiplied (`context.ExactCtx`), and
+    the window is `_times(LaurentSeries.one(order), list)`. The first
+    factor has e = 0 when the argument exponent is 0: a constant, zero
+    at a = 1. The product needs base.exp >= 1 and the argument exponent
+    >= 0, otherwise the specialization is not truncatable and
+    NonTruncatable is raised. A zero argument gives no factor: the
+    product is 1.
     """
     mono = as_monomial(a)
     if mono is None:
         raise NonTruncatable("infinite product needs a monomial argument")
     if base.exp < 1:
         raise NonTruncatable("infinite product base must have exponent >= 1")
-    if mono.is_zero:
-        return LaurentSeries.one(order)
-    if mono.exp < 0:
+    if mono.exp < 0 and not mono.is_zero:
         raise NonTruncatable("infinite product argument has negative exponent")
-    touching = takewhile(lambda f: f[2] <= order, _binomials(mono, base))
-    return _times(LaurentSeries.one(order), touching)
+    touching = [] if mono.is_zero else \
+        list(takewhile(lambda f: f[2] <= order, _binomials(mono, base)))
+    return touching if factors else _times(LaurentSeries.one(order), touching)
 
 
 class PochTower:
@@ -265,13 +272,17 @@ class PochTower:
 
 
 def vwp_factor(k: Value, n: int, order: Optional[int] = None,
-               base: Optional[QMonomial] = None) -> LaurentSeries:
+               base: Optional[QMonomial] = None, factors: bool = False):
     """The very-well-poised ratio (1 - k base^{2n}) / (1 - k).
 
     Algebraically equal to the four-Pochhammer quotient
     (base*sqrt(k), -base*sqrt(k); base)_n / (sqrt(k), -sqrt(k); base)_n,
     with no square root ever taken. k must be monomial-like; k = 1 is
-    degenerate.
+    degenerate. The ratio is two integer binomials (p, r, e, invert), the
+    shape of `_binomials`: 1 - k base^{2n} and the inverted 1 - k. They
+    are applied to 1 (`_times`, at `order`); with `factors` the pair
+    itself is returned instead, for a caller that keeps them unmultiplied
+    (`context.ExactCtx`).
     """
     if base is None:
         base = QMonomial.of(1, 1)
@@ -284,6 +295,8 @@ def vwp_factor(k: Value, n: int, order: Optional[int] = None,
     top = (-c.numerator * b.numerator, c.denominator * b.denominator,
            mono.exp + 2 * n * base.exp, False)
     bottom = (-c.numerator, c.denominator, mono.exp, True)
+    if factors:
+        return [top, bottom]
     return _times(LaurentSeries.one(order), (top, bottom), order)
 
 

@@ -51,17 +51,40 @@ def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+#: `_divide_pass` lifts a step e below this to 2e, 4e, ... first, so that
+#: no slice of its recurrence is shorter than this. Measured with CPython
+#: 3.11 on a 2-core x86-64 host on a 121-wide window of 20-bit
+#: numerators: e = 1 went from 97 to 35 us and e = 2 from 71 to 30 us
+#: (p/r = -1), and from 266 to 166 and 158 to 139 us (p/r = -3/2); e = 3
+#: is flat, and lifting past 4 costs more passes than its slices save.
+_SLICE_MIN = 4
+
+
 def _divide_pass(out: list, p: int, r: int, e: int) -> int:
     """Divide the integer window `out` in place by 1 + (p/r) q^e, e > 0,
-    and return the factor r^s, s = (width - 1) // e, by which its
-    denominator grows.
+    and return the factor by which its denominator grows.
 
-    The quotient is the recurrence B[t] = A[t] r^(t // e) - p B[t - e]
-    over r^(t // e). Over the one denominator r^s the entries are
+    A short step is lifted first: with y = (p/r) q^e,
+
+        1/(1 + y) = (1 - y) / (1 - y^2),
+
+    so while e < `_SLICE_MIN` the window is multiplied by 1 - y (the
+    integers r A[t] - p A[t - e], over r) and the divisor becomes
+    1 + (-p^2/r^2) q^(2e). Then the quotient is the recurrence
+    B[t] = A[t] r^(t // e) - p B[t - e] over r^(t // e). Over the one
+    denominator r^s, s = (width - 1) // e, the entries are
     C[t] = B[t] r^(s - t // e), so C[t] = A[t] r^s - p (C[t - e] // r),
     the division exact. It runs one slice of e entries at a time, in one
     map each."""
     width = len(out)
+    grow = 1
+    while e < _SLICE_MIN and e < width:
+        old = out[:]
+        if r != 1:
+            out[:] = [r * c for c in old]
+        out[e:] = _axpy(out[e:], -p, old)
+        grow *= r
+        p, r, e = -p * p, r * r, 2 * e
     rs = r ** ((width - 1) // e)
     if rs != 1:
         out[:] = [rs * c for c in out]
@@ -69,7 +92,7 @@ def _divide_pass(out: list, p: int, r: int, e: int) -> int:
         prev = out[k - e:k]
         out[k:k + e] = _axpy(out[k:k + e], -p, prev if r == 1 else
                              map(r.__rfloordiv__, prev))
-    return rs
+    return grow * rs
 
 
 def _axpy(a, p: int, b):

@@ -182,6 +182,166 @@ def test_zero_scalar_adds_no_unit_factor(monkeypatch):
     assert units == []
 
 
+# ------------------------------------------------- binomial factors
+#
+# An infinite product, its inverse, c + m and the very-well-poised ratio
+# are kept as integer binomials of an unmultiplied product and applied to
+# its dense part when it is forced. Each is checked against the eager
+# path: `poch_infinite`/`vwp_factor` windows, `invert` and the left fold
+# of `mul`, in value, order, canonical form and raised error.
+
+BASE = st.builds(QMonomial, st.sampled_from([F(1), F(-1), F(2), F(1, 3)]),
+                 st.integers(0, 2))
+BINOMIAL = st.one_of(
+    st.tuples(st.just("poch"), st.builds(
+        QMonomial, st.sampled_from(COEFS[:6]), st.integers(-1, 3)), BASE),
+    st.tuples(st.just("c+m"), st.sampled_from([F(1), F(-1), F(2), F(1, 2)]),
+              MONO.map(lambda m: QMonomial(m.coef, m.exp // 2)),
+              st.booleans()),
+    st.tuples(st.just("vwp"), st.builds(
+        QMonomial, st.sampled_from(COEFS), st.integers(-1, 3)),
+        st.integers(0, 3), BASE),
+    st.tuples(st.just("dense"), window()))
+VALUE = st.tuples(BINOMIAL, st.booleans())      # (value, inverted)
+
+
+def lazy(ctx, draw):
+    """The drawn value as ExactCtx builds it."""
+    (kind, *arg), inverted = draw
+    if kind == "poch":
+        v = ctx.poch_inf(*arg)
+    elif kind == "c+m":
+        c, m, minus = arg
+        v = ctx.sub(c, -m) if minus else ctx.add(c, m)
+    elif kind == "vwp":
+        v = ctx.vwp(*arg)
+    else:
+        v = arg[0]
+    return ctx.inv(v) if inverted else v
+
+
+def eager_value(order, draw):
+    """The drawn value on the eager path: a window (or the scalar 1 of
+    `vwp` at n = 0 or k = 0), inverted by `LaurentSeries.invert`."""
+    (kind, *arg), inverted = draw
+    if kind == "poch":
+        v = qfunc.poch_infinite(*arg, order)
+    elif kind == "c+m":
+        v = LS.coerce(arg[0], order) + LS.coerce(arg[1], order)
+    elif kind == "vwp":
+        k, n, base = arg
+        v = F(1) if not k.is_one and (n == 0 or k.is_zero) else \
+            qfunc.vwp_factor(k, n, order, base)
+    else:
+        v = arg[0]
+    if not inverted:
+        return v
+    return 1 / v if isinstance(v, F) else v.invert(order)
+
+
+def attempt(thunk):
+    """thunk()'s value, or the type, message and shortfall it raised."""
+    try:
+        return thunk()
+    except Exception as ex:
+        return type(ex), str(ex), getattr(ex, "short", None)
+
+
+def binomial_faults(draws, mono, goal, headroom):
+    """Where ExactCtx's product of the drawn values differs from the eager
+    fold of their windows: forced in full, forced at the goal by a sum,
+    and inverted."""
+    ctx = ExactCtx(goal, headroom=headroom)
+    order = ctx.order
+    want = attempt(lambda: [eager_value(order, d) for d in draws])
+    got = attempt(lambda: [lazy(ctx, d) for d in draws])
+    if not isinstance(want, list) or not isinstance(got, list):
+        return [] if got == want else [("build", got, want)]
+    windows = [v for v in want if isinstance(v, LS)]
+    # a monomial when no window is involved
+    full = mono if not windows else \
+        reduce(LS.mul, windows).scale(mono.coef, mono.exp)
+
+    def inverse():
+        return QMonomial.of(1) / full if isinstance(full, QMonomial) \
+            else full.invert(order)
+
+    def at_goal(v):
+        return LS.coerce(v, goal).truncate(goal)
+
+    product = ctx.mul(mono, *got)
+    checks = [
+        ("full", lambda: ctx.finalize(product),
+         lambda: LS.coerce(full, order)),
+        ("goal", lambda: summed(ctx, product), lambda: at_goal(full)),
+        ("inv", lambda: ctx.finalize(ctx.inv(product)),
+         lambda: LS.coerce(inverse(), order)),
+        ("inv at goal", lambda: summed(ctx, ctx.inv(product)),
+         lambda: at_goal(inverse()))]
+    faults = []
+    for name, lazy_thunk, eager_thunk in checks:
+        a, b = attempt(lazy_thunk), attempt(eager_thunk)
+        if not (a == b and (not isinstance(a, LS) or (
+                a.order, a.min_deg, a.nums, a.den, hash(a)) == (
+                b.order, b.min_deg, b.nums, b.den, hash(b)))):
+            faults.append((name, a, b))
+    return faults
+
+
+@given(st.lists(VALUE, min_size=1, max_size=4), MONO, GOAL,
+       st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_binomial_factors_match_eager_windows(draws, mono, goal, headroom):
+    assert binomial_faults(draws, mono, goal, headroom) == []
+
+
+def test_binomial_factors_stay_unmultiplied():
+    ctx = ExactCtx(20)
+    Q = ctx.q
+    dense = LS.from_pairs({-1: 1, 0: 2, 3: F(1, 3)}, 20)
+    for v in (ctx.poch_inf(Q, Q), ctx.inv(ctx.poch_inf(QMonomial.of(2), Q)),
+              ctx.sub(F(1), ctx.qpow(3)), ctx.vwp(ctx.qpow(2), 3),
+              ctx.vwp(F(1, 2), 1)):
+        product = ctx.mul(v, dense)
+        assert isinstance(product, context._Product)
+        assert product.parts == (dense,)
+        assert product.order == ctx.order
+    # a constant first factor folds into the monomial: (2; q)_inf is
+    # -1 times the binomials of (2q; q)_inf
+    twice = ctx.poch_inf(QMonomial.of(2), Q)
+    assert twice.mono == QMonomial.of(-1) and twice.parts == ()
+    assert ctx.poch_inf(QMonomial.of(1), Q) == LS.zero(ctx.order)
+
+
+#: fixed draws: each applies an inverted binomial, and the last two a
+#: dense part known past the cap of its binomials
+BINOMIAL_DRAWS = [
+    ([(("poch", QMonomial.of(1, 1), QMonomial.of(1, 1)), True)],
+     QMonomial.of(1), 6, 2),
+    ([(("c+m", F(1), QMonomial.of(-1, 2), False), True),
+      (("dense", LS.from_pairs({-2: 1, 0: 3}, 12)), False)],
+     QMonomial.of(2, 1), 8, 0),
+    ([(("vwp", QMonomial.of(F(1, 2), 1), 2, QMonomial.of(1, 1)), False),
+      (("dense", LS.from_pairs({1: 1, 2: -1})), False)],
+     QMonomial.of(1), 10, 3)]
+
+
+def test_binomial_check_catches_mutants(monkeypatch):
+    assert all(binomial_faults(*d) == [] for d in BINOMIAL_DRAWS)
+    with monkeypatch.context() as m:
+        # an inverse whose binomials are applied unflipped
+        times = context._times
+        m.setattr(context, "_times", lambda s, fs, order=None: times(
+            s, [(p, r, e, False) for p, r, e, _ in fs], order))
+        assert all(binomial_faults(*d) != [] for d in BINOMIAL_DRAWS)
+    with monkeypatch.context() as m:
+        # the binomials capped one order too high
+        apply = context._Product._binomials
+        m.setattr(context._Product, "_binomials",
+                  lambda self, dense, cap: apply(self, dense, cap + 1))
+        assert all(binomial_faults(*d) != [] for d in BINOMIAL_DRAWS[1:])
+
+
 # ------------------------------------------------- the stepped quotient
 #
 # ExactCtx.quotient steps one PochTower over all its factors by the term

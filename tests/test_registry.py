@@ -16,12 +16,13 @@ from qident.registry import (
     lookup,
     parse_value,
     sample_params,
+    strip_timing,
     suite_document,
     verify_one,
     verify_suite,
     with_injected_fault,
 )
-from qident.series import QMonomial
+from qident.series import LaurentSeries, QMonomial
 
 # The full inventory of identities the engine ships, grouped by origin.
 # Every label must be covered by exactly one catalog record; the test
@@ -341,3 +342,37 @@ def test_format_parse_values():
 def test_strategies_cover_every_record():
     for rec in catalog():
         assert "exact" in rec.strategies
+
+
+# The 22 parameter-free records at order 120, each clean and with a
+# (1 + q^j) twin, j = 1 + 23 i mod 119 for the i-th of them: the sha256 of
+# their suite document (timing dropped), as reported while ExactCtx still
+# expanded every infinite product and 1 - m into a window and inverted it
+# with `LaurentSeries.invert`. Those factors are now binomials applied to
+# the dense part, so these wide-window jobs never invert a series.
+WIDE_DIGEST = \
+    "708d573d49c2e3f1007dfe7b4b80279281aaf504733d4e8e6d90538d8d0e86f6"
+
+
+def test_wide_window_reports_pinned_without_invert(monkeypatch):
+    calls = []
+    invert = LaurentSeries.invert
+
+    def counted(self, *args, **kw):
+        calls.append(1)
+        return invert(self, *args, **kw)
+
+    monkeypatch.setattr(LaurentSeries, "invert", counted)
+    reports = []
+    free = [rec for rec in catalog() if not rec.schema]
+    assert len(free) == 22
+    for i, rec in enumerate(free):
+        a, = sample_params(rec.id, 1, 1, "exact")
+        reports.append(verify_one(rec, a, 120))
+        reports.append(verify_one(
+            with_injected_fault(rec, 1 + 23 * i % 119), a, 120))
+    doc = document_json(strip_timing(suite_document(
+        reports, order=120, seed=1, filter_pattern="*", samples=1,
+        strategy="exact")))
+    assert hashlib.sha256(doc.encode()).hexdigest() == WIDE_DIGEST
+    assert calls == []
