@@ -2,8 +2,8 @@
 
 Commands: list the catalog, verify one identity, run the whole suite,
 check equal-power-sum pairs, and print the parametric solution families.
-Exit codes: 0 all equal / check passed, 1 any mismatch or failed check,
-2 usage or configuration error.
+Exit codes: 0 all equal / check passed, 1 any mismatch, skip, error report
+or failed check, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def _report_lines(reports):
             where = f" at q^{r.mismatch_exponent}" \
                 if r.mismatch_exponent is not None else ""
             extra = f"{where} (lhs={r.mismatch_lhs}, rhs={r.mismatch_rhs})"
-        elif r.status == "skipped":
+        elif r.status in ("skipped", "error"):
             extra = f" ({r.reason})"
         elif r.reason:
             extra = f" [{r.reason}]"

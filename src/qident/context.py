@@ -232,7 +232,10 @@ class ExactCtx:
         return Fraction(x)
 
     def qpow(self, e) -> QMonomial:
-        """q^e for rational e; e*denom must be integral."""
+        """q^e for rational e; e*denom must be integral. An int e (every
+        per-term power of a quadratic-power sum) takes no Fraction."""
+        if type(e) is int:
+            return QMonomial(_ONE, e * self.denom)
         te = Fraction(e) * self.denom
         if te.denominator != 1:
             raise ValueError(f"exponent {e} not representable at denom "

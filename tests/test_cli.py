@@ -26,6 +26,18 @@ def test_verify_equal_exit0(capsys):
     assert "EQUAL" in out
 
 
+def test_suite_error_report_exit1(capsys, wrong_floor_catalog):
+    # a record whose summand declares a wrong floor: the suite reports it
+    # as an error, runs the next record and exits non-zero
+    code, out, _ = run(capsys, "suite", "--order", "20", "--samples", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("ERROR    wrong-floor")
+    assert "(BoundViolation: term 1 has valuation 0" in lines[0]
+    assert lines[1].startswith("EQUAL    ft3")
+    assert lines[-1] == "-- 1/2 equal"
+
+
 def test_verify_unknown_id_exit2(capsys):
     code, _, err = run(capsys, "verify", "--id", "nope")
     assert code == 2

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from qident.bailey import Summand, constant, phi_rs, phi_term
 from qident.context import ExactCtx, NumericCtx
 from qident.errors import (
+    BoundViolation,
     DegenerateDenominator,
     DegenerateVWP,
     NonTruncatable,
+    OrderInsufficient,
     TailNotDecreasing,
     ValuationStall,
 )
@@ -227,6 +229,85 @@ def test_sum_exact_order_stable():
     hi = sum_exact(TermGenerator(term), 30)
     lo = sum_exact(TermGenerator(lambda n: term(n).truncate(14)), 14)
     assert hi.truncate(14) == lo
+
+
+#: pairwise-coprime term denominators: each one widens the running
+#: common denominator of `sum_exact`'s window
+SUM_DENS = (1, 2, 3, 5, 7, 11, 2 ** 61 - 1)
+
+
+@st.composite
+def exact_sum_terms(draw, goal=12):
+    """Terms for `sum_exact` at `goal`: windows of either sign over
+    coprime denominators, starting anywhere from q^-6 to past the goal
+    (so a later term may start lower), known to the goal, past it, or
+    exactly (order None), zero ones included."""
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        lo = draw(st.integers(-6, goal + 2))
+        den = draw(st.sampled_from(SUM_DENS))
+        cs = [F(c, den) for c in draw(
+            st.lists(st.integers(-50, 50), max_size=goal + 4))]
+        order = draw(st.sampled_from((goal, goal + 3, None)))
+        terms.append(LS._make(lo, cs, order))
+    return terms
+
+
+def folded(terms, goal):
+    acc = LS.zero(goal)
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+@given(exact_sum_terms())
+@settings(max_examples=150, deadline=None)
+def test_sum_exact_matches_the_left_fold(terms):
+    # one integer window against the left fold of LaurentSeries.__add__
+    lows = [t.eff_min_deg() for t in terms]
+    floor = min(lows, default=0)
+    gen = TermGenerator(lambda n: terms[n], valuation_growth=lambda n:
+                        floor if n < len(terms) else 13)
+    assert sum_exact(gen, 12) == folded(terms, 12)
+
+
+def test_sum_exact_window_cases():
+    # each case of the window on its own: coprime denominators, a later
+    # term starting lower, zero terms, a term known past the goal and an
+    # exact one past it, and a sum that cancels to zero
+    terms = [LS.monomial(F(1, 3), 2, order=6),
+             LS.zero(6),
+             LS.from_pairs({-2: F(1, 7), 3: F(-1, 2)}, order=6),
+             LS.zero(None),
+             LS.from_pairs({0: 5, 9: 1}, order=11),
+             LS.from_pairs({-1: F(2, 5), 8: 4}),
+             LS.monomial(F(-1, 3), 2, order=6)]
+    gen = TermGenerator(lambda n: terms[n],
+                        valuation_growth=lambda n: -2 if n < 7 else 7)
+    got = sum_exact(gen, 6)
+    assert got == folded(terms, 6)
+    assert got == LS.from_pairs({-2: F(1, 7), -1: F(2, 5), 0: 5,
+                                 3: F(-1, 2)}, order=6)
+    cancel = [LS.monomial(F(1, 3), 1, order=6), LS.monomial(F(-1, 3), 1)]
+    gen = TermGenerator(lambda n: cancel[n],
+                        valuation_growth=lambda n: 1 if n < 2 else 7)
+    assert sum_exact(gen, 6) == LS.zero(6)
+
+
+def test_sum_exact_errors_unchanged():
+    # a term known short of the goal raises with its shortfall, and a term
+    # below its declared bound raises BoundViolation
+    terms = [LS.one(10), LS.monomial(1, 2, order=7)]
+    with pytest.raises(OrderInsufficient,
+                       match="term 1 only known to order 7, need 10") as ex:
+        sum_exact(TermGenerator(lambda n: terms[n],
+                                valuation_growth=lambda n: 0), 10)
+    assert ex.value.short == 3
+    with pytest.raises(BoundViolation,
+                       match="term 1 has valuation 1, below its declared "
+                             "bound 2"):
+        sum_exact(TermGenerator(lambda n: LS.monomial(1, n, order=10),
+                                valuation_growth=lambda n: 2 * n), 10)
 
 
 @pytest.mark.xfail(reason="the stopping rule guesses: 8 terms above the "

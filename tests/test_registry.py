@@ -291,6 +291,20 @@ def test_exact_skip_falls_back_to_numeric_in_suite():
     assert rep2.status == "equal"
 
 
+def test_bound_violation_is_an_error_report_and_the_suite_goes_on(
+        wrong_floor_catalog):
+    # a wrong declaration is a defect: reported as an error with its
+    # reason, never as a skip, and the next job still runs
+    reports = verify_suite(order=20, seed=1, samples=1)
+    assert [(r.id, r.status) for r in reports] == [("wrong-floor", "error"),
+                                                   ("ft3", "equal")]
+    assert reports[0].reason == ("BoundViolation: term 1 has valuation 0, "
+                                 "below its declared bound 1")
+    doc = suite_document(reports, order=20, seed=1, filter_pattern="*",
+                         samples=1, strategy="auto")
+    assert doc["reports"][0]["status"] == "error"
+
+
 def test_verify_one_numeric_reference_point():
     # q = 1/7, x = 1/3: both sides agree within the numeric tolerance
     a = ParamAssignment(values={"x": F(1, 3), "q": F(1, 7)},

@@ -592,6 +592,71 @@ def test_kernel_mul_binomials(x, factors, order):
     assert got == seq and hash(got) == hash(seq)
 
 
+@st.composite
+def wide_series_and_ref(draw):
+    """A truncated window of 1 to 130 entries from its first nonzero
+    entry on: 20-bit numerators of either sign over one of DENS."""
+    width = draw(st.integers(1, 130))
+    lo = draw(st.integers(-3, 3))
+    den = draw(st.sampled_from(DENS))
+    nums = draw(st.lists(st.integers(-2 ** 20, 2 ** 20),
+                         min_size=width, max_size=width))
+    nums[0] = nums[0] or 1
+    cs = [F(n, den) for n in nums]
+    order = lo + width - 1
+    return LS._make(lo, cs, order), \
+        (_window({lo + i: c for i, c in enumerate(cs)}, order), order)
+
+
+#: p/r = -1 and +1 three times as often as any other small coefficient
+UNIT_OR_SMALL = st.one_of(*[st.sampled_from((F(-1), F(1)))] * 3,
+                          st.sampled_from([c for c in COEFS if c]))
+
+
+@st.composite
+def unit_binomial_factors(draw):
+    """Integer factors (p, r, e, invert) of (1 + (p/r) q^e)^(+-1), mostly
+    1 - q^e and 1 + q^e, e from 1 to 16: a 130-wide window takes the
+    strided prefix sums of `_divide_pass` up to e = 11 and its slice
+    recurrence above, so draws fall on both sides of e^2 <= width."""
+    cs = draw(st.lists(UNIT_OR_SMALL, min_size=1, max_size=4))
+    return [(c.numerator, c.denominator, draw(st.integers(1, 16)),
+             draw(st.booleans())) for c in cs]
+
+
+@given(wide_series_and_ref(), unit_binomial_factors(),
+       st.one_of(st.none(), st.integers(-4, 134)))
+@KERNEL
+def test_kernel_divide_unit_binomials(x, factors, order):
+    # divisions by 1 - q^e and 1 + q^e against the Fraction recurrence
+    # and against one div_binomial (or mul_binomial) per factor
+    s, r = x
+    got = s.mul_binomials(factors, order)
+    want, seq = ref_cap(r, order), s._cap(order)
+    for p, d, e, invert in factors:
+        c = F(p, d)
+        if invert:
+            want = ref_div_binomial(want, c, e)
+            seq = seq.div_binomial(c, e)
+        else:
+            want = ref_add(want, ref_scale(want, c, e))
+            seq = seq.mul_binomial(c, e)
+    assert_matches(got, want)
+    assert got == seq and hash(got) == hash(seq)
+
+
+@given(st.lists(st.integers(-2 ** 20, 2 ** 20), min_size=1, max_size=130),
+       st.integers(1, 16), st.sampled_from((-1, 1)))
+@KERNEL
+def test_divide_pass_unit_keeps_the_denominator(nums, e, p):
+    # a division by 1 - q^e or 1 + q^e is exact over the same denominator:
+    # the integer window times (1 + p q^e) gives the input back
+    out = list(nums)
+    assert series._divide_pass(out, p, 1, e) == 1
+    back = out[:e] + [b + p * a for a, b in zip(out, out[e:])]
+    assert back == nums
+
+
 @given(series_and_ref(), st.one_of(st.none(), st.integers(-2, 10)))
 @KERNEL
 def test_kernel_invert(x, order):
