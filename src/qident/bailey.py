@@ -319,9 +319,9 @@ class Summand(_SummandFields):
     (`_replace` makes a variant).
 
     Called with n it is the term in its context, for either strategy:
-    the Pochhammers of each length are one `ctx.quotient` (s^n rides on
-    the one of length n, if there is one), and the power, the heads and
-    the f_n are the `more` of its `(n, *more)`.
+    all its Pochhammers, whatever their lengths, are one `ctx.quotient`,
+    which steps them together by the term ratio (s^n rides on it), and
+    the power, the heads and the f_n are the `more` of its `(n, *more)`.
 
     `law()` (ExactCtx only) is the term's `ValuationLaw` in t-units, the
     certificate that `ExactCtx.summation` stops on (Gasper & Rahman,
@@ -356,31 +356,22 @@ class Summand(_SummandFields):
 
     @cached_property
     def _plan(self):
-        """What a call evaluates, built once: the quotient of length n
-        with s^n (None if it has no Pochhammer: s^n then goes to `more`
-        as `pow_int`); the rest of `more`, None when there is none: the
-        (k, l, quotient) of every other length, whether s^n stands alone,
-        the power as integers (A, B, C, den) over one denominator (None
-        when it is 0) and the heads as (w, r, inverse); and the f_n as
-        plain callables."""
-        groups = {}
-        for i, pairs in enumerate((self.ups, self.downs)):
-            for pair in pairs:
-                key = tuple(pair[2:]) or (1, 0)
-                if key not in groups:
-                    groups[key] = ([], [])
-                groups[key][i].append(pair[:2])
-        ctx = self.ctx
-        ups, downs = groups.pop((1, 0), ((), ()))
-        main = ctx.quotient(ups, downs, self.s) if ups or downs else None
-        others = [(k, l, ctx.quotient(u, d)) for (k, l), (u, d)
-                  in groups.items()]
+        """What a call evaluates, built once: the one quotient of all the
+        Pochhammers, whatever their lengths, with s^n (None if it has no
+        Pochhammer: s^n then goes to `more` as `pow_int`); the rest of
+        `more`, None when there is none: whether s^n stands alone, the
+        power as integers (A, B, C, den) over one denominator (None when
+        it is 0) and the heads as (w, r, inverse); and the f_n as plain
+        callables."""
+        ups, downs = self.ups, self.downs
+        main = self.ctx.quotient(ups, downs, self.s) if ups or downs \
+            else None
         power = (*self.power, 0, 0, 0)[:3]
         den = lcm(*(x.denominator for x in power))
         coefs = tuple(x.numerator * (den // x.denominator) for x in power)
         heads = [(w, r, bool(inverse and inverse[0]))
                  for w, r, *inverse in self.heads]
-        lead = (others, main is None and self.s is not None,
+        lead = (main is None and self.s is not None,
                 coefs + (den,) if any(coefs) else None, heads)
         return (main, lead if any(lead) else None,
                 [f.at if isinstance(f, Factor) else f._direct()
@@ -394,12 +385,10 @@ class Summand(_SummandFields):
 
     def _declared(self, n: int, lead, more: list) -> None:
         """Append to `more` the parts of the term at n that its
-        declaration fixes, other than the quotient of length n: the
-        quotients of the other lengths, s^n standing alone, the power."""
-        others, s_alone, power, _ = lead
+        declaration fixes, other than the quotient: s^n standing alone,
+        the power."""
+        s_alone, power, _ = lead
         ctx = self.ctx
-        for k, l, quotient in others:
-            more.append(quotient(k * n + l))
         if s_alone:
             more.append(ctx.pow_int(self.s, n))
         if power:
@@ -414,7 +403,7 @@ class Summand(_SummandFields):
         if lead is not None:
             self._declared(n, lead, more)
             ctx = self.ctx
-            for w, r, inverse in lead[3]:
+            for w, r, inverse in lead[2]:
                 head = ctx.sub(ctx.one(), ctx.mul(w, ctx.pow_int(r, n)))
                 more.append(ctx.inv(head) if inverse else head)
         if main is None:
@@ -436,8 +425,8 @@ class Summand(_SummandFields):
             parts.append(lambda n: (_ONE, s))
             least.append(s)
             tops.append(None if s else 0)
-        if lead is not None and lead[2]:
-            a, b, _, den = lead[2]
+        if lead is not None and lead[1]:
+            a, b, _, den = lead[1]
             p, unit = (ctx.q_unit, ctx.denom) if self.p is None else \
                 (self.p, 1)
             p = mag(p)
@@ -456,7 +445,7 @@ class Summand(_SummandFields):
                     parts.append(partial(_factor_bound, u, base, k, l, upper)
                                  if ok else lambda n: None)
                     least.append(_ONE if ok else None)
-        for w, r, inverse in (lead[3] if lead is not None else ()):
+        for w, r, inverse in (lead[2] if lead is not None else ()):
             head = (mag(w), mag(r), inverse)
             parts.append(partial(_head_bound, *head))
             least.append(_head_least(*head))

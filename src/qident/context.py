@@ -12,8 +12,9 @@ run under two strategies:
 
 Both expose the same operations: rational constants, q-powers, finite and
 infinite Pochhammer products (cached incrementally), the Pochhammer
-quotient n -> s^n prod (u; p_u)_n / prod (d; p_d)_n (`quotient`, the
-shape of most summands), the very-well-poised factor, and summation.
+quotient n -> s^n prod (u; p_u)_(k n + l) / prod (d; p_d)_(k n + l)
+(`quotient`, the shape of every summand's Pochhammers, whatever their
+lengths), the very-well-poised factor, and summation.
 `summation(term, times=m)` is m times the sum; ExactCtx sums
 max(0, -exp(m)) deeper (exp of m's monomial part), so that the product
 is still known through the target, and NumericCtx certifies the sum to
@@ -26,7 +27,8 @@ through it; NumericCtx reads its `qfunc.Envelope` and stops where the
 certified bound on all later terms is within tol/100. ExactCtx's
 `one`, and `vwp` at n = 0 or a zero argument, are the scalar 1 (`vwp` at
 k = 1 still raises DegenerateVWP); `quotient` (so `poch` and `inv_poch`)
-there is the unit monomial; and `add`/`sub` of the scalar 0 return the
+there is the unit monomial while it holds no binomial (the empty product,
+or zero arguments); and `add`/`sub` of the scalar 0 return the
 other operand, so a trivial factor adds no series to a product. Summands
 on negative q-powers dip below degree 0, so a build may need a
 construction order above the comparison target; `exact_run` measures it:
@@ -35,14 +37,20 @@ much more headroom.
 
 Both contexts step a quotient from one term to the next by its term
 ratio, and each has one engine for it: `poch` and `inv_poch` are
-one-factor quotients. Under ExactCtx a quotient reads a
-`qfunc.PochTower`, kept per context for each distinct tuple of
-(argument, base, invert) factors; one step applies the binomials of all
-its factors in one integer pass, O(width) each, and one gcd. A quotient
-term is one series part, Q(n), times the monomial s^n and the term's
-other factors, however many factors the quotient has. Q(n) carries the
-order of the product of one tower per factor, so `exact_run` reads the
-same shortfalls as from that product.
+one-factor quotients. A summand is one quotient: its Pochhammers may
+have any lengths k n + l, and the term ratio is still rational in q^n
+(Gasper & Rahman, section 1.2), so one step from n to n + 1 takes the
+next k factors of each. The quotient starts at n0, the least n at which
+every length is >= 0 (`qfunc.length_start`), and a lookup below it
+raises ValueError. Under ExactCtx a quotient reads a `qfunc.PochTower`,
+kept per context for each distinct tuple of (argument, base, invert, k,
+l) factors; one step applies the binomials of all its factors in one
+integer pass, O(width) each, and one gcd. A quotient term is one series
+part, Q(n), times the monomial s^n and the term's other factors, however
+many factors and lengths the quotient has: no term multiplies two
+windows of Pochhammers. Q(n) carries the order of the product of one
+tower per factor, each at its own length, so `exact_run` reads the same
+shortfalls as from that product.
 
 A NumericCtx owns its precision and its caches (see the class): each
 distinct rational is converted once, and each Pochhammer product is a
@@ -124,6 +132,7 @@ from .qfunc import (
     TermGenerator,
     _times,
     as_monomial,
+    length_start,
     poch_infinite,
     sum_exact,
     sum_numeric,
@@ -360,8 +369,8 @@ class ExactCtx:
             raise TypeError("expected a monomial-like value")
         return m
 
-    def _factor(self, a, base, invert: bool):
-        return self.monomial(a), self.monomial(base), invert
+    def _factor(self, a, base, invert: bool, k: int = 1, l: int = 0):
+        return self.monomial(a), self.monomial(base), invert, k, l
 
     def poch(self, a, base, n: int):
         return self.quotient([(a, base)], ())(n)
@@ -370,22 +379,25 @@ class ExactCtx:
         return self.quotient((), [(a, base)])(n)
 
     def quotient(self, ups, downs, s=None):
-        """(n, *more) -> s^n prod (u; p_u)_n / prod (d; p_d)_n over the
-        (argument, base) pairs `ups` and `downs`, times the term's other
-        factors `more`: Q(n) of the quotient's PochTower, which steps by
-        the term ratio, the monomial s^n (1 when s is None) and `more` in
-        one `mul`. Q(0), and Q(n) when every argument is zero, is the
-        unit monomial, so no series part is added."""
-        factors = tuple(
-            f for f in [self._factor(u, p, False) for u, p in ups] +
-            [self._factor(d, p, True) for d, p in downs]
-            if not f[0].is_zero)
+        """(n, *more) -> s^n prod (u; p_u)_(k n + l) / prod (d; p_d)_(k n + l)
+        over the (argument, base) pairs, of length n, or the (argument,
+        base, k, l) entries `ups` and `downs`, times the term's other
+        factors `more`: Q(n) of the quotient's one PochTower, which steps
+        every length by the term ratio, the monomial s^n (1 when s is
+        None) and `more` in one `mul`. While Q holds no binomial (the
+        empty product, or every argument zero) it adds no series part. A
+        length below 0 raises ValueError."""
+        factors = tuple(self._factor(a, p, invert, *kl)
+                        for entries, invert in ((ups, False), (downs, True))
+                        for a, p, *kl in entries)
         tower = self._towers.get(factors)
-        if factors and tower is None:
+        if tower is None:
             tower = self._towers[factors] = PochTower.of(factors, self.order)
+        one = tower.one
 
         def at(n, *more):
-            return self.mul(*((tower.upto(n),) if n and tower else ()),
+            q = tower.upto(n)
+            return self.mul(*(() if q is one else (q,)),
                             *(() if s is None else (self.pow_int(s, n),)),
                             *more)
 
@@ -467,45 +479,73 @@ def exact_run(order: int, build: Callable, denom: int = 1):
 
 
 class _QuotientRun:
-    """n -> s^n prod (u; p_u)_n / prod (d; p_d)_n in a decimal context, by
-    its term ratio (Gasper & Rahman, section 1.2):
+    """n -> s^n prod (u; p_u)_(k n + l) / prod (d; p_d)_(k n + l) in a
+    decimal context, over (argument, base) pairs, of length n, or
+    (argument, base, k, l) entries, by its term ratio (Gasper & Rahman,
+    section 1.2):
 
-        Q(j+1) = Q(j) * s * prod (1 - u p_u^j) / prod (1 - d p_d^j).
+        Q(j+1) = Q(j) * s * prod (1 - u p_u^(k j + l + i))
+                 / prod (1 - d p_d^(k j + l + i))   over i < k.
 
-    It keeps the values Q(0..j) reached so far and the running power
-    u p_u^j of each factor, so one more step costs three operations per
-    factor and one division (never a power). Q(j) is multiplied by s and
-    by each upper factor in turn and divided by the product of the lower
-    ones, so a side without factors costs nothing: no multiplication by 1,
-    no division by 1 (`NumericCtx.poch` is the run of one upper factor:
-    a subtraction and two multiplications a step). A lower factor that
-    vanishes at step j makes every n > j raise DegenerateDenominator, as
-    `inv_poch` does; once an upper factor (or s) vanishes, Q stays 0."""
+    It starts at n0, the least n >= 0 at which every length is >= 0
+    (`qfunc.length_start`; below it a lookup raises ValueError), Q(n0)
+    holding each factor's first k n0 + l factors. A factor steps as k runs
+    of base p^k from u p^(k n0 + l + i), each a running power, so one more
+    step costs three operations per run and one division (never a power);
+    a pair of length n is one run, of base p from u. It keeps the values
+    Q(n0..j) reached so far. Q(j) is multiplied by s and by each upper
+    run in turn and divided by the product of the lower ones, so a side
+    without runs costs nothing: no multiplication by 1, no division by 1
+    (`NumericCtx.poch` is the run of one upper factor: a subtraction and
+    two multiplications a step). A lower factor that vanishes at step j
+    makes every n > j raise DegenerateDenominator, as `inv_poch` does;
+    once an upper factor (or s) vanishes, Q stays 0."""
 
-    __slots__ = ("vals", "s", "up_runs", "up_bases", "down_runs",
+    __slots__ = ("vals", "n0", "s", "up_runs", "up_bases", "down_runs",
                  "down_bases", "pole", "dc")
 
     def __init__(self, ups, downs, s, dc: decimal.Context):
-        self.vals = [_D_ONE]
+        mul, sub = dc.multiply, dc.subtract
+        self.n0 = n0 = length_start(f[2:] or (1, 0) for f in (*ups, *downs))
         self.s = s
-        self.up_runs = [u for u, _ in ups]
-        self.up_bases = [p for _, p in ups]
-        self.down_runs = [d for d, _ in downs]
-        self.down_bases = [p for _, p in downs]
-        self.pole = False
         self.dc = dc
+        first = []                  # Q(n0)'s upper and lower products
+        runs = []
+        for factors in (ups, downs):
+            prod, args, bases = _D_ONE, [], []
+            for u, p, *kl in factors:
+                k, l = kl or (1, 0)
+                for _ in range(k * n0 + l):
+                    prod = mul(prod, sub(_D_ONE, u))
+                    u = mul(u, p)
+                if k:
+                    bases += [p if k == 1 else dc.power(p, k)] * k
+                for _ in range(k):
+                    args.append(u)
+                    u = mul(u, p)
+            first.append(prod)
+            runs += [args, bases]
+        self.up_runs, self.up_bases, self.down_runs, self.down_bases = runs
+        self.pole = not first[1]
+        top = first[0] if s is None or not n0 else \
+            mul(first[0], dc.power(s, n0))
+        self.vals = [] if self.pole else [dc.divide(top, first[1])]
 
     def at(self, n: int) -> Decimal:
         vals = self.vals
-        if n < len(vals):
-            return vals[n]
+        i = n - self.n0
+        if 0 <= i < len(vals):
+            return vals[i]
+        if i < 0:
+            raise ValueError(f"Pochhammer length must be >= 0 (n = {n} is "
+                             f"below {self.n0})")
         if not self.pole:
             dc = self.dc
             mul, sub, div = dc.multiply, dc.subtract, dc.divide
             ups, downs = self.up_runs, self.down_runs
             up_bases, down_bases = self.up_bases, self.down_bases
             s, last = self.s, vals[-1]
-            for _ in range(n + 1 - len(vals)):
+            for _ in range(i + 1 - len(vals)):
                 if downs:
                     den = reduce(mul, map(sub, _ONES, downs))
                     if not den:
@@ -521,8 +561,8 @@ class _QuotientRun:
                     ups = list(map(mul, ups, up_bases))
                 vals.append(last)
             self.up_runs, self.down_runs = ups, downs
-            if n < len(vals):
-                return vals[n]
+            if i < len(vals):
+                return vals[i]
         raise DegenerateDenominator("vanishing Pochhammer denominator")
 
 
@@ -632,12 +672,14 @@ class NumericCtx:
         return self.dc.divide(_D_ONE, p)
 
     def quotient(self, ups, downs, s=None):
-        """(n, *more) -> s^n prod (u; p_u)_n / prod (d; p_d)_n over the
-        (argument, base) pairs `ups` and `downs`, times the term's other
-        factors `more`: a lookup in this call's `_QuotientRun`."""
+        """(n, *more) -> s^n prod (u; p_u)_(k n + l) / prod (d; p_d)_(k n + l)
+        over the (argument, base) pairs, of length n, or the (argument,
+        base, k, l) entries `ups` and `downs`, times the term's other
+        factors `more`: a lookup in this call's `_QuotientRun`, which
+        steps every length at once. A length below 0 raises ValueError."""
         num = self.num
-        at = _QuotientRun([(num(u), num(p)) for u, p in ups],
-                          [(num(d), num(p)) for d, p in downs],
+        at = _QuotientRun([(num(u), num(p), *kl) for u, p, *kl in ups],
+                          [(num(d), num(p), *kl) for d, p, *kl in downs],
                           None if s is None else num(s), self.dc).at
         mul = self.mul
         return lambda n, *more: mul(at(n), *more) if more else at(n)

@@ -97,16 +97,21 @@ def as_monomial(value: Value) -> Optional[QMonomial]:
     return None
 
 
-def _binomials(a: QMonomial, base: QMonomial, invert: bool = False):
-    """The factors 1 - a base^j of (a; base)_inf for j = 0, 1, 2, ...,
-    each as the integers (p, r, e, invert) of 1 + (p/r) q^e, the shape
-    `LaurentSeries.mul_binomials` takes, with p/r reduced and r > 0. The
-    coefficient steps by integer products and one gcd, none on a base
-    with coefficient 1."""
+def _binomials(a: QMonomial, base: QMonomial, invert: bool = False,
+               start: int = 0, step: int = 1):
+    """The factors 1 - a base^j of (a; base)_inf for j = start,
+    start + step, start + 2 step, ..., each as the integers (p, r, e,
+    invert) of 1 + (p/r) q^e, the shape `LaurentSeries.mul_binomials`
+    takes, with p/r reduced and r > 0. The coefficient steps by integer
+    products and one gcd, none on a base whose coefficient to the power
+    `step` is 1."""
     c, b = a.coef, base.coef
-    p, r, e = -c.numerator, c.denominator, a.exp
-    bp, br, be = b.numerator, b.denominator, base.exp
-    unit = b == 1
+    p = -c.numerator * b.numerator ** start
+    r = c.denominator * b.denominator ** start
+    g = gcd(p, r)
+    p, r, e = p // g, r // g, a.exp + start * base.exp
+    bp, br, be = b.numerator ** step, b.denominator ** step, base.exp * step
+    unit = bp == br == 1
     while True:
         yield p, r, e, invert
         if not unit:
@@ -186,35 +191,58 @@ def poch_infinite(a: Value, base: QMonomial, order: int,
     return touching if factors else _times(LaurentSeries.one(order), touching)
 
 
+def length_start(lengths) -> int:
+    """The least n >= 0 at which every length k n + l of the (k, l) pairs
+    is >= 0. ValueError for a k < 0, or a length l < 0 that never grows
+    (k = 0)."""
+    n0 = 0
+    for k, l in lengths:
+        if k < 0 or not k and l < 0:
+            raise ValueError(f"Pochhammer length {k} n + {l} needs k >= 0, "
+                             f"and l >= 0 when k = 0")
+        if k:
+            n0 = max(n0, -(l // k))
+    return n0
+
+
 class PochTower:
-    """Q(n) = prod (a; base)_n over (argument, base, invert) factors, with
-    1/(a; base)_n for an inverted one, for n = 0, 1, 2, ... at a fixed
-    order. `PochTower(a, base, order, invert)` is one factor, and
+    """Q(n) = prod (a; base)_(k n + l) over (argument, base, invert, k, l)
+    factors, with 1/(a; base)_(k n + l) for an inverted one, for n = n0,
+    n0 + 1, ... at a fixed order: n0 is the least n >= 0 at which every
+    length k n + l is >= 0 (`length_start`), and a lookup below it raises
+    ValueError, as `poch_finite` does for a length below 0. A factor
+    given as (argument, base, invert) has length n (k = 1, l = 0).
+    `PochTower(a, base, order, invert)` is one such factor, and
     `PochTower.of(factors, order)` any number: a Pochhammer quotient is
-    its upper factors and its inverted lower ones.
+    its upper factors and its inverted lower ones, whatever their
+    lengths.
 
     The tower steps by its term ratio (Gasper & Rahman, section 1.2),
 
-        Q(j+1) = Q(j) * prod (1 - a base^j)^(+1 or -1),
+        Q(m+1) = Q(m) * prod over i < k of (1 - a base^(k m + l + i))^(+-1),
 
-    and keeps Q(0..n), so lookups may come in any order and a sum over n
-    reuses every shorter product. A zero argument is the factor 1. Each
-    factor runs as a `_binomials` iterator: its next binomial is a
-    reduced integer pair p/r and an exponent e, stepped without a
-    Fraction. One step is one integer pass over the window for all its
-    factors with e > 0 (`LaurentSeries.mul_binomials`, one gcd per step,
-    each factor O(width)); a factor with e <= 0 (a Laurent dip, a
-    constant base, a vanishing upper factor) is applied on its own in
-    the same step (see `_times`).
+    and keeps Q(n0..n), so lookups may come in any order and a sum over n
+    reuses every shorter product. Q(n0) holds each factor's first
+    k n0 + l binomials; while Q holds none it is `one`, the unit window,
+    itself. A zero argument is the factor 1. Each factor runs as k
+    `_binomials` iterators, the i-th over j = k n0 + l + i, stepping j by
+    k: one step pulls the next binomial of each, a reduced integer pair
+    p/r and an exponent e, stepped without a Fraction. One step is one
+    integer pass over the window for all the binomials with e > 0
+    (`LaurentSeries.mul_binomials`, one gcd per step, each binomial
+    O(width)); one with e <= 0 (a Laurent dip, a constant base, a
+    vanishing upper factor) is applied on its own in the same step (see
+    `_times`).
 
-    Q(n) carries the order of the product of one-factor towers under
-    `LaurentSeries.mul`'s order rule. A factor on a negative power shifts
-    the known order by its dip, which the caller's working order must
-    cover (see `context.exact_run`). A zero Q gains order + 1 for each
-    vanished factor past the first, as a product of zero series does. A
-    vanishing inverted factor raises DegenerateDenominator for every n
-    past it; a factor that is not inverted and has a negative-exponent
-    argument on a constant base raises NonTruncatable for every n >= 1.
+    Q(n) carries the order of the product of one-factor towers, each
+    looked up at its own length, under `LaurentSeries.mul`'s order rule.
+    A factor on a negative power shifts the known order by its dip, which
+    the caller's working order must cover (see `context.exact_run`). A
+    zero Q gains order + 1 for each vanished factor past the first, as a
+    product of zero series does. A vanishing inverted factor raises
+    DegenerateDenominator for every n past it; a factor that is not
+    inverted and has a negative-exponent argument on a constant base
+    raises NonTruncatable for every n at which it holds a binomial.
     """
 
     def __init__(self, a: Value, base: Value, order: int,
@@ -229,47 +257,79 @@ class PochTower:
 
     def _start(self, factors, order: int) -> None:
         self.order = order
-        self._vals: List[LaurentSeries] = [LaurentSeries.one(order)]
-        self._last = self._vals[0]      # Q at the last step, zero or not
-        # each factor as [its next binomial (p, r, e, invert), the
-        # `_binomials` iterator of the ones after it, argument, base]
+        self.one = self._last = LaurentSeries.one(order)
+        self._vals: List[LaurentSeries] = []
+        factors = [(a, base, invert, *(kl or (1, 0)))
+                   for a, base, invert, *kl in factors]
+        self.n0 = n0 = length_start([f[3:] for f in factors])
+        # (argument, base, k, l) of each factor with a nonzero argument
+        self._args = []
+        # Q(n0)'s binomials, as (binomial, None, factor, j - k n0 - l)
+        self._first = []
+        # the runs of each step, as [next binomial (p, r, e, invert), the
+        # `_binomials` iterator of the ones after it, factor, offset i]
         self._runs = []
-        self._flat_dip = False
+        self._flat = inf                # the least n that is NonTruncatable
         self._vanished = set()          # factors that made Q zero
-        for a, base, invert in factors:
+        for a, base, invert, k, l in factors:
             am, bm = as_monomial(a), as_monomial(base)
             if am is None or bm is None:
                 raise TypeError("PochTower requires monomial-like arguments")
-            if not am.is_zero:
-                self._flat_dip |= not invert and am.exp < 0 and bm.exp == 0
-                run = _binomials(am, bm, invert)
-                self._runs.append([next(run), run, am, bm])
+            if am.is_zero:
+                continue
+            f, m0 = len(self._args), k * n0 + l
+            self._args.append((am, bm, k, l))
+            if m0:
+                self._first += [
+                    (x, None, f, j - m0) for j, x in
+                    enumerate(islice(_binomials(am, bm, invert), m0))]
+            if not invert and am.exp < 0 and bm.exp == 0 and (m0 or k):
+                # it holds a binomial from n0 on, or from n0 + 1
+                self._flat = min(self._flat, n0 if m0 else n0 + 1)
+            for i in range(k):
+                run = _binomials(am, bm, invert, m0 + i, k)
+                self._runs.append([next(run), run, f, i])
+
+    def _pulled(self, entries, m: int) -> list:
+        """The binomials of `entries`, each [binomial, _, factor, i] with
+        the binomial j = k m + l + i of its factor, after the checks: a
+        vanishing inverted one raises DegenerateDenominator, and a
+        vanishing upper one marks its factor."""
+        step = []
+        for x, _, f, i in entries:
+            p, r, e, invert = x
+            if e == 0 and p == -r:
+                if invert:
+                    am, bm, k, l = self._args[f]
+                    raise DegenerateDenominator(
+                        f"factor (1 - {am}*{bm}^{k * m + l + i}) vanishes")
+                self._vanished.add(f)
+            step.append(x)
+        return step
 
     def upto(self, n: int) -> LaurentSeries:
         vals = self._vals
-        if n < len(vals):
-            return vals[n]
-        if self._flat_dip:
+        i = n - self.n0
+        if 0 <= i < len(vals):
+            return vals[i]
+        if i < 0:
+            raise ValueError(f"Pochhammer length must be >= 0 (n = {n} is "
+                             f"below {self.n0})")
+        if n >= self._flat:
             raise NonTruncatable(
                 "constant base with negative-exponent argument")
         runs, vanished = self._runs, self._vanished
-        while len(vals) <= n:
-            j = len(vals) - 1
-            for (p, r, e, invert), _, am, bm in runs:
-                if invert and e == 0 and p == -r:
-                    raise DegenerateDenominator(
-                        f"factor (1 - {am}*{bm}^{j}) vanishes")
-            step = []
-            for i, run in enumerate(runs):
-                f = run[0]
-                if f[2] == 0 and f[0] == -f[1]:
-                    vanished.add(i)
-                step.append(f)
-                run[0] = next(run[1])
+        while len(vals) <= i:
+            if vals:
+                step = self._pulled(runs, self.n0 + len(vals) - 1)
+                for run in runs:
+                    run[0] = next(run[1])
+            else:
+                step = self._pulled(self._first, self.n0)
             cur = self._last = _times(self._last, step)
             vals.append(cur if len(vanished) < 2 else LaurentSeries.zero(
                 cur.order + (len(vanished) - 1) * (self.order + 1)))
-        return vals[n]
+        return vals[i]
 
 
 def vwp_factor(k: Value, n: int, order: Optional[int] = None,

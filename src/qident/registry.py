@@ -5,9 +5,10 @@ Reports are plain data; all failure modes of a strategy (non-truncatable
 products, stalled valuations, degenerate denominators, undecided numeric
 tails) become `skipped` entries rather than crashes, and a mismatch always
 carries the lowest differing exponent in q-units. A wrong declaration (a
-term below its summand's valuation bound, `BoundViolation`) is a defect,
-not an inadmissible input: it becomes an `error` entry, never a skip, and
-the suite goes on to the next job.
+term below its summand's valuation bound, `BoundViolation`) or an exact
+build that stays short of its order past `exact_run` (`OrderInsufficient`)
+is a defect, not an inadmissible input: it becomes an `error` entry,
+never a skip, and the suite goes on to the next job.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .series import DEFAULT_ORDER, QMonomial
 #: strategy failures that produce a skipped report instead of an error
 SKIP_ERRORS = (NonTruncatable, ValuationStall, TailNotDecreasing,
                DegenerateDenominator, DegenerateVWP, LowerParameterPole,
-               ZeroLeadingCoefficient, OrderInsufficient, DegenerateFamily)
+               ZeroLeadingCoefficient, DegenerateFamily)
 
 _SAMPLER_BUDGET = 10_000
 
@@ -178,8 +179,8 @@ def verify_one(record: Union[str, IdentityRecord],
 
     Exact strategy: coefficientwise comparison through the working order.
     Numeric strategy: |lhs - rhs| within `NumericCtx.tol`. Strategy errors
-    yield a skipped report carrying the reason, and a BoundViolation an
-    error report carrying it.
+    yield a skipped report carrying the reason, and a BoundViolation or an
+    OrderInsufficient an error report carrying it.
     """
     rec = _resolve(record)
     strategy = assignment.strategy
@@ -218,7 +219,7 @@ def verify_one(record: Union[str, IdentityRecord],
     except SKIP_ERRORS as ex:
         return done(status="skipped",
                     reason=f"{type(ex).__name__}: {ex}")
-    except BoundViolation as ex:
+    except (BoundViolation, OrderInsufficient) as ex:
         return done(status="error",
                     reason=f"{type(ex).__name__}: {ex}")
 
@@ -230,8 +231,8 @@ def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
 
     strategy 'auto' tries exact first and falls back to a numeric sample
     when the exact strategy is inadmissible for that record/assignment.
-    An exact OrderInsufficient never falls back: past `exact_run` it is a
-    defect, not an inadmissible specialization; nor does an error report.
+    An error report never falls back: an exact OrderInsufficient past
+    `exact_run` is one, a defect, not an inadmissible specialization.
     The reports come in job order: catalog order, then sample index.
     """
     reports = []
@@ -248,8 +249,7 @@ def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
         for i, a in enumerate(assigns):
             fb = fallback[i] if fallback and i < len(fallback) else None
             rep = verify_one(rec, a, order)
-            if rep.status == "skipped" and fb is not None and \
-                    not rep.reason.startswith(OrderInsufficient.__name__):
+            if rep.status == "skipped" and fb is not None:
                 rep2 = verify_one(rec, fb, order)
                 if rep2.status != "skipped":
                     rep2.reason = f"exact skipped ({rep.reason})"

@@ -519,6 +519,26 @@ def test_quotient_two_vanishing_uppers_keep_the_towers_order():
                            range(6)) == []
 
 
+@pytest.mark.parametrize("make", [lambda: ExactCtx(10),
+                                  lambda: NumericCtx(F(1, 3))],
+                         ids=["exact", "numeric"])
+def test_negative_length_raises_in_any_lookup_order(make):
+    # (-q; q)_(n - 1) has no value at n = 0, before or after n = 2 was
+    # stepped (a negative index once read the cached list from its end)
+    ctx = make()
+    q = ctx.qpow(1)
+    term = Summand(ctx, ups=[(ctx.neg(q), q, 1, -1)])
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        term(0)
+    want = ctx.finalize(ctx.mul(ctx.add(1, q), 1))
+    assert ctx.finalize(term(2)) == want
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        term(0)
+    assert ctx.finalize(term(1)) == ctx.finalize(ctx.one())
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        ctx.poch(ctx.neg(q), q, -1)
+
+
 class _RunAhead(qfunc.PochTower):
     """A mutant: every factor starts one step ahead, at a*base."""
 

@@ -9,6 +9,7 @@ import pytest
 
 import qident.registry as reg
 from qident.bailey import AlphaSequence, WPPair, wp_beta, wp_beta_sum
+from qident.cli import main
 from qident.context import ExactCtx, exact_run
 from qident.errors import OrderInsufficient, ValuationStall
 from qident.qfunc import TermGenerator, sum_exact
@@ -151,7 +152,8 @@ def test_error_without_shortfall_propagates_at_once():
 
 # ------------------------------------------------- no numeric fallback
 
-def test_order_insufficient_is_not_hidden_by_numeric_fallback(monkeypatch):
+def test_order_insufficient_is_not_hidden_by_numeric_fallback(monkeypatch,
+                                                              capsys):
     rec = reg.lookup("qgauss")
 
     def build(ctx, params):
@@ -171,9 +173,14 @@ def test_order_insufficient_is_not_hidden_by_numeric_fallback(monkeypatch):
     monkeypatch.setitem(reg._BY_ID, stall.id, stall)
     reports = {r.id: r for r in verify_suite("*", order=10, samples=1)}
     rep = reports["__short__"]
-    assert (rep.strategy, rep.status) == ("exact", "skipped")
+    assert (rep.strategy, rep.status) == ("exact", "error")
     assert rep.reason == "OrderInsufficient: a build defect"
     # an inadmissible specialization still falls back
     rep = reports["__stall__"]
     assert (rep.strategy, rep.status) == ("numeric", "equal")
     assert rep.reason.startswith("exact skipped (ValuationStall")
+    # the error fails the suite
+    assert main(["suite", "--order", "10", "--samples", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ERROR    __short__")
+    assert lines[-1] == "-- 1/2 equal"

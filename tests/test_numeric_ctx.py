@@ -208,6 +208,93 @@ def test_property_check_catches_off_by_one_quotient_run(monkeypatch):
     assert min(gaps()) > DELTA
 
 
+# ---------------------------------------- every length k n + l at once
+
+#: the one-factor run, whatever `context._QuotientRun` is patched to
+ONE_LENGTH = context._QuotientRun
+ENTRY = st.tuples(RAT, BASE | st.sampled_from([F(1, 7), F(1, 49)]),
+                  st.integers(1, 3), st.integers(-2, 3))
+#: (q^-m; q) at q = 1/7 to vanish
+VANISHING = st.builds(lambda m, k, l: (F(7) ** m, F(1, 7), k, l),
+                      st.integers(0, 3), st.integers(1, 3),
+                      st.integers(-2, 3))
+ENTRIES = st.lists(ENTRY | VANISHING, max_size=3)
+
+
+def one_length_runs(ctx, ups, downs, s, n):
+    """s^n times each factor's one-factor run at its length k n + l, over
+    the lower ones, exactly, and the scale of `quotient_gap` for it; None
+    where the exact lower product vanishes (rounding may or may not find
+    that pole)."""
+    down = F(1)
+    for d, p, k, l in downs:
+        down *= fraction_poch(d, p, k * n + l)
+    if not down:
+        return None
+    sn = F(1) if s is None else F(s) ** n
+    value, sc = sn, abs(sn) / down ** 2
+    for entries, upper in ((ups, True), (downs, False)):
+        for u, p, k, l in entries:
+            m = k * n + l
+            run = ONE_LENGTH([(ctx.num(u), ctx.num(p))], (), None, ctx.dc)
+            v = F(run.at(m))
+            value = value * v if upper else value / v
+            sc *= scale(u, p, m)
+    return value, sc or 1
+
+
+def mixed_faults(ups, downs, s, lookups):
+    """The lookups n at which NumericCtx.quotient over (u, p, k, l)
+    entries differs from the product of one-length runs by more than
+    10^-70 of the scale a quotient can promise, or raises where they do
+    not (ValueError below its first length, and nowhere else)."""
+    ctx = NumericCtx(F(1, 7))
+    quot = ctx.quotient(ups, downs, s)
+    faults = []
+    for n in lookups:
+        if any(k * n + l < 0 for _, _, k, l in (*ups, *downs)):
+            try:
+                quot(n)
+                faults.append((n, "no ValueError"))
+            except ValueError:
+                pass
+            continue
+        ref = one_length_runs(ctx, ups, downs, s, n)
+        if ref is None:
+            continue
+        gap = abs(F(quot(n)) - ref[0])
+        if gap > F(1, 10 ** 70) * ref[1]:
+            faults.append((n, "value", float(gap / ref[1])))
+    return faults
+
+
+@settings(max_examples=150, deadline=None)
+@given(ENTRIES, ENTRIES, S, st.sampled_from(sorted(ACCESS)),
+       st.integers(0, 8))
+def test_mixed_lengths_match_one_length_runs(ups, downs, s, access, top):
+    assert mixed_faults(ups, downs, s, ACCESS[access](top)) == []
+
+
+class _ShortStep(context._QuotientRun):
+    """A mutant: the last upper factor pulls k - 1 factors a step."""
+
+    def __init__(self, ups, downs, s, dc):
+        super().__init__(ups, downs, s, dc)
+        del self.up_runs[-1], self.up_bases[-1]
+
+
+def test_mixed_lengths_check_catches_a_short_step(monkeypatch):
+    draws = [([(F(1, 3), F(1, 2), 2, -1)], [(F(-7, 4), F(-3, 20), 1, 0)],
+              F(-2, 5), range(5)),
+             ([(F(5, 2), F(-1, 4), 1, 0), (F(2), F(1, 3), 3, 2)], [], None,
+              [2, 1]),
+             ([(F(1, 9), F(1, 2), 1, 1)], [(F(2), F(1, 3), 2, 1)], F(3),
+              [4])]
+    assert all(mixed_faults(*d) == [] for d in draws)
+    monkeypatch.setattr(context, "_QuotientRun", _ShortStep)
+    assert all(mixed_faults(*d) != [] for d in draws)
+
+
 def test_poch_quotient_exact_numeric_coherence():
     # s^n (q^2, -2q; q)_n / (q/3, q^3/2; q)_n with s = -2q/3: the exact
     # series at q0 = 1/7 against the numeric quotient at q0; the

@@ -725,6 +725,109 @@ def test_tower_vanishing_upper_factors():
     assert tower.upto(3).is_zero and tower.upto(3).order > 9
 
 
+# ------------------------------------- one tower for every length k n + l
+#
+# A quotient whose Pochhammers have lengths k n + l is one tower stepped
+# by its term ratio. Checked against the product of one one-factor tower
+# per factor, each looked up at its own length (value, order and error),
+# and against `poch_finite` (value through the window).
+
+LENGTH = st.tuples(st.integers(1, 3), st.integers(-2, 3))
+#: q, q^2, c q^e with a constant among them, and (q^-m; q) to vanish
+LONG_FACTOR = st.tuples(ARG, st.sampled_from([Q, q2]) | BASE, st.booleans(),
+                        LENGTH) | st.tuples(
+    st.integers(0, 4).map(lambda m: mono(1, -m)), st.just(Q),
+    st.booleans(), LENGTH)
+LONG_FACTORS = st.lists(LONG_FACTOR.map(lambda f: (*f[:3], *f[3])),
+                        max_size=3)
+
+
+def outcome(f):
+    """f()'s value, or the type of the error it raises."""
+    try:
+        return f()
+    except (DegenerateDenominator, NonTruncatable, ValueError) as ex:
+        return type(ex)
+
+
+def fused_faults(factors, order, lookups, tower=PochTower.of):
+    """The lookups n at which `tower(factors, order)` disagrees with the
+    product of one-factor towers at lengths k n + l, or, times its lower
+    `poch_finite` products, with its upper ones."""
+    fused = tower(factors, order)
+    faults = []
+    for n in lookups:
+        parts = [outcome(lambda: PochTower(a, b, order, inv).upto(k * n + l))
+                 for a, b, inv, k, l in factors]
+        errors = {p for p in parts if isinstance(p, type)}
+        got = outcome(lambda: fused.upto(n))
+        if errors:
+            # ValueError below n0; else one of the one-factor errors
+            if got not in ({ValueError} if ValueError in errors else errors):
+                faults.append((n, "error", got, errors))
+            continue
+        if isinstance(got, type):
+            faults.append((n, "unexpected error", got))
+            continue
+        want = LS.one(order)
+        for p in parts:
+            want = want * p
+        if got != want or got.order != want.order:
+            faults.append((n, "towers", got, want))
+        upper = lower = LS.one()
+        for a, b, inv, k, l in factors:
+            p = poch_finite(a, b, k * n + l)
+            upper, lower = (upper, lower * p) if inv else (upper * p, lower)
+        cut = got.order + lower.min_deg
+        if (got * lower).compare(upper, cut) is not None:
+            faults.append((n, "poch_finite", got))
+    return faults
+
+
+@given(LONG_FACTORS, st.integers(0, 12), st.integers(0, 6),
+       st.integers(0, 6))
+@FOLD
+def test_tower_of_mixed_lengths_matches_references(factors, order, n, m):
+    assert fused_faults(factors, order, [n, m, n + 1]) == []
+
+
+def short_step(factors, order):
+    """A mutant: the last factor with k >= 1 pulls k - 1 binomials a
+    step."""
+    tower = PochTower.of(factors, order)
+    del tower._runs[-1]
+    return tower
+
+
+def test_mixed_lengths_check_catches_a_short_step():
+    draws = [([(mono(F(1, 2), 1), Q, False, 2, -1), (Q, Q, True, 1, 0)],
+              8, range(4)),
+             ([(mono(-1, 2), q2, False, 1, -1), (Q, Q, True, 2, 0)], 10,
+              [3, 1]),
+             ([(mono(2, 1), Q, True, 3, 2)], 6, [1, 2])]
+    assert all(fused_faults(*d) == [] for d in draws)
+    assert all(fused_faults(*d, tower=short_step) != [] for d in draws)
+
+
+def test_tower_below_its_first_length():
+    # (q^2; q)_(n - 2) / (q; q)_(2n + 1) starts at n0 = 2, holding
+    # (q^2; q)_0 / (q; q)_5 there; n = 0 and 1 raise as poch_finite does
+    tower = PochTower.of([(q2, Q, False, 1, -2), (Q, Q, True, 2, 1)], 12)
+    assert tower.n0 == 2
+    for n in (3, 0, 1, 2):
+        if n < 2:
+            with pytest.raises(ValueError):
+                tower.upto(n)
+        else:
+            want = poch_finite(q2, Q, n - 2, 12).mul(
+                poch_finite(Q, Q, 2 * n + 1).invert(12), cap=12)
+            assert tower.upto(n) == want
+    assert fused_faults([(mono(F(1, 2), 1), Q, False, 0, 2),
+                         (Q, Q, True, 2, -3)], 9, range(5)) == []
+    with pytest.raises(ValueError):
+        PochTower.of([(Q, Q, False, 0, -1)], 9)
+
+
 @given(st.builds(QMonomial.of, SMALL, st.integers(0, 4)),
        st.builds(QMonomial.of, st.sampled_from([F(1), F(-1), F(2),
                                                 F(1, 2), F(-2, 3)]),

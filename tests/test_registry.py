@@ -1,5 +1,6 @@
 """Catalog shape, samplers, verification driver, reports."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -367,20 +368,34 @@ def test_strategies_cover_every_record():
 WIDE_DIGEST = \
     "708d573d49c2e3f1007dfe7b4b80279281aaf504733d4e8e6d90538d8d0e86f6"
 
+#: records whose summands mix Pochhammer lengths (k n + l): one quotient
+#: per summand steps all of them, so no term multiplies two windows
+ONE_TOWER = ("slater121", "s121", "slater69", "s69", "gs1", "gs2", "rrs6-4",
+             "rrs6-5", "r1", "ft1")
+
 
 def test_wide_window_reports_pinned_without_invert(monkeypatch):
     calls = []
-    invert = LaurentSeries.invert
+    muls = collections.Counter()
+    current = [None]
+    invert, mul = LaurentSeries.invert, LaurentSeries.mul
 
     def counted(self, *args, **kw):
         calls.append(1)
         return invert(self, *args, **kw)
 
+    def counted_mul(self, *args, **kw):
+        muls[current[0]] += 1
+        return mul(self, *args, **kw)
+
     monkeypatch.setattr(LaurentSeries, "invert", counted)
+    monkeypatch.setattr(LaurentSeries, "mul", counted_mul)
     reports = []
     free = [rec for rec in catalog() if not rec.schema]
     assert len(free) == 22
+    assert set(ONE_TOWER) <= {rec.id for rec in free}
     for i, rec in enumerate(free):
+        current[0] = rec.id
         a, = sample_params(rec.id, 1, 1, "exact")
         reports.append(verify_one(rec, a, 120))
         reports.append(verify_one(
@@ -390,3 +405,4 @@ def test_wide_window_reports_pinned_without_invert(monkeypatch):
         strategy="exact")))
     assert hashlib.sha256(doc.encode()).hexdigest() == WIDE_DIGEST
     assert calls == []
+    assert {rid: muls[rid] for rid in ONE_TOWER if muls[rid]} == {}
