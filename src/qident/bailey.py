@@ -52,7 +52,12 @@ from math import ceil, floor, lcm
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .context import Ctx, exact_run
-from .errors import DegenerateDenominator, LowerParameterPole, ValuationStall
+from .errors import (
+    DegenerateDenominator,
+    LowerParameterPole,
+    UndeclaredFloor,
+    ValuationStall,
+)
 from .qfunc import (
     BOUND_DOWN,
     BOUND_PRECISION,
@@ -80,7 +85,7 @@ class AlphaSequence(NamedTuple):
     `support`, when set, promises the value is zero for n > support (an
     optimization and a termination certificate). `floor` promises every
     value has valuation at least `floor` (q-units); an exact sum over the
-    sequence stops on it (see `Factor`), and raises ValuationStall while
+    sequence stops on it (see `Factor`), and raises UndeclaredFloor while
     it is None, the default: nothing is known.
     """
 
@@ -168,7 +173,7 @@ class Factor(NamedTuple):
 
     The floor is an int (t-units) that bounds every f_n, a `Summand`
     whose bound at n bounds f_n, or None, the default, when no floor is
-    known (an exact sum over it then raises ValuationStall). The `bound`
+    known (an exact sum over it then raises UndeclaredFloor). The `bound`
     is the numeric counterpart: a `qfunc.Envelope` of f_n, or a `Summand`
     whose envelope bounds |f_n|, or None, the default, when no bound is
     assumed (a numeric sum over it then raises TailNotDecreasing, unless
@@ -185,7 +190,7 @@ class Factor(NamedTuple):
     def law(self) -> ValuationLaw:
         f = self.floor
         if f is None:
-            raise ValuationStall("opaque factor without a valuation floor")
+            raise UndeclaredFloor("opaque factor without a valuation floor")
         law = f.law() if isinstance(f, Summand) else ValuationLaw(c=f)
         return law + ValuationLaw(support=self.support)
 

@@ -70,21 +70,27 @@ ever formed for them:
     factor 1 - a (argument exponent 0) folded into the monomial; at a = 1
     the product is the zero series;
   * `inv` of a product with no dense part and a monomial of exponent
-    >= 0: the monomial is inverted and every binomial flipped (below 0,
-    `LaurentSeries.invert` at the construction order would know the
-    inverse to a lower order than the flipped product claims);
-  * `add`/`sub` of a nonzero scalar c and a monomial m of positive
-    exponent: c times the one binomial 1 + m/c;
+    >= 0: the monomial is inverted and every binomial flipped, the
+    order capped where `LaurentSeries.invert` at the construction order
+    caps the inverse (below 0, that inverse would be known to a lower
+    order than the flipped product claims);
+  * `add`/`sub` of a nonzero scalar c and a monomial m = c' t^e: the
+    monomial of lower exponent times one binomial, c (1 + (c'/c) t^e)
+    for e > 0 and m (1 + (c/c') t^-e) for e < 0 (the heads 1 + q^(h - 2n) of
+    the mod-5 companions past n = h/2), or the scalar c + c' times none
+    at e = 0;
   * `vwp(k, n, base)` for k and base of exponent >= 0: the two binomials
     of (1 - k base^(2n)) / (1 - k) (`qfunc.vwp_factor`), the constant
     one folded as above.
 
 As a window each of these is a valuation-0 series known to the
-construction order N, so the product of the dense part D with them is
-known to min(order of D, N + valuation of D), `LaurentSeries.mul`'s
-order rule folded over those windows; forcing caps it there, and values,
-orders and OrderInsufficient shortfalls are those of the eager product of
-the windows. The product is forced in one of two ways:
+construction order N (the binomial of c + m at e < 0 to N - e, since
+the window c + m is known to N), so the product of the dense part D
+with them is known to min(order of D, N' + valuation of D), N' the
+least of those orders: `LaurentSeries.mul`'s order rule folded over
+those windows. Forcing caps it there, and values, orders and
+OrderInsufficient shortfalls are those of the eager product of the
+windows. The product is forced in one of two ways:
 
   * inside `summation`, at the sum's goal order, by
     `LaurentSeries.product_at(parts, goal - e)`, then the binomials, then
@@ -104,7 +110,10 @@ the windows. The product is forced in one of two ways:
     dense part, `pow_int`, the arguments of the q machinery, `finalize`)
     in full, as the left fold of the parts, the binomials and then the
     monomial. The binomials are applied by `qfunc._times`: those with
-    e > 0 in one integer pass (`LaurentSeries.mul_binomials`).
+    e > 0 by one `LaurentSeries.mul_binomials`, in one integer pass per
+    factor, or, for a long list of binomials with r = 1 on a wide window
+    (the infinite products of a product side at order 120), as
+    shift-adds on the window packed into one integer.
     `div(u, v)` is the product of u and the inverse of v.
 """
 
@@ -151,14 +160,16 @@ class _Product:
     `mono` is a nonzero QMonomial, `parts` a tuple of series (the dense
     part) and `binoms` a tuple of integer binomials (p, r, e, invert),
     e > 0, each the factor (1 + (p/r) t^e)^(-1 if invert else +1), the
-    shape of `qfunc._binomials`. `order` is the construction order when
-    the product holds a binomial factor (an infinite product, its
-    inverse, 1 + m or a very-well-poised ratio; `binoms` may then still
-    be empty, for one whose binomials all lie past the window), else
-    None and `parts` is not empty. Each such factor is, as a window, a
-    valuation-0 series known to `order`, so the product of the dense part
-    D with them is known to min(order of D, `order` + valuation of D):
-    `LaurentSeries.mul`'s order rule, folded over those windows."""
+    shape of `qfunc._binomials`. `order` is set when the product holds
+    a binomial factor (an infinite product, its inverse, c + m or a
+    very-well-poised ratio; `binoms` may then still be empty, for one
+    whose binomials all lie past the window, or for c + m at exponent
+    0), else None and `parts` is not empty: the least order to which
+    those factors are known as valuation-0 windows, the construction
+    order N or, for c + m at exponent e < 0, N - e. So the product of
+    the dense part D with them is known to min(order of D, `order` +
+    valuation of D): `LaurentSeries.mul`'s order rule, folded over those
+    windows."""
 
     __slots__ = ("mono", "parts", "binoms", "order")
 
@@ -268,7 +279,8 @@ class ExactCtx:
                     parts.extend(v.parts)
                     if v.order is not None:
                         binoms.extend(v.binoms)
-                        order = v.order
+                        order = v.order if order is None \
+                            else min(order, v.order)
                     v = v.mono
                 elif not isinstance(v, QMonomial):
                     parts.append(v)
@@ -317,12 +329,20 @@ class ExactCtx:
         if _is_zero(u) or _is_zero(v):
             return v if _is_zero(u) else u
         c, m = (u, v) if isinstance(v, QMonomial) else (v, u)
-        if isinstance(m, QMonomial) and m.exp > 0 and \
-                isinstance(c, (Fraction, int)):
-            # c + m = c (1 + (m/c) t^e): one binomial
-            x = m.coef / c
-            return _Product(QMonomial.of(c), (), (
-                (x.numerator, x.denominator, m.exp, False),), self.order)
+        if isinstance(m, QMonomial) and isinstance(c, (Fraction, int)):
+            # c + m, m = c' t^e, as a window known to the construction
+            # order N: the monomial of lower exponent times at most one
+            # binomial
+            e = m.exp
+            if not e:
+                c += m.coef
+                return _Product(QMonomial.of(c), (), (), self.order) \
+                    if c else LaurentSeries.zero(self.order)
+            lead, x = (QMonomial.of(c), m.coef / c) if e > 0 else \
+                (m, c / m.coef)
+            return _Product(lead, (), (
+                (x.numerator, x.denominator, abs(e), False),),
+                self.order - min(e, 0))
         return LaurentSeries.coerce(_force(u), self.order) + \
             LaurentSeries.coerce(_force(v), self.order)
 
@@ -335,10 +355,12 @@ class ExactCtx:
     def inv(self, v):
         if isinstance(v, _Product) and v.order is not None and \
                 not v.parts and v.mono.exp >= 0:
-            # every binomial flips; the windows' order rule is unchanged
+            # every binomial flips; the windows' order rule is unchanged,
+            # capped where `LaurentSeries.invert` at the construction
+            # order caps the inverse of the forced product
             return _Product(_QM_ONE / v.mono, (), tuple(
                 (p, r, e, not invert) for p, r, e, invert in v.binoms),
-                v.order)
+                min(v.order, self.order + v.mono.exp))
         v = _force(v)
         if _is_zero(v):
             raise DegenerateDenominator("division by zero")

@@ -45,6 +45,13 @@ class BoundViolation(QIdentError):
     could drop terms, so it is never reported as a skip."""
 
 
+class UndeclaredFloor(QIdentError):
+    """An opaque factor of a summand declares no valuation floor, so no
+    exact sum over it can be certified to stop. Like BoundViolation it is
+    a defect of the declaration, whatever the draw, so it is never
+    reported as a skip."""
+
+
 class TailNotDecreasing(QIdentError):
     """The numeric tail never met the stopping rule within the term budget."""
 

@@ -5,7 +5,8 @@ Reports are plain data; all failure modes of a strategy (non-truncatable
 products, stalled valuations, degenerate denominators, undecided numeric
 tails) become `skipped` entries rather than crashes, and a mismatch always
 carries the lowest differing exponent in q-units. A wrong declaration (a
-term below its summand's valuation bound, `BoundViolation`) or an exact
+term below its summand's valuation bound, `BoundViolation`, or an opaque
+factor declared without a valuation floor, `UndeclaredFloor`) or an exact
 build that stays short of its order past `exact_run` (`OrderInsufficient`)
 is a defect, not an inadmissible input: it becomes an `error` entry,
 never a skip, and the suite goes on to the next job.
@@ -34,6 +35,7 @@ from .errors import (
     OrderInsufficient,
     SamplerExhausted,
     TailNotDecreasing,
+    UndeclaredFloor,
     ValuationStall,
     ZeroLeadingCoefficient,
 )
@@ -179,8 +181,8 @@ def verify_one(record: Union[str, IdentityRecord],
 
     Exact strategy: coefficientwise comparison through the working order.
     Numeric strategy: |lhs - rhs| within `NumericCtx.tol`. Strategy errors
-    yield a skipped report carrying the reason, and a BoundViolation or an
-    OrderInsufficient an error report carrying it.
+    yield a skipped report carrying the reason, and a BoundViolation, an
+    UndeclaredFloor or an OrderInsufficient an error report carrying it.
     """
     rec = _resolve(record)
     strategy = assignment.strategy
@@ -219,7 +221,7 @@ def verify_one(record: Union[str, IdentityRecord],
     except SKIP_ERRORS as ex:
         return done(status="skipped",
                     reason=f"{type(ex).__name__}: {ex}")
-    except (BoundViolation, OrderInsufficient) as ex:
+    except (BoundViolation, UndeclaredFloor, OrderInsufficient) as ex:
         return done(status="error",
                     reason=f"{type(ex).__name__}: {ex}")
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import ceil, gcd, lcm, log, log1p, sqrt
 from typing import NamedTuple, Optional, Union
 
 from .errors import OrderInsufficient, ZeroLeadingCoefficient
@@ -135,37 +135,146 @@ def _axpy(a, p: int, b):
 _ROWS_MAX = 7
 
 
-def _kronecker(a, b, width: int) -> list:
-    """The first `width` numerators of the product of the integer
-    windows a and b (width > 0), by one big-integer multiply.
-
-    Kronecker substitution: each window, trimmed to `width`, is packed
-    into one integer at q = 2^s, s = 8 nb bits a slot. A product
-    numerator is a sum of at most n = min(len(a), len(b)) terms, so
-    |c_j| <= n max|a| max|b| < 2^(s - 1) when s is at least
-    bitlen(max|a|) + bitlen(max|b|) + bitlen(n) + 1. Each slot is
-    packed and read biased by 2^(s - 1), so every slot lies in
-    [0, 2^s) and no carry crosses from one slot into the next."""
-    a, b = a[:width], b[:width]
-    bits = (max(max(a), -min(a)).bit_length()
-            + max(max(b), -min(b)).bit_length()
-            + min(len(a), len(b)).bit_length() + 1)
-    nb = (bits + 7) // 8
+def _pack(x, nb: int) -> int:
+    """The integers x as one integer at q = 2^s, s = 8 nb bits a slot:
+    sum x[i] 2^(s i), for |x[i]| < 2^(s - 1). Each slot is written
+    biased by 2^(s - 1), so that it lies in [0, 2^s), and the biases
+    are taken off again in one subtraction."""
     bias = 1 << (8 * nb - 1)
     # the bias in every slot of an n-slot window is int.from_bytes(unit * n)
     unit = bytes(nb - 1) + b"\x80"
+    return (int.from_bytes(b"".join([(c + bias).to_bytes(nb, "little")
+                                     for c in x]), "little")
+            - int.from_bytes(unit * len(x), "little"))
 
-    def pack(x):
-        return (int.from_bytes(b"".join([(c + bias).to_bytes(nb, "little")
-                                         for c in x]), "little")
-                - int.from_bytes(unit * len(x), "little"))
 
-    z = pack(a) * pack(b) + int.from_bytes(unit * width, "little")
+def _unpack(z: int, nb: int, width: int) -> list:
+    """The `width` integers x with z = sum x[i] 2^(s i) modulo
+    2^(s width), s = 8 nb, given |x[i]| < 2^(s - 1): each slot is read
+    biased by 2^(s - 1), so every slot lies in [0, 2^s) and no carry
+    crosses from one slot into the next."""
+    bias = 1 << (8 * nb - 1)
+    z += int.from_bytes((bytes(nb - 1) + b"\x80") * width, "little")
     # the slots past `width` carry no bias and may sum to a negative
     # number; the mask drops them and leaves the biased low slots
     z = (z & ((1 << (8 * nb * width)) - 1)).to_bytes(nb * width, "little")
     return [int.from_bytes(z[k:k + nb], "little") - bias
             for k in range(0, nb * width, nb)]
+
+
+def _kronecker(a, b, width: int) -> list:
+    """The first `width` numerators of the product of the integer
+    windows a and b (width > 0), by one big-integer multiply.
+
+    Kronecker substitution: each window, trimmed to `width`, is packed
+    into one integer at q = 2^s, s = 8 nb bits a slot (`_pack`). A
+    product numerator is a sum of at most n = min(len(a), len(b)) terms,
+    so |c_j| <= n max|a| max|b| < 2^(s - 1) when s is at least
+    bitlen(max|a|) + bitlen(max|b|) + bitlen(n) + 1, and `_unpack`
+    reads it back."""
+    a, b = a[:width], b[:width]
+    bits = (max(max(a), -min(a)).bit_length()
+            + max(max(b), -min(b)).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    nb = (bits + 7) // 8
+    return _unpack(_pack(a, nb) * _pack(b, nb), nb, width)
+
+
+#: `mul_binomials` applies its factors as packed shift-adds
+#: (`_packed_pass`) when there are at least `_PACK_MIN` of them, all with
+#: r = 1, on a window at least `_PACK_WIDTH` wide. Packing and unpacking
+#: are O(width) Python, so a tower step's one or two binomials keep one
+#: pass per factor. Measured with CPython 3.11 on a 2-core x86-64 host,
+#: 20-bit numerators, the first n factors of five infinite products
+#: (1/(q;q), 1/(-q^2;q^2), 1/(q;q^5), (q^4;q^4), (-q;q^2)), us per list,
+#: packed / one pass per factor: width 121: n = 8 141 / 105, 12 147 /
+#: 140, 16 167 / 180, 24 197 / 260; width 48: 8 53 / 47, 12 66 / 64,
+#: 16 63 / 75, 24 74 / 91; width 24: 12 36 / 36, 24 34 / 37.
+_PACK_MIN = 16
+_PACK_WIDTH = 48
+
+
+def _slot_bits(out: list, factors) -> Optional[int]:
+    """Bits s of a slot that holds the input numerators `out` (width
+    w, not all zero) and every numerator of `out` times the
+    binomials (p, 1, e, invert), truncated to w entries, biased by
+    2^(s - 1); None when the bound below does not exist.
+
+    Only the factors with e < w act on w entries. Their product g is
+    dominated coefficientwise, |g_k| <= G_k, by the majorant
+    G(x) = prod (1 + |p| x^e) prod 1/(1 - |p| x^e), whose coefficients
+    are >= 0. Take rho = 1 - 1/sqrt(w), so 0 < rho < 1 for w >= 2, and
+    require |p| rho^e < 1 on every division; then M = G(rho) is finite
+    and G_0 + ... + G_t <= M / rho^t. A result numerator is
+    c_t = sum a_(t - k) g_k over k <= t, so
+    |c_t| <= max|a| M / rho^(w - 1) < 2^(bitlen(max|a|) + L) for
+    L = log2 M - (w - 1) log2 rho, and s = bitlen(max|a|) + ceil(L) + 1
+    bits hold it, the input too, with the sign.
+
+    L is computed in floats; the slot takes one more bit, which covers
+    their rounding. Taking the double rho as the exact one, each
+    x = |p| rho^e is within a relative 2^-51 of exact. A division with
+    x above 1 - 2^-20 gives None, so 1/(1 - x) < 2^21 and each log1p
+    term is off by less than 2^-29 nats. A factor with |p| >= 2^64 (no
+    float product), a list of 2^20 factors or more, or a width of 2^26
+    or more gives None too, so there are fewer than 2^20 terms, each
+    below 45 nats, besides (w - 1) |ln rho| < w. Terms and float sum
+    together are off by less than 2^-5 nats, so the computed L is above
+    L - 1 and its ceil plus 1 is at least ceil(L)."""
+    w = len(out)
+    if not 2 <= w < 2 ** 26 or len(factors) >> 20:
+        return None
+    rho = 1 - 1 / sqrt(w)
+    ln_m = -(w - 1) * log(rho)
+    for p, _, e, invert in factors:
+        if e >= w:
+            continue
+        if p.bit_length() > 64:
+            return None
+        x = abs(p) * rho ** e
+        if not invert:
+            ln_m += log1p(x)
+        elif x > 1 - 2 ** -20:
+            return None
+        else:
+            ln_m -= log1p(-x)
+    top = max(max(out), -min(out)).bit_length()
+    return top + ceil(ln_m / log(2)) + 2
+
+
+def _packed_pass(out: list, factors) -> Optional[list]:
+    """`out` times the binomials (p, 1, e, invert), e > 0, truncated
+    to its width w, as shift-adds on one packed integer; None (nothing
+    done) when `_slot_bits` finds no bound.
+
+    The window is packed once (`_pack`) at q = 2^s, so that a product by
+    a polynomial truncated to w entries is the product of the packed
+    integers modulo 2^(s w), whatever the slots hold on the way: only
+    the result's numerators must fit (`_slot_bits`) for `_unpack` to
+    read them back. A multiplication by 1 + p q^e is X + p (X << e s); a
+    division by 1 + p q^e is the product of the factors
+    1 + (-p)^(2^i) q^(e 2^i) over the i with e 2^i < w, since
+    1/(1 - y) = prod (1 + y^(2^i)), so log2(w/e) shift-adds, each
+    reduced modulo 2^(s w)."""
+    bits = _slot_bits(out, factors)
+    if bits is None:
+        return None
+    w = len(out)
+    nb = (bits + 7) // 8
+    s = 8 * nb
+    mask = (1 << (s * w)) - 1
+    x = _pack(out, nb) & mask
+    for p, _, e, invert in factors:
+        if invert:
+            p = -p
+        while e < w:
+            y = x << (e * s)
+            x = (x + y if p == 1 else x - y if p == -1
+                 else x + p * y) & mask
+            if not invert:
+                break
+            p, e = p * p, 2 * e
+    return _unpack(x, nb, w)
 
 
 class QMonomial(NamedTuple):
@@ -614,8 +723,16 @@ class LaurentSeries:
         gcd) at the end. A multiplication is r A[t] + p A[t - e] over
         r den; a division is `_divide_pass`: strided prefix sums over
         den for 1 - q^e or 1 + q^e on a wide enough window, else a
-        recurrence over den r^((width - 1) // e). `order` caps the result
-        as in
+        recurrence over den r^((width - 1) // e). A truncated window at
+        least `_PACK_WIDTH` wide that takes at least `_PACK_MIN` factors,
+        all with r = 1 (the binomials of infinite products over q-power
+        bases), is instead packed into one integer and every factor
+        applied as big-integer shift-adds (`_packed_pass`), the
+        denominator unchanged, in slots sized by a proven bound on the
+        result numerators (`_slot_bits`: max|a| M(rho) / rho^(w - 1)
+        for the majorant M of the factors, rho = 1 - 1/sqrt(w), with one
+        bit of margin for its float rounding); where that bound does not
+        exist the passes per factor run. `order` caps the result as in
         `div_binomial`: its order is min(input order, `order`). An exact
         input stays exact, widened by each e, when `order` is None and
         nothing divides.
@@ -642,6 +759,11 @@ class LaurentSeries:
             del out[width:]
             out.extend([0] * (width - len(out)))
         den = self.den
+        if eo is not None and len(out) >= _PACK_WIDTH and \
+                len(factors) >= _PACK_MIN and all(f[1] == 1 for f in factors):
+            packed = _packed_pass(out, factors)
+            if packed is not None:
+                return LaurentSeries._from_ints(lo, packed, den, eo)
         for p, r, e, invert in factors:
             if invert:
                 den *= _divide_pass(out, p, r, e)

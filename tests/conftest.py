@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+from fractions import Fraction
+
 import pytest
 
 from qident import registry
@@ -15,14 +17,38 @@ def _wrong_floor_build(ctx, params):
         ctx.one()
 
 
-@pytest.fixture
-def wrong_floor_catalog(monkeypatch):
-    """The catalog replaced by two records: `wrong-floor`, a scratch
-    record whose summand declares a wrong valuation floor, then ft3."""
-    recs = [IdentityRecord("wrong-floor", "a summand with a wrong floor",
-                           (), (), _wrong_floor_build, lambda rng, mode: {},
-                           strategies=("exact",)),
-            registry.lookup("ft3")]
+def _no_floor_build(ctx, params):
+    # f_n = 1 up to its support 0, declared without a valuation floor:
+    # both sides are 1, and a numeric sum stops at the support, but an
+    # exact sum cannot certify where it stops
+    f = Factor(lambda n: ctx.one(), support=0)
+    return ctx.summation(Summand(ctx, factors=[f])), ctx.one()
+
+
+def _scratch_catalog(monkeypatch, rec):
+    """The catalog replaced by two records: the scratch record `rec`,
+    then ft3."""
+    recs = [rec, registry.lookup("ft3")]
     monkeypatch.setattr(registry, "RECORDS", recs)
     monkeypatch.setattr(registry, "_BY_ID", {r.id: r for r in recs})
     return recs
+
+
+@pytest.fixture
+def wrong_floor_catalog(monkeypatch):
+    """`wrong-floor`, a scratch record whose summand declares a wrong
+    valuation floor, then ft3."""
+    return _scratch_catalog(monkeypatch, IdentityRecord(
+        "wrong-floor", "a summand with a wrong floor", (), (),
+        _wrong_floor_build, lambda rng, mode: {}, strategies=("exact",)))
+
+
+@pytest.fixture
+def no_floor_catalog(monkeypatch):
+    """`no-floor`, a scratch record whose summand declares no valuation
+    floor for its opaque factor, exact first with a numeric fallback,
+    then ft3."""
+    return _scratch_catalog(monkeypatch, IdentityRecord(
+        "no-floor", "a summand without a floor", (), (), _no_floor_build,
+        lambda rng, mode: {"q": Fraction(1, 7)} if mode == "numeric"
+        else {}))

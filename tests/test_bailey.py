@@ -20,7 +20,7 @@ from qident.bailey import (
     wp_chain_step,
 )
 from qident.errors import (BoundViolation, DegenerateDenominator,
-                           ValuationStall)
+                           UndeclaredFloor)
 from qident.qfunc import poch_finite
 from qident.series import LaurentSeries as LS, QMonomial
 
@@ -228,7 +228,7 @@ def test_cor_sides_floor_is_checked():
     wrong = AlphaSequence(lambda ctx, n: mono(1, -3), support=0, floor=0)
     with pytest.raises(BoundViolation):
         cor_sides(wrong, x, y, z, 30)
-    with pytest.raises(ValuationStall, match="floor"):
+    with pytest.raises(UndeclaredFloor, match="floor"):
         cor_sides(AlphaSequence(lambda ctx, n: F(1)), x, y, z, 30)
 
 

@@ -38,6 +38,19 @@ def test_suite_error_report_exit1(capsys, wrong_floor_catalog):
     assert lines[-1] == "-- 1/2 equal"
 
 
+def test_suite_undeclared_floor_exit1(capsys, no_floor_catalog):
+    # a factor declared without a floor: an error report, not a skip
+    # with a numeric fallback, and the suite exits non-zero
+    code, out, _ = run(capsys, "suite", "--order", "20", "--samples", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("ERROR    no-floor           exact")
+    assert "(UndeclaredFloor: opaque factor without a valuation floor)" \
+        in lines[0]
+    assert lines[1].startswith("EQUAL    ft3")
+    assert lines[-1] == "-- 1/2 equal"
+
+
 def test_verify_unknown_id_exit2(capsys):
     code, _, err = run(capsys, "verify", "--id", "nope")
     assert code == 2

@@ -16,6 +16,7 @@ from qident.errors import (
     NonTruncatable,
     OrderInsufficient,
     TailNotDecreasing,
+    UndeclaredFloor,
     ValuationStall,
 )
 from qident.qfunc import (
@@ -369,8 +370,10 @@ def test_summation_without_growth_stalls_before_any_term():
         calls.append(n)
         return ctx.one()
 
+    # a factor without a floor is a declaration defect, a summand that
+    # never passes the goal a stall: both raise before any term
     from qident.bailey import Factor
-    with pytest.raises(ValuationStall):
+    with pytest.raises(UndeclaredFloor):
         ctx.summation(Summand(ctx, factors=[Factor(never)]))
     with pytest.raises(ValuationStall):
         ctx.summation(Summand(ctx, ctx.qpow(1), (-1, 40)))

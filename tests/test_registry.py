@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qident import series
 from qident.errors import SamplerExhausted
 from qident.registry import (
     ParamAssignment,
@@ -306,6 +307,20 @@ def test_bound_violation_is_an_error_report_and_the_suite_goes_on(
     assert doc["reports"][0]["status"] == "error"
 
 
+def test_undeclared_floor_is_an_error_report_without_fallback(
+        no_floor_catalog):
+    # a factor declared without a floor is a defect whatever the draw: an
+    # error report, not a skip, so `auto` takes no numeric fallback,
+    # although the numeric strategy alone would read equal
+    reports = verify_suite(order=20, seed=1, samples=1)
+    assert [(r.id, r.strategy, r.status) for r in reports] == [
+        ("no-floor", "exact", "error"), ("ft3", "exact", "equal")]
+    assert reports[0].reason == ("UndeclaredFloor: opaque factor without "
+                                 "a valuation floor")
+    a, = sample_params("no-floor", 1, 1, "numeric")
+    assert verify_one("no-floor", a, 20).status == "equal"
+
+
 def test_verify_one_numeric_reference_point():
     # q = 1/7, x = 1/3: both sides agree within the numeric tolerance
     a = ParamAssignment(values={"x": F(1, 3), "q": F(1, 7)},
@@ -368,17 +383,23 @@ def test_strategies_cover_every_record():
 WIDE_DIGEST = \
     "708d573d49c2e3f1007dfe7b4b80279281aaf504733d4e8e6d90538d8d0e86f6"
 
-#: records whose summands mix Pochhammer lengths (k n + l): one quotient
-#: per summand steps all of them, so no term multiplies two windows
-ONE_TOWER = ("slater121", "s121", "slater69", "s69", "gs1", "gs2", "rrs6-4",
-             "rrs6-5", "r1", "ft1")
+#: records whose product side holds at least 16 unit binomials (1 +- q^e)^(+-1)
+#: at order 120 (108 to 172; the other six hold at most 3): each forces it
+#: by packed shift-adds (`series._packed_pass`), clean and as a twin
+PACKED = ("rrs3", "rrs3n", "rrs6-2", "rrs6-3", "rrs6-4", "rrs6-5", "gg1a",
+          "gg1b", "rogers1", "rogers2", "gs1", "gs2", "slater69",
+          "slater121", "s69", "s121")
 
 
 def test_wide_window_reports_pinned_without_invert(monkeypatch):
+    # no job inverts a series, and none multiplies two windows: a summand
+    # is one quotient whatever its Pochhammer lengths, and a head
+    # 1 + q^(h - 2n) of negative exponent stays a monomial times a binomial
     calls = []
-    muls = collections.Counter()
+    muls, packs = collections.Counter(), collections.Counter()
     current = [None]
     invert, mul = LaurentSeries.invert, LaurentSeries.mul
+    packed_pass = series._packed_pass
 
     def counted(self, *args, **kw):
         calls.append(1)
@@ -388,12 +409,17 @@ def test_wide_window_reports_pinned_without_invert(monkeypatch):
         muls[current[0]] += 1
         return mul(self, *args, **kw)
 
+    def counted_pack(*args):
+        packs[current[0]] += 1
+        return packed_pass(*args)
+
     monkeypatch.setattr(LaurentSeries, "invert", counted)
     monkeypatch.setattr(LaurentSeries, "mul", counted_mul)
+    monkeypatch.setattr(series, "_packed_pass", counted_pack)
     reports = []
     free = [rec for rec in catalog() if not rec.schema]
     assert len(free) == 22
-    assert set(ONE_TOWER) <= {rec.id for rec in free}
+    assert set(PACKED) <= {rec.id for rec in free}
     for i, rec in enumerate(free):
         current[0] = rec.id
         a, = sample_params(rec.id, 1, 1, "exact")
@@ -405,4 +431,5 @@ def test_wide_window_reports_pinned_without_invert(monkeypatch):
         strategy="exact")))
     assert hashlib.sha256(doc.encode()).hexdigest() == WIDE_DIGEST
     assert calls == []
-    assert {rid: muls[rid] for rid in ONE_TOWER if muls[rid]} == {}
+    assert dict(muls) == {}
+    assert dict(packs) == {rid: 2 for rid in PACKED}

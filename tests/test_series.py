@@ -2,8 +2,9 @@
 
 import random
 from contextlib import contextmanager
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
-from math import gcd
+from math import ceil, gcd, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -655,6 +656,152 @@ def test_divide_pass_unit_keeps_the_denominator(nums, e, p):
     assert series._divide_pass(out, p, 1, e) == 1
     back = out[:e] + [b + p * a for a, b in zip(out, out[e:])]
     assert back == nums
+
+
+# ------------------------------------------- packed unit binomials
+#
+# A long list of binomials (1 + p q^e)^(+-1), p = +-1, on a wide window is
+# applied as shift-adds on one packed integer (`series._packed_pass`) in
+# slots that `series._slot_bits` sizes from a proven bound.
+
+
+@contextmanager
+def packed_calls():
+    """The list of calls to `series._packed_pass` made inside."""
+    seen, real = [], series._packed_pass
+    series._packed_pass = lambda *args: seen.append(args) or real(*args)
+    try:
+        yield seen
+    finally:
+        series._packed_pass = real
+
+
+@contextmanager
+def per_factor():
+    """`mul_binomials` without its packed pass: one pass per factor."""
+    saved = series._PACK_MIN
+    series._PACK_MIN = float("inf")
+    try:
+        yield
+    finally:
+        series._PACK_MIN = saved
+
+
+@st.composite
+def packed_case(draw):
+    """A truncated window 2 to 160 wide (on both sides of _PACK_WIDTH) of
+    numerators up to 2^64 of either sign over one of DENS, and 1 to 40
+    factors (on both sides of _PACK_MIN) (p, 1, e, invert), p = +-1, e
+    from 1 to past the width."""
+    width = draw(st.integers(2, 160))
+    top = draw(st.sampled_from((2 ** 4, 2 ** 20, 2 ** 64)))
+    nums = draw(st.lists(st.integers(-top, top), min_size=width,
+                         max_size=width))
+    nums[0] = nums[0] or 1
+    lo = draw(st.integers(-3, 3))
+    s = LS._from_ints(lo, nums, draw(st.sampled_from(DENS)), lo + width - 1)
+    factors = draw(st.lists(st.tuples(
+        st.sampled_from((-1, 1)), st.just(1), st.integers(1, width + 8),
+        st.booleans()), min_size=1, max_size=40))
+    return s, factors
+
+
+@given(packed_case())
+@KERNEL
+def test_kernel_packed_unit_binomials(case):
+    # the packed pass against the Fraction recurrence and against one
+    # pass per factor, at every width and length; `mul_binomials` takes
+    # it exactly where its gate says
+    s, factors = case
+    want = (dict(s.terms()), s.order)
+    for p, _, e, invert in factors:
+        want = ref_div_binomial(want, F(p), e) if invert else \
+            ref_add(want, ref_scale(want, F(p), e))
+    with per_factor():
+        plain = s.mul_binomials(factors)
+    assert_matches(plain, want)
+    with packed_calls() as seen:
+        got = s.mul_binomials(factors)
+    assert got == plain
+    assert bool(seen) == (len(s.nums) >= series._PACK_WIDTH
+                          and len(factors) >= series._PACK_MIN)
+    packed = series._packed_pass(list(s.nums), factors)
+    assert LS._from_ints(s.min_deg, packed, s.den, s.order) == plain
+    # every result numerator fits its slot with the sign
+    bits = series._slot_bits(list(s.nums), factors)
+    assert max(map(abs, packed)).bit_length() < bits
+
+
+def proven_slot_bits(nums, factors) -> int:
+    """bitlen(max|a|) + ceil(L) + 1 for L = log2 of M(rho) / rho^(w - 1),
+    at the double rho = 1 - 1/sqrt(w), in 60-digit decimals."""
+    w = len(nums)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rho = Decimal(1 - 1 / sqrt(w))
+        ln_m = -(w - 1) * rho.ln()
+        for p, _, e, invert in factors:
+            if e < w:
+                x = abs(p) * rho ** e
+                ln_m += -(1 - x).ln() if invert else (1 + x).ln()
+        bound = ceil(ln_m / Decimal(2).ln())
+    return max(map(abs, nums)).bit_length() + bound + 1
+
+
+@given(packed_case())
+@KERNEL
+def test_slot_bits_cover_the_proven_bound(case):
+    # the float computation of the bound, with its margin bit, is never
+    # below the bound itself
+    s, factors = case
+    assert series._slot_bits(list(s.nums), factors) >= \
+        proven_slot_bits(s.nums, factors)
+
+
+def test_slot_bits_without_a_bound():
+    # no rho > 0 at width 1, and 1/(1 - 2q^e) has no majorant at rho
+    # where 2 rho^e >= 1 (rho = 0.86 at width 48); nor does the float
+    # rounding argument hold past 2^20 factors or at |p| >= 2^64: there
+    # mul_binomials runs its passes per factor
+    assert series._slot_bits([1], [(-1, 1, 1, True)]) is None
+    assert series._slot_bits([1] * 48, [(-2, 1, 1, True)]) is None
+    assert series._slot_bits([1] * 48, [(-2, 1, 48, True)]) is not None
+    assert series._slot_bits([1] * 48, [(2 ** 64, 1, 5, False)]) is None
+    assert series._slot_bits([1] * 48, [(-1, 1, 1, True)] * 2 ** 20) is None
+    s = LS._from_ints(0, [1], 1, 59)
+    factors = [(-2, 1, 1, True)] + [(-1, 1, e, True) for e in range(2, 20)]
+    with packed_calls() as seen:
+        got = s.mul_binomials(factors)
+    assert len(seen) == 1
+    with per_factor():
+        assert got == s.mul_binomials(factors)
+
+
+def partition_counts(width: int, distinct: bool) -> list:
+    """The number of partitions of n < width (into distinct parts)."""
+    out = [1] + [0] * (width - 1)
+    for k in range(1, width):
+        for n in (range(width - 1, k - 1, -1) if distinct
+                  else range(k, width)):
+            out[n] += out[n - k]
+    return out
+
+
+@pytest.mark.parametrize("width", [48, 49, 64, 97, 121, 160, 200])
+@pytest.mark.parametrize("lead", [1, -(2 ** 64 - 1)])
+def test_packed_partition_products(width, lead):
+    # 1/(q;q)_inf and (-q;q)_inf, every factor acting on the window:
+    # partitions and partitions into distinct parts, times the lead
+    one = LS._from_ints(0, [lead], 1, width - 1)
+    for factors, distinct in (([(-1, 1, e, True) for e in range(1, width)],
+                               False),
+                              ([(1, 1, e, False) for e in range(1, width)],
+                               True)):
+        want = tuple(lead * c for c in partition_counts(width, distinct))
+        with packed_calls() as seen:
+            got = one.mul_binomials(factors)
+        assert len(seen) == 1
+        assert got.nums == want and got.den == 1 and got.order == width - 1
 
 
 @given(series_and_ref(), st.one_of(st.none(), st.integers(-2, 10)))

@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with `ast` (no import, a few ms):
-every imported name is used, and every module-level private name is
-referenced somewhere besides its definition. `__init__.py` only
-re-exports, so it is left out."""
+every imported name is used, every module-level private name is
+referenced somewhere besides its definition, and every int/bytes
+conversion names its length and byte order. `__init__.py` only
+re-exports, so it is left out of the first two."""
 
 import ast
 from pathlib import Path
@@ -9,8 +10,15 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qident"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-TREES = {p.stem: ast.parse(p.read_text(), str(p)) for p in MODULES}
+ALL_TREES = {p.stem: ast.parse(p.read_text(), str(p))
+             for p in sorted(SRC.glob("*.py"))}
+TREES = {k: t for k, t in ALL_TREES.items() if k != "__init__"}
+
+#: the arguments that `int.to_bytes` and `int.from_bytes` take before
+#: their byteorder; Python 3.10 has no default for either, 3.11 and
+#: later default to length 1 and "big"
+BYTES_ARGS = {"to_bytes": ("length", "byteorder"),
+              "from_bytes": ("bytes", "byteorder")}
 
 
 def loaded_names(tree) -> set:
@@ -65,3 +73,32 @@ def test_every_private_name_is_referenced(name):
             elsewhere |= set(imported_names(tree))
     assert [n for n in private_definitions(TREES[name])
             if n not in elsewhere] == []
+
+
+def bytes_calls_without_byteorder(tree) -> list:
+    """(line, method) of each `to_bytes`/`from_bytes` call that leaves an
+    argument of `BYTES_ARGS` to its default."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr in BYTES_ARGS:
+            names = BYTES_ARGS[node.func.attr]
+            given = set(names[:len(node.args)]) | \
+                {k.arg for k in node.keywords}
+            if not set(names) <= given:
+                out.append((node.lineno, node.func.attr))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ALL_TREES))
+def test_bytes_conversions_name_their_byteorder(name):
+    assert bytes_calls_without_byteorder(ALL_TREES[name]) == []
+
+
+def test_bytes_check_sees_a_default_byteorder():
+    tree = ast.parse("(5).to_bytes(2)\nint.from_bytes(b'', 'little')\n"
+                     "int.from_bytes(b'')\nx.to_bytes(length=1, "
+                     "byteorder='big')\n")
+    assert bytes_calls_without_byteorder(tree) == [(1, "to_bytes"),
+                                                   (3, "from_bytes")]
