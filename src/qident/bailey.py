@@ -362,57 +362,44 @@ class Summand(_SummandFields):
     @cached_property
     def _plan(self):
         """What a call evaluates, built once: the one quotient of all the
-        Pochhammers, whatever their lengths, with s^n (None if it has no
-        Pochhammer: s^n then goes to `more` as `pow_int`); the rest of
-        `more`, None when there is none: whether s^n stands alone, the
-        power as integers (A, B, C, den) over one denominator (None when
-        it is 0) and the heads as (w, r, inverse); and the f_n as plain
-        callables."""
-        ups, downs = self.ups, self.downs
-        main = self.ctx.quotient(ups, downs, self.s) if ups or downs \
-            else None
+        Pochhammers, whatever their lengths (none at all included), with
+        s^n; the power as integers (A, B, C, den) over one denominator
+        (None when it is 0); the heads as (w, r, inverse); and the f_n as
+        plain callables."""
+        main = self.ctx.quotient(self.ups, self.downs, self.s)
         power = (*self.power, 0, 0, 0)[:3]
         den = lcm(*(x.denominator for x in power))
         coefs = tuple(x.numerator * (den // x.denominator) for x in power)
         heads = [(w, r, bool(inverse and inverse[0]))
                  for w, r, *inverse in self.heads]
-        lead = (main is None and self.s is not None,
-                coefs + (den,) if any(coefs) else None, heads)
-        return (main, lead if any(lead) else None,
+        return (main, coefs + (den,) if any(coefs) else None, heads,
                 [f.at if isinstance(f, Factor) else f._direct()
                  for f in self.factors])
 
     def _direct(self):
         """The term as a plain callable: its quotient when it has no
         other factor, else itself."""
-        main, lead, factors = self._plan
-        return main if main and not (lead or factors) else self
+        main, power, heads, factors = self._plan
+        return main if not (power or heads or factors) else self
 
-    def _declared(self, n: int, lead, more: list) -> None:
-        """Append to `more` the parts of the term at n that its
-        declaration fixes, other than the quotient: s^n standing alone,
-        the power."""
-        s_alone, power, _ = lead
+    def _power(self, n: int, power):
+        """p^(A n^2 + B n + C) at n, from the plan's (A, B, C, den)."""
+        a, b, c, den = power
+        e, r = divmod((a * n + b) * n + c, den)
         ctx = self.ctx
-        if s_alone:
-            more.append(ctx.pow_int(self.s, n))
-        if power:
-            a, b, c, den = power
-            e, r = divmod((a * n + b) * n + c, den)
-            more.append(ctx.qpow(Fraction(e * den + r, den) if r else e)
-                        if self.p is None else ctx.pow_int(self.p, e))
+        return ctx.qpow(Fraction(e * den + r, den) if r else e) \
+            if self.p is None else ctx.pow_int(self.p, e)
 
     def __call__(self, n: int):
-        main, lead, factors = self._plan
+        main, power, heads, factors = self._plan
         more = [f(n) for f in factors] if factors else []
-        if lead is not None:
-            self._declared(n, lead, more)
+        if power:
+            more.append(self._power(n, power))
+        if heads:
             ctx = self.ctx
-            for w, r, inverse in lead[2]:
+            for w, r, inverse in heads:
                 head = ctx.sub(ctx.one(), ctx.mul(w, ctx.pow_int(r, n)))
                 more.append(ctx.inv(head) if inverse else head)
-        if main is None:
-            return self.ctx.mul(*more)
         return main(n, *more) if more else main(n)
 
     def envelope(self) -> Envelope:
@@ -421,7 +408,7 @@ class Summand(_SummandFields):
         def mag(v) -> Decimal:
             return ctx.num(v).copy_abs()
 
-        main, lead, _ = self._plan
+        main, power, heads, _ = self._plan
         # each part n -> (M, g) or None, the least g each part gives
         # (None: none), and the supports
         parts, least, tops = [], [], [self.support]
@@ -430,8 +417,8 @@ class Summand(_SummandFields):
             parts.append(lambda n: (_ONE, s))
             least.append(s)
             tops.append(None if s else 0)
-        if lead is not None and lead[1]:
-            a, b, _, den = lead[1]
+        if power:
+            a, b, _, den = power
             p, unit = (ctx.q_unit, ctx.denom) if self.p is None else \
                 (self.p, 1)
             p = mag(p)
@@ -450,7 +437,7 @@ class Summand(_SummandFields):
                     parts.append(partial(_factor_bound, u, base, k, l, upper)
                                  if ok else lambda n: None)
                     least.append(_ONE if ok else None)
-        for w, r, inverse in (lead[2] if lead is not None else ()):
+        for w, r, inverse in heads:
             head = (mag(w), mag(r), inverse)
             parts.append(partial(_head_bound, *head))
             least.append(_head_least(*head))
@@ -461,10 +448,8 @@ class Summand(_SummandFields):
             tops.append(env.support)
 
         def at(n: int):
-            more = []
-            if lead is not None:
-                self._declared(n, lead, more)
-            m = (main(n, *more) if main else ctx.mul(*more)).copy_abs()
+            m = (main(n, self._power(n, power)) if power else
+                 main(n)).copy_abs()
             return _product([(m, _ONE)] + [part(n) for part in parts])
 
         tops = [t for t in tops if t is not None]

@@ -36,27 +36,29 @@ an OrderInsufficient names its shortfall, and the build reruns with that
 much more headroom.
 
 Both contexts step a quotient from one term to the next by its term
-ratio, and each has one engine for it: `poch` and `inv_poch` are
-one-factor quotients. A summand is one quotient: its Pochhammers may
-have any lengths k n + l, and the term ratio is still rational in q^n
-(Gasper & Rahman, section 1.2), so one step from n to n + 1 takes the
-next k factors of each. The quotient starts at n0, the least n at which
-every length is >= 0 (`qfunc.length_start`), and a lookup below it
-raises ValueError. Under ExactCtx a quotient reads a `qfunc.PochTower`,
-kept per context for each distinct tuple of (argument, base, invert, k,
-l) factors; one step applies the binomials of all its factors in one
-integer pass, O(width) each, and one gcd. A quotient term is one series
-part, Q(n), times the monomial s^n and the term's other factors, however
-many factors and lengths the quotient has: no term multiplies two
-windows of Pochhammers. Q(n) carries the order of the product of one
-tower per factor, each at its own length, so `exact_run` reads the same
+ratio, and each has one engine for it, memoized per context: `poch` and
+`inv_poch` are one-factor quotients. A summand is one quotient: its
+Pochhammers may have any lengths k n + l, and the term ratio is still
+rational in q^n (Gasper & Rahman, section 1.2), so one step from n to
+n + 1 takes the next k factors of each. The quotient starts at n0, the
+least n at which every length is >= 0 (`qfunc.length_start`), and a
+lookup below it raises ValueError. Under ExactCtx a quotient reads a
+`qfunc.PochTower`, kept per context for each distinct tuple of
+(argument, base, invert, k, l) factors (a quotient without factors reads
+none); one step applies the binomials of all its factors in one integer
+pass, O(width) each, and one gcd. A quotient term is one series part,
+Q(n), times the monomial s^n and the term's other factors, however many
+factors and lengths the quotient has: no term multiplies two windows of
+Pochhammers. Q(n) carries the order of the product of one tower per
+factor, each at its own length, so `exact_run` reads the same
 shortfalls as from that product.
 
 A NumericCtx owns its precision and its caches (see the class): each
-distinct rational is converted once, and each Pochhammer product is a
-one-factor `_QuotientRun`, extended by a running power. The caches live
-on the context, not in the module, because their values depend on q and
-the precision, and because one context serves one build on one thread.
+distinct rational is converted once, and each distinct quotient (its
+factors and s) is one `_QuotientRun`, stepped by running powers. The
+caches live on the context, not in the module, because their values
+depend on q and the precision, and because one context serves one build
+on one thread.
 
 Under ExactCtx a product that involves a series is kept unmultiplied: `mul`
 returns one monomial c*t^e times a flat list of series parts, the dense
@@ -90,31 +92,32 @@ with them is known to min(order of D, N' + valuation of D), N' the
 least of those orders: `LaurentSeries.mul`'s order rule folded over
 those windows. Forcing caps it there, and values, orders and
 OrderInsufficient shortfalls are those of the eager product of the
-windows. The product is forced in one of two ways:
+windows. A product is forced by one method, `_Product.at(goal)`: inside
+`summation` at the sum's goal order, and everywhere else (`add`, `sub`,
+`neg`, `inv` of a product with a dense part, `pow_int`, the arguments of
+the q machinery, `finalize`) in full, at its own order (goal None):
 
-  * inside `summation`, at the sum's goal order, by
-    `LaurentSeries.product_at(parts, goal - e)`, then the binomials, then
-    the monomial. Nonzero leading coefficients multiply to a nonzero
-    leading coefficient, so the product's valuation is e plus the sum of
-    the parts' valuations; when that exceeds the goal (or a part is zero)
-    the product is exactly zero through the goal and nothing is
-    multiplied. Otherwise the parts are multiplied left to right, the
-    partial product through part i capped at goal - e - (the valuations
-    of the parts after i): a coefficient above that cap only reaches
-    exponents above the goal. The binomials (e > 0) then keep the
-    valuation and are applied capped at goal - e. The result equals the
-    full product truncated at the goal, order included. A product whose
-    own order (the rule above, plus e) falls short of the goal is forced
-    in full and raises OrderInsufficient exactly as before.
-  * everywhere else (`add`, `sub`, `neg`, `inv` of a product with a
-    dense part, `pow_int`, the arguments of the q machinery, `finalize`)
-    in full, as the left fold of the parts, the binomials and then the
-    monomial. The binomials are applied by `qfunc._times`: those with
-    e > 0 by one `LaurentSeries.mul_binomials`, in one integer pass per
-    factor, or, for a long list of binomials with r = 1 on a wide window
-    (the infinite products of a product side at order 120), as
-    shift-adds on the window packed into one integer.
-    `div(u, v)` is the product of u and the inverse of v.
+  * The product's order (the rule above, plus e) is computed once, from
+    the parts' orders and valuations, before anything is multiplied. A
+    goal above it raises OrderInsufficient with the shortfall of the
+    eager product.
+  * Nonzero leading coefficients multiply to a nonzero leading
+    coefficient, so the product's valuation is e plus the sum of the
+    parts' valuations; when that exceeds the goal (or a part is zero) the
+    product is exactly zero through the goal and nothing is multiplied.
+  * Otherwise `LaurentSeries.product_at(parts, goal - e)` multiplies the
+    parts left to right, the partial product through part i capped at
+    goal - e - (the valuations of the parts after i): a coefficient above
+    that cap only reaches exponents above the goal. The binomials (e > 0)
+    keep the valuation and are applied capped at goal - e by
+    `qfunc._times`, in one `LaurentSeries.mul_binomials`: one integer
+    pass per factor, or, for a long list of binomials with r = 1 on a
+    wide window (the infinite products of a product side at order 120),
+    shift-adds on the window packed into one integer. Then the monomial.
+    The result equals the eager product truncated at the goal, order
+    included.
+
+`div(u, v)` is the product of u and the inverse of v.
 """
 
 from __future__ import annotations
@@ -124,6 +127,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
+from math import inf
 from typing import Callable, Dict, Optional, Union
 
 from .errors import (
@@ -180,46 +184,47 @@ class _Product:
         self.binoms = binoms
         self.order = order
 
-    def _binomials(self, dense: LaurentSeries, cap: int) -> LaurentSeries:
-        """`dense` times the binomials, capped at `cap`; a zero `dense`
-        is the product."""
-        if dense.is_zero:
-            return dense
-        return _times(dense, self.binoms, cap)
+    def _known(self, low: int) -> int:
+        """The order to which the binomials' windows times a dense part of
+        valuation `low` are known (`LaurentSeries.mul`'s order rule)."""
+        return self.order + low
 
-    def force(self) -> LaurentSeries:
-        """The full product: the left fold of the parts, the binomials
-        (capped by the order rule above), then the monomial."""
-        if self.parts:
-            out = self.parts[0]
-            for s in self.parts[1:]:
-                out = out * s
-        else:
-            out = LaurentSeries.one(self.order)
-        if self.order is not None:
-            out = self._binomials(out, self.order + out.eff_min_deg())
-        if not self.mono.is_one:
-            out = out.scale(self.mono.coef, self.mono.exp)
-        return out
-
-    def at(self, goal: int) -> LaurentSeries:
-        """`force().truncate(goal)`, multiplying only the window the goal
-        needs (see the module docstring)."""
+    def at(self, goal: Optional[int] = None) -> LaurentSeries:
+        """The product truncated at `goal`, or in full when `goal` is None,
+        multiplying only the window the goal needs (see the module
+        docstring). A goal above the product's order raises
+        OrderInsufficient, as truncating the full product does, before
+        anything is multiplied."""
         e = self.mono.exp
-        out = LaurentSeries.product_at(self.parts, goal - e) \
-            if self.parts else LaurentSeries.one(goal - e)
-        if out is None or self.order is not None and not out.is_zero and \
-                self.order + out.min_deg < goal - e:
-            return self.force().truncate(goal)
+        # the order and the valuation of the dense part (past its order
+        # when it is zero): `mul`'s order rule folded over the parts
+        order, low, zero = inf, 0, False
+        for s in self.parts:
+            order = min(order + s.eff_min_deg(), s.eff_order() + low)
+            zero = zero or s.is_zero or low + s.min_deg > order
+            low = order + 1 if zero else low + s.min_deg
+        if self.order is not None and not zero:
+            order = min(order, self._known(low))
+        order += e
+        if goal is None:
+            goal = None if order == inf else order
+        elif goal > order:
+            raise OrderInsufficient(
+                f"cannot extend order {order} to {goal}", goal - order)
+        if zero or goal is not None and low + e > goal:
+            return LaurentSeries.zero(goal)
+        cap = None if goal is None else goal - e
+        out = LaurentSeries.product_at(self.parts, cap) if self.parts \
+            else LaurentSeries.one(cap)
         if self.order is not None:
-            out = self._binomials(out, goal - e)
+            out = _times(out, self.binoms, cap)
         if not self.mono.is_one:
             out = out.scale(self.mono.coef, e)
         return out
 
 
 def _force(v):
-    return v.force() if isinstance(v, _Product) else v
+    return v.at() if isinstance(v, _Product) else v
 
 
 def _is_zero(v) -> bool:
@@ -412,13 +417,16 @@ class ExactCtx:
         factors = tuple(self._factor(a, p, invert, *kl)
                         for entries, invert in ((ups, False), (downs, True))
                         for a, p, *kl in entries)
-        tower = self._towers.get(factors)
-        if tower is None:
-            tower = self._towers[factors] = PochTower.of(factors, self.order)
-        one = tower.one
+        tower, one = None, _ONE
+        if factors:
+            tower = self._towers.get(factors)
+            if tower is None:
+                tower = self._towers[factors] = \
+                    PochTower.of(factors, self.order)
+            one = tower.one
 
         def at(n, *more):
-            q = tower.upto(n)
+            q = one if tower is None else tower.upto(n)
             return self.mul(*(() if q is one else (q,)),
                             *(() if s is None else (self.pow_int(s, n),)),
                             *more)
@@ -519,9 +527,10 @@ class _QuotientRun:
     run in turn and divided by the product of the lower ones, so a side
     without runs costs nothing: no multiplication by 1, no division by 1
     (`NumericCtx.poch` is the run of one upper factor: a subtraction and
-    two multiplications a step). A lower factor that vanishes at step j
-    makes every n > j raise DegenerateDenominator, as `inv_poch` does;
-    once an upper factor (or s) vanishes, Q stays 0."""
+    two multiplications a step; `inv_poch` the run of one lower factor). A
+    lower factor that vanishes at step j makes every n > j raise
+    DegenerateDenominator; once an upper factor (or s) vanishes, Q stays
+    0."""
 
     __slots__ = ("vals", "n0", "s", "up_runs", "up_bases", "down_runs",
                  "down_bases", "pole", "dc")
@@ -602,12 +611,12 @@ class NumericCtx:
     Memoized per context, since the values depend on q and the precision
     and a context lives for one build:
       * `num`: each distinct rational, converted to a Decimal once;
-      * `poch` (and `inv_poch`, its reciprocal): for each (argument,
-        base) pair, the one-factor `_QuotientRun` that extends
-        (a; base)_n by a running power.
-    A `quotient` is not memoized by its arguments: each call builds a
-    `_QuotientRun` that steps from one term to the next by the term
-    ratio, so a summand builds its quotient once per sum, not per term.
+      * `quotient`, and `poch` and `inv_poch` as its one-factor lookups:
+        for each distinct tuple of factors and s, as given, the one
+        `_QuotientRun` that steps it by the term ratio and keeps every
+        value it reaches, as ExactCtx keeps one `PochTower` (`_run`).
+        Every summand and every term of `wp_beta_sum` that asks for
+        equal arguments reads the same run.
     A q-power is not memoized: most are asked for once per context. A
     builder that passes the same Decimal object again (a loop-invariant
     argument built once, a memoized rational) also reuses its cached
@@ -621,7 +630,7 @@ class NumericCtx:
         self._mul, self._sub = dc.multiply, dc.subtract
         self.tol = NUMERIC_TOL
         self._nums: Dict = {}
-        self._poch_cache: Dict = {}
+        self._runs: Dict = {}
         self.q_unit = self.num(q_unit)
         self.q = dc.power(self.q_unit, denom)
         self._eps = Decimal(f"1e-{NUMERIC_PRECISION - 4}")
@@ -676,34 +685,40 @@ class NumericCtx:
         return self.dc.power(self.num(v), k) if k else _D_ONE
 
     def poch(self, a, base, n: int) -> Decimal:
-        if type(a) is not Decimal:
-            a = self.num(a)
-        if type(base) is not Decimal:
-            base = self.num(base)
-        key = (a, base)
-        at = self._poch_cache.get(key)
-        if at is None:
-            at = self._poch_cache[key] = \
-                _QuotientRun([key], (), None, self.dc).at
-        return at(n)
+        return self._run(((a, base),), (), None)(n)
 
     def inv_poch(self, a, base, n: int) -> Decimal:
-        p = self.poch(a, base, n)
-        if not p:
-            raise DegenerateDenominator("vanishing Pochhammer denominator")
-        return self.dc.divide(_D_ONE, p)
+        return self._run((), ((a, base),), None)(n)
+
+    def _run(self, ups: tuple, downs: tuple, s):
+        """The lookup of the context's one `_QuotientRun` for these
+        factors and s, keyed by the arguments as given, so that a lookup
+        converts nothing. The run holds no reference to the context, so a
+        context is freed without the cycle collector."""
+        key = (ups, downs, s)
+        at = self._runs.get(key)
+        if at is None:
+            num = self.num
+            at = self._runs[key] = _QuotientRun(
+                [(num(u), num(p), *kl) for u, p, *kl in ups],
+                [(num(d), num(p), *kl) for d, p, *kl in downs],
+                None if s is None else num(s), self.dc).at
+        return at
 
     def quotient(self, ups, downs, s=None):
         """(n, *more) -> s^n prod (u; p_u)_(k n + l) / prod (d; p_d)_(k n + l)
         over the (argument, base) pairs, of length n, or the (argument,
         base, k, l) entries `ups` and `downs`, times the term's other
-        factors `more`: a lookup in this call's `_QuotientRun`, which
-        steps every length at once. A length below 0 raises ValueError."""
-        num = self.num
-        at = _QuotientRun([(num(u), num(p), *kl) for u, p, *kl in ups],
-                          [(num(d), num(p), *kl) for d, p, *kl in downs],
-                          None if s is None else num(s), self.dc).at
+        factors `more`: a lookup in the context's one `_QuotientRun` for
+        these factors and s, which steps every length at once (s^n alone
+        when there is no factor). A length below 0 raises ValueError."""
         mul = self.mul
+        if not (ups or downs):
+            # s^n alone reads no run, as ExactCtx reads no tower: one
+            # step of a run costs more than the power
+            return lambda n, *more: mul(
+                *(() if s is None else (self.pow_int(s, n),)), *more)
+        at = self._run(tuple(ups), tuple(downs), s)
         return lambda n, *more: mul(at(n), *more) if more else at(n)
 
     def poch_inf(self, a, base) -> Decimal:

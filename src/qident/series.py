@@ -623,37 +623,25 @@ class LaurentSeries:
         return LaurentSeries._from_ints(lo, out, self.den * other.den, order)
 
     @staticmethod
-    def product_at(parts, goal: int) -> Optional["LaurentSeries"]:
+    def product_at(parts, goal: Optional[int] = None) -> "LaurentSeries":
         """The left fold of `mul` over the nonempty sequence `parts`,
-        truncated at `goal`, multiplying only the window the goal needs;
-        None when the full product's order (the order rule of `mul`,
-        folded over the parts) is below `goal`.
+        truncated at `goal` (None: in full), multiplying only the window
+        the goal needs. The caller checks that the fold's order reaches
+        `goal` and that the product is not zero through it.
 
         Nonzero leading coefficients multiply to a nonzero leading
         coefficient, so the product's valuation is the sum of the parts'
-        valuations: when that exceeds `goal` (or a part is zero) the
-        result is zero and nothing is multiplied. Otherwise the partial
-        product through part i is capped at `goal` minus the valuations
-        of the parts after i, since a coefficient above that cap only
-        reaches exponents above `goal`.
+        valuations, and the partial product through part i is capped at
+        `goal` minus the valuations of the parts after i: a coefficient
+        above that cap only reaches exponents above `goal`.
         """
-        first = parts[0]
-        order, low = first.eff_order(), first.eff_min_deg()
-        zero = first.is_zero
-        for s in parts[1:]:
-            order = min(order + s.eff_min_deg(), s.eff_order() + low)
-            zero = zero or s.is_zero or low + s.min_deg > order
-            low = order + 1 if zero else low + s.min_deg
-        if order < goal:
-            return None
-        if low > goal:
-            return LaurentSeries.zero(goal)
-        cap = goal - sum(s.min_deg for s in parts[1:])
-        out = first
-        for s in parts[1:]:
-            cap += s.min_deg
+        out, rest = parts[0], parts[1:]
+        cap = None if goal is None else goal - sum(s.min_deg for s in rest)
+        for s in rest:
+            if cap is not None:
+                cap += s.min_deg
             out = out.mul(s, cap=cap)
-        return out if out.order == goal else out.truncate(goal)
+        return out._cap(goal)
 
     def _mul_monomial(self, num: int, den: int, exp: int,
                       order: Optional[int]) -> "LaurentSeries":

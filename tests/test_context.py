@@ -335,11 +335,45 @@ def test_binomial_check_catches_mutants(monkeypatch):
             s, [(p, r, e, False) for p, r, e, _ in fs], order))
         assert all(binomial_faults(*d) != [] for d in BINOMIAL_DRAWS)
     with monkeypatch.context() as m:
-        # the binomials capped one order too high
-        apply = context._Product._binomials
-        m.setattr(context._Product, "_binomials",
-                  lambda self, dense, cap: apply(self, dense, cap + 1))
+        # the binomials' windows taken as known one order too high
+        known = context._Product._known
+        m.setattr(context._Product, "_known",
+                  lambda self, low: known(self, low) + 1)
         assert all(binomial_faults(*d) != [] for d in BINOMIAL_DRAWS[1:])
+
+
+def test_forcing_short_of_the_goal_multiplies_nothing(monkeypatch):
+    """A product of dense parts and binomials whose order is below the
+    goal raises the eager windows' OrderInsufficient before it multiplies
+    a window or applies a binomial."""
+    ctx = ExactCtx(10, headroom=0)
+    a = LS.from_pairs({0: 1, 1: 2}, 5)
+    b = LS.from_pairs({-1: F(1, 2), 0: 1, 3: 5}, 14)
+    inverse = ctx.inv(ctx.poch_inf(ctx.q, ctx.q))
+    product = ctx.mul(a, inverse, b, ctx.qpow(2))
+    assert isinstance(product, context._Product) and product.binoms
+    windows = [a, qfunc.poch_infinite(ctx.q, ctx.q, ctx.order).invert(
+        ctx.order), b]
+    with pytest.raises(OrderInsufficient) as eager_error:
+        reduce(LS.mul, windows).scale(1, 2).truncate(10)
+    calls = []
+
+    def counted(name):
+        method = getattr(LS, name)
+
+        def call(self, *args, **kw):
+            calls.append(name)
+            return method(self, *args, **kw)
+        return call
+
+    for name in ("mul", "mul_binomials"):
+        monkeypatch.setattr(LS, name, counted(name))
+    for force in (lambda: product.at(10), lambda: summed(ctx, product)):
+        with pytest.raises(OrderInsufficient) as error:
+            force()
+        assert str(error.value) == str(eager_error.value)
+        assert error.value.short == eager_error.value.short
+    assert calls == []
 
 
 # ------------------------------------------------- the stepped quotient

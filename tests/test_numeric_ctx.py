@@ -4,13 +4,16 @@ verdicts that do not depend on the caller's decimal settings or the
 call order."""
 
 import decimal
+import gc
+import weakref
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qident import context
-from qident.bailey import Factor, wp_transform
+from qident.bailey import Factor, Summand, wp_transform
 from qident.context import ExactCtx, NumericCtx
 from qident.errors import DegenerateDenominator
 from qident.qfunc import NUMERIC_PRECISION
@@ -96,6 +99,41 @@ def test_poch_does_not_depend_on_call_order(a, base, calls):
     assert ctx.poch(a, base, 5) == NumericCtx(F(1, 7)).poch(a, base, 5)
 
 
+@contextmanager
+def counted_runs():
+    """The list of every `_QuotientRun` built inside the block."""
+    made = []
+
+    class Counted(context._QuotientRun):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(context, "_QuotientRun", Counted)
+        yield made
+
+
+def test_poch_and_inv_poch_are_memoized_quotient_lookups():
+    a, base = F(1, 3), F(-1, 2)
+    with counted_runs() as made:
+        ctx = NumericCtx(F(1, 7))
+        for n in (4, 2, 9, 4):
+            assert ctx.poch(a, base, n) == \
+                ctx.quotient([(F(1, 3), base)], ())(n)
+            assert ctx.inv_poch(ctx.num(a), base, n) == \
+                ctx.quotient((), [(ctx.num(a), F(-1, 2))])(n)
+        assert len(made) == 2
+        # (4; 1/2)_n vanishes from n = 3 on
+        assert ctx.poch(F(4), F(1, 2), 5) == 0
+        assert ctx.inv_poch(F(4), F(1, 2), 2) == ctx.num(F(1, 3))
+        for n in (3, 5):
+            with pytest.raises(DegenerateDenominator,
+                               match="^vanishing Pochhammer denominator$"):
+                ctx.inv_poch(F(4), F(1, 2), n)
+        assert len(made) == 4
+
+
 class _RunAhead(context._QuotientRun):
     """A mutant: every running power starts one step ahead, at u*p."""
 
@@ -174,6 +212,57 @@ def test_quotient_matches_fraction_quotient(ups, downs, s, order, top):
         # None: a pole that the rounded running power misses, as it does
         # for inv_poch; there is no value to compare
         assert g is None or g <= DELTA
+
+
+def outcome(quot, n):
+    """quot(n), or the message of the DegenerateDenominator it raises."""
+    try:
+        return quot(n)
+    except DegenerateDenominator as ex:
+        return str(ex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(PAIR, min_size=1, max_size=3), st.lists(PAIR, max_size=3),
+       S, st.lists(st.integers(0, 20), min_size=1, max_size=4))
+def test_equal_quotients_share_one_run(ups, downs, s, calls):
+    with counted_runs() as made:
+        ctx = NumericCtx(F(1, 7))
+        quot = ctx.quotient(ups, downs, s)
+        got = [outcome(quot, n) for n in calls]
+        # equal arguments again, as fresh objects
+        same = ctx.quotient([(F(u), F(p)) for u, p in ups],
+                            tuple((F(d), F(p)) for d, p in downs),
+                            None if s is None else F(s))
+        assert [outcome(same, n) for n in reversed(calls)] == got[::-1]
+        assert len(made) == 1
+        # other factors, or another s, have a run of their own
+        ctx.quotient([*ups, (F(1, 2), F(1, 3))], downs, s)
+        ctx.quotient(ups, downs, F(5) if s is None else None)
+        assert len(made) == 3
+        # s^n alone steps no run
+        assert quotient_gap(ctx.quotient((), (), s)(7), [], [], s, 7) <= DELTA
+        assert len(made) == 3
+
+
+def test_context_is_freed_without_the_cycle_collector():
+    """The memoized runs hold no reference to their context, so a build's
+    NumericCtx dies with its last reference, not at the next collection."""
+    def used():
+        ctx = NumericCtx(F(1, 7))
+        qq = ctx.qpow(1)
+        ctx.quotient([(F(1, 3), qq)], [(qq, qq)], F(1, 2))(5)
+        ctx.poch(F(1, 3), qq, 4)
+        ctx.inv_poch(qq, qq, 4)
+        ctx.summation(Summand(ctx, F(1, 2), ups=[(F(1, 3), qq)],
+                              downs=[(qq, qq)]))
+        return weakref.ref(ctx)
+
+    gc.disable()
+    try:
+        assert used()() is None
+    finally:
+        gc.enable()
 
 
 def test_quotient_pole_raises_where_inv_poch_does():
