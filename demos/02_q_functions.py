@@ -13,7 +13,6 @@ from qident import (
     phi_rs,
     poch_finite,
     poch_infinite,
-    series_mul,
     vwp_factor,
 )
 
@@ -33,8 +32,7 @@ print("vwp k=q^2, n=1  =", vwp_factor(QMonomial.of(1, 2), 1, 10))
 a, b, c = QMonomial.of(1, 2), QMonomial.of(1, 3), QMonomial.of(1, 7)
 z = c / (a * b)
 lhs = phi_rs([a, b], [c], q, z, 24)
-rhs = series_mul(
-    poch_infinite(c / a, q, 24) * poch_infinite(c / b, q, 24),
+rhs = (poch_infinite(c / a, q, 24) * poch_infinite(c / b, q, 24)).mul(
     (poch_infinite(c, q, 24) * poch_infinite(z, q, 24)).invert(), cap=24)
 print("q-Gauss LHS     =", lhs)
 print("q-Gauss match   =", lhs.compare(rhs.truncate(24), 24) is None)

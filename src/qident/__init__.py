@@ -13,11 +13,6 @@ from .series import (
     Mismatch,
     QMonomial,
     Rational,
-    rescale_exponents,
-    series_add,
-    series_compare,
-    series_invert,
-    series_mul,
 )
 from .qfunc import (
     NumericTermGenerator,

@@ -40,9 +40,11 @@ ratio, and each has one engine for it, memoized per context: `poch` and
 `inv_poch` are one-factor quotients. A summand is one quotient: its
 Pochhammers may have any lengths k n + l, and the term ratio is still
 rational in q^n (Gasper & Rahman, section 1.2), so one step from n to
-n + 1 takes the next k factors of each. The quotient starts at n0, the
-least n at which every length is >= 0 (`qfunc.length_start`), and a
-lookup below it raises ValueError. Under ExactCtx a quotient reads a
+n + 1 takes the next k factors of each. Both engines are a generator of
+Q(n0), Q(n0 + 1), ... behind one `qfunc.Stepped`, which keeps the values
+reached: n0 is the least n at which every length is >= 0
+(`qfunc.length_start`), a lookup below it raises ValueError, and a pole
+raises on every later lookup. Under ExactCtx a quotient reads a
 `qfunc.PochTower`, kept per context for each distinct tuple of
 (argument, base, invert, k, l) factors (a quotient without factors reads
 none); one step applies the binomials of all its factors in one integer
@@ -55,7 +57,7 @@ shortfalls as from that product.
 
 A NumericCtx owns its precision and its caches (see the class): each
 distinct rational is converted once, and each distinct quotient (its
-factors and s) is one `_QuotientRun`, stepped by running powers. The
+factors and s) is one run of `_quotient_steps`, by running powers. The
 caches live on the context, not in the module, because their values
 depend on q and the precision, and because one context serves one build
 on one thread.
@@ -142,6 +144,7 @@ from .qfunc import (
     Envelope,
     NumericTermGenerator,
     PochTower,
+    Stepped,
     TermGenerator,
     _times,
     as_monomial,
@@ -508,93 +511,69 @@ def exact_run(order: int, build: Callable, denom: int = 1):
             headroom += ex.short
 
 
-class _QuotientRun:
-    """n -> s^n prod (u; p_u)_(k n + l) / prod (d; p_d)_(k n + l) in a
-    decimal context, over (argument, base) pairs, of length n, or
-    (argument, base, k, l) entries, by its term ratio (Gasper & Rahman,
-    section 1.2):
+def _runs(factors, n0: int, dc: decimal.Context):
+    """The product of the first k n0 + l factors of each (argument, base,
+    k, l) entry or (argument, base) pair, and the running powers and
+    bases of the k runs each that step it (see `_quotient_steps`)."""
+    mul, sub = dc.multiply, dc.subtract
+    prod, args, bases = _D_ONE, [], []
+    for u, p, *kl in factors:
+        k, l = kl or (1, 0)
+        for _ in range(k * n0 + l):
+            prod = mul(prod, sub(_D_ONE, u))
+            u = mul(u, p)
+        if k:
+            bases += [p if k == 1 else dc.power(p, k)] * k
+        for _ in range(k):
+            args.append(u)
+            u = mul(u, p)
+    return prod, args, bases
+
+
+def _quotient_steps(ups, downs, s, n0: int, dc: decimal.Context):
+    """Q(n0), Q(n0 + 1), ... of n -> s^n prod (u; p_u)_(k n + l) /
+    prod (d; p_d)_(k n + l) in the decimal context `dc`, over (argument,
+    base) pairs, of length n, or (argument, base, k, l) entries, by its
+    term ratio (Gasper & Rahman, section 1.2):
 
         Q(j+1) = Q(j) * s * prod (1 - u p_u^(k j + l + i))
                  / prod (1 - d p_d^(k j + l + i))   over i < k.
 
-    It starts at n0, the least n >= 0 at which every length is >= 0
-    (`qfunc.length_start`; below it a lookup raises ValueError), Q(n0)
-    holding each factor's first k n0 + l factors. A factor steps as k runs
-    of base p^k from u p^(k n0 + l + i), each a running power, so one more
-    step costs three operations per run and one division (never a power);
-    a pair of length n is one run, of base p from u. It keeps the values
-    Q(n0..j) reached so far. Q(j) is multiplied by s and by each upper
-    run in turn and divided by the product of the lower ones, so a side
-    without runs costs nothing: no multiplication by 1, no division by 1
+    n0 is the least n >= 0 at which every length is >= 0
+    (`qfunc.length_start`), Q(n0) holding each factor's first k n0 + l
+    factors. A factor steps as k runs of base p^k from u p^(k n0 + l + i),
+    each a running power, so one more step costs three operations per run
+    and one division (never a power); a pair of length n is one run, of
+    base p from u. Q(j) is multiplied by s and by each upper run in turn
+    and divided by the product of the lower ones, so a side without runs
+    costs nothing: no multiplication by 1, no division by 1
     (`NumericCtx.poch` is the run of one upper factor: a subtraction and
     two multiplications a step; `inv_poch` the run of one lower factor). A
-    lower factor that vanishes at step j makes every n > j raise
-    DegenerateDenominator; once an upper factor (or s) vanishes, Q stays
-    0."""
-
-    __slots__ = ("vals", "n0", "s", "up_runs", "up_bases", "down_runs",
-                 "down_bases", "pole", "dc")
-
-    def __init__(self, ups, downs, s, dc: decimal.Context):
-        mul, sub = dc.multiply, dc.subtract
-        self.n0 = n0 = length_start(f[2:] or (1, 0) for f in (*ups, *downs))
-        self.s = s
-        self.dc = dc
-        first = []                  # Q(n0)'s upper and lower products
-        runs = []
-        for factors in (ups, downs):
-            prod, args, bases = _D_ONE, [], []
-            for u, p, *kl in factors:
-                k, l = kl or (1, 0)
-                for _ in range(k * n0 + l):
-                    prod = mul(prod, sub(_D_ONE, u))
-                    u = mul(u, p)
-                if k:
-                    bases += [p if k == 1 else dc.power(p, k)] * k
-                for _ in range(k):
-                    args.append(u)
-                    u = mul(u, p)
-            first.append(prod)
-            runs += [args, bases]
-        self.up_runs, self.up_bases, self.down_runs, self.down_bases = runs
-        self.pole = not first[1]
-        top = first[0] if s is None or not n0 else \
-            mul(first[0], dc.power(s, n0))
-        self.vals = [] if self.pole else [dc.divide(top, first[1])]
-
-    def at(self, n: int) -> Decimal:
-        vals = self.vals
-        i = n - self.n0
-        if 0 <= i < len(vals):
-            return vals[i]
-        if i < 0:
-            raise ValueError(f"Pochhammer length must be >= 0 (n = {n} is "
-                             f"below {self.n0})")
-        if not self.pole:
-            dc = self.dc
-            mul, sub, div = dc.multiply, dc.subtract, dc.divide
-            ups, downs = self.up_runs, self.down_runs
-            up_bases, down_bases = self.up_bases, self.down_bases
-            s, last = self.s, vals[-1]
-            for _ in range(i + 1 - len(vals)):
-                if downs:
-                    den = reduce(mul, map(sub, _ONES, downs))
-                    if not den:
-                        self.pole = True
-                        break
-                    downs = list(map(mul, downs, down_bases))
-                if last:
-                    last = reduce(mul, map(sub, _ONES, ups),
-                                  last if s is None else mul(last, s))
-                    if downs:
-                        last = div(last, den)
-                if ups:
-                    ups = list(map(mul, ups, up_bases))
-                vals.append(last)
-            self.up_runs, self.down_runs = ups, downs
-            if i < len(vals):
-                return vals[i]
+    lower factor that vanishes at step j raises DegenerateDenominator (and
+    `qfunc.Stepped` replays it for every n > j); once an upper factor (or
+    s) vanishes, Q stays 0. It holds no reference to its context."""
+    mul, sub, div = dc.multiply, dc.subtract, dc.divide
+    last, ups, up_bases = _runs(ups, n0, dc)
+    den, downs, down_bases = _runs(downs, n0, dc)
+    if not den:
         raise DegenerateDenominator("vanishing Pochhammer denominator")
+    last = div(last if s is None or not n0 else mul(last, dc.power(s, n0)),
+               den)
+    while True:
+        yield last
+        if downs:
+            den = reduce(mul, map(sub, _ONES, downs))
+            if not den:
+                raise DegenerateDenominator(
+                    "vanishing Pochhammer denominator")
+            downs = list(map(mul, downs, down_bases))
+        if last:
+            last = reduce(mul, map(sub, _ONES, ups),
+                          last if s is None else mul(last, s))
+            if downs:
+                last = div(last, den)
+        if ups:
+            ups = list(map(mul, ups, up_bases))
 
 
 class NumericCtx:
@@ -612,9 +591,10 @@ class NumericCtx:
     and a context lives for one build:
       * `num`: each distinct rational, converted to a Decimal once;
       * `quotient`, and `poch` and `inv_poch` as its one-factor lookups:
-        for each distinct tuple of factors and s, as given, the one
-        `_QuotientRun` that steps it by the term ratio and keeps every
-        value it reaches, as ExactCtx keeps one `PochTower` (`_run`).
+        for each distinct tuple of factors and s, as given, the one run
+        (`_run`) that steps it by the term ratio (`_quotient_steps`) and
+        keeps every value it reaches (`qfunc.Stepped`), as ExactCtx keeps
+        one `PochTower`.
         Every summand and every term of `wp_beta_sum` that asks for
         equal arguments reads the same run.
     A q-power is not memoized: most are asked for once per context. A
@@ -691,26 +671,27 @@ class NumericCtx:
         return self._run((), ((a, base),), None)(n)
 
     def _run(self, ups: tuple, downs: tuple, s):
-        """The lookup of the context's one `_QuotientRun` for these
-        factors and s, keyed by the arguments as given, so that a lookup
-        converts nothing. The run holds no reference to the context, so a
-        context is freed without the cycle collector."""
+        """The lookup of the context's one run for these factors and s, a
+        `Stepped` over `_quotient_steps`, keyed by the arguments as given,
+        so that a lookup converts nothing. The run holds no reference to
+        the context, so a context is freed without the cycle collector."""
         key = (ups, downs, s)
         at = self._runs.get(key)
         if at is None:
             num = self.num
-            at = self._runs[key] = _QuotientRun(
-                [(num(u), num(p), *kl) for u, p, *kl in ups],
-                [(num(d), num(p), *kl) for d, p, *kl in downs],
-                None if s is None else num(s), self.dc).at
+            ups = [(num(u), num(p), *kl) for u, p, *kl in ups]
+            downs = [(num(d), num(p), *kl) for d, p, *kl in downs]
+            n0 = length_start(f[2:] or (1, 0) for f in (*ups, *downs))
+            at = self._runs[key] = Stepped(n0, _quotient_steps(
+                ups, downs, None if s is None else num(s), n0, self.dc)).at
         return at
 
     def quotient(self, ups, downs, s=None):
         """(n, *more) -> s^n prod (u; p_u)_(k n + l) / prod (d; p_d)_(k n + l)
         over the (argument, base) pairs, of length n, or the (argument,
         base, k, l) entries `ups` and `downs`, times the term's other
-        factors `more`: a lookup in the context's one `_QuotientRun` for
-        these factors and s, which steps every length at once (s^n alone
+        factors `more`: a lookup in the context's one run for these
+        factors and s, which steps every length at once (s^n alone
         when there is no factor). A length below 0 raises ValueError."""
         mul = self.mul
         if not (ups or downs):

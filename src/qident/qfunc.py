@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import decimal
 import operator
+from copy import copy
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice, takewhile
 from math import ceil, gcd, inf, lcm
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     BoundViolation,
@@ -97,20 +98,15 @@ def as_monomial(value: Value) -> Optional[QMonomial]:
     return None
 
 
-def _binomials(a: QMonomial, base: QMonomial, invert: bool = False,
-               start: int = 0, step: int = 1):
-    """The factors 1 - a base^j of (a; base)_inf for j = start,
-    start + step, start + 2 step, ..., each as the integers (p, r, e,
-    invert) of 1 + (p/r) q^e, the shape `LaurentSeries.mul_binomials`
-    takes, with p/r reduced and r > 0. The coefficient steps by integer
-    products and one gcd, none on a base whose coefficient to the power
-    `step` is 1."""
+def _binomials(a: QMonomial, base: QMonomial, invert: bool = False):
+    """The factors 1 - a base^j of (a; base)_inf for j = 0, 1, 2, ...,
+    each as the integers (p, r, e, invert) of 1 + (p/r) q^e, the shape
+    `LaurentSeries.mul_binomials` takes, with p/r reduced and r > 0. The
+    coefficient steps by integer products and one gcd, none on a base
+    whose coefficient is 1."""
     c, b = a.coef, base.coef
-    p = -c.numerator * b.numerator ** start
-    r = c.denominator * b.denominator ** start
-    g = gcd(p, r)
-    p, r, e = p // g, r // g, a.exp + start * base.exp
-    bp, br, be = b.numerator ** step, b.denominator ** step, base.exp * step
+    p, r, e = -c.numerator, c.denominator, a.exp
+    bp, br, be = b.numerator, b.denominator, base.exp
     unit = bp == br == 1
     while True:
         yield p, r, e, invert
@@ -205,7 +201,45 @@ def length_start(lengths) -> int:
     return n0
 
 
-class PochTower:
+class Stepped:
+    """v(n0), v(n0 + 1), ... of the generator `steps`, pulled one `next`
+    at a time and kept, so that lookups (`at`) may come in any order and
+    each value is computed once. A lookup below n0 raises ValueError, as
+    a Pochhammer of negative length does. Once the generator raises,
+    every lookup past the values it reached raises that error again: a
+    fresh copy each time, of the same type, args and attributes, so that
+    no traceback grows and the run keeps no frame alive.
+    `PochTower` and `context.NumericCtx`'s quotient runs are the two
+    engines behind it."""
+
+    __slots__ = ("n0", "_vals", "_steps", "_error")
+
+    def __init__(self, n0: int, steps):
+        self.n0 = n0
+        self._vals = []
+        self._steps = steps
+        self._error = None          # a traceback-free copy of its error
+
+    def at(self, n: int):
+        vals = self._vals
+        i = n - self.n0
+        if 0 <= i < len(vals):
+            return vals[i]
+        if i < 0:
+            raise ValueError(f"Pochhammer length must be >= 0 (n = {n} is "
+                             f"below {self.n0})")
+        if self._error is None:
+            try:
+                while len(vals) <= i:
+                    vals.append(next(self._steps))
+                return vals[i]
+            except Exception as ex:
+                self._error = copy(ex)
+                raise
+        raise copy(self._error)
+
+
+class PochTower(Stepped):
     """Q(n) = prod (a; base)_(k n + l) over (argument, base, invert, k, l)
     factors, with 1/(a; base)_(k n + l) for an inverted one, for n = n0,
     n0 + 1, ... at a fixed order: n0 is the least n >= 0 at which every
@@ -221,18 +255,17 @@ class PochTower:
 
         Q(m+1) = Q(m) * prod over i < k of (1 - a base^(k m + l + i))^(+-1),
 
-    and keeps Q(n0..n), so lookups may come in any order and a sum over n
-    reuses every shorter product. Q(n0) holds each factor's first
-    k n0 + l binomials; while Q holds none it is `one`, the unit window,
-    itself. A zero argument is the factor 1. Each factor runs as k
-    `_binomials` iterators, the i-th over j = k n0 + l + i, stepping j by
-    k: one step pulls the next binomial of each, a reduced integer pair
-    p/r and an exponent e, stepped without a Fraction. One step is one
-    integer pass over the window for all the binomials with e > 0
-    (`LaurentSeries.mul_binomials`, one gcd per step, each binomial
-    O(width)); one with e <= 0 (a Laurent dip, a constant base, a
-    vanishing upper factor) is applied on its own in the same step (see
-    `_times`).
+    and keeps Q(n0..n) (`Stepped`), so lookups may come in any order and
+    a sum over n reuses every shorter product. Each factor is one
+    `_binomials` stream, read in order: its first k n0 + l binomials make
+    Q(n0), and each step takes its next k, a reduced integer pair p/r and
+    an exponent e each, stepped without a Fraction. While Q holds no
+    binomial it is `one`, the unit window, itself. A zero argument is the
+    factor 1. One step is one integer pass over the window for all the
+    binomials with e > 0 (`LaurentSeries.mul_binomials`, one gcd per
+    step, each binomial O(width)); one with e <= 0 (a Laurent dip, a
+    constant base, a vanishing upper factor) is applied on its own in the
+    same step (see `_times`).
 
     Q(n) carries the order of the product of one-factor towers, each
     looked up at its own length, under `LaurentSeries.mul`'s order rule.
@@ -257,79 +290,61 @@ class PochTower:
 
     def _start(self, factors, order: int) -> None:
         self.order = order
-        self.one = self._last = LaurentSeries.one(order)
-        self._vals: List[LaurentSeries] = []
+        self.one = LaurentSeries.one(order)
         factors = [(a, base, invert, *(kl or (1, 0)))
                    for a, base, invert, *kl in factors]
-        self.n0 = n0 = length_start([f[3:] for f in factors])
-        # (argument, base, k, l) of each factor with a nonzero argument
-        self._args = []
-        # Q(n0)'s binomials, as (binomial, None, factor, j - k n0 - l)
-        self._first = []
-        # the runs of each step, as [next binomial (p, r, e, invert), the
-        # `_binomials` iterator of the ones after it, factor, offset i]
-        self._runs = []
+        n0 = length_start([f[3:] for f in factors])
         self._flat = inf                # the least n that is NonTruncatable
-        self._vanished = set()          # factors that made Q zero
+        # (enumerated binomials, argument, base, k, l) of each nonzero
+        # argument
+        streams = []
         for a, base, invert, k, l in factors:
             am, bm = as_monomial(a), as_monomial(base)
             if am is None or bm is None:
                 raise TypeError("PochTower requires monomial-like arguments")
             if am.is_zero:
                 continue
-            f, m0 = len(self._args), k * n0 + l
-            self._args.append((am, bm, k, l))
-            if m0:
-                self._first += [
-                    (x, None, f, j - m0) for j, x in
-                    enumerate(islice(_binomials(am, bm, invert), m0))]
+            m0 = k * n0 + l
             if not invert and am.exp < 0 and bm.exp == 0 and (m0 or k):
                 # it holds a binomial from n0 on, or from n0 + 1
                 self._flat = min(self._flat, n0 if m0 else n0 + 1)
-            for i in range(k):
-                run = _binomials(am, bm, invert, m0 + i, k)
-                self._runs.append([next(run), run, f, i])
-
-    def _pulled(self, entries, m: int) -> list:
-        """The binomials of `entries`, each [binomial, _, factor, i] with
-        the binomial j = k m + l + i of its factor, after the checks: a
-        vanishing inverted one raises DegenerateDenominator, and a
-        vanishing upper one marks its factor."""
-        step = []
-        for x, _, f, i in entries:
-            p, r, e, invert = x
-            if e == 0 and p == -r:
-                if invert:
-                    am, bm, k, l = self._args[f]
-                    raise DegenerateDenominator(
-                        f"factor (1 - {am}*{bm}^{k * m + l + i}) vanishes")
-                self._vanished.add(f)
-            step.append(x)
-        return step
+            streams.append(
+                (enumerate(_binomials(am, bm, invert)), am, bm, k, l))
+        super().__init__(n0, _tower_steps(streams, self.one, n0))
 
     def upto(self, n: int) -> LaurentSeries:
-        vals = self._vals
-        i = n - self.n0
-        if 0 <= i < len(vals):
-            return vals[i]
-        if i < 0:
-            raise ValueError(f"Pochhammer length must be >= 0 (n = {n} is "
-                             f"below {self.n0})")
         if n >= self._flat:
             raise NonTruncatable(
                 "constant base with negative-exponent argument")
-        runs, vanished = self._runs, self._vanished
-        while len(vals) <= i:
-            if vals:
-                step = self._pulled(runs, self.n0 + len(vals) - 1)
-                for run in runs:
-                    run[0] = next(run[1])
-            else:
-                step = self._pulled(self._first, self.n0)
-            cur = self._last = _times(self._last, step)
-            vals.append(cur if len(vanished) < 2 else LaurentSeries.zero(
-                cur.order + (len(vanished) - 1) * (self.order + 1)))
-        return vals[i]
+        return self.at(n)
+
+
+def _tower_steps(streams, one: LaurentSeries, n0: int):
+    """Q(n0), Q(n0 + 1), ... of a `PochTower` whose factors are `streams`,
+    (binomials, argument, base, k, l) each, the binomials enumerated from
+    j = 0: Q(n) is `one` times each factor's binomials j < k n + l. A
+    vanishing inverted binomial raises DegenerateDenominator, and a
+    vanishing upper one marks its factor. It holds no reference to its
+    tower."""
+    vanished = set()                # factors that made Q zero
+    cur = one
+    takes = [k * n0 + l for _, _, _, k, l in streams]   # Q(n0)'s binomials
+    ks = [k for _, _, _, k, _ in streams]               # each step's
+    while True:
+        step = []
+        for f, (stream, a, base, _, _) in enumerate(streams):
+            for j, x in islice(stream, takes[f]):
+                p, r, e, invert = x
+                if e == 0 and p == -r:
+                    if invert:
+                        raise DegenerateDenominator(
+                            f"factor (1 - {a}*{base}^{j}) vanishes")
+                    vanished.add(f)
+                step.append(x)
+        cur = _times(cur, step)
+        yield cur if len(vanished) < 2 else LaurentSeries.zero(
+            cur.order + (len(vanished) - 1) * (one.order + 1))
+        takes = ks
 
 
 def vwp_factor(k: Value, n: int, order: Optional[int] = None,

@@ -349,7 +349,7 @@ SeriesLike = Union["LaurentSeries", QMonomial, Rational, int]
 
 
 class Mismatch(NamedTuple):
-    """First differing coefficient found by `series_compare`."""
+    """First differing coefficient found by `LaurentSeries.compare`."""
 
     exponent: int
     lhs: Rational
@@ -908,32 +908,3 @@ class LaurentSeries:
             return body
         return f"{body} + O(q^{self.order + 1})"
 
-
-# -- module-level operation names -------------------------------------------
-
-def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Exact sum; the result order is min(order_a, order_b)."""
-    return a + b
-
-
-def series_mul(a: LaurentSeries, b: LaurentSeries,
-               cap: Optional[int] = None) -> LaurentSeries:
-    """Exact Cauchy product with sound order bookkeeping."""
-    return a.mul(b, cap=cap)
-
-
-def series_invert(a: LaurentSeries, order: Optional[int] = None) -> LaurentSeries:
-    """Inverse series; `series_mul(a, series_invert(a))` is 1 to the
-    guaranteed order."""
-    return a.invert(order)
-
-
-def series_compare(a: LaurentSeries, b: LaurentSeries,
-                   up_to: int) -> Optional[Mismatch]:
-    """Coefficientwise comparison; None means equal through q^up_to."""
-    return a.compare(b, up_to)
-
-
-def rescale_exponents(a: LaurentSeries, d: int) -> LaurentSeries:
-    """Realize fractional powers by working in t with q = t^d."""
-    return a.rescale(d)

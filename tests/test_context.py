@@ -3,7 +3,10 @@ left fold of its parts, truncated at the goal, in coefficients and order.
 Also the stepped quotient against its references, and the one algebra
 that both contexts expose."""
 
+import gc
 import re
+import traceback
+import weakref
 from fractions import Fraction as F
 from functools import reduce
 
@@ -573,13 +576,57 @@ def test_negative_length_raises_in_any_lookup_order(make):
         ctx.poch(ctx.neg(q), q, -1)
 
 
-class _RunAhead(qfunc.PochTower):
-    """A mutant: every factor starts one step ahead, at a*base."""
+@pytest.mark.parametrize("make", [lambda: ExactCtx(10),
+                                  lambda: NumericCtx(F(1, 3))],
+                         ids=["exact", "numeric"])
+def test_a_pole_replays_in_any_lookup_order(make):
+    # 1 - 4 (1/2)^2 = 0: the lower (4; 1/2)_n vanishes from n = 3 on. Every
+    # lookup past it raises the same error, a fresh one each time whose
+    # traceback does not grow, and the values before it stay
+    ctx = make()
+    quot = ctx.quotient([(F(1, 3), F(-1, 2))], [(F(4), F(1, 2))])
+    before = [ctx.finalize(quot(n)) for n in (2, 0, 1)]
+    raised = []
+    for n in (5, 3, 9, 4, 3, 7):
+        with pytest.raises(DegenerateDenominator) as info:
+            quot(n)
+        raised.append(info.value)
+    assert len({(type(ex), ex.args) for ex in raised}) == 1
+    assert len({id(ex) for ex in raised}) == len(raised)
+    depths = [len(traceback.extract_tb(ex.__traceback__)) for ex in raised]
+    assert len(set(depths[1:])) == 1 and depths[1] <= depths[0]
+    assert [ctx.finalize(quot(n)) for n in (2, 0, 1)] == before
 
-    def _start(self, factors, order):
-        super()._start(factors, order)
-        for run in self._runs:
-            run[0] = next(run[1])
+
+def test_exact_context_is_freed_without_the_cycle_collector():
+    """The towers hold no reference to their context, nor their steps to
+    their tower, and a tower that met a pole keeps no traceback: a build's
+    ExactCtx dies with its last reference, not at the next collection."""
+    def used():
+        ctx = ExactCtx(10)
+        q = ctx.qpow(1)
+        ctx.finalize(ctx.quotient([(F(1, 3), q)], [(q, q)], F(1, 2))(5))
+        with pytest.raises(DegenerateDenominator):
+            ctx.inv_poch(F(4), F(1, 2), 3)
+        tower = next(iter(ctx._towers.values()))
+        return weakref.ref(ctx), weakref.ref(tower)
+
+    gc.disable()
+    try:
+        assert [ref() for ref in used()] == [None, None]
+    finally:
+        gc.enable()
+
+
+BINOMIALS = qfunc._binomials
+
+
+def _run_ahead(a, base, invert=False):
+    """A mutant of the towers' input: every `_binomials` stream starts one
+    binomial ahead, at a*base."""
+    stream = BINOMIALS(a, base, invert)
+    next(stream)
+    return stream
 
 
 def test_quotient_check_catches_a_factor_one_step_ahead(monkeypatch):
@@ -590,7 +637,7 @@ def test_quotient_check_catches_a_factor_one_step_ahead(monkeypatch):
              ([], [(QMonomial.of(3, 1), QMonomial.of(F(1, 3), 1))], None,
               [1])]
     assert all(quotient_faults(*d) == [] for d in draws)
-    monkeypatch.setattr(context, "PochTower", _RunAhead)
+    monkeypatch.setattr(qfunc, "_binomials", _run_ahead)
     assert all(quotient_faults(*d) != [] for d in draws)
 
 

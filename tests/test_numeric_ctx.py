@@ -16,7 +16,7 @@ from qident import context
 from qident.bailey import Factor, Summand, wp_transform
 from qident.context import ExactCtx, NumericCtx
 from qident.errors import DegenerateDenominator
-from qident.qfunc import NUMERIC_PRECISION
+from qident.qfunc import NUMERIC_PRECISION, Stepped
 from qident.registry import (catalog, document_json, sample_params,
                              strip_timing, suite_document, verify_one,
                              verify_suite, with_injected_fault)
@@ -24,6 +24,10 @@ from qident.series import DEFAULT_ORDER, QMonomial
 
 #: the agreement the kernel promises, relative (see `scale`)
 DELTA = F(1, 10 ** (NUMERIC_PRECISION - 5))
+
+#: the quotient engine as built: the reference runs and the mutants below
+#: call it, whatever `context._quotient_steps` is patched to
+STEPS = context._quotient_steps
 
 RAT = st.builds(F, st.integers(-20, 20), st.integers(1, 20))
 BASE = st.builds(F, st.integers(-19, 19), st.integers(20, 20)) | \
@@ -101,16 +105,16 @@ def test_poch_does_not_depend_on_call_order(a, base, calls):
 
 @contextmanager
 def counted_runs():
-    """The list of every `_QuotientRun` built inside the block."""
+    """The arguments of every quotient run (`context._quotient_steps`)
+    built inside the block."""
     made = []
 
-    class Counted(context._QuotientRun):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
+    def counted(*args):
+        made.append(args)
+        return STEPS(*args)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(context, "_QuotientRun", Counted)
+        m.setattr(context, "_quotient_steps", counted)
         yield made
 
 
@@ -134,14 +138,13 @@ def test_poch_and_inv_poch_are_memoized_quotient_lookups():
         assert len(made) == 4
 
 
-class _RunAhead(context._QuotientRun):
-    """A mutant: every running power starts one step ahead, at u*p."""
+def _run_ahead(ups, downs, s, n0, dc):
+    """A mutant of the runs' input: every (argument, base) pair starts one
+    step ahead, at u*p, so every running power does."""
+    def ahead(pairs):
+        return [(dc.multiply(u, p), p) for u, p in pairs]
 
-    def __init__(self, ups, downs, s, dc):
-        super().__init__(ups, downs, s, dc)
-        self.up_runs = list(map(dc.multiply, self.up_runs, self.up_bases))
-        self.down_runs = list(map(dc.multiply, self.down_runs,
-                                  self.down_bases))
+    return STEPS(ahead(ups), ahead(downs), s, n0, dc)
 
 
 def test_property_check_catches_off_by_one_running_power(monkeypatch):
@@ -150,7 +153,7 @@ def test_property_check_catches_off_by_one_running_power(monkeypatch):
              (F(2), F(1, 3), 1)]
     for a, base, n in draws:
         assert max(poch_gaps(NumericCtx(F(1, 7)), a, base, n)) <= DELTA
-    monkeypatch.setattr(context, "_QuotientRun", _RunAhead)
+    monkeypatch.setattr(context, "_quotient_steps", _run_ahead)
     for a, base, n in draws:
         assert max(poch_gaps(NumericCtx(F(1, 7)), a, base, n)) > DELTA
 
@@ -188,30 +191,48 @@ def quotient_gap(value, ups, downs, s, n):
     return abs(F(value) - sn * up / down) / (abs(sn) * sc / down ** 2 or 1)
 
 
-def inv_poch_raises(ctx, downs, n):
-    try:
-        for d, base in downs:
-            ctx.inv_poch(d, base, n)
-    except DegenerateDenominator:
-        return True
-    return False
+def terminating(x):
+    """x is a decimal fraction (its denominator divides a power of 10).
+    For the draws here (numerators and denominators at most 20, n at
+    most 20) a run then holds every power of it exactly, in far fewer
+    than 74 digits."""
+    d = x.denominator
+    for f in (2, 5):
+        while d % f == 0:
+            d //= f
+    return d == 1
+
+
+def quotient_faults(ups, downs, s, lookups):
+    """The lookups n at which NumericCtx.quotient disagrees with the
+    Fraction quotient: off by more than DELTA of its scale where the
+    exact lower product is nonzero, or raising there; or not raising at a
+    pole that the run must meet exactly, a vanishing lower factor whose
+    argument and base are decimal fractions. Elsewhere at a pole the
+    rounded running power may miss the zero, and there is no value to
+    compare."""
+    quot = NumericCtx(F(1, 7)).quotient(ups, downs, s)
+    faults = []
+    for n in lookups:
+        vanishing = [(d, p) for d, p in downs if not fraction_poch(d, p, n)]
+        try:
+            g = quotient_gap(quot(n), ups, downs, s, n)
+        except DegenerateDenominator:
+            if not vanishing:
+                faults.append((n, "pole"))
+            continue
+        if any(terminating(d) and terminating(p) for d, p in vanishing):
+            faults.append((n, "missed pole"))
+        elif g is not None and g > DELTA:
+            faults.append((n, "value", float(g)))
+    return faults
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(PAIR, max_size=3), st.lists(PAIR, max_size=3), S,
        st.sampled_from(sorted(ACCESS)), st.integers(0, 20))
 def test_quotient_matches_fraction_quotient(ups, downs, s, order, top):
-    ctx = NumericCtx(F(1, 7))
-    quot = ctx.quotient(ups, downs, s)
-    for n in ACCESS[order](top):
-        if inv_poch_raises(NumericCtx(F(1, 7)), downs, n):
-            with pytest.raises(DegenerateDenominator):
-                quot(n)
-            continue
-        g = quotient_gap(quot(n), ups, downs, s, n)
-        # None: a pole that the rounded running power misses, as it does
-        # for inv_poch; there is no value to compare
-        assert g is None or g <= DELTA
+    assert quotient_faults(ups, downs, s, ACCESS[order](top)) == []
 
 
 def outcome(quot, n):
@@ -247,13 +268,17 @@ def test_equal_quotients_share_one_run(ups, downs, s, calls):
 
 def test_context_is_freed_without_the_cycle_collector():
     """The memoized runs hold no reference to their context, so a build's
-    NumericCtx dies with its last reference, not at the next collection."""
+    NumericCtx dies with its last reference, not at the next collection.
+    A run that met a pole keeps no traceback either: one would hold the
+    frame that caught it, and so the context."""
     def used():
         ctx = NumericCtx(F(1, 7))
         qq = ctx.qpow(1)
         ctx.quotient([(F(1, 3), qq)], [(qq, qq)], F(1, 2))(5)
         ctx.poch(F(1, 3), qq, 4)
         ctx.inv_poch(qq, qq, 4)
+        with pytest.raises(DegenerateDenominator):
+            ctx.inv_poch(F(4), F(1, 2), 3)
         ctx.summation(Summand(ctx, F(1, 2), ups=[(F(1, 3), qq)],
                               downs=[(qq, qq)]))
         return weakref.ref(ctx)
@@ -265,21 +290,34 @@ def test_context_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_quotient_pole_raises_where_inv_poch_does():
-    # 1 - 4 (1/2)^2 = 0: (4; 1/2)_n vanishes from n = 3 on, the upper
-    # (2; 1/2)_n from n = 2 on
-    ups, downs = [(F(2), F(1, 2))], [(F(1, 3), F(-1, 2)), (F(4), F(1, 2))]
-    values = {0: 1, 1: F(-3, 2), 2: 0}
-    ctx = NumericCtx(F(1, 7))
-    quot = ctx.quotient(ups, downs, F(-3))
-    for n in (5, 1, 3, 0, 2, 4, 3):
-        if n in values:
-            assert not inv_poch_raises(ctx, downs, n)
-            assert quot(n) == values[n]
-        else:
-            assert inv_poch_raises(ctx, downs, n)
-            with pytest.raises(DegenerateDenominator):
-                quot(n)
+#: 1 - 4 (1/2)^2 = 0: the lower (4; 1/2)_n vanishes from n = 3 on, the
+#: upper (2; 1/2)_n from n = 2 on; halves are exact decimals, so the run
+#: meets both zeros exactly
+POLE = ([(F(2), F(1, 2))], [(F(1, 3), F(-1, 2)), (F(4), F(1, 2))], F(-3))
+
+
+def test_quotient_pole_raises_where_the_fraction_denominator_vanishes():
+    lookups = (5, 1, 3, 0, 2, 4, 3)
+    assert quotient_faults(*POLE, lookups) == []
+    quot = NumericCtx(F(1, 7)).quotient(*POLE)
+    assert [quot(n) for n in lookups if n < 3] == [F(-3, 2), 1, 0]
+
+
+def _late_pole(*args):
+    """A mutant: a run raises at its pole one step late, repeating the
+    value before it there."""
+    last = None
+    try:
+        for last in STEPS(*args):
+            yield last
+    except DegenerateDenominator:
+        yield last
+        raise
+
+
+def test_pole_check_catches_a_late_pole(monkeypatch):
+    monkeypatch.setattr(context, "_quotient_steps", _late_pole)
+    assert quotient_faults(*POLE, range(5)) == [(3, "missed pole")]
 
 
 def test_property_check_catches_off_by_one_quotient_run(monkeypatch):
@@ -293,14 +331,12 @@ def test_property_check_catches_off_by_one_quotient_run(monkeypatch):
                 for ups, downs, s, n in draws]
 
     assert max(gaps()) <= DELTA
-    monkeypatch.setattr(context, "_QuotientRun", _RunAhead)
+    monkeypatch.setattr(context, "_quotient_steps", _run_ahead)
     assert min(gaps()) > DELTA
 
 
 # ---------------------------------------- every length k n + l at once
 
-#: the one-factor run, whatever `context._QuotientRun` is patched to
-ONE_LENGTH = context._QuotientRun
 ENTRY = st.tuples(RAT, BASE | st.sampled_from([F(1, 7), F(1, 49)]),
                   st.integers(1, 3), st.integers(-2, 3))
 #: (q^-m; q) at q = 1/7 to vanish
@@ -325,7 +361,8 @@ def one_length_runs(ctx, ups, downs, s, n):
     for entries, upper in ((ups, True), (downs, False)):
         for u, p, k, l in entries:
             m = k * n + l
-            run = ONE_LENGTH([(ctx.num(u), ctx.num(p))], (), None, ctx.dc)
+            run = Stepped(0, STEPS([(ctx.num(u), ctx.num(p))], (), None, 0,
+                                   ctx.dc))
             v = F(run.at(m))
             value = value * v if upper else value / v
             sc *= scale(u, p, m)
@@ -364,12 +401,11 @@ def test_mixed_lengths_match_one_length_runs(ups, downs, s, access, top):
     assert mixed_faults(ups, downs, s, ACCESS[access](top)) == []
 
 
-class _ShortStep(context._QuotientRun):
-    """A mutant: the last upper factor pulls k - 1 factors a step."""
-
-    def __init__(self, ups, downs, s, dc):
-        super().__init__(ups, downs, s, dc)
-        del self.up_runs[-1], self.up_bases[-1]
+def _short_step(ups, downs, s, n0, dc):
+    """A mutant of the runs' input: the last upper factor, (u, p, k, l),
+    pulls k - 1 factors a step, as (u, p, k - 1, l) from the same n0."""
+    *rest, (u, p, k, l) = ups
+    return STEPS([*rest, (u, p, k - 1, l)], downs, s, n0, dc)
 
 
 def test_mixed_lengths_check_catches_a_short_step(monkeypatch):
@@ -380,7 +416,7 @@ def test_mixed_lengths_check_catches_a_short_step(monkeypatch):
              ([(F(1, 9), F(1, 2), 1, 1)], [(F(2), F(1, 3), 2, 1)], F(3),
               [4])]
     assert all(mixed_faults(*d) == [] for d in draws)
-    monkeypatch.setattr(context, "_QuotientRun", _ShortStep)
+    monkeypatch.setattr(context, "_quotient_steps", _short_step)
     assert all(mixed_faults(*d) != [] for d in draws)
 
 

@@ -3,10 +3,12 @@
 import random
 from decimal import Decimal
 from fractions import Fraction as F
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qident import qfunc
 from qident.bailey import Summand, constant, phi_rs, phi_term
 from qident.context import ExactCtx, NumericCtx
 from qident.errors import (
@@ -24,8 +26,10 @@ from qident.qfunc import (
     Envelope,
     NumericTermGenerator,
     PochTower,
+    Stepped,
     TermGenerator,
     ValuationLaw,
+    length_start,
     poch_finite,
     poch_infinite,
     poch_law,
@@ -795,11 +799,24 @@ def test_tower_of_mixed_lengths_matches_references(factors, order, n, m):
 
 
 def short_step(factors, order):
-    """A mutant: the last factor with k >= 1 pulls k - 1 binomials a
-    step."""
-    tower = PochTower.of(factors, order)
-    del tower._runs[-1]
-    return tower
+    """A mutant: the last factor, of k >= 1, pulls k - 1 binomials a step.
+    Its `_binomials` stream gives the identity binomial (0, 1, 1, False)
+    in place of the last of each step's k."""
+    a, base, invert, k, l = factors[-1]
+    m0 = k * length_start([f[3:] for f in factors]) + l
+    binomials = qfunc._binomials
+
+    def short(*args):
+        stream = binomials(*args)
+        if args != (a, base, invert):
+            return stream
+        return chain(islice(stream, m0),
+                     ((0, 1, 1, False) if i % k == k - 1 else x
+                      for i, x in enumerate(stream)))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(qfunc, "_binomials", short)
+        return PochTower.of(factors, order)
 
 
 def test_mixed_lengths_check_catches_a_short_step():
@@ -810,6 +827,22 @@ def test_mixed_lengths_check_catches_a_short_step():
              ([(mono(2, 1), Q, True, 3, 2)], 6, [1, 2])]
     assert all(fused_faults(*d) == [] for d in draws)
     assert all(fused_faults(*d, tower=short_step) != [] for d in draws)
+
+
+def test_stepped_replays_its_error_with_its_attributes():
+    def steps():
+        yield "a"
+        yield "b"
+        raise OrderInsufficient("short by 3", 3)
+
+    run = Stepped(2, steps())
+    with pytest.raises(ValueError, match=r"\(n = 1 is below 2\)"):
+        run.at(1)
+    for n in (6, 4, 5, 4):
+        with pytest.raises(OrderInsufficient, match="^short by 3$") as info:
+            run.at(n)
+        assert info.value.short == 3
+    assert [run.at(n) for n in (3, 2)] == ["b", "a"]
 
 
 def test_tower_below_its_first_length():

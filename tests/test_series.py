@@ -15,11 +15,6 @@ from qident.series import (
     LaurentSeries as LS,
     Mismatch,
     QMonomial,
-    rescale_exponents,
-    series_add,
-    series_compare,
-    series_invert,
-    series_mul,
 )
 
 
@@ -30,17 +25,17 @@ def poly(d, order=None):
 # ---------------------------------------------------------------- addition
 
 def test_add_cancellation():
-    assert series_add(poly({0: 1, 1: -1}), poly({1: 1})) == LS.one()
+    assert poly({0: 1, 1: -1}) + poly({1: 1}) == LS.one()
 
 
 def test_add_identity():
     s = poly({-2: F(1, 3), 0: 5, 4: -2}, order=9)
-    assert series_add(LS.zero(9), s) == s
-    assert series_add(s, LS.zero()) == s
+    assert LS.zero(9) + s == s
+    assert s + LS.zero() == s
 
 
 def test_add_laurent_window_merge():
-    s = series_add(poly({-1: 1}), poly({0: 1}))
+    s = poly({-1: 1}) + poly({0: 1})
     assert s.min_deg == -1
     assert list(s.terms()) == [(-1, F(1)), (0, F(1))]
 
@@ -48,25 +43,25 @@ def test_add_laurent_window_merge():
 def test_add_order_is_min():
     a = poly({0: 1}, order=10)
     b = poly({0: 1}, order=6)
-    assert series_add(a, b).order == 6
+    assert (a + b).order == 6
 
 
 # ------------------------------------------------------------ multiplication
 
 def test_mul_difference_of_squares():
-    assert series_mul(poly({0: 1, 1: -1}), poly({0: 1, 1: 1})) == poly({0: 1, 2: -1})
+    assert poly({0: 1, 1: -1}).mul(poly({0: 1, 1: 1})) == poly({0: 1, 2: -1})
 
 
 def test_mul_identity():
     s = poly({-3: 2, 0: F(7, 2)}, order=12)
-    assert series_mul(s, LS.one()) == s
+    assert s.mul(LS.one()) == s
 
 
 def test_mul_geometric_prefix():
     # (1-q) * (1 + q + ... + q^N) == 1 mod q^{N+1}; oracle: direct windowed sum
     N = 17
     geo = poly({e: 1 for e in range(N + 1)}, order=N)
-    prod = series_mul(poly({0: 1, 1: -1}), geo)
+    prod = poly({0: 1, 1: -1}).mul(geo)
     assert prod.order == N
     assert list(prod.terms()) == [(0, F(1))]
 
@@ -74,72 +69,72 @@ def test_mul_geometric_prefix():
 def test_mul_order_bookkeeping():
     a = poly({2: 1}, order=10)        # q^2 known to 10
     b = poly({3: 1}, order=20)        # q^3 known to 20
-    assert series_mul(a, b).order == 13   # min(10+3, 20+2)
+    assert a.mul(b).order == 13   # min(10+3, 20+2)
 
 
 # ----------------------------------------------------------------- inversion
 
 def test_invert_one():
-    assert series_invert(LS.one(15), 15) == LS.one(15)
+    assert LS.one(15).invert(15) == LS.one(15)
 
 
 def test_invert_geometric():
-    inv = series_invert(poly({0: 1, 1: -1}), 30)
+    inv = poly({0: 1, 1: -1}).invert(30)
     assert inv == poly({e: 1 for e in range(31)}, order=30)
-    assert series_mul(poly({0: 1, 1: -1}), inv).compare(LS.one(30), 30) is None
+    assert poly({0: 1, 1: -1}).mul(inv).compare(LS.one(30), 30) is None
 
 
 def test_invert_shifted():
     a = poly({1: 1, 2: -1}, order=21)     # q(1-q)
-    inv = series_invert(a)
+    inv = a.invert()
     assert inv.min_deg == -1
-    prod = series_mul(a, inv)
+    prod = a.mul(inv)
     assert prod.compare(LS.one(prod.order), prod.order) is None
 
 
 def test_invert_zero_leading():
     with pytest.raises(ZeroLeadingCoefficient):
-        series_invert(LS.zero(10), 10)
+        LS.zero(10).invert(10)
 
 
 # ---------------------------------------------------------------- comparison
 
 def test_compare_equal():
     a = poly({0: 1, 1: -1}, order=10)
-    assert series_compare(a, poly({0: 1, 1: -1}, order=10), 10) is None
+    assert a.compare(poly({0: 1, 1: -1}, order=10), 10) is None
 
 
 def test_compare_first_mismatch():
-    r = series_compare(LS.one(10), poly({0: 1, 7: 1}, order=10), 10)
+    r = LS.one(10).compare(poly({0: 1, 7: 1}, order=10), 10)
     assert r == Mismatch(7, F(0), F(1))
 
 
 def test_compare_mismatch_beyond_window():
-    assert series_compare(LS.one(5), poly({0: 1, 7: 1}, order=7).truncate(5), 5) is None
+    assert LS.one(5).compare(poly({0: 1, 7: 1}, order=7).truncate(5), 5) is None
 
 
 def test_compare_order_insufficient():
     with pytest.raises(OrderInsufficient):
-        series_compare(LS.one(5), LS.one(10), 8)
+        LS.one(5).compare(LS.one(10), 8)
 
 
 # ------------------------------------------------------------------ rescaling
 
 def test_rescale_basic():
-    assert rescale_exponents(poly({0: 1, 1: -1}), 2) == poly({0: 1, 2: -1})
+    assert poly({0: 1, 1: -1}).rescale(2) == poly({0: 1, 2: -1})
 
 
 def test_rescale_identity():
     s = poly({0: 1, 3: 4}, order=9)
-    assert rescale_exponents(s, 1) == s
+    assert s.rescale(1) == s
 
 
 def test_rescale_laurent():
-    assert rescale_exponents(poly({-1: 1, 1: 1}), 3) == poly({-3: 1, 3: 1})
+    assert poly({-1: 1, 1: 1}).rescale(3) == poly({-3: 1, 3: 1})
 
 
 def test_rescale_order_multiplied():
-    assert rescale_exponents(poly({0: 1}, order=7), 3).order == 21
+    assert poly({0: 1}, order=7).rescale(3).order == 21
 
 
 # ---------------------------------------------------------------- invariants
@@ -152,7 +147,7 @@ def rand_series(rng, order, allow_zero=True):
     coeffs = [rng.choice(COEFS) for _ in range(order - lo + 1)]
     s = LS._make(lo, coeffs, order)
     if not allow_zero and s.is_zero:
-        return series_add(s, LS.one(order))
+        return s + LS.one(order)
     return s
 
 
@@ -167,12 +162,11 @@ def test_ring_laws_randomized():
     for _ in range(40):
         N = rng.randint(6, 14)
         a, b, c = (rand_series(rng, N) for _ in range(3))
-        assert_agree(series_add(a, b), series_add(b, a))
-        assert_agree(series_mul(a, b), series_mul(b, a))
-        assert_agree(series_add(series_add(a, b), c), series_add(a, series_add(b, c)))
-        assert_agree(series_mul(series_mul(a, b), c), series_mul(a, series_mul(b, c)))
-        assert_agree(series_mul(a, series_add(b, c)),
-                     series_add(series_mul(a, b), series_mul(a, c)))
+        assert_agree(a + b, b + a)
+        assert_agree(a.mul(b), b.mul(a))
+        assert_agree((a + b) + c, a + (b + c))
+        assert_agree(a.mul(b).mul(c), a.mul(b.mul(c)))
+        assert_agree(a.mul(b + c), a.mul(b) + a.mul(c))
 
 
 def test_invert_roundtrip_randomized():
@@ -180,7 +174,7 @@ def test_invert_roundtrip_randomized():
     for _ in range(50):
         N = rng.randint(5, 12)
         a = rand_series(rng, N, allow_zero=False)
-        prod = series_mul(a, series_invert(a))
+        prod = a.mul(a.invert())
         assert_agree(prod, LS.one(prod.order))
 
 
@@ -191,8 +185,8 @@ def test_truncation_soundness_randomized():
         N = rng.randint(8, 14)
         M = rng.randint(3, N - 1)
         a, b = rand_series(rng, N), rand_series(rng, N)
-        hi = series_mul(a, b)
-        lo = series_mul(a.truncate(M), b.truncate(M))
+        hi = a.mul(b)
+        lo = a.truncate(M).mul(b.truncate(M))
         assert_agree(hi.truncate(lo.order if lo.order < M else M),
                      lo.truncate(lo.order if lo.order < M else M))
 
@@ -211,8 +205,8 @@ def test_truncated_ops_match_exact_expansion():
         na, nb = rng.randint(2, 8), rng.randint(2, 8)
         ta = exact_a.truncate(na) if not exact_a.is_zero else LS.zero(na)
         tb = exact_b.truncate(nb) if not exact_b.is_zero else LS.zero(nb)
-        true = series_mul(exact_a, exact_b)          # full expansion
-        got = series_mul(ta, tb)
+        true = exact_a.mul(exact_b)                  # full expansion
+        got = ta.mul(tb)
         if got.order is not None:
             for e in range(got.min_deg, got.order + 1):
                 assert got.coeff(e) == true.coeff(e), (pa, pb, e)
@@ -220,7 +214,7 @@ def test_truncated_ops_match_exact_expansion():
         c, k = rng.choice(COEFS[1:]), rng.randint(-2, 3)
         binom = LS.from_pairs([(0, F(1)), (k, c)])   # accumulates at k == 0
         via_fast = ta.mul_binomial(c, k)
-        via_mul = series_mul(ta, binom)
+        via_mul = ta.mul(binom)
         common = min(via_fast.eff_order(), via_mul.eff_order())
         assert common >= min(na, na + k)             # no precision lost
         assert via_fast.compare(via_mul, int(common)) is None
