@@ -62,6 +62,7 @@ from .qfunc import (
     BOUND_DOWN,
     BOUND_PRECISION,
     BOUND_UP,
+    NO_BOUND,
     Envelope,
     ValuationLaw,
     Value,
@@ -76,7 +77,6 @@ _ZERO, _ONE = Decimal(0), Decimal(1)
 #: the relative slack on a summand's envelope: it covers the rounding of
 #: the computed values its M starts from, and of `BOUND_UP.power`
 _SLACK = _ONE + Decimal(10) ** (4 - BOUND_PRECISION)
-_NO_BOUND = Envelope(lambda n: None, None)
 
 class AlphaSequence(NamedTuple):
     """A sequence alpha_n declared once for every context: `at(ctx, n)`
@@ -176,8 +176,8 @@ class Factor(NamedTuple):
     known (an exact sum over it then raises UndeclaredFloor). The `bound`
     is the numeric counterpart: a `qfunc.Envelope` of f_n, or a `Summand`
     whose envelope bounds |f_n|, or None, the default, when no bound is
-    assumed (a numeric sum over it then raises TailNotDecreasing, unless
-    a support ends it)."""
+    assumed (a numeric sum over it then raises UndeclaredBound, unless a
+    support ends it)."""
 
     at: Callable[[int], object]
     floor: Union[int, "Summand", None] = None
@@ -197,7 +197,7 @@ class Factor(NamedTuple):
     def envelope(self) -> Envelope:
         """(NumericCtx only) the declared bound, zero past the support."""
         b, top = self.bound, self.support
-        env = b.envelope() if isinstance(b, Summand) else b or _NO_BOUND
+        env = b.envelope() if isinstance(b, Summand) else b or NO_BOUND
         if top is None:
             return env
         return env._replace(
@@ -349,6 +349,10 @@ class Summand(_SummandFields):
     over the indices j that the step from m to m + 1 adds (bases |b| <=
     1), times each head's growth and each f_n's g. It is finite only
     where the power falls or stays as m grows (no A < 0 for |p| < 1).
+    An f_n that declares neither a bound nor a support leaves a term
+    with no support of its own, nor from another f_n, without any
+    envelope: `qfunc.NO_BOUND`, on which `NumericCtx.summation` raises
+    UndeclaredBound.
     """
 
     def __new__(cls, *args, **kw):
@@ -441,18 +445,19 @@ class Summand(_SummandFields):
             head = (mag(w), mag(r), inverse)
             parts.append(partial(_head_bound, *head))
             least.append(_head_least(*head))
-        for f in self.factors:
-            env = f.envelope()
-            parts.append(env.at)
-            least.append(env.least)
-            tops.append(env.support)
+        envs = [f.envelope() for f in self.factors]
+        tops = [t for t in tops + [env.support for env in envs]
+                if t is not None]
+        if not tops and any(env is NO_BOUND for env in envs):
+            return NO_BOUND
+        parts += [env.at for env in envs]
+        least += [env.least for env in envs]
 
         def at(n: int):
             m = (main(n, self._power(n, power)) if power else
                  main(n)).copy_abs()
             return _product([(m, _ONE)] + [part(n) for part in parts])
 
-        tops = [t for t in tops if t is not None]
         return Envelope(at, None if None in least else
                         reduce(BOUND_DOWN.multiply, least, _ONE),
                         min(tops) if tops else None)

@@ -146,17 +146,21 @@ def _report_lines(reports):
     return lines
 
 
-def _run_reports(reports, args, meta):
-    ok = all(r.status == "equal" for r in reports)
+def _run_suite(args, pattern: str) -> int:
+    """Verify the records matching `pattern` (`verify --id` passes the
+    id), emit the reports, and exit 0 only if every one is equal."""
+    meta = dict(order=args.order, seed=args.seed, samples=args.samples,
+                strategy=args.strategy)
+    reports = verify_suite(pattern, **meta)
     if args.format == "json":
-        doc = suite_document(reports, **meta)
+        doc = suite_document(reports, filter_pattern=pattern, **meta)
         _emit(document_json(doc), args.out)
     else:
         lines = _report_lines(reports)
-        n_eq = sum(r.status == "equal" for r in reports)
+        n_eq = sum(r.ok for r in reports)
         lines.append(f"-- {n_eq}/{len(reports)} equal")
         _emit("\n".join(lines), args.out)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return EXIT_OK if all(r.ok for r in reports) else EXIT_MISMATCH
 
 
 def main(argv=None) -> int:
@@ -179,31 +183,16 @@ def main(argv=None) -> int:
                 print(f"{rec.id:18s} {rec.anchor}{note}")
             return EXIT_OK
 
-        if args.command == "verify":
-            rec = lookup(args.id)
-            if rec is None:
-                print(f"error: unknown identity id {args.id!r}",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            reports = verify_suite(rec.id, order=args.order, seed=args.seed,
-                                   samples=args.samples,
-                                   strategy=args.strategy)
-            return _run_reports(reports, args, dict(
-                order=args.order, seed=args.seed, filter_pattern=rec.id,
-                samples=args.samples, strategy=args.strategy))
-
-        if args.command == "suite":
-            if not select(args.filter):
-                print(f"error: no identity matches {args.filter!r}",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            reports = verify_suite(args.filter, order=args.order,
-                                   seed=args.seed, samples=args.samples,
-                                   strategy=args.strategy)
-            return _run_reports(reports, args, dict(
-                order=args.order, seed=args.seed,
-                filter_pattern=args.filter, samples=args.samples,
-                strategy=args.strategy))
+        if args.command == "verify" and lookup(args.id) is None:
+            print(f"error: unknown identity id {args.id!r}", file=sys.stderr)
+            return EXIT_USAGE
+        if args.command == "suite" and not select(args.filter):
+            print(f"error: no identity matches {args.filter!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        if args.command in ("verify", "suite"):
+            return _run_suite(args, args.id if args.command == "verify"
+                              else args.filter)
 
         if args.command == "pte-check":
             ok, first_bad = check_pte(args.a, args.b, args.k)

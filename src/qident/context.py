@@ -137,8 +137,10 @@ from .errors import (
     DegenerateVWP,
     NonTruncatable,
     OrderInsufficient,
+    UndeclaredBound,
 )
 from .qfunc import (
+    NO_BOUND,
     NUMERIC_PRECISION,
     NUMERIC_TOL,
     Envelope,
@@ -731,10 +733,14 @@ class NumericCtx:
         sum stops where the bound on all later terms, times |`times`|
         when that exceeds 1, is within tol/100, or at the declared
         support, and an envelope that never falls below 1 raises
-        TailNotDecreasing before the first term. A builder passes every
+        TailNotDecreasing before the first term, or UndeclaredBound where
+        an opaque factor declares neither a bound nor a support and no
+        other part of the term declares a support. A builder passes every
         factor that multiplies the sum as `times`, so that the product,
         not only the sum, is within tol/100 of its value."""
         env = _declared(term).envelope()
+        if env is NO_BOUND:
+            raise UndeclaredBound("opaque factor without a magnitude bound")
         if start:
             at, top = env.at, env.support
             env = Envelope(lambda n: at(n + start), env.least,

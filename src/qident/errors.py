@@ -1,13 +1,18 @@
 """Exception hierarchy.
 
-Every failure mode that signals a *degenerate or inadmissible input* (as
-opposed to a programming error) gets its own class so callers can react
-precisely: the verification driver converts most of these into "skipped"
-reports instead of crashing the run.
+Every failure mode gets its own class so callers can react precisely, and
+each class carries the report status it becomes in the verification
+driver (`registry.verify_one`): "skipped" for a degenerate or
+inadmissible specialization, where `auto` tries a numeric sample, and
+"error" for a defect, whatever the draw (a wrong or missing declaration,
+an exact build short of its order), which never falls back. A class
+inherits "error" from `QIdentError` unless it says otherwise.
 """
 
 class QIdentError(Exception):
     """Base class for all package-specific errors."""
+
+    status = "error"
 
 
 class ZeroLeadingCoefficient(QIdentError):
@@ -16,6 +21,8 @@ class ZeroLeadingCoefficient(QIdentError):
     Typically signals a degenerate parameter specialization (e.g. x = 1
     making the factor 1 - x collapse to zero).
     """
+
+    status = "skipped"
 
 
 class OrderInsufficient(QIdentError):
@@ -34,9 +41,13 @@ class NonTruncatable(QIdentError):
     non-positive valuation; only finitely supported tails can be cut off.
     """
 
+    status = "skipped"
+
 
 class ValuationStall(QIdentError):
     """Summand valuations stopped growing; the exact sum cannot terminate."""
+
+    status = "skipped"
 
 
 class BoundViolation(QIdentError):
@@ -52,20 +63,34 @@ class UndeclaredFloor(QIdentError):
     reported as a skip."""
 
 
+class UndeclaredBound(QIdentError):
+    """The numeric counterpart of UndeclaredFloor: an opaque factor of a
+    summand that declares no support declares no magnitude bound either,
+    so no numeric sum over it can be certified to stop."""
+
+
 class TailNotDecreasing(QIdentError):
     """The numeric tail never met the stopping rule within the term budget."""
+
+    status = "skipped"
 
 
 class LowerParameterPole(QIdentError):
     """A lower series parameter hits a pole of the term ratio."""
 
+    status = "skipped"
+
 
 class DegenerateVWP(QIdentError):
     """The very-well-poised factor (1 - k q^{2n})/(1 - k) has k = 1."""
 
+    status = "skipped"
+
 
 class DegenerateDenominator(QIdentError):
     """A denominator factor vanishes identically at this specialization."""
+
+    status = "skipped"
 
 
 class SizeMismatch(QIdentError):
@@ -74,6 +99,8 @@ class SizeMismatch(QIdentError):
 
 class DegenerateFamily(QIdentError):
     """A parametric solution family collapsed to two equal multisets."""
+
+    status = "skipped"
 
 
 class BridgeConstraintError(QIdentError):

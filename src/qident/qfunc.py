@@ -597,6 +597,12 @@ class Envelope(NamedTuple):
     support: Optional[int] = None
 
 
+#: the envelope of a sequence that declares no bound and no support, and
+#: of every product that holds one and declares no support (see
+#: `context.NumericCtx.summation`)
+NO_BOUND = Envelope(lambda n: None, None)
+
+
 def tail_after(bound: Optional[Tuple[Decimal, Decimal]]
                ) -> Optional[Decimal]:
     """The certified tail after n of an envelope's pair (M, g) at n: the
@@ -622,9 +628,10 @@ class NumericTermGenerator:
     envelope: Envelope
 
 
-def sum_numeric(gen: NumericTermGenerator, tol=NUMERIC_TOL,
+def sum_numeric(gen: NumericTermGenerator, tol: Decimal = NUMERIC_TOL,
                 context: Optional[decimal.Context] = None) -> Decimal:
-    """Sum term(0), term(1), ... to within tol/100, on a certificate.
+    """Sum term(0), term(1), ... to within tol/100 (a Decimal), on a
+    certificate.
 
     From the first term below tol/100 on, the sum stops after the first
     term n whose certified tail (`tail_after` of the envelope at n) is at
@@ -638,7 +645,6 @@ def sum_numeric(gen: NumericTermGenerator, tol=NUMERIC_TOL,
     """
     dc = decimal.Context(prec=NUMERIC_PRECISION) if context is None \
         else context
-    tol = _as_decimal(tol, dc)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     cutoff = dc.divide(tol, 100)
@@ -663,15 +669,3 @@ def sum_numeric(gen: NumericTermGenerator, tol=NUMERIC_TOL,
                 break
         n += 1
     return total
-
-
-def _as_decimal(x, dc: decimal.Context) -> Decimal:
-    if isinstance(x, Decimal):
-        return x
-    if isinstance(x, str):
-        return Decimal(x)
-    if isinstance(x, int):
-        return Decimal(x)
-    if isinstance(x, Fraction):
-        return dc.divide(x.numerator, x.denominator)
-    raise TypeError(f"cannot convert {type(x).__name__} to Decimal")

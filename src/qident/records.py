@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction as F
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, ClassVar, Dict, Optional, Tuple
 
 from .bailey import (
     AlphaSequence,
@@ -72,8 +72,9 @@ class IdentityRecord:
     build: Callable[[Ctx, Dict], Tuple[object, object]]
     sampler: Callable[[random.Random, str], Optional[Dict]]
     exponent_denominator: int = 1
-    strategies: Tuple[str, ...] = ("exact", "numeric")
     note: Optional[str] = None
+    #: every record runs under both strategies, exact first
+    strategies: ClassVar[Tuple[str, ...]] = ("exact", "numeric")
 
 
 # ---------------------------------------------------------------------------
@@ -897,11 +898,10 @@ def _s_none(rng, mode):
 # the catalog
 # ---------------------------------------------------------------------------
 
-def _rec(id, anchor, covers, schema, build, sampler, d=1,
-         strategies=("exact", "numeric"), note=None):
+def _rec(id, anchor, covers, schema, build, sampler, d=1, note=None):
     return IdentityRecord(id, anchor, tuple(covers),
                           tuple(ParamSpec(*s) for s in schema), build,
-                          sampler, d, tuple(strategies), note)
+                          sampler, d, note)
 
 
 RECORDS = [

@@ -1,15 +1,16 @@
 """Catalog access, deterministic parameter sampling, and the verification
 driver that turns identity records into reports.
 
-Reports are plain data; all failure modes of a strategy (non-truncatable
-products, stalled valuations, degenerate denominators, undecided numeric
-tails) become `skipped` entries rather than crashes, and a mismatch always
-carries the lowest differing exponent in q-units. A wrong declaration (a
-term below its summand's valuation bound, `BoundViolation`, or an opaque
-factor declared without a valuation floor, `UndeclaredFloor`) or an exact
-build that stays short of its order past `exact_run` (`OrderInsufficient`)
-is a defect, not an inadmissible input: it becomes an `error` entry,
-never a skip, and the suite goes on to the next job.
+Reports are plain data, and a mismatch always carries the lowest
+differing exponent in q-units. A strategy error becomes a report, never a
+crash, with the status its class declares (see `errors`): `skipped` for
+an inadmissible specialization (non-truncatable products, stalled
+valuations, degenerate denominators, undecided numeric tails), and
+`error` for a defect whatever the draw (a term below its summand's
+declared bound, an opaque factor without a valuation floor or a
+magnitude bound, an exact build short of its order past `exact_run`).
+Under `auto` only a skipped exact job is retried at a numeric sample;
+the suite goes on after an error.
 """
 
 from __future__ import annotations
@@ -25,27 +26,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .context import NumericCtx, exact_run
-from .errors import (
-    BoundViolation,
-    DegenerateDenominator,
-    DegenerateFamily,
-    DegenerateVWP,
-    LowerParameterPole,
-    NonTruncatable,
-    OrderInsufficient,
-    SamplerExhausted,
-    TailNotDecreasing,
-    UndeclaredFloor,
-    ValuationStall,
-    ZeroLeadingCoefficient,
-)
+from .errors import QIdentError, SamplerExhausted
 from .records import RECORDS, IdentityRecord
 from .series import DEFAULT_ORDER, QMonomial
-
-#: strategy failures that produce a skipped report instead of an error
-SKIP_ERRORS = (NonTruncatable, ValuationStall, TailNotDecreasing,
-               DegenerateDenominator, DegenerateVWP, LowerParameterPole,
-               ZeroLeadingCoefficient, DegenerateFamily)
 
 _SAMPLER_BUDGET = 10_000
 
@@ -180,9 +163,9 @@ def verify_one(record: Union[str, IdentityRecord],
     """Build both sides of one record and compare them.
 
     Exact strategy: coefficientwise comparison through the working order.
-    Numeric strategy: |lhs - rhs| within `NumericCtx.tol`. Strategy errors
-    yield a skipped report carrying the reason, and a BoundViolation, an
-    UndeclaredFloor or an OrderInsufficient an error report carrying it.
+    Numeric strategy: |lhs - rhs| within `NumericCtx.tol`. A QIdentError
+    yields a report with the status its class declares, carrying the
+    reason.
     """
     rec = _resolve(record)
     strategy = assignment.strategy
@@ -218,12 +201,8 @@ def verify_one(record: Union[str, IdentityRecord],
             return done(status="mismatch", mismatch_lhs=str(lhs),
                         mismatch_rhs=str(rhs))
         raise ValueError(f"unknown strategy: {strategy}")
-    except SKIP_ERRORS as ex:
-        return done(status="skipped",
-                    reason=f"{type(ex).__name__}: {ex}")
-    except (BoundViolation, UndeclaredFloor, OrderInsufficient) as ex:
-        return done(status="error",
-                    reason=f"{type(ex).__name__}: {ex}")
+    except QIdentError as ex:
+        return done(status=ex.status, reason=f"{type(ex).__name__}: {ex}")
 
 
 def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
@@ -231,33 +210,29 @@ def verify_suite(filter_pattern: str = "*", order: int = DEFAULT_ORDER,
                  strategy: str = "auto") -> List[VerificationReport]:
     """Run every matching record over sampled assignments.
 
-    strategy 'auto' tries exact first and falls back to a numeric sample
-    when the exact strategy is inadmissible for that record/assignment.
-    An error report never falls back: an exact OrderInsufficient past
-    `exact_run` is one, a defect, not an inadmissible specialization.
-    The reports come in job order: catalog order, then sample index.
+    strategy 'auto' runs the exact strategy, and where an exact job is
+    skipped (an inadmissible specialization) it runs the numeric sample
+    of the same index instead; the numeric draws are sampled only then.
+    An error report never falls back. The reports come in job order:
+    catalog order, then sample index.
     """
+    primary = "exact" if strategy == "auto" else strategy
     reports = []
     for rec in select(filter_pattern):
-        modes = rec.strategies if strategy == "auto" else (strategy,)
-        primary = modes[0]
-        if primary not in rec.strategies:
-            continue
-        assigns = sample_params(rec.id, seed, samples, primary)
         fallback = None
-        if strategy == "auto" and "numeric" in rec.strategies and \
-                primary != "numeric":
-            fallback = sample_params(rec.id, seed, samples, "numeric")
-        for i, a in enumerate(assigns):
-            fb = fallback[i] if fallback and i < len(fallback) else None
+        for i, a in enumerate(sample_params(rec.id, seed, samples, primary)):
             rep = verify_one(rec, a, order)
-            if rep.status == "skipped" and fb is not None:
-                rep2 = verify_one(rec, fb, order)
-                if rep2.status != "skipped":
-                    rep2.reason = f"exact skipped ({rep.reason})"
-                    rep = rep2
+            if strategy == "auto" and rep.status == "skipped":
+                fallback = fallback or sample_params(rec.id, seed, samples,
+                                                     "numeric")
+                num = verify_one(rec, fallback[i], order)
+                if num.status == "skipped":
+                    rep.reason += f"; numeric also skipped ({num.reason})"
                 else:
-                    rep.reason += f"; numeric also skipped ({rep2.reason})"
+                    why = f"exact skipped ({rep.reason})"
+                    num.reason = why if num.reason is None else \
+                        f"{num.reason}; {why}"
+                    rep = num
             reports.append(rep)
     return reports
 

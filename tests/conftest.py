@@ -6,7 +6,9 @@ import pytest
 
 from qident import registry
 from qident.bailey import Factor, Summand
+from qident.errors import BridgeConstraintError
 from qident.records import IdentityRecord
+from qident.series import QMonomial
 
 
 def _wrong_floor_build(ctx, params):
@@ -25,6 +27,19 @@ def _no_floor_build(ctx, params):
     return ctx.summation(Summand(ctx, factors=[f])), ctx.one()
 
 
+def _no_bound_build(ctx, params):
+    # f_n = 1 at n = 0 and 0 after it, declared with the floor 0 but
+    # without a bound or a support, times x^n: at a constant x no exact
+    # sum can stop (an inadmissible draw), and at a numeric x no numeric
+    # sum can certify its tail (a defect of the declaration)
+    f = Factor(lambda n: ctx.num(0) if n else ctx.one(), floor=0)
+    return ctx.summation(Summand(ctx, params["x"], factors=[f])), ctx.one()
+
+
+def _bridge_build(ctx, params):
+    raise BridgeConstraintError("a build that fails its bridge condition")
+
+
 def _scratch_catalog(monkeypatch, rec):
     """The catalog replaced by two records: the scratch record `rec`,
     then ft3."""
@@ -40,7 +55,7 @@ def wrong_floor_catalog(monkeypatch):
     valuation floor, then ft3."""
     return _scratch_catalog(monkeypatch, IdentityRecord(
         "wrong-floor", "a summand with a wrong floor", (), (),
-        _wrong_floor_build, lambda rng, mode: {}, strategies=("exact",)))
+        _wrong_floor_build, lambda rng, mode: {}))
 
 
 @pytest.fixture
@@ -52,3 +67,23 @@ def no_floor_catalog(monkeypatch):
         "no-floor", "a summand without a floor", (), (), _no_floor_build,
         lambda rng, mode: {"q": Fraction(1, 7)} if mode == "numeric"
         else {}))
+
+
+@pytest.fixture
+def no_bound_catalog(monkeypatch):
+    """`no-bound`, a scratch record whose exact draw is inadmissible and
+    whose opaque factor declares no magnitude bound and no support, then
+    ft3."""
+    return _scratch_catalog(monkeypatch, IdentityRecord(
+        "no-bound", "a summand without a bound", (), (), _no_bound_build,
+        lambda rng, mode: {"x": Fraction(1, 3), "q": Fraction(1, 7)}
+        if mode == "numeric" else {"x": QMonomial.of(Fraction(1, 3), 0)}))
+
+
+@pytest.fixture
+def bridge_catalog(monkeypatch):
+    """`bridge`, a scratch record whose build raises a QIdentError that
+    declares no status of its own (BridgeConstraintError), then ft3."""
+    return _scratch_catalog(monkeypatch, IdentityRecord(
+        "bridge", "a build that raises", (), (), _bridge_build,
+        lambda rng, mode: {}))

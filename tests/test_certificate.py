@@ -26,6 +26,7 @@ from qident.bailey import (Factor, Summand, constant, cor_pref,
                            cor_transform, running_sums, vwp_weight)
 import qident.context as context_module
 from qident.context import ExactCtx, NumericCtx
+from qident.errors import TailNotDecreasing, UndeclaredBound
 from qident.qfunc import (NumericTermGenerator, TermGenerator, sum_exact,
                           sum_numeric, tail_after)
 from qident.records import QPOOL
@@ -63,9 +64,7 @@ def exact_stops(monkeypatch):
     return stops
 
 
-@pytest.mark.parametrize("record", [r for r in catalog()
-                                    if "exact" in r.strategies],
-                         ids=lambda r: r.id)
+@pytest.mark.parametrize("record", catalog(), ids=lambda r: r.id)
 def test_declared_bounds_hold_past_the_stop(record, monkeypatch):
     # the headroom is fixed at the target, so no term needs a rebuild; at
     # the engine's own stop, the terms from there on are zero through the
@@ -113,9 +112,7 @@ def certified_stops(monkeypatch):
     return stops
 
 
-@pytest.mark.parametrize("record", [r for r in catalog()
-                                    if "numeric" in r.strategies],
-                         ids=lambda r: r.id)
+@pytest.mark.parametrize("record", catalog(), ids=lambda r: r.id)
 def test_numeric_envelopes_hold_past_the_stop(record, monkeypatch):
     # at the engine's own stop N, the NUMERIC_PAST terms after it lie
     # under the envelope and their sum under the certified tail
@@ -255,3 +252,24 @@ def test_running_sums_bound():
     assert running_sums(ctx, alpha._replace(support=None)).envelope().at(
         0) is None                      # alpha's g = 1 certifies no tail
     assert running_sums(ctx, Factor(alpha.at, 0)).bound is None
+
+
+def test_an_unbounded_factor_needs_a_support():
+    # f_n = 2^n declares no bound: a sum over it stops only on a support,
+    # its own, the term's or another factor's; without one it is a defect
+    # of the declaration (UndeclaredBound), not a tail that fails to fall
+    ctx = NumericCtx(F(1, 7))
+    free = Factor(lambda n: ctx.num(2 ** n))
+    ones = Factor(lambda n: ctx.one(), support=1)
+    for term in (free._replace(support=2),
+                 Summand(ctx, factors=[free], support=2)):
+        assert ctx.summation(term) == 7
+    assert ctx.summation(Summand(ctx, factors=[free, ones])) == 3
+    assert ctx.summation(Summand(ctx, factors=[Summand(
+        ctx, factors=[free])], support=1)) == 3
+    for term in (free, Summand(ctx, F(1, 2), factors=[free]),
+                 Summand(ctx, factors=[Summand(ctx, factors=[free])])):
+        with pytest.raises(UndeclaredBound):
+            ctx.summation(term)
+    with pytest.raises(TailNotDecreasing):
+        ctx.summation(Summand(ctx, F(2)))

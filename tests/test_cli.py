@@ -51,6 +51,33 @@ def test_suite_undeclared_floor_exit1(capsys, no_floor_catalog):
     assert lines[-1] == "-- 1/2 equal"
 
 
+def test_suite_undeclared_bound_exit1(capsys, no_bound_catalog):
+    # a factor declared without a bound: the numeric draw that the exact
+    # skip falls back to is an error report, and the suite exits non-zero
+    code, out, _ = run(capsys, "suite", "--order", "20", "--samples", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("ERROR    no-bound           numeric")
+    assert "(UndeclaredBound: opaque factor without a magnitude bound; " \
+        "exact skipped (ValuationStall" in lines[0]
+    assert lines[1].startswith("EQUAL    ft3")
+    assert lines[-1] == "-- 1/2 equal"
+    code, out, _ = run(capsys, "suite", "--strategy", "numeric", "--order",
+                       "20", "--samples", "1")
+    assert code == 1
+    assert out.splitlines()[0].startswith("ERROR    no-bound           numeric")
+
+
+def test_an_error_of_no_listed_class_exits1(capsys, bridge_catalog):
+    # verify and suite take one path: an error report, no fallback, exit 1
+    for argv in (["verify", "--id", "bridge"], ["suite", "--filter", "b*"]):
+        code, out, _ = run(capsys, *argv, "--order", "20", "--samples", "1")
+        assert code == 1
+        assert out.splitlines() == [
+            "ERROR    bridge             exact     (BridgeConstraintError: a "
+            "build that fails its bridge condition)", "-- 0/1 equal"]
+
+
 def test_verify_unknown_id_exit2(capsys):
     code, _, err = run(capsys, "verify", "--id", "nope")
     assert code == 2

@@ -506,28 +506,52 @@ def test_stepped_quotient_matches_references(ups, downs, s, access, top,
     assert quotient_faults(ups, downs, s, ACCESS[access](top), more) == []
 
 
-def test_quotient_poles_raise_where_inv_poch_does():
-    # (q^-2; q)_n vanishes from n = 3 on, (4; 1/2)_n from n = 4 on
-    Q = QMonomial.of(1, 1)
-    downs = [(QMonomial.of(4), QMonomial.of(F(1, 2))),
-             (QMonomial.of(1, -2), Q)]
-    ctx = ExactCtx(10)
-    quot = ctx.quotient([(QMonomial.of(2, 1), Q)], downs)
-    for n in (5, 1, 3, 0, 2, 4, 3):
-        poles = []
-        for d, p in downs:
-            try:
-                ctx.inv_poch(d, p, n)
-            except DegenerateDenominator:
-                poles.append(d)
-        assert bool(poles) == (n >= 3)
-        if poles:
-            with pytest.raises(DegenerateDenominator):
-                quot(n)
-        else:
-            assert quot(n) is not None
-    assert quotient_faults([(QMonomial.of(2, 1), Q)], downs, None,
-                           range(6)) == []
+#: (4; 1/2)_n vanishes from n = 4 on, and (q^-2; q)_n from n = 3 on
+POLE = ([(QMonomial.of(2, 1), QMonomial.of(1, 1))],
+        [(QMonomial.of(4), QMonomial.of(F(1, 2))),
+         (QMonomial.of(1, -2), QMonomial.of(1, 1))])
+
+
+def pole_faults(lookups):
+    """The lookups n at which ExactCtx.quotient over POLE raises
+    DegenerateDenominator while the Fraction denominator is nonzero, or
+    does not raise while it vanishes."""
+    quot = ExactCtx(10).quotient(*POLE)
+    faults = []
+    for n in lookups:
+        got = outcome(lambda: quot(n))
+        raised = isinstance(got, tuple) and got[0] == "DegenerateDenominator"
+        if raised != (fraction_quotient(*POLE, None, n, 0) is None):
+            faults.append(n)
+    return faults
+
+
+def test_quotient_pole_raises_where_the_fraction_denominator_vanishes():
+    lookups = (5, 1, 3, 0, 2, 4, 3)
+    assert [n for n in lookups
+            if fraction_quotient(*POLE, None, n, 0) is None] == [5, 3, 4, 3]
+    assert pole_faults(lookups) == []
+    assert quotient_faults(*POLE, None, range(6)) == []
+
+
+TOWER_STEPS = qfunc._tower_steps
+
+
+def _late_pole(*args):
+    """A mutant: a tower raises at its pole one step late, repeating the
+    value before it there."""
+    last = None
+    try:
+        for last in TOWER_STEPS(*args):
+            yield last
+    except DegenerateDenominator:
+        yield last
+        raise
+
+
+def test_pole_check_catches_a_late_pole(monkeypatch):
+    monkeypatch.setattr(qfunc, "_tower_steps", _late_pole)
+    assert pole_faults(range(5)) == [3]
 
 
 def test_quotient_non_truncatable_only_from_n_1():

@@ -3,13 +3,14 @@
 import collections
 import dataclasses
 import hashlib
+import inspect
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from qident import series
-from qident.errors import SamplerExhausted
+from qident import errors, registry, series
+from qident.errors import QIdentError, SamplerExhausted
 from qident.registry import (
     ParamAssignment,
     catalog,
@@ -123,7 +124,7 @@ def test_sampler_exhaustion():
     rec = lookup("qgauss")
     broken = type(rec)(rec.id, rec.anchor, rec.covers, rec.schema, rec.build,
                        lambda rng, mode: None, rec.exponent_denominator,
-                       rec.strategies, rec.note)
+                       rec.note)
     import qident.registry as reg
     reg._BY_ID["__broken__"] = broken
     try:
@@ -321,6 +322,104 @@ def test_undeclared_floor_is_an_error_report_without_fallback(
     assert verify_one("no-floor", a, 20).status == "equal"
 
 
+def test_undeclared_bound_is_an_error_report(no_bound_catalog):
+    # at the exact draw the specialization is inadmissible, so `auto`
+    # takes the numeric draw; there a factor that declares neither a bound
+    # nor a support is a defect whatever the draw: an error report, not a
+    # second skip, and the same under the numeric strategy alone
+    reports = verify_suite(order=20, seed=1, samples=1)
+    assert [(r.id, r.strategy, r.status) for r in reports] == [
+        ("no-bound", "numeric", "error"), ("ft3", "exact", "equal")]
+    assert reports[0].reason == (
+        "UndeclaredBound: opaque factor without a magnitude bound; exact "
+        "skipped (ValuationStall: declared summand has no valuation growth)")
+    reports = verify_suite(order=20, seed=1, samples=1, strategy="numeric")
+    assert [(r.id, r.status) for r in reports] == [("no-bound", "error"),
+                                                   ("ft3", "equal")]
+    assert reports[0].reason == ("UndeclaredBound: opaque factor without "
+                                 "a magnitude bound")
+
+
+@pytest.fixture
+def sampled(monkeypatch):
+    """The strategy of every draw the driver samples."""
+    calls = []
+
+    def traced(record_id, seed, count, strategy):
+        calls.append(strategy)
+        return sample_params(record_id, seed, count, strategy)
+
+    monkeypatch.setattr(registry, "sample_params", traced)
+    return calls
+
+
+def test_an_error_of_no_listed_class_is_an_error_report(bridge_catalog,
+                                                        sampled):
+    # a QIdentError that declares no status is a defect: an error report
+    # with its reason, no numeric fallback is sampled, and the suite goes
+    # on
+    reports = verify_suite(order=20, seed=1, samples=1)
+    assert [(r.id, r.strategy, r.status) for r in reports] == [
+        ("bridge", "exact", "error"), ("ft3", "exact", "equal")]
+    assert reports[0].reason == ("BridgeConstraintError: a build that fails "
+                                 "its bridge condition")
+    assert sampled == ["exact", "exact"]
+
+
+def test_numeric_draws_are_sampled_only_for_a_skipped_exact_job(sampled):
+    assert all(r.ok for r in verify_suite("q*", order=20, samples=2))
+    assert sampled == ["exact"] * 3
+
+
+#: the report status of every QIdentError: "skipped" only where the
+#: sampled specialization is inadmissible
+STATUS = {
+    "QIdentError": "error",
+    "ZeroLeadingCoefficient": "skipped",
+    "OrderInsufficient": "error",
+    "NonTruncatable": "skipped",
+    "ValuationStall": "skipped",
+    "BoundViolation": "error",
+    "UndeclaredFloor": "error",
+    "UndeclaredBound": "error",
+    "TailNotDecreasing": "skipped",
+    "LowerParameterPole": "skipped",
+    "DegenerateVWP": "skipped",
+    "DegenerateDenominator": "skipped",
+    "SizeMismatch": "error",
+    "DegenerateFamily": "skipped",
+    "BridgeConstraintError": "error",
+    "SamplerExhausted": "error",
+}
+
+
+def test_every_error_class_declares_its_status():
+    classes = {name: cls for name, cls in inspect.getmembers(
+        errors, inspect.isclass) if issubclass(cls, QIdentError)}
+    assert {name: cls.status for name, cls in classes.items()} == STATUS
+    # a fresh instance reports it too
+    assert errors.ZeroLeadingCoefficient("x").status == "skipped"
+    assert errors.OrderInsufficient("x", 3).status == "error"
+
+
+KINDS = {"monomial": QMonomial, "rational": F, "integer": int}
+
+
+@pytest.mark.parametrize("rec", catalog(), ids=lambda r: r.id)
+def test_samplers_draw_their_schema(rec):
+    # at seed 1 the sampler gives a value to each schema symbol and to
+    # nothing else, plus q for a numeric draw; an exact value has the type
+    # of its kind
+    symbols = {p.symbol for p in rec.schema}
+    for strategy in rec.strategies:
+        extra = {"q"} if strategy == "numeric" else set()
+        for a in sample_params(rec.id, 1, 3, strategy):
+            assert set(a.values) == symbols | extra, strategy
+    for a in sample_params(rec.id, 1, 3, "exact"):
+        for p in rec.schema:
+            assert type(a.values[p.symbol]) is KINDS[p.kind], p
+
+
 def test_verify_one_numeric_reference_point():
     # q = 1/7, x = 1/3: both sides agree within the numeric tolerance
     a = ParamAssignment(values={"x": F(1, 3), "q": F(1, 7)},
@@ -367,11 +466,6 @@ def test_format_parse_values():
     assert parse_value("1*q^3/2", 2) == QMonomial(F(1), 3)
     assert parse_value("7/2") == F(7, 2)
     assert parse_value("4") == 4
-
-
-def test_strategies_cover_every_record():
-    for rec in catalog():
-        assert "exact" in rec.strategies
 
 
 # The 22 parameter-free records at order 120, each clean and with a

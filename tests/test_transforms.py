@@ -102,6 +102,27 @@ def test_thm_transform_sides_pinned(k, name):
     assert_pinned(rhs, name)
 
 
+@pytest.mark.parametrize("k", [mono(F(1, 3), 3), mono(0)])
+def test_thm_transform_sides_general_alpha(k):
+    # alpha_n = (1/2)^n q^(n^2) declares no support, so the right side is
+    # an infinite sum; term n of either side is O(q^(n^2)), so through
+    # q^19 the sides are those of alpha cut after n = 5, which takes the
+    # finite-support path that the pins above cover
+    def pair(alpha):
+        return WPPair(alpha, mono(2, 2), k)
+
+    general = AlphaSequence(
+        lambda ctx, n: ctx.mul(ctx.num(F(1, 2) ** n), ctx.qpow(n * n)),
+        floor=0)
+    cut = AlphaSequence.from_values([mono(F(1, 2) ** n, n * n)
+                                     for n in range(6)])
+    r1, r2 = mono(F(-1, 2), 1), mono(3, 1)
+    lhs, rhs = thm_transform_sides(pair(general), r1, r2, 20)
+    assert lhs.order == rhs.order == 20
+    assert lhs == rhs
+    assert (lhs, rhs) == thm_transform_sides(pair(cut), r1, r2, 20)
+
+
 def test_subbarao_verma_sides_pinned():
     lhs, rhs = subbarao_verma_sides(5, F(1, 2), F(1, 3), F(2), mono(1, 3),
                                     mono(1, 2), mono(1, 1), mono(1, 2), 24)
