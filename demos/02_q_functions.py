@@ -10,11 +10,12 @@ from fractions import Fraction as F
 
 from qident import (
     QMonomial,
-    phi_rs,
     poch_finite,
     poch_infinite,
     vwp_factor,
 )
+from qident.bailey import phi_term
+from qident.context import exact_run
 
 q = QMonomial.of(1, 1)
 
@@ -28,10 +29,13 @@ print("(q; q)_inf      =", euler)
 # the very-well-poised factor, computed without square roots
 print("vwp k=q^2, n=1  =", vwp_factor(QMonomial.of(1, 2), 1, 10))
 
-# the q-Gauss summation: series side vs product side
+# the q-Gauss summation: series side vs product side. The series is the
+# declared term of 2phi1 summed in the exact context; exact_run finds the
+# working order its terms need
 a, b, c = QMonomial.of(1, 2), QMonomial.of(1, 3), QMonomial.of(1, 7)
 z = c / (a * b)
-lhs = phi_rs([a, b], [c], q, z, 24)
+lhs = exact_run(24, lambda ctx: ctx.finalize(
+    ctx.summation(phi_term(ctx, [a, b], [c], q, z))).truncate(24))
 rhs = (poch_infinite(c / a, q, 24) * poch_infinite(c / b, q, 24)).mul(
     (poch_infinite(c, q, 24) * poch_infinite(z, q, 24)).invert(), cap=24)
 print("q-Gauss LHS     =", lhs)

@@ -15,10 +15,11 @@ from qident import (
     check_pte,
     family6,
     family12,
-    partial_sums,
     power_sums,
     pte_alpha_beta,
 )
+from qident.bailey import running_sums
+from qident.context import exact_run
 
 print("{1,5,6} vs {2,3,7}, e <= 2:", check_pte([1, 5, 6], [2, 3, 7], 2))
 print("  ... and at e = 3:", check_pte([1, 5, 6], [2, 3, 7], 3),
@@ -42,5 +43,6 @@ print("degree-11 power sums:", check_pte(A, B, 11))
 alpha, beta = pte_alpha_beta(a, b, QMonomial.of(1, 1))
 N = 20
 for n in range(5):
-    got = partial_sums(alpha, n, N)
+    got = exact_run(N, lambda ctx: ctx.finalize(
+        running_sums(ctx, alpha.factor(ctx))(n)).truncate(N))
     print(f"bridge n={n}:", got.compare(beta.value(n, N), N) is None)

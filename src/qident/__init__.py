@@ -1,10 +1,12 @@
 """qident: exact verification of q-series identities.
 
 The kernel (`series`, `qfunc`) provides truncated Laurent arithmetic over
-exact rationals and the q-Pochhammer/hypergeometric toolbox; `bailey`
-implements the well-poised pair machinery; `pte` the equal-power-sum
-multiset tools and their series bridge; `registry` the identity catalog
-and the verification driver; `cli` the command-line front end.
+exact rationals and the q-Pochhammer toolbox; `context` the two
+strategies (`ExactCtx` run by `exact_run`, and `NumericCtx`); `bailey`
+the summands and the well-poised transforms, written once over either
+context; `pte` the equal-power-sum multiset tools and their series
+bridge; `registry` the identity catalog and the verification driver;
+`cli` the command-line front end.
 """
 
 from .series import (
@@ -26,17 +28,8 @@ from .qfunc import (
 )
 from .bailey import (
     AlphaSequence,
-    ChainParams,
-    WPPair,
     cor_sides,
-    partial_sums,
-    phi_rs,
-    subbarao_verma_sides,
-    telescope_alpha,
-    thm_transform_sides,
     unit_alpha,
-    wp_beta,
-    wp_chain_step,
 )
 from .pte import (
     affine,

@@ -1,10 +1,9 @@
 """Well-poised pair machinery: the two-parameter alpha/beta relation, the
 iterable chain step, the infinite transform it implies, the central
-partial-sum transform, telescoping alpha builders, and the finite
-multi-base telescoping identity.
+partial-sum transform, and the finite multi-base telescoping identity.
 
 The transforms are written once, against the `Ctx` algebra of
-`context.py`, so that the catalog records and the exact API below share
+`context.py`, so that the catalog records and the tests share
 them under both the exact and the numeric strategy:
 
   * `Summand`, `Factor` -- a summand declared rather than written: s^n,
@@ -33,28 +32,24 @@ very-well-poised factor as a `Factor`. An `AlphaSequence` declares a
 sequence once for every context: `at(ctx, n)` with its support and
 floor, and `factor(ctx)` is its `Factor` in `ctx`.
 
-`wp_beta`, `wp_chain_step`, `thm_transform_sides`, `cor_sides`,
-`subbarao_verma_sides` and `phi_rs` are thin exact wrappers: they reject
-degenerate specializations, run the shared code in `context.exact_run`
-(which finds the working order the Laurent dips of their arguments
-need), and return truncated Laurent series at the caller's order. Their
-parameters are monomials c * q^e or plain rationals, and their alpha
-sequences are `AlphaSequence`s, computed in the wrapper's context.
+There is no exact-only copy of a transform: a caller runs the builders
+in `context.exact_run` (which finds the working order the Laurent dips
+of their arguments need) or in a `NumericCtx`, and a degenerate
+specialization raises where the builder meets it. `AlphaSequence.value`
+and `cor_sides` are the two exact conveniences left.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from math import ceil, floor, lcm
+from math import floor, lcm
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .context import Ctx, exact_run
 from .errors import (
     DegenerateDenominator,
-    LowerParameterPole,
     UndeclaredFloor,
     ValuationStall,
 )
@@ -65,14 +60,12 @@ from .qfunc import (
     NO_BOUND,
     Envelope,
     ValuationLaw,
-    Value,
     as_monomial,
     poch_law,
     tail_after,
 )
 from .series import DEFAULT_ORDER, LaurentSeries, QMonomial
 
-_Q = QMonomial.of(1, 1)
 _ZERO, _ONE = Decimal(0), Decimal(1)
 #: the relative slack on a summand's envelope: it covers the rounding of
 #: the computed values its M starts from, and of `BOUND_UP.power`
@@ -122,44 +115,6 @@ class AlphaSequence(NamedTuple):
 def unit_alpha() -> AlphaSequence:
     """alpha_0 = 1 and nothing else: the canonical seed sequence."""
     return AlphaSequence.from_values([Fraction(1)])
-
-
-def partial_sums(alpha: AlphaSequence, n: int, order: int) -> LaurentSeries:
-    """beta_n = sum of alpha_0..alpha_n (`running_sums`), as a series at
-    `order`."""
-    return _exact(order, lambda ctx: [
-        running_sums(ctx, alpha.factor(ctx))(n)])[0]
-
-
-@dataclass(frozen=True)
-class WPPair:
-    """A pair (alpha, a, k) subject to the defining beta relation."""
-
-    alpha: AlphaSequence
-    a: Value
-    k: Value
-
-
-@dataclass(frozen=True)
-class ChainParams:
-    """Step parameters (rho1, rho2, target k); c is always derived."""
-
-    rho1: QMonomial
-    rho2: QMonomial
-    k: QMonomial
-
-    def c_for(self, a: Value) -> QMonomial:
-        am = as_monomial(a)
-        if am is None or am.is_zero:
-            raise DegenerateDenominator("chain step needs a nonzero monomial a")
-        return self.k * self.rho1 * self.rho2 / (am * _Q)
-
-
-def _require_monomial(v: Value, what: str) -> QMonomial:
-    m = as_monomial(v)
-    if m is None:
-        raise TypeError(f"{what} must be a monomial-like value")
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +709,7 @@ def sv_linear(ctx: Ctx, p_, P_, Q_, R_, a, b, c) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the exact API: thin wrappers, the chain step, telescoping
+# exact conveniences
 # ---------------------------------------------------------------------------
 
 def _exact(order: int, values):
@@ -763,98 +718,7 @@ def _exact(order: int, values):
         ctx.finalize(v).truncate(order) for v in values(ctx)))
 
 
-def phi_rs(upper: Sequence[Value], lower: Sequence[Value], base: QMonomial,
-           z: Value, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """The r-phi-s series of `phi_term`, summed exactly to `order`.
-
-    Lower parameters sitting on a pole of the term ratio (l = base^{-m}
-    within the summation range) are rejected with LowerParameterPole. An
-    upper parameter on a negative power (the terminating (q^-N; q)_n)
-    dips below degree 0; `exact_run` builds the products as much above
-    `order` as the dip needs."""
-    zm = _require_monomial(z, "phi_rs argument z")
-    for l in lower:
-        _require_monomial(l, "phi_rs lower parameter")
-    if zm.is_zero:
-        return LaurentSeries.one(order)
-    try:
-        return _exact(order, lambda ctx: [ctx.summation(
-            phi_term(ctx, upper, lower, base, zm))])[0]
-    except DegenerateDenominator as ex:
-        raise LowerParameterPole(str(ex)) from ex
-
-
-def wp_beta(pair: WPPair, n: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """beta_n of the pair (see `wp_beta_sum`) as a series at `order`."""
-    a = _require_monomial(pair.a, "a")
-    k = _require_monomial(pair.k, "k")
-    if a.is_zero:
-        raise DegenerateDenominator("a = 0 makes (aq)_n collapse")
-    return _exact(order, lambda ctx: [wp_beta_sum(
-        ctx, a, k, pair.alpha.factor(ctx), n)])[0]
-
-
-def wp_chain_step(pair: WPPair, params: ChainParams,
-                  order: int = DEFAULT_ORDER
-                  ) -> Tuple[WPPair, Callable[[int], LaurentSeries]]:
-    """One chain step: a new pair (alpha', a, k) plus its closed-form beta'.
-
-    The input alpha is taken as the seed sequence at parameters (a, c) with
-    c = k rho1 rho2 / (a q); the matching beta_j(a, c) values are recomputed
-    from the defining relation. The weight product (k rho1/a, k rho2/a)_j
-    inside the sum is indexed by the summation index (the commonly printed
-    index n there fails the defining relation; closure tests pin this down).
-    See `wp_chain_alpha` and `wp_chain_beta`. alpha' reads alpha in the
-    caller's context, so a value of an alpha chained any number of times
-    is one exact run.
-    """
-    a = _require_monomial(pair.a, "a")
-    r1, r2, k = params.rho1, params.rho2, params.k
-    c = params.c_for(a)
-    if c.is_one:
-        raise DegenerateDenominator("derived c = 1 degenerates the step")
-    for name, arg in (("aq/rho1", a * _Q / r1), ("aq/rho2", a * _Q / r2),
-                      ("k*rho1/a", k * r1 / a), ("k*rho2/a", k * r2 / a),
-                      ("qc", _Q * c)):
-        if arg.is_one:
-            raise DegenerateDenominator(f"{name} = 1 at this specialization")
-
-    def beta_prime(n: int, wo: int = order) -> LaurentSeries:
-        return _exact(wo, lambda ctx: [wp_chain_beta(
-            ctx, a, k, r1, r2, pair.alpha.factor(ctx), n)])[0]
-
-    # alpha'_n's floor: the dips of (r1, r2)_n, (aq/(r1 r2))^n and alpha_n
-    floor, top = pair.alpha.floor, pair.alpha.support
-    z = a * _Q / (r1 * r2)
-    if floor is not None and (z.exp >= 0 or top is not None):
-        floor = ceil((poch_law(r1, _Q) + poch_law(r2, _Q) + ValuationLaw(
-            b=z.exp, c=floor, support=top)).least(0))
-    else:
-        floor = None
-    new_alpha = AlphaSequence(lambda ctx, n: wp_chain_alpha(
-        ctx, a, r1, r2, pair.alpha.factor(ctx), n), top, floor)
-    return WPPair(new_alpha, pair.a, params.k), beta_prime
-
-
-def thm_transform_sides(pair: WPPair, rho1: QMonomial, rho2: QMonomial,
-                        order: int = DEFAULT_ORDER
-                        ) -> Tuple[LaurentSeries, LaurentSeries]:
-    """Both sides of the infinite well-poised transform (see
-    `wp_transform`) for the pair, at `order`."""
-    a = _require_monomial(pair.a, "a")
-    k = _require_monomial(pair.k, "k")
-    z = a * _Q / (rho1 * rho2)
-    for arg in (k * _Q, k * _Q / (rho1 * rho2), a * _Q / rho1, a * _Q / rho2,
-                k * _Q / rho1, k * _Q / rho2, z, a * _Q):
-        if arg.is_one:
-            raise DegenerateDenominator(f"infinite product at {arg} vanishes")
-    if z.exp < 1:
-        raise ValuationStall("series argument aq/(rho1 rho2) has no "
-                             "valuation growth")
-    return _exact(order, lambda ctx: wp_transform(
-        ctx, a, k, rho1, rho2, pair.alpha.factor(ctx)))
-
-
+# the benchmark's micro.bailey.cor_sides_o30 calls it (ROADMAP item 1)
 def cor_sides(alpha: AlphaSequence, x: QMonomial, y: QMonomial, z: QMonomial,
               order: int = DEFAULT_ORDER) -> Tuple[LaurentSeries, LaurentSeries]:
     """Both sides of the central partial-sum transform (see
@@ -867,51 +731,5 @@ def cor_sides(alpha: AlphaSequence, x: QMonomial, y: QMonomial, z: QMonomial,
     def sides(ctx):
         f = alpha.factor(ctx)
         return cor_transform(ctx, x, y, z, running_sums(ctx, f), f)
-
-    return _exact(order, sides)
-
-
-def telescope_alpha(t: Callable[[Ctx, int], object],
-                    floor: Optional[int] = None) -> AlphaSequence:
-    """alpha_0 = t_0 and alpha_n = t_n - t_{n-1}, with t(ctx, n) the
-    value t_n in `ctx`: partial sums recover t. A valuation floor of every
-    t_n is one of every alpha_n."""
-    return AlphaSequence(lambda ctx, n: ctx.sub(t(ctx, n), t(ctx, n - 1))
-                         if n else t(ctx, 0), floor=floor)
-
-
-def subbarao_verma_sides(n: int, a: Value, b: Value, c: Value,
-                         p: QMonomial, P: QMonomial, Q: QMonomial,
-                         R: QMonomial, order: int = DEFAULT_ORDER
-                         ) -> Tuple[LaurentSeries, LaurentSeries]:
-    """The finite multi-base telescoping identity: for every n >= 0 the sum
-
-      sum_{j<=n} [four linear factors at index j] / [same at 0]
-                 * (a;p^2)_j (b;P^2)_j (c;R^2)_j (a/bc;Q^2)_j * R^{2j}
-                   / ((PQR/p;PQR/p)_j (apPQ/cR;pPQ/R)_j
-                      (apQR/bP;pQR/P)_j (bcpPR/Q;pPR/Q)_j)
-
-    equals the closed product with every numerator argument advanced by the
-    square of its base (`sv_linear`, `sv_quotient`). Both sides are
-    returned for comparison.
-    """
-    am, bm, cm = (_require_monomial(v, w) for v, w in
-                  ((a, "a"), (b, "b"), (c, "c")))
-    for name, val in (("1-a", am), ("1-b", bm)):
-        if val.is_one:
-            raise DegenerateDenominator(f"{name} vanishes")
-    if cm.is_zero:
-        raise DegenerateDenominator("c = 0 collapses 1 - 1/c")
-    inv_c = QMonomial.of(1) / cm
-    ratio = am / (bm * cm)
-    if inv_c.is_one or ratio.is_one:
-        raise DegenerateDenominator("a constant denominator factor vanishes")
-    bases = (p, P, Q, R, am, bm, cm)
-
-    def sides(ctx):
-        term = sv_quotient(ctx, *bases, False)._replace(
-            s=ctx.pow_int(R, 2), **sv_linear(ctx, *bases))
-        return _total(ctx, [term(j) for j in range(n + 1)]), \
-            sv_quotient(ctx, *bases, True)(n)
 
     return _exact(order, sides)

@@ -130,19 +130,17 @@ def _emit(text: str, out_path):
 def _report_lines(reports):
     lines = []
     for r in reports:
-        extra = ""
+        parts = [f"{r.status.upper():8s} {r.id:18s} {r.strategy:8s}"]
+        parts += [f"{k}={v}" for k, v in r.assignment.formatted().items()]
         if r.status == "mismatch":
-            where = f" at q^{r.mismatch_exponent}" \
-                if r.mismatch_exponent is not None else ""
-            extra = f"{where} (lhs={r.mismatch_lhs}, rhs={r.mismatch_rhs})"
+            if r.mismatch_exponent is not None:
+                parts.append(f"at q^{r.mismatch_exponent}")
+            parts.append(f"(lhs={r.mismatch_lhs}, rhs={r.mismatch_rhs})")
         elif r.status in ("skipped", "error"):
-            extra = f" ({r.reason})"
+            parts.append(f"({r.reason})")
         elif r.reason:
-            extra = f" [{r.reason}]"
-        params = " ".join(f"{k}={v}" for k, v in
-                          r.assignment.formatted().items())
-        lines.append(f"{r.status.upper():8s} {r.id:18s} {r.strategy:8s} "
-                     f"{params}{extra}")
+            parts.append(f"[{r.reason}]")
+        lines.append(" ".join(parts).rstrip())   # no padding at the end
     return lines
 
 

@@ -75,12 +75,6 @@ class TailNotDecreasing(QIdentError):
     status = "skipped"
 
 
-class LowerParameterPole(QIdentError):
-    """A lower series parameter hits a pole of the term ratio."""
-
-    status = "skipped"
-
-
 class DegenerateVWP(QIdentError):
     """The very-well-poised factor (1 - k q^{2n})/(1 - k) has k = 1."""
 

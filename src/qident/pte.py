@@ -13,7 +13,8 @@ collapse, turning each such pair into a hypergeometric transform. The
 multiset checks and families are exact rational arithmetic.
 `bridge_sequences` writes the attached alpha/beta sequences once, over
 the `Ctx` algebra, for the catalog records (phi54, ppte-m, cpte3) under
-both strategies; `pte_alpha_beta` is its thin exact wrapper.
+both strategies; `pte_alpha_beta` checks the bridge condition and
+declares them as two `AlphaSequence`s, for either context.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from .errors import (
     DegenerateFamily,
     SizeMismatch,
 )
-from .series import QMonomial
-
-_Q = QMonomial.of(1, 1)
 
 #: A multiset is any sequence of rationals; order never matters.
 Multiset = Tuple[Fraction, ...]
@@ -191,11 +189,12 @@ def bridge_sequences(ctx: Ctx, a: Sequence, b: Sequence, base=None):
                     downs=[(d, p) for d in [p, *lower]]))
 
 
-def pte_alpha_beta(a: Sequence, b: Sequence, base: QMonomial = _Q
+def pte_alpha_beta(a: Sequence, b: Sequence, base=None
                    ) -> Tuple[AlphaSequence, AlphaSequence]:
-    """The bridge pair of `bridge_sequences` as two `AlphaSequence`s,
-    alpha (alpha_0 = 1) and beta, read out exactly with `.value(n,
-    order)`. Requires check_bridge(a, b) and every b_i nonzero.
+    """The bridge pair of `bridge_sequences` in base p (default q) as two
+    `AlphaSequence`s, alpha (alpha_0 = 1) and beta, read in any context
+    (exactly with `.value(n, order)`). Requires check_bridge(a, b) and
+    every b_i nonzero.
     """
     a = tuple(Fraction(v) for v in a)
     b = tuple(Fraction(v) for v in b)

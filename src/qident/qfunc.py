@@ -1,6 +1,6 @@
 """q-Pochhammer symbols, the very-well-poised factor, and the generic
 summation engines. The basic hypergeometric series itself is written over
-`Ctx` in `bailey` (`phi_term`, with `phi_rs` its exact wrapper).
+`Ctx` in `bailey` (`phi_term`, summed by either context's `summation`).
 
 An exact sum stops on a certificate, not on a guess. The term ratio of a
 basic hypergeometric series is rational in q^n (Gasper & Rahman, section

@@ -15,13 +15,12 @@ import pytest
 
 from qident.bailey import (
     AlphaSequence,
-    ChainParams,
-    WPPair,
-    cor_sides,
-    partial_sums,
+    cor_transform,
+    running_sums,
     unit_alpha,
-    wp_beta,
-    wp_chain_step,
+    wp_beta_sum,
+    wp_chain_alpha,
+    wp_chain_beta,
 )
 from qident.pte import (
     check_bridge,
@@ -42,6 +41,7 @@ from qident.registry import (
     with_injected_fault,
 )
 from qident.series import LaurentSeries as LS, QMonomial
+from two_strategies import exact, lift, numeric
 
 Q = QMonomial.of(1, 1)
 
@@ -106,8 +106,20 @@ def test_criterion_1_document_pinned(suite_run):
                digest == CRITERION_1_DIGEST)
 
 
+def _sides_agree(build, order):
+    """Whether the pairs (lhs, rhs) that build(ctx) lists one after the
+    other agree exactly through `order`, and within the numeric
+    tolerance at q = 1/7."""
+    values = exact(order, build)
+    ctx, nums = numeric(build)
+    return all(values[i].compare(values[i + 1], order) is None and
+               ctx.sub(nums[i], nums[i + 1]).copy_abs() <= ctx.tol
+               for i in range(0, len(values), 2))
+
+
 def test_criterion_2_central_relation():
     # k = aq: the pair relation collapses to plain partial sums, exactly
+    # and at q = 1/7
     rng = random.Random(202)
     N = 24
     ok = True
@@ -118,14 +130,19 @@ def test_criterion_2_central_relation():
         alpha = AlphaSequence.from_values(vals)
         a = QMonomial(rng.choice([F(1), F(2), F(1, 2), F(-1)]),
                       rng.randint(0, 2))
-        pair = WPPair(alpha, a, a * Q)
-        for n in range(9):
-            got = wp_beta(pair, n, N)
-            want = partial_sums(alpha, n, N)
-            if got.compare(want, N) is not None:
-                ok = False
+
+        def build(ctx, alpha=alpha, a=a):
+            f, am = alpha.factor(ctx), lift(ctx, a)
+            beta, sums = [], running_sums(ctx, f)
+            for n in range(9):
+                beta += [wp_beta_sum(ctx, am, ctx.mul(am, ctx.qpow(1)), f,
+                                     n), sums(n)]
+            return beta
+
+        ok &= _sides_agree(build, N)
     _criterion(2, "k = aq reduces the pair relation to partial sums "
-                  "(20 random sequences, n <= 8, zero tolerance)", ok)
+                  "(20 random sequences, n <= 8, zero tolerance, and "
+                  "within the numeric tolerance at q = 1/7)", ok)
 
 
 def _admissible_chain(rng):
@@ -136,15 +153,14 @@ def _admissible_chain(rng):
         ea = e1 + e2 + rng.randint(0, 1)
         a = QMonomial(rng.choice([F(1), F(2)]), ea)
         k = QMonomial(rng.choice([F(1), F(1, 2), F(3)]), ea + rng.randint(0, 2))
-        params = ChainParams(r1, r2, k)
-        c = params.c_for(a)
+        c = k * r1 * r2 / (a * Q)
         bad = c.is_one
         for arg in (a * Q / r1, a * Q / r2, k * r1 / a, k * r2 / a, Q * c,
                     k / c if not k.is_zero else k):
             if arg.is_one or (arg.coef == 1 and arg.exp <= 0):
                 bad = True
         if not bad:
-            return WPPair(unit_alpha(), a, k), params
+            return a, k, r1, r2
 
 
 def test_criterion_3_chain_closure():
@@ -152,16 +168,23 @@ def test_criterion_3_chain_closure():
     N = 34
     ok = True
     for _ in range(5):
-        pair, params = _admissible_chain(rng)
-        new_pair, beta_prime = wp_chain_step(pair, params, N)
-        for n in range(7):
-            direct = wp_beta(new_pair, n, N)
-            closed = beta_prime(n, N)
-            depth = min(int(direct.eff_order()), int(closed.eff_order()))
-            if direct.compare(closed, depth) is not None:
-                ok = False
+        params = _admissible_chain(rng)
+
+        def build(ctx, params=params):
+            a, k, r1, r2 = (lift(ctx, v) for v in params)
+            f = unit_alpha().factor(ctx)
+            prime = f._replace(at=lambda j: wp_chain_alpha(
+                ctx, a, r1, r2, f, j), floor=None)
+            sides = []
+            for n in range(7):
+                sides += [wp_beta_sum(ctx, a, k, prime, n),
+                          wp_chain_beta(ctx, a, k, r1, r2, f, n)]
+            return sides
+
+        ok &= _sides_agree(build, N)
     _criterion(3, "one chain step from the seed pair satisfies the "
-                  "defining relation (5 specializations, n <= 6)", ok)
+                  "defining relation (5 specializations, n <= 6, exactly "
+                  "and at q = 1/7)", ok)
 
 
 def test_criterion_4_partial_sum_engine():
@@ -174,12 +197,19 @@ def test_criterion_4_partial_sum_engine():
     for _ in range(20):
         vals = [F(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(9)]
         alpha = AlphaSequence.from_values(vals)
-        for x, y, z in triples:
-            lhs, rhs = cor_sides(alpha, x, y, z, N)
-            if lhs.compare(rhs, N) is not None:
-                ok = False
+
+        def build(ctx, alpha=alpha):
+            f = alpha.factor(ctx)
+            sides = []
+            for xyz in triples:
+                sides += cor_transform(ctx, *(lift(ctx, v) for v in xyz),
+                                       running_sums(ctx, f), f)
+            return sides
+
+        ok &= _sides_agree(build, N)
     _criterion(4, "partial-sum transform holds for 20 random finite "
-                  "sequences at 3 monomial specializations, order 30", ok)
+                  "sequences at 3 monomial specializations, order 30, "
+                  "exactly and at q = 1/7", ok)
 
 
 def test_criterion_5_pte_battery():

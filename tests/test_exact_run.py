@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import qident.registry as reg
-from qident.bailey import AlphaSequence, WPPair, wp_beta, wp_beta_sum
+from qident.bailey import AlphaSequence, wp_beta_sum
 from qident.cli import main
 from qident.context import ExactCtx, exact_run
 from qident.errors import OrderInsufficient, ValuationStall
@@ -113,15 +113,17 @@ def test_catalog_ends_at_the_least_headroom():
     assert widened
 
 
-def test_wrapper_matches_a_generous_fixed_headroom():
+def test_exact_run_matches_a_generous_fixed_headroom():
     # k/a = q^-2 / 2: the (k/a)_{n-j} towers dip below degree 0
     a, k = QMonomial.of(1, 3), QMonomial.of(F(1, 2), 1)
     alpha = AlphaSequence.from_values([F(1), F(-2), F(3)])
     for n in range(1, 5):
-        ctx = ExactCtx(20, 1, 20)
-        want = wp_beta_sum(ctx, a, k, alpha.factor(ctx), n)
-        got = wp_beta(WPPair(alpha, a, k), n, 20)
-        assert got == ctx.finalize(want).truncate(20)
+        def beta(ctx):
+            return ctx.finalize(wp_beta_sum(
+                ctx, a, k, alpha.factor(ctx), n)).truncate(20)
+
+        got = exact_run(20, beta)
+        assert got == beta(ExactCtx(20, 1, 20))
         assert got.min_deg < 0
 
 

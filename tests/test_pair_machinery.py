@@ -1,5 +1,5 @@
-"""The chain step and the power-sum bridge over Ctx: pinned values of the
-exact wrappers, the shared code under the numeric strategy, and the
+"""The chain step and the power-sum bridge over Ctx: pinned exact values
+of the shared code, the same code under the numeric strategy, and the
 context rules they rely on (summation `times`, the scalar 1)."""
 
 from fractions import Fraction as F
@@ -9,17 +9,13 @@ import pytest
 from qident import bailey
 from qident.bailey import (
     AlphaSequence,
-    ChainParams,
     Factor,
     Summand,
-    WPPair,
     running_sums,
     unit_alpha,
-    wp_beta,
     wp_beta_sum,
     wp_chain_alpha,
     wp_chain_beta,
-    wp_chain_step,
     wp_transform,
 )
 from qident.context import ExactCtx, NumericCtx
@@ -27,6 +23,7 @@ from qident.errors import DegenerateVWP
 from qident.pte import bridge_sequences, family6, pte_alpha_beta
 from qident.qfunc import poch_finite, vwp_factor
 from qident.series import LaurentSeries as LS, QMonomial
+from two_strategies import assert_identity, lift
 
 Q = QMonomial.of(1, 1)
 
@@ -74,16 +71,32 @@ def assert_pinned(series, name):
 CHAIN_ALPHA = [F(1), F(-2, 3), F(3), F(1, 2), F(-5, 4), F(2)]
 
 
+def chained(alpha, a, r1, r2):
+    """alpha' of one chain step from alpha (`wp_chain_alpha`), read in the
+    context that asks for it."""
+    return alpha._replace(at=lambda ctx, n: wp_chain_alpha(
+        ctx, lift(ctx, a), lift(ctx, r1), lift(ctx, r2), alpha.factor(ctx),
+        n), floor=None)
+
+
 def test_chain_step_pinned():
-    # the last chain specialization of test_bailey, with a general alpha
+    # the last chain specialization of test_bailey, with a general alpha:
+    # alpha'_4 and the closed form beta'_4, which the defining relation
+    # gives too
     N = 20
-    pair = WPPair(AlphaSequence.from_values(CHAIN_ALPHA), mono(1, 4),
-                  mono(3, 5))
-    params = ChainParams(mono(2, 1), mono(1, 3), mono(3, 5))
-    new_pair, beta_prime = wp_chain_step(pair, params, N)
-    assert_pinned(LS.coerce(new_pair.alpha.value(4, N)).truncate(N),
-                  "chain_alpha4")
-    assert_pinned(beta_prime(4, N), "chain_beta4")
+    alpha = AlphaSequence.from_values(CHAIN_ALPHA)
+    a, k, r1, r2 = mono(1, 4), mono(3, 5), mono(2, 1), mono(1, 3)
+    prime = chained(alpha, a, r1, r2)
+
+    def build(ctx):
+        am, km, s1, s2 = (lift(ctx, v) for v in (a, k, r1, r2))
+        return wp_beta_sum(ctx, am, km, prime.factor(ctx), 4), \
+            wp_chain_beta(ctx, am, km, s1, s2, alpha.factor(ctx), 4)
+
+    direct, closed = assert_identity(build, N)
+    assert_pinned(closed, "chain_beta4")
+    assert_pinned(direct, "chain_beta4")
+    assert_pinned(prime.value(4, N), "chain_alpha4")
 
 
 def test_chained_alpha_value_is_one_exact_run(monkeypatch):
@@ -98,13 +111,10 @@ def test_chained_alpha_value_is_one_exact_run(monkeypatch):
 
     monkeypatch.setattr(bailey, "exact_run", counted)
     N = 20
-    pair = WPPair(AlphaSequence.from_values(CHAIN_ALPHA[:3]), mono(1, 4),
-                  mono(3, 5))
-    p1, _ = wp_chain_step(pair, ChainParams(mono(2, 1), mono(1, 3),
-                                            mono(3, 5)), N)
-    p2, _ = wp_chain_step(p1, ChainParams(mono(1, 1), mono(1, 2),
-                                          mono(3, 5)), N)
-    assert_pinned(p2.alpha.value(2, N), "chain2_alpha2")
+    p1 = chained(AlphaSequence.from_values(CHAIN_ALPHA[:3]), mono(1, 4),
+                 mono(2, 1), mono(1, 3))
+    p2 = chained(p1, mono(1, 4), mono(1, 1), mono(1, 2))
+    assert_pinned(p2.value(2, N), "chain2_alpha2")
     assert len(calls) == 1
 
 
@@ -120,12 +130,14 @@ def test_bridge_pinned():
     unit_alpha(), AlphaSequence.from_values(CHAIN_ALPHA[:4])])
 def test_chain_closure_k0(alpha):
     # k = 0 is Bailey's lemma: the step's weight is (aq/(r1 r2))^n
-    N = 24
-    pair = WPPair(alpha, mono(1, 3), mono(0))
-    new_pair, beta_prime = wp_chain_step(
-        pair, ChainParams(mono(1, 1), mono(2, 2), mono(0)), N)
+    a, k, r1, r2 = mono(1, 3), mono(0), mono(1, 1), mono(2, 2)
+    prime = chained(alpha, a, r1, r2)
     for n in range(6):
-        assert wp_beta(new_pair, n, N).compare(beta_prime(n, N), N) is None
+        assert_identity(lambda ctx: (
+            wp_beta_sum(ctx, lift(ctx, a), lift(ctx, k), prime.factor(ctx),
+                        n),
+            wp_chain_beta(ctx, *(lift(ctx, v) for v in (a, k, r1, r2)),
+                          alpha.factor(ctx), n)), 24)
 
 
 # ------------------------------------------------------------- numeric

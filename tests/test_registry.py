@@ -383,7 +383,6 @@ STATUS = {
     "UndeclaredFloor": "error",
     "UndeclaredBound": "error",
     "TailNotDecreasing": "skipped",
-    "LowerParameterPole": "skipped",
     "DegenerateVWP": "skipped",
     "DegenerateDenominator": "skipped",
     "SizeMismatch": "error",

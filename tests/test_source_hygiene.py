@@ -1,8 +1,9 @@
 """Source hygiene of the package, read with `ast` (no import, a few ms):
 every imported name is used, every module-level private name is
-referenced somewhere besides its definition, and every int/bytes
-conversion names its length and byte order. `__init__.py` only
-re-exports, so it is left out of the first two."""
+referenced somewhere besides its definition, every int/bytes conversion
+names its length and byte order, and only the exact verdict and the
+listed exact conveniences run `exact_run`. `__init__.py` only re-exports,
+so it is left out of all but the byte-order check."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,57 @@ def test_bytes_check_sees_a_default_byteorder():
                      "byteorder='big')\n")
     assert bytes_calls_without_byteorder(tree) == [(1, "to_bytes"),
                                                    (3, "from_bytes")]
+
+
+#: the functions of the package that reach `context.exact_run`, directly
+#: or through a private helper: the exact verdict, and the two exact
+#: conveniences kept beside the shared `Ctx` builders. Another caller
+#: would be an exact-only copy of a builder, which the tests cannot run
+#: under the numeric strategy.
+EXACT_RUN_CALLERS = {"registry.verify_one", "bailey.AlphaSequence.value",
+                     "bailey.cor_sides"}
+
+
+def functions(module: str, tree):
+    """(qualified name, node) of each module-level function and each
+    method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def exact_run_reachers(trees) -> set:
+    """The public functions of `trees` that read `exact_run`, or a private
+    function (a leading underscore) that reaches it, followed to its
+    readers in turn."""
+    names, seen, out = {"exact_run"}, set(), set()
+    while names:
+        readers = {qual for module, tree in trees.items()
+                   for qual, fn in functions(module, tree)
+                   if loaded_names(fn) & names} - seen
+        seen |= readers
+        names = set()
+        for qual in readers:
+            last = qual.rsplit(".", 1)[1]
+            if last.startswith("_"):
+                names.add(last)
+            else:
+                out.add(qual)
+    return out
+
+
+def test_exact_run_is_reached_only_from_the_listed_callers():
+    assert exact_run_reachers(TREES) == EXACT_RUN_CALLERS
+
+
+def test_exact_run_check_follows_private_helpers():
+    tree = ast.parse("def _run(order):\n    return exact_run(order, f)\n"
+                     "def wrapper():\n    return _run(1)\n"
+                     "class A:\n    def m(self):\n        return g(exact_run)\n"
+                     "    def _n(self):\n        return _run(2)\n"
+                     "def free():\n    return 0\n")
+    assert exact_run_reachers({"m": tree}) == {"m.wrapper", "m.A.m"}

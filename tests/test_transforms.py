@@ -1,5 +1,5 @@
-"""The well-poised transforms: pinned values of the exact wrappers, and
-the shared Ctx implementations under the numeric strategy."""
+"""The well-poised transforms: pinned exact values of the shared Ctx
+builders, and the same builders under the numeric strategy."""
 
 import random
 from fractions import Fraction as F
@@ -8,17 +8,16 @@ import pytest
 
 from qident.bailey import (
     AlphaSequence,
-    WPPair,
     cor_sides,
     cor_transform,
     running_sums,
-    subbarao_verma_sides,
-    thm_transform_sides,
-    wp_beta,
+    wp_beta_sum,
     wp_transform,
 )
-from qident.context import NumericCtx
 from qident.series import LaurentSeries as LS, QMonomial
+from two_strategies import (assert_identity, exact, lift, lifted,
+                            multi_base, numeric_gap, partial_sum_transform,
+                            transform)
 
 
 def mono(c, e=0):
@@ -26,8 +25,8 @@ def mono(c, e=0):
 
 
 # (min_deg, order, coefficients): both sides of each transform, and
-# wp_beta, as computed by the raw-series implementations these wrappers
-# replaced. Equal sides alone would not catch a rewrite that returns the
+# beta_n of the pair relation, as computed by the raw-series
+# implementations that the Ctx builders replaced. Equal sides alone would not catch a rewrite that returns the
 # same wrong series twice.
 PINNED = {
     "cor_sides": (0, 30, (
@@ -85,19 +84,25 @@ THM_ALPHA = [F(2), F(-1, 3), F(5, 2), F(-4), F(1, 5)]
 
 
 def test_cor_sides_pinned():
+    # `cor_sides` is `cor_transform` with beta the running sums of alpha,
+    # summed exactly; the builder gives the same sides under both
+    # strategies
     alpha = AlphaSequence.from_values(
         [F(v) for v in ("3/2", "-2", "5/4", "1", "-7/3", "2", "1/4", "-1",
                         "6")])
-    lhs, rhs = cor_sides(alpha, mono(2, 1), mono(F(1, 2), 1), mono(-1, 2), 30)
+    x, y, z = mono(2, 1), mono(F(1, 2), 1), mono(-1, 2)
+    lhs, rhs = assert_identity(partial_sum_transform(alpha, x, y, z), 30)
     assert_pinned(lhs, "cor_sides")
     assert_pinned(rhs, "cor_sides")
+    assert cor_sides(alpha, x, y, z, 30) == (lhs, rhs)
 
 
 @pytest.mark.parametrize("k,name", [(mono(3, 5), "thm_k"),
                                     (mono(0), "thm_k0")])
 def test_thm_transform_sides_pinned(k, name):
-    pair = WPPair(AlphaSequence.from_values(THM_ALPHA), mono(F(1, 2), 3), k)
-    lhs, rhs = thm_transform_sides(pair, mono(2, 1), mono(-1, 2), 20)
+    alpha = AlphaSequence.from_values(THM_ALPHA)
+    lhs, rhs = assert_identity(transform(alpha, mono(F(1, 2), 3), k,
+                                         mono(2, 1), mono(-1, 2)), 20)
     assert_pinned(lhs, name)
     assert_pinned(rhs, name)
 
@@ -107,25 +112,27 @@ def test_thm_transform_sides_general_alpha(k):
     # alpha_n = (1/2)^n q^(n^2) declares no support, so the right side is
     # an infinite sum; term n of either side is O(q^(n^2)), so through
     # q^19 the sides are those of alpha cut after n = 5, which takes the
-    # finite-support path that the pins above cover
-    def pair(alpha):
-        return WPPair(alpha, mono(2, 2), k)
-
+    # finite-support path that the pins above cover. beta_n of an alpha
+    # without a support declares no bound, so the numeric arm takes the
+    # cut alpha only
     general = AlphaSequence(
         lambda ctx, n: ctx.mul(ctx.num(F(1, 2) ** n), ctx.qpow(n * n)),
         floor=0)
     cut = AlphaSequence.from_values([mono(F(1, 2) ** n, n * n)
                                      for n in range(6)])
+    cut = cut._replace(at=lambda ctx, n: lift(ctx, mono(F(1, 2) ** n, n * n)))
     r1, r2 = mono(F(-1, 2), 1), mono(3, 1)
-    lhs, rhs = thm_transform_sides(pair(general), r1, r2, 20)
+    lhs, rhs = exact(20, transform(general, mono(2, 2), k, r1, r2))
     assert lhs.order == rhs.order == 20
     assert lhs == rhs
-    assert (lhs, rhs) == thm_transform_sides(pair(cut), r1, r2, 20)
+    assert (lhs, rhs) == assert_identity(transform(cut, mono(2, 2),
+                                                   k, r1, r2), 20)
 
 
 def test_subbarao_verma_sides_pinned():
-    lhs, rhs = subbarao_verma_sides(5, F(1, 2), F(1, 3), F(2), mono(1, 3),
-                                    mono(1, 2), mono(1, 1), mono(1, 2), 24)
+    lhs, rhs = assert_identity(multi_base(
+        5, F(1, 2), F(1, 3), F(2), mono(1, 3), mono(1, 2), mono(1, 1),
+        mono(1, 2)), 24)
     assert_pinned(lhs, "sv")
     assert_pinned(rhs, "sv")
 
@@ -133,18 +140,13 @@ def test_subbarao_verma_sides_pinned():
 def test_wp_beta_pinned():
     alpha = AlphaSequence.from_values([F(1, 2), F(-3), F(2, 3), F(4),
                                        F(-1, 4), F(5)])
-    pair = WPPair(alpha, mono(2, 1), mono(F(-1, 2), 3))
-    assert_pinned(wp_beta(pair, 4, 24), "wp_beta")
+    (beta,) = exact(24, lambda ctx: [wp_beta_sum(
+        ctx, *lifted(ctx, mono(2, 1), mono(F(-1, 2), 3)),
+        alpha.factor(ctx), 4)])
+    assert_pinned(beta, "wp_beta")
 
 
 # ------------------------------------------------- shared code, numeric
-
-
-def numeric_gap(q, build):
-    """|lhs - rhs| of build(ctx) under NumericCtx at q, and the ctx."""
-    ctx = NumericCtx(q)
-    lhs, rhs = build(ctx)
-    return ctx.sub(ctx.finalize(lhs), ctx.finalize(rhs)).copy_abs(), ctx
 
 
 def sequence(ctx, vals):
@@ -158,11 +160,11 @@ def test_wp_transform_numeric_general_alpha(q, k):
     def build(ctx, vals=THM_ALPHA):
         return wp_transform(ctx, a, k, r1, r2, sequence(ctx, vals))
 
-    gap, ctx = numeric_gap(q, build)
+    gap, ctx = numeric_gap(build, q)
     assert gap <= ctx.tol
     # an alpha changed on one side only must show up
-    bent, _ = numeric_gap(q, lambda ctx: (
-        build(ctx)[0], build(ctx, THM_ALPHA[:-1] + [F(0)])[1]))
+    bent, _ = numeric_gap(lambda ctx: (
+        build(ctx)[0], build(ctx, THM_ALPHA[:-1] + [F(0)])[1]), q)
     assert bent > ctx.tol
 
 
@@ -176,5 +178,5 @@ def test_cor_transform_numeric_random_alpha(seed):
         alpha = sequence(ctx, vals)
         return cor_transform(ctx, x, y, z, running_sums(ctx, alpha), alpha)
 
-    gap, ctx = numeric_gap(F(1, 9), build)
+    gap, ctx = numeric_gap(build, F(1, 9))
     assert gap <= ctx.tol
