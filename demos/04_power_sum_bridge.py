@@ -9,7 +9,6 @@ into telescoping hypergeometric sequences.
 from fractions import Fraction as F
 
 from qident import (
-    QMonomial,
     check_bridge,
     check_ideal_poly,
     check_pte,
@@ -40,7 +39,7 @@ print("size-12 family odd sums vanish:",
 print("degree-11 power sums:", check_pte(A, B, 11))
 
 # bridge to series: partial sums of alpha hit the closed beta exactly
-alpha, beta = pte_alpha_beta(a, b, QMonomial.of(1, 1))
+alpha, beta = pte_alpha_beta(a, b)
 N = 20
 for n in range(5):
     got = exact_run(N, lambda ctx: ctx.finalize(

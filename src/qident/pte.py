@@ -172,29 +172,28 @@ def family12(m, K) -> Tuple[Multiset, Multiset]:
     return a, b
 
 
-def bridge_sequences(ctx: Ctx, a: Sequence, b: Sequence, base=None):
+def bridge_sequences(ctx: Ctx, a: Sequence, b: Sequence):
     """(alpha, beta), the declared terms (`bailey.Summand`) of the
-    telescoping sequence attached to a bridge-compatible pair, over `ctx`
-    with base p (default q):
+    telescoping sequence attached to a bridge-compatible pair, over `ctx`:
 
-        alpha_n = (a_1, .., a_m; p)_n p^{m n} / (p, b_1 p, .., b_{m-1} p; p)_n,
-        beta_n  = (a_1 p, .., a_m p; p)_n / (p, b_1 p, .., b_{m-1} p; p)_n,
+        alpha_n = (a_1, .., a_m; q)_n q^{m n} / (q, b_1 q, .., b_{m-1} q; q)_n,
+        beta_n  = (a_1 q, .., a_m q; q)_n / (q, b_1 q, .., b_{m-1} q; q)_n,
 
     with alpha_0 = 1 and partial sums of alpha equal to beta when
     check_bridge(a, b) holds (not checked here; see `pte_alpha_beta`)."""
-    p = ctx.qpow(1) if base is None else base
-    lower = [ctx.mul(bi, p) for bi in b]
-    return (phi_term(ctx, a, lower, p, ctx.pow_int(p, len(a))),
-            Summand(ctx, ups=[(ctx.mul(ai, p), p) for ai in a],
-                    downs=[(d, p) for d in [p, *lower]]))
+    q = ctx.qpow(1)
+    lower = [ctx.mul(bi, q) for bi in b]
+    return (phi_term(ctx, a, lower, q, ctx.pow_int(q, len(a))),
+            Summand(ctx, ups=[(ctx.mul(ai, q), q) for ai in a],
+                    downs=[(d, q) for d in [q, *lower]]))
 
 
-def pte_alpha_beta(a: Sequence, b: Sequence, base=None
+def pte_alpha_beta(a: Sequence, b: Sequence
                    ) -> Tuple[AlphaSequence, AlphaSequence]:
-    """The bridge pair of `bridge_sequences` in base p (default q) as two
-    `AlphaSequence`s, alpha (alpha_0 = 1) and beta, read in any context
-    (exactly with `.value(n, order)`). Requires check_bridge(a, b) and
-    every b_i nonzero.
+    """The bridge pair of `bridge_sequences` as two `AlphaSequence`s,
+    alpha (alpha_0 = 1) and beta, read in any context (exactly with
+    `.value(n, order)`). Requires check_bridge(a, b) and every b_i
+    nonzero.
     """
     a = tuple(Fraction(v) for v in a)
     b = tuple(Fraction(v) for v in b)
@@ -205,8 +204,8 @@ def pte_alpha_beta(a: Sequence, b: Sequence, base=None
         raise BridgeConstraintError("bridge needs every b_i nonzero")
 
     def sequence(which: int) -> AlphaSequence:
-        # power series: rational arguments and p^(m n) lower nothing
+        # power series: rational arguments and q^(m n) lower nothing
         return AlphaSequence(lambda ctx, n: bridge_sequences(
-            ctx, a, b, base)[which](n), floor=0)
+            ctx, a, b)[which](n), floor=0)
 
     return sequence(0), sequence(1)

@@ -20,10 +20,8 @@ from qident.pte import (
     power_sums,
     pte_alpha_beta,
 )
-from qident.series import LaurentSeries as LS, QMonomial
+from qident.series import LaurentSeries as LS
 from two_strategies import assert_identity
-
-Q = QMonomial.of(1, 1)
 
 
 # --------------------------------------------------------------- power sums
@@ -257,13 +255,13 @@ def test_pte_alpha_beta_family6():
 
 def test_pte_alpha_beta_n0():
     a, b = family6(1, 2)
-    alpha, beta = pte_alpha_beta(a, b, Q)
+    alpha, beta = pte_alpha_beta(a, b)
     assert alpha.value(0, 10) == LS.one(10)
     assert beta.value(0, 10).compare(LS.one(10), 10) is None
 
 
 def test_pte_alpha_beta_precondition():
     with pytest.raises(BridgeConstraintError):
-        pte_alpha_beta([F(1, 2), F(1, 3)], [F(7)], Q)
+        pte_alpha_beta([F(1, 2), F(1, 3)], [F(7)])
     with pytest.raises(BridgeConstraintError):
-        pte_alpha_beta([F(1, 2), F(1, 2)], [F(0)], Q)
+        pte_alpha_beta([F(1, 2), F(1, 2)], [F(0)])

@@ -26,8 +26,8 @@ def mono(c, e=0):
 
 # (min_deg, order, coefficients): both sides of each transform, and
 # beta_n of the pair relation, as computed by the raw-series
-# implementations that the Ctx builders replaced. Equal sides alone would not catch a rewrite that returns the
-# same wrong series twice.
+# implementations that the Ctx builders replaced. Equal sides alone
+# would not catch a rewrite that returns the same wrong series twice.
 PINNED = {
     "cor_sides": (0, 30, (
         '3/2', '-1', '7/2', '23/2', '-46/3', '263/4', '503/6', '55/4',

@@ -9,9 +9,10 @@ modules check are at the end."""
 from fractions import Fraction as F
 from functools import reduce
 
-from qident.bailey import (cor_transform, running_sums, sv_linear,
-                           sv_quotient, wp_transform)
-from qident.context import NumericCtx, exact_run
+# the one exact read-out, shared with `AlphaSequence.value`
+from qident.bailey import (_exact as exact, cor_transform, running_sums,
+                           sv_linear, sv_quotient, wp_transform)
+from qident.context import NumericCtx
 from qident.series import QMonomial
 
 #: the q of the numeric arm, inside the |q| <= 1/5 of the catalog's
@@ -30,13 +31,6 @@ def lifted(ctx, *vals):
     return [lift(ctx, v) for v in vals]
 
 
-def exact(order, build):
-    """build(ctx)'s values, computed in `exact_run`, as series cut at
-    `order`."""
-    return exact_run(order, lambda ctx: tuple(
-        ctx.finalize(v).truncate(order) for v in build(ctx)))
-
-
 def numeric(build, q=Q_NUMERIC):
     """The NumericCtx at q, and build(ctx)'s values there."""
     ctx = NumericCtx(q)
@@ -49,14 +43,13 @@ def numeric_gap(build, q=Q_NUMERIC):
     return ctx.sub(lhs, rhs).copy_abs(), ctx
 
 
-def assert_identity(build, order, q=Q_NUMERIC, up_to=None):
+def assert_identity(build, order):
     """build(ctx) is (lhs, rhs) of one identity: the sides agree exactly
-    through `up_to` (default `order`) and within the numeric tolerance
-    at q. Returns the exact sides."""
+    through `order` and within the numeric tolerance at Q_NUMERIC.
+    Returns the exact sides."""
     lhs, rhs = exact(order, build)
-    up_to = order if up_to is None else up_to
-    assert lhs.compare(rhs, up_to) is None, lhs.compare(rhs, up_to)
-    gap, ctx = numeric_gap(build, q)
+    assert lhs.compare(rhs, order) is None, lhs.compare(rhs, order)
+    gap, ctx = numeric_gap(build)
     assert gap <= ctx.tol, gap
     return lhs, rhs
 
