@@ -22,7 +22,6 @@ print("check product   =", one_minus_q * geo)
 # Laurent windows: negative exponents are first-class
 s = LS.from_pairs({-2: F(3, 4), 0: 1, 3: -2}, order=9)
 print("Laurent series  =", s)
-print("rescaled q->t^2 =", s.rescale(2))
 
 # comparison semantics: a mismatch beyond the window does not exist yet
 a = LS.one(5)

@@ -26,11 +26,12 @@ them under both the exact and the numeric strategy:
 
 A sequence enters them as a `Factor` (a function n -> context value, a
 valuation floor, a magnitude bound, and, where it is known, a `support`
-past which alpha_n is zero) or as a nested `Summand`; the transforms
-read a `Factor`'s support and floor themselves. `vwp_weight` is the
-very-well-poised factor as a `Factor`. An `AlphaSequence` declares a
-sequence once for every context: `at(ctx, n)` with its support and
-floor, and `factor(ctx)` is its `Factor` in `ctx`.
+past which alpha_n is zero) or as a `Summand`, which the transform's
+term folds in; the transforms read a `Factor`'s support and floor
+themselves. `vwp_weight` is the very-well-poised factor as a `Factor`.
+An `AlphaSequence` declares a sequence once for every context:
+`at(ctx, n)` with its support and floor, and `factor(ctx)` is its
+`Factor` in `ctx`.
 
 There is no exact-only copy of a transform: a caller runs the builders
 in `context.exact_run` (which finds the working order the Laurent dips
@@ -273,10 +274,13 @@ class Summand(_SummandFields):
     with `power` = (A, B, C) (each default 0) and p = q unless given.
     `ups` and `downs` hold (argument, base) pairs, of length n, or
     (argument, base, k, l); `heads` hold (w, r) pairs, or (w, r, True)
-    for an inverse head; `factors` the opaque f_n, each a `Factor` or a
-    nested Summand in the same n. `support`, when set, promises the term
-    is zero past it. It is an immutable tuple of those fields
-    (`_replace` makes a variant).
+    for an inverse head; `factors` the opaque f_n, each a `Factor`, or a
+    Summand in n, which is folded in at construction, never evaluated as
+    a factor: the two s multiply, the one power keeps its p, the
+    Pochhammers, heads and f_n join, and the smaller support holds
+    (`_replace` skips the fold; a Summand it leaves raises). `support`,
+    when set, promises the term is zero past it. It is an immutable
+    tuple of those fields (`_replace` makes a variant).
 
     Called with n it is the term in its context, for either strategy:
     all its Pochhammers, whatever their lengths, are one `ctx.quotient`,
@@ -312,11 +316,28 @@ class Summand(_SummandFields):
 
     def __new__(cls, *args, **kw):
         self = super().__new__(cls, *args, **kw)
-        for f in self.factors:
-            if not isinstance(f, (Factor, Summand)):
-                raise TypeError("a summand's opaque factor is a Factor or "
-                                "a Summand, not a bare callable")
-        return self
+        if not all(isinstance(f, (Factor, Summand)) for f in self.factors):
+            raise TypeError("a summand's opaque factor is a Factor or a "
+                            "Summand, not a bare callable")
+        nested = [f for f in self.factors if isinstance(f, Summand)]
+        return reduce(Summand._fold, nested, self._replace(factors=[
+            f for f in self.factors if isinstance(f, Factor)]))
+
+    def _fold(self, inner: "Summand") -> "Summand":
+        """This term times `inner`, as one declaration (see the class)."""
+        if any(self.power) and any(inner.power):     # their p may differ
+            raise ValueError("two q-powers do not fold into one summand")
+        own = any(self.power)
+        s = (inner.s if self.s is None else self.s if inner.s is None
+             else self.ctx.mul(self.s, inner.s))
+        tops = [t for t in (self.support, inner.support) if t is not None]
+        return self._replace(
+            s=s, power=self.power if own else inner.power,
+            p=self.p if own else inner.p, ups=[*self.ups, *inner.ups],
+            downs=[*self.downs, *inner.downs],
+            heads=[*self.heads, *inner.heads],
+            factors=[*self.factors, *inner.factors],
+            support=min(tops, default=None))
 
     @cached_property
     def _plan(self):
@@ -325,6 +346,8 @@ class Summand(_SummandFields):
         s^n; the power as integers (A, B, C, den) over one denominator
         (None when it is 0); the heads as (w, r, inverse); and the f_n as
         plain callables."""
+        if not all(isinstance(f, Factor) for f in self.factors):
+            raise TypeError("a Summand that _replace left among the factors")
         main = self.ctx.quotient(self.ups, self.downs, self.s)
         power = (*self.power, 0, 0, 0)[:3]
         den = lcm(*(x.denominator for x in power))
@@ -332,14 +355,7 @@ class Summand(_SummandFields):
         heads = [(w, r, bool(inverse and inverse[0]))
                  for w, r, *inverse in self.heads]
         return (main, coefs + (den,) if any(coefs) else None, heads,
-                [f.at if isinstance(f, Factor) else f._direct()
-                 for f in self.factors])
-
-    def _direct(self):
-        """The term as a plain callable: its quotient when it has no
-        other factor, else itself."""
-        main, power, heads, factors = self._plan
-        return main if not (power or heads or factors) else self
+                [f.at for f in self.factors])
 
     def _power(self, n: int, power):
         """p^(A n^2 + B n + C) at n, from the plan's (A, B, C, den)."""

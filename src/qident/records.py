@@ -51,7 +51,7 @@ from .bailey import (
 )
 from .context import Ctx
 from .errors import DegenerateFamily
-from .pte import bridge_sequences, family6
+from .pte import bridge_sequences, family6, family12
 from .qfunc import BOUND_UP, Envelope
 from .series import QMonomial
 
@@ -496,18 +496,14 @@ def _s_cpte3(rng, mode):
     return out
 
 
-_F12_A = (170, 126, 209, 87, 234, 62, 275, 21, 288, 8, 299, -3)
-_F12_B = (183, 113, 195, 101, 242, 54, 269, 27, 294, 2, 296)
-
-
 def _b_cpte5(ctx, p):
-    m = p["m"]
-    avals = [1 + F(t) * m for t in _F12_A]
-    bvals = [1 + F(t) * m for t in _F12_B]
+    # the size-12 pair around 1 + 148 m; phi_term's (q; q)_n is the
+    # (1 q; q)_n of its last lower entry, 1
+    avals, bvals = family12(p["m"], 1 + 148 * p["m"])
     qq = ctx.qpow(1)
     z = ctx.qpow(12)
     ups = [ctx.num(ai) for ai in avals]
-    downs = [ctx.mul(ctx.num(bi), qq) for bi in bvals]
+    downs = [ctx.mul(ctx.num(bi), qq) for bi in bvals[:-1]]
     lhs = ctx.summation(phi_term(ctx, ups, downs, qq, z))
     rhs = ctx.mul(*[ctx.poch_inf(ctx.mul(u, qq), qq) for u in ups])
     rhs = ctx.mul(rhs, *[ctx.inv(ctx.poch_inf(d, qq)) for d in downs])
@@ -517,12 +513,13 @@ def _b_cpte5(ctx, p):
 
 def _s_cpte5(rng, mode):
     m = F(rng.choice([1, -1, 2, 3, 5]), rng.choice([1, 3, 4, 5]))
-    if any(1 + F(t) * m == 0 for t in _F12_A + _F12_B):
+    avals, bvals = family12(m, 1 + 148 * m)
+    if not all(avals + bvals[:-1]):
         return None
     out = {"m": m}
     if mode == "numeric":
         out["q"] = _qv(rng)
-        if not _no_rational_pole([1 + F(t) * m for t in _F12_B], out["q"]):
+        if not _no_rational_pole(bvals[:-1], out["q"]):
             return None
     return out
 

@@ -828,19 +828,6 @@ class LaurentSeries:
                                         self.nums[:max(width, 0)],
                                         self.den, order)
 
-    def rescale(self, d: int) -> "LaurentSeries":
-        """Map q -> t^d: every exponent (and the order) is multiplied by d."""
-        if d < 1:
-            raise ValueError("rescale factor must be >= 1")
-        if d == 1:
-            return self
-        order = None if self.order is None else self.order * d
-        if self.is_zero:
-            return LaurentSeries.zero(order)
-        out = [0] * ((len(self.nums) - 1) * d + 1)
-        out[::d] = self.nums
-        return LaurentSeries._from_ints(self.min_deg * d, out, self.den, order)
-
     # -- comparison -----------------------------------------------------
 
     def compare(self, other: "LaurentSeries", up_to: int) -> Optional[Mismatch]:

@@ -1,22 +1,26 @@
 """Pair relation, chain step, infinite transform, partial-sum engine,
 telescoping sequences, finite multi-base identity: the shared `Ctx`
-builders, each identity under both strategies (`two_strategies`)."""
+builders, each identity under both strategies (`two_strategies`); and
+the fold of a nested `Summand` into its parent."""
 
 import random
 from fractions import Fraction as F
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qident.bailey import (
     AlphaSequence,
     Factor,
+    Summand,
     running_sums,
     unit_alpha,
     wp_beta_sum,
     wp_chain_alpha,
     wp_chain_beta,
 )
+from qident.context import ExactCtx, NumericCtx
 from qident.errors import (BoundViolation, DegenerateDenominator,
                            UndeclaredBound, UndeclaredFloor,
                            ZeroLeadingCoefficient)
@@ -388,3 +392,143 @@ def test_sv_degenerate():
         exact(20, build)
     with pytest.raises(DegenerateDenominator):
         numeric(build)
+
+
+# ------------------------------------------------------ nested summands
+#
+# A Summand among the factors of another is folded into it when the
+# parent is built: one declaration whose terms are the products of the
+# two terms and whose law is the sum of the two laws.
+
+def nonunit(exps):
+    return st.builds(QMonomial, st.sampled_from(
+        [F(-1), F(1, 2), F(2, 3), F(-3), F(3)]), exps)
+
+
+# arguments and heads that vanish at no n, exactly or at Q_NUMERIC: no
+# coefficient is 1 or a power of 7, and a head's r has the coefficient
+# +-1 while its w has not
+DECLARATION = st.fixed_dictionaries({
+    "s": st.none() | nonunit(st.integers(0, 2)),
+    "ups": st.lists(st.tuples(nonunit(st.integers(0, 2)), st.integers(1, 2),
+                              st.integers(0, 1)), max_size=2),
+    "downs": st.lists(st.tuples(nonunit(st.integers(0, 2)),
+                                st.integers(1, 2), st.integers(0, 1)),
+                      max_size=2),
+    "heads": st.lists(st.tuples(
+        nonunit(st.integers(0, 2)).filter(lambda w: abs(w.coef) != 1),
+        st.builds(QMonomial, st.sampled_from([F(1), F(-1)]),
+                  st.integers(0, 2)), st.booleans()), max_size=2),
+    "factors": st.lists(st.integers(1, 3), max_size=1),
+    "support": st.none() | st.integers(2, 6)})
+POWER = st.tuples(st.integers(0, 1), st.integers(-1, 2), st.integers(-1, 1))
+BASE_P = st.sampled_from([None, mono(1, 2), mono(-1, 1)])
+
+
+def declared(ctx, d, power=(), p=None, nested=()):
+    """The Summand of the declaration `d` in `ctx`, with the q-power
+    p^(A n^2 + B n + C) and the summands `nested` among its factors."""
+    q = ctx.qpow(1)
+    return Summand(
+        ctx, None if d["s"] is None else lift(ctx, d["s"]), power,
+        None if p is None else lift(ctx, p),
+        [(lift(ctx, u), q, k, l) for u, k, l in d["ups"]],
+        [(lift(ctx, u), q, k, l) for u, k, l in d["downs"]],
+        [(lift(ctx, w), lift(ctx, r), inverse)
+         for w, r, inverse in d["heads"]],
+        [*(Factor(lambda n, c=c: ctx.num(n + c), 0) for c in d["factors"]),
+         *nested], d["support"])
+
+
+def fold_faults(outer, inner, power, p, inner_power):
+    """Where the fold of the declaration `inner` (with the q-power when
+    `inner_power`, else `outer` has it) into `outer` departs from the
+    two parts: its terms n = 0..3 against the products of theirs,
+    exactly and at Q_NUMERIC, and its law against the sum of theirs."""
+    powers = ((), power) if inner_power else (power, ())
+
+    def parts(ctx):
+        return (declared(ctx, outer, powers[0], p),
+                declared(ctx, inner, powers[1], p))
+
+    def folded(ctx):
+        a, b = parts(ctx)
+        return declared(ctx, outer, powers[0], p, [b]), a, b
+
+    def terms(ctx):
+        f, a, b = folded(ctx)
+        return [v for n in range(4) for v in (f(n), ctx.mul(a(n), b(n)))]
+
+    faults = []
+    got = exact(12, terms)
+    faults += [("exact", n) for n in range(4)
+               if got[2 * n] != got[2 * n + 1]]
+    ctx, got = numeric(terms)
+    faults += [("numeric", n) for n in range(4)
+               if ctx.sub(got[2 * n], got[2 * n + 1]).copy_abs()
+               > ctx.tol * max(1, got[2 * n + 1].copy_abs())]
+
+    def normal(law):
+        return law.a, law.b, law.c, sorted(law.kinks), law.support
+
+    f, a, b = folded(ExactCtx(12))
+    if normal(f.law()) != normal(a.law() + b.law()):
+        faults.append(("law",))
+    return faults
+
+
+@settings(max_examples=60, deadline=None)
+@given(DECLARATION, DECLARATION, POWER, BASE_P, st.booleans())
+def test_fold_is_the_product_of_its_parts(outer, inner, power, p,
+                                          inner_power):
+    assert fold_faults(outer, inner, power, p, inner_power) == []
+
+
+#: every field of both parts is set, and the inner s is not 1
+FOLD_DRAW = (
+    {"s": mono(2, 1), "ups": [(mono(F(1, 2), 1), 1, 0)],
+     "downs": [(mono(-3, 1), 2, 1)],
+     "heads": [(mono(3, 1), mono(-1, 1), False)],
+     "factors": [1], "support": 3},
+    {"s": mono(F(2, 3), 1), "ups": [(mono(-1, 2), 2, 0)],
+     "downs": [(mono(F(1, 2), 0), 1, 1)],
+     "heads": [(mono(F(-3), 0), mono(1, 1), True)], "factors": [2],
+     "support": 5},
+    (1, -1, 0), mono(-1, 1), True)
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda fold, a, b: fold(a, b._replace(ups=b.ups[1:])),
+    lambda fold, a, b: fold(a, b._replace(downs=b.downs[1:])),
+    lambda fold, a, b: fold(a, b._replace(heads=b.heads[1:])),
+    lambda fold, a, b: fold(a, b._replace(s=None)),
+    lambda fold, a, b: fold(a, b)._replace(support=max(
+        a.support, b.support)),
+], ids=["drops-up", "drops-down", "drops-head", "drops-s",
+        "larger-support"])
+def test_fold_check_catches_mutants(monkeypatch, mutant):
+    assert fold_faults(*FOLD_DRAW) == []
+    fold = Summand._fold
+    monkeypatch.setattr(Summand, "_fold",
+                        lambda a, b: mutant(fold, a, b))
+    assert fold_faults(*FOLD_DRAW) != []
+
+
+def test_fold_refuses_two_powers():
+    ctx = ExactCtx(10)
+    with pytest.raises(ValueError, match="two q-powers"):
+        Summand(ctx, power=(1,), factors=[Summand(ctx, power=(0, 1))])
+
+
+def test_a_summand_left_by_replace_is_never_a_factor():
+    # `_replace` skips the fold, so a Summand it leaves among the factors
+    # raises wherever a term, a sum or an envelope would read it
+    for ctx in (ExactCtx(10), NumericCtx(Q_NUMERIC)):
+        q = ctx.qpow(1)
+        term = Summand(ctx, q)._replace(factors=[Summand(ctx, q)])
+        with pytest.raises(TypeError, match="_replace left"):
+            term(1)
+        with pytest.raises(TypeError, match="_replace left"):
+            ctx.summation(term)
+    with pytest.raises(TypeError, match="_replace left"):
+        term.envelope()

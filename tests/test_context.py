@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qident import context, qfunc
-from qident.bailey import Factor, Summand
+from qident.bailey import Factor, Summand, cor_pref
 from qident.context import ExactCtx, NumericCtx
 from qident.errors import (DegenerateDenominator, NonTruncatable,
                            OrderInsufficient)
@@ -165,9 +165,10 @@ def test_terms_above_goal_multiply_nothing(monkeypatch):
 
 
 def test_zero_scalar_adds_no_unit_factor(monkeypatch):
-    """At z = 0 (bb-z0) the prefactor's (1 - x*0) is the scalar 1: over
-    the record's seed-1 verdicts at order 20 no product has a factor that
-    is exactly 1 through the comparison order. (A partial product that a
+    """At z = 0 (bb-z0) the prefactor's (1 - x*0) is the scalar 1, and
+    the prefactor has no series part, at each of the record's seed-1
+    draws; over its verdicts at order 20 no product has a factor that is
+    exactly 1 through the comparison order. (A partial product that a
     sum's goal caps below it may still read 1 + O(q).)"""
     factors = []
     mul = LS.mul
@@ -178,8 +179,11 @@ def test_zero_scalar_adds_no_unit_factor(monkeypatch):
 
     monkeypatch.setattr(LS, "mul", recording)
     for a in sample_params("bb-z0", 1, 3, "exact"):
+        ctx, x, y = ExactCtx(20), a.values["x"], a.values["y"]
+        one = ctx.sub(ctx.one(), ctx.mul(x, ctx.num(0)))
+        assert type(one) is F and one == 1
+        assert cor_pref(ctx, x, y, ctx.num(0)).parts == ()
         assert verify_one("bb-z0", a, 20).status == "equal"
-    assert factors
     units = [s for s in factors if s == LS.one(s.order)
              and (s.order is None or s.order >= 20)]
     assert units == []

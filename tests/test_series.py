@@ -118,25 +118,6 @@ def test_compare_order_insufficient():
         LS.one(5).compare(LS.one(10), 8)
 
 
-# ------------------------------------------------------------------ rescaling
-
-def test_rescale_basic():
-    assert poly({0: 1, 1: -1}).rescale(2) == poly({0: 1, 2: -1})
-
-
-def test_rescale_identity():
-    s = poly({0: 1, 3: 4}, order=9)
-    assert s.rescale(1) == s
-
-
-def test_rescale_laurent():
-    assert poly({-1: 1, 1: 1}).rescale(3) == poly({-3: 1, 3: 1})
-
-
-def test_rescale_order_multiplied():
-    assert poly({0: 1}, order=7).rescale(3).order == 21
-
-
 # ---------------------------------------------------------------- invariants
 
 COEFS = [F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 7)]
@@ -819,15 +800,12 @@ def test_kernel_invert(x, order):
     assert_matches(s.invert(order), want)
 
 
-@given(series_and_ref(), st.integers(-4, 10), st.integers(1, 3))
+@given(series_and_ref(), st.integers(-4, 10))
 @KERNEL
-def test_kernel_truncate_rescale(x, n, d):
+def test_kernel_truncate(x, n):
     s, r = x
     if n <= _top(r[1]):
         assert_matches(s.truncate(n), ref_truncate(r, n))
-    d_ref = {e * d: c for e, c in r[0].items()}
-    o_ref = None if r[1] is None else r[1] * d
-    assert_matches(s.rescale(d), (d_ref, o_ref))
 
 
 @st.composite
