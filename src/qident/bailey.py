@@ -56,21 +56,20 @@ from .errors import (
 )
 from .qfunc import (
     BOUND_DOWN,
-    BOUND_PRECISION,
+    BOUND_SLACK,
     BOUND_UP,
     NO_BOUND,
     Envelope,
+    Ratio,
     ValuationLaw,
     as_monomial,
+    length_start,
     poch_law,
     tail_after,
 )
 from .series import DEFAULT_ORDER, LaurentSeries, QMonomial
 
 _ZERO, _ONE = Decimal(0), Decimal(1)
-#: the relative slack on a summand's envelope: it covers the rounding of
-#: the computed values its M starts from, and of `BOUND_UP.power`
-_SLACK = _ONE + Decimal(10) ** (4 - BOUND_PRECISION)
 
 class AlphaSequence(NamedTuple):
     """A sequence alpha_n declared once for every context: `at(ctx, n)`
@@ -133,7 +132,9 @@ class Factor(NamedTuple):
     is the numeric counterpart: a `qfunc.Envelope` of f_n, or a `Summand`
     whose envelope bounds |f_n|, or None, the default, when no bound is
     assumed (a numeric sum over it then raises UndeclaredBound, unless a
-    support ends it)."""
+    support ends it). Only an `Envelope` bound declares f's limit ratio
+    (`Envelope.ratio`): a `Summand` bound bounds |f_n|, but its term
+    ratio is not f's."""
 
     at: Callable[[int], object]
     floor: Union[int, "Summand", None] = None
@@ -151,20 +152,26 @@ class Factor(NamedTuple):
         return law + ValuationLaw(support=self.support)
 
     def envelope(self) -> Envelope:
-        """(NumericCtx only) the declared bound, zero past the support."""
+        """(NumericCtx only) the declared bound, zero past the support,
+        where it declares no limit ratio."""
         b, top = self.bound, self.support
         env = b.envelope() if isinstance(b, Summand) else b or NO_BOUND
+        if isinstance(b, Summand) and env.ratio is not None:
+            env = env._replace(ratio=None)
         if top is None:
             return env
         return env._replace(
             at=lambda n: (_ZERO, _ZERO) if n > top else env.at(n),
-            support=top if env.support is None else min(top, env.support))
+            support=top if env.support is None else min(top, env.support),
+            ratio=None)
 
 
 def constant(c) -> Factor:
-    """The factor c at every n, with the floor 0 and the bound (|c|, 1)."""
+    """The factor c at every n, with the floor 0, the bound (|c|, 1) and
+    the limit ratio 1."""
     return Factor(lambda n: c, 0,
-                  bound=Envelope(lambda n: (c.copy_abs(), _ONE), _ONE))
+                  bound=Envelope(lambda n: (c.copy_abs(), _ONE), _ONE,
+                                 ratio=lambda: Ratio(_ONE)))
 
 
 def _summed(count: int, term: Callable[[int], "Summand"]) -> Envelope:
@@ -188,9 +195,9 @@ def _summed(count: int, term: Callable[[int], "Summand"]) -> Envelope:
 
 def _product(bounds) -> Optional[Tuple[Decimal, Decimal]]:
     """The (M, g) of a product from its factors' pairs: the products of
-    their Ms and of their gs, with `_SLACK`; (0, 0) when some M is 0, and
-    None when some factor has no pair."""
-    m = g = _SLACK
+    their Ms and of their gs, with `BOUND_SLACK`; (0, 0) when some M is
+    0, and None when some factor has no pair."""
+    m = g = BOUND_SLACK
     known = True
     for bound in bounds:
         if bound is None:
@@ -241,6 +248,18 @@ def _head_bound(w: Decimal, r: Decimal, inverse: bool, n: int):
         if low > 0:
             return BOUND_UP.divide(_ONE, low), BOUND_UP.divide(_ONE, r)
     return None
+
+
+def _ratio_piece(u: Decimal, b: Decimal, k: int = 1, l: int = 0,
+                 twice: bool = False):
+    """The `qfunc.Ratio` piece of the factors 1 - u b^j over j >= k n + l,
+    each met once in the term ratios from n on (a Pochhammer
+    (u; b)_(k n + l)) or twice (a head 1 - u b^n, in the ratios at n - 1
+    and n), given |u| and 0 < |b| < 1: since |log(1 - x)| <= |x|/(1 - |x|),
+    their sum is at most (1 or 2) X/((1 - |b|)(1 - X)), X = |u||b|^(k n + l).
+    Rounding b up only raises it."""
+    return (BOUND_UP.divide(2 if twice else 1, BOUND_DOWN.subtract(_ONE, b)),
+            BOUND_UP.multiply(u, BOUND_UP.power(b, l)), BOUND_UP.power(b, k))
 
 
 def _head_least(w: Decimal, r: Decimal, inverse: bool) -> Optional[Decimal]:
@@ -312,6 +331,19 @@ class Summand(_SummandFields):
     with no support of its own, nor from another f_n, without any
     envelope: `qfunc.NO_BOUND`, on which `NumericCtx.summation` raises
     UndeclaredBound.
+
+    The envelope also carries the term's limit-ratio certificate
+    (`qfunc.Ratio`, built when a sum first asks for it), where the term
+    ratio tends to a constant: s times p^B (no quadratic power), times
+    each f_n's declared limit, when that is below 1 in size. Each
+    Pochhammer (u; b)_(k n + l) on a base 0 < |b| < 1 adds the piece
+    X/((1 - |b|)(1 - X)), X = |u||b|^(k n + l), to its drift D(n), and
+    each head on 0 < |r| < 1 twice that, with X = |w||r|^n. An f_n
+    counts only by the ratio it declares itself (`constant` 1, the
+    very-well-poised factor its head, `running_sums` 1 from its alpha's
+    support on). A term with a support, a quadratic power, another
+    Pochhammer base or head, or an f_n that declares no ratio has no
+    certificate, and its sum stops on the envelope alone.
     """
 
     def __new__(cls, *args, **kw):
@@ -431,7 +463,45 @@ class Summand(_SummandFields):
 
         return Envelope(at, None if None in least else
                         reduce(BOUND_DOWN.multiply, least, _ONE),
-                        min(tops) if tops else None)
+                        min(tops) if tops else None,
+                        None if tops else partial(self._ratio, envs))
+
+    def _ratio(self, envs) -> Optional[Ratio]:
+        """The term's limit-ratio certificate (see the class), given the
+        envelopes of its f_n; None where some part declares none. The
+        term's own parts are read first: they rule out most terms."""
+        ctx = self.ctx
+        _, power, heads, _ = self._plan
+        s = [] if self.s is None else [self.s]
+        if power:
+            a, b, _, den = power
+            if a or self.p is not None and b % den:
+                return None
+            s.append(ctx.qpow(Fraction(b, den)) if self.p is None else
+                     ctx.pow_int(self.p, b // den))
+        pieces, start = [], 0
+        for u, base, *kl in (*self.ups, *self.downs):
+            k, l = kl or (1, 0)
+            u, base = ctx.num(u).copy_abs(), ctx.num(base).copy_abs()
+            if k and u:         # else no factor, or 1, per step
+                if not 0 < base < 1:
+                    return None
+                pieces.append(_ratio_piece(u, base, k, l))
+                start = max(start, length_start([(k, l)]))
+        for w, r, _ in heads:
+            w, r = ctx.num(w).copy_abs(), ctx.num(r).copy_abs()
+            if w:
+                if not 0 < r < 1:
+                    return None
+                pieces.append(_ratio_piece(w, r, twice=True))
+        lims = [env.ratio and env.ratio() for env in envs]
+        if None in lims:
+            return None
+        s = ctx.mul(*s, *(lim.s for lim in lims))
+        if s.copy_abs() >= 1:
+            return None
+        return Ratio(s, (*pieces, *(p for lim in lims for p in lim.pieces)),
+                     max([start] + [lim.start for lim in lims]))
 
     def law(self) -> ValuationLaw:
         mono = self.ctx.monomial
@@ -454,7 +524,8 @@ class Summand(_SummandFields):
 def vwp_weight(ctx: Ctx, k, step: int = 1, base=None) -> Factor:
     """The very-well-poised factor (1 - k p^(2 step n)) / (1 - k) of a
     summand's term n, base p (default q), as an opaque factor: floor 0,
-    and for |p| <= 1 the bound ((1 + |k||p|^(2 step n)) / |1 - k|, 1)."""
+    for |p| <= 1 the bound ((1 + |k||p|^(2 step n)) / |1 - k|, 1), and for
+    0 < |p| < 1 the limit ratio 1, with the head (k, p^(2 step))."""
 
     def bound(n: int):
         kk = ctx.num(k)
@@ -467,8 +538,17 @@ def vwp_weight(ctx: Ctx, k, step: int = 1, base=None) -> Factor:
             BOUND_DOWN.subtract(kk, _ONE)
         return BOUND_UP.divide(top, low), _ONE
 
+    def ratio():
+        kk = ctx.num(k).copy_abs()
+        if not kk:
+            return Ratio(_ONE)
+        r = BOUND_UP.power((ctx.q if base is None else ctx.num(base))
+                           .copy_abs(), 2 * step)
+        return Ratio(_ONE, (_ratio_piece(kk, r, twice=True),)) \
+            if 0 < r < 1 else None
+
     return Factor(lambda n: ctx.vwp(k, step * n, base), 0,
-                  bound=Envelope(bound, _ONE))
+                  bound=Envelope(bound, _ONE, ratio=ratio))
 
 
 def _total(ctx: Ctx, terms):
@@ -654,7 +734,8 @@ def running_sums(ctx: Ctx, alpha: Union[Factor, "Summand"]) -> Factor:
     floor of `alpha` when that is a number. When alpha declares a bound
     (a Summand always does) or a support, beta's bound at n is
     (|beta(n)| + the certified tail of alpha after n, 1), and
-    (|beta(n)|, 1) from alpha's support on, where beta stays constant."""
+    (|beta(n)|, 1) from alpha's support on, where beta stays constant:
+    with a support it declares the limit ratio 1 from there on."""
     cache = []
 
     def beta(n):
@@ -688,7 +769,9 @@ def running_sums(ctx: Ctx, alpha: Union[Factor, "Summand"]) -> Factor:
     floor = getattr(alpha, "floor", None)
     known = top is not None or getattr(alpha, "bound", alpha) is not None
     return Factor(beta, floor if isinstance(floor, int) else None,
-                  bound=Envelope(bound, _ONE) if known else None)
+                  bound=Envelope(bound, _ONE, ratio=None if top is None
+                                 else lambda: Ratio(_ONE, (), top))
+                  if known else None)
 
 
 def sv_quotient(ctx: Ctx, p_, P_, Q_, R_, a, b, c,

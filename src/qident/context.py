@@ -24,7 +24,9 @@ summand is declared (`bailey.Summand`, never a bare
 callable): ExactCtx reads its `ValuationLaw` and stops where the law's
 bound passes the goal, which proves that every later term is zero
 through it; NumericCtx reads its `qfunc.Envelope` and stops where the
-certified bound on all later terms is within tol/100. ExactCtx's
+certified bound on all later terms, or on their distance from the
+geometric tail that the envelope's `qfunc.Ratio` adds, is within
+tol/100. ExactCtx's
 `one`, and `vwp` at n = 0 or a zero argument, are the scalar 1 (`vwp` at
 k = 1 still raises DegenerateVWP); `quotient` (so `poch` and `inv_poch`)
 there is the unit monomial while it holds no binomial (the empty product,
@@ -731,8 +733,11 @@ class NumericCtx:
         ExactCtx, so its values are already this context's decimals; its
         `Envelope` is the stopping certificate (`qfunc.sum_numeric`): the
         sum stops where the bound on all later terms, times |`times`|
-        when that exceeds 1, is within tol/100, or at the declared
-        support, and an envelope that never falls below 1 raises
+        when that exceeds 1, is within tol/100, where the envelope's
+        limit-ratio certificate (`qfunc.Ratio`, shifted by `start` as
+        the envelope is) bounds the distance from the geometric tail it
+        adds within the same budget, or at the declared support, and an
+        envelope that never falls below 1 raises
         TailNotDecreasing before the first term, or UndeclaredBound where
         an opaque factor declares neither a bound nor a support and no
         other part of the term declares a support. A builder passes every
@@ -742,9 +747,15 @@ class NumericCtx:
         if env is NO_BOUND:
             raise UndeclaredBound("opaque factor without a magnitude bound")
         if start:
-            at, top = env.at, env.support
+            at, top, ratio = env.at, env.support, env.ratio
+
+            def shifted():
+                cert = ratio()
+                return cert and cert.shifted(start)
+
             env = Envelope(lambda n: at(n + start), env.least,
-                           None if top is None else top - start)
+                           None if top is None else top - start,
+                           ratio and shifted)
         gen = NumericTermGenerator(
             (lambda n: term(n + start)) if start else term, env)
         times = self.num(times)

@@ -21,6 +21,15 @@ down (`BOUND_UP`, `BOUND_DOWN`). `sum_numeric` stops after the first term
 whose certified tail (`tail_after`) is within tol/100, or at a declared
 support.
 
+Where the term ratio tends to a constant s with |s| < 1, the envelope
+also carries a limit-ratio certificate (`Ratio`): s and a bound D(n) on
+the sum over m >= n of |log(t(m+1)/(s t(m)))|. The tail after n is then
+t(n) s/(1 - s) within |t(n)| |s|/(1 - |s|) D/(1 - D), and `sum_numeric`
+stops at the first term where that is within tol/100, adding the
+geometric tail: after about log(tol)/log|s q| terms rather than
+log(tol)/log|s| (compare Johansson, "Computing hypergeometric functions
+rigorously", ACM TOMS 2019).
+
 Conventions: (a; b)_n is the finite product over j < n of (1 - a b^j) and
 (a; b)_inf the infinite one. Arguments and bases are values of the shape
 c * q^e; the base must have nonneg exponent for finite products and positive
@@ -82,6 +91,16 @@ BOUND_DOWN = decimal.Context(prec=BOUND_PRECISION,
                              rounding=decimal.ROUND_FLOOR)
 _D_ZERO = Decimal(0)
 _D_ONE = Decimal(1)
+#: the relative slack on a bound built from computed values: it covers
+#: their rounding, and that of `BOUND_UP.power`
+BOUND_SLACK = _D_ONE + Decimal(10) ** (4 - BOUND_PRECISION)
+#: the least drift a `Ratio` claims: it covers the rounding of the terms
+#: themselves, which a numeric context computes to NUMERIC_PRECISION digits
+#: or more
+_DRIFT_FLOOR = Decimal(10) ** (4 - NUMERIC_PRECISION)
+#: the term at which `sum_numeric` builds an envelope's `Ratio`: a
+#: shorter sum never pays for it
+_RATIO_FROM = 8
 
 
 def as_monomial(value: Value) -> Optional[QMonomial]:
@@ -579,6 +598,64 @@ def sum_exact(gen: TermGenerator, order: int) -> LaurentSeries:
     return LaurentSeries._from_ints(lo, out, den, order)
 
 
+class Ratio(NamedTuple):
+    """A limit-ratio certificate for a numeric sequence t(0), t(1), ...:
+    `s`, the signed limit of t(n+1)/t(n), and `pieces`, triples of
+    Decimals (c, x, b) with 0 < b < 1, such that from n = `start` on
+
+        D(n) = sum over the pieces of c X/(1 - X),   X = x b^n < 1,
+
+    bounds the sum over m >= n of |log(t(m+1)/(s t(m)))|. A Pochhammer
+    (u; b)_(k n + l) of the term gives the piece (1/(1 - |b|), |u||b|^l,
+    |b|^k), a head 1 - w r^n the piece (2/(1 - |r|), |w|, |r|); s^n and a
+    linear power give s alone (`bailey.Summand.envelope`).
+
+    Then t(m) = t(n) s^(m - n) e^L with |L| <= D(n) for every m >= n, so
+    the tail after n is t(n) s/(1 - s) within `error(t(n), n)`,
+    |t(n)| |s|/(1 - |s|) D/(1 - D), since |e^L - 1| <= e^D - 1 <=
+    D/(1 - D) for D < 1 (`drift` rounds D up, and never below
+    `_DRIFT_FLOOR`, which covers the rounding of the terms). A sum stops
+    on it only where |s| < 1: an opaque factor's ratio, +-1, only enters
+    the certificate of the term it multiplies."""
+
+    s: Decimal
+    pieces: Tuple[Tuple[Decimal, Decimal, Decimal], ...] = ()
+    start: int = 0
+
+    def drift(self, n: int) -> Optional[Decimal]:
+        """D(n), rounded up; None below `start` or where some X >= 1."""
+        if n < self.start:
+            return None
+        d = _D_ZERO
+        for c, x, b in self.pieces:
+            big = BOUND_UP.multiply(x, BOUND_UP.power(b, n))
+            low = BOUND_DOWN.subtract(_D_ONE, big)
+            if low <= 0:
+                return None
+            d = BOUND_UP.add(d, BOUND_UP.divide(BOUND_UP.multiply(c, big),
+                                                low))
+        return max(BOUND_UP.multiply(d, BOUND_SLACK), _DRIFT_FLOOR)
+
+    def error(self, t: Decimal, n: int) -> Optional[Decimal]:
+        """|t| |s|/(1 - |s|) D(n)/(1 - D(n)), rounded up, for |s| < 1: how
+        far the sum of the terms after n lies from t s/(1 - s), t the term
+        n; None where D(n) is unknown or at least 1."""
+        d = self.drift(n)
+        if d is None or d >= 1:
+            return None
+        s = self.s.copy_abs()
+        return BOUND_UP.divide(
+            BOUND_UP.multiply(BOUND_UP.multiply(t.copy_abs(), s), d),
+            BOUND_DOWN.multiply(BOUND_DOWN.subtract(_D_ONE, s),
+                                BOUND_DOWN.subtract(_D_ONE, d)))
+
+    def shifted(self, k: int) -> "Ratio":
+        """The certificate of t(k), t(k + 1), ...: each x times b^k."""
+        return Ratio(self.s, tuple(
+            (c, BOUND_UP.multiply(x, BOUND_UP.power(b, k)), b)
+            for c, x, b in self.pieces), max(0, self.start - k))
+
+
 class Envelope(NamedTuple):
     """A magnitude certificate for a numeric sequence t(0), t(1), ..., the
     counterpart of `ValuationLaw`: `at(n)` is a pair of Decimals (M, g)
@@ -590,11 +667,17 @@ class Envelope(NamedTuple):
     least `least` (None: it gives none at all), and past `support`, when
     set, every t(m) is zero. The default `least`, 0, claims nothing. A
     declared summand gives one (`bailey.Summand.envelope`), and so does
-    each opaque factor that declares a bound (`bailey.Factor`)."""
+    each opaque factor that declares a bound (`bailey.Factor`).
+
+    `ratio`, when set, builds the sequence's limit-ratio certificate
+    (a `Ratio`, or None where it has none) when first called: a sum
+    calls it only at term n = `_RATIO_FROM`. A sequence with a support
+    has none: its zero terms have no ratio."""
 
     at: Callable[[int], Optional[Tuple[Decimal, Decimal]]]
     least: Optional[Decimal] = _D_ZERO
     support: Optional[int] = None
+    ratio: Optional[Callable[[], Optional[Ratio]]] = None
 
 
 #: the envelope of a sequence that declares no bound and no support, and
@@ -628,6 +711,36 @@ class NumericTermGenerator:
     envelope: Envelope
 
 
+def _geometric_stop(ratio: Ratio, cutoff: Decimal, dc: decimal.Context):
+    """(n, t) -> the tail t s/(1 - s) after term n of value t, computed
+    in `dc`, where `ratio` certifies it within `cutoff`; None elsewhere.
+    A float screen passes over the terms far from the stop before the
+    certificate is checked in Decimal. None for a ratio with |s| >= 1,
+    which certifies nothing."""
+    s = ratio.s
+    if s.copy_abs() >= 1:
+        return None
+    factor = dc.divide(s, dc.subtract(_D_ONE, s))
+    gap = abs(float(s))
+    gap /= 1 - gap
+    pieces = [(float(c), float(x), float(b)) for c, x, b in ratio.pieces]
+    rough = float(cutoff) * 1.001
+
+    def stop(n: int, t: Decimal) -> Optional[Decimal]:
+        d = 0.0
+        for c, x, b in pieces:
+            big = x * b ** n
+            if big >= 1:
+                return None
+            d += c * big / (1 - big)
+        if d >= 1 or abs(float(t)) * gap * d / (1 - d) > rough:
+            return None
+        err = ratio.error(t, n)
+        return None if err is None or err > cutoff else dc.multiply(t, factor)
+
+    return stop
+
+
 def sum_numeric(gen: NumericTermGenerator, tol: Decimal = NUMERIC_TOL,
                 context: Optional[decimal.Context] = None) -> Decimal:
     """Sum term(0), term(1), ... to within tol/100 (a Decimal), on a
@@ -635,8 +748,12 @@ def sum_numeric(gen: NumericTermGenerator, tol: Decimal = NUMERIC_TOL,
 
     From the first term below tol/100 on, the sum stops after the first
     term n whose certified tail (`tail_after` of the envelope at n) is at
-    most tol/100; it also stops after the envelope's support. An envelope
-    that can never certify a tail (`least` >= 1 or None, and no support)
+    most tol/100; it also stops after the envelope's support. At term
+    n = `_RATIO_FROM` it builds the envelope's limit-ratio certificate
+    (`Envelope.ratio`), if it has one, and from there on it also stops
+    at the first term n whose `Ratio.error` is at most tol/100, adding
+    the geometric tail t(n) s/(1 - s). An envelope that can never
+    certify a tail (`least` >= 1 or None, and no support)
     raises TailNotDecreasing before the first term, and one that has not
     certified it within the term budget raises it there. The sum is
     taken in `context` (default: a fresh one at NUMERIC_PRECISION
@@ -653,6 +770,7 @@ def sum_numeric(gen: NumericTermGenerator, tol: Decimal = NUMERIC_TOL,
     if top is None and (env.least is None or env.least >= 1):
         raise TailNotDecreasing("the declared envelope never falls below 1")
     add, at = dc.add, env.at
+    ratio, stop = env.ratio, None
     small = False
     total = _D_ZERO
     n = 0
@@ -662,6 +780,13 @@ def sum_numeric(gen: NumericTermGenerator, tol: Decimal = NUMERIC_TOL,
                 f"no certified tail within {_NUMERIC_TERM_BUDGET} terms")
         t = gen.term(n)
         total = add(total, t)
+        if ratio is not None and n >= _RATIO_FROM:
+            cert, ratio = ratio(), None
+            stop = cert and _geometric_stop(cert, cutoff, dc)
+        if stop is not None:
+            tail = stop(n, t)
+            if tail is not None:
+                return add(total, tail)
         if small or t.copy_abs() < cutoff:
             small = True
             tail = tail_after(at(n))

@@ -52,7 +52,7 @@ from .bailey import (
 from .context import Ctx
 from .errors import DegenerateFamily
 from .pte import bridge_sequences, family6, family12
-from .qfunc import BOUND_UP, Envelope
+from .qfunc import BOUND_UP, Envelope, Ratio
 from .series import QMonomial
 
 
@@ -130,10 +130,13 @@ def _xyz(rng, mode: str, d: int = 1) -> Dict:
 # ---------------------------------------------------------------------------
 
 def _sign(ctx: Ctx, alternating: bool = False) -> Factor:
-    """1, or (-1)^n, as an opaque factor: floor 0, bound (1, 1)."""
+    """1, or (-1)^n, as an opaque factor: floor 0, bound (1, 1), and the
+    limit ratio 1, or -1."""
     one = constant(ctx.num(1))
-    return one._replace(at=lambda n: ctx.num((-1) ** n)) if alternating \
-        else one
+    if not alternating:
+        return one
+    return one._replace(at=lambda n: ctx.num((-1) ** n), bound=one.bound.
+                        _replace(ratio=lambda: Ratio(Decimal(-1))))
 
 
 def _n_plus_one(ctx: Ctx) -> Factor:

@@ -8,28 +8,35 @@ each term has no coefficient below the bound, and each term from the
 stop on is zero through the goal.
 
 Every numeric sum stops where its declared summand's envelope certifies
-the tail, or at its support. For each record's first seed-1 numeric
-sample, every sum is evaluated for 40 terms past the term where the
-engine (`qfunc.sum_numeric`) stopped: each term lies under the envelope,
-and together they lie under the certified tail, which is at most
-tol/100. A sum times a prefactor is certified for the product. A
-property test checks the envelope of random declarations against plain
+the tail, where its limit-ratio certificate certifies the geometric
+tail t(N) s/(1 - s), or at its support. For each record's first seed-1
+numeric sample, every sum is evaluated for 40 terms past the term N
+where the engine (`qfunc.sum_numeric`) stopped. After an envelope stop
+each term lies under the envelope, and together they lie under the
+certified tail, which is at most tol/100. After a geometric stop each
+term t(N + k) lies within |t(N)| |s|^k (e^D - 1) of t(N) s^k, and the
+terms after N, taken until the envelope certifies the rest, plus that
+rest lie within tol/100 of t(N) s/(1 - s). A sum times a prefactor is
+certified for the product. Two property tests check the envelope and
+the limit-ratio certificate of random declarations against plain
 Fraction terms.
 """
 
+from decimal import Context, Decimal
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from qident.bailey import (Factor, Summand, constant, cor_pref,
-                           cor_transform, running_sums, vwp_weight)
+from qident.bailey import (AlphaSequence, Factor, Summand, constant,
+                           cor_pref, cor_transform, running_sums, vwp_weight)
 import qident.context as context_module
 from qident.context import ExactCtx, NumericCtx
 from qident.errors import TailNotDecreasing, UndeclaredBound
 from qident.qfunc import (NumericTermGenerator, TermGenerator, sum_exact,
                           sum_numeric, tail_after)
-from qident.records import QPOOL
+from qident.records import QPOOL, _sign
 from qident.registry import catalog, sample_params
 
 ORDER = 20
@@ -93,7 +100,10 @@ NUMERIC_PAST = 40
 
 def certified_stops(monkeypatch):
     """Wrap the engine `NumericCtx.summation` calls, so that each sum
-    records its generator, its tolerance and the last term n it took."""
+    records its generator, its tolerance, the last term n it took, and
+    what the engine added past the sum of the terms it took: zero after
+    an envelope stop or at a support, the geometric tail after a
+    limit-ratio stop."""
     stops = []
 
     def traced(gen, tol, context):
@@ -105,33 +115,62 @@ def certified_stops(monkeypatch):
 
         total = sum_numeric(NumericTermGenerator(term, gen.envelope), tol,
                             context)
-        stops.append((gen, context.divide(tol, 100), seen[-1]))
+        taken = reduce(context.add, map(gen.term, seen), Decimal(0))
+        stops.append((gen, context.divide(tol, 100), seen[-1],
+                      F(total) - F(taken)))
         return total
 
     monkeypatch.setattr(context_module, "sum_numeric", traced)
     return stops
 
 
+def expm1_up(d: F) -> F:
+    """An upper bound on e^d - 1, for 0 <= d < 1."""
+    high = Context(prec=100)
+    return F(high.exp(high.divide(d.numerator, d.denominator))) - 1 \
+        + F(1, 10 ** 98)
+
+
 @pytest.mark.parametrize("record", catalog(), ids=lambda r: r.id)
 def test_numeric_envelopes_hold_past_the_stop(record, monkeypatch):
     # at the engine's own stop N, the NUMERIC_PAST terms after it lie
-    # under the envelope and their sum under the certified tail
+    # under the envelope and their sum under the certified tail; or, on
+    # a limit-ratio stop, they follow t(N) s^k within the drift, and
+    # with the envelope's tail where it certifies the rest they lie
+    # within the cutoff of the geometric tail the engine added
     stops = certified_stops(monkeypatch)
     a = sample_params(record.id, 1, 1, "numeric")[0]
     record.build(NumericCtx(a.q_unit, record.exponent_denominator), a.values)
     assert stops
-    for gen, cutoff, n in stops:
+    for gen, cutoff, n, added in stops:
         env = gen.envelope
-        past = [F(gen.term(m).copy_abs())
-                for m in range(n + 1, n + NUMERIC_PAST + 1)]
+        past = [F(gen.term(m)) for m in range(n + 1, n + NUMERIC_PAST + 1)]
         if env.support is not None and n == env.support:
-            assert not any(past), (n, past)
+            assert not any(past) and not added, (n, past)
             continue
-        m, g = (F(x) for x in env.at(n))
-        for i, t in enumerate(past, 1):
-            assert t <= m * g ** i, (n, i, t, m, g)
-        tail = tail_after(env.at(n))
-        assert sum(past) <= F(tail) <= F(cutoff), (n, sum(past), tail)
+        if not added:
+            m, g = (F(x) for x in env.at(n))
+            for i, t in enumerate(past, 1):
+                assert abs(t) <= m * g ** i, (n, i, t, m, g)
+            tail = tail_after(env.at(n))
+            assert sum(map(abs, past)) <= F(tail) <= F(cutoff), (n, tail)
+            continue
+        cert = env.ratio()
+        t, s, d = F(gen.term(n)), F(cert.s), F(cert.drift(n))
+        grow = expm1_up(d)
+        assert abs(s) < 1 and d < 1, (n, s, d)
+        assert abs(t * s) / (1 - abs(s)) * grow <= F(cutoff), (n, d)
+        for k, u in enumerate(past, 1):
+            assert abs(u - t * s ** k) <= abs(t * s ** k) * grow, (n, k, u)
+        geometric = t * s / (1 - s)
+        # the engine added it, up to the rounding of the total
+        assert abs(added - geometric) <= F(cutoff) / 10 ** 20, (n, added)
+        m = n + len(past)
+        while (tail := tail_after(env.at(m))) is None or tail > cutoff / 1000:
+            assert m < n + 1000, (n, "the envelope certifies no tail")
+            m += 1
+            past.append(F(gen.term(m)))
+        assert abs(sum(past) - geometric) + F(tail) <= F(cutoff), (n, m)
 
 
 def test_prefactor_is_inside_the_budget():
@@ -220,6 +259,132 @@ def test_envelope_bounds_fraction_terms(q, s, a, b, c, ups, downs, heads,
         m, g = (F(x) for x in bound)
         for i, t in enumerate(terms[n:n + 31]):
             assert t <= m * g ** i, (n, i, t, m, g)
+
+
+# the limit-ratio certificate of a random declaration against plain
+# Fraction terms
+
+LIM = st.sampled_from([F(1, 2), F(-2, 3), F(3, 4), F(-1, 3), F(3, 7),
+                       F(-5, 4)])              # s, mostly with |s| < 1
+RPOCH = st.tuples(RAT, st.sampled_from([1, 2, 1, 2, 0]), st.integers(0, 2),
+                  st.integers(-2, 2))          # (argument, base exp, k, l)
+RHEAD = st.tuples(RAT, st.sampled_from([1, -1]),
+                  st.sampled_from([1, 2, 1, 2, 0]),
+                  st.booleans())               # (w, sign, exp of r, inverse)
+FACTOR = st.one_of(
+    st.tuples(st.just("constant"), RAT),
+    st.tuples(st.just("sign"), st.booleans()),
+    st.tuples(st.just("vwp"), RAT, st.integers(1, 2),
+              st.sampled_from([None, F(1, 2), F(-1, 3)])),
+    st.tuples(st.just("sums"), st.lists(st.sampled_from(
+        [F(0), F(1), F(-1, 2), F(3)]), min_size=1, max_size=4)))
+
+
+def declared_factor(ctx, q, kind, *args):
+    """The opaque factor of the kind drawn, and m -> its value at m as a
+    Fraction."""
+    if kind == "constant":
+        c, = args
+        return constant(ctx.num(c)), lambda m: c
+    if kind == "sign":
+        alternating, = args
+        return _sign(ctx, alternating), lambda m: (-1) ** m if alternating \
+            else 1
+    if kind == "vwp":
+        k, step, base = args
+        p = q if base is None else base
+        return vwp_weight(ctx, k, step, base), \
+            lambda m: (1 - k * p ** (2 * step * m)) / (1 - k)
+    vals, = args
+    return running_sums(ctx, AlphaSequence.from_values(vals).factor(ctx)), \
+        lambda m: sum(vals[:m + 1])
+
+
+def check_ratio(cert, value, shift):
+    """`cert` shifted by `shift` against m -> the Fraction term `value(m)`:
+    at each n from its start on where D(n) is known, the ratios
+    t(m + 1)/(s t(m)) for m >= n are positive, and the sum of their |log|
+    stays within D(n); a zero t(n) stays zero."""
+    cert = cert.shifted(shift)
+    try:
+        terms = [value(m + shift) for m in range(cert.start, cert.start + 30)]
+    except ZeroDivisionError:
+        assume(False)
+    lim = F(cert.s)
+    high = Context(prec=80)
+    for i in range(6):
+        d = cert.drift(cert.start + i)
+        if d is None:
+            continue
+        if not terms[i]:
+            assert not any(terms[i:]), (i, terms)
+            continue
+        drift = 0
+        for m in range(i, len(terms) - 1):
+            assert terms[m], (i, m)
+            rho = terms[m + 1] / (lim * terms[m])
+            assert rho > 0, (i, m, rho)
+            drift += abs(F(high.ln(high.divide(rho.numerator,
+                                               rho.denominator))))
+            assert drift <= F(d), (i, m, drift, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(QPOOL), st.none() | LIM,
+       st.sampled_from([0, 1, 2, -1]), st.lists(RPOCH, max_size=2),
+       st.lists(RPOCH, max_size=2), st.lists(RHEAD, max_size=2),
+       st.lists(FACTOR, max_size=2), st.none() | st.integers(0, 6),
+       st.integers(0, 3))
+# one piece alone, where nothing else covers it if it goes missing
+@example(F(1, 7), F(1, 2), 0, [(F(1, 2), 1, 1, 0)], [], [], [], None, 0)
+@example(F(1, 7), F(1, 2), 0, [], [(F(-2, 3), 1, 2, -1)], [], [], None, 1)
+@example(F(-1, 6), F(1, 2), 0, [], [], [(F(1, 2), -1, 1, True)], [], None,
+         0)
+@example(F(1, 7), F(1, 2), 0, [], [], [], [("vwp", F(1, 2), 1, None)],
+         None, 0)
+@example(F(1, 7), F(1, 2), 0, [], [], [], [("sign", True)], 2, 0)
+def test_limit_ratio_bounds_fraction_terms(q, s, b, ups, downs, heads,
+                                           factors, support, shift):
+    # s^n q^(b n), Pochhammers of length k n + l on bases q^e (base 1 for
+    # e = 0, which declares no ratio), heads 1 - w r^n with r = +-q^e,
+    # opaque factors that declare a ratio, and a support (which declares
+    # none): the certificate of the term, and of each factor, shifted
+    # by `shift` as a sum from there takes it, holds for the Fraction
+    # terms (`check_ratio`)
+    assume(all(k or l >= 0 for _, _, k, l in ups + downs))
+    ctx = NumericCtx(q)
+    made = [declared_factor(ctx, q, *f) for f in factors]
+    term = Summand(ctx, s, (0, b) if b else (),
+                   ups=[(u, q ** e, k, l) for u, e, k, l in ups],
+                   downs=[(u, q ** e, k, l) for u, e, k, l in downs],
+                   heads=[(w, sign * q ** e, inverse)
+                          for w, sign, e, inverse in heads],
+                   factors=[f for f, _ in made], support=support)
+
+    def value(m):
+        if support is not None and m > support:
+            return F(0)
+        out = (1 if s is None else s ** m) * q ** (b * m)
+        for _, f in made:
+            out *= f(m)
+        for pairs, upper in ((ups, True), (downs, False)):
+            for u, e, k, l in pairs:
+                if k * m + l < 0:
+                    raise ValueError(f"length {k} {m} + {l} below 0")
+                for j in range(k * m + l):
+                    f = 1 - u * q ** (e * j)
+                    out = out * f if upper else out / f
+        for w, sign, e, inverse in heads:
+            f = 1 - w * (sign * q ** e) ** m
+            out = out / f if inverse else out * f
+        return out
+
+    for f, at in made:
+        check_ratio(f.envelope().ratio(), at, shift)
+    env = term.envelope()
+    cert = env.ratio and env.ratio()
+    if cert is not None:
+        check_ratio(cert, value, shift)
 
 
 @pytest.mark.parametrize("k,step,base", [
