@@ -28,7 +28,8 @@ A sequence enters them as a `Factor` (a function n -> context value, a
 valuation floor, a magnitude bound, and, where it is known, a `support`
 past which alpha_n is zero) or as a `Summand`, which the transform's
 term folds in; the transforms read a `Factor`'s support and floor
-themselves. `vwp_weight` is the very-well-poised factor as a `Factor`.
+themselves. `vwp_weight` is the very-well-poised factor as a `Factor`:
+its value is `ctx.vwp`, and its bound its own declaration.
 An `AlphaSequence` declares a sequence once for every context:
 `at(ctx, n)` with its support and floor, and `factor(ctx)` is its
 `Factor` in `ctx`.
@@ -130,11 +131,10 @@ class Factor(NamedTuple):
     whose bound at n bounds f_n, or None, the default, when no floor is
     known (an exact sum over it then raises UndeclaredFloor). The `bound`
     is the numeric counterpart: a `qfunc.Envelope` of f_n, or a `Summand`
-    whose envelope bounds |f_n|, or None, the default, when no bound is
+    that is f's own declaration (equal to f_n at every n), whose envelope,
+    limit ratio included, is f's; or None, the default, when no bound is
     assumed (a numeric sum over it then raises UndeclaredBound, unless a
-    support ends it). Only an `Envelope` bound declares f's limit ratio
-    (`Envelope.ratio`): a `Summand` bound bounds |f_n|, but its term
-    ratio is not f's."""
+    support ends it)."""
 
     at: Callable[[int], object]
     floor: Union[int, "Summand", None] = None
@@ -152,12 +152,10 @@ class Factor(NamedTuple):
         return law + ValuationLaw(support=self.support)
 
     def envelope(self) -> Envelope:
-        """(NumericCtx only) the declared bound, zero past the support,
-        where it declares no limit ratio."""
+        """(NumericCtx only) the declared bound with its limit ratio; past
+        a support, zero and without a limit ratio."""
         b, top = self.bound, self.support
         env = b.envelope() if isinstance(b, Summand) else b or NO_BOUND
-        if isinstance(b, Summand) and env.ratio is not None:
-            env = env._replace(ratio=None)
         if top is None:
             return env
         return env._replace(
@@ -335,13 +333,16 @@ class Summand(_SummandFields):
     The envelope also carries the term's limit-ratio certificate
     (`qfunc.Ratio`, built when a sum first asks for it), where the term
     ratio tends to a constant: s times p^B (no quadratic power), times
-    each f_n's declared limit, when that is below 1 in size. Each
+    each f_n's declared limit, whatever its size; only a sum's stop
+    (`qfunc._geometric_stop`) asks for one below 1, so a declaration that
+    bounds a factor keeps its limit 1 or -1 for the term it joins. Each
     Pochhammer (u; b)_(k n + l) on a base 0 < |b| < 1 adds the piece
     X/((1 - |b|)(1 - X)), X = |u||b|^(k n + l), to its drift D(n), and
     each head on 0 < |r| < 1 twice that, with X = |w||r|^n. An f_n
-    counts only by the ratio it declares itself (`constant` 1, the
-    very-well-poised factor its head, `running_sums` 1 from its alpha's
-    support on). A term with a support, a quadratic power, another
+    counts only by the ratio it declares itself (`constant` 1, a factor
+    bounded by its own declaration that declaration's, as the
+    very-well-poised factor its head and 1, `running_sums` 1 from its
+    alpha's support on). A term with a support, a quadratic power, another
     Pochhammer base or head, or an f_n that declares no ratio has no
     certificate, and its sum stops on the envelope alone.
     """
@@ -497,10 +498,8 @@ class Summand(_SummandFields):
         lims = [env.ratio and env.ratio() for env in envs]
         if None in lims:
             return None
-        s = ctx.mul(*s, *(lim.s for lim in lims))
-        if s.copy_abs() >= 1:
-            return None
-        return Ratio(s, (*pieces, *(p for lim in lims for p in lim.pieces)),
+        return Ratio(ctx.mul(*s, *(lim.s for lim in lims)),
+                     (*pieces, *(p for lim in lims for p in lim.pieces)),
                      max([start] + [lim.start for lim in lims]))
 
     def law(self) -> ValuationLaw:
@@ -523,32 +522,15 @@ class Summand(_SummandFields):
 
 def vwp_weight(ctx: Ctx, k, step: int = 1, base=None) -> Factor:
     """The very-well-poised factor (1 - k p^(2 step n)) / (1 - k) of a
-    summand's term n, base p (default q), as an opaque factor: floor 0,
-    for |p| <= 1 the bound ((1 + |k||p|^(2 step n)) / |1 - k|, 1), and for
-    0 < |p| < 1 the limit ratio 1, with the head (k, p^(2 step))."""
-
-    def bound(n: int):
-        kk = ctx.num(k)
-        p = (ctx.q if base is None else ctx.num(base)).copy_abs()
-        if p > 1:
-            return None
-        top = BOUND_UP.add(_ONE, BOUND_UP.multiply(
-            kk.copy_abs(), BOUND_UP.power(p, 2 * step * n)))
-        low = BOUND_DOWN.subtract(_ONE, kk) if kk < 1 else \
-            BOUND_DOWN.subtract(kk, _ONE)
-        return BOUND_UP.divide(top, low), _ONE
-
-    def ratio():
-        kk = ctx.num(k).copy_abs()
-        if not kk:
-            return Ratio(_ONE)
-        r = BOUND_UP.power((ctx.q if base is None else ctx.num(base))
-                           .copy_abs(), 2 * step)
-        return Ratio(_ONE, (_ratio_piece(kk, r, twice=True),)) \
-            if 0 < r < 1 else None
-
-    return Factor(lambda n: ctx.vwp(k, step * n, base), 0,
-                  bound=Envelope(bound, _ONE, ratio=ratio))
+    summand's term n, base p (default q), as an opaque factor: its value
+    is `ctx.vwp`, its floor 0, and its bound its own declaration, the head
+    (k, p^(2 step)) times the constant 1/(1 - k). k = 1 raises
+    DegenerateVWP (from `ctx.vwp`) before the constant is formed."""
+    ctx.vwp(k, 0, base)
+    r = ctx.qpow(2 * step) if base is None else ctx.pow_int(base, 2 * step)
+    return Factor(lambda n: ctx.vwp(k, step * n, base), 0, bound=Summand(
+        ctx, heads=[(k, r)],
+        factors=[constant(ctx.inv(ctx.sub(ctx.one(), k)))]))
 
 
 def _total(ctx: Ctx, terms):

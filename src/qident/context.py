@@ -163,6 +163,10 @@ from .series import _QM_ONE, _QM_ZERO, LaurentSeries, QMonomial
 _ONE = Fraction(1)
 _D_ONE = Decimal(1)
 _ONES = repeat(_D_ONE)
+#: a numeric value below this in size is zero to the digits a verdict
+#: reads: `NumericCtx.poch_inf` stops there, and a lower product of
+#: `_quotient_steps` that small is a pole
+_EPS = Decimal(f"1e-{NUMERIC_PRECISION - 4}")
 
 
 class _Product:
@@ -553,13 +557,16 @@ def _quotient_steps(ups, downs, s, n0: int, dc: decimal.Context):
     costs nothing: no multiplication by 1, no division by 1
     (`NumericCtx.poch` is the run of one upper factor: a subtraction and
     two multiplications a step; `inv_poch` the run of one lower factor). A
-    lower factor that vanishes at step j raises DegenerateDenominator (and
-    `qfunc.Stepped` replays it for every n > j); once an upper factor (or
-    s) vanishes, Q stays 0. It holds no reference to its context."""
+    lower product, of the first k n0 + l factors or of one step's, within
+    `_EPS` of zero raises DegenerateDenominator (and `qfunc.Stepped`
+    replays it for every n > j): a lower parameter on a pole, such as
+    q^-2 at q = 1/7, leaves 1 - q^-2 q^2 at the rounding error, not 0.
+    Once an upper factor (or s) vanishes, Q stays 0. It holds no
+    reference to its context."""
     mul, sub, div = dc.multiply, dc.subtract, dc.divide
     last, ups, up_bases = _runs(ups, n0, dc)
     den, downs, down_bases = _runs(downs, n0, dc)
-    if not den:
+    if den.copy_abs() < _EPS:
         raise DegenerateDenominator("vanishing Pochhammer denominator")
     last = div(last if s is None or not n0 else mul(last, dc.power(s, n0)),
                den)
@@ -567,7 +574,7 @@ def _quotient_steps(ups, downs, s, n0: int, dc: decimal.Context):
         yield last
         if downs:
             den = reduce(mul, map(sub, _ONES, downs))
-            if not den:
+            if den.copy_abs() < _EPS:
                 raise DegenerateDenominator(
                     "vanishing Pochhammer denominator")
             downs = list(map(mul, downs, down_bases))
@@ -617,7 +624,6 @@ class NumericCtx:
         self._runs: Dict = {}
         self.q_unit = self.num(q_unit)
         self.q = dc.power(self.q_unit, denom)
-        self._eps = Decimal(f"1e-{NUMERIC_PRECISION - 4}")
 
     def one(self):
         return _D_ONE
@@ -713,7 +719,7 @@ class NumericCtx:
         mul, sub = self._mul, self._sub
         out, f = _D_ONE, a
         for _ in range(100_000):
-            if f.copy_abs() < self._eps:
+            if f.copy_abs() < _EPS:
                 return out
             out = mul(out, sub(_D_ONE, f))
             f = mul(f, base)

@@ -615,8 +615,9 @@ class Ratio(NamedTuple):
     |t(n)| |s|/(1 - |s|) D/(1 - D), since |e^L - 1| <= e^D - 1 <=
     D/(1 - D) for D < 1 (`drift` rounds D up, and never below
     `_DRIFT_FLOOR`, which covers the rounding of the terms). A sum stops
-    on it only where |s| < 1: an opaque factor's ratio, +-1, only enters
-    the certificate of the term it multiplies."""
+    on it only where |s| < 1, which `_geometric_stop` alone checks: a
+    factor's ratio, such as +-1, only enters the certificate of the term
+    it multiplies."""
 
     s: Decimal
     pieces: Tuple[Tuple[Decimal, Decimal, Decimal], ...] = ()

@@ -36,7 +36,6 @@ from .bailey import (
     AlphaSequence,
     Factor,
     Summand,
-    constant,
     cor_lhs,
     cor_pref,
     cor_rhs_sum,
@@ -52,7 +51,7 @@ from .bailey import (
 from .context import Ctx
 from .errors import DegenerateFamily
 from .pte import bridge_sequences, family6, family12
-from .qfunc import BOUND_UP, Envelope, Ratio
+from .qfunc import BOUND_UP, Envelope
 from .series import QMonomial
 
 
@@ -128,16 +127,6 @@ def _xyz(rng, mode: str, d: int = 1) -> Dict:
 # ---------------------------------------------------------------------------
 # shared builder pieces
 # ---------------------------------------------------------------------------
-
-def _sign(ctx: Ctx, alternating: bool = False) -> Factor:
-    """1, or (-1)^n, as an opaque factor: floor 0, bound (1, 1), and the
-    limit ratio 1, or -1."""
-    one = constant(ctx.num(1))
-    if not alternating:
-        return one
-    return one._replace(at=lambda n: ctx.num((-1) ** n), bound=one.bound.
-                        _replace(ratio=lambda: Ratio(Decimal(-1))))
-
 
 def _n_plus_one(ctx: Ctx) -> Factor:
     """n + 1 as an opaque factor: floor 0, and from N on the bound
@@ -253,15 +242,15 @@ def _s_cor_central(rng, mode):
 
 def _b_alt_alpha(ctx, p):
     x, y, z = p["x"], p["y"], p["z"]
-    lhs = cor_lhs(ctx, x, y, z, _sign(ctx), step=2)
-    rhs = cor_rhs_sum(ctx, x, y, z, _sign(ctx, alternating=True),
+    lhs = cor_lhs(ctx, x, y, z, Summand(ctx), step=2)
+    rhs = cor_rhs_sum(ctx, x, y, z, Summand(ctx, ctx.num(-1)),
                       times=cor_pref(ctx, x, y, z))
     return lhs, rhs
 
 
 def _b_ones_alpha(ctx, p):
     return cor_transform(ctx, p["x"], p["y"], p["z"], _n_plus_one(ctx),
-                         _sign(ctx))
+                         Summand(ctx))
 
 
 def _b_alt_sum(ctx, p):
@@ -831,16 +820,9 @@ def _false_theta_half(ctx):
 
 
 def _false_theta_third(ctx):
-    # one two-term series q^e - q^(e + 2n + 1), bounded by q^e: as a head
-    # times q^e the term would carry a different order; that head form
-    # is its magnitude bound
-    def term(n):
-        e = F(n * (3 * n + 1), 2)
-        return ctx.sub(ctx.qpow(e), ctx.qpow(e + 2 * n + 1))
-    floor = Summand(ctx, power=(F(3, 2), F(1, 2)))
-    return ctx.summation(Summand(ctx, factors=[Factor(
-        term, floor, bound=floor._replace(
-            heads=[(ctx.qpow(1), ctx.qpow(2))]))]))
+    # sum q^(n(3n + 1)/2) (1 - q^(2n + 1))
+    return ctx.summation(Summand(ctx, power=(F(3, 2), F(1, 2)),
+                                 heads=[(ctx.qpow(1), ctx.qpow(2))]))
 
 
 def _b_r1(ctx, p):

@@ -85,11 +85,11 @@ PINS = {
     "s69": "0cf636fa7e6a6f64",
     "s121": "8db6eac7f5a21eb2",
     "r1": "42c669b87d4dd75f",
-    "r2a": "846a9d903a717158",
-    "r2b": "fb4fde98c49efc22",
+    "r2a": "032de740a55e18f1",
+    "r2b": "f717f4211313571f",
     "ft1": "a923285d215602d9",
-    "ft2": "b14b7e166a18db62",
-    "ft3": "aaf8edde37ff3043",
+    "ft2": "11e645ae17b6d391",
+    "ft3": "fc03a6014b835611",
     "bb-z0": "931c471bcb3fdde8",
     "bb-yinf": "ecd05bac4821f7bf",
 }

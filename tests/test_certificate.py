@@ -34,9 +34,10 @@ from qident.bailey import (AlphaSequence, Factor, Summand, constant,
 import qident.context as context_module
 from qident.context import ExactCtx, NumericCtx
 from qident.errors import TailNotDecreasing, UndeclaredBound
-from qident.qfunc import (NumericTermGenerator, TermGenerator, sum_exact,
-                          sum_numeric, tail_after)
-from qident.records import QPOOL, _sign
+from qident.qfunc import (NumericTermGenerator, Ratio, TermGenerator,
+                          _geometric_stop, sum_exact, sum_numeric,
+                          tail_after)
+from qident.records import QPOOL
 from qident.registry import catalog, sample_params
 
 ORDER = 20
@@ -286,10 +287,10 @@ def declared_factor(ctx, q, kind, *args):
     if kind == "constant":
         c, = args
         return constant(ctx.num(c)), lambda m: c
-    if kind == "sign":
+    if kind == "sign":              # 1 or (-1)^n, a nested declared s
         alternating, = args
-        return _sign(ctx, alternating), lambda m: (-1) ** m if alternating \
-            else 1
+        return Summand(ctx, ctx.num(-1) if alternating else None), \
+            lambda m: (-1) ** m if alternating else 1
     if kind == "vwp":
         k, step, base = args
         p = q if base is None else base
@@ -343,14 +344,15 @@ def check_ratio(cert, value, shift):
 @example(F(1, 7), F(1, 2), 0, [], [], [], [("vwp", F(1, 2), 1, None)],
          None, 0)
 @example(F(1, 7), F(1, 2), 0, [], [], [], [("sign", True)], 2, 0)
+@example(F(1, 7), F(-1, 2), 0, [], [], [], [], None, 0)   # its s folded
 def test_limit_ratio_bounds_fraction_terms(q, s, b, ups, downs, heads,
                                            factors, support, shift):
     # s^n q^(b n), Pochhammers of length k n + l on bases q^e (base 1 for
     # e = 0, which declares no ratio), heads 1 - w r^n with r = +-q^e,
-    # opaque factors that declare a ratio, and a support (which declares
-    # none): the certificate of the term, and of each factor, shifted
-    # by `shift` as a sum from there takes it, holds for the Fraction
-    # terms (`check_ratio`)
+    # factors that declare a ratio (opaque, or a nested declaration that
+    # folds in), and a support (which declares none): the certificate of
+    # the term, and of each factor, shifted by `shift` as a sum from
+    # there takes it, holds for the Fraction terms (`check_ratio`)
     assume(all(k or l >= 0 for _, _, k, l in ups + downs))
     ctx = NumericCtx(q)
     made = [declared_factor(ctx, q, *f) for f in factors]
@@ -385,6 +387,27 @@ def test_limit_ratio_bounds_fraction_terms(q, s, b, ups, downs, heads,
     cert = env.ratio and env.ratio()
     if cert is not None:
         check_ratio(cert, value, shift)
+
+
+def test_summand_bound_keeps_its_ratio():
+    # a Summand bound is the factor's own declaration, so the factor's
+    # envelope keeps that declaration's limit ratio, and a sum over the
+    # factor stops where a sum over the declaration does
+    ctx = NumericCtx(F(1, 7))
+    u = ctx.num(F(1, 2))
+    decl = Summand(ctx, u, heads=[(u, ctx.q)])
+    f = Factor(decl, 0, bound=decl)
+    assert f.envelope().ratio is not None
+    assert f.envelope().ratio() == decl.envelope().ratio()
+    assert ctx.summation(Summand(ctx, factors=[f])) == ctx.summation(decl)
+
+
+@pytest.mark.parametrize("s", ["1", "-1", "1.5"])
+def test_geometric_stop_refuses_a_ratio_that_does_not_fall(s):
+    # a factor's limit ratio may be +-1, and only enters the certificate
+    # of the term it multiplies; the stop itself refuses |s| >= 1
+    assert _geometric_stop(Ratio(Decimal(s)), Decimal("1e-60"),
+                           Context(prec=74)) is None
 
 
 @pytest.mark.parametrize("k,step,base", [

@@ -11,6 +11,7 @@ from qident.bailey import (
     AlphaSequence,
     Factor,
     Summand,
+    cor_lhs,
     running_sums,
     unit_alpha,
     wp_beta_sum,
@@ -18,7 +19,7 @@ from qident.bailey import (
     wp_chain_beta,
     wp_transform,
 )
-from qident.context import ExactCtx, NumericCtx
+from qident.context import ExactCtx, NumericCtx, exact_run
 from qident.errors import DegenerateVWP
 from qident.pte import bridge_sequences, family6, pte_alpha_beta
 from qident.qfunc import poch_finite, vwp_factor
@@ -220,6 +221,16 @@ def test_exact_scalar_one():
 def test_vwp_k1_degenerate_at_n0(ctx):
     with pytest.raises(DegenerateVWP):
         ctx.vwp(ctx.num(1), 0)
+
+
+@pytest.mark.parametrize("run, x, y, z", [
+    (lambda build: exact_run(20, build), mono(1, 1), mono(1, -1), mono(1)),
+    (lambda build: build(numeric_ctx()), F(1, 2), F(2), F(1))])
+def test_cor_lhs_k1_degenerate(run, x, y, z):
+    # xyz = 1: the very-well-poised weight raises DegenerateVWP before its
+    # bound forms the constant 1/(1 - k)
+    with pytest.raises(DegenerateVWP):
+        run(lambda ctx: cor_lhs(ctx, x, y, z, Summand(ctx)))
 
 
 @pytest.mark.parametrize("ctx", [ExactCtx(20, headroom=6), numeric_ctx()])

@@ -282,6 +282,28 @@ def test_fault_twin_digest_pinned():
     assert digest == TWIN_DIGEST, "\n".join(lines)
 
 
+# The numeric counterpart: fault twins at j = 7 on the first three seed-1
+# numeric samples of every record, one line "id status lhs rhs" per twin,
+# every digit of both sides included. A change to a numeric value anywhere
+# (a term, a stop, a rounding) changes the digest, where the statuses
+# alone would not show it.
+NUMERIC_TWIN_DIGEST = \
+    "b698c1ffd380e0df229fab26f0b6183a4b833e2430daf6b59e0552cd9a8f2238"
+
+
+def test_numeric_fault_twin_digest_pinned():
+    lines = []
+    for rec in catalog():
+        for a in sample_params(rec.id, 1, 3, "numeric"):
+            rep = verify_one(with_injected_fault(rec, 7), a, 20)
+            lines.append(" ".join(map(str, (
+                rec.id, rep.status, rep.mismatch_lhs, rep.mismatch_rhs))))
+    assert len(lines) == 141
+    assert {line.split()[1] for line in lines} == {"mismatch"}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == NUMERIC_TWIN_DIGEST, "\n".join(lines)
+
+
 def test_exact_skip_falls_back_to_numeric_in_suite():
     # a constant x makes every exact summand valuation-flat; the numeric
     # strategy must still certify the identity (skip soundness)

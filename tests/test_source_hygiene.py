@@ -1,9 +1,10 @@
 """Source hygiene of the package, read with `ast` (no import, a few ms):
 every imported name is used, every module-level private name is
 referenced somewhere besides its definition, every int/bytes conversion
-names its length and byte order, and only the exact verdict and the
-listed exact conveniences run `exact_run`. `__init__.py` only re-exports,
-so it is left out of all but the byte-order check."""
+names its length and byte order, only the exact verdict and the
+listed exact conveniences run `exact_run`, and only the listed functions
+build an opaque `Factor`. `__init__.py` only re-exports, so it is left
+out of all but the byte-order check."""
 
 import ast
 from pathlib import Path
@@ -157,3 +158,61 @@ def test_exact_run_check_follows_private_helpers():
                      "    def _n(self):\n        return _run(2)\n"
                      "def free():\n    return 0\n")
     assert exact_run_reachers({"m": tree}) == {"m.wrapper", "m.A.m"}
+
+
+#: the functions of the package that build an opaque `Factor` (a value
+#: with a hand-written floor and bound), or `_replace` the `at` of one,
+#: each with why its value is not a declared `bailey.Summand`
+OPAQUE_FACTORS = {
+    "bailey.AlphaSequence.factor": "a finite sequence of arbitrary values",
+    "bailey.constant": "one context value at every n",
+    "bailey.vwp_weight": "its value is ctx.vwp, which the benchmark traces "
+                         "(ROADMAP item 11); its bound is declared",
+    "bailey.wp_transform": "beta_n is an inner sum over alpha",
+    "bailey.running_sums": "the partial sums of an arbitrary alpha",
+    "records._n_plus_one": "n + 1, a polynomial that no declaration holds",
+}
+
+
+def factor_fields(trees) -> set:
+    """The field names of `bailey.Factor`."""
+    cls, = (node for node in trees["bailey"].body
+            if isinstance(node, ast.ClassDef) and node.name == "Factor")
+    return {item.target.id for item in cls.body
+            if isinstance(item, ast.AnnAssign)}
+
+
+def opaque_factor_builders(trees, fields) -> set:
+    """The functions of `trees` that call `Factor(...)`, or `_replace`
+    with an `at` keyword and only keywords in `fields` (an `Envelope`'s
+    `_replace` names its `least` or `ratio`)."""
+    out = set()
+    for module, tree in trees.items():
+        for qual, fn in functions(module, tree):
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                keys = {k.arg for k in node.keywords}
+                if isinstance(func, ast.Name) and func.id == "Factor" or \
+                        isinstance(func, ast.Attribute) and \
+                        func.attr == "_replace" and "at" in keys and \
+                        keys <= fields:
+                    out.add(qual)
+    return out
+
+
+def test_opaque_factors_are_built_only_by_the_listed_functions():
+    assert opaque_factor_builders(TREES, factor_fields(TREES)) == \
+        set(OPAQUE_FACTORS)
+
+
+def test_opaque_factor_check_sees_replace_of_at():
+    tree = ast.parse("def built():\n    return Factor(f, 0)\n"
+                     "def swapped(one):\n    return one._replace(at=g, "
+                     "bound=b)\n"
+                     "def cut(env):\n    return env._replace(at=g, ratio=None)"
+                     "\ndef moved(f):\n    return f._replace(support=3)\n")
+    assert opaque_factor_builders(
+        {"m": tree}, {"at", "floor", "support", "bound"}) == \
+        {"m.built", "m.swapped"}
