@@ -248,8 +248,7 @@ def _head_bound(w: Decimal, r: Decimal, inverse: bool, n: int):
     return None
 
 
-def _ratio_piece(u: Decimal, b: Decimal, k: int = 1, l: int = 0,
-                 twice: bool = False):
+def _ratio_piece(u: Decimal, b: Decimal, k: int, l: int, twice: bool):
     """The `qfunc.Ratio` piece of the factors 1 - u b^j over j >= k n + l,
     each met once in the term ratios from n on (a Pochhammer
     (u; b)_(k n + l)) or twice (a head 1 - u b^n, in the ratios at n - 1
@@ -344,7 +343,9 @@ class Summand(_SummandFields):
     very-well-poised factor its head and 1, `running_sums` 1 from its
     alpha's support on). A term with a support, a quadratic power, another
     Pochhammer base or head, or an f_n that declares no ratio has no
-    certificate, and its sum stops on the envelope alone.
+    certificate, and its sum stops on the envelope alone: `envelope`
+    reads that from the declaration in the walk that builds the bound,
+    and gives such a term no `ratio` at all.
     """
 
     def __new__(cls, *args, **kw):
@@ -418,8 +419,10 @@ class Summand(_SummandFields):
 
         main, power, heads, _ = self._plan
         # each part n -> (M, g) or None, the least g each part gives
-        # (None: none), and the supports
-        parts, least, tops = [], [], [self.support]
+        # (None: none), and the supports; and the magnitudes (u, b, k, l,
+        # twice) of the Pochhammers and heads that the limit ratio reads
+        parts, least, tops, pieces = [], [], [self.support], []
+        limit = True                # no part of the term's own rules it out
         if self.s is not None:
             s = mag(self.s)
             parts.append(lambda n: (_ONE, s))
@@ -436,6 +439,7 @@ class Summand(_SummandFields):
                 p, unit * (a * (2 * n + 1) + b) // den)) if falls else None)
             least.append(None if not falls else _ONE if p == 1 else
                          _ZERO if a else BOUND_DOWN.power(p, unit * b // den))
+            limit = not (a or self.p is not None and b % den)
         for pairs, upper in ((self.ups, True), (self.downs, False)):
             for u, base, *kl in pairs:
                 k, l = kl or (1, 0)
@@ -445,10 +449,13 @@ class Summand(_SummandFields):
                     parts.append(partial(_factor_bound, u, base, k, l, upper)
                                  if ok else lambda n: None)
                     least.append(_ONE if ok else None)
+                    pieces.append((u, base, k, l, False))
         for w, r, inverse in heads:
-            head = (mag(w), mag(r), inverse)
-            parts.append(partial(_head_bound, *head))
-            least.append(_head_least(*head))
+            w, r = mag(w), mag(r)
+            parts.append(partial(_head_bound, w, r, inverse))
+            least.append(_head_least(w, r, inverse))
+            if w:
+                pieces.append((w, r, 1, 0, True))
         envs = [f.envelope() for f in self.factors]
         tops = [t for t in tops + [env.support for env in envs]
                 if t is not None]
@@ -456,6 +463,8 @@ class Summand(_SummandFields):
             return NO_BOUND
         parts += [env.at for env in envs]
         least += [env.least for env in envs]
+        limit = limit and not tops and all(0 < b < 1 for _, b, *_ in pieces) \
+            and all(env.ratio for env in envs)
 
         def at(n: int):
             m = (main(n, self._power(n, power)) if power else
@@ -465,42 +474,28 @@ class Summand(_SummandFields):
         return Envelope(at, None if None in least else
                         reduce(BOUND_DOWN.multiply, least, _ONE),
                         min(tops) if tops else None,
-                        None if tops else partial(self._ratio, envs))
+                        partial(self._ratio, pieces, envs) if limit else None)
 
-    def _ratio(self, envs) -> Optional[Ratio]:
-        """The term's limit-ratio certificate (see the class), given the
-        envelopes of its f_n; None where some part declares none. The
-        term's own parts are read first: they rule out most terms."""
+    def _ratio(self, pieces, envs) -> Optional[Ratio]:
+        """The term's limit-ratio certificate (see the class), from the
+        magnitudes (u, b, k, l, twice) of the Pochhammers and heads that
+        `envelope` collected and the envelopes of its f_n; None where
+        some f_n's certificate is None."""
         ctx = self.ctx
-        _, power, heads, _ = self._plan
+        _, power, _, _ = self._plan
         s = [] if self.s is None else [self.s]
         if power:
-            a, b, _, den = power
-            if a or self.p is not None and b % den:
-                return None
+            _, b, _, den = power
             s.append(ctx.qpow(Fraction(b, den)) if self.p is None else
                      ctx.pow_int(self.p, b // den))
-        pieces, start = [], 0
-        for u, base, *kl in (*self.ups, *self.downs):
-            k, l = kl or (1, 0)
-            u, base = ctx.num(u).copy_abs(), ctx.num(base).copy_abs()
-            if k and u:         # else no factor, or 1, per step
-                if not 0 < base < 1:
-                    return None
-                pieces.append(_ratio_piece(u, base, k, l))
-                start = max(start, length_start([(k, l)]))
-        for w, r, _ in heads:
-            w, r = ctx.num(w).copy_abs(), ctx.num(r).copy_abs()
-            if w:
-                if not 0 < r < 1:
-                    return None
-                pieces.append(_ratio_piece(w, r, twice=True))
-        lims = [env.ratio and env.ratio() for env in envs]
+        lims = [env.ratio() for env in envs]
         if None in lims:
             return None
         return Ratio(ctx.mul(*s, *(lim.s for lim in lims)),
-                     (*pieces, *(p for lim in lims for p in lim.pieces)),
-                     max([start] + [lim.start for lim in lims]))
+                     (*(_ratio_piece(*x) for x in pieces),
+                      *(p for lim in lims for p in lim.pieces)),
+                     max([length_start(x[2:4] for x in pieces)]
+                         + [lim.start for lim in lims]))
 
     def law(self) -> ValuationLaw:
         mono = self.ctx.monomial
@@ -564,8 +559,9 @@ def wp_transform(ctx: Ctx, a, k, r1, r2, alpha: Factor):
           * sum (r1, r2)_n / (aq/r1, aq/r2)_n z^n alpha_n,
 
     with z = aq/(r1 r2) and beta_n from `wp_beta_sum`. k = 0 reduces it to
-    the classical transform for a pair relative to a. When alpha
-    declares a support the right sum is the finite sum over n <= support.
+    the classical transform for a pair relative to a. Both sides are
+    `ctx.summation`s; when alpha declares a support the right sum ends
+    there, since its term's law and envelope both carry that support.
     alpha's floor (t-units; see `Factor`) is needed for the exact sums;
     beta_n is bounded by it and the dips of (k/a)_n and (k)_n, but is not
     zero past alpha's support. With a support S, beta_n is, from n = S
@@ -598,10 +594,7 @@ def wp_transform(ctx: Ctx, a, k, r1, r2, alpha: Factor):
         ctx.poch_inf(aq1, qq), ctx.poch_inf(aq2, qq),
         ctx.inv(ctx.poch_inf(kq1, qq)), ctx.inv(ctx.poch_inf(kq2, qq)),
         ctx.inv(ctx.poch_inf(z, qq)), ctx.inv(ctx.poch_inf(aq, qq)))
-    if support is None:
-        return ctx.summation(lhs_term), ctx.summation(rhs_term, times=pref)
-    return ctx.summation(lhs_term), ctx.mul(
-        pref, _total(ctx, [rhs_term(n) for n in range(support + 1)]))
+    return ctx.summation(lhs_term), ctx.summation(rhs_term, times=pref)
 
 
 def wp_chain_alpha(ctx: Ctx, a, r1, r2, alpha: Factor, n: int):

@@ -15,18 +15,20 @@ infinite Pochhammer products (cached incrementally), the Pochhammer
 quotient n -> s^n prod (u; p_u)_(k n + l) / prod (d; p_d)_(k n + l)
 (`quotient`, the shape of every summand's Pochhammers, whatever their
 lengths), the very-well-poised factor, and summation.
-`summation(term, times=m)` is m times the sum; ExactCtx sums
-max(0, -exp(m)) deeper (exp of m's monomial part), so that the product
-is still known through the target, and NumericCtx certifies the sum to
-tol/100 over max(1, |m|), so that the product is within tol/100; a
-builder passes every factor that multiplies a sum as its `times`. The
-summand is declared (`bailey.Summand`, never a bare
-callable): ExactCtx reads its `ValuationLaw` and stops where the law's
-bound passes the goal, which proves that every later term is zero
-through it; NumericCtx reads its `qfunc.Envelope` and stops where the
-certified bound on all later terms, or on their distance from the
-geometric tail that the envelope's `qfunc.Ratio` adds, is within
-tol/100. ExactCtx's
+`summation(term, start, times=m)` is m times the sum of the terms n >=
+start; ExactCtx sums max(0, -exp(m)) deeper (exp of m's monomial part),
+so that the product is still known through the target, and NumericCtx
+certifies the sum to tol/100 over max(1, |m|), so that the product is
+within tol/100; a builder passes every factor that multiplies a sum as
+its `times`. The summand is declared (`bailey.Summand`, never a bare
+callable), and each term n is read as declared, with its certificates
+at n, whatever the start: ExactCtx reads its `ValuationLaw` and stops
+where the law's bound passes the goal, which proves that every later
+term is zero through it; NumericCtx reads its `qfunc.Envelope` and stops
+where the certified bound on all later terms, or on their distance from
+the geometric tail that the envelope's `qfunc.Ratio` adds, is within
+tol/100, or at the support that the law and the envelope both carry.
+ExactCtx's
 `one`, and `vwp` at n = 0 or a zero argument, are the scalar 1 (`vwp` at
 k = 1 still raises DegenerateVWP); `quotient` (so `poch` and `inv_poch`)
 there is the unit monomial while it holds no binomial (the empty product,
@@ -145,7 +147,6 @@ from .qfunc import (
     NO_BOUND,
     NUMERIC_PRECISION,
     NUMERIC_TOL,
-    Envelope,
     NumericTermGenerator,
     PochTower,
     Stepped,
@@ -468,27 +469,27 @@ class ExactCtx:
         (a term left short raises OrderInsufficient; see `exact_run`).
 
         `term` is a declared summand (`bailey.Summand`), never a bare
-        callable: its `ValuationLaw` is the stopping certificate. The sum
-        takes the terms while the law's bound is at most the goal and no
-        more, since every later term is zero through it; a law that never
-        passes the goal raises ValuationStall before the first term, and
-        a term below its bound BoundViolation (`sum_exact`)."""
-        law = _declared(term).law()
+        callable: its `ValuationLaw` is the stopping certificate, read at
+        each term's own n (`sum_exact` from `start`). The sum takes the
+        terms while the law's bound is at most the goal and no more, since
+        every later term is zero through it; a law that never passes the
+        goal raises ValuationStall before the first term, and a term below
+        its bound BoundViolation."""
+        growth = _declared(term).law().growth()
         m = times.mono if isinstance(times, _Product) else as_monomial(times)
         goal = min(self.order,
                    self.target + max(0, 0 if m is None else -m.exp))
-        growth = law.growth()
 
         def gen(n: int) -> LaurentSeries:
-            t = term(n + start)
+            t = term(n)
             if isinstance(t, _Product):
                 return t.at(goal)
             if not isinstance(t, LaurentSeries):
                 t = LaurentSeries.coerce(t, goal)
             return t.truncate(goal)
 
-        return self.mul(times, sum_exact(
-            TermGenerator(gen, lambda n: growth(n + start)), goal))
+        return self.mul(times, sum_exact(TermGenerator(gen, growth), goal,
+                                         start))
 
     def finalize(self, v) -> LaurentSeries:
         return LaurentSeries.coerce(_force(v), self.order)
@@ -737,37 +738,26 @@ class NumericCtx:
         """`times` times the sum of the terms term(n) for n >= `start`,
         taken in `self.dc`. `term` is a declared summand, as under
         ExactCtx, so its values are already this context's decimals; its
-        `Envelope` is the stopping certificate (`qfunc.sum_numeric`): the
-        sum stops where the bound on all later terms, times |`times`|
-        when that exceeds 1, is within tol/100, where the envelope's
-        limit-ratio certificate (`qfunc.Ratio`, shifted by `start` as
-        the envelope is) bounds the distance from the geometric tail it
-        adds within the same budget, or at the declared support, and an
-        envelope that never falls below 1 raises
-        TailNotDecreasing before the first term, or UndeclaredBound where
-        an opaque factor declares neither a bound nor a support and no
-        other part of the term declares a support. A builder passes every
+        `Envelope` is the stopping certificate, read at each term's own n
+        (`qfunc.sum_numeric` from `start`): the sum stops where the bound
+        on all later terms, times |`times`| when that exceeds 1, is within
+        tol/100, where the envelope's limit-ratio certificate
+        (`qfunc.Ratio`) bounds the distance from the geometric tail it
+        adds within the same budget, or at the declared support. An
+        envelope that never falls below 1 raises TailNotDecreasing before
+        the first term, and one where an opaque factor declares neither a
+        bound nor a support and no other part of the term declares a
+        support raises UndeclaredBound. A builder passes every
         factor that multiplies the sum as `times`, so that the product,
         not only the sum, is within tol/100 of its value."""
         env = _declared(term).envelope()
         if env is NO_BOUND:
             raise UndeclaredBound("opaque factor without a magnitude bound")
-        if start:
-            at, top, ratio = env.at, env.support, env.ratio
-
-            def shifted():
-                cert = ratio()
-                return cert and cert.shifted(start)
-
-            env = Envelope(lambda n: at(n + start), env.least,
-                           None if top is None else top - start,
-                           ratio and shifted)
-        gen = NumericTermGenerator(
-            (lambda n: term(n + start)) if start else term, env)
         times = self.num(times)
         scale = max(_D_ONE, times.copy_abs())
         return self.mul(times, sum_numeric(
-            gen, self.dc.divide(self.tol, scale), self.dc))
+            NumericTermGenerator(term, env),
+            self.dc.divide(self.tol, scale), self.dc, start))
 
     def finalize(self, v) -> Decimal:
         return self.num(v)

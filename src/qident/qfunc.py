@@ -98,8 +98,8 @@ BOUND_SLACK = _D_ONE + Decimal(10) ** (4 - BOUND_PRECISION)
 #: themselves, which a numeric context computes to NUMERIC_PRECISION digits
 #: or more
 _DRIFT_FLOOR = Decimal(10) ** (4 - NUMERIC_PRECISION)
-#: the term at which `sum_numeric` builds an envelope's `Ratio`: a
-#: shorter sum never pays for it
+#: the term, counted from the sum's start, at which `sum_numeric` builds
+#: an envelope's `Ratio`: a shorter sum never pays for it
 _RATIO_FROM = 8
 
 
@@ -518,8 +518,10 @@ class TermGenerator:
     valuation_growth: Optional[Callable[[int], int]] = None
 
 
-def sum_exact(gen: TermGenerator, order: int) -> LaurentSeries:
-    """Sum term(0), term(1), ... exactly to `order`.
+def sum_exact(gen: TermGenerator, order: int,
+              start: int = 0) -> LaurentSeries:
+    """Sum term(start), term(start + 1), ... exactly to `order`, each term
+    n read as declared: its value term(n) and its bound growth(n).
 
     With a declared `valuation_growth`, terms are consumed while the bound
     is at most `order` and no further: past that every term is zero
@@ -544,7 +546,7 @@ def sum_exact(gen: TermGenerator, order: int) -> LaurentSeries:
     low: float = float("-inf")
     stall = 0
     high_run = 0
-    n = 0
+    n = start
     lo, out, den = order + 1, [], 1
     while True:
         if growth is not None:
@@ -617,7 +619,8 @@ class Ratio(NamedTuple):
     `_DRIFT_FLOOR`, which covers the rounding of the terms). A sum stops
     on it only where |s| < 1, which `_geometric_stop` alone checks: a
     factor's ratio, such as +-1, only enters the certificate of the term
-    it multiplies."""
+    it multiplies. A sum from a later start reads D at the same n: the
+    certificate is never shifted."""
 
     s: Decimal
     pieces: Tuple[Tuple[Decimal, Decimal, Decimal], ...] = ()
@@ -650,12 +653,6 @@ class Ratio(NamedTuple):
             BOUND_DOWN.multiply(BOUND_DOWN.subtract(_D_ONE, s),
                                 BOUND_DOWN.subtract(_D_ONE, d)))
 
-    def shifted(self, k: int) -> "Ratio":
-        """The certificate of t(k), t(k + 1), ...: each x times b^k."""
-        return Ratio(self.s, tuple(
-            (c, BOUND_UP.multiply(x, BOUND_UP.power(b, k)), b)
-            for c, x, b in self.pieces), max(0, self.start - k))
-
 
 class Envelope(NamedTuple):
     """A magnitude certificate for a numeric sequence t(0), t(1), ..., the
@@ -672,8 +669,9 @@ class Envelope(NamedTuple):
 
     `ratio`, when set, builds the sequence's limit-ratio certificate
     (a `Ratio`, or None where it has none) when first called: a sum
-    calls it only at term n = `_RATIO_FROM`. A sequence with a support
-    has none: its zero terms have no ratio."""
+    calls it only at term start + `_RATIO_FROM`. A sequence with a support
+    has none: its zero terms have no ratio. A sum from any start reads
+    `at`, `support` and the `Ratio` at the sequence's own n."""
 
     at: Callable[[int], Optional[Tuple[Decimal, Decimal]]]
     least: Optional[Decimal] = _D_ZERO
@@ -743,23 +741,25 @@ def _geometric_stop(ratio: Ratio, cutoff: Decimal, dc: decimal.Context):
 
 
 def sum_numeric(gen: NumericTermGenerator, tol: Decimal = NUMERIC_TOL,
-                context: Optional[decimal.Context] = None) -> Decimal:
-    """Sum term(0), term(1), ... to within tol/100 (a Decimal), on a
-    certificate.
+                context: Optional[decimal.Context] = None,
+                start: int = 0) -> Decimal:
+    """Sum term(start), term(start + 1), ... to within tol/100 (a
+    Decimal), on a certificate; term n is read as declared, with the
+    envelope's pair at n and its limit-ratio certificate at n.
 
     From the first term below tol/100 on, the sum stops after the first
     term n whose certified tail (`tail_after` of the envelope at n) is at
     most tol/100; it also stops after the envelope's support. At term
-    n = `_RATIO_FROM` it builds the envelope's limit-ratio certificate
-    (`Envelope.ratio`), if it has one, and from there on it also stops
-    at the first term n whose `Ratio.error` is at most tol/100, adding
-    the geometric tail t(n) s/(1 - s). An envelope that can never
-    certify a tail (`least` >= 1 or None, and no support)
+    n = start + `_RATIO_FROM` it builds the envelope's limit-ratio
+    certificate (`Envelope.ratio`), if it has one, and from there on it
+    also stops at the first term n whose `Ratio.error` is at most
+    tol/100, adding the geometric tail t(n) s/(1 - s). An envelope
+    that can never certify a tail (`least` >= 1 or None, and no support)
     raises TailNotDecreasing before the first term, and one that has not
-    certified it within the term budget raises it there. The sum is
-    taken in `context` (default: a fresh one at NUMERIC_PRECISION
-    digits), never in the ambient decimal context. The caller compares
-    both sides within `tol`.
+    certified it within the term budget (counted from `start`) raises it
+    there. The sum is taken in `context` (default: a fresh one at
+    NUMERIC_PRECISION digits), never in the ambient decimal context. The
+    caller compares both sides within `tol`.
     """
     dc = decimal.Context(prec=NUMERIC_PRECISION) if context is None \
         else context
@@ -774,14 +774,14 @@ def sum_numeric(gen: NumericTermGenerator, tol: Decimal = NUMERIC_TOL,
     ratio, stop = env.ratio, None
     small = False
     total = _D_ZERO
-    n = 0
+    n = start
     while top is None or n <= top:
-        if n == _NUMERIC_TERM_BUDGET:
+        if n - start == _NUMERIC_TERM_BUDGET:
             raise TailNotDecreasing(
                 f"no certified tail within {_NUMERIC_TERM_BUDGET} terms")
         t = gen.term(n)
         total = add(total, t)
-        if ratio is not None and n >= _RATIO_FROM:
+        if ratio is not None and n - start >= _RATIO_FROM:
             cert, ratio = ratio(), None
             stop = cert and _geometric_stop(cert, cutoff, dc)
         if stop is not None:

@@ -47,8 +47,8 @@ def fingerprint(record_id: str) -> str:
 PINS = {
     "qgauss": "b80e27396c2c2202",
     "qbinom": "3ac30c63301763e0",
-    "bailey-transform": "1e3f86b64156fe78",
-    "thm-wp-transform": "ff63f3d568c5a14c",
+    "bailey-transform": "0b9ef3a7adf26778",
+    "thm-wp-transform": "cc12b94b68bd3769",
     "cor-central": "dac13396c6c43f34",
     "alt-alpha": "1175b2ca008bf610",
     "alt-sum": "088051cbb3d3647a",

@@ -46,20 +46,24 @@ PAST = 10
 
 def exact_stops(monkeypatch):
     """Wrap `ExactCtx.summation` and the engine it calls, so that each sum
-    records its context, summand, start, goal and the number of terms the
-    engine took."""
+    records its context, summand, start, goal and the first term n the
+    engine did not take; the engine takes the terms n = start, start + 1,
+    ... as declared."""
     stops, runs = [], []
     summation = ExactCtx.summation
 
-    def traced(gen, goal):
+    def traced(gen, goal, start):
         seen = []
 
         def term(n):
             seen.append(n)
             return gen.term(n)
 
-        total = sum_exact(TermGenerator(term, gen.valuation_growth), goal)
-        runs.append((goal, len(seen)))
+        total = sum_exact(TermGenerator(term, gen.valuation_growth), goal,
+                          start)
+        stop = start + len(seen)
+        assert seen == list(range(start, stop))
+        runs.append((goal, stop))
         return total
 
     def traced_summation(ctx, term, start=0, times=1):
@@ -84,9 +88,9 @@ def test_declared_bounds_hold_past_the_stop(record, monkeypatch):
     assert stops
     for ctx, term, start, goal, stop in stops:
         growth = term.law().growth()
-        for n in range(stop + PAST + 1):
-            t = ctx.finalize(term(n + start))
-            bound = growth(n + start)
+        for n in range(start, stop + PAST + 1):
+            t = ctx.finalize(term(n))
+            bound = growth(n)
             low = [e for e, _ in t.terms() if e < min(bound, t.order)]
             assert low == [], (n, bound, str(t))
             if n >= stop:
@@ -101,13 +105,14 @@ NUMERIC_PAST = 40
 
 def certified_stops(monkeypatch):
     """Wrap the engine `NumericCtx.summation` calls, so that each sum
-    records its generator, its tolerance, the last term n it took, and
-    what the engine added past the sum of the terms it took: zero after
-    an envelope stop or at a support, the geometric tail after a
-    limit-ratio stop."""
+    records its generator, its tolerance, the last term n it took (the
+    engine takes n = start, start + 1, ... as declared), and what the
+    engine added past the sum of the terms it took: zero after an
+    envelope stop or at a support, the geometric tail after a limit-ratio
+    stop."""
     stops = []
 
-    def traced(gen, tol, context):
+    def traced(gen, tol, context, start):
         seen = []
 
         def term(n):
@@ -115,7 +120,8 @@ def certified_stops(monkeypatch):
             return gen.term(n)
 
         total = sum_numeric(NumericTermGenerator(term, gen.envelope), tol,
-                            context)
+                            context, start)
+        assert seen == list(range(start, start + len(seen)))
         taken = reduce(context.add, map(gen.term, seen), Decimal(0))
         stops.append((gen, context.divide(tol, 100), seen[-1],
                       F(total) - F(taken)))
@@ -302,19 +308,20 @@ def declared_factor(ctx, q, kind, *args):
 
 
 def check_ratio(cert, value, shift):
-    """`cert` shifted by `shift` against m -> the Fraction term `value(m)`:
-    at each n from its start on where D(n) is known, the ratios
-    t(m + 1)/(s t(m)) for m >= n are positive, and the sum of their |log|
-    stays within D(n); a zero t(n) stays zero."""
-    cert = cert.shifted(shift)
+    """`cert` against m -> the Fraction term `value(m)`, as a sum from
+    `shift` reads it, at the terms' own n: at each n from `shift` (or
+    the certificate's start, if later) on where D(n) is known, the
+    ratios t(m + 1)/(s t(m)) for m >= n are positive, and the sum of
+    their |log| stays within D(n); a zero t(n) stays zero."""
+    first = max(cert.start, shift)
     try:
-        terms = [value(m + shift) for m in range(cert.start, cert.start + 30)]
+        terms = [value(m) for m in range(first, first + 30)]
     except ZeroDivisionError:
         assume(False)
     lim = F(cert.s)
     high = Context(prec=80)
     for i in range(6):
-        d = cert.drift(cert.start + i)
+        d = cert.drift(first + i)
         if d is None:
             continue
         if not terms[i]:
@@ -351,8 +358,8 @@ def test_limit_ratio_bounds_fraction_terms(q, s, b, ups, downs, heads,
     # e = 0, which declares no ratio), heads 1 - w r^n with r = +-q^e,
     # factors that declare a ratio (opaque, or a nested declaration that
     # folds in), and a support (which declares none): the certificate of
-    # the term, and of each factor, shifted by `shift` as a sum from
-    # there takes it, holds for the Fraction terms (`check_ratio`)
+    # the term, and of each factor, read from `shift` on as a sum from
+    # there reads it, holds for the Fraction terms (`check_ratio`)
     assume(all(k or l >= 0 for _, _, k, l in ups + downs))
     ctx = NumericCtx(q)
     made = [declared_factor(ctx, q, *f) for f in factors]

@@ -26,6 +26,7 @@ from qident.qfunc import (
     Envelope,
     NumericTermGenerator,
     PochTower,
+    Ratio,
     Stepped,
     TermGenerator,
     ValuationLaw,
@@ -213,15 +214,18 @@ def test_sum_exact_geometric():
 
 
 def test_sum_exact_declared_growth():
-    calls = []
-
+    # the terms n >= start, each read with its bound at its own n
     def term(n):
         calls.append(n)
         return LS.monomial(1, 2 * n, order=12)
 
-    got = sum_exact(TermGenerator(term, valuation_growth=lambda n: 2 * n), 12)
-    assert got == LS.from_pairs({2 * k: 1 for k in range(7)}, order=12)
-    assert max(calls) <= 6
+    for start in (0, 2):
+        calls = []
+        got = sum_exact(TermGenerator(term, valuation_growth=lambda n: 2 * n),
+                        12, start)
+        assert got == LS.from_pairs({2 * k: 1 for k in range(start, 7)},
+                                    order=12)
+        assert calls == list(range(start, 7)), start
 
 
 def test_sum_exact_stall():
@@ -473,12 +477,27 @@ def test_sum_numeric_zero():
 
 
 def test_sum_numeric_geometric():
+    # sum 2^-n over n >= start, each term read with its envelope and its
+    # limit ratio at its own n: on the envelope (2^-n, 1/2), or on the
+    # envelope (1, 1/2), which never certifies the tail, and the limit
+    # ratio 1/2, which the sum builds at term start + _RATIO_FROM and
+    # stops on there, adding the geometric tail; the term budget also
+    # counts from the start
     half = Decimal(1) / 2
-    gen = NumericTermGenerator(
-        lambda n: Decimal(2) ** -n,
-        Envelope(lambda n: (Decimal(2) ** -n, half), half))
-    got = sum_numeric(gen)
-    assert abs(got - 2) < Decimal("1e-30")
+
+    def term(n):
+        calls.append(n)
+        return Decimal(2) ** -n
+
+    tail = Envelope(lambda n: (Decimal(2) ** -n, half), half)
+    limit = Envelope(lambda n: (Decimal(1), half), half,
+                     ratio=lambda: Ratio(half))
+    for start in (0, 3, 12, qfunc._NUMERIC_TERM_BUDGET):
+        for env in (tail, limit):
+            calls = []
+            got = sum_numeric(NumericTermGenerator(term, env), start=start)
+            assert abs(got - 2 * half ** start) <= Decimal("1e-32"), start
+        assert calls == list(range(start, start + qfunc._RATIO_FROM + 1))
 
 
 def test_sum_numeric_not_decreasing():
