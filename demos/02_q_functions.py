@@ -1,6 +1,7 @@
 """Walkthrough: q-Pochhammer symbols, infinite products, phi series.
 
-Finite products are exact polynomials; infinite ones are truncated at a
+Finite products are read from a tower that steps (a; q)_n to (a; q)_(n+1)
+by one factor (exact with no order); infinite ones are truncated at a
 working order, multiplying only the finitely many factors that touch the
 window. Square roots never appear: the paired very-well-poised parameters
 are handled through (1 - k q^{2n})/(1 - k).
@@ -9,8 +10,8 @@ are handled through (1 - k q^{2n})/(1 - k).
 from fractions import Fraction as F
 
 from qident import (
+    PochTower,
     QMonomial,
-    poch_finite,
     poch_infinite,
     vwp_factor,
 )
@@ -19,8 +20,8 @@ from qident.context import exact_run
 
 q = QMonomial.of(1, 1)
 
-print("(q; q)_3        =", poch_finite(q, q, 3))
-print("(1/2; q)_2      =", poch_finite(F(1, 2), q, 2))
+print("(q; q)_3        =", PochTower(q, q, None).upto(3))
+print("(1/2; q)_2      =", PochTower(F(1, 2), q, None).upto(2))
 
 # Euler's pentagonal pattern appears in the infinite product
 euler = poch_infinite(q, q, 26)

@@ -20,7 +20,6 @@ from .qfunc import (
     NumericTermGenerator,
     PochTower,
     TermGenerator,
-    poch_finite,
     poch_infinite,
     sum_exact,
     sum_numeric,

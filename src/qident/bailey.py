@@ -248,6 +248,19 @@ def _head_bound(w: Decimal, r: Decimal, inverse: bool, n: int):
     return None
 
 
+def _linear_bound(c0, c1, n: int):
+    """(M, g) with |c0 + c1 m| <= M g^(m - n) for every m >= n, given the
+    rationals c0 and c1: (|P(n)|, 1 + |c1|/|P(n)|), P(m) = c0 + c1 m,
+    since |P(m)| <= |P(n)| + |c1| (m - n) and 1 + k x <= (1 + x)^k; where
+    P(n) = 0, (|c1|, 2), since k <= 2^k."""
+    p, c1 = Fraction(abs(c0 + c1 * n)), Fraction(abs(c1))
+    if not p:
+        return BOUND_UP.divide(c1.numerator, c1.denominator), Decimal(2)
+    g = (p + c1) / p
+    return (BOUND_UP.divide(p.numerator, p.denominator),
+            BOUND_UP.divide(g.numerator, g.denominator))
+
+
 def _ratio_piece(u: Decimal, b: Decimal, k: int, l: int, twice: bool):
     """The `qfunc.Ratio` piece of the factors 1 - u b^j over j >= k n + l,
     each met once in the term ratios from n on (a Pochhammer
@@ -278,6 +291,7 @@ class _SummandFields(NamedTuple):
     heads: Sequence = ()
     factors: Sequence = ()
     support: Optional[int] = None
+    linear: Optional[Tuple] = None
 
 
 class Summand(_SummandFields):
@@ -285,18 +299,20 @@ class Summand(_SummandFields):
 
         s^n p^(A n^2 + B n + C)
           * prod (u; b_u)_(k n + l) / prod (d; b_d)_(k n + l)
-          * prod (1 - w r^n)^(+1 or -1) * prod f_n,
+          * prod (1 - w r^n)^(+1 or -1) * prod f_n * (c0 + c1 n),
 
     with `power` = (A, B, C) (each default 0) and p = q unless given.
     `ups` and `downs` hold (argument, base) pairs, of length n, or
     (argument, base, k, l); `heads` hold (w, r) pairs, or (w, r, True)
     for an inverse head; `factors` the opaque f_n, each a `Factor`, or a
     Summand in n, which is folded in at construction, never evaluated as
-    a factor: the two s multiply, the one power keeps its p, the
-    Pochhammers, heads and f_n join, and the smaller support holds
-    (`_replace` skips the fold; a Summand it leaves raises). `support`,
-    when set, promises the term is zero past it. It is an immutable
-    tuple of those fields (`_replace` makes a variant).
+    a factor: the two s multiply, the one power keeps its p, the one
+    linear factor stays, the Pochhammers, heads and f_n join, and the
+    smaller support holds (`_replace` skips the fold; a Summand it leaves
+    raises). `linear`, when set, is the pair of rationals (c0, c1) of the
+    linear factor c0 + c1 n (such as n + 1). `support`, when set,
+    promises the term is zero past it. It is an immutable tuple of those
+    fields (`_replace` makes a variant).
 
     Called with n it is the term in its context, for either strategy:
     all its Pochhammers, whatever their lengths, are one `ctx.quotient`,
@@ -308,22 +324,24 @@ class Summand(_SummandFields):
     section 1.2: the term ratio is rational in q^n). s^n and the power
     give the quadratic, each upper Pochhammer its dip and its vanishing
     factor (`poch_law`), each head 1 - w r^n a kink min(0, exp(w) + n
-    exp(r)), each f_n its floor. Lower Pochhammers, inverse heads and the
-    very-well-poised factor never lower the valuation, so they add
-    nothing.
+    exp(r)), each f_n its floor. Lower Pochhammers, inverse heads, the
+    linear factor (a rational at each n) and the very-well-poised factor
+    never lower the valuation, so they add nothing.
 
     `envelope()` (NumericCtx only) is the term's magnitude certificate,
     the `qfunc.Envelope` that `NumericCtx.summation` stops on, from the
     same declaration: at n, M is |s^n p^(A n^2 + B n + C) and the
     Pochhammers| at n, times a bound on each head over m >= n (never the
-    head's value, which can vanish at one n only) and each f_n's M; g is
-    the supremum over m >= n of the declared term ratio,
+    head's value, which can vanish at one n only), each f_n's M and the
+    linear factor's (`_linear_bound`); g is the supremum over m >= n of
+    the declared term ratio,
 
         |s| |p|^(A (2m + 1) + B) prod (1 + |u||b|^j) / prod (1 - |d||b|^j)
 
     over the indices j that the step from m to m + 1 adds (bases |b| <=
-    1), times each head's growth and each f_n's g. It is finite only
-    where the power falls or stays as m grows (no A < 0 for |p| < 1).
+    1), times each head's growth, each f_n's g and the linear factor's.
+    It is finite only where the power falls or stays as m grows (no A < 0
+    for |p| < 1).
     An f_n that declares neither a bound nor a support leaves a term
     with no support of its own, nor from another f_n, without any
     envelope: `qfunc.NO_BOUND`, on which `NumericCtx.summation` raises
@@ -332,9 +350,10 @@ class Summand(_SummandFields):
     The envelope also carries the term's limit-ratio certificate
     (`qfunc.Ratio`, built when a sum first asks for it), where the term
     ratio tends to a constant: s times p^B (no quadratic power), times
-    each f_n's declared limit, whatever its size; only a sum's stop
-    (`qfunc._geometric_stop`) asks for one below 1, so a declaration that
-    bounds a factor keeps its limit 1 or -1 for the term it joins. Each
+    each f_n's declared limit, whatever its size, with the linear factor
+    as the Ratio's `linear`, whose geometric tail it adds; only a sum's
+    stop (`qfunc._geometric_stop`) asks for one below 1, so a declaration
+    that bounds a factor keeps its limit 1 or -1 for the term it joins. Each
     Pochhammer (u; b)_(k n + l) on a base 0 < |b| < 1 adds the piece
     X/((1 - |b|)(1 - X)), X = |u||b|^(k n + l), to its drift D(n), and
     each head on 0 < |r| < 1 twice that, with X = |w||r|^n. An f_n
@@ -342,8 +361,9 @@ class Summand(_SummandFields):
     bounded by its own declaration that declaration's, as the
     very-well-poised factor its head and 1, `running_sums` 1 from its
     alpha's support on). A term with a support, a quadratic power, another
-    Pochhammer base or head, or an f_n that declares no ratio has no
-    certificate, and its sum stops on the envelope alone: `envelope`
+    Pochhammer base or head, an f_n that declares no ratio, or an f_n
+    whose ratio holds a linear factor has no certificate, and its sum
+    stops on the envelope alone: `envelope`
     reads that from the declaration in the walk that builds the bound,
     and gives such a term no `ratio` at all.
     """
@@ -353,6 +373,9 @@ class Summand(_SummandFields):
         if not all(isinstance(f, (Factor, Summand)) for f in self.factors):
             raise TypeError("a summand's opaque factor is a Factor or a "
                             "Summand, not a bare callable")
+        if self.linear is not None and not all(
+                isinstance(c, (int, Fraction)) for c in self.linear):
+            raise TypeError("a linear factor's coefficients are rationals")
         nested = [f for f in self.factors if isinstance(f, Summand)]
         return reduce(Summand._fold, nested, self._replace(factors=[
             f for f in self.factors if isinstance(f, Factor)]))
@@ -361,6 +384,9 @@ class Summand(_SummandFields):
         """This term times `inner`, as one declaration (see the class)."""
         if any(self.power) and any(inner.power):     # their p may differ
             raise ValueError("two q-powers do not fold into one summand")
+        if self.linear is not None and inner.linear is not None:
+            raise ValueError("two linear factors do not fold into one "
+                             "summand")
         own = any(self.power)
         s = (inner.s if self.s is None else self.s if inner.s is None
              else self.ctx.mul(self.s, inner.s))
@@ -371,7 +397,8 @@ class Summand(_SummandFields):
             downs=[*self.downs, *inner.downs],
             heads=[*self.heads, *inner.heads],
             factors=[*self.factors, *inner.factors],
-            support=min(tops, default=None))
+            support=min(tops, default=None),
+            linear=inner.linear if self.linear is None else self.linear)
 
     @cached_property
     def _plan(self):
@@ -402,6 +429,9 @@ class Summand(_SummandFields):
     def __call__(self, n: int):
         main, power, heads, factors = self._plan
         more = [f(n) for f in factors] if factors else []
+        if self.linear is not None:
+            c0, c1 = self.linear
+            more.append(self.ctx.num(c0 + c1 * n))
         if power:
             more.append(self._power(n, power))
         if heads:
@@ -463,6 +493,9 @@ class Summand(_SummandFields):
             return NO_BOUND
         parts += [env.at for env in envs]
         least += [env.least for env in envs]
+        if self.linear is not None:
+            parts.append(partial(_linear_bound, *self.linear))
+            least.append(_ONE)
         limit = limit and not tops and all(0 < b < 1 for _, b, *_ in pieces) \
             and all(env.ratio for env in envs)
 
@@ -480,7 +513,7 @@ class Summand(_SummandFields):
         """The term's limit-ratio certificate (see the class), from the
         magnitudes (u, b, k, l, twice) of the Pochhammers and heads that
         `envelope` collected and the envelopes of its f_n; None where
-        some f_n's certificate is None."""
+        some f_n's certificate is None or holds a linear factor."""
         ctx = self.ctx
         _, power, _, _ = self._plan
         s = [] if self.s is None else [self.s]
@@ -489,13 +522,15 @@ class Summand(_SummandFields):
             s.append(ctx.qpow(Fraction(b, den)) if self.p is None else
                      ctx.pow_int(self.p, b // den))
         lims = [env.ratio() for env in envs]
-        if None in lims:
+        # a linear factor of an f_n's own declaration is not the term's
+        if None in lims or any(lim.linear != (1, 0) for lim in lims):
             return None
         return Ratio(ctx.mul(*s, *(lim.s for lim in lims)),
                      (*(_ratio_piece(*x) for x in pieces),
                       *(p for lim in lims for p in lim.pieces)),
                      max([length_start(x[2:4] for x in pieces)]
-                         + [lim.start for lim in lims]))
+                         + [lim.start for lim in lims]),
+                     self.linear or (1, 0))
 
     def law(self) -> ValuationLaw:
         mono = self.ctx.monomial

@@ -165,9 +165,11 @@ _ONE = Fraction(1)
 _D_ONE = Decimal(1)
 _ONES = repeat(_D_ONE)
 #: a numeric value below this in size is zero to the digits a verdict
-#: reads: `NumericCtx.poch_inf` stops there, and a lower product of
-#: `_quotient_steps` that small is a pole
+#: reads: a lower product of `_quotient_steps` that small is a pole, and
+#: `NumericCtx.poch_inf` is within this relative error of its product
 _EPS = Decimal(f"1e-{NUMERIC_PRECISION - 4}")
+#: where `NumericCtx.poch_inf` cuts Euler's series
+_EULER_CUT = decimal.Context().divide(_EPS, 4)
 
 
 class _Product:
@@ -588,6 +590,29 @@ def _quotient_steps(ups, downs, s, n0: int, dc: decimal.Context):
             ups = list(map(mul, ups, up_bases))
 
 
+def _euler(f: Decimal, base: Decimal, dc: decimal.Context) -> Decimal:
+    """(f; base)_inf for |f| <= (1 - |base|)/2 by Euler's series (Gasper &
+    Rahman, eq. 1.3.16), in `dc`:
+
+        (f; b)_inf = sum over n of (-f)^n b^(n(n-1)/2) / (b; b)_n,
+
+    stepped by t(n+1) = t(n) f b^n / (b^(n+1) - 1). Each step at least
+    halves the term (|f b^n| <= (1 - |b|)/2 and |b^(n+1) - 1| >= 1 - |b|),
+    so no digits cancel, and the series converges quadratically. It stops
+    at the first term below `_EPS`/4, so the terms left out sum to below
+    `_EPS`/2. The product is at least 1/2, since prod (1 - x_j) >= 1 -
+    sum x_j and sum |f b^j| <= 1/2, so the cut is a relative error below
+    `_EPS`."""
+    mul, sub, div, add = dc.multiply, dc.subtract, dc.divide, dc.add
+    total, t, power = _D_ONE, _D_ONE, base      # power = base^(n+1)
+    while True:
+        t = div(mul(t, f), sub(power, _D_ONE))
+        if t.copy_abs() < _EULER_CUT:
+            return total
+        total = add(total, t)
+        f, power = mul(f, base), mul(power, base)
+
+
 class NumericCtx:
     """Numeric strategy: decimals at a rational q, in a decimal context of
     its own.
@@ -597,7 +622,10 @@ class NumericCtx:
     included, runs in `self.dc`, one `decimal.Context` at
     NUMERIC_PRECISION + 10 (74) digits, never in the thread's ambient
     context: a verdict does not depend on the caller's decimal settings or
-    thread. Sums and `verify_one` use `tol` = NUMERIC_TOL.
+    thread. Sums and `verify_one` use `tol` = NUMERIC_TOL. An infinite
+    product (`poch_inf`) is within a relative 10^-60 (`_EPS`) of its
+    value: the factors that can vanish one at a time, the rest by Euler's
+    series (`_euler`).
 
     Memoized per context, since the values depend on q and the precision
     and a context lives for one build:
@@ -714,14 +742,25 @@ class NumericCtx:
         return lambda n, *more: mul(at(n), *more) if more else at(n)
 
     def poch_inf(self, a, base) -> Decimal:
+        """(a; base)_inf for |base| < 1, within a relative error below
+        `_EPS` (10^-60) of the exact product, plus the rounding of its
+        74-digit operations (NonTruncatable for |base| >= 1).
+
+        The factors 1 - a base^j with |a base^j| > theta = (1 - |base|)/2
+        are multiplied one at a time: they are the ones that can vanish,
+        so a pole keeps its exact 0. The rest, (f; base)_inf with |f| <=
+        theta, is Euler's series (`_euler`), cut at a relative error below
+        `_EPS`."""
         a, base = self.num(a), self.num(base)
-        if base.copy_abs() >= 1:
+        b = base.copy_abs()
+        if b >= 1:
             raise NonTruncatable("numeric infinite product needs |base| < 1")
         mul, sub = self._mul, self._sub
+        theta = self.dc.divide(sub(_D_ONE, b), 2)
         out, f = _D_ONE, a
         for _ in range(100_000):
-            if f.copy_abs() < _EPS:
-                return out
+            if f.copy_abs() <= theta:
+                return mul(out, _euler(f, base, self.dc))
             out = mul(out, sub(_D_ONE, f))
             f = mul(f, base)
         raise NonTruncatable("infinite product failed to settle")

@@ -28,7 +28,9 @@ t(n) s/(1 - s) within |t(n)| |s|/(1 - |s|) D/(1 - D), and `sum_numeric`
 stops at the first term where that is within tol/100, adding the
 geometric tail: after about log(tol)/log|s q| terms rather than
 log(tol)/log|s| (compare Johansson, "Computing hypergeometric functions
-rigorously", ACM TOMS 2019).
+rigorously", ACM TOMS 2019). A term with a declared linear factor P(n) =
+c0 + c1 n is P u, with s and D those of u; its geometric tail carries P,
+u(n) (P(n) s/(1 - s) + c1 s/(1 - s)^2).
 
 Conventions: (a; b)_n is the finite product over j < n of (1 - a b^j) and
 (a; b)_inf the infinite one. Arguments and bases are values of the shape
@@ -157,27 +159,6 @@ def _times(s: LaurentSeries, factors,
     return s.mul_binomials(step, order)
 
 
-def poch_finite(a: Value, base: QMonomial, n: int,
-                order: Optional[int] = None) -> LaurentSeries:
-    """(a; base)_n as an exact polynomial (or truncated at `order`).
-
-    The empty product (n = 0) is 1. `a` must be monomial-like; Laurent
-    factors with negative exponents are allowed in it, and the base
-    exponent must be >= 0.
-    """
-    if n < 0:
-        raise ValueError("Pochhammer length must be >= 0")
-    if base.exp < 0:
-        raise ValueError("Pochhammer base must have nonnegative exponent")
-    mono = as_monomial(a)
-    if mono is None:
-        raise TypeError("poch_finite needs a monomial-like argument")
-    out = LaurentSeries.one(order)
-    if mono.is_zero:
-        return out
-    return _times(out, islice(_binomials(mono, base), n))
-
-
 def poch_infinite(a: Value, base: QMonomial, order: int,
                   factors: bool = False):
     """(a; base)_inf truncated exactly at `order`.
@@ -263,7 +244,7 @@ class PochTower(Stepped):
     factors, with 1/(a; base)_(k n + l) for an inverted one, for n = n0,
     n0 + 1, ... at a fixed order: n0 is the least n >= 0 at which every
     length k n + l is >= 0 (`length_start`), and a lookup below it raises
-    ValueError, as `poch_finite` does for a length below 0. A factor
+    ValueError, as a Pochhammer of negative length does. A factor
     given as (argument, base, invert) has length n (k = 1, l = 0).
     `PochTower(a, base, order, invert)` is one such factor, and
     `PochTower.of(factors, order)` any number: a Pochhammer quotient is
@@ -601,30 +582,39 @@ def sum_exact(gen: TermGenerator, order: int,
 
 
 class Ratio(NamedTuple):
-    """A limit-ratio certificate for a numeric sequence t(0), t(1), ...:
-    `s`, the signed limit of t(n+1)/t(n), and `pieces`, triples of
+    """A limit-ratio certificate for a numeric sequence t(0), t(1), ...
+    with t(n) = P(n) u(n), P(n) = c0 + c1 n the declared linear factor
+    `linear` = (c0, c1), a pair of rationals (default (1, 0): P = 1, u =
+    t): `s`, the signed limit of u(n+1)/u(n), and `pieces`, triples of
     Decimals (c, x, b) with 0 < b < 1, such that from n = `start` on
 
         D(n) = sum over the pieces of c X/(1 - X),   X = x b^n < 1,
 
-    bounds the sum over m >= n of |log(t(m+1)/(s t(m)))|. A Pochhammer
+    bounds the sum over m >= n of |log(u(m+1)/(s u(m)))|. A Pochhammer
     (u; b)_(k n + l) of the term gives the piece (1/(1 - |b|), |u||b|^l,
     |b|^k), a head 1 - w r^n the piece (2/(1 - |r|), |w|, |r|); s^n and a
     linear power give s alone (`bailey.Summand.envelope`).
 
-    Then t(m) = t(n) s^(m - n) e^L with |L| <= D(n) for every m >= n, so
-    the tail after n is t(n) s/(1 - s) within `error(t(n), n)`,
-    |t(n)| |s|/(1 - |s|) D/(1 - D), since |e^L - 1| <= e^D - 1 <=
-    D/(1 - D) for D < 1 (`drift` rounds D up, and never below
-    `_DRIFT_FLOOR`, which covers the rounding of the terms). A sum stops
-    on it only where |s| < 1, which `_geometric_stop` alone checks: a
-    factor's ratio, such as +-1, only enters the certificate of the term
-    it multiplies. A sum from a later start reads D at the same n: the
-    certificate is never shifted."""
+    Then u(m) = u(n) s^(m - n) e^L with |L| <= D(n) for every m >= n, so
+    the tail after n is u(n) times the sum over k >= 1 of P(n + k) s^k,
+
+        u(n) (P(n) s/(1 - s) + c1 s/(1 - s)^2),
+
+    within `error(t(n), n)`, |u(n)| (e^D - 1) times the sum over k >= 1
+    of |P(n + k)| |s|^k, since |e^L - 1| <= e^D - 1 <= D/(1 - D) for D < 1
+    (`drift` rounds D up, and never below `_DRIFT_FLOOR`, which covers the
+    rounding of the terms); with |P(n + k)| <= |P(n)| + |c1| k that is at
+    most |t(n)| (|s|/(1 - |s|) + |c1| |s|/(|P(n)| (1 - |s|)^2)) D/(1 - D)
+    (Johansson, ACM TOMS 2019: a geometric tail with a polynomial
+    prefactor). A sum stops on it only where |s| < 1 and P(n) != 0, which
+    `_geometric_stop` alone checks: a factor's ratio, such as +-1, only
+    enters the certificate of the term it multiplies. A sum from a later
+    start reads D at the same n: the certificate is never shifted."""
 
     s: Decimal
     pieces: Tuple[Tuple[Decimal, Decimal, Decimal], ...] = ()
     start: int = 0
+    linear: Tuple[Rational, Rational] = (1, 0)
 
     def drift(self, n: int) -> Optional[Decimal]:
         """D(n), rounded up; None below `start` or where some X >= 1."""
@@ -641,17 +631,24 @@ class Ratio(NamedTuple):
         return max(BOUND_UP.multiply(d, BOUND_SLACK), _DRIFT_FLOOR)
 
     def error(self, t: Decimal, n: int) -> Optional[Decimal]:
-        """|t| |s|/(1 - |s|) D(n)/(1 - D(n)), rounded up, for |s| < 1: how
-        far the sum of the terms after n lies from t s/(1 - s), t the term
-        n; None where D(n) is unknown or at least 1."""
+        """|t| (|s|/(1 - |s|) + |c1| |s|/(|P(n)| (1 - |s|)^2)) D(n)/(1 -
+        D(n)), rounded up, for |s| < 1: how far the sum of the terms after
+        n lies from the tail above, t the term n; None where D(n) is
+        unknown or at least 1, or where P(n) = 0."""
         d = self.drift(n)
-        if d is None or d >= 1:
+        c0, c1 = self.linear
+        p = abs(c0 + c1 * n)
+        if d is None or d >= 1 or not p:
             return None
         s = self.s.copy_abs()
+        low = BOUND_DOWN.subtract(_D_ONE, s)
+        reach = BOUND_UP.divide(s, low)
+        slope = Fraction(abs(c1)) / p
+        reach = BOUND_UP.add(reach, BOUND_UP.divide(BOUND_UP.multiply(
+            BOUND_UP.divide(slope.numerator, slope.denominator), reach), low))
         return BOUND_UP.divide(
-            BOUND_UP.multiply(BOUND_UP.multiply(t.copy_abs(), s), d),
-            BOUND_DOWN.multiply(BOUND_DOWN.subtract(_D_ONE, s),
-                                BOUND_DOWN.subtract(_D_ONE, d)))
+            BOUND_UP.multiply(BOUND_UP.multiply(t.copy_abs(), reach), d),
+            BOUND_DOWN.subtract(_D_ONE, d))
 
 
 class Envelope(NamedTuple):
@@ -711,31 +708,43 @@ class NumericTermGenerator:
 
 
 def _geometric_stop(ratio: Ratio, cutoff: Decimal, dc: decimal.Context):
-    """(n, t) -> the tail t s/(1 - s) after term n of value t, computed
-    in `dc`, where `ratio` certifies it within `cutoff`; None elsewhere.
-    A float screen passes over the terms far from the stop before the
-    certificate is checked in Decimal. None for a ratio with |s| >= 1,
-    which certifies nothing."""
+    """(n, t) -> the tail t (s/(1 - s) + (c1/P(n)) s/(1 - s)^2) after term
+    n of value t, computed in `dc`, where `ratio` certifies it within
+    `cutoff`; None elsewhere (see `Ratio`). A float screen passes over the
+    terms far from the stop before the certificate is checked in Decimal.
+    None for a ratio with |s| >= 1, which certifies nothing."""
     s = ratio.s
     if s.copy_abs() >= 1:
         return None
-    factor = dc.divide(s, dc.subtract(_D_ONE, s))
+    low = dc.subtract(_D_ONE, s)
+    factor = dc.divide(s, low)
+    slope = dc.divide(factor, low)
+    c0, c1 = ratio.linear
     gap = abs(float(s))
     gap /= 1 - gap
+    lift = abs(float(c1)) * gap / (1 - abs(float(s)))
     pieces = [(float(c), float(x), float(b)) for c, x, b in ratio.pieces]
     rough = float(cutoff) * 1.001
 
     def stop(n: int, t: Decimal) -> Optional[Decimal]:
+        p = c0 + c1 * n
+        if not p:
+            return None
         d = 0.0
         for c, x, b in pieces:
             big = x * b ** n
             if big >= 1:
                 return None
             d += c * big / (1 - big)
-        if d >= 1 or abs(float(t)) * gap * d / (1 - d) > rough:
+        if d >= 1 or abs(float(t)) * (gap + lift / abs(float(p))) * d / (
+                1 - d) > rough:
             return None
         err = ratio.error(t, n)
-        return None if err is None or err > cutoff else dc.multiply(t, factor)
+        if err is None or err > cutoff:
+            return None
+        rise = Fraction(c1) / p
+        return dc.add(dc.multiply(t, factor), dc.multiply(t, dc.multiply(
+            dc.divide(rise.numerator, rise.denominator), slope)))
 
     return stop
 
@@ -753,7 +762,8 @@ def sum_numeric(gen: NumericTermGenerator, tol: Decimal = NUMERIC_TOL,
     n = start + `_RATIO_FROM` it builds the envelope's limit-ratio
     certificate (`Envelope.ratio`), if it has one, and from there on it
     also stops at the first term n whose `Ratio.error` is at most
-    tol/100, adding the geometric tail t(n) s/(1 - s). An envelope
+    tol/100, adding the geometric tail (t(n) s/(1 - s) without a linear
+    factor; see `Ratio`). An envelope
     that can never certify a tail (`least` >= 1 or None, and no support)
     raises TailNotDecreasing before the first term, and one that has not
     certified it within the term budget (counted from `start`) raises it

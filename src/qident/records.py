@@ -28,13 +28,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction as F
 from typing import Callable, ClassVar, Dict, Optional, Tuple
 
 from .bailey import (
     AlphaSequence,
-    Factor,
     Summand,
     cor_lhs,
     cor_pref,
@@ -51,7 +49,6 @@ from .bailey import (
 from .context import Ctx
 from .errors import DegenerateFamily
 from .pte import bridge_sequences, family6, family12
-from .qfunc import BOUND_UP, Envelope
 from .series import QMonomial
 
 
@@ -127,14 +124,6 @@ def _xyz(rng, mode: str, d: int = 1) -> Dict:
 # ---------------------------------------------------------------------------
 # shared builder pieces
 # ---------------------------------------------------------------------------
-
-def _n_plus_one(ctx: Ctx) -> Factor:
-    """n + 1 as an opaque factor: floor 0, and from N on the bound
-    (N + 1, (N + 2)/(N + 1)), since (1 + 1/(N + 1))^k >= 1 + k/(N + 1)."""
-    return Factor(lambda n: ctx.num(n + 1), 0, bound=Envelope(
-        lambda n: (Decimal(n + 1), BOUND_UP.divide(n + 2, n + 1)),
-        Decimal(1)))
-
 
 def _bridge_cor(ctx: Ctx, p, a, b):
     """The central transform with the bridge pair of the multisets (a, b)
@@ -249,8 +238,8 @@ def _b_alt_alpha(ctx, p):
 
 
 def _b_ones_alpha(ctx, p):
-    return cor_transform(ctx, p["x"], p["y"], p["z"], _n_plus_one(ctx),
-                         Summand(ctx))
+    return cor_transform(ctx, p["x"], p["y"], p["z"],
+                         Summand(ctx, linear=(1, 1)), Summand(ctx))
 
 
 def _b_alt_sum(ctx, p):
@@ -274,8 +263,7 @@ def _b_ones_sum(ctx, p):
     arg = ctx.mul(ctx.qpow(1), ctx.pow_int(inv_x, 2))
     lhs = ctx.summation(Summand(
         ctx, x, ups=[(arg, qq)], downs=[(qq, qq, 1, 1)],
-        heads=[(ctx.neg(ctx.mul(qq, inv_x)), qq)],
-        factors=[_n_plus_one(ctx)]))
+        heads=[(ctx.neg(ctx.mul(qq, inv_x)), qq)], linear=(1, 1)))
     rhs = ctx.mul(ctx.inv(ctx.sub(ctx.one(), x)),
                   ctx.poch_inf(ctx.mul(qq, inv_x), qq),
                   ctx.inv(ctx.poch_inf(x, qq)))

@@ -29,7 +29,7 @@ from qident.pte import (
     family6,
     family12,
 )
-from qident.qfunc import poch_finite, poch_infinite
+from qident.qfunc import PochTower, poch_infinite
 from qident.registry import (
     catalog,
     document_json,
@@ -258,8 +258,11 @@ def test_criterion_6_kernel_properties():
         e = rng.randint(0, 2)
         a = QMonomial(c, e)
         n, m = rng.randint(0, 10), rng.randint(0, 10)
-        lhs = poch_finite(a, Q, n + m)
-        rhs = poch_finite(a, Q, n) * poch_finite(QMonomial(c, e + n), Q, m)
+        # the finite Pochhammers as the runtime reads them: one lookup
+        # of a one-factor tower, exact (order None)
+        lhs = PochTower(a, Q, None).upto(n + m)
+        rhs = PochTower(a, Q, None).upto(n) * \
+            PochTower(QMonomial(c, e + n), Q, None).upto(m)
         ok &= (lhs == rhs)
 
     for _ in range(50):

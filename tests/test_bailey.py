@@ -24,8 +24,8 @@ from qident.context import ExactCtx, NumericCtx
 from qident.errors import (BoundViolation, DegenerateDenominator,
                            UndeclaredBound, UndeclaredFloor,
                            ZeroLeadingCoefficient)
-from qident.qfunc import poch_finite
 from qident.series import LaurentSeries as LS, QMonomial
+from references import poch_product
 from two_strategies import (Q_NUMERIC, assert_identity, exact, lift,
                             lifted, multi_base, numeric, numeric_gap,
                             partial_sum_transform, transform)
@@ -73,8 +73,8 @@ def test_wp_beta_unit_pair_closed_form():
     build = beta_values(unit_alpha(), a, k, range(6))
     ctx, values = numeric(build)
     for n, got in enumerate(exact(N, build)):
-        want = poch_finite(k / a, Q, n) * poch_finite(k, Q, n)
-        den = poch_finite(Q, Q, n) * poch_finite(a * Q, Q, n)
+        want = poch_product(k / a, Q, n) * poch_product(k, Q, n)
+        den = poch_product(Q, Q, n) * poch_product(a * Q, Q, n)
         want = want.mul(den.invert(N), cap=N)
         eq(got, want.truncate(min(N, int(want.eff_order()))), N - 2)
         want = poch_at(k / a, n) * poch_at(k, n) / (
@@ -109,8 +109,8 @@ def test_wp_beta_brute_force_oracle():
     acc = LS.zero(N)
     val = F(0)
     for j in range(n + 1):
-        num = poch_finite(k / a, Q, n - j) * poch_finite(k, Q, n + j)
-        den = poch_finite(Q, Q, n - j) * poch_finite(a * Q, Q, n + j)
+        num = poch_product(k / a, Q, n - j) * poch_product(k, Q, n + j)
+        den = poch_product(Q, Q, n - j) * poch_product(a * Q, Q, n + j)
         acc = acc + num.mul(den.invert(N), cap=N).scale(vals[j]).truncate(N)
         val += vals[j] * poch_at(k / a, n - j) * poch_at(k, n + j) / (
             poch_at(Q, n - j) * poch_at(a * Q, n + j))
@@ -339,8 +339,8 @@ def test_telescope_pochhammer_ratio_closed_form():
         got, closed = assert_identity(lambda ctx: (
             alpha.at(ctx, n),
             quotient(ctx, lambda am, bm, qq: [am, bm], lift(ctx, Q))(n)), N)
-        num = poch_finite(a, Q, n) * poch_finite(b, Q, n)
-        den = poch_finite(a * b * Q, Q, n) * poch_finite(Q, Q, n)
+        num = poch_product(a, Q, n) * poch_product(b, Q, n)
+        den = poch_product(a * b * Q, Q, n) * poch_product(Q, Q, n)
         want = num.mul(den.invert(N), cap=N).scale(1, n)
         assert got.compare(want.truncate(min(N, int(want.eff_order()))),
                            N - n) is None

@@ -13,18 +13,19 @@ tail t(N) s/(1 - s), or at its support. For each record's first seed-1
 numeric sample, every sum is evaluated for 40 terms past the term N
 where the engine (`qfunc.sum_numeric`) stopped. After an envelope stop
 each term lies under the envelope, and together they lie under the
-certified tail, which is at most tol/100. After a geometric stop each
-term t(N + k) lies within |t(N)| |s|^k (e^D - 1) of t(N) s^k, and the
-terms after N, taken until the envelope certifies the rest, plus that
-rest lie within tol/100 of t(N) s/(1 - s). A sum times a prefactor is
-certified for the product. Two property tests check the envelope and
-the limit-ratio certificate of random declarations against plain
-Fraction terms.
+certified tail, which is at most tol/100. After a geometric stop, with
+t = P u for the declared linear factor P (1 if none), each term t(N + k)
+lies within |u(N) P(N + k)| |s|^k (e^D - 1) of u(N) P(N + k) s^k, and
+the terms after N, taken until the envelope certifies the rest, plus
+that rest lie within tol/100 of u(N) (P(N) s/(1 - s) + c1 s/(1 - s)^2).
+A sum times a prefactor is certified for the product. Property tests
+check the envelope, the limit-ratio certificate and the geometric tail
+of a linear factor of random declarations against plain Fraction terms.
 """
 
 from decimal import Context, Decimal
 from fractions import Fraction as F
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -164,12 +165,18 @@ def test_numeric_envelopes_hold_past_the_stop(record, monkeypatch):
             continue
         cert = env.ratio()
         t, s, d = F(gen.term(n)), F(cert.s), F(cert.drift(n))
+        c0, c1 = cert.linear
+        p = c0 + c1 * n
         grow = expm1_up(d)
-        assert abs(s) < 1 and d < 1, (n, s, d)
-        assert abs(t * s) / (1 - abs(s)) * grow <= F(cutoff), (n, d)
+        assert abs(s) < 1 and d < 1 and p, (n, s, d, p)
+        # t = P u: sum over k >= 1 of |P(n + k)| |s|^k, over |P(n)|
+        reach = abs(s) / (1 - abs(s)) + \
+            abs(c1 * s) / (abs(p) * (1 - abs(s)) ** 2)
+        assert abs(t) * reach * grow <= F(cutoff), (n, d)
         for k, u in enumerate(past, 1):
-            assert abs(u - t * s ** k) <= abs(t * s ** k) * grow, (n, k, u)
-        geometric = t * s / (1 - s)
+            near = t / p * (p + c1 * k) * s ** k
+            assert abs(u - near) <= abs(near) * grow, (n, k, u)
+        geometric = t / p * (p * s / (1 - s) + c1 * s / (1 - s) ** 2)
         # the engine added it, up to the rounding of the total
         assert abs(added - geometric) <= F(cutoff) / 10 ** 20, (n, added)
         m = n + len(past)
@@ -284,7 +291,9 @@ FACTOR = st.one_of(
     st.tuples(st.just("vwp"), RAT, st.integers(1, 2),
               st.sampled_from([None, F(1, 2), F(-1, 3)])),
     st.tuples(st.just("sums"), st.lists(st.sampled_from(
-        [F(0), F(1), F(-1, 2), F(3)]), min_size=1, max_size=4)))
+        [F(0), F(1), F(-1, 2), F(3)]), min_size=1, max_size=4)),
+    st.tuples(st.just("linear"), st.sampled_from([1, F(-1, 2), F(5, 3)]),
+              st.sampled_from([0, 1, F(1, 3), -2])))
 
 
 def declared_factor(ctx, q, kind, *args):
@@ -297,6 +306,9 @@ def declared_factor(ctx, q, kind, *args):
         alternating, = args
         return Summand(ctx, ctx.num(-1) if alternating else None), \
             lambda m: (-1) ** m if alternating else 1
+    if kind == "linear":            # c0 + c1 n, a nested declaration
+        c0, c1 = args
+        return Summand(ctx, linear=(c0, c1)), lambda m: c0 + c1 * m
     if kind == "vwp":
         k, step, base = args
         p = q if base is None else base
@@ -311,11 +323,14 @@ def check_ratio(cert, value, shift):
     """`cert` against m -> the Fraction term `value(m)`, as a sum from
     `shift` reads it, at the terms' own n: at each n from `shift` (or
     the certificate's start, if later) on where D(n) is known, the
-    ratios t(m + 1)/(s t(m)) for m >= n are positive, and the sum of
-    their |log| stays within D(n); a zero t(n) stays zero."""
+    ratios u(m + 1)/(s u(m)) for m >= n, u = t/P over the declared linear
+    factor P, are positive, and the sum of their |log| stays within D(n);
+    a zero u(n) stays zero."""
     first = max(cert.start, shift)
+    c0, c1 = cert.linear
     try:
-        terms = [value(m) for m in range(first, first + 30)]
+        terms = [value(m) / F(c0 + c1 * m)
+                 for m in range(first, first + 30)]
     except ZeroDivisionError:
         assume(False)
     lim = F(cert.s)
@@ -361,6 +376,8 @@ def test_limit_ratio_bounds_fraction_terms(q, s, b, ups, downs, heads,
     # the term, and of each factor, read from `shift` on as a sum from
     # there reads it, holds for the Fraction terms (`check_ratio`)
     assume(all(k or l >= 0 for _, _, k, l in ups + downs))
+    # two linear factors do not fold into one summand
+    assume(sum(f[0] == "linear" for f in factors) <= 1)
     ctx = NumericCtx(q)
     made = [declared_factor(ctx, q, *f) for f in factors]
     term = Summand(ctx, s, (0, b) if b else (),
@@ -394,6 +411,126 @@ def test_limit_ratio_bounds_fraction_terms(q, s, b, ups, downs, heads,
     cert = env.ratio and env.ratio()
     if cert is not None:
         check_ratio(cert, value, shift)
+
+
+# the geometric tail of a linear factor against plain Fraction terms
+
+#: a looser cutoff than a sum's, so that the stop is reached early
+LINEAR_CUT = Decimal("1e-12")
+LINEAR = st.tuples(st.sampled_from([1, 0, F(-1, 2), F(5, 3), 2]),
+                   st.sampled_from([1, F(1, 3), -1, 0, F(-3, 2)]))
+
+
+def rounded(x: F) -> F:
+    return F(round(x * 10 ** 70), 10 ** 70)
+
+
+def linear_tail_faults(q, s, linear, ups, heads, stop=None):
+    """The n from 8 to 40 at which the geometric stop (`stop` wraps it,
+    if given) of the term s^n prod (u; q)_n prod (1 - w q^(e n)) (c0 +
+    c1 n) gives a tail further than LINEAR_CUT from the sum of the
+    Fraction terms after n, or at which `Ratio.error` falls below |u(n)|
+    D(n) times the sum over k >= 1 of |P(n + k)| |s|^k (P keeps its sign
+    past n = 2 for the coefficients drawn, so that sum is |P(n) s/(1 -
+    |s|) + c1 |s|/(1 - |s|)^2|); and the n at which it gives a tail."""
+    ctx = NumericCtx(q)
+    c0, c1 = linear
+    term = Summand(ctx, s, ups=[(u, q) for u in ups],
+                   heads=[(w, q ** e) for w, e in heads], linear=linear)
+    cert = term.envelope().ratio()
+    geometric = _geometric_stop(cert, LINEAR_CUT, ctx.dc)
+    if stop is not None:
+        geometric = partial(stop, cert, geometric)
+    u, qm, vals = F(1), F(1), []        # u(m) = t(m)/P(m), q^m
+    for m in range(400):
+        head = 1
+        for w, e in heads:
+            head *= 1 - w * qm ** e
+        vals.append(rounded(u * head * (c0 + c1 * m)))
+        for a in ups:
+            u *= 1 - a * qm
+        u, qm = rounded(u * s), rounded(qm * q)
+    after = [sum(vals[41:])]            # the sums after n = 40, 39, ..
+    for n in range(40, 0, -1):
+        after.append(after[-1] + vals[n])
+    after.reverse()
+    faults, stops = [], []
+    r = abs(s)
+    for n in range(8, 41):
+        t = term(n)
+        tail = geometric(n, t)
+        if tail is None:
+            continue
+        stops.append(n)
+        if abs(F(tail) - after[n]) > F(LINEAR_CUT) + F(1, 10 ** 30):
+            faults.append((n, tail, after[n]))
+        p = c0 + c1 * n
+        reach = abs(p * r / (1 - r) + c1 * r / (1 - r) ** 2)
+        if F(cert.error(t, n)) < abs(F(t) / p) * F(cert.drift(n)) * reach:
+            faults.append((n, "error", cert.error(t, n)))
+    return faults, stops
+
+
+def without_slope(cert, stop, n, t):
+    """A mutant of the stop: its tail less the part c1 s/(1 - s)^2 u(n)."""
+    tail = stop(n, t)
+    if tail is None:
+        return None
+    c0, c1 = cert.linear
+    s = F(cert.s)
+    return F(tail) - F(t) / (c0 + c1 * n) * c1 * s / (1 - s) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(QPOOL), LIM.filter(lambda s: abs(s) < 1), LINEAR,
+       st.lists(RAT, max_size=2),
+       st.lists(st.tuples(st.sampled_from([F(1, 2), F(-2, 3)]),
+                          st.integers(1, 2)), max_size=1))
+@example(F(1, 7), F(3, 4), (1, 1), [], [])     # the n + 1 of ones-sum
+def test_linear_tail_bounds_fraction_terms(q, s, linear, ups, heads):
+    # a term s^n (Pochhammers, heads) (c0 + c1 n): at each n where the
+    # geometric stop certifies its tail, the tail it adds lies within the
+    # cutoff of the Fraction terms after n; and the linear factor's
+    # envelope bounds its values
+    faults, stops = linear_tail_faults(q, s, linear, ups, heads)
+    assert faults == []
+    c0, c1 = linear
+    env = Summand(NumericCtx(q), linear=linear).envelope()
+    for n in range(6):
+        m, g = (F(x) for x in env.at(n))
+        assert all(abs(c0 + c1 * (n + i)) <= m * g ** i for i in range(30))
+
+
+def test_linear_tail_check_catches_a_dropped_slope(monkeypatch):
+    # mutants: the tail without its c1 s/(1 - s)^2 part, and the error
+    # bound without its c1 part
+    draws = [(F(1, 7), F(3, 4), (1, 1), [], []),
+             (F(-1, 6), F(-2, 3), (F(5, 3), -1), [F(1, 2)], []),
+             (F(1, 9), F(1, 2), (0, F(1, 3)), [], [(F(1, 2), 1)])]
+    for d in draws:
+        faults, stops = linear_tail_faults(*d)
+        assert stops and faults == []
+        faults, _ = linear_tail_faults(*d, stop=without_slope)
+        assert faults
+    error = Ratio.error
+    monkeypatch.setattr(Ratio, "error", lambda cert, t, n: error(
+        cert._replace(linear=(1, 0)), t, n))
+    for d in draws:
+        faults, stops = linear_tail_faults(*d)
+        assert stops and faults
+
+
+def test_a_linear_factor_of_a_bound_gives_no_ratio():
+    # the geometric tail carries the term's own linear factor only: a
+    # factor bounded by a declaration with one leaves the term without a
+    # certificate, so its sum stops on the envelope
+    ctx = NumericCtx(F(1, 7))
+    decl = Summand(ctx, linear=(1, 1))
+    term = Summand(ctx, ctx.num(F(1, 2)), factors=[
+        Factor(lambda n: ctx.num(n + 1), 0, bound=decl)])
+    assert decl.envelope().ratio().linear == (1, 1)
+    assert term.envelope().ratio() is None
+    assert abs(F(ctx.summation(term)) - 4) <= F(ctx.tol) / 100
 
 
 def test_summand_bound_keeps_its_ratio():

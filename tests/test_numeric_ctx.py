@@ -7,10 +7,11 @@ import decimal
 import gc
 import weakref
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qident import context
 from qident.bailey import Factor, Summand, wp_transform
@@ -78,19 +79,66 @@ def test_poch_matches_fraction_product(a, base, n):
     assert max(poch_gaps(NumericCtx(F(1, 7)), a, base, n)) <= DELTA
 
 
-@settings(max_examples=60, deadline=None)
-@given(RAT, SMALL_BASE)
-def test_poch_inf_matches_fraction_product(a, base):
-    # the Fraction product with each partial product rounded to 90 digits,
-    # out to the factor below 1e-75
+def poch_inf_gap(a, base):
+    """The scaled error (see `scale`) of `NumericCtx.poch_inf(a, base)`
+    against the Fraction product, out to the factor below 1e-75, with
+    each partial product, each a base^j and the scale rounded to 90
+    digits."""
     one = 10 ** 90
-    exact, f, j = F(1), a, 0
+
+    def rounded(x):
+        return F(round(x * one), one)
+
+    exact, size, f = F(1), F(1), a
     while abs(f) >= F(1, 10 ** 75):
-        exact = F(round((exact * (1 - f)) * one), one)
-        f *= base
-        j += 1
+        exact = rounded(exact * (1 - f))
+        size = rounded(size * (1 + abs(f)))
+        f = rounded(f * base)
     got = NumericCtx(F(1, 7)).poch_inf(a, base)
-    assert gap(got, exact, a, base, j) <= DELTA
+    return abs(F(got) - exact) / size
+
+
+#: |a| up to 400 on bases up to 19/20 in size, a = 0, base = 0, and a =
+#: base^-k, whose factor j = k vanishes up to the rounding of a and base
+WIDE_BASE = st.builds(F, st.integers(-19, 19), st.just(20)) | SMALL_BASE
+POCH_INF = st.tuples(st.builds(F, st.integers(-400, 400), st.integers(1, 3)),
+                     WIDE_BASE) | st.builds(
+    lambda base, k: (base ** -k, base),
+    st.sampled_from([F(1, 2), F(-1, 3), F(2, 7), F(-2, 5), F(19, 20),
+                     F(-17, 20)]), st.integers(0, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(POCH_INF)
+@example((F(0), F(1, 2)))
+@example((F(7, 3), F(0)))
+@example((F(1, 3), F(0)))
+@example((F(8), F(1, 2)))
+@example((F(400), F(19, 20)))
+@example((F(-400), F(-19, 20)))
+def test_poch_inf_matches_fraction_product(draw):
+    assert poch_inf_gap(*draw) <= DELTA
+
+
+def _euler_early(f, base, dc):
+    """A mutant of Euler's series: it stops one term early, leaving out
+    the last term above the cut."""
+    total = t = Decimal(1)
+    power, last = base, Decimal(0)
+    while True:
+        t = dc.divide(dc.multiply(t, f), dc.subtract(power, 1))
+        if t.copy_abs() < context._EULER_CUT:
+            return dc.subtract(total, last)
+        total, last = dc.add(total, t), t
+        f, power = dc.multiply(f, base), dc.multiply(power, base)
+
+
+def test_poch_inf_check_catches_an_early_euler_stop(monkeypatch):
+    # draws whose last term above the cut is well above DELTA
+    draws = [(F(2, 9), F(0)), (F(1, 5), F(1, 7)), (F(-1, 3), F(2, 5))]
+    assert all(poch_inf_gap(*d) <= DELTA for d in draws)
+    monkeypatch.setattr(context, "_euler", _euler_early)
+    assert all(poch_inf_gap(*d) > DELTA for d in draws)
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,8 +22,9 @@ from qident.bailey import (
 from qident.context import ExactCtx, NumericCtx, exact_run
 from qident.errors import DegenerateVWP
 from qident.pte import bridge_sequences, family6, pte_alpha_beta
-from qident.qfunc import poch_finite, vwp_factor
+from qident.qfunc import PochTower, vwp_factor
 from qident.series import LaurentSeries as LS, QMonomial
+from references import poch_product
 from two_strategies import assert_identity, lift
 
 Q = QMonomial.of(1, 1)
@@ -253,7 +254,7 @@ def test_wp_transform_asks_alpha_within_support(ctx):
 def test_non_monomial_arguments_rejected():
     series = LS.from_pairs({0: 1, 1: 1})
     with pytest.raises(TypeError):
-        poch_finite(series, Q, 2)
+        PochTower(series, Q, 10)
     with pytest.raises(TypeError):
         vwp_factor(series, 2, 10)
 
@@ -279,9 +280,9 @@ def test_poch_quotient_exact_factor_by_factor(ups, downs, more, base):
     for n in range(5):
         want = LS.one(N)
         for u in ups:
-            want = want * poch_finite(u, base, n, N)
+            want = want * poch_product(u, base, n, N)
         for d in downs:
-            want = want * poch_finite(d, base, n, N).invert(N)
+            want = want * poch_product(d, base, n, N).invert(N)
         for m in more:
             want = want * LS.coerce(m, N)
         got = ctx.finalize(quot(n, *more))

@@ -288,7 +288,7 @@ def test_fault_twin_digest_pinned():
 # (a term, a stop, a rounding) changes the digest, where the statuses
 # alone would not show it.
 NUMERIC_TWIN_DIGEST = \
-    "b698c1ffd380e0df229fab26f0b6183a4b833e2430daf6b59e0552cd9a8f2238"
+    "3815eca7a2a51bd3c03928e91cae2341581a88e2896d3c37e8f18a73b6ed95c5"
 
 
 def test_numeric_fault_twin_digest_pinned():

@@ -170,7 +170,6 @@ OPAQUE_FACTORS = {
                          "(ROADMAP item 11); its bound is declared",
     "bailey.wp_transform": "beta_n is an inner sum over alpha",
     "bailey.running_sums": "the partial sums of an arbitrary alpha",
-    "records._n_plus_one": "n + 1, a polynomial that no declaration holds",
 }
 
 
