@@ -261,15 +261,26 @@ def _linear_bound(c0, c1, n: int):
             BOUND_UP.divide(g.numerator, g.denominator))
 
 
-def _ratio_piece(u: Decimal, b: Decimal, k: int, l: int, twice: bool):
-    """The `qfunc.Ratio` piece of the factors 1 - u b^j over j >= k n + l,
-    each met once in the term ratios from n on (a Pochhammer
-    (u; b)_(k n + l)) or twice (a head 1 - u b^n, in the ratios at n - 1
-    and n), given |u| and 0 < |b| < 1: since |log(1 - x)| <= |x|/(1 - |x|),
-    their sum is at most (1 or 2) X/((1 - |b|)(1 - X)), X = |u||b|^(k n + l).
-    Rounding b up only raises it."""
-    return (BOUND_UP.divide(2 if twice else 1, BOUND_DOWN.subtract(_ONE, b)),
-            BOUND_UP.multiply(u, BOUND_UP.power(b, l)), BOUND_UP.power(b, k))
+def _ratio_piece(dc, u: Decimal, b: Decimal, k: int, l: int, head: bool,
+                 inverse: bool):
+    """The signed and the magnitude `qfunc.Ratio` pieces of the factors
+    1 - u b^j of a Pochhammer (u; b)_(k n + l), j >= k n + l, each met
+    once in the term ratios from n on, or of a head 1 - u b^n (k = 1, l =
+    0), met twice (in the ratios at n - 1 and n), given u and b with 0 <
+    |b| < 1; `inverse` for a lower Pochhammer or an inverse head. The
+    signed piece is (c, u b^l, b^k), computed in `dc`, with c = -+1/(1 -
+    b) for a Pochhammer and +-1 for a head, which telescopes. The
+    magnitude piece is ((1 or 2)/(1 - |b|), |u||b|^l, |b|^k): since
+    |log(1 - x)| <= |x|/(1 - |x|), the factors' |log| sum to at most c
+    X/(1 - X), X = |u||b|^(k n + l), and rounding |b| up only raises it."""
+    c = _ONE if head else dc.divide(_ONE, dc.subtract(_ONE, b))
+    signed = (c if head != inverse else c.copy_negate(),
+              dc.multiply(u, dc.power(b, l)),
+              dc.power(b, k))
+    u, b = u.copy_abs(), b.copy_abs()
+    return signed, (
+        BOUND_UP.divide(2 if head else 1, BOUND_DOWN.subtract(_ONE, b)),
+        BOUND_UP.multiply(u, BOUND_UP.power(b, l)), BOUND_UP.power(b, k))
 
 
 def _head_least(w: Decimal, r: Decimal, inverse: bool) -> Optional[Decimal]:
@@ -354,13 +365,16 @@ class Summand(_SummandFields):
     as the Ratio's `linear`, whose geometric tail it adds; only a sum's
     stop (`qfunc._geometric_stop`) asks for one below 1, so a declaration
     that bounds a factor keeps its limit 1 or -1 for the term it joins. Each
-    Pochhammer (u; b)_(k n + l) on a base 0 < |b| < 1 adds the piece
-    X/((1 - |b|)(1 - X)), X = |u||b|^(k n + l), to its drift D(n), and
-    each head on 0 < |r| < 1 twice that, with X = |w||r|^n. An f_n
-    counts only by the ratio it declares itself (`constant` 1, a factor
-    bounded by its own declaration that declaration's, as the
-    very-well-poised factor its head and 1, `running_sums` 1 from its
-    alpha's support on). A term with a support, a quadratic power, another
+    Pochhammer (u; b)_(k n + l) on a base 0 < |b| < 1, and each head 1 -
+    w r^n on 0 < |r| < 1, adds a signed piece, from the signed u and b
+    (or w and r), to the first-order part Lambda of the log ratio, and a
+    magnitude piece, X/((1 - |b|)(1 - X)) with X = |u||b|^(k n + l) (for
+    a head twice that, with X = |w||r|^n), to its drift D(n) and its
+    remainder E(n) (`_ratio_piece`). An f_n counts only by the ratio it
+    declares itself, which describes its own value's ratio (`constant`
+    1, a factor bounded by its own declaration that declaration's, as
+    the very-well-poised factor its head and 1, `running_sums` 1 from
+    its alpha's support on). A term with a support, a quadratic power, another
     Pochhammer base or head, an f_n that declares no ratio, or an f_n
     whose ratio holds a linear factor has no certificate, and its sum
     stops on the envelope alone: `envelope`
@@ -449,8 +463,9 @@ class Summand(_SummandFields):
 
         main, power, heads, _ = self._plan
         # each part n -> (M, g) or None, the least g each part gives
-        # (None: none), and the supports; and the magnitudes (u, b, k, l,
-        # twice) of the Pochhammers and heads that the limit ratio reads
+        # (None: none), and the supports; and the signed (u, b, k, l,
+        # head, inverse) of the Pochhammers and heads that the limit
+        # ratio reads
         parts, least, tops, pieces = [], [], [self.support], []
         limit = True                # no part of the term's own rules it out
         if self.s is not None:
@@ -473,19 +488,21 @@ class Summand(_SummandFields):
         for pairs, upper in ((self.ups, True), (self.downs, False)):
             for u, base, *kl in pairs:
                 k, l = kl or (1, 0)
-                u, base = mag(u), mag(base)
+                su, sb = ctx.num(u), ctx.num(base)
+                u, base = su.copy_abs(), sb.copy_abs()
                 if k and u:         # else no factor, or 1, per step
                     ok = k > 0 and base <= 1 and (upper or base < 1 or u < 1)
                     parts.append(partial(_factor_bound, u, base, k, l, upper)
                                  if ok else lambda n: None)
                     least.append(_ONE if ok else None)
-                    pieces.append((u, base, k, l, False))
+                    pieces.append((su, sb, k, l, False, not upper))
         for w, r, inverse in heads:
-            w, r = mag(w), mag(r)
+            sw, sr = ctx.num(w), ctx.num(r)
+            w, r = sw.copy_abs(), sr.copy_abs()
             parts.append(partial(_head_bound, w, r, inverse))
             least.append(_head_least(w, r, inverse))
             if w:
-                pieces.append((w, r, 1, 0, True))
+                pieces.append((sw, sr, 1, 0, True, inverse))
         envs = [f.envelope() for f in self.factors]
         tops = [t for t in tops + [env.support for env in envs]
                 if t is not None]
@@ -496,8 +513,9 @@ class Summand(_SummandFields):
         if self.linear is not None:
             parts.append(partial(_linear_bound, *self.linear))
             least.append(_ONE)
-        limit = limit and not tops and all(0 < b < 1 for _, b, *_ in pieces) \
-            and all(env.ratio for env in envs)
+        limit = limit and not tops and all(
+            0 < abs(b) < 1 for _, b, *_ in pieces) and all(
+            env.ratio for env in envs)
 
         def at(n: int):
             m = (main(n, self._power(n, power)) if power else
@@ -511,8 +529,8 @@ class Summand(_SummandFields):
 
     def _ratio(self, pieces, envs) -> Optional[Ratio]:
         """The term's limit-ratio certificate (see the class), from the
-        magnitudes (u, b, k, l, twice) of the Pochhammers and heads that
-        `envelope` collected and the envelopes of its f_n; None where
+        signed (u, b, k, l, head, inverse) of the Pochhammers and heads
+        that `envelope` collected and the envelopes of its f_n; None where
         some f_n's certificate is None or holds a linear factor."""
         ctx = self.ctx
         _, power, _, _ = self._plan
@@ -525,9 +543,12 @@ class Summand(_SummandFields):
         # a linear factor of an f_n's own declaration is not the term's
         if None in lims or any(lim.linear != (1, 0) for lim in lims):
             return None
+        own = [_ratio_piece(ctx.dc, *x) for x in pieces]
         return Ratio(ctx.mul(*s, *(lim.s for lim in lims)),
-                     (*(_ratio_piece(*x) for x in pieces),
+                     (*(x for x, _ in own),
                       *(p for lim in lims for p in lim.pieces)),
+                     (*(x for _, x in own),
+                      *(p for lim in lims for p in lim.sizes)),
                      max([length_start(x[2:4] for x in pieces)]
                          + [lim.start for lim in lims]),
                      self.linear or (1, 0))
@@ -780,7 +801,7 @@ def running_sums(ctx: Ctx, alpha: Union[Factor, "Summand"]) -> Factor:
     known = top is not None or getattr(alpha, "bound", alpha) is not None
     return Factor(beta, floor if isinstance(floor, int) else None,
                   bound=Envelope(bound, _ONE, ratio=None if top is None
-                                 else lambda: Ratio(_ONE, (), top))
+                                 else lambda: Ratio(_ONE, start=top))
                   if known else None)
 
 

@@ -22,15 +22,17 @@ whose certified tail (`tail_after`) is within tol/100, or at a declared
 support.
 
 Where the term ratio tends to a constant s with |s| < 1, the envelope
-also carries a limit-ratio certificate (`Ratio`): s and a bound D(n) on
-the sum over m >= n of |log(t(m+1)/(s t(m)))|. The tail after n is then
-t(n) s/(1 - s) within |t(n)| |s|/(1 - |s|) D/(1 - D), and `sum_numeric`
-stops at the first term where that is within tol/100, adding the
-geometric tail: after about log(tol)/log|s q| terms rather than
-log(tol)/log|s| (compare Johansson, "Computing hypergeometric functions
-rigorously", ACM TOMS 2019). A term with a declared linear factor P(n) =
-c0 + c1 n is P u, with s and D those of u; its geometric tail carries P,
-u(n) (P(n) s/(1 - s) + c1 s/(1 - s)^2).
+also carries a limit-ratio certificate (`Ratio`): s, the first-order part
+Lambda_K(n) of log(t(n+K)/(s^K t(n))), and bounds D(n) on the sum over m
+>= n of |log(t(m+1)/(s t(m)))| and E(n) on what Lambda leaves out. The
+tail after n is then t(n) times the sum over K >= 1 of s^K (1 +
+Lambda_K), in closed form, within |t(n)| |s|/(1 - |s|) (D^2 e^D/2 + E),
+and `sum_numeric` stops at the first term where that is within tol/100,
+adding the second-order tail: after about log(tol)/log|s q^2| terms
+rather than log(tol)/log|s| (compare Johansson, "Computing hypergeometric
+functions rigorously", ACM TOMS 2019). A term with a declared linear
+factor P(n) = c0 + c1 n is P u, with s, Lambda, D and E those of u; its
+tail carries P, u(n) times the sum over K of P(n + K) s^K (1 + Lambda_K).
 
 Conventions: (a; b)_n is the finite product over j < n of (1 - a b^j) and
 (a; b)_inf the infinite one. Arguments and bases are values of the shape
@@ -96,10 +98,10 @@ _D_ONE = Decimal(1)
 #: the relative slack on a bound built from computed values: it covers
 #: their rounding, and that of `BOUND_UP.power`
 BOUND_SLACK = _D_ONE + Decimal(10) ** (4 - BOUND_PRECISION)
-#: the least drift a `Ratio` claims: it covers the rounding of the terms
-#: themselves, which a numeric context computes to NUMERIC_PRECISION digits
-#: or more
-_DRIFT_FLOOR = Decimal(10) ** (4 - NUMERIC_PRECISION)
+#: the least relative error a `Ratio` claims for its geometric tail: it
+#: covers the rounding of the terms themselves, which a numeric context
+#: computes to NUMERIC_PRECISION digits or more
+_TAIL_FLOOR = Decimal(10) ** (4 - NUMERIC_PRECISION)
 #: the term, counted from the sum's start, at which `sum_numeric` builds
 #: an envelope's `Ratio`: a shorter sum never pays for it
 _RATIO_FROM = 8
@@ -585,70 +587,108 @@ class Ratio(NamedTuple):
     """A limit-ratio certificate for a numeric sequence t(0), t(1), ...
     with t(n) = P(n) u(n), P(n) = c0 + c1 n the declared linear factor
     `linear` = (c0, c1), a pair of rationals (default (1, 0): P = 1, u =
-    t): `s`, the signed limit of u(n+1)/u(n), and `pieces`, triples of
-    Decimals (c, x, b) with 0 < b < 1, such that from n = `start` on
+    t), and `s` the signed limit of u(n+1)/u(n). From n = `start` on, the
+    log of u(m+1)/(s u(m)) is a sum of logs of factors (1 - Y)^(+-1) with
+    |Y| < 1, and the certificate describes them in two ways.
 
-        D(n) = sum over the pieces of c X/(1 - X),   X = x b^n < 1,
+    `pieces` are signed triples of Decimals (c, x, b), 0 < |b| < 1, whose
+    sum over m = n .. n + K - 1 of the linear parts (-Y for a factor in
+    the numerator, +Y in the denominator) is
 
-    bounds the sum over m >= n of |log(u(m+1)/(s u(m)))|. A Pochhammer
-    (u; b)_(k n + l) of the term gives the piece (1/(1 - |b|), |u||b|^l,
-    |b|^k), a head 1 - w r^n the piece (2/(1 - |r|), |w|, |r|); s^n and a
-    linear power give s alone (`bailey.Summand.envelope`).
+        Lambda_K(n) = sum over the pieces of c X (1 - b^K),   X = x b^n.
 
-    Then u(m) = u(n) s^(m - n) e^L with |L| <= D(n) for every m >= n, so
-    the tail after n is u(n) times the sum over k >= 1 of P(n + k) s^k,
+    A Pochhammer (u; b)_(k n + l) of the term gives (-1/(1 - b), u b^l,
+    b^k), its factors u b^j met once each from j = k n + l on; a lower
+    one (+1/(1 - b), u b^l, b^k); a head 1 - w r^n, whose factors
+    telescope, (+1, w, r), and an inverse head (-1, w, r).
 
-        u(n) (P(n) s/(1 - s) + c1 s/(1 - s)^2),
+    `sizes` are the magnitude triples (c, x, b), 0 < b < 1, with X = x b^n
+    bounding every |Y| of the piece and the sum of |Y|/(1 - |Y|) over its
+    factors at most c X/(1 - X): (1/(1 - |b|), |u||b|^l, |b|^k) for a
+    Pochhammer, (2/(1 - |r|), |w|, |r|) for a head, met twice. Since
+    |log(1 - Y)| <= |Y|/(1 - |Y|) and log(1 - Y) = -Y + rho with |rho| <=
+    |Y|^2/(2(1 - |Y|)),
 
-    within `error(t(n), n)`, |u(n)| (e^D - 1) times the sum over k >= 1
-    of |P(n + k)| |s|^k, since |e^L - 1| <= e^D - 1 <= D/(1 - D) for D < 1
-    (`drift` rounds D up, and never below `_DRIFT_FLOOR`, which covers the
-    rounding of the terms); with |P(n + k)| <= |P(n)| + |c1| k that is at
-    most |t(n)| (|s|/(1 - |s|) + |c1| |s|/(|P(n)| (1 - |s|)^2)) D/(1 - D)
-    (Johansson, ACM TOMS 2019: a geometric tail with a polynomial
-    prefactor). A sum stops on it only where |s| < 1 and P(n) != 0, which
-    `_geometric_stop` alone checks: a factor's ratio, such as +-1, only
-    enters the certificate of the term it multiplies. A sum from a later
-    start reads D at the same n: the certificate is never shifted."""
+        D(n) = sum over the sizes of c X/(1 - X)
+
+    bounds the sum over m >= n of |log(u(m+1)/(s u(m)))|, and
+
+        E(n) = sum over the sizes of c X^2/(2(1 - X))
+
+    the sum of |rho| over every factor from n on (`bounds` gives both,
+    rounded up), since each |Y| <= X. s^n and a linear
+    power give s alone (`bailey.Summand.envelope`). A certificate
+    describes the value's own ratio, not only a bound on it: `constant`
+    and `running_sums` past a support have the ratio 1 exactly, and
+    `vwp_weight`'s bound is its value.
+
+    Then u(n + K) = u(n) s^K e^L with L = Lambda_K + R, |L| <= D and |R|
+    <= E, so the tail after n is u(n) times the sum over K >= 1 of
+    P(n + K) s^K (1 + Lambda_K), in closed form (`_geometric_stop`),
+
+        u(n) (P(n) s/(1 - s) + c1 s/(1 - s)^2)
+          + u(n) sum over the pieces of c X (P(n) (F(s) - F(s b))
+                                             + c1 (G(s) - G(s b))),
+
+    F(z) = z/(1 - z) and G(z) = z/(1 - z)^2, within `error(t(n), n)`:
+    |u(n)| times the sum over K >= 1 of |P(n + K)| |s|^K, times D^2 e^D/2
+    + E, since |e^L - 1 - Lambda| <= |e^L - 1 - L| + |R| <= L^2 e^|L|/2 +
+    E, and e^D <= 1/(1 - D) for D < 1. It is O(D^2), so a sum stops after
+    about log(tol)/log|s q^2| terms, not log(tol)/log|s q| (Johansson,
+    "Computing hypergeometric functions rigorously", ACM TOMS 2019: a
+    geometric tail with a polynomial prefactor; Gasper & Rahman, section
+    1.2, for the term ratio). A sum stops on it only where |s| < 1 and
+    P(n) != 0, which `_geometric_stop` alone checks: a factor's ratio,
+    such as +-1, only enters the certificate of the term it multiplies. A
+    sum from a later start reads D and E at the same n: the certificate
+    is never shifted."""
 
     s: Decimal
     pieces: Tuple[Tuple[Decimal, Decimal, Decimal], ...] = ()
+    sizes: Tuple[Tuple[Decimal, Decimal, Decimal], ...] = ()
     start: int = 0
     linear: Tuple[Rational, Rational] = (1, 0)
 
-    def drift(self, n: int) -> Optional[Decimal]:
-        """D(n), rounded up; None below `start` or where some X >= 1."""
+    def bounds(self, n: int) -> Optional[Tuple[Decimal, Decimal]]:
+        """(D(n), E(n)), each rounded up; None below `start` or where some
+        X >= 1."""
         if n < self.start:
             return None
-        d = _D_ZERO
-        for c, x, b in self.pieces:
+        d = e = _D_ZERO
+        for c, x, b in self.sizes:
             big = BOUND_UP.multiply(x, BOUND_UP.power(b, n))
             low = BOUND_DOWN.subtract(_D_ONE, big)
             if low <= 0:
                 return None
-            d = BOUND_UP.add(d, BOUND_UP.divide(BOUND_UP.multiply(c, big),
-                                                low))
-        return max(BOUND_UP.multiply(d, BOUND_SLACK), _DRIFT_FLOOR)
+            part = BOUND_UP.divide(BOUND_UP.multiply(c, big), low)
+            d = BOUND_UP.add(d, part)
+            e = BOUND_UP.add(e, BOUND_UP.multiply(part, big))
+        return (BOUND_UP.multiply(d, BOUND_SLACK),
+                BOUND_UP.multiply(BOUND_UP.divide(e, 2), BOUND_SLACK))
 
     def error(self, t: Decimal, n: int) -> Optional[Decimal]:
-        """|t| (|s|/(1 - |s|) + |c1| |s|/(|P(n)| (1 - |s|)^2)) D(n)/(1 -
-        D(n)), rounded up, for |s| < 1: how far the sum of the terms after
-        n lies from the tail above, t the term n; None where D(n) is
-        unknown or at least 1, or where P(n) = 0."""
-        d = self.drift(n)
+        """|t| (|s|/(1 - |s|) + |c1| |s|/(|P(n)| (1 - |s|)^2)) (D^2/(2(1 -
+        D)) + E), D = D(n) and E = E(n), the last factor never below
+        `_TAIL_FLOOR`, rounded up, for |s| < 1: how far the sum of the
+        terms after n lies from the tail above, t the term n; None where
+        D(n) is unknown or at least 1, or where P(n) = 0."""
+        bounds = self.bounds(n)
         c0, c1 = self.linear
         p = abs(c0 + c1 * n)
-        if d is None or d >= 1 or not p:
+        if bounds is None or bounds[0] >= 1 or not p:
             return None
+        d, e = bounds
         s = self.s.copy_abs()
         low = BOUND_DOWN.subtract(_D_ONE, s)
         reach = BOUND_UP.divide(s, low)
         slope = Fraction(abs(c1)) / p
         reach = BOUND_UP.add(reach, BOUND_UP.divide(BOUND_UP.multiply(
             BOUND_UP.divide(slope.numerator, slope.denominator), reach), low))
-        return BOUND_UP.divide(
-            BOUND_UP.multiply(BOUND_UP.multiply(t.copy_abs(), reach), d),
-            BOUND_DOWN.subtract(_D_ONE, d))
+        second = BOUND_UP.add(e, BOUND_UP.divide(
+            BOUND_UP.multiply(d, d),
+            BOUND_DOWN.multiply(2, BOUND_DOWN.subtract(_D_ONE, d))))
+        return BOUND_UP.multiply(BOUND_UP.multiply(t.copy_abs(), reach),
+                                 max(second, _TAIL_FLOOR))
 
 
 class Envelope(NamedTuple):
@@ -666,9 +706,12 @@ class Envelope(NamedTuple):
 
     `ratio`, when set, builds the sequence's limit-ratio certificate
     (a `Ratio`, or None where it has none) when first called: a sum
-    calls it only at term start + `_RATIO_FROM`. A sequence with a support
-    has none: its zero terms have no ratio. A sum from any start reads
-    `at`, `support` and the `Ratio` at the sequence's own n."""
+    calls it only at term start + `_RATIO_FROM`. The certificate
+    describes the sequence's own ratio, its signed first-order part
+    included, not only a bound on it, since the sum adds the tail it
+    implies. A sequence with a support has none: its zero terms have no
+    ratio. A sum from any start reads `at`, `support` and the `Ratio` at
+    the sequence's own n."""
 
     at: Callable[[int], Optional[Tuple[Decimal, Decimal]]]
     least: Optional[Decimal] = _D_ZERO
@@ -708,43 +751,69 @@ class NumericTermGenerator:
 
 
 def _geometric_stop(ratio: Ratio, cutoff: Decimal, dc: decimal.Context):
-    """(n, t) -> the tail t (s/(1 - s) + (c1/P(n)) s/(1 - s)^2) after term
-    n of value t, computed in `dc`, where `ratio` certifies it within
-    `cutoff`; None elsewhere (see `Ratio`). A float screen passes over the
-    terms far from the stop before the certificate is checked in Decimal.
-    None for a ratio with |s| >= 1, which certifies nothing."""
+    """(n, t) -> the second-order tail after term n of value t (see
+    `Ratio`), computed in `dc`, where `ratio` certifies it within
+    `cutoff`; None elsewhere. With F(z) = z/(1 - z) and G(z) = z/(1 -
+    z)^2, it is
+
+        t (F(s) + sum c x b^n (F(s) - F(s b)))
+          + t (c1/P(n)) (G(s) + sum c x b^n (G(s) - G(s b))),
+
+    the sum over the signed pieces (c, x, b): everything but the powers
+    b^n is computed once. A float screen, O(X^2) as `Ratio.error` is,
+    passes over the terms far from the stop before the certificate is
+    checked in Decimal. None for a ratio with |s| >= 1, which certifies
+    nothing."""
     s = ratio.s
     if s.copy_abs() >= 1:
         return None
-    low = dc.subtract(_D_ONE, s)
-    factor = dc.divide(s, low)
-    slope = dc.divide(factor, low)
+    mul, add, sub, div = dc.multiply, dc.add, dc.subtract, dc.divide
+
+    def geometric(z: Decimal):
+        """F(z) and G(z)."""
+        low = sub(_D_ONE, z)
+        first = div(z, low)
+        return first, div(first, low)
+
+    head, slope = geometric(s)
+    # c x, b, F(s) - F(s b) and G(s) - G(s b) of each signed piece
+    pieces = []
+    for c, x, b in ratio.pieces:
+        near, rise = geometric(mul(s, b))
+        pieces.append((mul(c, x), b, sub(head, near), sub(slope, rise)))
     c0, c1 = ratio.linear
     gap = abs(float(s))
     gap /= 1 - gap
     lift = abs(float(c1)) * gap / (1 - abs(float(s)))
-    pieces = [(float(c), float(x), float(b)) for c, x, b in ratio.pieces]
+    sizes = [(float(c), float(x), float(b)) for c, x, b in ratio.sizes]
+    floor = float(_TAIL_FLOOR)
     rough = float(cutoff) * 1.001
 
     def stop(n: int, t: Decimal) -> Optional[Decimal]:
         p = c0 + c1 * n
         if not p:
             return None
-        d = 0.0
-        for c, x, b in pieces:
+        d = e = 0.0
+        for c, x, b in sizes:
             big = x * b ** n
             if big >= 1:
                 return None
-            d += c * big / (1 - big)
-        if d >= 1 or abs(float(t)) * (gap + lift / abs(float(p))) * d / (
-                1 - d) > rough:
+            part = c * big / (1 - big)
+            d += part
+            e += part * big
+        if d >= 1 or abs(float(t)) * (gap + lift / abs(float(p))) * max(
+                d * d / (2 * (1 - d)) + e / 2, floor) > rough:
             return None
         err = ratio.error(t, n)
         if err is None or err > cutoff:
             return None
-        rise = Fraction(c1) / p
-        return dc.add(dc.multiply(t, factor), dc.multiply(t, dc.multiply(
-            dc.divide(rise.numerator, rise.denominator), slope)))
+        first, second = head, slope
+        for cx, b, f, g in pieces:
+            big = mul(cx, dc.power(b, n))
+            first, second = add(first, mul(big, f)), add(second, mul(big, g))
+        lean = Fraction(c1) / p
+        return add(mul(t, first), mul(t, mul(
+            div(lean.numerator, lean.denominator), second)))
 
     return stop
 
@@ -761,9 +830,10 @@ def sum_numeric(gen: NumericTermGenerator, tol: Decimal = NUMERIC_TOL,
     most tol/100; it also stops after the envelope's support. At term
     n = start + `_RATIO_FROM` it builds the envelope's limit-ratio
     certificate (`Envelope.ratio`), if it has one, and from there on it
-    also stops at the first term n whose `Ratio.error` is at most
-    tol/100, adding the geometric tail (t(n) s/(1 - s) without a linear
-    factor; see `Ratio`). An envelope
+    also stops at the first term n whose `Ratio.error`, O(D(n)^2), is at
+    most tol/100, adding the second-order geometric tail of
+    `_geometric_stop` (t(n) (s/(1 - s) + the Lambda part) without a
+    linear factor; see `Ratio`). An envelope
     that can never certify a tail (`least` >= 1 or None, and no support)
     raises TailNotDecreasing before the first term, and one that has not
     certified it within the term budget (counted from `start`) raises it

@@ -8,24 +8,27 @@ each term has no coefficient below the bound, and each term from the
 stop on is zero through the goal.
 
 Every numeric sum stops where its declared summand's envelope certifies
-the tail, where its limit-ratio certificate certifies the geometric
-tail t(N) s/(1 - s), or at its support. For each record's first seed-1
+the tail, where its limit-ratio certificate certifies the second-order
+geometric tail, or at its support. For each record's first seed-1
 numeric sample, every sum is evaluated for 40 terms past the term N
 where the engine (`qfunc.sum_numeric`) stopped. After an envelope stop
 each term lies under the envelope, and together they lie under the
 certified tail, which is at most tol/100. After a geometric stop, with
 t = P u for the declared linear factor P (1 if none), each term t(N + k)
-lies within |u(N) P(N + k)| |s|^k (e^D - 1) of u(N) P(N + k) s^k, and
-the terms after N, taken until the envelope certifies the rest, plus
-that rest lie within tol/100 of u(N) (P(N) s/(1 - s) + c1 s/(1 - s)^2).
-A sum times a prefactor is certified for the product. Property tests
-check the envelope, the limit-ratio certificate and the geometric tail
-of a linear factor of random declarations against plain Fraction terms.
+lies within |u(N) P(N + k)| |s|^k (D^2/(2(1 - D)) + E) of u(N) P(N + k)
+s^k (1 + Lambda_k), and the terms after N, taken until the envelope
+certifies the rest, plus that rest lie within tol/100 of the sum over k
+of those values, the tail the engine added. A sum times a prefactor is
+certified for the product. Property tests check the envelope, the
+limit-ratio certificate and its second-order tail (with and without a
+linear factor) of random declarations against plain Fraction terms,
+and mutants of the tail and of its error bound against those checks.
 """
 
 from decimal import Context, Decimal
 from fractions import Fraction as F
 from functools import partial, reduce
+from typing import Optional
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -35,9 +38,9 @@ from qident.bailey import (AlphaSequence, Factor, Summand, constant,
 import qident.context as context_module
 from qident.context import ExactCtx, NumericCtx
 from qident.errors import TailNotDecreasing, UndeclaredBound
-from qident.qfunc import (NumericTermGenerator, Ratio, TermGenerator,
-                          _geometric_stop, sum_exact, sum_numeric,
-                          tail_after)
+from qident.qfunc import (_TAIL_FLOOR, NumericTermGenerator, Ratio,
+                          TermGenerator, _geometric_stop, sum_exact,
+                          sum_numeric, tail_after)
 from qident.records import QPOOL
 from qident.registry import catalog, sample_params
 
@@ -132,13 +135,6 @@ def certified_stops(monkeypatch):
     return stops
 
 
-def expm1_up(d: F) -> F:
-    """An upper bound on e^d - 1, for 0 <= d < 1."""
-    high = Context(prec=100)
-    return F(high.exp(high.divide(d.numerator, d.denominator))) - 1 \
-        + F(1, 10 ** 98)
-
-
 @pytest.mark.parametrize("record", catalog(), ids=lambda r: r.id)
 def test_numeric_envelopes_hold_past_the_stop(record, monkeypatch):
     # at the engine's own stop N, the NUMERIC_PAST terms after it lie
@@ -164,19 +160,29 @@ def test_numeric_envelopes_hold_past_the_stop(record, monkeypatch):
             assert sum(map(abs, past)) <= F(tail) <= F(cutoff), (n, tail)
             continue
         cert = env.ratio()
-        t, s, d = F(gen.term(n)), F(cert.s), F(cert.drift(n))
+        t, s = F(gen.term(n)), F(cert.s)
+        d, e = (F(x) for x in cert.bounds(n))
         c0, c1 = cert.linear
         p = c0 + c1 * n
-        grow = expm1_up(d)
         assert abs(s) < 1 and d < 1 and p, (n, s, d, p)
-        # t = P u: sum over k >= 1 of |P(n + k)| |s|^k, over |P(n)|
+        # t = P u: sum over k >= 1 of |P(n + k)| |s|^k, over |P(n)|; the
+        # relative error of the second-order form, e^D <= 1/(1 - D)
         reach = abs(s) / (1 - abs(s)) + \
             abs(c1 * s) / (abs(p) * (1 - abs(s)) ** 2)
-        assert abs(t) * reach * grow <= F(cutoff), (n, d)
+        second = max(d * d / (2 * (1 - d)) + e, F(_TAIL_FLOOR))
+        assert abs(t) * reach * second <= F(cutoff), (n, d, e)
+        pieces = [(F(c) * F(x) * F(b) ** n, F(b)) for c, x, b in cert.pieces]
         for k, u in enumerate(past, 1):
             near = t / p * (p + c1 * k) * s ** k
-            assert abs(u - near) <= abs(near) * grow, (n, k, u)
-        geometric = t / p * (p * s / (1 - s) + c1 * s / (1 - s) ** 2)
+            lam = sum(cx * (1 - b ** k) for cx, b in pieces)
+            assert abs(u - near * (1 + lam)) <= abs(near) * second, (n, k, u)
+
+        def geometric(z):       # the sum over k >= 1 of P(n + k) z^k
+            return p * z / (1 - z) + c1 * z / (1 - z) ** 2
+
+        # the sum over k >= 1 of u(n) P(n + k) s^k (1 + Lambda_k)
+        geometric = t / p * (geometric(s) + sum(
+            cx * (geometric(s) - geometric(s * b)) for cx, b in pieces))
         # the engine added it, up to the rounding of the total
         assert abs(added - geometric) <= F(cutoff) / 10 ** 20, (n, added)
         m = n + len(past)
@@ -295,6 +301,19 @@ FACTOR = st.one_of(
     st.tuples(st.just("linear"), st.sampled_from([1, F(-1, 2), F(5, 3)]),
               st.sampled_from([0, 1, F(1, 3), -2])))
 
+#: the reference terms: 90-digit decimals, each factor stepped from its
+#: last value, so that 400 of them stay cheap
+HIGH = Context(prec=90)
+TERMS = 400
+#: the terms after n whose ratios `check_ratio` and `tail_faults` read
+WINDOW = 30
+#: a cutoff no error reaches: the stop then gives its tail wherever the
+#: certificate is known
+ANY = Decimal("1e30")
+#: what the rounding of the reference terms, of the certificate's
+#: 74-digit pieces and of s may add to a log ratio
+LOG_SLACK = Decimal("1e-68")
+
 
 def declared_factor(ctx, q, kind, *args):
     """The opaque factor of the kind drawn, and m -> its value at m as a
@@ -319,37 +338,173 @@ def declared_factor(ctx, q, kind, *args):
         lambda m: sum(vals[:m + 1])
 
 
-def check_ratio(cert, value, shift):
-    """`cert` against m -> the Fraction term `value(m)`, as a sum from
-    `shift` reads it, at the terms' own n: at each n from `shift` (or
-    the certificate's start, if later) on where D(n) is known, the
-    ratios u(m + 1)/(s u(m)) for m >= n, u = t/P over the declared linear
-    factor P, are positive, and the sum of their |log| stays within D(n);
-    a zero u(n) stays zero."""
+def reference_terms(q, s, b, ups, downs, heads, factors, support):
+    """t(0), .., t(TERMS - 1) of the term s^n q^(b n), times Pochhammers
+    (u; q^e)_(k n + l), heads 1 - w r^n (r = +-q^e) and the values m ->
+    f(m) of `factors`, zero past `support`, as 90-digit decimals (HIGH),
+    each power and each Pochhammer stepped from its last value; None
+    where some length k n + l is below 0."""
+    mul, sub, div = HIGH.multiply, HIGH.subtract, HIGH.divide
+
+    def num(x: F) -> Decimal:
+        return div(x.numerator, x.denominator)
+
+    step = num((1 if s is None else s) * q ** b)
+    # each Pochhammer: [its length so far, its value, q^(e j)], and its
+    # argument, base, k, l and whether it is upper
+    pochs = [([0, Decimal(1), Decimal(1)], num(u), num(q ** e), k, l, upper)
+             for pairs, upper in ((ups, True), (downs, False))
+             for u, e, k, l in pairs]
+    heads = [(num(w), num(sign * q ** e), inverse)
+             for w, sign, e, inverse in heads]
+    powers = [Decimal(1)] * len(heads)      # r^m of each head
+    out, lead = [], Decimal(1)              # lead = s^m q^(b m)
+    for m in range(TERMS):
+        t = lead if support is None or m <= support else Decimal(0)
+        for f in factors:
+            t = mul(t, num(F(f(m))))
+        for state, u, base, k, l, upper in pochs:
+            while state[0] < k * m + l:
+                f = sub(1, mul(u, state[2]))
+                state[1] = mul(state[1], f) if upper else div(state[1], f)
+                state[0] += 1
+                state[2] = mul(state[2], base)
+            t = None if t is None or k * m + l < 0 else mul(t, state[1])
+        for i, (w, r, inverse) in enumerate(heads):
+            f = sub(1, mul(w, powers[i]))
+            if t is not None:
+                t = div(t, f) if inverse else mul(t, f)
+            powers[i] = mul(powers[i], r)
+        out.append(t)
+        lead = mul(lead, step)
+    return out
+
+
+def linear_part(cert, n: int, k: int) -> Decimal:
+    """Lambda_k(n) of `cert` (see `qfunc.Ratio`), in HIGH."""
+    mul, power = HIGH.multiply, HIGH.power
+    return reduce(HIGH.add, (
+        mul(mul(mul(c, x), power(b, n)), HIGH.subtract(1, power(b, k)))
+        for c, x, b in cert.pieces), Decimal(0))
+
+
+def ratio_logs(cert, terms):
+    """m -> log(u(m + 1)/(s u(m))), u = t/P over the declared linear
+    factor P, in HIGH and kept; it asserts the ratio positive, and gives
+    None where u(m) is zero, after asserting u(m + 1) zero too."""
+    c0, c1 = (F(c) for c in cert.linear)
+    logs = {}
+
+    def u(m: int) -> Decimal:
+        p = c0 + c1 * m
+        return HIGH.divide(HIGH.multiply(terms[m], p.denominator),
+                           p.numerator)
+
+    def log(m: int) -> Optional[Decimal]:
+        if m not in logs:
+            now, later = u(m), u(m + 1)
+            if not now:
+                assert not later, (m, later)
+                logs[m] = None
+            else:
+                rho = HIGH.divide(later, HIGH.multiply(cert.s, now))
+                assert rho > 0, (m, rho)
+                logs[m] = HIGH.ln(rho)
+        return logs[m]
+
+    return log
+
+
+def remainder_gaps(cert, log, n: int):
+    """|log(u(n + k)/(s^k u(n))) - Lambda_k(n)| for k = 1 .. WINDOW, from
+    the logs of `ratio_logs`; None where u(n) is zero."""
+    if log(n) is None:
+        return None
+    gaps, total = [], Decimal(0)
+    for k in range(1, WINDOW + 1):
+        total = HIGH.add(total, log(n + k - 1))
+        gaps.append(HIGH.subtract(total, linear_part(cert, n, k)).copy_abs())
+    return gaps
+
+
+def check_ratio(cert, terms, shift):
+    """`cert` against the reference terms (`reference_terms`), as a sum
+    from `shift` reads it, at the terms' own n: at each n from `shift`
+    (or the certificate's start, if later) on where D(n) is known, a zero
+    u(n) stays zero, the ratios u(m + 1)/(s u(m)) for m >= n are
+    positive, the sum of their |log| stays within D(n), and the log of
+    u(n + k)/(s^k u(n)) lies within E(n) of its linear part
+    Lambda_k(n)."""
     first = max(cert.start, shift)
+    log = ratio_logs(cert, terms)
+    for n in range(first, first + 6):
+        bounds = cert.bounds(n)
+        gaps = bounds and remainder_gaps(cert, log, n)
+        if gaps is None:
+            continue
+        d, e = bounds
+        drift = reduce(HIGH.add, (log(m).copy_abs()
+                                  for m in range(n, n + WINDOW)))
+        assert drift <= HIGH.add(d, LOG_SLACK), (n, drift, d)
+        assert max(gaps) <= HIGH.add(e, LOG_SLACK), (n, gaps, e)
+
+
+def without_lambda(cert, stop, n, t):
+    """A mutant of the stop: the first-order tail, u(n) (P(n) s/(1 - s)
+    + c1 s/(1 - s)^2), where the stop gives one."""
+    if stop(n, t) is None:
+        return None
     c0, c1 = cert.linear
-    try:
-        terms = [value(m) / F(c0 + c1 * m)
-                 for m in range(first, first + 30)]
-    except ZeroDivisionError:
-        assume(False)
-    lim = F(cert.s)
-    high = Context(prec=80)
-    for i in range(6):
-        d = cert.drift(first + i)
-        if d is None:
+    p, s = c0 + c1 * n, F(cert.s)
+    return F(t) / p * (p * s / (1 - s) + c1 * s / (1 - s) ** 2)
+
+
+def tail_faults(cert, terms, ns, stop=None):
+    """The n in `ns` at which the second-order tail that the geometric
+    stop gives (under a cutoff no error reaches; `stop` wraps it, if
+    given) lies further from the Fraction sum of the reference terms
+    after n (`reference_terms`, and a bound on the terms past them) than
+    `Ratio.error`, tagged "tail"; and those at which that error is not
+    an upper bound of |u(n)| |sum over k >= 1 of P(n + k) |s|^k| times
+    D(n)^2/2 + the largest gap of `remainder_gaps`, or `_TAIL_FLOOR` if
+    that is larger, which it must be, since it covers D^2 e^D/2 + E(n),
+    E(n) covers those gaps, and the floor covers the rounding of the
+    terms, tagged "error"."""
+    dc = Context(prec=74)
+    geometric = _geometric_stop(cert, ANY, dc)
+    if geometric is None:
+        return []
+    if stop is not None:
+        geometric = partial(stop, cert, geometric)
+    c0, c1 = cert.linear
+    r = abs(F(cert.s))
+    exact = [F(t or 0) for t in terms]     # None below the start
+    after = [F(0)] * TERMS              # after[n]: the terms n + 1 .. 399
+    for m in range(TERMS - 2, -1, -1):
+        after[m] = after[m + 1] + exact[m + 1]
+    # the terms past the list fall at least as fast as 1.01 |s|^k, and
+    # each reference term is within a relative 10^-85 of its value
+    rest = 4 * abs(exact[-1]) / (1 - r) + sum(map(abs, exact)) / 10 ** 80
+    log = ratio_logs(cert, terms)
+    faults = []
+    for n in ns:
+        t = dc.plus(terms[n])
+        tail = geometric(n, t)
+        if tail is None:
             continue
-        if not terms[i]:
-            assert not any(terms[i:]), (i, terms)
+        err = F(cert.error(t, n))
+        if abs(F(tail) - after[n]) > err + rest:
+            faults.append((n, "tail", tail, after[n]))
+        gaps = remainder_gaps(cert, log, n)
+        if gaps is None:
             continue
-        drift = 0
-        for m in range(i, len(terms) - 1):
-            assert terms[m], (i, m)
-            rho = terms[m + 1] / (lim * terms[m])
-            assert rho > 0, (i, m, rho)
-            drift += abs(F(high.ln(high.divide(rho.numerator,
-                                               rho.denominator))))
-            assert drift <= F(d), (i, m, drift, d)
+        p = c0 + c1 * n
+        d = F(cert.bounds(n)[0])
+        reach = abs(p * r / (1 - r) + c1 * r / (1 - r) ** 2)
+        if err < abs(F(t) / p) * reach * max(d * d / 2 + F(max(gaps)),
+                                             F(_TAIL_FLOOR)):
+            faults.append((n, "error", err))
+    return faults
 
 
 @settings(max_examples=100, deadline=None)
@@ -374,7 +529,10 @@ def test_limit_ratio_bounds_fraction_terms(q, s, b, ups, downs, heads,
     # factors that declare a ratio (opaque, or a nested declaration that
     # folds in), and a support (which declares none): the certificate of
     # the term, and of each factor, read from `shift` on as a sum from
-    # there reads it, holds for the Fraction terms (`check_ratio`)
+    # there reads it, holds for the Fraction terms (`check_ratio`); and
+    # where the term's s is inside the unit disc, its second-order tail
+    # lies within `Ratio.error` of the sum of 400 Fraction terms, and
+    # that error bounds what it must (`tail_faults`)
     assume(all(k or l >= 0 for _, _, k, l in ups + downs))
     # two linear factors do not fold into one summand
     assume(sum(f[0] == "linear" for f in factors) <= 1)
@@ -386,31 +544,22 @@ def test_limit_ratio_bounds_fraction_terms(q, s, b, ups, downs, heads,
                    heads=[(w, sign * q ** e, inverse)
                           for w, sign, e, inverse in heads],
                    factors=[f for f, _ in made], support=support)
-
-    def value(m):
-        if support is not None and m > support:
-            return F(0)
-        out = (1 if s is None else s ** m) * q ** (b * m)
-        for _, f in made:
-            out *= f(m)
-        for pairs, upper in ((ups, True), (downs, False)):
-            for u, e, k, l in pairs:
-                if k * m + l < 0:
-                    raise ValueError(f"length {k} {m} + {l} below 0")
-                for j in range(k * m + l):
-                    f = 1 - u * q ** (e * j)
-                    out = out * f if upper else out / f
-        for w, sign, e, inverse in heads:
-            f = 1 - w * (sign * q ** e) ** m
-            out = out / f if inverse else out * f
-        return out
-
-    for f, at in made:
-        check_ratio(f.envelope().ratio(), at, shift)
-    env = term.envelope()
-    cert = env.ratio and env.ratio()
-    if cert is not None:
-        check_ratio(cert, value, shift)
+    try:
+        terms = reference_terms(q, s, b, ups, downs, heads,
+                                [at for _, at in made], support)
+        for f, at in made:
+            check_ratio(f.envelope().ratio(), [
+                HIGH.divide(F(at(m)).numerator, F(at(m)).denominator)
+                for m in range(2 * WINDOW)], shift)
+        env = term.envelope()
+        cert = env.ratio and env.ratio()
+        if cert is not None:
+            check_ratio(cert, terms, shift)
+            first = max(cert.start, shift)
+            assert tail_faults(cert, terms,
+                               range(first, first + 24, 3)) == []
+    except ZeroDivisionError:       # a linear factor P(m) = 0 at some m
+        assume(False)
 
 
 # the geometric tail of a linear factor against plain Fraction terms
@@ -421,54 +570,41 @@ LINEAR = st.tuples(st.sampled_from([1, 0, F(-1, 2), F(5, 3), 2]),
                    st.sampled_from([1, F(1, 3), -1, 0, F(-3, 2)]))
 
 
-def rounded(x: F) -> F:
-    return F(round(x * 10 ** 70), 10 ** 70)
-
-
 def linear_tail_faults(q, s, linear, ups, heads, stop=None):
-    """The n from 8 to 40 at which the geometric stop (`stop` wraps it,
-    if given) of the term s^n prod (u; q)_n prod (1 - w q^(e n)) (c0 +
-    c1 n) gives a tail further than LINEAR_CUT from the sum of the
-    Fraction terms after n, or at which `Ratio.error` falls below |u(n)|
-    D(n) times the sum over k >= 1 of |P(n + k)| |s|^k (P keeps its sign
-    past n = 2 for the coefficients drawn, so that sum is |P(n) s/(1 -
-    |s|) + c1 |s|/(1 - |s|)^2|); and the n at which it gives a tail."""
+    """`tail_faults` at n = 8 .. 40 of the term s^n prod (u; q)_n prod (1
+    - w q^(e n)) (c0 + c1 n), with `stop`; and the n at which the
+    geometric stop certifies its tail within LINEAR_CUT."""
     ctx = NumericCtx(q)
-    c0, c1 = linear
     term = Summand(ctx, s, ups=[(u, q) for u in ups],
                    heads=[(w, q ** e) for w, e in heads], linear=linear)
     cert = term.envelope().ratio()
+    c0, c1 = linear
+    terms = reference_terms(
+        q, s, 0, [(u, 1, 1, 0) for u in ups], [],
+        [(w, 1, e, False) for w, e in heads], [lambda m: c0 + c1 * m], None)
     geometric = _geometric_stop(cert, LINEAR_CUT, ctx.dc)
-    if stop is not None:
-        geometric = partial(stop, cert, geometric)
-    u, qm, vals = F(1), F(1), []        # u(m) = t(m)/P(m), q^m
-    for m in range(400):
-        head = 1
-        for w, e in heads:
-            head *= 1 - w * qm ** e
-        vals.append(rounded(u * head * (c0 + c1 * m)))
-        for a in ups:
-            u *= 1 - a * qm
-        u, qm = rounded(u * s), rounded(qm * q)
-    after = [sum(vals[41:])]            # the sums after n = 40, 39, ..
-    for n in range(40, 0, -1):
-        after.append(after[-1] + vals[n])
-    after.reverse()
-    faults, stops = [], []
-    r = abs(s)
-    for n in range(8, 41):
-        t = term(n)
-        tail = geometric(n, t)
-        if tail is None:
-            continue
-        stops.append(n)
-        if abs(F(tail) - after[n]) > F(LINEAR_CUT) + F(1, 10 ** 30):
-            faults.append((n, tail, after[n]))
-        p = c0 + c1 * n
-        reach = abs(p * r / (1 - r) + c1 * r / (1 - r) ** 2)
-        if F(cert.error(t, n)) < abs(F(t) / p) * F(cert.drift(n)) * reach:
-            faults.append((n, "error", cert.error(t, n)))
-    return faults, stops
+    stops = [n for n in range(8, 41) if geometric(n, term(n)) is not None]
+    return tail_faults(cert, terms, range(8, 41), stop), stops
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(QPOOL), LIM.filter(lambda s: abs(s) < 1), LINEAR,
+       st.lists(RAT, max_size=2),
+       st.lists(st.tuples(st.sampled_from([F(1, 2), F(-2, 3)]),
+                          st.integers(1, 2)), max_size=1))
+@example(F(1, 7), F(3, 4), (1, 1), [], [])     # the n + 1 of ones-sum
+def test_linear_tail_bounds_fraction_terms(q, s, linear, ups, heads):
+    # a term s^n (Pochhammers, heads) (c0 + c1 n): at each n where the
+    # geometric stop gives its tail, the tail lies within `Ratio.error`
+    # of the Fraction terms after n, and that error bounds what it must
+    # (`tail_faults`); and the linear factor's envelope bounds its values
+    faults, stops = linear_tail_faults(q, s, linear, ups, heads)
+    assert faults == []
+    c0, c1 = linear
+    env = Summand(NumericCtx(q), linear=linear).envelope()
+    for n in range(6):
+        m, g = (F(x) for x in env.at(n))
+        assert all(abs(c0 + c1 * (n + i)) <= m * g ** i for i in range(30))
 
 
 def without_slope(cert, stop, n, t):
@@ -481,33 +617,16 @@ def without_slope(cert, stop, n, t):
     return F(tail) - F(t) / (c0 + c1 * n) * c1 * s / (1 - s) ** 2
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(QPOOL), LIM.filter(lambda s: abs(s) < 1), LINEAR,
-       st.lists(RAT, max_size=2),
-       st.lists(st.tuples(st.sampled_from([F(1, 2), F(-2, 3)]),
-                          st.integers(1, 2)), max_size=1))
-@example(F(1, 7), F(3, 4), (1, 1), [], [])     # the n + 1 of ones-sum
-def test_linear_tail_bounds_fraction_terms(q, s, linear, ups, heads):
-    # a term s^n (Pochhammers, heads) (c0 + c1 n): at each n where the
-    # geometric stop certifies its tail, the tail it adds lies within the
-    # cutoff of the Fraction terms after n; and the linear factor's
-    # envelope bounds its values
-    faults, stops = linear_tail_faults(q, s, linear, ups, heads)
-    assert faults == []
-    c0, c1 = linear
-    env = Summand(NumericCtx(q), linear=linear).envelope()
-    for n in range(6):
-        m, g = (F(x) for x in env.at(n))
-        assert all(abs(c0 + c1 * (n + i)) <= m * g ** i for i in range(30))
+#: (q, s, linear, ups, heads) draws of `linear_tail_faults`
+LINEAR_DRAWS = [(F(1, 7), F(3, 4), (1, 1), [], []),
+                (F(-1, 6), F(-2, 3), (F(5, 3), -1), [F(1, 2)], []),
+                (F(1, 9), F(1, 2), (0, F(1, 3)), [], [(F(1, 2), 1)])]
 
 
 def test_linear_tail_check_catches_a_dropped_slope(monkeypatch):
     # mutants: the tail without its c1 s/(1 - s)^2 part, and the error
     # bound without its c1 part
-    draws = [(F(1, 7), F(3, 4), (1, 1), [], []),
-             (F(-1, 6), F(-2, 3), (F(5, 3), -1), [F(1, 2)], []),
-             (F(1, 9), F(1, 2), (0, F(1, 3)), [], [(F(1, 2), 1)])]
-    for d in draws:
+    for d in LINEAR_DRAWS:
         faults, stops = linear_tail_faults(*d)
         assert stops and faults == []
         faults, _ = linear_tail_faults(*d, stop=without_slope)
@@ -515,9 +634,59 @@ def test_linear_tail_check_catches_a_dropped_slope(monkeypatch):
     error = Ratio.error
     monkeypatch.setattr(Ratio, "error", lambda cert, t, n: error(
         cert._replace(linear=(1, 0)), t, n))
-    for d in draws:
+    for d in LINEAR_DRAWS:
         faults, stops = linear_tail_faults(*d)
         assert stops and faults
+
+
+#: (q, s, ups, downs, heads, factors) draws of a term s^n times
+#: Pochhammers (u, e, k, l) on q^e, heads (w, sign, e, inverse) and
+#: factors: a negative q, lengths 2 n - 1 and 2 n + 1, an inverse head,
+#: a nested very-well-poised factor
+LIMIT_DRAWS = [
+    (F(-1, 6), F(1, 2), [(F(1, 2), 1, 2, -1)], [(F(-2, 3), 1, 1, 0)], [],
+     []),
+    (F(1, 7), F(-2, 3), [], [(F(3, 4), 2, 2, 1)],
+     [(F(5, 2), -1, 1, True)], []),
+    (F(-1, 8), F(3, 4), [(F(-5, 4), 1, 1, 0)], [], [],
+     [("vwp", F(1, 2), 1, None)]),
+]
+
+
+def limit_tail_faults(q, s, ups, downs, heads, factors, stop=None):
+    """`tail_faults` at n = 2, 5, .., 23 of a `LIMIT_DRAWS` draw."""
+    ctx = NumericCtx(q)
+    made = [declared_factor(ctx, q, *f) for f in factors]
+    term = Summand(ctx, s, ups=[(u, q ** e, k, l) for u, e, k, l in ups],
+                   downs=[(u, q ** e, k, l) for u, e, k, l in downs],
+                   heads=[(w, sign * q ** e, inverse)
+                          for w, sign, e, inverse in heads],
+                   factors=[f for f, _ in made])
+    terms = reference_terms(q, s, 0, ups, downs, heads,
+                            [at for _, at in made], None)
+    return tail_faults(term.envelope().ratio(), terms, range(2, 24, 3),
+                       stop)
+
+
+def test_tail_checks_catch_a_first_order_tail_and_an_error_without_e(
+        monkeypatch):
+    # mutants: the tail without its Lambda correction (the first-order
+    # tail the certificate had before), and the error without E(n)
+    for d in LIMIT_DRAWS:
+        assert limit_tail_faults(*d) == []
+        assert "tail" in {f[1] for f in limit_tail_faults(
+            *d, stop=without_lambda)}
+    for d in LINEAR_DRAWS[1:]:          # the first has no piece: Lambda = 0
+        faults, _ = linear_tail_faults(*d, stop=without_lambda)
+        assert "tail" in {f[1] for f in faults}
+    bounds = Ratio.bounds
+    monkeypatch.setattr(Ratio, "bounds", lambda cert, n: bounds(
+        cert, n) and (bounds(cert, n)[0], Decimal(0)))
+    for d in LIMIT_DRAWS:
+        assert "error" in {f[1] for f in limit_tail_faults(*d)}
+    for d in LINEAR_DRAWS[1:]:
+        faults, _ = linear_tail_faults(*d)
+        assert "error" in {f[1] for f in faults}
 
 
 def test_a_linear_factor_of_a_bound_gives_no_ratio():

@@ -79,23 +79,44 @@ def test_poch_matches_fraction_product(a, base, n):
     assert max(poch_gaps(NumericCtx(F(1, 7)), a, base, n)) <= DELTA
 
 
-def poch_inf_gap(a, base):
-    """The scaled error (see `scale`) of `NumericCtx.poch_inf(a, base)`
-    against the Fraction product, out to the factor below 1e-75, with
-    each partial product, each a base^j and the scale rounded to 90
-    digits."""
+#: the relative error `NumericCtx.poch_inf` promises (`context._EPS`)
+EPS = F(1, 10 ** 60)
+#: the most a 74-digit operation errs by, relative to its result
+ULP = F(5, 10 ** 74)
+
+
+def poch_inf_faults(a, base):
+    """How far `NumericCtx.poch_inf(a, base)` lies from the Fraction
+    product, out to the factor below 1e-75, beyond what it may: a
+    relative EPS plus its rounding. Each partial product is rounded to
+    90 digits, each a base^j is exact. The rounding: the product's factors
+    1 - a base^j with |a base^j| > (1 - |base|)/2 are multiplied one at a
+    time, the j-th from a base^j that j + 1 operations computed, so it
+    errs by (j + 1) ULP |a base^j| before its subtraction and product add
+    2 ULP |1 - a base^j|; Euler's series for the rest (`context._euler`)
+    loses no digits, and 1000 ULP covers its operations. Where a factor
+    vanishes, the product is 0 and the allowance is that rounding times
+    prod (1 + |a base^j|) instead (`scale`)."""
     one = 10 ** 90
 
     def rounded(x):
         return F(round(x * one), one)
 
-    exact, size, f = F(1), F(1), a
+    theta = (1 - abs(base)) / 2
+    exact, size, f, j = F(1), F(1), a, 0
+    slip, spread = 1000 * ULP, 1000 * ULP   # relative, and of the scale
     while abs(f) >= F(1, 10 ** 75):
+        if abs(f) > theta:
+            slip += (j + 1) * ULP * abs(f / (1 - f)) + 2 * ULP if f != 1 \
+                else 0
+            spread += (j + 3) * ULP
         exact = rounded(exact * (1 - f))
         size = rounded(size * (1 + abs(f)))
-        f = rounded(f * base)
-    got = NumericCtx(F(1, 7)).poch_inf(a, base)
-    return abs(F(got) - exact) / size
+        f, j = f * base, j + 1
+    got = F(NumericCtx(F(1, 7)).poch_inf(a, base))
+    if not exact:
+        return max(0, abs(got) - spread * size)
+    return max(0, abs(got - exact) / abs(exact) - EPS - slip)
 
 
 #: |a| up to 400 on bases up to 19/20 in size, a = 0, base = 0, and a =
@@ -117,7 +138,7 @@ POCH_INF = st.tuples(st.builds(F, st.integers(-400, 400), st.integers(1, 3)),
 @example((F(400), F(19, 20)))
 @example((F(-400), F(-19, 20)))
 def test_poch_inf_matches_fraction_product(draw):
-    assert poch_inf_gap(*draw) <= DELTA
+    assert poch_inf_faults(*draw) == 0
 
 
 def _euler_early(f, base, dc):
@@ -134,11 +155,16 @@ def _euler_early(f, base, dc):
 
 
 def test_poch_inf_check_catches_an_early_euler_stop(monkeypatch):
-    # draws whose last term above the cut is well above DELTA
-    draws = [(F(2, 9), F(0)), (F(1, 5), F(1, 7)), (F(-1, 3), F(2, 5))]
-    assert all(poch_inf_gap(*d) <= DELTA for d in draws)
+    # the mutant leaves out the last term of Euler's series above its cut:
+    # a relative error above EPS for these draws, though below it once
+    # scaled by prod (1 + |a base^j|) for the last three. At (400, 19/20)
+    # the term it leaves out is a relative 6.5e-61, inside EPS, so no
+    # check of the promise can see it there
+    draws = [(F(2, 9), F(0)), (F(1, 5), F(1, 7)), (F(-1, 3), F(2, 5)),
+             (F(1, 3), F(1, 2)), (F(-7, 4), F(-3, 4)), (F(350), F(19, 20))]
+    assert all(poch_inf_faults(*d) == 0 for d in draws)
     monkeypatch.setattr(context, "_euler", _euler_early)
-    assert all(poch_inf_gap(*d) > DELTA for d in draws)
+    assert all(poch_inf_faults(*d) > 0 for d in draws)
 
 
 @settings(max_examples=60, deadline=None)

@@ -288,7 +288,7 @@ def test_fault_twin_digest_pinned():
 # (a term, a stop, a rounding) changes the digest, where the statuses
 # alone would not show it.
 NUMERIC_TWIN_DIGEST = \
-    "3815eca7a2a51bd3c03928e91cae2341581a88e2896d3c37e8f18a73b6ed95c5"
+    "31eb7ee27335ff43505b71cfd7ea80eff5ba5bd21c4da7dd4e012efd277dca94"
 
 
 def test_numeric_fault_twin_digest_pinned():
