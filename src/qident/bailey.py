@@ -261,26 +261,29 @@ def _linear_bound(c0, c1, n: int):
             BOUND_UP.divide(g.numerator, g.denominator))
 
 
-def _ratio_piece(dc, u: Decimal, b: Decimal, k: int, l: int, head: bool,
-                 inverse: bool):
-    """The signed and the magnitude `qfunc.Ratio` pieces of the factors
-    1 - u b^j of a Pochhammer (u; b)_(k n + l), j >= k n + l, each met
-    once in the term ratios from n on, or of a head 1 - u b^n (k = 1, l =
-    0), met twice (in the ratios at n - 1 and n), given u and b with 0 <
-    |b| < 1; `inverse` for a lower Pochhammer or an inverse head. The
-    signed piece is (c, u b^l, b^k), computed in `dc`, with c = -+1/(1 -
-    b) for a Pochhammer and +-1 for a head, which telescopes. The
-    magnitude piece is ((1 or 2)/(1 - |b|), |u||b|^l, |b|^k): since
-    |log(1 - x)| <= |x|/(1 - |x|), the factors' |log| sum to at most c
-    X/(1 - X), X = |u||b|^(k n + l), and rounding |b| up only raises it."""
-    c = _ONE if head else dc.divide(_ONE, dc.subtract(_ONE, b))
-    signed = (c if head != inverse else c.copy_negate(),
-              dc.multiply(u, dc.power(b, l)),
-              dc.power(b, k))
-    u, b = u.copy_abs(), b.copy_abs()
-    return signed, (
-        BOUND_UP.divide(2 if head else 1, BOUND_DOWN.subtract(_ONE, b)),
-        BOUND_UP.multiply(u, BOUND_UP.power(b, l)), BOUND_UP.power(b, k))
+def _join_signed(entries, add, big: Decimal, w: Decimal) -> None:
+    """Add w to the signed entry [B, w] of `entries` whose B equals `big`,
+    or append one (`Summand._ratio`). A list scan, not a dict: a term has
+    a few bases, and a fresh Decimal costs more to hash than they do to
+    compare."""
+    for entry in entries:
+        if entry[0] == big:
+            entry[1] = add(entry[1], w)
+            return
+    entries.append([big, w])
+
+
+def _join_size(entries, beta: Decimal, cx: Decimal, x: Decimal) -> None:
+    """Merge a factor's magnitude c|x| and |x| on |B| = `beta` into the
+    entry [beta, the sum of c|x|, the largest |x|] of `entries`, or append
+    one (`Summand._ratio`): the sum rounds up, and the largest |x| is the
+    X0 of the merged `qfunc.Ratio` size."""
+    for entry in entries:
+        if entry[0] == beta:
+            entry[1] = BOUND_UP.add(entry[1], cx)
+            entry[2] = max(entry[2], x)
+            return
+    entries.append([beta, cx, x])
 
 
 def _head_least(w: Decimal, r: Decimal, inverse: bool) -> Optional[Decimal]:
@@ -366,11 +369,14 @@ class Summand(_SummandFields):
     stop (`qfunc._geometric_stop`) asks for one below 1, so a declaration
     that bounds a factor keeps its limit 1 or -1 for the term it joins. Each
     Pochhammer (u; b)_(k n + l) on a base 0 < |b| < 1, and each head 1 -
-    w r^n on 0 < |r| < 1, adds a signed piece, from the signed u and b
-    (or w and r), to the first-order part Lambda of the log ratio, and a
-    magnitude piece, X/((1 - |b|)(1 - X)) with X = |u||b|^(k n + l) (for
-    a head twice that, with X = |w||r|^n), to its drift D(n) and its
-    remainder E(n) (`_ratio_piece`). An f_n counts only by the ratio it
+    w r^n on 0 < |r| < 1, adds its signed c x, -+u b^l/(1 - b) on B = b^k
+    (or +-w on B = r), to the one signed entry of its base B, which
+    carries the first-order part Lambda of the log ratio, and its
+    magnitude, |u||b|^l/(1 - |b|) on |b|^k (for a head 2|w|/(1 - |r|) on
+    |r|), to the one magnitude entry of |B|, which bounds the drift D(n)
+    and the remainder E(n) with X0 the largest |u||b|^l (or |w|) on it
+    (`_ratio`, one pass, which merges each f_n's entries the same
+    way). An f_n counts only by the ratio it
     declares itself, which describes its own value's ratio (`constant`
     1, a factor bounded by its own declaration that declaration's, as
     the very-well-poised factor its head and 1, `running_sums` 1 from
@@ -530,8 +536,12 @@ class Summand(_SummandFields):
     def _ratio(self, pieces, envs) -> Optional[Ratio]:
         """The term's limit-ratio certificate (see the class), from the
         signed (u, b, k, l, head, inverse) of the Pochhammers and heads
-        that `envelope` collected and the envelopes of its f_n; None where
-        some f_n's certificate is None or holds a linear factor."""
+        that `envelope` collected and the envelopes of its f_n, in one
+        pass: each factor joins the signed entry of its base B = b^k and
+        the magnitude entry of |B| (`qfunc.Ratio`), and so do the entries
+        of each f_n's certificate. 1/(1 - b) and 1/(1 - |b|) are computed
+        once per b, and b^0, b^1 are never raised. None where some f_n's
+        certificate is None or holds a linear factor."""
         ctx = self.ctx
         _, power, _, _ = self._plan
         s = [] if self.s is None else [self.s]
@@ -543,12 +553,46 @@ class Summand(_SummandFields):
         # a linear factor of an f_n's own declaration is not the term's
         if None in lims or any(lim.linear != (1, 0) for lim in lims):
             return None
-        own = [_ratio_piece(ctx.dc, *x) for x in pieces]
+        dc = ctx.dc
+        mul, pow_, add = dc.multiply, dc.power, dc.add
+        up_mul, up_pow = BOUND_UP.multiply, BOUND_UP.power
+        # [B, w] per base B, [|B|, the sum of c|x|, the largest |x|] per
+        # |B|, and [b, 1/(1 - b), |b|, 1/(1 - |b|)] per argument base b
+        signed, sizes, bases = [], [], []
+        for u, b, k, l, head, inverse in pieces:
+            for known in bases:
+                if known[0] == b:
+                    break
+            else:
+                a = b.copy_abs()
+                known = [b, dc.divide(_ONE, dc.subtract(_ONE, b)), a,
+                         BOUND_UP.divide(_ONE, BOUND_DOWN.subtract(_ONE, a))]
+                bases.append(known)
+            _, lift, a, grow = known
+            x = u.copy_abs()
+            if head:        # c = +-1 on B = b; c = 2/(1 - |b|), met twice
+                w, big, beta = u, b, a
+                cx = up_mul(x, grow)
+                cx = BOUND_UP.add(cx, cx)
+            else:           # c = -+1/(1 - b) on B = b^k, x = u b^l
+                if l:
+                    u = mul(u, b if l == 1 else pow_(b, l))
+                    x = up_mul(x, a if l == 1 else up_pow(a, l))
+                w = mul(u, lift)
+                big, beta = (b, a) if k == 1 else (pow_(b, k), up_pow(a, k))
+                cx = up_mul(x, grow)
+            _join_signed(signed, add, big, w.copy_negate() if head == inverse
+                         else w)
+            _join_size(sizes, beta, cx, x)
+        for lim in lims:
+            for w, big in lim.pieces:
+                _join_signed(signed, add, big, w)
+            for c, x, beta in lim.sizes:
+                _join_size(sizes, beta, up_mul(c, x), x)
         return Ratio(ctx.mul(*s, *(lim.s for lim in lims)),
-                     (*(x for x, _ in own),
-                      *(p for lim in lims for p in lim.pieces)),
-                     (*(x for _, x in own),
-                      *(p for lim in lims for p in lim.sizes)),
+                     tuple((w, big) for big, w in signed if w),
+                     tuple((BOUND_UP.divide(cx, x), x, beta)
+                           for beta, cx, x in sizes),
                      max([length_start(x[2:4] for x in pieces)]
                          + [lim.start for lim in lims]),
                      self.linear or (1, 0))

@@ -23,8 +23,9 @@ support.
 
 Where the term ratio tends to a constant s with |s| < 1, the envelope
 also carries a limit-ratio certificate (`Ratio`): s, the first-order part
-Lambda_K(n) of log(t(n+K)/(s^K t(n))), and bounds D(n) on the sum over m
->= n of |log(t(m+1)/(s t(m)))| and E(n) on what Lambda leaves out. The
+Lambda_K(n) of log(t(n+K)/(s^K t(n))), one signed entry per base, and
+bounds D(n) on the sum over m >= n of |log(t(m+1)/(s t(m)))| and E(n) on
+what Lambda leaves out, one magnitude entry per |base|. The
 tail after n is then t(n) times the sum over K >= 1 of s^K (1 +
 Lambda_K), in closed form, within |t(n)| |s|/(1 - |s|) (D^2 e^D/2 + E),
 and `sum_numeric` stops at the first term where that is within tol/100,
@@ -100,7 +101,9 @@ _D_ONE = Decimal(1)
 BOUND_SLACK = _D_ONE + Decimal(10) ** (4 - BOUND_PRECISION)
 #: the least relative error a `Ratio` claims for its geometric tail: it
 #: covers the rounding of the terms themselves, which a numeric context
-#: computes to NUMERIC_PRECISION digits or more
+#: computes to NUMERIC_PRECISION digits or more, and that of the tail the
+#: stop adds, whose signed entries each sum their base's factors in the
+#: context's digits
 _TAIL_FLOOR = Decimal(10) ** (4 - NUMERIC_PRECISION)
 #: the term, counted from the sum's start, at which `sum_numeric` builds
 #: an envelope's `Ratio`: a shorter sum never pays for it
@@ -589,46 +592,54 @@ class Ratio(NamedTuple):
     `linear` = (c0, c1), a pair of rationals (default (1, 0): P = 1, u =
     t), and `s` the signed limit of u(n+1)/u(n). From n = `start` on, the
     log of u(m+1)/(s u(m)) is a sum of logs of factors (1 - Y)^(+-1) with
-    |Y| < 1, and the certificate describes them in two ways.
+    |Y| < 1, and the certificate describes them in two ways, each with
+    one entry per base (the term ratio is rational in q^n, Gasper &
+    Rahman, section 1.2, so a term's factors mostly share one base).
 
-    `pieces` are signed triples of Decimals (c, x, b), 0 < |b| < 1, whose
-    sum over m = n .. n + K - 1 of the linear parts (-Y for a factor in
-    the numerator, +Y in the denominator) is
+    `pieces` are the signed entries (w, B), one per base B, 0 < |B| < 1,
+    of Decimals, whose sum over m = n .. n + K - 1 of the linear parts
+    (-Y for a factor in the numerator, +Y in the denominator) is
 
-        Lambda_K(n) = sum over the pieces of c X (1 - b^K),   X = x b^n.
+        Lambda_K(n) = sum over the pieces of w B^n (1 - B^K)
 
-    A Pochhammer (u; b)_(k n + l) of the term gives (-1/(1 - b), u b^l,
-    b^k), its factors u b^j met once each from j = k n + l on; a lower
-    one (+1/(1 - b), u b^l, b^k); a head 1 - w r^n, whose factors
-    telescope, (+1, w, r), and an inverse head (-1, w, r).
+    exactly: w is the sum of c x over the factors on B, each contributing
+    c x B^n (1 - B^K). A Pochhammer (u; b)_(k n + l) of the term has c =
+    -1/(1 - b), x = u b^l on B = b^k, its factors u b^j met once each
+    from j = k n + l on; a lower one c = +1/(1 - b); a head 1 - w r^n,
+    whose factors telescope, c = +1, x = w on B = r, and an inverse head
+    c = -1.
 
-    `sizes` are the magnitude triples (c, x, b), 0 < b < 1, with X = x b^n
-    bounding every |Y| of the piece and the sum of |Y|/(1 - |Y|) over its
-    factors at most c X/(1 - X): (1/(1 - |b|), |u||b|^l, |b|^k) for a
-    Pochhammer, (2/(1 - |r|), |w|, |r|) for a head, met twice. Since
-    |log(1 - Y)| <= |Y|/(1 - |Y|) and log(1 - Y) = -Y + rho with |rho| <=
-    |Y|^2/(2(1 - |Y|)),
+    `sizes` are the magnitude entries (C, X0, beta), one per beta >= |B|
+    (rounded up), with X = X0 beta^n bounding every |Y| on beta and the
+    sum of |Y|/(1 - |Y|) over them at most C X/(1 - X). Each factor has
+    a magnitude c |x|: c = 1/(1 - |b|), |x| = |u||b|^l on beta = |b|^k for
+    a Pochhammer, and c = 2/(1 - |r|), |x| = |w| on |r| for a head, met
+    twice, so that the sum of its |Y|/(1 - |Y|) is at most c X'/(1 - X'),
+    X' = |x| beta^n. X0 is the largest |x| on beta, and C the sum of
+    their c |x|, over X0, rounded up: since X' <= X, each c X'/(1 - X')
+    is at most (c |x|/X0) X/(1 - X). Since |log(1 - Y)| <= |Y|/(1 - |Y|)
+    and log(1 - Y) = -Y + rho with |rho| <= |Y|^2/(2(1 - |Y|)),
 
-        D(n) = sum over the sizes of c X/(1 - X)
+        D(n) = sum over the sizes of C X/(1 - X)
 
     bounds the sum over m >= n of |log(u(m+1)/(s u(m)))|, and
 
-        E(n) = sum over the sizes of c X^2/(2(1 - X))
+        E(n) = sum over the sizes of C X^2/(2(1 - X))
 
     the sum of |rho| over every factor from n on (`bounds` gives both,
-    rounded up), since each |Y| <= X. s^n and a linear
-    power give s alone (`bailey.Summand.envelope`). A certificate
-    describes the value's own ratio, not only a bound on it: `constant`
-    and `running_sums` past a support have the ratio 1 exactly, and
-    `vwp_weight`'s bound is its value.
+    rounded up). s^n and a linear power give s alone
+    (`bailey.Summand.envelope`). A certificate describes the value's own
+    ratio, not only a bound on it: `constant` and `running_sums` past a
+    support have the ratio 1 exactly, and `vwp_weight`'s bound is its
+    value.
 
     Then u(n + K) = u(n) s^K e^L with L = Lambda_K + R, |L| <= D and |R|
     <= E, so the tail after n is u(n) times the sum over K >= 1 of
     P(n + K) s^K (1 + Lambda_K), in closed form (`_geometric_stop`),
 
         u(n) (P(n) s/(1 - s) + c1 s/(1 - s)^2)
-          + u(n) sum over the pieces of c X (P(n) (F(s) - F(s b))
-                                             + c1 (G(s) - G(s b))),
+          + u(n) sum over the pieces of w B^n (P(n) (F(s) - F(s B))
+                                               + c1 (G(s) - G(s B))),
 
     F(z) = z/(1 - z) and G(z) = z/(1 - z)^2, within `error(t(n), n)`:
     |u(n)| times the sum over K >= 1 of |P(n + K)| |s|^K, times D^2 e^D/2
@@ -636,15 +647,14 @@ class Ratio(NamedTuple):
     E, and e^D <= 1/(1 - D) for D < 1. It is O(D^2), so a sum stops after
     about log(tol)/log|s q^2| terms, not log(tol)/log|s q| (Johansson,
     "Computing hypergeometric functions rigorously", ACM TOMS 2019: a
-    geometric tail with a polynomial prefactor; Gasper & Rahman, section
-    1.2, for the term ratio). A sum stops on it only where |s| < 1 and
-    P(n) != 0, which `_geometric_stop` alone checks: a factor's ratio,
-    such as +-1, only enters the certificate of the term it multiplies. A
-    sum from a later start reads D and E at the same n: the certificate
-    is never shifted."""
+    geometric tail with a polynomial prefactor). A sum stops on it only
+    where |s| < 1 and P(n) != 0, which `_geometric_stop` alone checks: a
+    factor's ratio, such as +-1, only enters the certificate of the term
+    it multiplies. A sum from a later start reads D and E at the same n:
+    the certificate is never shifted."""
 
     s: Decimal
-    pieces: Tuple[Tuple[Decimal, Decimal, Decimal], ...] = ()
+    pieces: Tuple[Tuple[Decimal, Decimal], ...] = ()
     sizes: Tuple[Tuple[Decimal, Decimal, Decimal], ...] = ()
     start: int = 0
     linear: Tuple[Rational, Rational] = (1, 0)
@@ -671,19 +681,22 @@ class Ratio(NamedTuple):
         D)) + E), D = D(n) and E = E(n), the last factor never below
         `_TAIL_FLOOR`, rounded up, for |s| < 1: how far the sum of the
         terms after n lies from the tail above, t the term n; None where
-        D(n) is unknown or at least 1, or where P(n) = 0."""
-        bounds = self.bounds(n)
+        D(n) is unknown or at least 1, or where P(n) = 0. Without a slope
+        (c1 = 0, most sums) it takes no rational arithmetic."""
         c0, c1 = self.linear
-        p = abs(c0 + c1 * n)
-        if bounds is None or bounds[0] >= 1 or not p:
+        p = c0 + c1 * n if c1 else c0
+        bounds = self.bounds(n) if p else None
+        if bounds is None or bounds[0] >= 1:
             return None
         d, e = bounds
         s = self.s.copy_abs()
         low = BOUND_DOWN.subtract(_D_ONE, s)
         reach = BOUND_UP.divide(s, low)
-        slope = Fraction(abs(c1)) / p
-        reach = BOUND_UP.add(reach, BOUND_UP.divide(BOUND_UP.multiply(
-            BOUND_UP.divide(slope.numerator, slope.denominator), reach), low))
+        if c1:
+            slope = Fraction(abs(c1)) / abs(p)
+            reach = BOUND_UP.add(reach, BOUND_UP.divide(BOUND_UP.multiply(
+                BOUND_UP.divide(slope.numerator, slope.denominator), reach),
+                low))
         second = BOUND_UP.add(e, BOUND_UP.divide(
             BOUND_UP.multiply(d, d),
             BOUND_DOWN.multiply(2, BOUND_DOWN.subtract(_D_ONE, d))))
@@ -756,41 +769,44 @@ def _geometric_stop(ratio: Ratio, cutoff: Decimal, dc: decimal.Context):
     `cutoff`; None elsewhere. With F(z) = z/(1 - z) and G(z) = z/(1 -
     z)^2, it is
 
-        t (F(s) + sum c x b^n (F(s) - F(s b)))
-          + t (c1/P(n)) (G(s) + sum c x b^n (G(s) - G(s b))),
+        t (F(s) + sum w B^n (F(s) - F(s B)))
+          + t (c1/P(n)) (G(s) + sum w B^n (G(s) - G(s B))),
 
-    the sum over the signed pieces (c, x, b): everything but the powers
-    b^n is computed once. A float screen, O(X^2) as `Ratio.error` is,
-    passes over the terms far from the stop before the certificate is
+    the sum over the signed entries (w, B), one per base: everything but
+    the powers B^n is computed once, and the G part only where c1 != 0.
+    A float screen over the magnitude entries, O(X^2) as `Ratio.error`
+    is, passes over the terms far from the stop before the certificate is
     checked in Decimal. None for a ratio with |s| >= 1, which certifies
-    nothing."""
+    nothing, and for one whose |s| is so near 1 that its float is 1: the
+    screen could not tell the stop, and the envelope decides."""
     s = ratio.s
-    if s.copy_abs() >= 1:
+    r = abs(float(s))
+    if r >= 1:          # |s| >= 1 as well
         return None
     mul, add, sub, div = dc.multiply, dc.add, dc.subtract, dc.divide
+    c0, c1 = ratio.linear
 
     def geometric(z: Decimal):
-        """F(z) and G(z)."""
+        """F(z) and, where c1 != 0, G(z)."""
         low = sub(_D_ONE, z)
         first = div(z, low)
-        return first, div(first, low)
+        return first, c1 and div(first, low)
 
     head, slope = geometric(s)
-    # c x, b, F(s) - F(s b) and G(s) - G(s b) of each signed piece
+    # B, w (F(s) - F(s B)) and w (G(s) - G(s B)) of each signed entry
     pieces = []
-    for c, x, b in ratio.pieces:
+    for w, b in ratio.pieces:
         near, rise = geometric(mul(s, b))
-        pieces.append((mul(c, x), b, sub(head, near), sub(slope, rise)))
-    c0, c1 = ratio.linear
-    gap = abs(float(s))
-    gap /= 1 - gap
-    lift = abs(float(c1)) * gap / (1 - abs(float(s)))
+        pieces.append((b, mul(w, sub(head, near)),
+                       c1 and mul(w, sub(slope, rise))))
+    gap = r / (1 - r)
+    lift = abs(float(c1)) * gap / (1 - r)
     sizes = [(float(c), float(x), float(b)) for c, x, b in ratio.sizes]
     floor = float(_TAIL_FLOOR)
     rough = float(cutoff) * 1.001
 
     def stop(n: int, t: Decimal) -> Optional[Decimal]:
-        p = c0 + c1 * n
+        p = c0 + c1 * n if c1 else c0
         if not p:
             return None
         d = e = 0.0
@@ -801,16 +817,21 @@ def _geometric_stop(ratio: Ratio, cutoff: Decimal, dc: decimal.Context):
             part = c * big / (1 - big)
             d += part
             e += part * big
-        if d >= 1 or abs(float(t)) * (gap + lift / abs(float(p))) * max(
+        reach = gap + lift / abs(float(p)) if c1 else gap
+        if d >= 1 or abs(float(t)) * reach * max(
                 d * d / (2 * (1 - d)) + e / 2, floor) > rough:
             return None
         err = ratio.error(t, n)
         if err is None or err > cutoff:
             return None
         first, second = head, slope
-        for cx, b, f, g in pieces:
-            big = mul(cx, dc.power(b, n))
-            first, second = add(first, mul(big, f)), add(second, mul(big, g))
+        for b, f, g in pieces:
+            big = dc.power(b, n)
+            first = add(first, mul(big, f))
+            if c1:
+                second = add(second, mul(big, g))
+        if not c1:
+            return mul(t, first)
         lean = Fraction(c1) / p
         return add(mul(t, first), mul(t, mul(
             div(lean.numerator, lean.denominator), second)))

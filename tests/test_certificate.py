@@ -33,14 +33,16 @@ from typing import Optional
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from qident import bailey
 from qident.bailey import (AlphaSequence, Factor, Summand, constant,
                            cor_pref, cor_transform, running_sums, vwp_weight)
 import qident.context as context_module
 from qident.context import ExactCtx, NumericCtx
 from qident.errors import TailNotDecreasing, UndeclaredBound
-from qident.qfunc import (_TAIL_FLOOR, NumericTermGenerator, Ratio,
-                          TermGenerator, _geometric_stop, sum_exact,
-                          sum_numeric, tail_after)
+from qident.qfunc import (_TAIL_FLOOR, BOUND_UP, Envelope,
+                          NumericTermGenerator, Ratio, TermGenerator,
+                          _geometric_stop, sum_exact, sum_numeric,
+                          tail_after)
 from qident.records import QPOOL
 from qident.registry import catalog, sample_params
 
@@ -171,10 +173,10 @@ def test_numeric_envelopes_hold_past_the_stop(record, monkeypatch):
             abs(c1 * s) / (abs(p) * (1 - abs(s)) ** 2)
         second = max(d * d / (2 * (1 - d)) + e, F(_TAIL_FLOOR))
         assert abs(t) * reach * second <= F(cutoff), (n, d, e)
-        pieces = [(F(c) * F(x) * F(b) ** n, F(b)) for c, x, b in cert.pieces]
+        entries = [(F(w) * F(b) ** n, F(b)) for w, b in cert.pieces]
         for k, u in enumerate(past, 1):
             near = t / p * (p + c1 * k) * s ** k
-            lam = sum(cx * (1 - b ** k) for cx, b in pieces)
+            lam = sum(wx * (1 - b ** k) for wx, b in entries)
             assert abs(u - near * (1 + lam)) <= abs(near) * second, (n, k, u)
 
         def geometric(z):       # the sum over k >= 1 of P(n + k) z^k
@@ -182,7 +184,7 @@ def test_numeric_envelopes_hold_past_the_stop(record, monkeypatch):
 
         # the sum over k >= 1 of u(n) P(n + k) s^k (1 + Lambda_k)
         geometric = t / p * (geometric(s) + sum(
-            cx * (geometric(s) - geometric(s * b)) for cx, b in pieces))
+            wx * (geometric(s) - geometric(s * b)) for wx, b in entries))
         # the engine added it, up to the rounding of the total
         assert abs(added - geometric) <= F(cutoff) / 10 ** 20, (n, added)
         m = n + len(past)
@@ -311,7 +313,7 @@ WINDOW = 30
 #: certificate is known
 ANY = Decimal("1e30")
 #: what the rounding of the reference terms, of the certificate's
-#: 74-digit pieces and of s may add to a log ratio
+#: 74-digit entries and of s may add to a log ratio
 LOG_SLACK = Decimal("1e-68")
 
 
@@ -384,8 +386,8 @@ def linear_part(cert, n: int, k: int) -> Decimal:
     """Lambda_k(n) of `cert` (see `qfunc.Ratio`), in HIGH."""
     mul, power = HIGH.multiply, HIGH.power
     return reduce(HIGH.add, (
-        mul(mul(mul(c, x), power(b, n)), HIGH.subtract(1, power(b, k)))
-        for c, x, b in cert.pieces), Decimal(0))
+        mul(mul(w, power(b, n)), HIGH.subtract(1, power(b, k)))
+        for w, b in cert.pieces), Decimal(0))
 
 
 def ratio_logs(cert, terms):
@@ -513,7 +515,7 @@ def tail_faults(cert, terms, ns, stop=None):
        st.lists(RPOCH, max_size=2), st.lists(RHEAD, max_size=2),
        st.lists(FACTOR, max_size=2), st.none() | st.integers(0, 6),
        st.integers(0, 3))
-# one piece alone, where nothing else covers it if it goes missing
+# one entry alone, where nothing else covers it if it goes missing
 @example(F(1, 7), F(1, 2), 0, [(F(1, 2), 1, 1, 0)], [], [], [], None, 0)
 @example(F(1, 7), F(1, 2), 0, [], [(F(-2, 3), 1, 2, -1)], [], [], None, 1)
 @example(F(-1, 6), F(1, 2), 0, [], [], [(F(1, 2), -1, 1, True)], [], None,
@@ -522,6 +524,17 @@ def tail_faults(cert, terms, ns, stop=None):
          None, 0)
 @example(F(1, 7), F(1, 2), 0, [], [], [], [("sign", True)], 2, 0)
 @example(F(1, 7), F(-1, 2), 0, [], [], [], [], None, 0)   # its s folded
+# several Pochhammers on one base, one of length n - 1, so that one
+# signed and one magnitude entry hold them all
+@example(F(1, 7), F(1, 2), 0, [(F(-2), 1, 1, 0), (F(1, 3), 1, 1, 1)],
+         [(F(3, 4), 1, 1, -1)], [], [], None, 0)
+# on B = q^2: a length 2 n + 1 on q, a Pochhammer on q^2 and a head (the
+# last two share an entry) and the very-well-poised head (which shares
+# the first's); lengths 2 n - 2 and n - 2 at a negative q
+@example(F(1, 7), F(-2, 3), 0, [(F(1, 2), 1, 2, 1)], [(F(3, 7), 2, 1, 0)],
+         [(F(-2, 3), 1, 2, False)], [("vwp", F(-1, 3), 1, None)], None, 1)
+@example(F(-1, 6), F(3, 4), 0, [(F(-5, 4), 1, 2, -2)],
+         [(F(1, 2), 1, 1, -2), (F(-2, 3), 1, 1, 0)], [], [], None, 0)
 def test_limit_ratio_bounds_fraction_terms(q, s, b, ups, downs, heads,
                                            factors, support, shift):
     # s^n q^(b n), Pochhammers of length k n + l on bases q^e (base 1 for
@@ -642,7 +655,8 @@ def test_linear_tail_check_catches_a_dropped_slope(monkeypatch):
 #: (q, s, ups, downs, heads, factors) draws of a term s^n times
 #: Pochhammers (u, e, k, l) on q^e, heads (w, sign, e, inverse) and
 #: factors: a negative q, lengths 2 n - 1 and 2 n + 1, an inverse head,
-#: a nested very-well-poised factor
+#: a nested very-well-poised factor, three Pochhammers on one base whose
+#: |u||q|^l differ (the fourth), and entries shared on B = q^2
 LIMIT_DRAWS = [
     (F(-1, 6), F(1, 2), [(F(1, 2), 1, 2, -1)], [(F(-2, 3), 1, 1, 0)], [],
      []),
@@ -650,6 +664,10 @@ LIMIT_DRAWS = [
      [(F(5, 2), -1, 1, True)], []),
     (F(-1, 8), F(3, 4), [(F(-5, 4), 1, 1, 0)], [], [],
      [("vwp", F(1, 2), 1, None)]),
+    (F(1, 7), F(1, 2), [(F(-2), 1, 1, 0), (F(1, 3), 1, 1, 1)],
+     [(F(3, 4), 1, 1, -1)], [], []),
+    (F(1, 7), F(-2, 3), [(F(1, 2), 1, 2, 1)], [(F(3, 7), 2, 1, 0)],
+     [(F(-2, 3), 1, 2, False)], [("vwp", F(-1, 3), 1, None)]),
 ]
 
 
@@ -668,15 +686,43 @@ def limit_tail_faults(q, s, ups, downs, heads, factors, stop=None):
                        stop)
 
 
+def smallest_size(entries, beta, cx, x):
+    """A mutant of `bailey._join_size`: X0 the smallest |x| on beta, so
+    that C = (the sum of c|x|)/X0 keeps D's first order but X = X0 beta^n
+    no longer bounds every factor's |Y|."""
+    for entry in entries:
+        if entry[0] == beta:
+            entry[1] = BOUND_UP.add(entry[1], cx)
+            entry[2] = min(entry[2], x)
+            return
+    entries.append([beta, cx, x])
+
+
 def test_tail_checks_catch_a_first_order_tail_and_an_error_without_e(
         monkeypatch):
     # mutants: the tail without its Lambda correction (the first-order
-    # tail the certificate had before), and the error without E(n)
+    # tail the certificate had before), the error without E(n), a merged
+    # magnitude entry built from the smallest |x| on its base, and a
+    # certificate that drops one base's w (the last signed entry of each
+    # certificate, a nested factor's included)
+    with monkeypatch.context() as patch:
+        patch.setattr(bailey, "_join_size", smallest_size)
+        assert "error" in {f[1] for f in limit_tail_faults(*LIMIT_DRAWS[3])}
+    with monkeypatch.context() as patch:
+        ratio = Summand._ratio
+
+        def dropped(term, *args):
+            cert = ratio(term, *args)
+            return cert and cert._replace(pieces=cert.pieces[:-1])
+
+        patch.setattr(Summand, "_ratio", dropped)
+        for d in LIMIT_DRAWS:
+            assert "tail" in {f[1] for f in limit_tail_faults(*d)}
     for d in LIMIT_DRAWS:
         assert limit_tail_faults(*d) == []
         assert "tail" in {f[1] for f in limit_tail_faults(
             *d, stop=without_lambda)}
-    for d in LINEAR_DRAWS[1:]:          # the first has no piece: Lambda = 0
+    for d in LINEAR_DRAWS[1:]:          # the first has no entry: Lambda = 0
         faults, _ = linear_tail_faults(*d, stop=without_lambda)
         assert "tail" in {f[1] for f in faults}
     bounds = Ratio.bounds
@@ -721,6 +767,20 @@ def test_geometric_stop_refuses_a_ratio_that_does_not_fall(s):
     # of the term it multiplies; the stop itself refuses |s| >= 1
     assert _geometric_stop(Ratio(Decimal(s)), Decimal("1e-60"),
                            Context(prec=74)) is None
+
+
+def test_a_ratio_too_near_1_for_a_float_stops_on_its_envelope():
+    # float(|s|) rounds to 1: the float screen cannot tell a stop, so the
+    # geometric stop declines and the envelope decides, which certifies
+    # no tail within the term budget
+    s = Decimal("0.99999999999999999999")
+    assert _geometric_stop(Ratio(s), Decimal("1e-32"),
+                           Context(prec=74)) is None
+    gen = NumericTermGenerator(
+        lambda n: HIGH.power(s, n),
+        Envelope(lambda n: (HIGH.power(s, n), s), s, ratio=lambda: Ratio(s)))
+    with pytest.raises(TailNotDecreasing):
+        sum_numeric(gen)
 
 
 @pytest.mark.parametrize("k,step,base", [

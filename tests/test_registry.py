@@ -288,7 +288,7 @@ def test_fault_twin_digest_pinned():
 # (a term, a stop, a rounding) changes the digest, where the statuses
 # alone would not show it.
 NUMERIC_TWIN_DIGEST = \
-    "31eb7ee27335ff43505b71cfd7ea80eff5ba5bd21c4da7dd4e012efd277dca94"
+    "22869724ef9b5be8d560c12f71d48a5504dbec804645f4eaff8dd5bc52174388"
 
 
 def test_numeric_fault_twin_digest_pinned():
