@@ -172,10 +172,16 @@ def constant(c) -> Factor:
                                  ratio=lambda: Ratio(_ONE)))
 
 
-def _summed(count: int, term: Callable[[int], "Summand"]) -> Envelope:
-    """The envelope of the sum of the declared terms term(0), ..,
-    term(count - 1), from n = count - 1 on: M the sum of theirs, g the
-    largest. The terms are declared at the first call."""
+def _summed(count: int, term: Callable[[int], "Summand"]
+            ) -> Union[Envelope, "Summand"]:
+    """The bound of the sum of the declared terms term(0), ..,
+    term(count - 1), from n = count - 1 on. A sum of one term is that
+    term: its declaration term(0), whose envelope, limit ratio included,
+    is the sum's (see `Factor`). Of more terms it is an envelope without
+    a limit ratio: M the sum of theirs, g the largest, the terms declared
+    at the first call."""
+    if count == 1:
+        return term(0)
     envs = []
 
     def at(n: int):
@@ -261,16 +267,18 @@ def _linear_bound(c0, c1, n: int):
             BOUND_UP.divide(g.numerator, g.denominator))
 
 
-def _join_signed(entries, add, big: Decimal, w: Decimal) -> None:
-    """Add w to the signed entry [B, w] of `entries` whose B equals `big`,
-    or append one (`Summand._ratio`). A list scan, not a dict: a term has
-    a few bases, and a fresh Decimal costs more to hash than they do to
-    compare."""
+def _join_signed(entries, add, big: Decimal, w: Decimal,
+                 w2: Decimal) -> None:
+    """Add w and w2 to the signed entry [B, w, w2] of `entries` whose B
+    equals `big`, or append one (`Summand._ratio`). A list scan, not a
+    dict: a term has a few bases, and a fresh Decimal costs more to hash
+    than they do to compare."""
     for entry in entries:
         if entry[0] == big:
             entry[1] = add(entry[1], w)
+            entry[2] = add(entry[2], w2)
             return
-    entries.append([big, w])
+    entries.append([big, w, w2])
 
 
 def _join_size(entries, beta: Decimal, cx: Decimal, x: Decimal) -> None:
@@ -367,25 +375,27 @@ class Summand(_SummandFields):
     each f_n's declared limit, whatever its size, with the linear factor
     as the Ratio's `linear`, whose geometric tail it adds; only a sum's
     stop (`qfunc._geometric_stop`) asks for one below 1, so a declaration
-    that bounds a factor keeps its limit 1 or -1 for the term it joins. Each
-    Pochhammer (u; b)_(k n + l) on a base 0 < |b| < 1, and each head 1 -
-    w r^n on 0 < |r| < 1, adds its signed c x, -+u b^l/(1 - b) on B = b^k
-    (or +-w on B = r), to the one signed entry of its base B, which
-    carries the first-order part Lambda of the log ratio, and its
-    magnitude, |u||b|^l/(1 - |b|) on |b|^k (for a head 2|w|/(1 - |r|) on
-    |r|), to the one magnitude entry of |B|, which bounds the drift D(n)
-    and the remainder E(n) with X0 the largest |u||b|^l (or |w|) on it
-    (`_ratio`, one pass, which merges each f_n's entries the same
-    way). An f_n counts only by the ratio it
-    declares itself, which describes its own value's ratio (`constant`
-    1, a factor bounded by its own declaration that declaration's, as
-    the very-well-poised factor its head and 1, `running_sums` 1 from
-    its alpha's support on). A term with a support, a quadratic power, another
-    Pochhammer base or head, an f_n that declares no ratio, or an f_n
-    whose ratio holds a linear factor has no certificate, and its sum
-    stops on the envelope alone: `envelope`
-    reads that from the declaration in the walk that builds the bound,
-    and gives such a term no `ratio` at all.
+    that bounds a factor keeps its limit 1 or -1 for the term it joins.
+    Each Pochhammer (u; b)_(k n + l) on a base 0 < |b| < 1, and each head
+    1 - w r^n on 0 < |r| < 1, adds its signed c x, -+u b^l/(1 - b) on B =
+    b^k (or +-w on B = r), and its signed c2 x^2, -+u^2 b^(2l)/(2(1 -
+    b^2)) on B^2 (or +-w^2/2 on r^2), to the one signed entry (w, B, w2)
+    of its base B, which carries the first- and second-order parts Lambda
+    and Lambda2 of the log ratio, and its magnitude, |u||b|^l/(1 - |b|)
+    on |b|^k (for a head 2|w|/(1 - |r|) on |r|), to the one magnitude
+    entry of |B|, which bounds the drift D(n) and the remainders E(n) and
+    E3(n) with X0 the largest |u||b|^l (or |w|) on it (`_ratio`, one
+    pass, which merges each f_n's entries the same way). An f_n counts
+    only by the ratio it declares itself, which describes its own value's
+    ratio (`constant` 1, a factor bounded by its own declaration that
+    declaration's, as the very-well-poised factor its head and 1 and
+    `wp_transform`'s beta at alpha's support 0 its Pochhammer quotient,
+    `running_sums` 1 from its alpha's support on). A term with a
+    support, a quadratic power, another Pochhammer base or head, an f_n
+    that declares no ratio, or an f_n whose ratio holds a linear factor
+    has no certificate, and its sum stops on the envelope alone:
+    `envelope` reads that from the declaration in the walk that builds
+    the bound, and gives such a term no `ratio` at all.
     """
 
     def __new__(cls, *args, **kw):
@@ -537,11 +547,12 @@ class Summand(_SummandFields):
         """The term's limit-ratio certificate (see the class), from the
         signed (u, b, k, l, head, inverse) of the Pochhammers and heads
         that `envelope` collected and the envelopes of its f_n, in one
-        pass: each factor joins the signed entry of its base B = b^k and
-        the magnitude entry of |B| (`qfunc.Ratio`), and so do the entries
-        of each f_n's certificate. 1/(1 - b) and 1/(1 - |b|) are computed
-        once per b, and b^0, b^1 are never raised. None where some f_n's
-        certificate is None or holds a linear factor."""
+        pass: each factor joins its c x and c2 x^2 to the signed entry of
+        its base B = b^k and its c |x| to the magnitude entry of |B|
+        (`qfunc.Ratio`), and so do the entries of each f_n's certificate.
+        1/(1 - b), 1/(2(1 - b^2)) and 1/(1 - |b|) are computed once per b,
+        and b^0, b^1 are never raised. None where some f_n's certificate
+        is None or holds a linear factor."""
         ctx = self.ctx
         _, power, _, _ = self._plan
         s = [] if self.s is None else [self.s]
@@ -556,8 +567,9 @@ class Summand(_SummandFields):
         dc = ctx.dc
         mul, pow_, add = dc.multiply, dc.power, dc.add
         up_mul, up_pow = BOUND_UP.multiply, BOUND_UP.power
-        # [B, w] per base B, [|B|, the sum of c|x|, the largest |x|] per
-        # |B|, and [b, 1/(1 - b), |b|, 1/(1 - |b|)] per argument base b
+        # [B, w, w2] per base B, [|B|, the sum of c|x|, the largest |x|]
+        # per |B|, and [b, 1/(1 - b), 1/(2(1 - b^2)), |b|, 1/(1 - |b|)]
+        # per argument base b
         signed, sizes, bases = [], [], []
         for u, b, k, l, head, inverse in pieces:
             for known in bases:
@@ -565,32 +577,40 @@ class Summand(_SummandFields):
                     break
             else:
                 a = b.copy_abs()
-                known = [b, dc.divide(_ONE, dc.subtract(_ONE, b)), a,
+                known = [b, dc.divide(_ONE, dc.subtract(_ONE, b)),
+                         dc.divide(_ONE, mul(2, dc.subtract(_ONE, mul(b, b)))),
+                         a,
                          BOUND_UP.divide(_ONE, BOUND_DOWN.subtract(_ONE, a))]
                 bases.append(known)
-            _, lift, a, grow = known
+            _, lift, lift2, a, grow = known
             x = u.copy_abs()
-            if head:        # c = +-1 on B = b; c = 2/(1 - |b|), met twice
+            # a head: c = +-1 and c2 = +-1/2 on B = b, and c = 2/(1 - |b|),
+            # met twice; a Pochhammer: c = -+1/(1 - b) and c2 = -+1/(2(1 -
+            # b^2)) on B = b^k, x = u b^l
+            if head:
                 w, big, beta = u, b, a
+                w2 = dc.divide(mul(u, u), 2)
                 cx = up_mul(x, grow)
                 cx = BOUND_UP.add(cx, cx)
-            else:           # c = -+1/(1 - b) on B = b^k, x = u b^l
+            else:
                 if l:
                     u = mul(u, b if l == 1 else pow_(b, l))
                     x = up_mul(x, a if l == 1 else up_pow(a, l))
-                w = mul(u, lift)
+                w, w2 = mul(u, lift), mul(mul(u, u), lift2)
                 big, beta = (b, a) if k == 1 else (pow_(b, k), up_pow(a, k))
                 cx = up_mul(x, grow)
-            _join_signed(signed, add, big, w.copy_negate() if head == inverse
-                         else w)
+            if head == inverse:
+                w, w2 = w.copy_negate(), w2.copy_negate()
+            _join_signed(signed, add, big, w, w2)
             _join_size(sizes, beta, cx, x)
         for lim in lims:
-            for w, big in lim.pieces:
-                _join_signed(signed, add, big, w)
+            for w, big, w2 in lim.pieces:
+                _join_signed(signed, add, big, w, w2)
             for c, x, beta in lim.sizes:
                 _join_size(sizes, beta, up_mul(c, x), x)
         return Ratio(ctx.mul(*s, *(lim.s for lim in lims)),
-                     tuple((w, big) for big, w in signed if w),
+                     tuple((w, big, w2) for big, w, w2 in signed
+                           if w or w2),
                      tuple((BOUND_UP.divide(cx, x), x, beta)
                            for beta, cx, x in sizes),
                      max([length_start(x[2:4] for x in pieces)]
@@ -665,8 +685,13 @@ def wp_transform(ctx: Ctx, a, k, r1, r2, alpha: Factor):
     alpha's floor (t-units; see `Factor`) is needed for the exact sums;
     beta_n is bounded by it and the dips of (k/a)_n and (k)_n, but is not
     zero past alpha's support. With a support S, beta_n is, from n = S
-    on, the sum of the S + 1 declared terms of `wp_beta_sum`, and their
-    envelopes bound it in a numeric sum; without one it declares no bound.
+    on, the sum of the S + 1 declared terms of `wp_beta_sum` (`_summed`).
+    At S = 0 that is one Pochhammer quotient, beta's own declaration, so
+    a numeric left sum keeps its limit ratio and may stop on the
+    geometric tail; for S >= 1 their envelopes bound beta without one
+    (ROADMAP item 3), and the left sum stops on the envelope. Without a
+    support beta declares no bound. beta's values come from `wp_beta_sum`
+    in either case.
     """
     qq = ctx.qpow(1)
     aq, kq = ctx.mul(a, qq), ctx.mul(k, qq)

@@ -327,8 +327,9 @@ class ExactCtx:
         """The product of the integer binomials (p, r, e, invert), e >= 0,
         of `qfunc.poch_infinite` or `qfunc.vwp_factor`, unmultiplied: a
         constant factor (e = 0) folds into the monomial, the others stay
-        binomials. A vanishing constant factor makes it the zero series,
-        as its window is."""
+        binomials. A vanishing constant factor makes it the exact zero
+        (`_QM_ZERO`): (1; q)_inf is 0, and `inv` of it raises
+        DegenerateDenominator, as the numeric context's does."""
         num = den = 1
         rest = []
         for f in factors:
@@ -338,7 +339,7 @@ class ExactCtx:
             elif invert:
                 num, den = num * r, den * (r + p)
             elif p == -r:
-                return LaurentSeries.zero(self.order)
+                return _QM_ZERO
             else:
                 num, den = num * (r + p), den * r
         return _Product(QMonomial.of(Fraction(num, den)), (), tuple(rest),

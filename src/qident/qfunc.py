@@ -22,18 +22,20 @@ whose certified tail (`tail_after`) is within tol/100, or at a declared
 support.
 
 Where the term ratio tends to a constant s with |s| < 1, the envelope
-also carries a limit-ratio certificate (`Ratio`): s, the first-order part
-Lambda_K(n) of log(t(n+K)/(s^K t(n))), one signed entry per base, and
-bounds D(n) on the sum over m >= n of |log(t(m+1)/(s t(m)))| and E(n) on
-what Lambda leaves out, one magnitude entry per |base|. The
-tail after n is then t(n) times the sum over K >= 1 of s^K (1 +
-Lambda_K), in closed form, within |t(n)| |s|/(1 - |s|) (D^2 e^D/2 + E),
-and `sum_numeric` stops at the first term where that is within tol/100,
-adding the second-order tail: after about log(tol)/log|s q^2| terms
-rather than log(tol)/log|s| (compare Johansson, "Computing hypergeometric
-functions rigorously", ACM TOMS 2019). A term with a declared linear
-factor P(n) = c0 + c1 n is P u, with s, Lambda, D and E those of u; its
-tail carries P, u(n) times the sum over K of P(n + K) s^K (1 + Lambda_K).
+also carries a limit-ratio certificate (`Ratio`): s, the first- and
+second-order parts Lambda_K(n) and Lambda2_K(n) of log(t(n+K)/(s^K
+t(n))), one signed entry per base, and bounds D(n) on the sum over m >=
+n of |log(t(m+1)/(s t(m)))|, E(n) on what Lambda leaves out and E3(n) on
+what Lambda + Lambda2 leave out, one magnitude entry per |base|. The
+tail after n is then t(n) times the sum over K >= 1 of s^K (1 + Lambda_K
++ Lambda2_K + Lambda_K^2/2), in closed form, within |t(n)| |s|/(1 - |s|)
+(D^3/(6(1 - D)) + D E + E3), and `sum_numeric` stops at the first term
+where that is within tol/100, adding the third-order tail: after about
+log(tol)/log|s q^3| terms rather than log(tol)/log|s| (compare
+Johansson, "Computing hypergeometric functions rigorously", ACM TOMS
+2019). A term with a declared linear factor P(n) = c0 + c1 n is P u,
+with s, the Lambdas, D, E and E3 those of u; its tail carries P, u(n)
+times the sum over K of P(n + K) s^K (1 + Lambda_K + ...).
 
 Conventions: (a; b)_n is the finite product over j < n of (1 - a b^j) and
 (a; b)_inf the infinite one. Arguments and bases are values of the shape
@@ -391,9 +393,10 @@ class ValuationLaw(NamedTuple):
     s^n give a and b, an upper Pochhammer its dip c (`poch_law`), a head
     1 - w r^n its kink, an opaque factor its floor.
 
-    `least(n)` is min over m >= n of E(m): past its last kink E is one
+    `growth()` is n -> the least E(m) over m >= n, rounded up, the
+    `TermGenerator.valuation_growth` of a sum: past its last kink E is one
     quadratic, nondecreasing from its vertex on, so only the n below both
-    need a scan. `growth()` turns it into `TermGenerator.valuation_growth`.
+    need a scan (`_least`).
     """
 
     a: Rational = 0
@@ -408,11 +411,11 @@ class ValuationLaw(NamedTuple):
                             self.c + other.c, self.kinks + other.kinks,
                             min(tops) if tops else None)
 
-    def _unbounded(self, strict: bool) -> bool:
-        """No support, and E falls (strict) or fails to rise for ever."""
+    def _unbounded(self) -> bool:
+        """No support, and E fails to rise for ever."""
         slope = self.b + sum(k for k, _ in self.kinks if k < 0)
         return self.support is None and (
-            self.a < 0 or not self.a and (slope < 0 if strict else slope <= 0))
+            self.a < 0 or not self.a and slope <= 0)
 
     def _least(self):
         """n -> min over m >= n of d E(m) in integers (n >= 0), None past
@@ -446,21 +449,12 @@ class ValuationLaw(NamedTuple):
 
         return least, d
 
-    def least(self, n: int) -> Fraction:
-        """min over m >= n (and m <= support) of E(m), infinite past the
-        support; ValuationStall if E is unbounded below there."""
-        if self._unbounded(strict=True):
-            raise ValuationStall("valuation bound unbounded below")
-        least, d = self._least()
-        m = least(n)
-        return inf if m is None else Fraction(m, d)
-
     def growth(self) -> Callable[[int], float]:
-        """n -> ceil(least(n)), infinite past the support: a
-        nondecreasing bound that passes every goal. ValuationStall at
+        """n -> ceil(min over m >= n of E(m)), infinite past the support:
+        a nondecreasing bound that passes every goal. ValuationStall at
         once if it never does (a < 0, or a = 0 with a final slope <= 0,
         and no support)."""
-        if self._unbounded(strict=False):
+        if self._unbounded():
             raise ValuationStall("declared summand has no valuation growth")
         least, d = self._least()
 
@@ -596,18 +590,21 @@ class Ratio(NamedTuple):
     one entry per base (the term ratio is rational in q^n, Gasper &
     Rahman, section 1.2, so a term's factors mostly share one base).
 
-    `pieces` are the signed entries (w, B), one per base B, 0 < |B| < 1,
-    of Decimals, whose sum over m = n .. n + K - 1 of the linear parts
-    (-Y for a factor in the numerator, +Y in the denominator) is
+    `pieces` are the signed entries (w, B, w2), one per base B, 0 < |B| <
+    1, of Decimals, whose sums over m = n .. n + K - 1 of the first- and
+    second-order parts of the logs (-Y and -Y^2/2 for a factor in the
+    numerator, +Y and +Y^2/2 in the denominator) are
 
-        Lambda_K(n) = sum over the pieces of w B^n (1 - B^K)
+        Lambda_K(n)  = sum over the pieces of w B^n (1 - B^K),
+        Lambda2_K(n) = sum over the pieces of w2 B^(2n) (1 - B^(2K))
 
     exactly: w is the sum of c x over the factors on B, each contributing
-    c x B^n (1 - B^K). A Pochhammer (u; b)_(k n + l) of the term has c =
-    -1/(1 - b), x = u b^l on B = b^k, its factors u b^j met once each
-    from j = k n + l on; a lower one c = +1/(1 - b); a head 1 - w r^n,
-    whose factors telescope, c = +1, x = w on B = r, and an inverse head
-    c = -1.
+    c x B^n (1 - B^K), and w2 the sum of their c2 x^2 on B^2. A
+    Pochhammer (u; b)_(k n + l) of the term has c = -1/(1 - b) and c2 =
+    -1/(2(1 - b^2)), x = u b^l on B = b^k, its factors u b^j met once
+    each from j = k n + l on; a lower one c = +1/(1 - b), c2 = +1/(2(1 -
+    b^2)); a head 1 - w r^n, whose factors telescope, c = +1, c2 = +1/2,
+    x = w on B = r, and an inverse head c = -1, c2 = -1/2.
 
     `sizes` are the magnitude entries (C, X0, beta), one per beta >= |B|
     (rounded up), with X = X0 beta^n bounding every |Y| on beta and the
@@ -616,55 +613,57 @@ class Ratio(NamedTuple):
     a Pochhammer, and c = 2/(1 - |r|), |x| = |w| on |r| for a head, met
     twice, so that the sum of its |Y|/(1 - |Y|) is at most c X'/(1 - X'),
     X' = |x| beta^n. X0 is the largest |x| on beta, and C the sum of
-    their c |x|, over X0, rounded up: since X' <= X, each c X'/(1 - X')
-    is at most (c |x|/X0) X/(1 - X). Since |log(1 - Y)| <= |Y|/(1 - |Y|)
-    and log(1 - Y) = -Y + rho with |rho| <= |Y|^2/(2(1 - |Y|)),
+    their c |x|, over X0, rounded up: since X' <= X, each c X'^j/(1 - X')
+    is at most (c |x|/X0) X^j/(1 - X). Since |log(1 - Y)| <= |Y|/(1 -
+    |Y|), and log(1 - Y) = -Y + rho = -Y - Y^2/2 + rho3 with |rho| <=
+    |Y|^2/(2(1 - |Y|)) and |rho3| <= |Y|^3/(3(1 - |Y|)),
 
         D(n) = sum over the sizes of C X/(1 - X)
 
-    bounds the sum over m >= n of |log(u(m+1)/(s u(m)))|, and
+    bounds the sum over m >= n of |log(u(m+1)/(s u(m)))|,
 
         E(n) = sum over the sizes of C X^2/(2(1 - X))
 
-    the sum of |rho| over every factor from n on (`bounds` gives both,
-    rounded up). s^n and a linear power give s alone
-    (`bailey.Summand.envelope`). A certificate describes the value's own
-    ratio, not only a bound on it: `constant` and `running_sums` past a
-    support have the ratio 1 exactly, and `vwp_weight`'s bound is its
-    value.
+    the sum of |rho| over every factor from n on, and
 
-    Then u(n + K) = u(n) s^K e^L with L = Lambda_K + R, |L| <= D and |R|
-    <= E, so the tail after n is u(n) times the sum over K >= 1 of
-    P(n + K) s^K (1 + Lambda_K), in closed form (`_geometric_stop`),
+        E3(n) = sum over the sizes of C X^3/(3(1 - X))
 
-        u(n) (P(n) s/(1 - s) + c1 s/(1 - s)^2)
-          + u(n) sum over the pieces of w B^n (P(n) (F(s) - F(s B))
-                                               + c1 (G(s) - G(s B))),
+    the sum of |rho3| (`bounds` gives the three, rounded up). s^n and a
+    linear power give s alone (`bailey.Summand.envelope`). A certificate
+    describes the value's own ratio, not only a bound on it: `constant`
+    and `running_sums` past a support have the ratio 1 exactly, and
+    `vwp_weight`'s bound is its value.
 
-    F(z) = z/(1 - z) and G(z) = z/(1 - z)^2, within `error(t(n), n)`:
-    |u(n)| times the sum over K >= 1 of |P(n + K)| |s|^K, times D^2 e^D/2
-    + E, since |e^L - 1 - Lambda| <= |e^L - 1 - L| + |R| <= L^2 e^|L|/2 +
-    E, and e^D <= 1/(1 - D) for D < 1. It is O(D^2), so a sum stops after
-    about log(tol)/log|s q^2| terms, not log(tol)/log|s q| (Johansson,
-    "Computing hypergeometric functions rigorously", ACM TOMS 2019: a
-    geometric tail with a polynomial prefactor). A sum stops on it only
-    where |s| < 1 and P(n) != 0, which `_geometric_stop` alone checks: a
-    factor's ratio, such as +-1, only enters the certificate of the term
-    it multiplies. A sum from a later start reads D and E at the same n:
-    the certificate is never shifted."""
+    Then u(n + K) = u(n) s^K e^L with L = Lambda_K + Lambda2_K + R3, |L|
+    <= D, |Lambda_K| <= D, |L - Lambda_K| <= E and |R3| <= E3, so the tail
+    after n is u(n) times the sum over K >= 1 of P(n + K) s^K (1 +
+    Lambda_K + Lambda2_K + Lambda_K^2/2), in closed form
+    (`_geometric_stop`), within `error(t(n), n)`: |u(n)| times the sum
+    over K >= 1 of |P(n + K)| |s|^K, times D^3/(6(1 - D)) + D E + E3,
+    since |e^L - 1 - L - L^2/2| <= |L|^3 e^|L|/6, e^D <= 1/(1 - D), and
+    |L - Lambda_K - Lambda2_K| + |L^2 - Lambda_K^2|/2 <= E3 + D E. It is
+    O(D^3), so a sum stops after about log(tol)/log|s q^3| terms, not
+    log(tol)/log|s q| (Johansson, "Computing hypergeometric functions
+    rigorously", ACM TOMS 2019: a geometric tail with a polynomial
+    prefactor). A sum stops on it only where |s| < 1 and P(n) != 0, which
+    `_geometric_stop` alone checks: a factor's ratio, such as +-1, only
+    enters the certificate of the term it multiplies. A sum from a later
+    start reads D, E and E3 at the same n: the certificate is never
+    shifted."""
 
     s: Decimal
-    pieces: Tuple[Tuple[Decimal, Decimal], ...] = ()
+    pieces: Tuple[Tuple[Decimal, Decimal, Decimal], ...] = ()
     sizes: Tuple[Tuple[Decimal, Decimal, Decimal], ...] = ()
     start: int = 0
     linear: Tuple[Rational, Rational] = (1, 0)
 
-    def bounds(self, n: int) -> Optional[Tuple[Decimal, Decimal]]:
-        """(D(n), E(n)), each rounded up; None below `start` or where some
-        X >= 1."""
+    def bounds(self, n: int
+               ) -> Optional[Tuple[Decimal, Decimal, Decimal]]:
+        """(D(n), E(n), E3(n)), each rounded up; None below `start` or
+        where some X >= 1."""
         if n < self.start:
             return None
-        d = e = _D_ZERO
+        d = e = e3 = _D_ZERO
         for c, x, b in self.sizes:
             big = BOUND_UP.multiply(x, BOUND_UP.power(b, n))
             low = BOUND_DOWN.subtract(_D_ONE, big)
@@ -672,23 +671,27 @@ class Ratio(NamedTuple):
                 return None
             part = BOUND_UP.divide(BOUND_UP.multiply(c, big), low)
             d = BOUND_UP.add(d, part)
-            e = BOUND_UP.add(e, BOUND_UP.multiply(part, big))
+            part = BOUND_UP.multiply(part, big)
+            e = BOUND_UP.add(e, part)
+            e3 = BOUND_UP.add(e3, BOUND_UP.multiply(part, big))
         return (BOUND_UP.multiply(d, BOUND_SLACK),
-                BOUND_UP.multiply(BOUND_UP.divide(e, 2), BOUND_SLACK))
+                BOUND_UP.multiply(BOUND_UP.divide(e, 2), BOUND_SLACK),
+                BOUND_UP.multiply(BOUND_UP.divide(e3, 3), BOUND_SLACK))
 
     def error(self, t: Decimal, n: int) -> Optional[Decimal]:
-        """|t| (|s|/(1 - |s|) + |c1| |s|/(|P(n)| (1 - |s|)^2)) (D^2/(2(1 -
-        D)) + E), D = D(n) and E = E(n), the last factor never below
-        `_TAIL_FLOOR`, rounded up, for |s| < 1: how far the sum of the
-        terms after n lies from the tail above, t the term n; None where
-        D(n) is unknown or at least 1, or where P(n) = 0. Without a slope
-        (c1 = 0, most sums) it takes no rational arithmetic."""
+        """|t| (|s|/(1 - |s|) + |c1| |s|/(|P(n)| (1 - |s|)^2)) (D^3/(6(1 -
+        D)) + D E + E3), D = D(n), E = E(n) and E3 = E3(n), the last
+        factor never below `_TAIL_FLOOR`, rounded up, for |s| < 1: how far
+        the sum of the terms after n lies from the tail above, t the term
+        n; None where D(n) is unknown or at least 1, or where P(n) = 0.
+        Without a slope (c1 = 0, most sums) it takes no rational
+        arithmetic."""
         c0, c1 = self.linear
         p = c0 + c1 * n if c1 else c0
         bounds = self.bounds(n) if p else None
         if bounds is None or bounds[0] >= 1:
             return None
-        d, e = bounds
+        d, e, e3 = bounds
         s = self.s.copy_abs()
         low = BOUND_DOWN.subtract(_D_ONE, s)
         reach = BOUND_UP.divide(s, low)
@@ -697,11 +700,12 @@ class Ratio(NamedTuple):
             reach = BOUND_UP.add(reach, BOUND_UP.divide(BOUND_UP.multiply(
                 BOUND_UP.divide(slope.numerator, slope.denominator), reach),
                 low))
-        second = BOUND_UP.add(e, BOUND_UP.divide(
-            BOUND_UP.multiply(d, d),
-            BOUND_DOWN.multiply(2, BOUND_DOWN.subtract(_D_ONE, d))))
+        cube = BOUND_UP.multiply(BOUND_UP.multiply(d, d), d)
+        third = BOUND_UP.add(BOUND_UP.add(e3, BOUND_UP.multiply(d, e)),
+                             BOUND_UP.divide(cube, BOUND_DOWN.multiply(
+                                 6, BOUND_DOWN.subtract(_D_ONE, d))))
         return BOUND_UP.multiply(BOUND_UP.multiply(t.copy_abs(), reach),
-                                 max(second, _TAIL_FLOOR))
+                                 max(third, _TAIL_FLOOR))
 
 
 class Envelope(NamedTuple):
@@ -720,11 +724,11 @@ class Envelope(NamedTuple):
     `ratio`, when set, builds the sequence's limit-ratio certificate
     (a `Ratio`, or None where it has none) when first called: a sum
     calls it only at term start + `_RATIO_FROM`. The certificate
-    describes the sequence's own ratio, its signed first-order part
-    included, not only a bound on it, since the sum adds the tail it
-    implies. A sequence with a support has none: its zero terms have no
-    ratio. A sum from any start reads `at`, `support` and the `Ratio` at
-    the sequence's own n."""
+    describes the sequence's own ratio, its signed first- and
+    second-order parts included, not only a bound on it, since the sum
+    adds the tail it implies. A sequence with a support has none: its
+    zero terms have no ratio. A sum from any start reads `at`, `support`
+    and the `Ratio` at the sequence's own n."""
 
     at: Callable[[int], Optional[Tuple[Decimal, Decimal]]]
     least: Optional[Decimal] = _D_ZERO
@@ -764,77 +768,91 @@ class NumericTermGenerator:
 
 
 def _geometric_stop(ratio: Ratio, cutoff: Decimal, dc: decimal.Context):
-    """(n, t) -> the second-order tail after term n of value t (see
+    """(n, t) -> the third-order tail after term n of value t (see
     `Ratio`), computed in `dc`, where `ratio` certifies it within
-    `cutoff`; None elsewhere. With F(z) = z/(1 - z) and G(z) = z/(1 -
-    z)^2, it is
+    `cutoff`; None elsewhere. With a = w B^n and a2 = w2 B^(2n) for each
+    signed entry (w, B, w2), A the sum of the a and S2 that of the a2,
+    the sum over K >= 1 of s^K (1 + Lambda_K + Lambda2_K + Lambda_K^2/2)
+    is
 
-        t (F(s) + sum w B^n (F(s) - F(s B)))
-          + t (c1/P(n)) (G(s) + sum w B^n (G(s) - G(s B))),
+        F(s) (1 + A + S2 + A^2/2) - (1 + A) sum a F(s B)
+          + sum (a^2/2 - a2) F(s B^2) + sum over pairs a a' F(s B B'),
 
-    the sum over the signed entries (w, B), one per base: everything but
-    the powers B^n is computed once, and the G part only where c1 != 0.
-    A float screen over the magnitude entries, O(X^2) as `Ratio.error`
-    is, passes over the terms far from the stop before the certificate is
-    checked in Decimal. None for a ratio with |s| >= 1, which certifies
-    nothing, and for one whose |s| is so near 1 that its float is 1: the
-    screen could not tell the stop, and the envelope decides."""
+    F(z) = z/(1 - z), the sums over the entries and over their unordered
+    pairs (the cross terms of Lambda_K^2/2), since the sum over K of
+    (s B B')^K is F(s B B'). The same combination of H(z) = F(z) +
+    (c1/P(n)) z/(1 - z)^2 is the sum of P(n + K)/P(n) s^K (...), and the
+    tail is t times it; it is computed at the stop alone. A float screen
+    over the magnitude entries, O(X^3) as `Ratio.error` is, passes over
+    the terms far from the stop before the certificate is checked in
+    Decimal. None for a ratio with |s| >= 1, which certifies nothing, and
+    for one whose |s| is so near 1 that its float is 1: the screen could
+    not tell the stop, and the envelope decides."""
     s = ratio.s
     r = abs(float(s))
     if r >= 1:          # |s| >= 1 as well
         return None
     mul, add, sub, div = dc.multiply, dc.add, dc.subtract, dc.divide
     c0, c1 = ratio.linear
-
-    def geometric(z: Decimal):
-        """F(z) and, where c1 != 0, G(z)."""
-        low = sub(_D_ONE, z)
-        first = div(z, low)
-        return first, c1 and div(first, low)
-
-    head, slope = geometric(s)
-    # B, w (F(s) - F(s B)) and w (G(s) - G(s B)) of each signed entry
-    pieces = []
-    for w, b in ratio.pieces:
-        near, rise = geometric(mul(s, b))
-        pieces.append((b, mul(w, sub(head, near)),
-                       c1 and mul(w, sub(slope, rise))))
+    pieces = ratio.pieces
     gap = r / (1 - r)
     lift = abs(float(c1)) * gap / (1 - r)
     sizes = [(float(c), float(x), float(b)) for c, x, b in ratio.sizes]
     floor = float(_TAIL_FLOOR)
     rough = float(cutoff) * 1.001
 
+    def tail(n: int, p) -> Decimal:
+        """The sum over K >= 1 of P(n + K)/P(n) s^K (1 + Lambda_K +
+        Lambda2_K + Lambda_K^2/2), P(n) = p."""
+        if c1:
+            lean = Fraction(c1) / p
+            lean = div(lean.numerator, lean.denominator)
+
+        def h(z: Decimal) -> Decimal:
+            low = sub(_D_ONE, z)
+            first = div(z, low)
+            return add(first, mul(lean, div(first, low))) if c1 else first
+
+        # (a, a2, s B, B) of each entry
+        entries = []
+        big_a = big_a2 = _D_ZERO
+        for w, b, w2 in pieces:
+            x = dc.power(b, n)
+            a, a2 = mul(w, x), mul(w2, mul(x, x))
+            big_a, big_a2 = add(big_a, a), add(big_a2, a2)
+            entries.append((a, a2, mul(s, b), b))
+        one = add(_D_ONE, big_a)
+        out = mul(add(add(one, big_a2), div(mul(big_a, big_a), 2)), h(s))
+        for i, (a, a2, z, b) in enumerate(entries):
+            out = sub(out, mul(mul(one, a), h(z)))
+            out = add(out, mul(sub(div(mul(a, a), 2), a2), h(mul(z, b))))
+            for a_, _, _, b_ in entries[:i]:
+                out = add(out, mul(mul(a, a_), h(mul(z, b_))))
+        return out
+
     def stop(n: int, t: Decimal) -> Optional[Decimal]:
         p = c0 + c1 * n if c1 else c0
         if not p:
             return None
-        d = e = 0.0
+        d = e = e3 = 0.0
         for c, x, b in sizes:
             big = x * b ** n
             if big >= 1:
                 return None
             part = c * big / (1 - big)
             d += part
-            e += part * big
+            part *= big
+            e += part
+            e3 += part * big
         reach = gap + lift / abs(float(p)) if c1 else gap
         if d >= 1 or abs(float(t)) * reach * max(
-                d * d / (2 * (1 - d)) + e / 2, floor) > rough:
+                d * d * d / (6 * (1 - d)) + d * e / 2 + e3 / 3,
+                floor) > rough:
             return None
         err = ratio.error(t, n)
         if err is None or err > cutoff:
             return None
-        first, second = head, slope
-        for b, f, g in pieces:
-            big = dc.power(b, n)
-            first = add(first, mul(big, f))
-            if c1:
-                second = add(second, mul(big, g))
-        if not c1:
-            return mul(t, first)
-        lean = Fraction(c1) / p
-        return add(mul(t, first), mul(t, mul(
-            div(lean.numerator, lean.denominator), second)))
+        return mul(t, tail(n, p))
 
     return stop
 
@@ -851,9 +869,9 @@ def sum_numeric(gen: NumericTermGenerator, tol: Decimal = NUMERIC_TOL,
     most tol/100; it also stops after the envelope's support. At term
     n = start + `_RATIO_FROM` it builds the envelope's limit-ratio
     certificate (`Envelope.ratio`), if it has one, and from there on it
-    also stops at the first term n whose `Ratio.error`, O(D(n)^2), is at
-    most tol/100, adding the second-order geometric tail of
-    `_geometric_stop` (t(n) (s/(1 - s) + the Lambda part) without a
+    also stops at the first term n whose `Ratio.error`, O(D(n)^3), is at
+    most tol/100, adding the third-order geometric tail of
+    `_geometric_stop` (t(n) (s/(1 - s) + the Lambda parts) without a
     linear factor; see `Ratio`). An envelope
     that can never certify a tail (`least` >= 1 or None, and no support)
     raises TailNotDecreasing before the first term, and one that has not

@@ -204,10 +204,10 @@ def test_transform_k0_classical():
 
 def test_transform_degenerate_prefactor():
     # rho1 = kq makes (kq/rho1)_inf, a denominator of the prefactor, vanish:
-    # the exact inverse meets the zero series, the numeric one zero
+    # (1; q)_inf is exactly 0 in either context, and its inverse raises
     build = transform(unit_alpha(), mono(1, 3), mono(1, 1), mono(1, 2),
                       mono(2))
-    with pytest.raises(ZeroLeadingCoefficient):
+    with pytest.raises(DegenerateDenominator):
         exact(20, build)
     with pytest.raises(DegenerateDenominator):
         numeric(build)

@@ -8,21 +8,24 @@ each term has no coefficient below the bound, and each term from the
 stop on is zero through the goal.
 
 Every numeric sum stops where its declared summand's envelope certifies
-the tail, where its limit-ratio certificate certifies the second-order
+the tail, where its limit-ratio certificate certifies the third-order
 geometric tail, or at its support. For each record's first seed-1
 numeric sample, every sum is evaluated for 40 terms past the term N
 where the engine (`qfunc.sum_numeric`) stopped. After an envelope stop
 each term lies under the envelope, and together they lie under the
 certified tail, which is at most tol/100. After a geometric stop, with
 t = P u for the declared linear factor P (1 if none), each term t(N + k)
-lies within |u(N) P(N + k)| |s|^k (D^2/(2(1 - D)) + E) of u(N) P(N + k)
-s^k (1 + Lambda_k), and the terms after N, taken until the envelope
-certifies the rest, plus that rest lie within tol/100 of the sum over k
-of those values, the tail the engine added. A sum times a prefactor is
-certified for the product. Property tests check the envelope, the
-limit-ratio certificate and its second-order tail (with and without a
-linear factor) of random declarations against plain Fraction terms,
-and mutants of the tail and of its error bound against those checks.
+lies within |u(N) P(N + k)| |s|^k (D^3/(6(1 - D)) + D E + E3) of u(N)
+P(N + k) s^k (1 + Lambda_k + Lambda2_k + Lambda_k^2/2), and the terms
+after N, taken until the envelope certifies the rest, plus that rest lie
+within tol/100 of the sum over k of those values, the tail the engine
+added. A sum times a prefactor is certified for the product. The
+seed-1 numeric suite pins how each record's sums end: on the limit
+ratio, on the envelope or at a support. Property tests check the
+envelope, the limit-ratio certificate and its third-order tail (with
+and without a linear factor) of random declarations against plain
+Fraction terms, and mutants of the tail and of its error bound against
+those checks.
 """
 
 from decimal import Context, Decimal
@@ -163,29 +166,27 @@ def test_numeric_envelopes_hold_past_the_stop(record, monkeypatch):
             continue
         cert = env.ratio()
         t, s = F(gen.term(n)), F(cert.s)
-        d, e = (F(x) for x in cert.bounds(n))
+        d, e, e3 = (F(x) for x in cert.bounds(n))
         c0, c1 = cert.linear
         p = c0 + c1 * n
         assert abs(s) < 1 and d < 1 and p, (n, s, d, p)
         # t = P u: sum over k >= 1 of |P(n + k)| |s|^k, over |P(n)|; the
-        # relative error of the second-order form, e^D <= 1/(1 - D)
+        # relative error of the third-order form, e^D <= 1/(1 - D)
         reach = abs(s) / (1 - abs(s)) + \
             abs(c1 * s) / (abs(p) * (1 - abs(s)) ** 2)
-        second = max(d * d / (2 * (1 - d)) + e, F(_TAIL_FLOOR))
-        assert abs(t) * reach * second <= F(cutoff), (n, d, e)
-        entries = [(F(w) * F(b) ** n, F(b)) for w, b in cert.pieces]
+        third = max(d ** 3 / (6 * (1 - d)) + d * e + e3, F(_TAIL_FLOOR))
+        assert abs(t) * reach * third <= F(cutoff), (n, d, e, e3)
+        one, two = fraction_entries(cert, n)
         for k, u in enumerate(past, 1):
             near = t / p * (p + c1 * k) * s ** k
-            lam = sum(wx * (1 - b ** k) for wx, b in entries)
-            assert abs(u - near * (1 + lam)) <= abs(near) * second, (n, k, u)
-
-        def geometric(z):       # the sum over k >= 1 of P(n + k) z^k
-            return p * z / (1 - z) + c1 * z / (1 - z) ** 2
-
-        # the sum over k >= 1 of u(n) P(n + k) s^k (1 + Lambda_k)
-        geometric = t / p * (geometric(s) + sum(
-            wx * (geometric(s) - geometric(s * b)) for wx, b in entries))
-        # the engine added it, up to the rounding of the total
+            lam = sum(wx * (1 - b ** k) for wx, b in one)
+            lam2 = sum(wx * (1 - b ** k) for wx, b in two)
+            assert abs(u - near * (1 + lam + lam2 + lam * lam / 2)) <= \
+                abs(near) * third, (n, k, u)
+        # the sum over k >= 1 of u(n) P(n + k) s^k (1 + Lambda_k +
+        # Lambda2_k + Lambda_k^2/2); the engine added it, up to the
+        # rounding of the total
+        geometric = t / p * sum(tail_parts(cert, n, p))
         assert abs(added - geometric) <= F(cutoff) / 10 ** 20, (n, added)
         m = n + len(past)
         while (tail := tail_after(env.at(m))) is None or tail > cutoff / 1000:
@@ -193,6 +194,87 @@ def test_numeric_envelopes_hold_past_the_stop(record, monkeypatch):
             m += 1
             past.append(F(gen.term(m)))
         assert abs(sum(past) - geometric) + F(tail) <= F(cutoff), (n, m)
+
+
+def fraction_entries(cert, n: int):
+    """The signed entries of `cert` at n as Fractions: (w B^n, B) for
+    Lambda_k(n), the sum of w B^n (1 - B^k), and (w2 B^(2n), B^2) for
+    Lambda2_k(n)."""
+    one = [(F(w) * F(b) ** n, F(b)) for w, b, _ in cert.pieces]
+    two = [(F(w2) * F(b) ** (2 * n), F(b) ** 2) for _, b, w2 in cert.pieces]
+    return one, two
+
+
+def tail_parts(cert, n: int, p):
+    """The sums over k >= 1 of P(n + k) s^k times 1, Lambda_k(n),
+    Lambda2_k(n) and Lambda_k(n)^2/2, in Fractions, P(n) = p: each a
+    closed form in g(z), the sum of P(n + k) z^k."""
+    c1, s = cert.linear[1], F(cert.s)
+
+    def g(z):
+        return p * z / (1 - z) + c1 * z / (1 - z) ** 2
+
+    one, two = fraction_entries(cert, n)
+    return (g(s), *(sum(x * (g(s) - g(s * b)) for x, b in entries)
+                    for entries in (one, two)),
+            sum(x * y * (g(s) - g(s * b) - g(s * c) + g(s * b * c))
+                for x, b in one for y, c in one) / 2)
+
+
+#: how the sums of the seed-1, 3-sample numeric suite end, per record:
+#: the number of sums stopped by the limit ratio, by the envelope and at
+#: a support, over the clean builds of its samples. A declaration that
+#: loses its limit-ratio certificate moves sums from the first count to
+#: the second, where they cost time but no verdict.
+NUMERIC_STOPS = {
+    "qgauss": (3, 0, 0), "qbinom": (3, 0, 0), "bailey-transform": (3, 0, 3),
+    "thm-wp-transform": (3, 0, 3), "cor-central": (3, 0, 3),
+    "alt-alpha": (6, 0, 0), "alt-sum": (3, 0, 0), "ones-alpha": (6, 0, 0),
+    "ones-sum": (3, 0, 0), "u-power": (3, 0, 0), "phi54": (6, 0, 0),
+    "phi32": (3, 0, 0), "poly2": (3, 3, 0), "poly2q": (6, 0, 0),
+    "phi65": (6, 0, 0), "ppte-m": (6, 0, 0), "cpte3": (4, 2, 0),
+    "cpte5": (0, 3, 0), "bibasic-ab": (0, 6, 0), "bibasic-ab2": (0, 6, 0),
+    "rrs3eq1": (0, 6, 0), "rrs3": (0, 3, 0), "rrs3n": (0, 3, 0),
+    "rrs6": (0, 3, 0), "rrs6-2": (0, 3, 0), "rrs6-3": (0, 3, 0),
+    "rrs6-4": (0, 3, 0), "rrs6-5": (0, 3, 0), "gg1a": (0, 3, 0),
+    "gg1b": (0, 3, 0), "rogers1": (0, 3, 0), "rogers2": (0, 3, 0),
+    "qbailey": (0, 3, 0), "gs1": (0, 3, 0), "gs2": (0, 3, 0),
+    "slater69": (0, 3, 0), "slater121": (0, 3, 0), "s69": (0, 3, 0),
+    "s121": (0, 3, 0), "r1": (0, 6, 0), "r2a": (0, 6, 0), "r2b": (0, 6, 0),
+    "ft1": (0, 6, 0), "ft2": (0, 6, 0), "ft3": (0, 6, 0), "bb-z0": (0, 6, 0),
+    "bb-yinf": (0, 6, 0),
+}
+#: the records whose left sum is `wp_transform`'s over the seed alpha:
+#: beta is its own declaration, so that sum stops on the limit ratio
+SEED_BETA = ("bailey-transform", "thm-wp-transform")
+
+
+def stop_kind(gen, cutoff, n, added) -> str:
+    """How a sum that `certified_stops` recorded ended."""
+    top = gen.envelope.support
+    if top is not None and n == top:
+        return "support"
+    return "limit ratio" if added else "envelope"
+
+
+def test_numeric_stops_cover_catalog():
+    assert list(NUMERIC_STOPS) == [r.id for r in catalog()]
+
+
+@pytest.mark.parametrize("record", catalog(), ids=lambda r: r.id)
+def test_numeric_sums_end_as_pinned(record, monkeypatch):
+    stops = certified_stops(monkeypatch)
+    lefts = []
+    for a in sample_params(record.id, 1, 3, "numeric"):
+        first = len(stops)
+        record.build(NumericCtx(a.q_unit, record.exponent_denominator),
+                     a.values)
+        lefts.append(stop_kind(*stops[first]))
+    kinds = [stop_kind(*stop) for stop in stops]
+    assert tuple(map(kinds.count, ("limit ratio", "envelope", "support"))) \
+        == NUMERIC_STOPS[record.id], kinds
+    if record.id in SEED_BETA:
+        assert set(lefts) == {"limit ratio"}, lefts
 
 
 def test_prefactor_is_inside_the_budget():
@@ -382,12 +464,18 @@ def reference_terms(q, s, b, ups, downs, heads, factors, support):
     return out
 
 
-def linear_part(cert, n: int, k: int) -> Decimal:
-    """Lambda_k(n) of `cert` (see `qfunc.Ratio`), in HIGH."""
+def linear_parts(cert, n: int, k: int):
+    """Lambda_k(n) and Lambda2_k(n) of `cert` (see `qfunc.Ratio`), in
+    HIGH."""
     mul, power = HIGH.multiply, HIGH.power
-    return reduce(HIGH.add, (
-        mul(mul(w, power(b, n)), HIGH.subtract(1, power(b, k)))
-        for w, b in cert.pieces), Decimal(0))
+
+    def part(entries):
+        return reduce(HIGH.add, (
+            mul(mul(w, power(b, n)), HIGH.subtract(1, power(b, k)))
+            for w, b in entries), Decimal(0))
+
+    return (part((w, b) for w, b, _ in cert.pieces),
+            part((w2, mul(b, b)) for _, b, w2 in cert.pieces))
 
 
 def ratio_logs(cert, terms):
@@ -418,15 +506,19 @@ def ratio_logs(cert, terms):
 
 
 def remainder_gaps(cert, log, n: int):
-    """|log(u(n + k)/(s^k u(n))) - Lambda_k(n)| for k = 1 .. WINDOW, from
-    the logs of `ratio_logs`; None where u(n) is zero."""
+    """The largest |L - Lambda_k(n)| and the largest |L - Lambda_k(n) -
+    Lambda2_k(n)|, L = log(u(n + k)/(s^k u(n))), over k = 1 .. WINDOW,
+    from the logs of `ratio_logs`; None where u(n) is zero."""
     if log(n) is None:
         return None
-    gaps, total = [], Decimal(0)
+    gaps, gaps3, total = [], [], Decimal(0)
     for k in range(1, WINDOW + 1):
         total = HIGH.add(total, log(n + k - 1))
-        gaps.append(HIGH.subtract(total, linear_part(cert, n, k)).copy_abs())
-    return gaps
+        first, second = linear_parts(cert, n, k)
+        gap = HIGH.subtract(total, first)
+        gaps.append(gap.copy_abs())
+        gaps3.append(HIGH.subtract(gap, second).copy_abs())
+    return max(gaps), max(gaps3)
 
 
 def check_ratio(cert, terms, shift):
@@ -435,8 +527,8 @@ def check_ratio(cert, terms, shift):
     (or the certificate's start, if later) on where D(n) is known, a zero
     u(n) stays zero, the ratios u(m + 1)/(s u(m)) for m >= n are
     positive, the sum of their |log| stays within D(n), and the log of
-    u(n + k)/(s^k u(n)) lies within E(n) of its linear part
-    Lambda_k(n)."""
+    u(n + k)/(s^k u(n)) lies within E(n) of its first-order part
+    Lambda_k(n) and within E3(n) of Lambda_k(n) + Lambda2_k(n)."""
     first = max(cert.start, shift)
     log = ratio_logs(cert, terms)
     for n in range(first, first + 6):
@@ -444,11 +536,12 @@ def check_ratio(cert, terms, shift):
         gaps = bounds and remainder_gaps(cert, log, n)
         if gaps is None:
             continue
-        d, e = bounds
+        d, e, e3 = bounds
         drift = reduce(HIGH.add, (log(m).copy_abs()
                                   for m in range(n, n + WINDOW)))
         assert drift <= HIGH.add(d, LOG_SLACK), (n, drift, d)
-        assert max(gaps) <= HIGH.add(e, LOG_SLACK), (n, gaps, e)
+        assert gaps[0] <= HIGH.add(e, LOG_SLACK), (n, gaps, e)
+        assert gaps[1] <= HIGH.add(e3, LOG_SLACK), (n, gaps, e3)
 
 
 def without_lambda(cert, stop, n, t):
@@ -462,16 +555,16 @@ def without_lambda(cert, stop, n, t):
 
 
 def tail_faults(cert, terms, ns, stop=None):
-    """The n in `ns` at which the second-order tail that the geometric
+    """The n in `ns` at which the third-order tail that the geometric
     stop gives (under a cutoff no error reaches; `stop` wraps it, if
     given) lies further from the Fraction sum of the reference terms
     after n (`reference_terms`, and a bound on the terms past them) than
     `Ratio.error`, tagged "tail"; and those at which that error is not
     an upper bound of |u(n)| |sum over k >= 1 of P(n + k) |s|^k| times
-    D(n)^2/2 + the largest gap of `remainder_gaps`, or `_TAIL_FLOOR` if
-    that is larger, which it must be, since it covers D^2 e^D/2 + E(n),
-    E(n) covers those gaps, and the floor covers the rounding of the
-    terms, tagged "error"."""
+    D(n)^3/6 + D(n) g + g3, g and g3 the gaps of `remainder_gaps`, or
+    `_TAIL_FLOOR` if that is larger, which it must be, since it covers
+    D^3 e^D/6 + D E(n) + E3(n), E(n) and E3(n) cover those gaps, and the
+    floor covers the rounding of the terms, tagged "error"."""
     dc = Context(prec=74)
     geometric = _geometric_stop(cert, ANY, dc)
     if geometric is None:
@@ -502,8 +595,9 @@ def tail_faults(cert, terms, ns, stop=None):
             continue
         p = c0 + c1 * n
         d = F(cert.bounds(n)[0])
+        gap, gap3 = (F(x) for x in gaps)
         reach = abs(p * r / (1 - r) + c1 * r / (1 - r) ** 2)
-        if err < abs(F(t) / p) * reach * max(d * d / 2 + F(max(gaps)),
+        if err < abs(F(t) / p) * reach * max(d ** 3 / 6 + d * gap + gap3,
                                              F(_TAIL_FLOOR)):
             faults.append((n, "error", err))
     return faults
@@ -543,7 +637,7 @@ def test_limit_ratio_bounds_fraction_terms(q, s, b, ups, downs, heads,
     # folds in), and a support (which declares none): the certificate of
     # the term, and of each factor, read from `shift` on as a sum from
     # there reads it, holds for the Fraction terms (`check_ratio`); and
-    # where the term's s is inside the unit disc, its second-order tail
+    # where the term's s is inside the unit disc, its third-order tail
     # lies within `Ratio.error` of the sum of 400 Fraction terms, and
     # that error bounds what it must (`tail_faults`)
     assume(all(k or l >= 0 for _, _, k, l in ups + downs))
@@ -700,8 +794,8 @@ def smallest_size(entries, beta, cx, x):
 
 def test_tail_checks_catch_a_first_order_tail_and_an_error_without_e(
         monkeypatch):
-    # mutants: the tail without its Lambda correction (the first-order
-    # tail the certificate had before), the error without E(n), a merged
+    # mutants: the tail without its Lambda corrections (the first-order
+    # tail), the error without E(n) and E3(n), a merged
     # magnitude entry built from the smallest |x| on its base, and a
     # certificate that drops one base's w (the last signed entry of each
     # certificate, a nested factor's included)
@@ -727,12 +821,125 @@ def test_tail_checks_catch_a_first_order_tail_and_an_error_without_e(
         assert "tail" in {f[1] for f in faults}
     bounds = Ratio.bounds
     monkeypatch.setattr(Ratio, "bounds", lambda cert, n: bounds(
-        cert, n) and (bounds(cert, n)[0], Decimal(0)))
+        cert, n) and (bounds(cert, n)[0], Decimal(0), Decimal(0)))
     for d in LIMIT_DRAWS:
         assert "error" in {f[1] for f in limit_tail_faults(*d)}
     for d in LINEAR_DRAWS[1:]:
         faults, _ = linear_tail_faults(*d)
         assert "error" in {f[1] for f in faults}
+
+
+def without_cross(cert, stop, n, t):
+    """A mutant of the stop: its tail less the Lambda_k^2/2 part, u(n)
+    times the sum over k of P(n + k) s^k Lambda_k(n)^2/2."""
+    tail = stop(n, t)
+    if tail is None:
+        return None
+    c0, c1 = cert.linear
+    p = c0 + c1 * n
+    return F(tail) - F(t) / p * tail_parts(cert, n, p)[3]
+
+
+def test_tail_checks_catch_a_second_order_tail(monkeypatch):
+    # mutants of the third-order tail: without its Lambda_k^2/2 part,
+    # without the B^2 entries (Lambda2 = 0), and with w2 negated on the
+    # signed entry of the largest |B|, whose B^(2n) the error of a
+    # smaller base's entry cannot hide
+    for d in LIMIT_DRAWS:
+        assert "tail" in {f[1] for f in limit_tail_faults(
+            *d, stop=without_cross)}
+    for d in LINEAR_DRAWS[1:]:
+        faults, _ = linear_tail_faults(*d, stop=without_cross)
+        assert "tail" in {f[1] for f in faults}
+    ratio = Summand._ratio
+
+    def flipped(pieces):
+        top = max(pieces, key=lambda piece: abs(piece[1]))
+        return [(w, b, -w2) if (w, b, w2) == top else (w, b, w2)
+                for w, b, w2 in pieces]
+
+    for mutant in (lambda pieces: [(w, b, 0) for w, b, _ in pieces],
+                   flipped):
+        with monkeypatch.context() as patch:
+            def changed(term, *args):
+                cert = ratio(term, *args)
+                return cert and cert._replace(pieces=tuple(
+                    mutant(cert.pieces)) if cert.pieces else ())
+
+            patch.setattr(Summand, "_ratio", changed)
+            for d in LIMIT_DRAWS:
+                assert "tail" in {f[1] for f in limit_tail_faults(*d)}
+
+
+# beta of `wp_transform`: the seed alpha's beta is its own declaration
+
+def fraction_beta(q, a, k, vals, n: int) -> F:
+    """beta_n of the defining relation in plain Fractions: the sum over j
+    <= n of (k/a)_(n-j) (k)_(n+j) / ((q)_(n-j) (aq)_(n+j)) alpha_j, alpha
+    the finite sequence `vals`."""
+    def poch(x, m):
+        return reduce(lambda p, i: p * (1 - x * q ** i), range(m), F(1))
+
+    return sum(poch(k / a, n - j) * poch(k, n + j) * vals[j]
+               / (poch(q, n - j) * poch(a * q, n + j))
+               for j in range(min(n, len(vals) - 1) + 1))
+
+
+def wp_sides(monkeypatch, record_id, vals):
+    """Both sides of `wp_transform` at each seed-1 numeric sample of the
+    record, with the finite alpha `vals`, each with the left summand and
+    beta, its last opaque factor (see `wp_transform`), and the sample."""
+    terms = []
+    summation = NumericCtx.summation
+
+    def traced(ctx, term, *args, **kw):
+        terms.append(term)
+        return summation(ctx, term, *args, **kw)
+
+    monkeypatch.setattr(NumericCtx, "summation", traced)
+    out = []
+    for a in sample_params(record_id, 1, 3, "numeric"):
+        p = a.values
+        ctx = NumericCtx(a.q_unit)
+        k = p.get("k", F(0))
+        r1, r2 = (p["r1"], p["r2"]) if "r1" in p else (p["y"], p["z"])
+        del terms[:]
+        alpha = AlphaSequence.from_values(vals).factor(ctx)
+        sides = bailey.wp_transform(ctx, ctx.num(p["a"]), ctx.num(k),
+                                    ctx.num(r1), ctx.num(r2), alpha)
+        out.append((sides, terms[0], terms[0].factors[-1], p, k, ctx))
+    return out
+
+
+@pytest.mark.parametrize("record_id", ["thm-wp-transform",
+                                       "bailey-transform"])
+def test_seed_beta_keeps_its_limit_ratio(monkeypatch, record_id):
+    # at alpha's support 0, beta_n is one Pochhammer quotient, which
+    # declares it: its certificate holds for the Fraction values of the
+    # defining relation, and the left summand keeps a certificate
+    for _, lhs, beta, p, k, ctx in wp_sides(monkeypatch, record_id, [F(1)]):
+        cert = beta.envelope().ratio()
+        assert cert is not None and lhs.envelope().ratio() is not None
+        values = [fraction_beta(p["q"], p["a"], k, [F(1)], n)
+                  for n in range(3 * WINDOW)]
+        assert all(abs(F(beta(n)) - v) <= abs(v) / 10 ** 60
+                   for n, v in enumerate(values[:4]))
+        check_ratio(cert, [HIGH.divide(v.numerator, v.denominator)
+                           for v in values], 0)
+
+
+def test_beta_of_a_longer_alpha_has_no_limit_ratio(monkeypatch):
+    # at alpha's support 1, beta_n is a sum of two declared terms: its
+    # envelope has no ratio, the left sum stops on the envelope, and the
+    # transform still holds
+    vals = [F(1), F(-1, 2)]
+    for (lhs, rhs), term, beta, p, k, ctx in wp_sides(
+            monkeypatch, "thm-wp-transform", vals):
+        assert beta.envelope().ratio is None
+        assert term.envelope().ratio is None
+        value = fraction_beta(p["q"], p["a"], k, vals, 3)
+        assert abs(F(beta(3)) - value) <= abs(value) / 10 ** 60
+        assert abs(F(lhs) - F(rhs)) <= F(ctx.tol)
 
 
 def test_a_linear_factor_of_a_bound_gives_no_ratio():

@@ -227,22 +227,39 @@ def lazy(ctx, draw):
     return ctx.inv(v) if inverted else v
 
 
+def vanishes(factors) -> bool:
+    """Whether one of the integer binomials (p, r, e, invert) of
+    `qfunc._binomials` is the constant 0."""
+    return any(e == 0 and p == -r for p, r, e, _ in factors)
+
+
 def eager_value(order, draw):
     """The drawn value on the eager path: a window (or the scalar 1 of
-    `vwp` at n = 0 or k = 0), inverted by `LaurentSeries.invert`."""
+    `vwp` at n = 0 or k = 0, or the exact 0 of a product that ExactCtx
+    keeps as binomials, an infinite product or a very-well-poised ratio
+    with k and base of exponent >= 0, when one of its constant factors
+    vanishes, such as (1; q)_inf), inverted by `LaurentSeries.invert`;
+    the exact 0 has no inverse."""
     (kind, *arg), inverted = draw
     if kind == "poch":
         v = qfunc.poch_infinite(*arg, order)
+        if vanishes(qfunc.poch_infinite(*arg, order, factors=True)):
+            v = F(0)
     elif kind == "c+m":
         v = LS.coerce(arg[0], order) + LS.coerce(arg[1], order)
     elif kind == "vwp":
         k, n, base = arg
         v = F(1) if not k.is_one and (n == 0 or k.is_zero) else \
             qfunc.vwp_factor(k, n, order, base)
+        if isinstance(v, LS) and k.exp >= 0 and base.exp >= 0 and \
+                vanishes(qfunc.vwp_factor(k, n, base=base, factors=True)):
+            v = F(0)
     else:
         v = arg[0]
     if not inverted:
         return v
+    if isinstance(v, F) and not v:
+        raise DegenerateDenominator("division by zero")
     return 1 / v if isinstance(v, F) else v.invert(order)
 
 
@@ -265,13 +282,21 @@ def binomial_faults(draws, mono, goal, headroom):
     if not isinstance(want, list) or not isinstance(got, list):
         return [] if got == want else [("build", got, want)]
     windows = [v for v in want if isinstance(v, LS)]
-    # a monomial when no window is involved
-    full = mono if not windows else \
-        reduce(LS.mul, windows).scale(mono.coef, mono.exp)
+    # a monomial when no window is involved; when a value is the exact 0,
+    # that 0, or beside a window the zero window at the construction
+    # order, as `ExactCtx.mul` of a rational 0 and a window is
+    if any(isinstance(v, F) and not v for v in want):
+        full = LS.zero(order) if windows else QMonomial.of(0)
+    else:
+        full = mono if not windows else \
+            reduce(LS.mul, windows).scale(mono.coef, mono.exp)
 
     def inverse():
-        return QMonomial.of(1) / full if isinstance(full, QMonomial) \
-            else full.invert(order)
+        if not isinstance(full, QMonomial):
+            return full.invert(order)
+        if full.is_zero:
+            raise DegenerateDenominator("division by zero")
+        return QMonomial.of(1) / full
 
     def at_goal(v):
         return LS.coerce(v, goal).truncate(goal)
@@ -317,7 +342,10 @@ def test_binomial_factors_stay_unmultiplied():
     # -1 times the binomials of (2q; q)_inf
     twice = ctx.poch_inf(QMonomial.of(2), Q)
     assert twice.mono == QMonomial.of(-1) and twice.parts == ()
-    assert ctx.poch_inf(QMonomial.of(1), Q) == LS.zero(ctx.order)
+    # (1; q)_inf is exactly 0, and has no inverse
+    assert ctx.poch_inf(QMonomial.of(1), Q) == QMonomial.of(0)
+    with pytest.raises(DegenerateDenominator):
+        ctx.inv(ctx.poch_inf(QMonomial.of(1), Q))
 
 
 #: fixed draws: each applies an inverted binomial, and the last two a

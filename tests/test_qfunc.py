@@ -444,13 +444,13 @@ def test_law_least_matches_brute_force(a, b, c, kinks, support, n):
         # no growth: refused before any term
         with pytest.raises(ValuationStall):
             law.growth()
-        if a < 0 or slope < 0:
-            with pytest.raises(ValuationStall):
-                law.least(n)
         return
-    assert law.least(n) == brute_least(law, n)
-    g = law.growth()
+    # the scaled minimum of `_least`, and the bound `growth` reads off it
+    least, d = law._least()
+    m = least(n)
     want = brute_least(law, n)
+    assert (float("inf") if m is None else F(m, d)) == want
+    g = law.growth()
     assert g(n) == (want if want == float("inf") else -(-want // 1))
     assert g(n) <= g(n + 1)
 
@@ -462,8 +462,6 @@ def test_law_with_falling_quadratic_stalls(a, b, kinks, n):
     law = ValuationLaw(a, b, 0, tuple(kinks))
     with pytest.raises(ValuationStall):
         law.growth()
-    with pytest.raises(ValuationStall):
-        law.least(n)
 
 
 @given(st.sampled_from([F(1), F(-1), F(2), F(1, 2)]), st.integers(-5, 3),

@@ -288,7 +288,7 @@ def test_fault_twin_digest_pinned():
 # (a term, a stop, a rounding) changes the digest, where the statuses
 # alone would not show it.
 NUMERIC_TWIN_DIGEST = \
-    "22869724ef9b5be8d560c12f71d48a5504dbec804645f4eaff8dd5bc52174388"
+    "b55aabc48d7ffc80d3718606f28dadb92f6c08e404e357ca7f80fc9cd15d53bc"
 
 
 def test_numeric_fault_twin_digest_pinned():
