@@ -338,8 +338,11 @@ class Summand(_SummandFields):
 
     Called with n it is the term in its context, for either strategy:
     all its Pochhammers, whatever their lengths, are one `ctx.quotient`,
-    which steps them together by the term ratio (s^n rides on it), and
-    the power, the heads and the f_n are the `more` of its `(n, *more)`.
+    which steps them together by the term ratio (s^n rides on it), all
+    its heads are one `ctx.heads`, which steps their powers w r^n (under
+    NumericCtx; its own product, since a head can vanish at one n), and
+    the power, the heads' product and the f_n are the `more` of the
+    quotient's `(n, *more)`.
 
     `law()` (ExactCtx only) is the term's `ValuationLaw` in t-units, the
     certificate that `ExactCtx.summation` stops on (Gasper & Rahman,
@@ -435,8 +438,9 @@ class Summand(_SummandFields):
         """What a call evaluates, built once: the one quotient of all the
         Pochhammers, whatever their lengths (none at all included), with
         s^n; the power as integers (A, B, C, den) over one denominator
-        (None when it is 0); the heads as (w, r, inverse); and the f_n as
-        plain callables."""
+        (None when it is 0); the heads as (w, r, inverse), and their
+        product `ctx.heads` (None without heads); and the f_n as plain
+        callables."""
         if not all(isinstance(f, Factor) for f in self.factors):
             raise TypeError("a Summand that _replace left among the factors")
         main = self.ctx.quotient(self.ups, self.downs, self.s)
@@ -446,6 +450,7 @@ class Summand(_SummandFields):
         heads = [(w, r, bool(inverse and inverse[0]))
                  for w, r, *inverse in self.heads]
         return (main, coefs + (den,) if any(coefs) else None, heads,
+                self.ctx.heads(heads) if heads else None,
                 [f.at for f in self.factors])
 
     def _power(self, n: int, power):
@@ -457,7 +462,7 @@ class Summand(_SummandFields):
             if self.p is None else ctx.pow_int(self.p, e)
 
     def __call__(self, n: int):
-        main, power, heads, factors = self._plan
+        main, power, _, heads, factors = self._plan
         more = [f(n) for f in factors] if factors else []
         if self.linear is not None:
             c0, c1 = self.linear
@@ -465,10 +470,7 @@ class Summand(_SummandFields):
         if power:
             more.append(self._power(n, power))
         if heads:
-            ctx = self.ctx
-            for w, r, inverse in heads:
-                head = ctx.sub(ctx.one(), ctx.mul(w, ctx.pow_int(r, n)))
-                more.append(ctx.inv(head) if inverse else head)
+            more.append(heads(n))
         return main(n, *more) if more else main(n)
 
     def envelope(self) -> Envelope:
@@ -477,7 +479,7 @@ class Summand(_SummandFields):
         def mag(v) -> Decimal:
             return ctx.num(v).copy_abs()
 
-        main, power, heads, _ = self._plan
+        main, power, heads, _, _ = self._plan
         # each part n -> (M, g) or None, the least g each part gives
         # (None: none), and the supports; and the signed (u, b, k, l,
         # head, inverse) of the Pochhammers and heads that the limit
@@ -554,7 +556,7 @@ class Summand(_SummandFields):
         and b^0, b^1 are never raised. None where some f_n's certificate
         is None or holds a linear factor."""
         ctx = self.ctx
-        _, power, _, _ = self._plan
+        power = self._plan[1]
         s = [] if self.s is None else [self.s]
         if power:
             _, b, _, den = power

@@ -14,7 +14,8 @@ Both expose the same operations: rational constants, q-powers, finite and
 infinite Pochhammer products (cached incrementally), the Pochhammer
 quotient n -> s^n prod (u; p_u)_(k n + l) / prod (d; p_d)_(k n + l)
 (`quotient`, the shape of every summand's Pochhammers, whatever their
-lengths), the very-well-poised factor, and summation.
+lengths), the product n -> prod (1 - w r^n)^(+-1) of a summand's heads
+(`heads`), the very-well-poised factor, and summation.
 `summation(term, start, times=m)` is m times the sum of the terms n >=
 start; ExactCtx sums max(0, -exp(m)) deeper (exp of m's monomial part),
 so that the product is still known through the target, and NumericCtx
@@ -60,8 +61,9 @@ factor, each at its own length, so `exact_run` reads the same
 shortfalls as from that product.
 
 A NumericCtx owns its precision and its caches (see the class): each
-distinct rational is converted once, and each distinct quotient (its
-factors and s) is one run of `_quotient_steps`, by running powers. The
+distinct rational is converted once, each distinct quotient (its
+factors and s) is one run of `_quotient_steps`, by running powers, and
+each distinct tuple of heads one run of `_head_steps`. The
 caches live on the context, not in the module, because their values
 depend on q and the precision, and because one context serves one build
 on one thread.
@@ -86,7 +88,7 @@ ever formed for them:
     monomial of lower exponent times one binomial, c (1 + (c'/c) t^e)
     for e > 0 and m (1 + (c/c') t^-e) for e < 0 (the heads 1 + q^(h - 2n) of
     the mod-5 companions past n = h/2), or the scalar c + c' times none
-    at e = 0;
+    at e = 0 (the exact zero when c + c' = 0);
   * `vwp(k, n, base)` for k and base of exponent >= 0: the two binomials
     of (1 - k base^(2n)) / (1 - k) (`qfunc.vwp_factor`), the constant
     one folded as above.
@@ -286,7 +288,9 @@ class ExactCtx:
     def mul(self, *vals):
         """The product of the values: a monomial if no series or binomial
         is involved, else a series or an unmultiplied product (see the
-        module docstring)."""
+        module docstring). A factor that is exactly 0 makes it the exact
+        zero (`_QM_ZERO`), whatever the other factors are known to, so
+        that `inv` of it raises DegenerateDenominator."""
         num, den, exp = 1, 1, 0      # the monomial (num/den) t^exp
         parts, binoms = [], []
         order = None                 # N, once a binomial factor is involved
@@ -310,8 +314,7 @@ class ExactCtx:
                 num *= c.numerator
                 den *= c.denominator
         if not num:
-            return _QM_ZERO if not parts and order is None \
-                else LaurentSeries.zero(self.order)
+            return _QM_ZERO
         if num == den:
             mono = QMonomial(_ONE, exp) if exp else _QM_ONE
         else:
@@ -357,7 +360,7 @@ class ExactCtx:
             if not e:
                 c += m.coef
                 return _Product(QMonomial.of(c), (), (), self.order) \
-                    if c else LaurentSeries.zero(self.order)
+                    if c else _QM_ZERO
             lead, x = (QMonomial.of(c), m.coef / c) if e > 0 else \
                 (m, c / m.coef)
             return _Product(lead, (), (
@@ -445,6 +448,21 @@ class ExactCtx:
             return self.mul(*(() if q is one else (q,)),
                             *(() if s is None else (self.pow_int(s, n),)),
                             *more)
+
+        return at
+
+    def heads(self, heads):
+        """n -> prod (1 - w r^n)^(-1 if inverse else 1) over the (w, r,
+        inverse) heads: each head 1 - w r^n as `sub` builds it (one
+        binomial, the exact zero where it vanishes), inverted by `inv`,
+        and several heads multiplied in the order given, so a summand's
+        lazy product holds one binomial per head."""
+        def at(n):
+            vals = []
+            for w, r, inverse in heads:
+                head = self.sub(_ONE, self.mul(w, self.pow_int(r, n)))
+                vals.append(self.inv(head) if inverse else head)
+            return vals[0] if len(vals) == 1 else self.mul(*vals)
 
         return at
 
@@ -591,6 +609,31 @@ def _quotient_steps(ups, downs, s, n0: int, dc: decimal.Context):
             ups = list(map(mul, ups, up_bases))
 
 
+def _head_steps(heads, dc: decimal.Context):
+    """H(0), H(1), ... of n -> prod (1 - w r^n)^(-1 if inverse else 1)
+    over the (w, r, inverse) heads in the decimal context `dc`. Each head
+    keeps its running power w r^n, so one more step costs one
+    multiplication and one subtraction per head, and one division when
+    inverse heads are present (never a power). Each H(n) is a product of
+    its own: a head may vanish at one n only. Where the inverse heads'
+    product is exactly 0 the step yields None (`NumericCtx.heads` raises
+    DegenerateDenominator there, as `inv` does), and the steps go on."""
+    mul, sub, div = dc.multiply, dc.subtract, dc.divide
+    ups, up_bases, downs, down_bases = [], [], [], []
+    for w, r, inverse in heads:
+        (downs if inverse else ups).append(w)
+        (down_bases if inverse else up_bases).append(r)
+    while True:
+        top = reduce(mul, map(sub, _ONES, ups)) if ups else _D_ONE
+        if downs:
+            den = reduce(mul, map(sub, _ONES, downs))
+            yield div(top, den) if den else None
+            downs = list(map(mul, downs, down_bases))
+        else:
+            yield top
+        ups = list(map(mul, ups, up_bases))
+
+
 def _euler(f: Decimal, base: Decimal, dc: decimal.Context) -> Decimal:
     """(f; base)_inf for |f| <= (1 - |base|)/2 by Euler's series (Gasper &
     Rahman, eq. 1.3.16), in `dc`:
@@ -637,7 +680,13 @@ class NumericCtx:
         keeps every value it reaches (`qfunc.Stepped`), as ExactCtx keeps
         one `PochTower`.
         Every summand and every term of `wp_beta_sum` that asks for
-        equal arguments reads the same run.
+        equal arguments reads the same run;
+      * `heads`: for each distinct tuple of heads, as given, the one run
+        (`_head_steps`) that steps the running powers w r^n of its heads;
+        a summand's heads are one such run, apart from its quotient's, so
+        that the envelope reads the quotient without them;
+      * `vwp`: for each distinct k and base, as given, the run of the head
+        (k, base^2) and the constant 1/(1 - k), made once.
     A q-power is not memoized: most are asked for once per context. A
     builder that passes the same Decimal object again (a loop-invariant
     argument built once, a memoized rational) also reuses its cached
@@ -652,6 +701,8 @@ class NumericCtx:
         self.tol = NUMERIC_TOL
         self._nums: Dict = {}
         self._runs: Dict = {}
+        self._heads: Dict = {}
+        self._vwps: Dict = {}
         self.q_unit = self.num(q_unit)
         self.q = dc.power(self.q_unit, denom)
 
@@ -766,13 +817,45 @@ class NumericCtx:
             f = mul(f, base)
         raise NonTruncatable("infinite product failed to settle")
 
+    def heads(self, heads):
+        """n -> prod (1 - w r^n)^(-1 if inverse else 1) over the (w, r,
+        inverse) heads, n >= 0: a lookup in the context's one run for these
+        heads (`_head_steps`), keyed by the heads as given, as `_run` keys
+        a quotient. An inverse head that is exactly 0 at n raises
+        DegenerateDenominator at that n, as `inv` does, and at no other."""
+        key = tuple(heads)
+        at = self._heads.get(key)
+        if at is None:
+            num = self.num
+            at = Stepped(0, _head_steps([(num(w), num(r), inverse)
+                                         for w, r, inverse in key],
+                                        self.dc)).at
+            if any(inverse for *_, inverse in key):
+                run = at
+
+                def at(n: int) -> Decimal:
+                    v = run(n)
+                    if v is None:
+                        raise DegenerateDenominator("division by zero")
+                    return v
+            self._heads[key] = at
+        return at
+
     def vwp(self, k, n: int, base=None) -> Decimal:
-        k = self.num(k)
-        base = self.q if base is None else self.num(base)
-        if k == 1:
-            raise DegenerateVWP("very-well-poised factor with k = 1")
-        top = self._sub(_D_ONE, self._mul(k, self.dc.power(base, 2 * n)))
-        return self.dc.divide(top, self._sub(_D_ONE, k))
+        """(1 - k base^(2n)) / (1 - k), base q when None: the run of the
+        head (k, base^2) at n times 1/(1 - k), both made once for each k
+        and base as given (k = 1 raises DegenerateVWP there)."""
+        key = (k, base)
+        at = self._vwps.get(key)
+        if at is None:
+            k = self.num(k)
+            if k == 1:
+                raise DegenerateVWP("very-well-poised factor with k = 1")
+            base = self.q if base is None else self.num(base)
+            run = self.heads(((k, self._mul(base, base), False),))
+            mul, c = self._mul, self.dc.divide(_D_ONE, self._sub(_D_ONE, k))
+            at = self._vwps[key] = lambda n: mul(run(n), c)
+        return at(n)
 
     def summation(self, term, start: int = 0, times=1):
         """`times` times the sum of the terms term(n) for n >= `start`,

@@ -216,7 +216,7 @@ class Stepped:
     every lookup past the values it reached raises that error again: a
     fresh copy each time, of the same type, args and attributes, so that
     no traceback grows and the run keeps no frame alive.
-    `PochTower` and `context.NumericCtx`'s quotient runs are the two
+    `PochTower` and `context.NumericCtx`'s quotient and head runs are the
     engines behind it."""
 
     __slots__ = ("n0", "_vals", "_steps", "_error")

@@ -1,5 +1,8 @@
 """Plain references that tests check the kernels against, written without
-the binomial passes of `qfunc` and `LaurentSeries.mul_binomials`."""
+the binomial passes of `qfunc` and `LaurentSeries.mul_binomials`, or the
+running powers of `NumericCtx`."""
+
+from fractions import Fraction
 
 from qident.series import LaurentSeries as LS, QMonomial
 
@@ -15,4 +18,15 @@ def poch_product(a, base, n, order=None):
     for j in range(n):
         f = a * base ** j
         out = out * (LS.one(order) - LS.monomial(f.coef, f.exp, order))
+    return out
+
+
+def head_product(heads, n):
+    """prod (1 - w r^n)^(-1 if inverse else 1) over the (w, r, inverse)
+    heads, rationals, as one Fraction, each power taken in full;
+    ZeroDivisionError where an inverse head is 0."""
+    out = Fraction(1)
+    for w, r, inverse in heads:
+        head = 1 - Fraction(w) * Fraction(r) ** n
+        out = out / head if inverse else out * head
     return out

@@ -20,6 +20,7 @@ from qident.errors import (DegenerateDenominator, NonTruncatable,
                            OrderInsufficient)
 from qident.registry import sample_params, verify_one
 from qident.series import LaurentSeries as LS, QMonomial
+from two_strategies import exact, numeric
 
 COEFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 5), F(7, 3)]
 TALL = st.builds(F, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 64))
@@ -118,9 +119,15 @@ def test_nested_mul_merges_parts():
 
 
 def test_zero_monomial_gives_zero_at_working_order():
+    # an exact 0 times windows is the exact 0, which has no inverse, and
+    # is the zero series at the working order once forced
     ctx = ExactCtx(10)
     a = LS.from_pairs({0: 1, 1: 2}, 14)
-    assert ctx.mul(a, a, F(0)) == LS.zero(ctx.order)
+    product = ctx.mul(a, a, F(0))
+    assert product == QMonomial.of(0)
+    assert ctx.finalize(product) == LS.zero(ctx.order)
+    with pytest.raises(DegenerateDenominator):
+        ctx.inv(product)
 
 
 def test_low_order_product_raises_from_sum():
@@ -238,15 +245,18 @@ def eager_value(order, draw):
     `vwp` at n = 0 or k = 0, or the exact 0 of a product that ExactCtx
     keeps as binomials, an infinite product or a very-well-poised ratio
     with k and base of exponent >= 0, when one of its constant factors
-    vanishes, such as (1; q)_inf), inverted by `LaurentSeries.invert`;
-    the exact 0 has no inverse."""
+    vanishes, such as (1; q)_inf, or of c + m at exponent 0 when c + m =
+    0), inverted by `LaurentSeries.invert`; the exact 0 has no
+    inverse."""
     (kind, *arg), inverted = draw
     if kind == "poch":
         v = qfunc.poch_infinite(*arg, order)
         if vanishes(qfunc.poch_infinite(*arg, order, factors=True)):
             v = F(0)
     elif kind == "c+m":
-        v = LS.coerce(arg[0], order) + LS.coerce(arg[1], order)
+        c, m, _ = arg
+        v = F(0) if m.exp == 0 and c + m.coef == 0 else \
+            LS.coerce(c, order) + LS.coerce(m, order)
     elif kind == "vwp":
         k, n, base = arg
         v = F(1) if not k.is_one and (n == 0 or k.is_zero) else \
@@ -283,10 +293,9 @@ def binomial_faults(draws, mono, goal, headroom):
         return [] if got == want else [("build", got, want)]
     windows = [v for v in want if isinstance(v, LS)]
     # a monomial when no window is involved; when a value is the exact 0,
-    # that 0, or beside a window the zero window at the construction
-    # order, as `ExactCtx.mul` of a rational 0 and a window is
+    # that 0, beside windows too, as `ExactCtx.mul` of a rational 0 is
     if any(isinstance(v, F) and not v for v in want):
-        full = LS.zero(order) if windows else QMonomial.of(0)
+        full = QMonomial.of(0)
     else:
         full = mono if not windows else \
             reduce(LS.mul, windows).scale(mono.coef, mono.exp)
@@ -348,8 +357,11 @@ def test_binomial_factors_stay_unmultiplied():
         ctx.inv(ctx.poch_inf(QMonomial.of(1), Q))
 
 
-#: fixed draws: each applies an inverted binomial, and the last two a
-#: dense part known past the cap of its binomials
+#: fixed draws: each of the first three applies an inverted binomial,
+#: and the second and third a dense part known past the cap of its
+#: binomials; the last one is (1; q)_inf, whose constant factor 1 - 1
+#: vanishes, times a dense part: the exact 0 in full and at the goal, and
+#: no inverse
 BINOMIAL_DRAWS = [
     ([(("poch", QMonomial.of(1, 1), QMonomial.of(1, 1)), True)],
      QMonomial.of(1), 6, 2),
@@ -358,7 +370,10 @@ BINOMIAL_DRAWS = [
      QMonomial.of(2, 1), 8, 0),
     ([(("vwp", QMonomial.of(F(1, 2), 1), 2, QMonomial.of(1, 1)), False),
       (("dense", LS.from_pairs({1: 1, 2: -1})), False)],
-     QMonomial.of(1), 10, 3)]
+     QMonomial.of(1), 10, 3),
+    ([(("poch", QMonomial.of(1), QMonomial.of(1, 1)), False),
+      (("dense", LS.from_pairs({0: 2, 1: -1}, 9)), False)],
+     QMonomial.of(F(1, 3), 2), 6, 1)]
 
 
 def test_binomial_check_catches_mutants(monkeypatch):
@@ -368,13 +383,51 @@ def test_binomial_check_catches_mutants(monkeypatch):
         times = context._times
         m.setattr(context, "_times", lambda s, fs, order=None: times(
             s, [(p, r, e, False) for p, r, e, _ in fs], order))
-        assert all(binomial_faults(*d) != [] for d in BINOMIAL_DRAWS)
+        assert all(binomial_faults(*d) != [] for d in BINOMIAL_DRAWS[:3])
     with monkeypatch.context() as m:
         # the binomials' windows taken as known one order too high
         known = context._Product._known
         m.setattr(context._Product, "_known",
                   lambda self, low: known(self, low) + 1)
-        assert all(binomial_faults(*d) != [] for d in BINOMIAL_DRAWS[1:])
+        assert all(binomial_faults(*d) != [] for d in BINOMIAL_DRAWS[1:3])
+    with monkeypatch.context() as m:
+        # an exact 0 beside a window taken as the zero window, whose
+        # inverse reaches `LaurentSeries.invert`
+        mul = ExactCtx.mul
+
+        def zero_window(self, *vals):
+            v = mul(self, *vals)
+            return LS.zero(self.order) if v is context._QM_ZERO and any(
+                isinstance(x, (LS, context._Product)) for x in vals) else v
+
+        m.setattr(ExactCtx, "mul", zero_window)
+        assert binomial_faults(*BINOMIAL_DRAWS[3]) != []
+
+
+def vanishing_inverse_head(ctx):
+    """The sum of q^n / (1 - q^-2 q^n) over n <= 2: its head vanishes at
+    n = 2 (exactly at q = 1/2, whose powers are exact decimals)."""
+    qq = ctx.qpow(1)
+    return ctx.summation(Summand(ctx, qq, heads=[(ctx.qpow(-2), qq, True)],
+                                 support=2)), ctx.one()
+
+
+def inverse_of_zero_times_series(ctx):
+    """1 / ((1; q)_inf times a sum): the exact 0 times a series."""
+    qq = ctx.qpow(1)
+    series = ctx.summation(Summand(ctx, qq, ups=[(F(1, 2), qq)]))
+    return ctx.inv(ctx.mul(ctx.poch_inf(ctx.one(), qq), series)), ctx.one()
+
+
+@pytest.mark.parametrize("build", [vanishing_inverse_head,
+                                   inverse_of_zero_times_series])
+def test_vanishing_denominator_raises_in_both_contexts(build):
+    """An exact 0 that a build inverts raises DegenerateDenominator under
+    either strategy, never the series kernel's ZeroLeadingCoefficient."""
+    with pytest.raises(DegenerateDenominator):
+        exact(20, build)
+    with pytest.raises(DegenerateDenominator):
+        numeric(build, F(1, 2))
 
 
 def test_forcing_short_of_the_goal_multiplies_nothing(monkeypatch):

@@ -16,12 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 from qident import context
 from qident.bailey import Factor, Summand, wp_transform
 from qident.context import ExactCtx, NumericCtx
-from qident.errors import DegenerateDenominator
+from qident.errors import DegenerateDenominator, DegenerateVWP
 from qident.qfunc import NUMERIC_PRECISION, Stepped
 from qident.registry import (catalog, document_json, sample_params,
                              strip_timing, suite_document, verify_one,
                              verify_suite, with_injected_fault)
 from qident.series import DEFAULT_ORDER, QMonomial
+from references import head_product
 
 #: the agreement the kernel promises, relative (see `scale`)
 DELTA = F(1, 10 ** (NUMERIC_PRECISION - 5))
@@ -29,6 +30,8 @@ DELTA = F(1, 10 ** (NUMERIC_PRECISION - 5))
 #: the quotient engine as built: the reference runs and the mutants below
 #: call it, whatever `context._quotient_steps` is patched to
 STEPS = context._quotient_steps
+#: the head runs' engine, likewise
+HEAD_STEPS = context._head_steps
 
 RAT = st.builds(F, st.integers(-20, 20), st.integers(1, 20))
 BASE = st.builds(F, st.integers(-19, 19), st.integers(20, 20)) | \
@@ -341,10 +344,11 @@ def test_equal_quotients_share_one_run(ups, downs, s, calls):
 
 
 def test_context_is_freed_without_the_cycle_collector():
-    """The memoized runs hold no reference to their context, so a build's
-    NumericCtx dies with its last reference, not at the next collection.
-    A run that met a pole keeps no traceback either: one would hold the
-    frame that caught it, and so the context."""
+    """The memoized runs (the quotients', the heads' and `vwp`'s) hold no
+    reference to their context, so a build's NumericCtx dies with its last
+    reference, not at the next collection. A run that met a pole keeps no
+    traceback either: one would hold the frame that caught it, and so the
+    context."""
     def used():
         ctx = NumericCtx(F(1, 7))
         qq = ctx.qpow(1)
@@ -354,7 +358,10 @@ def test_context_is_freed_without_the_cycle_collector():
         with pytest.raises(DegenerateDenominator):
             ctx.inv_poch(F(4), F(1, 2), 3)
         ctx.summation(Summand(ctx, F(1, 2), ups=[(F(1, 3), qq)],
-                              downs=[(qq, qq)]))
+                              downs=[(qq, qq)], heads=[(F(2), qq, True)]))
+        ctx.vwp(F(1, 3), 4)
+        with pytest.raises(DegenerateDenominator):
+            ctx.heads([(F(4), F(1, 2), True)])(2)
         return weakref.ref(ctx)
 
     gc.disable()
@@ -407,6 +414,143 @@ def test_property_check_catches_off_by_one_quotient_run(monkeypatch):
     assert max(gaps()) <= DELTA
     monkeypatch.setattr(context, "_quotient_steps", _run_ahead)
     assert min(gaps()) > DELTA
+
+
+# ---------------------------------------------------------- the heads
+#
+# A summand's heads (1 - w r^n)^(+-1) are one run of running powers w r^n
+# (`NumericCtx.heads`), and so is the very-well-poised factor's head
+# (`NumericCtx.vwp`). Checked against the Fraction product, each power
+# taken in full, for lookups in any order.
+
+#: a head on r = +-2^i 5^j, with w = r^-m: it vanishes at n = m, and
+#: every power of r is a decimal fraction, so the run meets that zero
+#: exactly
+VANISHING = st.builds(
+    lambda r, m, inverse: (r ** -m, r, inverse),
+    st.sampled_from([F(1, 2), F(-1, 2), F(2), F(-5, 2), F(2, 5), F(1, 4),
+                     F(-5)]), st.integers(0, 6), st.booleans())
+#: w = 0, negative r, |r| > 1 (RAT reaches 20) and inverse heads
+HEAD = st.tuples(RAT, RAT, st.booleans()) | VANISHING
+LOOKUPS = st.lists(st.integers(0, 24), min_size=1, max_size=6)
+
+
+def head_faults(at, heads, lookups):
+    """The lookups n at which `at`, a NumericCtx head run, disagrees with
+    the Fraction product: off by more than DELTA of what the rounding can
+    promise, or raising where the product is defined; or not raising where
+    an inverse head vanishes whose w and r are decimal fractions (the run
+    meets that zero exactly). Elsewhere where an inverse head vanishes the
+    rounded power may miss the zero, and there is no value to compare.
+
+    The promise: each running power x = w r^n is within 2n + 2 roundings
+    of its value, so its head 1 - x within (2n + 2)(1 + |x|); that moves
+    the product by as much times the other heads, over the head's size
+    once more for an inverse head. The product's own roundings are
+    relative."""
+    faults = []
+    for n in lookups:
+        hs = [(1 - F(w) * F(r) ** n, inverse) for w, r, inverse in heads]
+        vanishing = [(w, r) for (w, r, _), (h, inverse) in zip(heads, hs)
+                     if inverse and not h]
+        try:
+            got = at(n)
+        except DegenerateDenominator:
+            if not vanishing:
+                faults.append((n, "pole"))
+            continue
+        if any(terminating(w) and terminating(r) for w, r in vanishing):
+            faults.append((n, "missed pole"))
+        if vanishing:
+            continue
+        want = head_product(heads, n)
+        spread = len(heads) * abs(want)
+        for i, (h, inverse) in enumerate(hs):
+            rest = head_product(heads[:i] + heads[i + 1:], n)
+            spread += (2 * n + 2) * (1 + abs(1 - h)) * abs(rest) / (
+                h * h if inverse else 1)
+        if abs(F(got) - want) > DELTA * spread:
+            faults.append((n, "value", float(abs(F(got) - want))))
+    return faults
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(HEAD, min_size=1, max_size=4), LOOKUPS)
+@example([(F(4), F(1, 2), True), (F(1, 3), F(-5, 2), False)],
+         [5, 2, 0, 2, 1])
+def test_heads_match_fraction_product(heads, lookups):
+    ctx = NumericCtx(F(1, 7))
+    assert head_faults(ctx.heads(heads), heads, lookups) == []
+
+
+def test_summands_share_one_head_run(monkeypatch):
+    """Two summands with equal heads read one run; an inverse head that
+    vanishes at n = 2 raises there in both, and nowhere else."""
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return HEAD_STEPS(*args)
+
+    monkeypatch.setattr(context, "_head_steps", counted)
+    ctx = NumericCtx(F(1, 2))
+    qq = ctx.qpow(1)                        # 1/2: q^-2 q^2 = 1 exactly
+    heads = [(ctx.qpow(-2), qq, True), (F(1, 3), F(-5, 2))]
+    plain = Summand(ctx, heads=heads)
+    scaled = Summand(ctx, F(1, 5), ups=[(F(1, 3), qq)], heads=heads)
+    exact = [(F(4), F(1, 2), True), (F(1, 3), F(-5, 2), False)]
+    for n in (4, 0, 3, 1):
+        for term, want in ((plain, head_product(exact, n)), (
+                scaled, head_product(exact, n) * F(1, 5) ** n
+                * fraction_poch(F(1, 3), F(1, 2), n))):
+            assert abs(F(term(n)) - want) <= DELTA * abs(want)
+    for term in (plain, scaled):
+        with pytest.raises(DegenerateDenominator):
+            term(2)
+    assert len(made) == 1
+
+
+#: fixed draws, each with an inverse head whose value is not +-1
+HEAD_DRAWS = [
+    ([(F(1, 3), F(-5, 2), True), (F(2), F(1, 2), False)], [3, 0, 5]),
+    ([(F(-7, 4), F(-3, 20), True), (F(0), F(7), False)], [12, 1]),
+    ([(F(5, 2), F(19, 20), True)], [0, 20, 7])]
+
+
+def _first_head_unflipped(heads, dc):
+    """A mutant of the head runs: the first head is applied with its
+    inverse flag flipped."""
+    (w, r, inverse), *rest = heads
+    return HEAD_STEPS([(w, r, not inverse), *rest], dc)
+
+
+def test_head_check_catches_an_unflipped_head(monkeypatch):
+    def faults():
+        return [head_faults(NumericCtx(F(1, 7)).heads(heads), heads, ns)
+                for heads, ns in HEAD_DRAWS]
+
+    assert faults() == [[]] * len(HEAD_DRAWS)
+    monkeypatch.setattr(context, "_head_steps", _first_head_unflipped)
+    assert all(faults())
+
+
+@settings(max_examples=100, deadline=None)
+@given(RAT, st.none() | RAT, LOOKUPS)
+@example(F(1), None, [0])
+def test_vwp_matches_fraction_ratio(k, base, lookups):
+    """(1 - k b^(2n)) / (1 - k), b = q when None, is the run of the head
+    (k, b^2) times 1/(1 - k); k = 1 raises DegenerateVWP."""
+    ctx = NumericCtx(F(1, 7))
+    if k == 1:
+        with pytest.raises(DegenerateVWP):
+            ctx.vwp(k, 0, base)
+        return
+    b = F(1, 7) if base is None else base
+    for n in lookups:
+        x = k * b ** (2 * n)
+        want = (1 - x) / (1 - k)
+        spread = (4 * n + 4) * (1 + abs(x)) / abs(1 - k) + abs(want)
+        assert abs(F(ctx.vwp(k, n, base)) - want) <= DELTA * spread
 
 
 # ---------------------------------------- every length k n + l at once

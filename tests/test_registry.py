@@ -288,7 +288,7 @@ def test_fault_twin_digest_pinned():
 # (a term, a stop, a rounding) changes the digest, where the statuses
 # alone would not show it.
 NUMERIC_TWIN_DIGEST = \
-    "b55aabc48d7ffc80d3718606f28dadb92f6c08e404e357ca7f80fc9cd15d53bc"
+    "7b03ea32b66839ee8904bb2d61b06c722ae8d37ce60b7109717c756a94aefcef"
 
 
 def test_numeric_fault_twin_digest_pinned():
