@@ -366,6 +366,11 @@ class ExactCtx:
             return _Product(lead, (), (
                 (x.numerator, x.denominator, abs(e), False),),
                 self.order - min(e, 0))
+        if isinstance(u, (Fraction, int)) and \
+                isinstance(v, (Fraction, int)) and not u + v:
+            # two rationals that cancel: the exact zero, so that `inv` of
+            # it raises DegenerateDenominator, as the numeric context's
+            return _QM_ZERO
         return LaurentSeries.coerce(_force(u), self.order) + \
             LaurentSeries.coerce(_force(v), self.order)
 
@@ -616,8 +621,11 @@ def _head_steps(heads, dc: decimal.Context):
     multiplication and one subtraction per head, and one division when
     inverse heads are present (never a power). Each H(n) is a product of
     its own: a head may vanish at one n only. Where the inverse heads'
-    product is exactly 0 the step yields None (`NumericCtx.heads` raises
-    DegenerateDenominator there, as `inv` does), and the steps go on."""
+    product is within `_EPS` of zero the step yields None
+    (`NumericCtx.heads` raises DegenerateDenominator there, as
+    `_quotient_steps` does for a lower product: an inverse head on a pole,
+    such as (q^-1, q) at n = 1 and q = 1/3, leaves 1 - q^-1 q at the
+    rounding error, not 0), and the steps go on."""
     mul, sub, div = dc.multiply, dc.subtract, dc.divide
     ups, up_bases, downs, down_bases = [], [], [], []
     for w, r, inverse in heads:
@@ -627,7 +635,7 @@ def _head_steps(heads, dc: decimal.Context):
         top = reduce(mul, map(sub, _ONES, ups)) if ups else _D_ONE
         if downs:
             den = reduce(mul, map(sub, _ONES, downs))
-            yield div(top, den) if den else None
+            yield None if den.copy_abs() < _EPS else div(top, den)
             downs = list(map(mul, downs, down_bases))
         else:
             yield top
@@ -821,8 +829,8 @@ class NumericCtx:
         """n -> prod (1 - w r^n)^(-1 if inverse else 1) over the (w, r,
         inverse) heads, n >= 0: a lookup in the context's one run for these
         heads (`_head_steps`), keyed by the heads as given, as `_run` keys
-        a quotient. An inverse head that is exactly 0 at n raises
-        DegenerateDenominator at that n, as `inv` does, and at no other."""
+        a quotient. An inverse head within `_EPS` of zero at n raises
+        DegenerateDenominator at that n, and at no other."""
         key = tuple(heads)
         at = self._heads.get(key)
         if at is None:

@@ -300,6 +300,9 @@ def _s_x_unit_u(rng, mode):
         e = rng.randint(0, 2)
         pool = [c for c in COEFS if not (e == 0 and c == 1)]
         out["u"] = QMonomial(rng.choice(pool), e)
+        if out["u"] == QMonomial(out["x"].coef, 0):
+            # u q = x: (qu/x; q)_inf, and with it the right side, is 0
+            return None
     else:
         out["u"] = rng.choice([F(1, 2), F(-1, 2), F(2, 5), F(-3, 5), F(1, 4)])
     return out
@@ -734,7 +737,11 @@ def _s_qbailey(rng, mode):
         c = QMonomial(rng.choice(SMALL_COEFS), ec)
         eb = rng.randint(0, 2)
         pool = [cf for cf in COEFS if not (eb in (0, 1) and cf == 1)]
-        return {"b": QMonomial(rng.choice(pool), eb), "c": c}
+        b = QMonomial(rng.choice(pool), eb)
+        if b == QMonomial(c.coef, ec + 1):
+            # c q = b: (cq/b; q^2)_inf, and with it the right side, is 0
+            return None
+        return {"b": b, "c": c}
     return {"b": rng.choice([F(1, 2), F(-1, 2), F(2, 5), F(3, 5)]),
             "c": rng.choice([F(1, 3), F(-1, 3), F(1, 4), F(2, 7)]),
             "q": _qv(rng)}

@@ -3,12 +3,10 @@ or is listed in UNREACHED with the reason it is kept.
 
     PYTHONPATH=src python tests/reach.py
 
-It traces the verdict runs (function entries only, `sys.setprofile`):
-the exact `auto` suite at seeds 1 to 3 and order 40, the numeric suite
-with 20 samples at seeds 1 to 3, and the (1 + q^7) fault twins of the
-first three seed-1 samples of every record under both strategies. A
-function is every `def` of the package's modules, nested ones included
-(lambdas and comprehensions are not); it is named module.qualname.
+It traces the verdict runs, the RUNS of `tests/verdicts.py` (function
+entries only, `sys.setprofile`). A function is every `def` of the
+package's modules, nested ones included (lambdas and comprehensions are
+not); it is named module.qualname.
 
 It exits 1, printing the names, when a function that no run calls is
 not listed, or when a listed function is called or no longer exists, so
@@ -90,10 +88,6 @@ UNREACHED = {
     "series.LaurentSeries.terms": "series API: tests and eval_at",
     "series.QMonomial.__mul__": "series API: tests and demos",
     "series.QMonomial.__str__": "series API: printing",
-    # reached at order 120 (the classic-o120 benchmark workload), not at
-    # order 40: it packs only windows at least 48 terms wide
-    "series._packed_pass": "packed binomial pass: windows of 48+ terms",
-    "series._slot_bits": "packed binomial pass: its slot size",
 }
 
 
@@ -122,20 +116,6 @@ def defined() -> dict:
     return out
 
 
-def verdict_runs() -> None:
-    from qident.registry import (catalog, sample_params, verify_one,
-                                 verify_suite, with_injected_fault)
-
-    for seed in (1, 2, 3):
-        verify_suite(order=40, seed=seed, samples=3)
-        verify_suite(order=40, seed=seed, samples=20, strategy="numeric")
-    for rec in catalog():
-        twin = with_injected_fault(rec, 7)
-        for strategy in ("exact", "numeric"):
-            for a in sample_params(rec.id, 1, 3, strategy):
-                verify_one(twin, a, 40)
-
-
 def called() -> set:
     """(file, first line) of every Python function the verdict runs
     enter."""
@@ -148,7 +128,10 @@ def called() -> set:
 
     sys.setprofile(profile)
     try:
-        verdict_runs()
+        # imported under the profile: importing qident builds the catalog
+        from verdicts import RUNS
+        for run in RUNS:
+            run.reports()
     finally:
         sys.setprofile(None)
     return {(os.path.realpath(c.co_filename), c.co_firstlineno)

@@ -510,6 +510,21 @@ def test_summands_share_one_head_run(monkeypatch):
     assert len(made) == 1
 
 
+@pytest.mark.parametrize("q", [F(1, 3), F(1, 7), F(2, 9), F(-1, 3),
+                               F(3, 7)])
+def test_inverse_head_on_a_pole_raises_at_its_n_only(q):
+    """(q^-1, q) vanishes at n = 1, where the rounded q^-1 q misses 1:
+    that lookup raises, and n = 0 and 2 keep every digit."""
+    ctx = NumericCtx(q)
+    at = ctx.heads([(ctx.qpow(-1), ctx.q, True)])
+    with pytest.raises(DegenerateDenominator):
+        at(1)
+    dc, w, r = ctx.dc, ctx.qpow(-1), ctx.q
+    plain = [dc.divide(1, dc.subtract(1, w)),
+             dc.divide(1, dc.subtract(1, dc.multiply(dc.multiply(w, r), r)))]
+    assert list(map(str, map(at, (0, 2)))) == list(map(str, plain))
+
+
 #: fixed draws, each with an inverse head whose value is not +-1
 HEAD_DRAWS = [
     ([(F(1, 3), F(-5, 2), True), (F(2), F(1, 2), False)], [3, 0, 5]),

@@ -282,6 +282,16 @@ def test_fault_twin_digest_pinned():
     assert digest == TWIN_DIGEST, "\n".join(lines)
 
 
+@pytest.mark.parametrize("rid", ["qbailey", "u-power"])
+def test_exact_twins_see_the_fault_beyond_seed_1(rid):
+    # the samplers reject the draws whose right side is identically 0
+    # (c q = b; u q = x), where both sides of the twin read 0 + O(q^41)
+    twin = with_injected_fault(rid, 7)
+    assert [a.provenance for seed in range(1, 13)
+            for a in sample_params(rid, seed, 3)
+            if verify_one(twin, a).status != "mismatch"] == []
+
+
 # The numeric counterpart: fault twins at j = 7 on the first three seed-1
 # numeric samples of every record, one line "id status lhs rhs" per twin,
 # every digit of both sides included. A change to a numeric value anywhere
